@@ -13,66 +13,42 @@ Typical entry points:
 - :func:`aldet.pseudo_label.extract_pseudo_labels`
 - :func:`aldet.pool.run_cycles` with a :class:`aldet.sim_detector.SyntheticDetector`
 - the ``aldet`` command line (score/select/pseudolabel/simulate/eval/...)
+
+Only these entry points and the types they take or return are re-exported
+here; everything else is imported from its module.
 """
 
-from .acquisition import (
-    AcquisitionConfig,
-    AcquisitionScore,
-    entropy,
-    image_entropy,
-    image_inconsistency,
-    select_for_labeling,
-    sym_kl,
-    unified_score,
-)
-from .boxes import (
-    BoxCorner,
-    BoxEncoded,
-    ClassDist,
-    Detection,
-    ImagePrediction,
-    decode_box,
-    encode_box,
-    hflip,
-    image_anchor,
-    iou,
-    nms,
-)
-from .dataset import Dataset, ImageRecord, make_synthetic_dataset
-from .evaluation import EvalResult, average_precision, map50, winrate_matrix, winrate_table
-from .losses import (
-    GroundTruthAssignment,
-    consistency_class_loss,
-    consistency_loc_loss,
-    multibox_conf_loss,
-    pl_multibox_conf_loss,
-    smooth_l1_loc_loss,
-    total_loss,
-)
-from .matching import MatchedPair, MatchResult, match_predictions
-from .pool import (
-    CycleReport,
-    Pool,
-    RunConfig,
-    balanced_batches,
-    commit_selection,
-    init_pool,
-    run_cycles,
-    score_pool,
-    with_pseudo,
-)
-from .pseudo_label import (
-    GroundTruthObject,
-    PseudoLabel,
-    audit_pl_correctness,
-    extract_pseudo_labels,
-    extract_topk_per_class,
-)
-from .sim_detector import (
-    DetectorInterface,
-    StaticPredictions,
-    SyntheticDetector,
-    SyntheticDetectorConfig,
-)
+from .acquisition import AcquisitionConfig, AcquisitionScore, select_for_labeling, unified_score
+from .boxes import BoxCorner, ClassDist, Detection, ImagePrediction
+from .dataset import Dataset, make_synthetic_dataset
+from .evaluation import EvalResult, map50
+from .pool import CycleReport, Pool, RunConfig, init_pool, run_cycles
+from .pseudo_label import PseudoLabel, extract_pseudo_labels
+from .sim_detector import DetectorInterface, SyntheticDetector, SyntheticDetectorConfig
+
+__all__ = [
+    "AcquisitionConfig",
+    "AcquisitionScore",
+    "select_for_labeling",
+    "unified_score",
+    "BoxCorner",
+    "ClassDist",
+    "Detection",
+    "ImagePrediction",
+    "Dataset",
+    "make_synthetic_dataset",
+    "EvalResult",
+    "map50",
+    "CycleReport",
+    "Pool",
+    "RunConfig",
+    "init_pool",
+    "run_cycles",
+    "PseudoLabel",
+    "extract_pseudo_labels",
+    "DetectorInterface",
+    "SyntheticDetector",
+    "SyntheticDetectorConfig",
+]
 
 __version__ = "0.1.0"

@@ -95,11 +95,6 @@ class AcquisitionConfig:
     # Entropy/KL run over the full (K+1)-category softmax by default; set
     # False to drop the background category and renormalize.
     include_background: bool = True
-    # When set, any unmatched detection contributes this inconsistency cap
-    # (a detection that vanishes under flip is itself non-robustness).
-    # None follows the matched-pairs-only definition.
-    unmatched_penalty: float | None = None
-    one_to_one_match: bool = True
 
 
 @dataclass(frozen=True)
@@ -143,11 +138,12 @@ def unified_score(
     flipped: ImagePrediction,
     cfg: AcquisitionConfig = AcquisitionConfig(),
 ) -> AcquisitionScore:
-    """Score one image from its raw original and flipped predictions.
+    """Score one image from its original and flipped predictions.
 
-    ``flipped`` is the prediction in the flipped frame as the detector emits
-    it; it is mapped back into the original frame internally. NMS runs on
-    both sides before matching. An image with no surviving detections scores
+    ``flipped`` is the raw prediction in the flipped frame as the detector
+    emits it; it is mapped back into the original frame internally. NMS runs
+    on both sides before matching; ``orig`` may already be post-NMS, since
+    NMS is idempotent. An image with no surviving detections scores
     (0, 0, 0) and is therefore never selected by score-based strategies.
     """
     orig_dets = nms(orig.detections, cfg.nms_iou, cfg.nms_score_floor)
@@ -158,7 +154,6 @@ def unified_score(
         orig.with_detections(orig_dets),
         unflipped.with_detections(flip_dets),
         cfg.min_match_iou,
-        one_to_one=cfg.one_to_one_match,
     )
 
     if cfg.include_background:
@@ -173,9 +168,6 @@ def unified_score(
             ),
             default=0.0,
         )
-
-    if cfg.unmatched_penalty is not None and (result.unmatched_original or result.unmatched_flipped):
-        inc = max(inc, cfg.unmatched_penalty)
 
     return AcquisitionScore.from_parts(orig.image_id, h, inc)
 

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import formats
-from .acquisition import AcquisitionConfig, select_for_labeling, unified_score
-from .boxes import BoxCorner, BoxEncoded, ClassDist, Detection, nms
+from .acquisition import AcquisitionConfig, select_for_labeling
+from .boxes import BoxCorner, BoxEncoded, ClassDist, Detection
 from .dataset import Dataset
-from .evaluation import INTERPOLATIONS, EvalResult, map50, winrate_matrix
+from .evaluation import INTERPOLATIONS, map50, winrate_matrix
 from .losses import (
     GroundTruthAssignment,
     consistency_class_loss,
@@ -29,15 +29,15 @@ from .losses import (
 )
 from .matching import MatchedPair
 from .pool import (
-    BATCH_MODES,
     PL_STRATEGIES,
     SELECTION_STRATEGIES,
     RunConfig,
     commit_selection,
     init_pool,
+    pseudo_label_pool,
     run_cycles,
+    score_pool,
 )
-from .pseudo_label import extract_pseudo_labels, extract_topk_per_class
 from .sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -45,41 +45,6 @@ __all__ = ["main", "ExperimentConfig", "ConfigError"]
 
 class ConfigError(Exception):
     """Aggregated configuration problem; the message lists every violation."""
-
-
-# Every config key, its default (as written in a config file), and its parser.
-CONFIG_DEFAULTS: dict[str, str] = {
-    "dataset": "",
-    "test_dataset": "",
-    "output_dir": "out",
-    "initial_budget": "20",
-    "cycles": "5",
-    "total_budget": "",
-    "budget_per_cycle": "",
-    "strategy": "unified",
-    "tau": "0.99",
-    "pl_enabled": "true",
-    "pl_strategy": "threshold",
-    "pl_topk_fraction": "0.2",
-    "nms_iou": "0.45",
-    "nms_score_floor": "0.01",
-    "min_match_iou": "0.5",
-    "include_background": "true",
-    "batch_mode": "balanced_half",
-    "seed": "0",
-    "interpolation": "eleven_point",
-    "detector_seed": "0",
-    "detector_accuracy": "0.8",
-    "detector_flip_robustness": "0.9",
-    "detector_temperature": "0.15",
-    "detector_logit_noise": "0.1",
-    "detector_box_noise": "0.05",
-    "detector_fp_rate": "0.0",
-    "detector_skill_gain": "0.0",
-    "detector_skill_gain_pl": "0.0",
-    "detector_accuracy_ceiling": "0.97",
-    "detector_robustness_ceiling": "0.99",
-}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -102,39 +67,67 @@ def _parse_per_class(raw: str):
     return out
 
 
+def _parse_optional_int(raw: str) -> int | None:
+    return None if raw == "" else int(raw)
+
+
+# Checks: (predicate on the parsed value, message when it fails). An unset
+# optional key parses to None and passes.
+_NON_NEGATIVE = (lambda v: v is None or v >= 0, "must be non-negative")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+
+
+def _one_of(options):
+    return (lambda v: v in options, f"must be one of {options}")
+
+
+def _key(default: str, parse=str, check=None):
+    """One config key: its default as written in a config file, its parser,
+    and an optional check on the parsed value."""
+    return field(metadata={"default": default, "parse": parse, "check": check})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Typed view of the merged config (defaults < config file < flags)."""
+    """Typed view of the merged config (defaults < config file < flags).
 
-    dataset: str
-    test_dataset: str
-    output_dir: str
-    initial_budget: int
-    cycles: int
-    budget_per_cycle: int
-    strategy: str
-    tau: float
-    pl_enabled: bool
-    pl_strategy: str
-    pl_topk_fraction: float
-    nms_iou: float
-    nms_score_floor: float
-    min_match_iou: float
-    include_background: bool
-    batch_mode: str
-    seed: int
-    interpolation: str
-    detector_seed: int
-    detector_accuracy: object
-    detector_flip_robustness: object
-    detector_temperature: float
-    detector_logit_noise: float
-    detector_box_noise: float
-    detector_fp_rate: float
-    detector_skill_gain: float
-    detector_skill_gain_pl: float
-    detector_accuracy_ceiling: float
-    detector_robustness_ceiling: float
+    Each field is one config key, and this class is the only list of them:
+    the command-line flags, the unknown-key check and validation are all
+    derived from the fields and their metadata (see :func:`_key`).
+    """
+
+    dataset: str = _key("")
+    test_dataset: str = _key("")
+    output_dir: str = _key("out")
+    initial_budget: int = _key("20", int, _NON_NEGATIVE)
+    cycles: int = _key("5", int, (lambda v: v >= 1, "need at least one cycle"))
+    # Either budget may be set; budget_per_cycle wins, and a total_budget is
+    # divided across the cycles. Only simulate needs one (see run_config).
+    total_budget: int | None = _key("", _parse_optional_int, _NON_NEGATIVE)
+    budget_per_cycle: int | None = _key("", _parse_optional_int, _NON_NEGATIVE)
+    strategy: str = _key("unified", str, _one_of(SELECTION_STRATEGIES))
+    tau: float = _key("0.99", float, (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"))
+    pl_enabled: bool = _key("true", _parse_bool)
+    pl_strategy: str = _key("threshold", str, _one_of(PL_STRATEGIES))
+    pl_topk_fraction: float = _key("0.2", float, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"))
+    nms_iou: float = _key("0.45", float, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"))
+    nms_score_floor: float = _key("0.01", float, (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"))
+    min_match_iou: float = _key("0.5", float, _UNIT_INTERVAL)
+    include_background: bool = _key("true", _parse_bool)
+    seed: int = _key("0", int)
+    interpolation: str = _key("eleven_point", str, _one_of(INTERPOLATIONS))
+    detector_seed: int = _key("0", int)
+    detector_accuracy: object = _key("0.8", _parse_per_class)
+    detector_flip_robustness: object = _key("0.9", _parse_per_class)
+    detector_temperature: float = _key("0.15", float, _POSITIVE)
+    detector_logit_noise: float = _key("0.1", float, _NON_NEGATIVE)
+    detector_box_noise: float = _key("0.05", float, _NON_NEGATIVE)
+    detector_fp_rate: float = _key("0.0", float, _NON_NEGATIVE)
+    detector_skill_gain: float = _key("0.0", float, _NON_NEGATIVE)
+    detector_skill_gain_pl: float = _key("0.0", float, _NON_NEGATIVE)
+    detector_accuracy_ceiling: float = _key("0.97", float, _UNIT_INTERVAL)
+    detector_robustness_ceiling: float = _key("0.99", float, _UNIT_INTERVAL)
 
     def acquisition_config(self) -> AcquisitionConfig:
         return AcquisitionConfig(
@@ -145,6 +138,8 @@ class ExperimentConfig:
         )
 
     def run_config(self) -> RunConfig:
+        if self.budget_per_cycle is None:
+            raise ConfigError("budget: set either total_budget or budget_per_cycle")
         return RunConfig(
             cycles=self.cycles,
             budget_per_cycle=self.budget_per_cycle,
@@ -175,6 +170,9 @@ class ExperimentConfig:
         )
 
 
+CONFIG_DEFAULTS: dict[str, str] = {f.name: f.metadata["default"] for f in fields(ExperimentConfig)}
+
+
 def build_config(
     config_path: str | None,
     overrides: Mapping[str, str],
@@ -197,66 +195,23 @@ def build_config(
     merged.update({k: v for k, v in overrides.items() if v is not None})
 
     parsed: dict[str, object] = {}
-
-    def grab(key, parser, check=None, message=None):
+    for key in fields(ExperimentConfig):
         try:
-            value = parser(merged[key])
-            if check is not None and not check(value):
-                raise ValueError(message or f"invalid value {value!r}")
-            parsed[key] = value
+            value = key.metadata["parse"](merged[key.name])
+            check = key.metadata["check"]
+            if check is not None and not check[0](value):
+                raise ValueError(check[1])
+            parsed[key.name] = value
         except ValueError as e:
-            errors.append(f"{key}: {e}")
-            parsed[key] = None
+            errors.append(f"{key.name}: {e}")
+            parsed[key.name] = None
 
-    grab("dataset", str)
-    grab("test_dataset", str)
-    grab("output_dir", str)
-    grab("initial_budget", int, lambda v: v >= 0, "must be non-negative")
-    grab("cycles", int, lambda v: v >= 1, "need at least one cycle")
-    grab("strategy", str, lambda v: v in SELECTION_STRATEGIES, f"must be one of {SELECTION_STRATEGIES}")
-    grab("tau", float, lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
-    grab("pl_enabled", _parse_bool)
-    grab("pl_strategy", str, lambda v: v in PL_STRATEGIES, f"must be one of {PL_STRATEGIES}")
-    grab("pl_topk_fraction", float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
-    grab("nms_iou", float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
-    grab("nms_score_floor", float, lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")
-    grab("min_match_iou", float, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
-    grab("include_background", _parse_bool)
-    grab("batch_mode", str, lambda v: v in BATCH_MODES, f"must be one of {BATCH_MODES}")
-    grab("seed", int)
-    grab("interpolation", str, lambda v: v in INTERPOLATIONS, f"must be one of {INTERPOLATIONS}")
-    grab("detector_seed", int)
-    grab("detector_accuracy", _parse_per_class)
-    grab("detector_flip_robustness", _parse_per_class)
-    grab("detector_temperature", float, lambda v: v > 0.0, "must be positive")
-    grab("detector_logit_noise", float, lambda v: v >= 0.0, "must be non-negative")
-    grab("detector_box_noise", float, lambda v: v >= 0.0, "must be non-negative")
-    grab("detector_fp_rate", float, lambda v: v >= 0.0, "must be non-negative")
-    grab("detector_skill_gain", float, lambda v: v >= 0.0, "must be non-negative")
-    grab("detector_skill_gain_pl", float, lambda v: v >= 0.0, "must be non-negative")
-    grab("detector_accuracy_ceiling", float, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
-    grab("detector_robustness_ceiling", float, lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
-
-    # budget: either total_budget (divided across cycles) or budget_per_cycle
-    total_raw, per_raw = merged["total_budget"], merged["budget_per_cycle"]
-    budget_per_cycle = None
-    try:
-        if per_raw != "":
-            budget_per_cycle = int(per_raw)
-            if budget_per_cycle < 0:
-                raise ValueError("must be non-negative")
-        elif total_raw != "":
-            total = int(total_raw)
-            cycles = parsed.get("cycles")
-            if cycles:
-                if total % cycles != 0:
-                    raise ValueError(f"total budget {total} not divisible by {cycles} cycles")
-                budget_per_cycle = total // cycles
+    total, cycles = parsed["total_budget"], parsed["cycles"]
+    if parsed["budget_per_cycle"] is None and total is not None and cycles:
+        if total % cycles != 0:
+            errors.append(f"budget: total budget {total} not divisible by {cycles} cycles")
         else:
-            raise ValueError("set either total_budget or budget_per_cycle")
-    except ValueError as e:
-        errors.append(f"budget: {e}")
-    parsed["budget_per_cycle"] = budget_per_cycle if budget_per_cycle is not None else 0
+            parsed["budget_per_cycle"] = total // cycles
 
     for key in require_files:
         path = parsed.get(key)
@@ -292,20 +247,29 @@ def _sizes(dataset: Dataset) -> dict[str, tuple[int, int]]:
 # -- subcommands ------------------------------------------------------------
 
 
+def _record(preds, flipped: bool):
+    """Lookup of one orientation's prediction, naming the image when it is missing."""
+    kind = "flipped" if flipped else "original"
+
+    def get(image_id: str):
+        try:
+            return preds[(image_id, flipped)]
+        except KeyError:
+            raise ValueError(f"missing {kind} record for image {image_id!r}") from None
+
+    return get
+
+
 def cmd_score(args) -> int:
     cfg = build_config(args.config, _overrides(args), require_files=("dataset",))
     dataset = formats.load_dataset(cfg.dataset)
     preds = formats.read_predictions_jsonl(args.predictions, _sizes(dataset))
 
     image_ids = sorted({image_id for image_id, _ in preds})
-    acq = cfg.acquisition_config()
-    scores = []
-    for image_id in image_ids:
-        if (image_id, False) not in preds:
-            raise ValueError(f"missing original record for image {image_id!r}")
-        if (image_id, True) not in preds:
-            raise ValueError(f"missing flipped record for image {image_id!r}")
-        scores.append(unified_score(preds[(image_id, False)], preds[(image_id, True)], acq))
+    original = _record(preds, flipped=False)
+    scores = score_pool(
+        (original(i) for i in image_ids), _record(preds, flipped=True), cfg.acquisition_config()
+    )
     formats.write_scores_csv(scores, args.out)
     return 0
 
@@ -333,22 +297,20 @@ def cmd_pseudolabel(args) -> int:
         pool = formats.load_pool(args.pool)
         candidates = [i for i in candidates if i in pool.unlabeled]
 
-    post_nms = []
-    for image_id in candidates:
-        pred = preds[(image_id, False)]
-        post_nms.append(
-            pred.with_detections(nms(pred.detections, cfg.nms_iou, cfg.nms_score_floor))
-        )
-    if cfg.pl_strategy == "threshold":
-        pls = [pl for pred in post_nms for pl in extract_pseudo_labels(pred, cfg.tau)]
-    else:
-        pls = extract_topk_per_class(post_nms, cfg.pl_topk_fraction)
-    formats.write_pseudo_labels_jsonl(pls, args.out)
+    _, pseudo = pseudo_label_pool(
+        (preds[(image_id, False)] for image_id in candidates),
+        cfg.acquisition_config(),
+        cfg.pl_strategy,
+        cfg.tau,
+        cfg.pl_topk_fraction,
+    )
+    formats.write_pseudo_labels_jsonl([pl for pls in pseudo.values() for pl in pls], args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     cfg = build_config(args.config, _overrides(args), require_files=("dataset", "test_dataset"))
+    run_cfg = cfg.run_config()
     train = formats.load_dataset(cfg.dataset)
     test = formats.load_dataset(cfg.test_dataset)
     if train.classes != test.classes:
@@ -357,15 +319,10 @@ def cmd_simulate(args) -> int:
     world = Dataset(train.classes, train.images + test.images)
     detector = SyntheticDetector(cfg.detector_config(train.n_classes), world)
     pool = init_pool(train.image_ids, cfg.initial_budget, cfg.seed)
-    reports = run_cycles(pool, detector, cfg.run_config(), train, test)
+    reports = run_cycles(pool, detector, run_cfg, train, test)
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    n_gt = {c: 0 for c in range(1, test.n_classes + 1)}
-    for obj in test.all_objects():
-        n_gt[obj.class_id] += 1
-    excluded = tuple(c for c in n_gt if n_gt[c] == 0)
 
     selected_files = []
     for rep in reports:
@@ -380,8 +337,7 @@ def cmd_simulate(args) -> int:
         else:
             selected_files.append("")
         formats.write_pseudo_labels_jsonl(rep.pseudo_labels, out_dir / f"pseudo_{tag}.jsonl")
-        result = EvalResult.from_per_class(rep.per_class_ap, n_gt, excluded)
-        formats.write_eval_csv(result, out_dir / f"eval_{tag}.csv")
+        formats.write_eval_csv(rep.evaluation, out_dir / f"eval_{tag}.csv")
 
     formats.write_reports_csv(reports, out_dir / "report.csv", selected_files)
     return 0

@@ -260,7 +260,7 @@ def write_reports_csv(
     for rep, sel in zip(reports, selected_files):
         lines.append(
             f"{rep.cycle},{rep.n_labeled},{rep.pl_count},"
-            f"{rep.pl_ratio:.6f},{rep.pl_correctness:.6f},{rep.map50:.6f},{sel}\n"
+            f"{rep.pl_ratio:.6f},{rep.pl_correctness:.6f},{rep.evaluation.map50:.6f},{sel}\n"
         )
     _write_text(path, "".join(lines))
 

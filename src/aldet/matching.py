@@ -13,7 +13,7 @@ from .boxes import Detection, ImagePrediction, iou
 __all__ = ["MatchedPair", "MatchResult", "match_predictions", "DEFAULT_MIN_MATCH_IOU"]
 
 # An unfloored argmax pairs unrelated boxes; 0.5 is the conventional overlap
-# floor. Set min_match_iou=0 to recover the literal argmax-over-IoU behavior.
+# floor. Set min_match_iou=0 to match without a floor.
 DEFAULT_MIN_MATCH_IOU = 0.5
 
 
@@ -44,7 +44,6 @@ def match_predictions(
     orig: ImagePrediction,
     flipped: ImagePrediction,
     min_match_iou: float = DEFAULT_MIN_MATCH_IOU,
-    one_to_one: bool = True,
 ) -> MatchResult:
     """Greedy one-to-one IoU matching between two detection sets.
 
@@ -52,10 +51,6 @@ def match_predictions(
     then flipped index) and accepted while both members are free and the IoU
     is at least ``min_match_iou``. Unmatched detection indices on both sides
     are reported for diagnostics.
-
-    With ``one_to_one=False`` the literal per-detection argmax is used
-    instead: each flipped detection is paired with its best-IoU original
-    detection, so one original may serve several flipped detections.
     """
     if orig.image_id != flipped.image_id:
         raise ValueError(
@@ -74,25 +69,14 @@ def match_predictions(
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
 
     pairs: list[MatchedPair] = []
-    if one_to_one:
-        taken_orig: set[int] = set()
-        taken_flip: set[int] = set()
-        for v, i, j in candidates:
-            if i in taken_orig or j in taken_flip:
-                continue
-            taken_orig.add(i)
-            taken_flip.add(j)
-            pairs.append(MatchedPair(orig.detections[i], flipped.detections[j], v, i, j))
-    else:
-        best: dict[int, tuple[float, int]] = {}
-        for v, i, j in candidates:
-            if j not in best:  # candidates arrive best-first
-                best[j] = (v, i)
-        for j in sorted(best):
-            v, i = best[j]
-            pairs.append(MatchedPair(orig.detections[i], flipped.detections[j], v, i, j))
-        taken_orig = {p.orig_index for p in pairs}
-        taken_flip = set(best)
+    taken_orig: set[int] = set()
+    taken_flip: set[int] = set()
+    for v, i, j in candidates:
+        if i in taken_orig or j in taken_flip:
+            continue
+        taken_orig.add(i)
+        taken_flip.add(j)
+        pairs.append(MatchedPair(orig.detections[i], flipped.detections[j], v, i, j))
 
     unmatched_o = tuple(i for i in range(n) if i not in taken_orig)
     unmatched_f = tuple(j for j in range(m) if j not in taken_flip)

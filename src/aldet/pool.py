@@ -1,16 +1,21 @@
 """Labeled/unlabeled pool management and the active-learning cycle loop.
 
-A dataset is partitioned into a labeled set L and an unlabeled pool U; each
-cycle scores U, moves a budget of images into L, regenerates pseudo-labels
-over the remaining pool, and evaluates the detector on a held-out test set.
-Pseudo-labels are regenerated from scratch every cycle by the detector
-trained in that cycle; they are never accumulated.
+A dataset is partitioned into a labeled set L and an unlabeled pool U. Each
+cycle scores U, moves a budget of images into L, retrains the detector,
+regenerates pseudo-labels over the remaining pool, and evaluates the new
+detector on a held-out test set. Pseudo-labels are regenerated from scratch
+by every detector version; they are never accumulated.
+
+Every detector version does each job once: it predicts the original view of
+each pool image once (pseudo-labelling keeps the post-NMS result, and the
+next cycle scores from it), the flipped view of each scored image once, and
+the test set once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +26,7 @@ from .acquisition import (
     select_for_labeling,
     unified_score,
 )
-from .boxes import nms
+from .boxes import ImagePrediction, nms
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, EvalResult, map50
 from .pseudo_label import (
@@ -36,15 +41,13 @@ __all__ = [
     "init_pool",
     "commit_selection",
     "with_pseudo",
-    "balanced_batches",
-    "BATCH_MODES",
     "RunConfig",
     "CycleReport",
     "score_pool",
+    "pseudo_label_pool",
     "run_cycles",
 ]
 
-BATCH_MODES = ("balanced_half", "balanced_quarter", "random")
 SELECTION_STRATEGIES = ("random",) + SCORE_STRATEGIES
 PL_STRATEGIES = ("threshold", "topk")
 
@@ -115,57 +118,6 @@ def with_pseudo(pool: Pool, pseudo: Mapping[str, Sequence[PseudoLabel]]) -> Pool
     return Pool(pool.labeled, pool.unlabeled, cleaned, pool.cycle)
 
 
-def _reshuffling_queue(items: list[str], rng: np.random.Generator) -> Iterator[str]:
-    while True:
-        order = rng.permutation(len(items))
-        for k in order:
-            yield items[k]
-
-
-def balanced_batches(
-    pool: Pool, batch_size: int, seed, mode: str = "balanced_half"
-) -> Iterator[list[str]]:
-    """Endless stream of mini-batch id lists; slice as many as needed.
-
-    balanced_half puts batch_size/2 labeled + batch_size/2 unlabeled ids in
-    every batch, balanced_quarter puts batch_size/4 labeled, and random draws
-    uniformly from the whole pool. Each partition is reshuffled whenever a
-    pass over it completes.
-    """
-    if batch_size <= 0 or batch_size % 2 != 0:
-        raise ValueError(f"batch_size must be a positive even number, got {batch_size}")
-    if mode not in BATCH_MODES:
-        raise ValueError(f"mode must be one of {BATCH_MODES}, got {mode!r}")
-
-    labeled = sorted(pool.labeled)
-    unlabeled = sorted(pool.unlabeled)
-    rng = np.random.default_rng(seed)
-
-    if mode == "random":
-        everything = sorted(pool.all_ids)
-        if not everything:
-            raise ValueError("empty pool")
-        queue = _reshuffling_queue(everything, rng)
-        while True:
-            yield [next(queue) for _ in range(batch_size)]
-
-    if not labeled or not unlabeled:
-        raise ValueError("balanced modes need both labeled and unlabeled images")
-    if mode == "balanced_quarter":
-        if batch_size % 4 != 0:
-            raise ValueError("balanced_quarter needs batch_size divisible by 4")
-        n_lab = batch_size // 4
-    else:
-        n_lab = batch_size // 2
-
-    lab_queue = _reshuffling_queue(labeled, rng)
-    unl_queue = _reshuffling_queue(unlabeled, rng)
-    while True:
-        batch = [next(lab_queue) for _ in range(n_lab)]
-        batch.extend(next(unl_queue) for _ in range(batch_size - n_lab))
-        yield batch
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Protocol parameters for one active-learning experiment."""
@@ -209,40 +161,52 @@ class CycleReport:
     pl_count: int
     pl_ratio: float
     pl_correctness: float
-    per_class_ap: dict[int, float]
-    map50: float
-    map50_pre_update: float
+    evaluation: EvalResult
     pseudo_labels: tuple[PseudoLabel, ...] = ()
 
 
-def score_pool(pool: Pool, detector, cfg: AcquisitionConfig) -> list[AcquisitionScore]:
-    """Acquisition scores for every unlabeled image, in ascending id order."""
-    out = []
-    for image_id in sorted(pool.unlabeled):
-        orig = detector.predict(image_id, flipped=False)
-        flip = detector.predict(image_id, flipped=True)
-        out.append(unified_score(orig, flip, cfg))
-    return out
+def score_pool(
+    originals: Iterable[ImagePrediction],
+    flipped: Callable[[str], ImagePrediction],
+    cfg: AcquisitionConfig,
+) -> list[AcquisitionScore]:
+    """Acquisition scores of the given original-view predictions, in input order.
+
+    ``flipped(image_id)`` supplies each image's flipped-view prediction.
+    ``originals`` may be raw or already post-NMS: NMS is idempotent and keeps
+    its order, so both give the same scores. Passing a generator streams the
+    pool instead of holding every prediction at once.
+    """
+    return [unified_score(orig, flipped(orig.image_id), cfg) for orig in originals]
 
 
-def _regen_pseudo(pool: Pool, detector, cfg: RunConfig) -> dict[str, tuple[PseudoLabel, ...]]:
-    preds = []
-    for image_id in sorted(pool.unlabeled):
-        pred = detector.predict(image_id, flipped=False)
-        preds.append(
-            pred.with_detections(
-                nms(pred.detections, cfg.acquisition.nms_iou, cfg.acquisition.nms_score_floor)
-            )
-        )
-    if cfg.pl_strategy == "threshold":
-        labels = [pl for pred in preds for pl in extract_pseudo_labels(pred, cfg.tau)]
+def pseudo_label_pool(
+    originals: Iterable[ImagePrediction],
+    acq: AcquisitionConfig,
+    strategy: str,
+    tau: float,
+    topk_fraction: float,
+) -> tuple[list[ImagePrediction], dict[str, tuple[PseudoLabel, ...]]]:
+    """NMS every raw original-view prediction, then pseudo-label them.
+
+    ``strategy`` is ``threshold`` (every detection with p >= tau) or ``topk``
+    (the most confident ``topk_fraction`` of each class across all images).
+    Returns the post-NMS predictions, in input order, and the pseudo-labels
+    grouped by image; images without pseudo-labels are absent.
+    """
+    preds = [
+        pred.with_detections(nms(pred.detections, acq.nms_iou, acq.nms_score_floor))
+        for pred in originals
+    ]
+    if strategy == "threshold":
+        labels = [pl for pred in preds for pl in extract_pseudo_labels(pred, tau)]
     else:
-        labels = extract_topk_per_class(preds, cfg.pl_topk_fraction)
+        labels = extract_topk_per_class(preds, topk_fraction)
 
     grouped: dict[str, list[PseudoLabel]] = {}
     for pl in labels:
         grouped.setdefault(pl.image_id, []).append(pl)
-    return {k: tuple(v) for k, v in grouped.items()}
+    return preds, {k: tuple(v) for k, v in grouped.items()}
 
 
 def _evaluate(detector, test_data: Dataset, cfg: RunConfig) -> EvalResult:
@@ -269,6 +233,13 @@ def run_cycles(
     """Run the full protocol: cycle 0 trains on the initial labeled set only,
     cycles 1..T score, select, commit, retrain, re-pseudo-label, evaluate.
 
+    Each cycle ends with one detector version, which then
+    - predicts the original view of every pool image once: pseudo-labelling
+      keeps the post-NMS predictions and the next cycle scores from them
+      (with pseudo-labels off, scoring streams the originals instead);
+    - predicts the flipped view of every image it scores once;
+    - is evaluated on the test set once, ``cycles + 1`` evaluations in all.
+
     Fully deterministic given the pool seed, the detector's seed, and the
     config; repeated runs produce identical reports.
     """
@@ -276,47 +247,52 @@ def run_cycles(
         raise ValueError("pool ids do not match the training dataset")
 
     train_gt = train_data.all_objects()
+    reports: list[CycleReport] = []
+    selected: list[str] = []
+    scores: list[AcquisitionScore] = []
+    originals: Iterable[ImagePrediction] = ()  # post-NMS, kept from pseudo-labelling
 
-    def make_report(cycle, selected, scores, map_pre: float) -> CycleReport:
-        result = _evaluate(detector, test_data, cfg)
+    for t in range(cfg.cycles + 1):
+        if t > 0:
+            if not cfg.pl_enabled:
+                originals = (detector.predict(i, flipped=False) for i in sorted(pool.unlabeled))
+            scores = score_pool(
+                originals, lambda i: detector.predict(i, flipped=True), cfg.acquisition
+            )
+            originals = ()  # released before the next version predicts its own
+            selected = select_for_labeling(
+                scores, cfg.budget_per_cycle, cfg.strategy, seed=(cfg.seed, t)
+            )
+            pool = commit_selection(pool, selected)
+        detector = detector.update(pool)
+        if cfg.pl_enabled:
+            originals, pseudo = pseudo_label_pool(
+                (detector.predict(i, flipped=False) for i in sorted(pool.unlabeled)),
+                cfg.acquisition,
+                cfg.pl_strategy,
+                cfg.tau,
+                cfg.pl_topk_fraction,
+            )
+            pool = with_pseudo(pool, pseudo)
+        elif t > 0:
+            pool = with_pseudo(pool, {})
+
         n_pl = pool.n_pseudo_labels
         n_manual = sum(len(train_data[i].objects) for i in pool.labeled)
         denom = n_pl + n_manual
         pls = [pl for v in pool.pseudo.values() for pl in v]
-        return CycleReport(
-            cycle=cycle,
-            selected=tuple(selected),
-            scores=tuple(scores),
-            n_labeled=len(pool.labeled),
-            pl_count=n_pl,
-            pl_ratio=n_pl / denom if denom else 0.0,
-            pl_correctness=audit_pl_correctness(pls, train_gt),
-            per_class_ap=result.per_class_ap,
-            map50=result.map50,
-            map50_pre_update=map_pre,
-            pseudo_labels=tuple(pls),
+        reports.append(
+            CycleReport(
+                cycle=t,
+                selected=tuple(selected),
+                scores=tuple(scores),
+                n_labeled=len(pool.labeled),
+                pl_count=n_pl,
+                pl_ratio=n_pl / denom if denom else 0.0,
+                pl_correctness=audit_pl_correctness(pls, train_gt),
+                evaluation=_evaluate(detector, test_data, cfg),
+                pseudo_labels=tuple(pls),
+            )
         )
-
-    reports: list[CycleReport] = []
-
-    map_pre = _evaluate(detector, test_data, cfg).map50
-    detector = detector.update(pool)
-    if cfg.pl_enabled:
-        pool = with_pseudo(pool, _regen_pseudo(pool, detector, cfg))
-    reports.append(make_report(0, (), (), map_pre))
-
-    for t in range(1, cfg.cycles + 1):
-        scores = score_pool(pool, detector, cfg.acquisition)
-        selected = select_for_labeling(
-            scores, cfg.budget_per_cycle, cfg.strategy, seed=(cfg.seed, t)
-        )
-        pool = commit_selection(pool, selected)
-        map_pre = _evaluate(detector, test_data, cfg).map50
-        detector = detector.update(pool)
-        if cfg.pl_enabled:
-            pool = with_pseudo(pool, _regen_pseudo(pool, detector, cfg))
-        else:
-            pool = with_pseudo(pool, {})
-        reports.append(make_report(t, selected, scores, map_pre))
 
     return reports

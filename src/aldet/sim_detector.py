@@ -39,7 +39,6 @@ __all__ = [
     "DetectorInterface",
     "SyntheticDetectorConfig",
     "SyntheticDetector",
-    "StaticPredictions",
 ]
 
 _MIN_BOX = 1.0  # floor on predicted box side length, keeps encodings valid
@@ -51,7 +50,11 @@ class DetectorInterface(ABC):
     ``predict`` must be deterministic given (detector state, image_id,
     flipped), and ``predict(id, flipped=True)`` returns detections in the
     flipped coordinate frame. ``update`` consumes a pool snapshot and returns
-    the detector state after retraining.
+    the detector state after retraining, leaving the old state unchanged.
+
+    :func:`aldet.pool.run_cycles` relies on this determinism: it predicts
+    each image once per detector state and reuses that prediction for both
+    pseudo-labelling and the next cycle's scoring.
     """
 
     @abstractmethod
@@ -231,25 +234,26 @@ class SyntheticDetector(DetectorInterface):
         anchor = image_anchor(rec.width, rec.height)
         rng = self._stream(image_id, 0)
 
-        originals: list[tuple[BoxCorner, ClassDist, int]] = []
-        for obj in rec.objects:
-            box = self._jittered_box(rng, obj.box_corner, rec.width, rec.height)
-            dist = self._draw_dist(rng, obj.class_id)
-            originals.append((box, dist, obj.class_id))
-
         if not flipped:
-            dets = [Detection(box, encode_box(box, anchor), dist) for box, dist, _ in originals]
+            dets = []
+            for obj in rec.objects:
+                box = self._jittered_box(rng, obj.box_corner, rec.width, rec.height)
+                dets.append(Detection(box, encode_box(box, anchor), self._draw_dist(rng, obj.class_id)))
             dets.extend(self._false_positives(rng, rec.width, rec.height, anchor))
             return ImagePrediction(image_id, rec.width, rec.height, tuple(dets))
 
         frng = self._stream(image_id, 1)
         dets = []
-        for (orig_box, orig_dist, cls), obj in zip(originals, rec.objects):
+        for obj in rec.objects:
+            # The original view's distribution, reused when the flip is robust.
+            # Its box is not needed: skip past the draw _jittered_box makes.
+            rng.normal(0.0, 1.0, 4)
+            orig_dist = self._draw_dist(rng, obj.class_id)
             g = obj.box_corner
             mirrored_gt = BoxCorner(rec.width - g.xmax, g.ymin, rec.width - g.xmin, g.ymax)
             box = self._jittered_box(frng, mirrored_gt, rec.width, rec.height)
-            reuse = frng.uniform() < self._robustness[cls]
-            resampled = self._draw_dist(frng, cls)  # drawn either way, fixed stream layout
+            reuse = frng.uniform() < self._robustness[obj.class_id]
+            resampled = self._draw_dist(frng, obj.class_id)  # drawn either way, fixed stream layout
             dist = orig_dist if reuse else resampled
             dets.append(Detection(box, encode_box(box, anchor), dist))
         dets.extend(self._false_positives(frng, rec.width, rec.height, anchor))
@@ -292,20 +296,3 @@ class SyntheticDetector(DetectorInterface):
         out._seen_labeled = frozenset(pool.labeled)
         out._id_keys = self._id_keys
         return out
-
-
-class StaticPredictions(DetectorInterface):
-    """Detector backed by externally produced predictions (e.g. JSONL import)."""
-
-    def __init__(self, predictions: Mapping[tuple[str, bool], ImagePrediction]):
-        self._predictions = dict(predictions)
-
-    def predict(self, image_id: str, flipped: bool = False) -> ImagePrediction:
-        try:
-            return self._predictions[(image_id, flipped)]
-        except KeyError:
-            kind = "flipped" if flipped else "original"
-            raise ValueError(f"missing {kind} prediction for image {image_id!r}") from None
-
-    def update(self, pool: "Pool") -> "StaticPredictions":
-        return self

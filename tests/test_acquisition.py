@@ -207,16 +207,6 @@ class TestUnifiedScore:
         assert shuffled.entropy == pytest.approx(base.entropy, rel=1e-12)
         assert shuffled.inconsistency == pytest.approx(base.inconsistency, rel=1e-12)
 
-    def test_unmatched_penalty_mode(self):
-        rng = np.random.default_rng(21)
-        orig, _ = two_sided_prediction(rng, n=2)
-        # flipped side empty: everything unmatched
-        empty = ImagePrediction("img", 100, 100, ())
-        default = unified_score(orig, empty)
-        assert default.inconsistency == 0.0
-        penalized = unified_score(orig, empty, AcquisitionConfig(unmatched_penalty=5.0))
-        assert penalized.inconsistency == 5.0
-
     def test_exclude_background_flag(self):
         box = BoxCorner(10, 10, 40, 40)
         det = det_with_dist([0.3, 0.6, 0.1], box)

@@ -1,13 +1,14 @@
 """End-to-end command-line behavior, file contracts, and determinism."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from aldet import formats
 from aldet.acquisition import AcquisitionConfig, unified_score
-from aldet.cli import ConfigError, build_config, main
+from aldet.cli import CONFIG_DEFAULTS, ConfigError, ExperimentConfig, build_config, build_parser, main
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.pool import init_pool
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
@@ -57,9 +58,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match="divisible"):
             build_config(None, {"total_budget": "5001", "cycles": "5"})
 
-    def test_budget_required(self):
+    def test_budget_required(self, workspace, capsys):
+        # only simulate consumes a budget, so only simulate demands one
+        tmp_path, *_ = workspace
         with pytest.raises(ConfigError, match="budget"):
-            build_config(None, {})
+            build_config(None, {}).run_config()
+        rc = main(["simulate", "--dataset", str(tmp_path / "train.json"),
+                   "--test-dataset", str(tmp_path / "test.json"),
+                   "--output-dir", str(tmp_path / "run")])
+        assert rc == 1
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_keys_named_once(self, tmp_path):
+        # the config table, every subcommand's flags and ExperimentConfig agree
+        keys = set(CONFIG_DEFAULTS)
+        assert keys == {f.name for f in fields(ExperimentConfig)}
+        assert len(keys) == 29
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for command in ("score", "pseudolabel", "simulate"):
+            flags = {a.dest[len("cfg_"):] for a in sub.choices[command]._actions
+                     if a.dest.startswith("cfg_")}
+            assert flags == keys, command
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in CONFIG_DEFAULTS.items()))
+        assert build_config(str(cfg), {}) == build_config(None, {})
+        cfg.write_text("batch_mode = random\n")
+        with pytest.raises(ConfigError, match="unknown config keys: batch_mode"):
+            build_config(str(cfg), {})
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -88,6 +114,13 @@ class TestScoreCommand:
             got = scores[image_id]
             assert got.entropy == pytest.approx(expected.entropy, abs=5e-7)
             assert got.inconsistency == pytest.approx(expected.inconsistency, abs=5e-7)
+
+    def test_no_budget_needed(self, workspace):
+        tmp_path, train, _test, _det, preds_path = workspace
+        out = tmp_path / "s.csv"
+        assert main(["score", "--dataset", str(tmp_path / "train.json"),
+                     "--predictions", str(preds_path), "--out", str(out)]) == 0
+        assert len(formats.read_scores_csv(out)) == len(train.image_ids)
 
     def test_missing_flipped_record_names_image(self, workspace, capsys):
         tmp_path, train, _test, det, _ = workspace

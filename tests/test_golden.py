@@ -1,0 +1,142 @@
+"""Byte-identical output contract: SHA-256 digests of small end-to-end runs.
+
+The digests were recorded from the command line before the cycle was
+reworked to make one pass per detector version. Any change to a digest is a
+behaviour change and must be argued on its own, not absorbed here.
+"""
+
+import hashlib
+
+from aldet import formats
+from aldet.cli import main
+from aldet.dataset import Dataset, make_synthetic_dataset
+from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
+
+# Threshold pseudo-labels at tau=0.99 need a sharp softmax (T=0.1) to fire;
+# false positives and a pseudo-label skill gain make the retrained detector
+# depend on the pseudo-labels of the previous version.
+SIMULATE_FLAGS = [
+    "--initial-budget", "8", "--cycles", "2", "--budget-per-cycle", "5",
+    "--seed", "3", "--detector-seed", "4", "--detector-fp-rate", "1.5",
+    "--detector-temperature", "0.1", "--detector-skill-gain", "0.01",
+    "--detector-skill-gain-pl", "0.002", "--tau", "0.99",
+]
+
+GOLDEN = {
+    "files": {
+        "preds.jsonl":
+            "b8b32f568978cca82347733132181f945131484a59f7a4bff835f3cc3e5a2e35",
+        "pseudo.jsonl":
+            "09a08d378ef910fa5aa52b822ff71a4840549e0c00fa6a908fdfa910687f83b8",
+        "scores.csv":
+            "dba88d4e88847efca5e997ae7f4131e0310ced05c08e4d8e7981a7642e2729ff",
+    },
+    "simulate-pl": {
+        "eval_cycle0.csv":
+            "5f262ca2aafff1e06261c04190002e9c9d8b3fad3af8a037679e79ef7d63052d",
+        "eval_cycle1.csv":
+            "e73dcb2649411bcc409fee9d5e9da0ff29f645581527ce4275d5ea1b3052942d",
+        "eval_cycle2.csv":
+            "166b0626e5578b79582251250ba1700f2afe24ae2f7c66247d1b9a4979cdc8fa",
+        "pseudo_cycle0.jsonl":
+            "6d10feb81970fb3af2c126d9b99ff2eee9a04bab5168cd01252285df6a6ca1e5",
+        "pseudo_cycle1.jsonl":
+            "931b5d0e415e85f0919cdc03b5a08ac350bdacaca086e13c9fd26ab2b96c6554",
+        "pseudo_cycle2.jsonl":
+            "dc5f3a9c8882481a105cc39a1dd3e6bb269f723869efb3488975bb0e27432e31",
+        "report.csv":
+            "66852e860b790fb3c70365f7657492308e04239572adae732ce496943d08f1db",
+        "scores_cycle1.csv":
+            "0813d4e8747a2de2e7c25c8bfd44aa3e88975cf8c65e68588046e02d1593352e",
+        "scores_cycle2.csv":
+            "c5e817926cb8f8bb8b616f0005d4c76f3a344646821b798544642b295bacb428",
+        "selected_cycle1.txt":
+            "50ed4342d40a3453a0687c50f3008ba7825cbf40e24f091205ab24c803d8280b",
+        "selected_cycle2.txt":
+            "82419b5db9e445c21b8bc3a1275c2ccad798c68e53a35a55f9df48f4858c7ec5",
+    },
+    "simulate-scan": {
+        "eval_cycle0.csv":
+            "5f262ca2aafff1e06261c04190002e9c9d8b3fad3af8a037679e79ef7d63052d",
+        "eval_cycle1.csv":
+            "4c9133c25b32d95362496477e71a1fca00d851b26158af361f0f4a77708d3e57",
+        "eval_cycle2.csv":
+            "d218b84a3e1fd53df1d796ec7f892bf74a47c2a0cfd6868966a6a311a519f2cd",
+        "pseudo_cycle0.jsonl":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "pseudo_cycle1.jsonl":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "pseudo_cycle2.jsonl":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "report.csv":
+            "29024cb059615bbbb12b2b400e751595be8d791a0e93386187d11b07b1938c7d",
+        "scores_cycle1.csv":
+            "0813d4e8747a2de2e7c25c8bfd44aa3e88975cf8c65e68588046e02d1593352e",
+        "scores_cycle2.csv":
+            "03cc88d5baed1aa32d8260cd05acdce6902a0e3f3d2ac8700731d0333c1f1072",
+        "selected_cycle1.txt":
+            "50ed4342d40a3453a0687c50f3008ba7825cbf40e24f091205ab24c803d8280b",
+        "selected_cycle2.txt":
+            "80b3eb177953245918cae80c50fbf99c49724d2185ac84755a4af159d4928b74",
+    },
+}
+
+
+def _digests(out_dir) -> dict[str, str]:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.iterdir())
+        if p.is_file()
+    }
+
+
+def _datasets(tmp_path):
+    train = make_synthetic_dataset(40, 3, seed=11, id_prefix="tr")
+    test = make_synthetic_dataset(20, 3, seed=12, id_prefix="te")
+    formats.save_dataset(train, tmp_path / "train.json")
+    formats.save_dataset(test, tmp_path / "test.json")
+    return train, test
+
+
+def _simulate(tmp_path, name, extra):
+    out = tmp_path / name
+    argv = ["simulate", "--dataset", str(tmp_path / "train.json"),
+            "--test-dataset", str(tmp_path / "test.json"), "--output-dir", str(out),
+            *SIMULATE_FLAGS, *extra]
+    assert main(argv) == 0
+    return _digests(out)
+
+
+def _files(tmp_path, train, test):
+    """score and top-k pseudolabel on predictions written from a synthetic detector."""
+    out = tmp_path / "files"
+    out.mkdir()
+    world = Dataset(train.classes, train.images + test.images)
+    det = SyntheticDetector(
+        SyntheticDetectorConfig(n_classes=3, temperature=0.1, fp_rate=1.5, seed=5), world
+    )
+    preds = out / "preds.jsonl"
+    formats.write_predictions_jsonl(
+        [(det.predict(i, flipped), flipped) for i in train.image_ids for flipped in (False, True)],
+        preds,
+    )
+    data = str(tmp_path / "train.json")
+    assert main(["score", "--dataset", data, "--predictions", str(preds),
+                 "--out", str(out / "scores.csv"), "--budget-per-cycle", "0"]) == 0
+    assert main(["pseudolabel", "--dataset", data, "--predictions", str(preds),
+                 "--out", str(out / "pseudo.jsonl"), "--budget-per-cycle", "0",
+                 "--pl-strategy", "topk"]) == 0
+    return _digests(out)
+
+
+def run_all(tmp_path) -> dict[str, dict[str, str]]:
+    train, test = _datasets(tmp_path)
+    return {
+        "simulate-pl": _simulate(tmp_path, "sim-pl", ["--pl-strategy", "threshold"]),
+        "simulate-scan": _simulate(tmp_path, "sim-scan", ["--pl-enabled", "false"]),
+        "files": _files(tmp_path, train, test),
+    }
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    assert run_all(tmp_path) == GOLDEN

@@ -145,15 +145,3 @@ class TestMatchPredictions:
             got = match_predictions(make_pred("x", boxes_a), make_pred("x", boxes_b), floor)
             expected = enumerate_best_first(boxes_a, boxes_b, floor)
             assert [(p.orig_index, p.flipped_index) for p in got.pairs] == expected
-
-    def test_literal_argmax_mode(self):
-        # two flipped detections may share one original in literal mode
-        big = BoxCorner(0, 0, 20, 20)
-        near1 = BoxCorner(0, 0, 20, 18)
-        near2 = BoxCorner(0, 2, 20, 20)
-        a = make_pred("x", [big])
-        b = make_pred("x", [near1, near2])
-        literal = match_predictions(a, b, 0.5, one_to_one=False)
-        assert [(p.orig_index, p.flipped_index) for p in literal.pairs] == [(0, 0), (0, 1)]
-        greedy = match_predictions(a, b, 0.5)
-        assert len(greedy.pairs) == 1

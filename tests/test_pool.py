@@ -1,23 +1,23 @@
-"""Pool partition invariants, balanced batching, and the cycle protocol."""
+"""Pool partition invariants and the cycle protocol."""
 
-from itertools import islice
+from collections import Counter
 
-import numpy as np
 import pytest
 
 from aldet.boxes import BoxCorner
+from aldet import pool as pool_module
 from aldet.dataset import Dataset, make_synthetic_dataset
+from aldet.evaluation import map50
 from aldet.pool import (
     Pool,
     RunConfig,
-    balanced_batches,
     commit_selection,
     init_pool,
     run_cycles,
     with_pseudo,
 )
 from aldet.pseudo_label import PseudoLabel
-from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
+from aldet.sim_detector import DetectorInterface, SyntheticDetector, SyntheticDetectorConfig
 
 
 def ids(n, prefix="img"):
@@ -104,52 +104,6 @@ class TestCommitSelection:
         pool = init_pool(ids(10), 2, seed=0)
         with pytest.raises(ValueError, match="already labeled or unknown"):
             commit_selection(pool, ["stranger"])
-
-
-class TestBalancedBatches:
-    def test_half_composition(self):
-        pool = init_pool(ids(100), 30, seed=0)
-        for batch in islice(balanced_batches(pool, 32, seed=1), 10):
-            assert len(batch) == 32
-            assert sum(1 for i in batch if i in pool.labeled) == 16
-
-    def test_quarter_composition(self):
-        pool = init_pool(ids(100), 30, seed=0)
-        for batch in islice(balanced_batches(pool, 32, seed=1, mode="balanced_quarter"), 10):
-            assert sum(1 for i in batch if i in pool.labeled) == 8
-            assert sum(1 for i in batch if i in pool.unlabeled) == 24
-
-    def test_random_mode_expected_label_fraction(self):
-        # with |L|=2000 and |U|=14551 (the VOC sizes) a random batch of 32
-        # holds ~3.87 labeled images on average
-        pool = init_pool(ids(16551), 2000, seed=0)
-        counts = [
-            sum(1 for i in batch if i in pool.labeled)
-            for batch in islice(balanced_batches(pool, 32, seed=2, mode="random"), 2000)
-        ]
-        expected = 32 * 2000 / 16551
-        assert np.mean(counts) == pytest.approx(expected, abs=0.15)
-        assert expected == pytest.approx(3.87, abs=0.01)
-
-    def test_parameter_validation(self):
-        pool = init_pool(ids(10), 2, seed=0)
-        with pytest.raises(ValueError):
-            next(balanced_batches(pool, 31, seed=0))
-        with pytest.raises(ValueError):
-            next(balanced_batches(pool, 32, seed=0, mode="thirds"))
-        with pytest.raises(ValueError):
-            next(balanced_batches(pool, 30, seed=0, mode="balanced_quarter"))
-
-    def test_empty_partition_rejected(self):
-        pool = init_pool(ids(10), 10, seed=0)  # everything labeled
-        with pytest.raises(ValueError, match="both labeled and unlabeled"):
-            next(balanced_batches(pool, 4, seed=0))
-
-    def test_epoch_reshuffle_covers_partition(self):
-        pool = init_pool(ids(20), 4, seed=0)
-        batches = islice(balanced_batches(pool, 4, seed=3), 2)
-        seen = {i for b in batches for i in b if i in pool.labeled}
-        assert seen == pool.labeled  # one full pass over 4 labeled in 2 batches
 
 
 def small_world(n_train=60, n_test=30, n_classes=3, seed=0):
@@ -254,3 +208,67 @@ class TestRunCycles:
         cfg = RunConfig(cycles=1, budget_per_cycle=2, seed=0)
         with pytest.raises(ValueError, match="do not match"):
             run_cycles(pool, make_detector(world), cfg, train, test)
+
+
+class CountingDetector(DetectorInterface):
+    """Delegates to a detector and counts predict calls per (version, image_id, flipped)."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls = inner, calls
+
+    def predict(self, image_id, flipped=False):
+        self.calls[(self.inner.version, image_id, flipped)] += 1
+        return self.inner.predict(image_id, flipped)
+
+    def update(self, pool):
+        return CountingDetector(self.inner.update(pool), self.calls)
+
+
+class TestSinglePass:
+    """Each detector version predicts each view of each image at most once."""
+
+    CYCLES = 3
+
+    def run(self, monkeypatch, pl_enabled):
+        train, test, world = small_world()
+        evaluations = []
+
+        def counting_map50(*args, **kwargs):
+            evaluations.append(1)
+            return map50(*args, **kwargs)
+
+        monkeypatch.setattr(pool_module, "map50", counting_map50)
+        calls = Counter()
+        pool = init_pool(train.image_ids, 10, seed=0)
+        cfg = RunConfig(cycles=self.CYCLES, budget_per_cycle=5, seed=0, tau=0.9,
+                        pl_enabled=pl_enabled)
+        reports = run_cycles(pool, CountingDetector(make_detector(world), calls), cfg, train, test)
+        assert set(calls.values()) == {1}
+
+        def predicted(version, ids, flipped):
+            return {i for v, i, f in calls if v == version and f == flipped and i in ids}
+
+        train_ids, test_ids = set(train.image_ids), set(test.image_ids)
+        assert len(evaluations) == self.CYCLES + 1
+        for v in range(self.CYCLES + 2):
+            assert predicted(v, test_ids, False) == (test_ids if v > 0 else set())
+        labeled = set(pool.labeled)
+        for t, rep in enumerate(reports):
+            scored = {s.image_id for s in rep.scores}
+            assert predicted(t, train_ids, True) == scored
+            labeled |= set(rep.selected)
+            # version t + 1 is trained at the end of cycle t
+            originals = predicted(t + 1, train_ids, False)
+            if pl_enabled:
+                assert originals == train_ids - labeled
+            else:
+                following = reports[t + 1].scores if t < self.CYCLES else ()
+                assert originals == {s.image_id for s in following}
+        return reports
+
+    def test_pseudo_labels_on(self, monkeypatch):
+        reports = self.run(monkeypatch, pl_enabled=True)
+        assert any(r.pl_count for r in reports)
+
+    def test_pseudo_labels_off(self, monkeypatch):
+        self.run(monkeypatch, pl_enabled=False)
