@@ -143,10 +143,6 @@ class ClassDist:
         return f"ClassDist({np.array2string(self.probs, precision=4)})"
 
     @property
-    def n_foreground(self) -> int:
-        return self.probs.size - 1
-
-    @property
     def argmax_class(self) -> int:
         """Most probable category (0 = background)."""
         return int(np.argmax(self.probs))
@@ -154,11 +150,6 @@ class ClassDist:
     @property
     def max_prob(self) -> float:
         return float(self.probs[self.argmax_class])
-
-    def top_foreground(self) -> tuple[int, float]:
-        """Best foreground class and its probability."""
-        idx = int(np.argmax(self.probs[1:])) + 1
-        return idx, float(self.probs[idx])
 
 
 @dataclass(frozen=True)

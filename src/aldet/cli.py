@@ -240,8 +240,19 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
     }
 
 
-def _sizes(dataset: Dataset) -> dict[str, tuple[int, int]]:
-    return {img.image_id: (img.width, img.height) for img in dataset.images}
+def _read_predictions(path, dataset: Dataset):
+    """Predictions JSONL for ``dataset``'s images, each with K+1 probabilities."""
+    sizes = {img.image_id: (img.width, img.height) for img in dataset.images}
+    preds = formats.read_predictions_jsonl(path, sizes)
+    expected = dataset.n_classes + 1
+    for (image_id, flipped), pred in preds.items():
+        bad = [len(det.dist) for det in pred.detections if len(det.dist) != expected]
+        if bad:
+            raise ValueError(
+                f"{path}: {'flipped' if flipped else 'original'} record for image {image_id!r}: "
+                f"{bad[0]} probabilities, expected {expected} for {dataset.n_classes} classes"
+            )
+    return preds
 
 
 # -- subcommands ------------------------------------------------------------
@@ -263,7 +274,7 @@ def _record(preds, flipped: bool):
 def cmd_score(args) -> int:
     cfg = build_config(args.config, _overrides(args), require_files=("dataset",))
     dataset = formats.load_dataset(cfg.dataset)
-    preds = formats.read_predictions_jsonl(args.predictions, _sizes(dataset))
+    preds = _read_predictions(args.predictions, dataset)
 
     image_ids = sorted({image_id for image_id, _ in preds})
     original = _record(preds, flipped=False)
@@ -290,7 +301,7 @@ def cmd_select(args) -> int:
 def cmd_pseudolabel(args) -> int:
     cfg = build_config(args.config, _overrides(args), require_files=("dataset",))
     dataset = formats.load_dataset(cfg.dataset)
-    preds = formats.read_predictions_jsonl(args.predictions, _sizes(dataset))
+    preds = _read_predictions(args.predictions, dataset)
 
     candidates = sorted({image_id for (image_id, flipped) in preds if not flipped})
     if args.pool:
@@ -344,8 +355,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """mAP@0.5 of the original-view records against ground truth. The
+    detections are scored as given: eval applies no NMS, so pass post-NMS
+    detections (simulate applies NMS to its detector's raw output)."""
     gt_data = formats.load_dataset(args.gt)
-    preds = formats.read_predictions_jsonl(args.predictions, _sizes(gt_data))
+    preds = _read_predictions(args.predictions, gt_data)
     dets = []
     for (image_id, flipped), pred in sorted(preds.items()):
         if flipped:
@@ -452,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("eval", help="mAP@0.5 of a predictions JSONL against ground truth")
+    p = sub.add_parser("eval", help="mAP@0.5 of a predictions JSONL against ground truth, "
+                       "no NMS", description=cmd_eval.__doc__)
     p.add_argument("--gt", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--interpolation", default="eleven_point", choices=INTERPOLATIONS)

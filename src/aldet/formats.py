@@ -84,39 +84,45 @@ def save_dataset(dataset: Dataset, path) -> None:
 # {"image_id": ..., "flipped": bool, "detections": [{"bbox": [4], "encoded": [4], "probs": [K+1]}]}
 
 
-def read_predictions_jsonl(
-    path, sizes: Mapping[str, tuple[int, int]]
-) -> dict[tuple[str, bool], ImagePrediction]:
-    out: dict[tuple[str, bool], ImagePrediction] = {}
+def _read_jsonl(path, parse) -> list:
+    """``parse(record)`` of every non-blank line, in order; a malformed or
+    rejected line raises a ValueError that names the file and line number."""
+    out = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                out.append(parse(json.loads(line)))
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: line {lineno}: malformed JSON: {e}") from None
-            try:
-                image_id = rec["image_id"]
-                flipped = bool(rec["flipped"])
-                if image_id not in sizes:
-                    raise ValueError(f"unknown image id {image_id!r}")
-                width, height = sizes[image_id]
-                dets = tuple(
-                    Detection(
-                        BoxCorner(*d["bbox"]),
-                        BoxEncoded(*d["encoded"]),
-                        ClassDist(d["probs"]),
-                    )
-                    for d in rec["detections"]
-                )
-                key = (image_id, flipped)
-                if key in out:
-                    raise ValueError(f"duplicate record for image {image_id!r}, flipped={flipped}")
-                out[key] = ImagePrediction(image_id, width, height, dets)
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
+    return out
+
+
+def read_predictions_jsonl(
+    path, sizes: Mapping[str, tuple[int, int]]
+) -> dict[tuple[str, bool], ImagePrediction]:
+    out: dict[tuple[str, bool], ImagePrediction] = {}
+
+    def add(rec) -> None:
+        image_id = rec["image_id"]
+        flipped = bool(rec["flipped"])
+        if image_id not in sizes:
+            raise ValueError(f"unknown image id {image_id!r}")
+        width, height = sizes[image_id]
+        dets = tuple(
+            Detection(BoxCorner(*d["bbox"]), BoxEncoded(*d["encoded"]), ClassDist(d["probs"]))
+            for d in rec["detections"]
+        )
+        key = (image_id, flipped)
+        if key in out:
+            raise ValueError(f"duplicate record for image {image_id!r}, flipped={flipped}")
+        out[key] = ImagePrediction(image_id, width, height, dets)
+
+    _read_jsonl(path, add)
     return out
 
 
@@ -145,41 +151,33 @@ def write_predictions_jsonl(
 
 # -- pseudo-label JSONL -------------------------------------------------------
 
+# One record per pseudo-label, shared by the JSONL file and the pool state:
+# {"image_id": ..., "bbox": [4], "class_id": int, "confidence": float}
+
+
+def _pl_record(pl: PseudoLabel) -> dict:
+    return {
+        "image_id": pl.image_id,
+        "bbox": pl.box_corner.as_list(),
+        "class_id": pl.class_id,
+        "confidence": pl.confidence,
+    }
+
+
+def _pl_from_record(rec) -> PseudoLabel:
+    return PseudoLabel(
+        rec["image_id"], BoxCorner(*rec["bbox"]), int(rec["class_id"]), float(rec["confidence"])
+    )
+
 
 def write_pseudo_labels_jsonl(pls: Iterable[PseudoLabel], path) -> None:
-    records = [
-        {
-            "image_id": pl.image_id,
-            "bbox": pl.box_corner.as_list(),
-            "class_id": pl.class_id,
-            "confidence": pl.confidence,
-        }
-        for pl in pls
-    ]
+    records = [_pl_record(pl) for pl in pls]
     records.sort(key=lambda r: (r["image_id"], -r["confidence"], r["class_id"]))
     _write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
 def read_pseudo_labels_jsonl(path) -> list[PseudoLabel]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(
-                    PseudoLabel(
-                        rec["image_id"],
-                        BoxCorner(*rec["bbox"]),
-                        int(rec["class_id"]),
-                        float(rec["confidence"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
-    return out
+    return _read_jsonl(path, _pl_from_record)
 
 
 # -- pool state JSON ----------------------------------------------------------
@@ -191,16 +189,7 @@ def save_pool(pool: Pool, path) -> None:
         "labeled": sorted(pool.labeled),
         "unlabeled": sorted(pool.unlabeled),
         "pseudo": {
-            image_id: [
-                {
-                    "image_id": pl.image_id,
-                    "bbox": pl.box_corner.as_list(),
-                    "class_id": pl.class_id,
-                    "confidence": pl.confidence,
-                }
-                for pl in pls
-            ]
-            for image_id, pls in pool.pseudo.items()
+            image_id: [_pl_record(pl) for pl in pls] for image_id, pls in pool.pseudo.items()
         },
     }
     _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
@@ -210,10 +199,7 @@ def load_pool(path) -> Pool:
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
     pseudo = {
-        image_id: tuple(
-            PseudoLabel(rec["image_id"], BoxCorner(*rec["bbox"]), int(rec["class_id"]), float(rec["confidence"]))
-            for rec in recs
-        )
+        image_id: tuple(_pl_from_record(rec) for rec in recs)
         for image_id, recs in raw.get("pseudo", {}).items()
     }
     return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), pseudo, int(raw["cycle"]))

@@ -7,10 +7,13 @@ mapped back into the original coordinate frame (see :func:`aldet.boxes.hflip`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .boxes import Detection, ImagePrediction, iou
 
-__all__ = ["MatchedPair", "MatchResult", "match_predictions", "DEFAULT_MIN_MATCH_IOU"]
+__all__ = [
+    "MatchedPair", "MatchResult", "greedy_assign", "match_predictions", "DEFAULT_MIN_MATCH_IOU"
+]
 
 # An unfloored argmax pairs unrelated boxes; 0.5 is the conventional overlap
 # floor. Set min_match_iou=0 to match without a floor.
@@ -40,6 +43,22 @@ class MatchResult:
     unmatched_flipped: tuple[int, ...]
 
 
+def greedy_assign(candidates: Iterable[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
+    """Greedy one-to-one assignment: candidate pairs ``(iou, i, j)`` are taken
+    by IoU descending (ties by ``i``, then ``j``) while neither member is taken
+    yet. Callers filter by their own IoU floor first; returns the taken pairs.
+    """
+    taken_i: set[int] = set()
+    taken_j: set[int] = set()
+    accepted = []
+    for v, i, j in sorted(candidates, key=lambda t: (-t[0], t[1], t[2])):
+        if i not in taken_i and j not in taken_j:
+            taken_i.add(i)
+            taken_j.add(j)
+            accepted.append((v, i, j))
+    return accepted
+
+
 def match_predictions(
     orig: ImagePrediction,
     flipped: ImagePrediction,
@@ -59,25 +78,17 @@ def match_predictions(
     if not (0.0 <= min_match_iou <= 1.0):
         raise ValueError(f"min_match_iou must be in [0, 1], got {min_match_iou}")
 
-    n, m = len(orig.detections), len(flipped.detections)
-    candidates = []
-    for i, a in enumerate(orig.detections):
-        for j, b in enumerate(flipped.detections):
-            v = iou(a.box_corner, b.box_corner)
-            if v >= min_match_iou:
-                candidates.append((v, i, j))
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+    ious = (
+        (iou(a.box_corner, b.box_corner), i, j)
+        for i, a in enumerate(orig.detections)
+        for j, b in enumerate(flipped.detections)
+    )
+    accepted = greedy_assign(c for c in ious if c[0] >= min_match_iou)
 
-    pairs: list[MatchedPair] = []
-    taken_orig: set[int] = set()
-    taken_flip: set[int] = set()
-    for v, i, j in candidates:
-        if i in taken_orig or j in taken_flip:
-            continue
-        taken_orig.add(i)
-        taken_flip.add(j)
-        pairs.append(MatchedPair(orig.detections[i], flipped.detections[j], v, i, j))
-
-    unmatched_o = tuple(i for i in range(n) if i not in taken_orig)
-    unmatched_f = tuple(j for j in range(m) if j not in taken_flip)
-    return MatchResult(tuple(pairs), unmatched_o, unmatched_f)
+    pairs = tuple(
+        MatchedPair(orig.detections[i], flipped.detections[j], v, i, j) for v, i, j in accepted
+    )
+    taken_o, taken_f = {i for _, i, _ in accepted}, {j for _, _, j in accepted}
+    unmatched_o = tuple(i for i in range(len(orig.detections)) if i not in taken_o)
+    unmatched_f = tuple(j for j in range(len(flipped.detections)) if j not in taken_f)
+    return MatchResult(pairs, unmatched_o, unmatched_f)

@@ -76,6 +76,9 @@ class Pool:
         stray = set(self.pseudo) - self.unlabeled
         if stray:
             raise ValueError(f"pseudo-labels attached to non-pool images: {sorted(stray)[:5]}")
+        misfiled = sorted(k for k, v in self.pseudo.items() if any(pl.image_id != k for pl in v))
+        if misfiled:
+            raise ValueError(f"pseudo-labels filed under another image's id: {misfiled[:5]}")
 
     @property
     def all_ids(self) -> frozenset[str]:
@@ -236,7 +239,8 @@ def run_cycles(
     Each cycle ends with one detector version, which then
     - predicts the original view of every pool image once: pseudo-labelling
       keeps the post-NMS predictions and the next cycle scores from them
-      (with pseudo-labels off, scoring streams the originals instead);
+      (with pseudo-labels off, the pool's pseudo-labels are dropped before
+      cycle 0, and the next cycle streams the originals instead);
     - predicts the flipped view of every image it scores once;
     - is evaluated on the test set once, ``cycles + 1`` evaluations in all.
 
@@ -245,17 +249,17 @@ def run_cycles(
     """
     if pool.all_ids != frozenset(train_data.image_ids):
         raise ValueError("pool ids do not match the training dataset")
+    if not cfg.pl_enabled:
+        pool = with_pseudo(pool, {})
 
     train_gt = train_data.all_objects()
     reports: list[CycleReport] = []
     selected: list[str] = []
     scores: list[AcquisitionScore] = []
-    originals: Iterable[ImagePrediction] = ()  # post-NMS, kept from pseudo-labelling
+    originals: Iterable[ImagePrediction] = ()
 
     for t in range(cfg.cycles + 1):
         if t > 0:
-            if not cfg.pl_enabled:
-                originals = (detector.predict(i, flipped=False) for i in sorted(pool.unlabeled))
             scores = score_pool(
                 originals, lambda i: detector.predict(i, flipped=True), cfg.acquisition
             )
@@ -265,17 +269,13 @@ def run_cycles(
             )
             pool = commit_selection(pool, selected)
         detector = detector.update(pool)
+        # Lazy: pseudo-labelling consumes it now, or else the next cycle's scoring.
+        originals = (detector.predict(i, flipped=False) for i in sorted(pool.unlabeled))
         if cfg.pl_enabled:
             originals, pseudo = pseudo_label_pool(
-                (detector.predict(i, flipped=False) for i in sorted(pool.unlabeled)),
-                cfg.acquisition,
-                cfg.pl_strategy,
-                cfg.tau,
-                cfg.pl_topk_fraction,
+                originals, cfg.acquisition, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction
             )
             pool = with_pseudo(pool, pseudo)
-        elif t > 0:
-            pool = with_pseudo(pool, {})
 
         n_pl = pool.n_pseudo_labels
         n_manual = sum(len(train_data[i].objects) for i in pool.labeled)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .boxes import BoxCorner, ImagePrediction, iou
+from .matching import greedy_assign
 
 __all__ = [
     "PseudoLabel",
@@ -107,28 +108,23 @@ def audit_pl_correctness(
     """Fraction of pseudo-labels matching a same-class GT object with IoU > 0.5.
 
     Each ground-truth object can validate at most one pseudo-label; candidate
-    matches are consumed greedily by descending IoU. An empty pseudo-label
+    matches are consumed greedily by descending IoU (see
+    :func:`aldet.matching.greedy_assign`). A pseudo-label is only compared
+    with the ground truth of its own (image, class). An empty pseudo-label
     list audits as 1.0 by convention (callers should report the count
     alongside).
     """
     if not pls:
         return 1.0
 
+    by_group: dict[tuple[str, int], list[tuple[int, GroundTruthObject]]] = {}
+    for gi, obj in enumerate(gt):
+        by_group.setdefault((obj.image_id, obj.class_id), []).append((gi, obj))
+
     candidates = []
     for pi, pl in enumerate(pls):
-        for gi, obj in enumerate(gt):
-            if obj.image_id != pl.image_id or obj.class_id != pl.class_id:
-                continue
+        for gi, obj in by_group.get((pl.image_id, pl.class_id), ()):
             v = iou(pl.box_corner, obj.box_corner)
             if v > iou_thresh:
                 candidates.append((v, pi, gi))
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-    matched_pl: set[int] = set()
-    used_gt: set[int] = set()
-    for v, pi, gi in candidates:
-        if pi in matched_pl or gi in used_gt:
-            continue
-        matched_pl.add(pi)
-        used_gt.add(gi)
-    return len(matched_pl) / len(pls)
+    return len(greedy_assign(candidates)) / len(pls)

@@ -8,6 +8,7 @@ import pytest
 
 from aldet import formats
 from aldet.acquisition import AcquisitionConfig, unified_score
+from aldet.boxes import ClassDist, Detection, ImagePrediction, encode_box, image_anchor
 from aldet.cli import CONFIG_DEFAULTS, ConfigError, ExperimentConfig, build_config, build_parser, main
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.pool import init_pool
@@ -226,6 +227,64 @@ class TestEvalCommand:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "line" in capsys.readouterr().err
+
+
+class TestProbabilityLength:
+    """score, pseudolabel and eval reject probability vectors without K+1 entries."""
+
+    @pytest.fixture()
+    def k5(self, tmp_path):
+        data = make_synthetic_dataset(2, 5, seed=3)
+        formats.save_dataset(data, tmp_path / "gt.json")
+        return tmp_path, data
+
+    @staticmethod
+    def write_preds(path, data, n_original, n_flipped):
+        # one confident class-1 detection per view, with the given vector lengths
+        records = []
+        for img in data.images:
+            box = img.objects[0].box_corner
+            for flipped, n in ((False, n_original), (True, n_flipped)):
+                probs = np.full(n, 0.05 / (n - 1))
+                probs[1] = 0.95
+                anchor = image_anchor(img.width, img.height)
+                det = Detection(box, encode_box(box, anchor), ClassDist(probs))
+                pred = ImagePrediction(img.image_id, img.width, img.height, (det,))
+                records.append((pred, flipped))
+        formats.write_predictions_jsonl(records, path)
+
+    def run(self, k5, capsys, command, n_original, n_flipped):
+        tmp_path, data = k5
+        preds = tmp_path / "preds.jsonl"
+        self.write_preds(preds, data, n_original, n_flipped)
+        out = tmp_path / "out"
+        data_flag = "--gt" if command == "eval" else "--dataset"
+        rc = main([command, data_flag, str(tmp_path / "gt.json"), "--predictions", str(preds),
+                   "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        return capsys.readouterr().err, data.image_ids[0]
+
+    def test_score(self, k5, capsys):
+        err, first = self.run(k5, capsys, "score", 6, 3)
+        assert f"flipped record for image {first!r}: 3 probabilities, expected 6" in err
+
+    def test_pseudolabel(self, k5, capsys):
+        err, first = self.run(k5, capsys, "pseudolabel", 3, 6)
+        assert f"original record for image {first!r}: 3 probabilities, expected 6" in err
+
+    def test_eval(self, k5, capsys):
+        err, first = self.run(k5, capsys, "eval", 3, 3)
+        assert f"original record for image {first!r}: 3 probabilities, expected 6" in err
+
+    def test_matching_length_accepted(self, k5, capsys):
+        tmp_path, data = k5
+        self.write_preds(tmp_path / "preds.jsonl", data, 6, 6)
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--gt", str(tmp_path / "gt.json"),
+                     "--predictions", str(tmp_path / "preds.jsonl"), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert set(formats.read_eval_csv(out).n_gt) == {1, 2, 3, 4, 5}
 
 
 class TestLossCheckCommand:

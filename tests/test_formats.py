@@ -1,5 +1,7 @@
 """Serialization round-trips and format validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,15 @@ class TestPoolState:
         path = tmp_path / "pool.json"
         formats.save_pool(pool, path)
         assert formats.load_pool(path) == pool
+
+    def test_misfiled_pseudo_label_rejected(self, tmp_path):
+        path = tmp_path / "pool.json"
+        record = {"image_id": "c", "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}
+        path.write_text(json.dumps(
+            {"cycle": 0, "labeled": ["a"], "unlabeled": ["b", "c"], "pseudo": {"b": [record]}}
+        ))
+        with pytest.raises(ValueError, match=r"filed under another image's id: \['b'\]"):
+            formats.load_pool(path)
 
 
 class TestScoresCSV:

@@ -12,7 +12,7 @@ from aldet.boxes import (
     image_anchor,
     iou,
 )
-from aldet.matching import match_predictions
+from aldet.matching import greedy_assign, match_predictions
 
 
 def make_pred(image_id, boxes, width=100, height=100):
@@ -76,6 +76,18 @@ def enumerate_best_first(boxes_a, boxes_b, floor):
     if best_sequence is None:
         return []
     return [(i, j) for _key, i, j in best_sequence]
+
+
+class TestGreedyAssign:
+    def test_ties_taken_by_first_then_second_index(self):
+        assert greedy_assign([(0.5, 1, 0), (0.5, 0, 1)]) == [(0.5, 0, 1), (0.5, 1, 0)]
+
+    def test_each_side_taken_once_by_iou_descending(self):
+        candidates = [(0.5, 0, 1), (0.5, 0, 0), (0.8, 1, 0)]
+        assert greedy_assign(candidates) == [(0.8, 1, 0), (0.5, 0, 1)]
+
+    def test_empty(self):
+        assert greedy_assign([]) == []
 
 
 class TestMatchPredictions:

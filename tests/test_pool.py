@@ -152,6 +152,20 @@ class TestRunCycles:
         assert all(r.pl_count == 0 for r in reports)
         assert all(r.pl_ratio == 0.0 for r in reports)
 
+    def test_pl_off_drops_pseudo_labels_of_given_pool(self):
+        # a stale pseudo-label in the given pool is dropped before cycle 0
+        train, test, world = small_world()
+        pool = init_pool(train.image_ids, 10, seed=0)
+        stale = sorted(pool.unlabeled)[0]
+        pool = with_pseudo(pool, {stale: [a_pl(stale)]})
+        seen = []
+        cfg = RunConfig(cycles=2, budget_per_cycle=5, seed=0, pl_enabled=False)
+        reports = run_cycles(pool, PoolSpy(make_detector(world), seen), cfg, train, test)
+        assert [(r.cycle, r.pl_count, r.pl_correctness) for r in reports] == [
+            (0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)
+        ]
+        assert seen == [0, 0, 0]
+
     def test_reproducible(self):
         train, test, world = small_world()
         cfg = RunConfig(cycles=3, budget_per_cycle=5, strategy="unified", seed=4)
@@ -222,6 +236,20 @@ class CountingDetector(DetectorInterface):
 
     def update(self, pool):
         return CountingDetector(self.inner.update(pool), self.calls)
+
+
+class PoolSpy(DetectorInterface):
+    """Delegates to a detector and records the pseudo-label count of every pool it trains on."""
+
+    def __init__(self, inner, seen):
+        self.inner, self.seen = inner, seen
+
+    def predict(self, image_id, flipped=False):
+        return self.inner.predict(image_id, flipped)
+
+    def update(self, pool):
+        self.seen.append(pool.n_pseudo_labels)
+        return PoolSpy(self.inner.update(pool), self.seen)
 
 
 class TestSinglePass:
