@@ -9,7 +9,7 @@ reproducible without any network training.
 
 Typical entry points:
 
-- :func:`aldet.acquisition.unified_score` / :func:`select_for_labeling`
+- :func:`aldet.acquisition.post_nms` / :func:`unified_score` / :func:`select_for_labeling`
 - :func:`aldet.pseudo_label.extract_pseudo_labels`
 - :func:`aldet.pool.run_cycles` with a :class:`aldet.sim_detector.SyntheticDetector`
 - the ``aldet`` command line (score/select/pseudolabel/simulate/eval/...)
@@ -18,7 +18,7 @@ Only these entry points and the types they take or return are re-exported
 here; everything else is imported from its module.
 """
 
-from .acquisition import AcquisitionConfig, AcquisitionScore, select_for_labeling, unified_score
+from .acquisition import AcquisitionConfig, AcquisitionScore, post_nms, select_for_labeling, unified_score
 from .boxes import BoxCorner, ClassDist, Detection, ImagePrediction
 from .dataset import Dataset, make_synthetic_dataset
 from .evaluation import EvalResult, map50
@@ -29,6 +29,7 @@ from .sim_detector import DetectorInterface, SyntheticDetector, SyntheticDetecto
 __all__ = [
     "AcquisitionConfig",
     "AcquisitionScore",
+    "post_nms",
     "select_for_labeling",
     "unified_score",
     "BoxCorner",

@@ -3,14 +3,17 @@
 An image is scored by three quantities: its uncertainty H (max detection
 entropy), its inconsistency I (max symmetric KL divergence between matched
 original/flipped class distributions), and the unified score A = H * I.
-The scoring pipeline is NMS -> un-flip -> NMS -> match -> aggregate; raw
-detector outputs should never be scored directly since pre-NMS boxes number
-in the hundreds and inflate the maxima by chance.
+
+Every prediction passes through :func:`post_nms` once before anything takes
+it: a flipped-view prediction is mapped back into the original frame, then
+class-wise NMS keeps the survivors. Scoring only matches the two post-NMS
+views and takes the maxima; raw detector outputs are never scored, since
+pre-NMS boxes number in the hundreds and inflate the maxima by chance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +37,7 @@ __all__ = [
     "image_entropy",
     "AcquisitionConfig",
     "AcquisitionScore",
+    "post_nms",
     "unified_score",
     "select_for_labeling",
     "SCORE_STRATEGIES",
@@ -92,9 +96,6 @@ class AcquisitionConfig:
     nms_iou: float = DEFAULT_NMS_IOU
     nms_score_floor: float = DEFAULT_NMS_SCORE_FLOOR
     min_match_iou: float = DEFAULT_MIN_MATCH_IOU
-    # Entropy/KL run over the full (K+1)-category softmax by default; set
-    # False to drop the background category and renormalize.
-    include_background: bool = True
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class AcquisitionScore:
     unified: float
 
     def __post_init__(self):
-        if self.entropy < 0 or self.inconsistency < 0:
-            raise ValueError("entropy and inconsistency must be non-negative")
+        if not (self.entropy >= 0 and self.inconsistency >= 0):  # NaN fails too
+            raise ValueError("entropy and inconsistency must be non-negative numbers")
         if self.unified != self.entropy * self.inconsistency:
             raise ValueError(
                 f"unified score must equal entropy * inconsistency exactly "
@@ -125,51 +126,32 @@ class AcquisitionScore:
         return getattr(self, strategy)
 
 
-def _strip_background(dist: ClassDist) -> np.ndarray:
-    fg = dist.probs[1:]
-    total = fg.sum()
-    if total <= 0.0:
-        return np.full(fg.size, 1.0 / fg.size)
-    return fg / total
+def post_nms(pred: ImagePrediction, cfg: AcquisitionConfig, flipped: bool = False) -> ImagePrediction:
+    """The prediction that matching, scoring, pseudo-labelling and evaluation take:
+    a flipped-view prediction is mapped back into the original frame with
+    :func:`hflip`, then class-wise NMS with ``cfg``'s thresholds keeps the
+    survivors, sorted by descending score."""
+    if flipped:
+        pred = hflip(pred)
+    return pred.with_detections(nms(pred.detections, cfg.nms_iou, cfg.nms_score_floor))
 
 
 def unified_score(
     orig: ImagePrediction,
-    flipped: ImagePrediction,
-    cfg: AcquisitionConfig = AcquisitionConfig(),
+    unflipped: ImagePrediction,
+    min_match_iou: float = DEFAULT_MIN_MATCH_IOU,
 ) -> AcquisitionScore:
-    """Score one image from its original and flipped predictions.
+    """Score one image from the :func:`post_nms` output of its two views.
 
-    ``flipped`` is the raw prediction in the flipped frame as the detector
-    emits it; it is mapped back into the original frame internally. NMS runs
-    on both sides before matching; ``orig`` may already be post-NMS, since
-    NMS is idempotent. An image with no surviving detections scores
-    (0, 0, 0) and is therefore never selected by score-based strategies.
+    H is the max entropy over ``orig``'s detections and I the max symmetric
+    KL over the pairs matched between ``orig`` and ``unflipped``, both over
+    all K+1 categories. An image with no detections scores (0, 0, 0) and is
+    therefore never selected by score-based strategies.
     """
-    orig_dets = nms(orig.detections, cfg.nms_iou, cfg.nms_score_floor)
-    unflipped = hflip(flipped)
-    flip_dets = nms(unflipped.detections, cfg.nms_iou, cfg.nms_score_floor)
-
-    result = match_predictions(
-        orig.with_detections(orig_dets),
-        unflipped.with_detections(flip_dets),
-        cfg.min_match_iou,
+    result = match_predictions(orig, unflipped, min_match_iou)
+    return AcquisitionScore.from_parts(
+        orig.image_id, image_entropy(orig.detections), image_inconsistency(result.pairs)
     )
-
-    if cfg.include_background:
-        h = image_entropy(orig_dets)
-        inc = image_inconsistency(result.pairs)
-    else:
-        h = max((entropy(_strip_background(d.dist)) for d in orig_dets), default=0.0)
-        inc = max(
-            (
-                sym_kl(_strip_background(p.original.dist), _strip_background(p.flipped.dist))
-                for p in result.pairs
-            ),
-            default=0.0,
-        )
-
-    return AcquisitionScore.from_parts(orig.image_id, h, inc)
 
 
 def select_for_labeling(

@@ -15,10 +15,10 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import formats
-from .acquisition import AcquisitionConfig, select_for_labeling
+from .acquisition import AcquisitionConfig, post_nms, select_for_labeling
 from .boxes import BoxCorner, BoxEncoded, ClassDist, Detection
 from .dataset import Dataset
-from .evaluation import INTERPOLATIONS, map50, winrate_matrix
+from .evaluation import INTERPOLATIONS, winrate_matrix
 from .losses import (
     GroundTruthAssignment,
     consistency_class_loss,
@@ -33,6 +33,7 @@ from .pool import (
     SELECTION_STRATEGIES,
     RunConfig,
     commit_selection,
+    evaluate,
     init_pool,
     pseudo_label_pool,
     run_cycles,
@@ -114,7 +115,6 @@ class ExperimentConfig:
     nms_iou: float = _key("0.45", float, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"))
     nms_score_floor: float = _key("0.01", float, (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"))
     min_match_iou: float = _key("0.5", float, _UNIT_INTERVAL)
-    include_background: bool = _key("true", _parse_bool)
     seed: int = _key("0", int)
     interpolation: str = _key("eleven_point", str, _one_of(INTERPOLATIONS))
     detector_seed: int = _key("0", int)
@@ -134,7 +134,6 @@ class ExperimentConfig:
             nms_iou=self.nms_iou,
             nms_score_floor=self.nms_score_floor,
             min_match_iou=self.min_match_iou,
-            include_background=self.include_background,
         )
 
     def run_config(self) -> RunConfig:
@@ -276,10 +275,11 @@ def cmd_score(args) -> int:
     dataset = formats.load_dataset(cfg.dataset)
     preds = _read_predictions(args.predictions, dataset)
 
+    acq = cfg.acquisition_config()
     image_ids = sorted({image_id for image_id, _ in preds})
     original = _record(preds, flipped=False)
     scores = score_pool(
-        (original(i) for i in image_ids), _record(preds, flipped=True), cfg.acquisition_config()
+        (post_nms(original(i), acq) for i in image_ids), _record(preds, flipped=True), acq
     )
     formats.write_scores_csv(scores, args.out)
     return 0
@@ -308,13 +308,9 @@ def cmd_pseudolabel(args) -> int:
         pool = formats.load_pool(args.pool)
         candidates = [i for i in candidates if i in pool.unlabeled]
 
-    _, pseudo = pseudo_label_pool(
-        (preds[(image_id, False)] for image_id in candidates),
-        cfg.acquisition_config(),
-        cfg.pl_strategy,
-        cfg.tau,
-        cfg.pl_topk_fraction,
-    )
+    acq = cfg.acquisition_config()
+    originals = [post_nms(preds[(image_id, False)], acq) for image_id in candidates]
+    pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
     formats.write_pseudo_labels_jsonl([pl for pls in pseudo.values() for pl in pls], args.out)
     return 0
 
@@ -360,19 +356,8 @@ def cmd_eval(args) -> int:
     detections (simulate applies NMS to its detector's raw output)."""
     gt_data = formats.load_dataset(args.gt)
     preds = _read_predictions(args.predictions, gt_data)
-    dets = []
-    for (image_id, flipped), pred in sorted(preds.items()):
-        if flipped:
-            continue
-        for det in pred.detections:
-            dets.append((det, image_id))
-    result = map50(
-        dets,
-        gt_data.all_objects(),
-        interpolation=args.interpolation,
-        class_ids=range(1, gt_data.n_classes + 1),
-    )
-    formats.write_eval_csv(result, args.out)
+    originals = (pred for (_, flipped), pred in sorted(preds.items()) if not flipped)
+    formats.write_eval_csv(evaluate(originals, gt_data, args.interpolation), args.out)
     return 0
 
 

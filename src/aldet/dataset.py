@@ -7,7 +7,7 @@ a list of ground-truth objects. No pixels are involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class Dataset:
 
     def all_objects(self) -> list[GroundTruthObject]:
         return [obj for img in self.images for obj in img.objects]
-
-    def subset(self, image_ids: Sequence[str]) -> "Dataset":
-        return Dataset(self.classes, tuple(self[i] for i in image_ids))
 
 
 def make_synthetic_dataset(

@@ -3,7 +3,8 @@ pool-state JSON, and the CSV reports.
 
 All text outputs are UTF-8 with LF line endings; floats in CSVs are written
 with six decimal places. Writers sort their rows so identical inputs produce
-byte-identical files.
+byte-identical files. Readers name the file, and the line for line-based
+formats, in every error about its content, undecodable bytes included.
 """
 
 from __future__ import annotations
@@ -42,20 +43,63 @@ def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _read_lines(path, parse, header: str | None = None) -> list:
+    """``parse(line)`` of every non-blank line, stripped, in order.
+
+    Each line is decoded as UTF-8 on its own, so an undecodable byte, like a
+    line that ``parse`` rejects, raises a ValueError that names the file and
+    the line number. With ``header``, line 1 must equal it and is not parsed.
+    """
+    out, lineno = [], 0
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if lineno == 1 and header is not None:
+                    if line != header:
+                        raise ValueError(f"unexpected header {line!r}")
+                elif line:
+                    out.append(parse(line))
+            # OverflowError: a JSON integer too large for a float
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                raise ValueError(f"{path}: line {lineno}: {e}") from None
+    if lineno == 0 and header is not None:
+        raise ValueError(f"{path}: empty file, expected the header {header!r}")
+    return out
+
+
+def _read_json(path):
+    """The file's one JSON document; undecodable bytes or malformed JSON raise
+    a ValueError that names the file."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _int_field(rec, name: str) -> int:
+    """``rec[name]``, which must be a JSON integer (not a float or a boolean)."""
+    value = rec[name]
+    if type(value) is not int:
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
 # -- dataset JSON -----------------------------------------------------------
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = _read_json(path)
     images = []
     for rec in raw["images"]:
         image_id = rec["id"]
         objects = tuple(
-            GroundTruthObject(image_id, BoxCorner(*obj["bbox"]), int(obj["class_id"]))
+            GroundTruthObject(image_id, BoxCorner(*obj["bbox"]), _int_field(obj, "class_id"))
             for obj in rec.get("objects", [])
         )
-        images.append(ImageRecord(image_id, int(rec["width"]), int(rec["height"]), objects))
+        images.append(ImageRecord(image_id, _int_field(rec, "width"), _int_field(rec, "height"), objects))
     return Dataset(tuple(raw["classes"]), tuple(images))
 
 
@@ -85,21 +129,16 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def _read_jsonl(path, parse) -> list:
-    """``parse(record)`` of every non-blank line, in order; a malformed or
-    rejected line raises a ValueError that names the file and line number."""
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON: {e}") from None
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
-    return out
+    """``parse(record)`` of every non-blank line's JSON record, in order."""
+
+    def record(line):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"malformed JSON: {e}") from None
+        return parse(rec)
+
+    return _read_lines(path, record)
 
 
 def read_predictions_jsonl(
@@ -165,9 +204,8 @@ def _pl_record(pl: PseudoLabel) -> dict:
 
 
 def _pl_from_record(rec) -> PseudoLabel:
-    return PseudoLabel(
-        rec["image_id"], BoxCorner(*rec["bbox"]), int(rec["class_id"]), float(rec["confidence"])
-    )
+    cls = _int_field(rec, "class_id")
+    return PseudoLabel(rec["image_id"], BoxCorner(*rec["bbox"]), cls, float(rec["confidence"]))
 
 
 def write_pseudo_labels_jsonl(pls: Iterable[PseudoLabel], path) -> None:
@@ -196,13 +234,12 @@ def save_pool(pool: Pool, path) -> None:
 
 
 def load_pool(path) -> Pool:
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = _read_json(path)
     pseudo = {
         image_id: tuple(_pl_from_record(rec) for rec in recs)
         for image_id, recs in raw.get("pseudo", {}).items()
     }
-    return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), pseudo, int(raw["cycle"]))
+    return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), pseudo, _int_field(raw, "cycle"))
 
 
 # -- scores CSV ---------------------------------------------------------------
@@ -215,23 +252,22 @@ def write_scores_csv(scores: Iterable[AcquisitionScore], path) -> None:
     _write_text(path, "".join(lines))
 
 
+def _columns(line: str, n: int) -> list[str]:
+    parts = line.split(",")
+    if len(parts) != n:
+        raise ValueError(f"expected {n} columns, got {len(parts)}")
+    return parts
+
+
 def read_scores_csv(path) -> list[AcquisitionScore]:
     """Read a scores table back; the unified column is recomputed from the
     rounded entropy and inconsistency so the product identity holds exactly."""
-    out = []
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "image_id,entropy,inconsistency,unified":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 columns")
-            out.append(AcquisitionScore.from_parts(parts[0], float(parts[1]), float(parts[2])))
-    return out
+
+    def row(line):
+        image_id, h, inc, _unified = _columns(line, 4)
+        return AcquisitionScore.from_parts(image_id, float(h), float(inc))
+
+    return _read_lines(path, row, header="image_id,entropy,inconsistency,unified")
 
 
 # -- cycle report CSV ----------------------------------------------------------
@@ -269,23 +305,19 @@ def read_eval_csv(path) -> EvalResult:
     per_class: dict[int, float] = {}
     n_gt: dict[int, int] = {}
     excluded: list[int] = []
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "class_id,ap,n_gt":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cls_s, ap_s, n_s = line.split(",")
-            if cls_s == "mAP":
-                continue
-            cls = int(cls_s)
-            n_gt[cls] = int(n_s)
-            if ap_s == "":
-                excluded.append(cls)
-            else:
-                per_class[cls] = float(ap_s)
+
+    def row(line):
+        cls_s, ap_s, n_s = _columns(line, 3)
+        if cls_s == "mAP":
+            return
+        cls = int(cls_s)
+        n_gt[cls] = int(n_s)
+        if ap_s == "":
+            excluded.append(cls)
+        else:
+            per_class[cls] = float(ap_s)
+
+    _read_lines(path, row, header="class_id,ap,n_gt")
     return EvalResult.from_per_class(per_class, n_gt, tuple(excluded))
 
 
@@ -305,18 +337,20 @@ def write_winrate_csv(names: Sequence[str], matrix, path) -> None:
 def parse_config_file(path) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blank lines are skipped."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
-            if not key:
-                raise ValueError(f"{path}: line {lineno}: empty key")
-            if key in out:
-                raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
-            out[key] = value.strip()
+
+    def entry(line):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            return
+        if "=" not in stripped:
+            raise ValueError("expected 'key = value'")
+        key, value = stripped.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ValueError("empty key")
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value.strip()
+
+    _read_lines(path, entry)
     return out

@@ -7,9 +7,10 @@ detector on a held-out test set. Pseudo-labels are regenerated from scratch
 by every detector version; they are never accumulated.
 
 Every detector version does each job once: it predicts the original view of
-each pool image once (pseudo-labelling keeps the post-NMS result, and the
-next cycle scores from it), the flipped view of each scored image once, and
-the test set once.
+each pool image once (pseudo-labelling keeps the result, and the next cycle
+scores from it), the flipped view of each scored image once, and the test set
+once. Each prediction goes through :func:`aldet.acquisition.post_nms` once,
+where it is made; scoring, pseudo-labelling and evaluation take its output.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .acquisition import (
     SCORE_STRATEGIES,
     AcquisitionConfig,
     AcquisitionScore,
+    post_nms,
     select_for_labeling,
     unified_score,
 )
-from .boxes import ImagePrediction, nms
+from .boxes import ImagePrediction
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, EvalResult, map50
 from .pseudo_label import (
@@ -45,6 +47,7 @@ __all__ = [
     "CycleReport",
     "score_pool",
     "pseudo_label_pool",
+    "evaluate",
     "run_cycles",
 ]
 
@@ -173,56 +176,50 @@ def score_pool(
     flipped: Callable[[str], ImagePrediction],
     cfg: AcquisitionConfig,
 ) -> list[AcquisitionScore]:
-    """Acquisition scores of the given original-view predictions, in input order.
+    """Acquisition scores of the given post-NMS original-view predictions, in
+    input order.
 
-    ``flipped(image_id)`` supplies each image's flipped-view prediction.
-    ``originals`` may be raw or already post-NMS: NMS is idempotent and keeps
-    its order, so both give the same scores. Passing a generator streams the
-    pool instead of holding every prediction at once.
+    ``flipped(image_id)`` supplies each image's flipped-view prediction as the
+    detector emits it, and :func:`post_nms` is applied to it here. Passing a
+    generator streams the pool instead of holding every prediction at once.
     """
-    return [unified_score(orig, flipped(orig.image_id), cfg) for orig in originals]
+    return [
+        unified_score(orig, post_nms(flipped(orig.image_id), cfg, flipped=True), cfg.min_match_iou)
+        for orig in originals
+    ]
 
 
 def pseudo_label_pool(
-    originals: Iterable[ImagePrediction],
-    acq: AcquisitionConfig,
+    originals: Sequence[ImagePrediction],
     strategy: str,
     tau: float,
     topk_fraction: float,
-) -> tuple[list[ImagePrediction], dict[str, tuple[PseudoLabel, ...]]]:
-    """NMS every raw original-view prediction, then pseudo-label them.
+) -> dict[str, tuple[PseudoLabel, ...]]:
+    """Pseudo-labels of the given post-NMS original-view predictions, grouped
+    by image; images without pseudo-labels are absent.
 
     ``strategy`` is ``threshold`` (every detection with p >= tau) or ``topk``
     (the most confident ``topk_fraction`` of each class across all images).
-    Returns the post-NMS predictions, in input order, and the pseudo-labels
-    grouped by image; images without pseudo-labels are absent.
     """
-    preds = [
-        pred.with_detections(nms(pred.detections, acq.nms_iou, acq.nms_score_floor))
-        for pred in originals
-    ]
     if strategy == "threshold":
-        labels = [pl for pred in preds for pl in extract_pseudo_labels(pred, tau)]
+        labels = [pl for pred in originals for pl in extract_pseudo_labels(pred, tau)]
     else:
-        labels = extract_topk_per_class(preds, topk_fraction)
+        labels = extract_topk_per_class(originals, topk_fraction)
 
     grouped: dict[str, list[PseudoLabel]] = {}
     for pl in labels:
         grouped.setdefault(pl.image_id, []).append(pl)
-    return preds, {k: tuple(v) for k, v in grouped.items()}
+    return {k: tuple(v) for k, v in grouped.items()}
 
 
-def _evaluate(detector, test_data: Dataset, cfg: RunConfig) -> EvalResult:
-    dets = []
-    for img in test_data.images:
-        pred = detector.predict(img.image_id, flipped=False)
-        for det in nms(pred.detections, cfg.acquisition.nms_iou, cfg.acquisition.nms_score_floor):
-            dets.append((det, img.image_id))
+def evaluate(preds: Iterable[ImagePrediction], data: Dataset, interpolation: str) -> EvalResult:
+    """mAP@0.5 of the detections as given (in input order) against ``data``."""
+    dets = [(det, pred.image_id) for pred in preds for det in pred.detections]
     return map50(
         dets,
-        test_data.all_objects(),
-        interpolation=cfg.interpolation,
-        class_ids=range(1, test_data.n_classes + 1),
+        data.all_objects(),
+        interpolation=interpolation,
+        class_ids=range(1, data.n_classes + 1),
     )
 
 
@@ -269,18 +266,18 @@ def run_cycles(
             )
             pool = commit_selection(pool, selected)
         detector = detector.update(pool)
-        # Lazy: pseudo-labelling consumes it now, or else the next cycle's scoring.
-        originals = (detector.predict(i, flipped=False) for i in sorted(pool.unlabeled))
+        # Lazy, so that with pseudo-labels off the next cycle's scoring streams it.
+        originals = (post_nms(detector.predict(i), cfg.acquisition) for i in sorted(pool.unlabeled))
         if cfg.pl_enabled:
-            originals, pseudo = pseudo_label_pool(
-                originals, cfg.acquisition, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction
-            )
+            originals = list(originals)
+            pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
             pool = with_pseudo(pool, pseudo)
 
         n_pl = pool.n_pseudo_labels
         n_manual = sum(len(train_data[i].objects) for i in pool.labeled)
         denom = n_pl + n_manual
         pls = [pl for v in pool.pseudo.values() for pl in v]
+        test_preds = (post_nms(detector.predict(i), cfg.acquisition) for i in test_data.image_ids)
         reports.append(
             CycleReport(
                 cycle=t,
@@ -290,7 +287,7 @@ def run_cycles(
                 pl_count=n_pl,
                 pl_ratio=n_pl / denom if denom else 0.0,
                 pl_correctness=audit_pl_correctness(pls, train_gt),
-                evaluation=_evaluate(detector, test_data, cfg),
+                evaluation=evaluate(test_preds, test_data, cfg.interpolation),
                 pseudo_labels=tuple(pls),
             )
         )

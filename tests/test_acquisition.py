@@ -11,6 +11,7 @@ from aldet.acquisition import (
     entropy,
     image_entropy,
     image_inconsistency,
+    post_nms,
     select_for_labeling,
     sym_kl,
     unified_score,
@@ -179,7 +180,9 @@ class TestUnifiedScore:
         cfg = AcquisitionConfig()
         for _ in range(50):
             orig, flip = two_sided_prediction(rng, perturb=0.2)
-            got = unified_score(orig, flip, cfg)
+            got = unified_score(
+                post_nms(orig, cfg), post_nms(flip, cfg, flipped=True), cfg.min_match_iou
+            )
 
             orig_dets = nms(orig.detections, cfg.nms_iou, cfg.nms_score_floor)
             unflipped = hflip(flip)
@@ -198,25 +201,15 @@ class TestUnifiedScore:
     def test_scoring_order_invariance(self):
         # detections stored in any order give the same scores (distinct scores)
         rng = np.random.default_rng(15)
+        cfg = AcquisitionConfig()
         orig, flip = two_sided_prediction(rng, n=4, perturb=0.3)
-        base = unified_score(orig, flip)
+        base = unified_score(post_nms(orig, cfg), post_nms(flip, cfg, flipped=True))
         perm = rng.permutation(4)
         orig2 = orig.with_detections([orig.detections[i] for i in perm])
         flip2 = flip.with_detections([flip.detections[i] for i in reversed(perm)])
-        shuffled = unified_score(orig2, flip2)
+        shuffled = unified_score(post_nms(orig2, cfg), post_nms(flip2, cfg, flipped=True))
         assert shuffled.entropy == pytest.approx(base.entropy, rel=1e-12)
         assert shuffled.inconsistency == pytest.approx(base.inconsistency, rel=1e-12)
-
-    def test_exclude_background_flag(self):
-        box = BoxCorner(10, 10, 40, 40)
-        det = det_with_dist([0.3, 0.6, 0.1], box)
-        pred = ImagePrediction("a", 100, 100, (det,))
-        mirrored = hflip(pred)
-        with_bg = unified_score(pred, mirrored)
-        no_bg = unified_score(pred, mirrored, AcquisitionConfig(include_background=False))
-        fg = np.array([0.6, 0.1]) / 0.7
-        assert no_bg.entropy == pytest.approx(oracle_entropy(fg), rel=1e-12)
-        assert with_bg.entropy == pytest.approx(oracle_entropy([0.3, 0.6, 0.1]), rel=1e-12)
 
 
 def score_table(values):

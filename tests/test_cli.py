@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from aldet import formats
-from aldet.acquisition import AcquisitionConfig, unified_score
+from aldet.acquisition import AcquisitionConfig, AcquisitionScore, post_nms, unified_score
 from aldet.boxes import ClassDist, Detection, ImagePrediction, encode_box, image_anchor
 from aldet.cli import CONFIG_DEFAULTS, ConfigError, ExperimentConfig, build_config, build_parser, main
 from aldet.dataset import Dataset, make_synthetic_dataset
+from aldet.evaluation import EvalResult
 from aldet.pool import init_pool
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
@@ -75,7 +76,7 @@ class TestConfig:
         # the config table, every subcommand's flags and ExperimentConfig agree
         keys = set(CONFIG_DEFAULTS)
         assert keys == {f.name for f in fields(ExperimentConfig)}
-        assert len(keys) == 29
+        assert len(keys) == 28
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         for command in ("score", "pseudolabel", "simulate"):
             flags = {a.dest[len("cfg_"):] for a in sub.choices[command]._actions
@@ -111,7 +112,11 @@ class TestScoreCommand:
         assert len(scores) == len(train.image_ids)
         cfg = AcquisitionConfig()
         for image_id in train.image_ids[:5]:
-            expected = unified_score(det.predict(image_id), det.predict(image_id, True), cfg)
+            expected = unified_score(
+                post_nms(det.predict(image_id), cfg),
+                post_nms(det.predict(image_id, True), cfg, flipped=True),
+                cfg.min_match_iou,
+            )
             got = scores[image_id]
             assert got.entropy == pytest.approx(expected.entropy, abs=5e-7)
             assert got.inconsistency == pytest.approx(expected.inconsistency, abs=5e-7)
@@ -227,6 +232,68 @@ class TestEvalCommand:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "line" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """A malformed input file ends in one ``error:`` line that names the file,
+    and the line for line-based formats, instead of a traceback."""
+
+    def error(self, capsys, argv) -> str:
+        assert main(argv) == 1
+        return capsys.readouterr().err
+
+    def test_eval_csv_wrong_column_count(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        formats.write_eval_csv(EvalResult.from_per_class({1: 0.5}, {1: 2}), good)
+        bad.write_text("class_id,ap,n_gt\n1,0.5,2\n2,0.5\n")
+        err = self.error(capsys, ["winrate", f"a={bad}", f"b={good}", "--out", str(tmp_path / "w.csv")])
+        assert err == f"error: {bad}: line 3: expected 3 columns, got 2\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("b,x,0.2,0.1", "could not convert string to float: 'x'"),  # not a number
+        ("b,-0.5,0.2,0.1", "must be non-negative"),  # rejected by AcquisitionScore
+        ("b,nan,0.2,0.1", "must be non-negative"),
+    ])
+    def test_scores_csv_bad_row(self, tmp_path, capsys, row, message):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"image_id,entropy,inconsistency,unified\na,0.1,0.2,0.02\n{row}\n")
+        err = self.error(capsys, ["select", "--scores", str(scores), "--budget", "1",
+                                  "--out", str(tmp_path / "sel.txt")])
+        assert err.startswith(f"error: {scores}: line 3: ") and message in err
+
+    def test_undecodable_byte(self, workspace, capsys):
+        tmp_path, *_, preds_path = workspace
+        lines = preds_path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:2] + b"\xff" + lines[2][2:]
+        preds = tmp_path / "bad.jsonl"
+        preds.write_bytes(b"".join(lines))
+        data = tmp_path / "bad.json"
+        data.write_bytes(b"\xff" + (tmp_path / "train.json").read_bytes())
+        for dataset, path, where in ((tmp_path / "train.json", preds, "line 3: "), (data, data, "")):
+            err = self.error(capsys, ["score", "--dataset", str(dataset), "--predictions", str(preds),
+                                      "--out", str(tmp_path / "s.csv")])
+            assert err.startswith(f"error: {path}: {where}'utf-8' codec can't decode byte 0xff")
+
+    def test_pool_class_id_must_be_an_integer(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        formats.write_scores_csv([AcquisitionScore.from_parts("a", 0.1, 0.2)], scores)
+        pool = tmp_path / "pool.json"
+        pool.write_text('{"cycle": 0, "labeled": [], "unlabeled": ["a", "b"], "pseudo": {"b": '
+                        '[{"image_id": "b", "bbox": [0, 0, 9, 9], "class_id": Infinity, '
+                        '"confidence": 0.99}]}}\n')
+        err = self.error(capsys, ["select", "--scores", str(scores), "--budget", "1",
+                                  "--out", str(tmp_path / "sel.txt"), "--pool", str(pool)])
+        assert err == "error: class_id: expected an integer, got inf\n"
+
+    def test_eval_gt_width_must_be_an_integer(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        gt.write_text('{"classes": ["c"], "images": [{"id": "a", "width": Infinity, '
+                      '"height": 10, "objects": []}]}\n')
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        err = self.error(capsys, ["eval", "--gt", str(gt), "--predictions", str(preds),
+                                  "--out", str(tmp_path / "eval.csv")])
+        assert err == "error: width: expected an integer, got inf\n"
 
 
 class TestProbabilityLength:

@@ -1,6 +1,7 @@
 """Serialization round-trips and format validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,35 @@ class TestPoolState:
             {"cycle": 0, "labeled": ["a"], "unlabeled": ["b", "c"], "pseudo": {"b": [record]}}
         ))
         with pytest.raises(ValueError, match=r"filed under another image's id: \['b'\]"):
+            formats.load_pool(path)
+
+
+class TestIntegerFields:
+    """class_id, width, height and cycle must be JSON integers: int() would file
+    1.9 under class 1 and overflow on Infinity."""
+
+    @pytest.mark.parametrize("value", ["1.5", "1.9", "true", "Infinity"])
+    def test_pseudo_label_class_id(self, tmp_path, value):
+        path = tmp_path / "pl.jsonl"
+        path.write_text('{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": %s, '
+                        '"confidence": 0.99}\n' % value)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: class_id: expected an integer")):
+            formats.read_pseudo_labels_jsonl(path)
+
+    @pytest.mark.parametrize("field", ["width", "height", "class_id"])
+    @pytest.mark.parametrize("value", [10.0, True])
+    def test_dataset_fields(self, tmp_path, field, value):
+        image = {"id": "a", "width": 10, "height": 10, "objects": [{"bbox": [0, 0, 5, 5], "class_id": 1}]}
+        (image["objects"][0] if field == "class_id" else image)[field] = value
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"classes": ["c"], "images": [image]}))
+        with pytest.raises(ValueError, match=f"{field}: expected an integer, got {value}"):
+            formats.load_dataset(path)
+
+    def test_pool_cycle(self, tmp_path):
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps({"cycle": 1.0, "labeled": ["a"], "unlabeled": ["b"]}))
+        with pytest.raises(ValueError, match="cycle: expected an integer, got 1.0"):
             formats.load_pool(path)
 
 

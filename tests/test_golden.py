@@ -1,8 +1,10 @@
 """Byte-identical output contract: SHA-256 digests of small end-to-end runs.
 
-The digests were recorded from the command line before the cycle was
-reworked to make one pass per detector version. Any change to a digest is a
-behaviour change and must be argued on its own, not absorbed here.
+The default-setting digests were recorded from the command line before the
+cycle was reworked to make one pass per detector version, and the
+non-default-setting digests before NMS and the un-flip moved into one
+post-NMS stage. Any change to a digest is a behaviour change and must be
+argued on its own, not absorbed here.
 """
 
 import hashlib
@@ -21,6 +23,9 @@ SIMULATE_FLAGS = [
     "--detector-temperature", "0.1", "--detector-skill-gain", "0.01",
     "--detector-skill-gain-pl", "0.002", "--tau", "0.99",
 ]
+# Every NMS and matching threshold away from its default, so that each stage
+# that applies NMS or matches is pinned to read them from the config.
+NON_DEFAULT_FLAGS = ["--nms-iou", "0.3", "--nms-score-floor", "0.2", "--min-match-iou", "0.3"]
 
 GOLDEN = {
     "files": {
@@ -79,6 +84,30 @@ GOLDEN = {
         "selected_cycle2.txt":
             "80b3eb177953245918cae80c50fbf99c49724d2185ac84755a4af159d4928b74",
     },
+    "files-non-default": {
+        "preds.jsonl":
+            "b8b32f568978cca82347733132181f945131484a59f7a4bff835f3cc3e5a2e35",
+        "pseudo.jsonl":
+            "cbcf6774380c34d716b373b1fa6be98e23e254bd055cf281b22cbb434b1596ea",
+        "scores.csv":
+            "0f525ca587c3c7b2ce7bcdf6799aa85be59775861e6eabb81156932b2cbdca9a",
+    },
+    "simulate-non-default": {
+        "eval_cycle0.csv":
+            "5f262ca2aafff1e06261c04190002e9c9d8b3fad3af8a037679e79ef7d63052d",
+        "eval_cycle1.csv":
+            "e73dcb2649411bcc409fee9d5e9da0ff29f645581527ce4275d5ea1b3052942d",
+        "pseudo_cycle0.jsonl":
+            "5c802af4cba73ba16f093e9249787d9e4bf6691b2ce283a96f76b8b43344f706",
+        "pseudo_cycle1.jsonl":
+            "ba1467af2f9fac5fcf3a88ced6222009c61cc272dc6a170189d3c0ccffc72df5",
+        "report.csv":
+            "9687232750d8e97708229a0e59e35da605568413a575251cf59ea45ce467777d",
+        "scores_cycle1.csv":
+            "46814d7b90a1313b08bcb5be61f54eccdf4229a67f98ce242d7188c966db3b85",
+        "selected_cycle1.txt":
+            "9396a10aed33ed840378a035050d42677d68e02c3e916a25404298ad4733160c",
+    },
 }
 
 
@@ -107,9 +136,9 @@ def _simulate(tmp_path, name, extra):
     return _digests(out)
 
 
-def _files(tmp_path, train, test):
-    """score and top-k pseudolabel on predictions written from a synthetic detector."""
-    out = tmp_path / "files"
+def _files(tmp_path, train, test, name, pl_strategy, extra=()):
+    """score and pseudolabel on predictions written from a synthetic detector."""
+    out = tmp_path / name
     out.mkdir()
     world = Dataset(train.classes, train.images + test.images)
     det = SyntheticDetector(
@@ -122,10 +151,10 @@ def _files(tmp_path, train, test):
     )
     data = str(tmp_path / "train.json")
     assert main(["score", "--dataset", data, "--predictions", str(preds),
-                 "--out", str(out / "scores.csv"), "--budget-per-cycle", "0"]) == 0
+                 "--out", str(out / "scores.csv"), "--budget-per-cycle", "0", *extra]) == 0
     assert main(["pseudolabel", "--dataset", data, "--predictions", str(preds),
                  "--out", str(out / "pseudo.jsonl"), "--budget-per-cycle", "0",
-                 "--pl-strategy", "topk"]) == 0
+                 "--pl-strategy", pl_strategy, *extra]) == 0
     return _digests(out)
 
 
@@ -134,7 +163,13 @@ def run_all(tmp_path) -> dict[str, dict[str, str]]:
     return {
         "simulate-pl": _simulate(tmp_path, "sim-pl", ["--pl-strategy", "threshold"]),
         "simulate-scan": _simulate(tmp_path, "sim-scan", ["--pl-enabled", "false"]),
-        "files": _files(tmp_path, train, test),
+        "files": _files(tmp_path, train, test, "files", "topk"),
+        "files-non-default": _files(
+            tmp_path, train, test, "files-nd", "threshold", NON_DEFAULT_FLAGS
+        ),
+        "simulate-non-default": _simulate(
+            tmp_path, "sim-nd", ["--cycles", "1", *NON_DEFAULT_FLAGS]
+        ),
     }
 
 

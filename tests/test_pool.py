@@ -1,9 +1,12 @@
 """Pool partition invariants and the cycle protocol."""
 
+import sys
 from collections import Counter
 
 import pytest
 
+from aldet import boxes
+from aldet.acquisition import AcquisitionConfig
 from aldet.boxes import BoxCorner
 from aldet import pool as pool_module
 from aldet.dataset import Dataset, make_synthetic_dataset
@@ -166,6 +169,19 @@ class TestRunCycles:
         ]
         assert seen == [0, 0, 0]
 
+    def test_evaluation_reads_the_nms_config(self):
+        # the golden runs' NMS settings leave mAP unchanged, so pin it here:
+        # a score floor above every detection's score leaves nothing to rank
+        train, test, world = small_world()
+        maps = []
+        for floor in (0.01, 0.999):
+            cfg = RunConfig(cycles=1, budget_per_cycle=5, seed=0,
+                            acquisition=AcquisitionConfig(nms_score_floor=floor))
+            pool = init_pool(train.image_ids, 10, seed=0)
+            detector = make_detector(world, temperature=0.5)
+            maps.append(run_cycles(pool, detector, cfg, train, test)[0].evaluation.map50)
+        assert maps[0] > 0.0 and maps[1] == 0.0
+
     def test_reproducible(self):
         train, test, world = small_world()
         cfg = RunConfig(cycles=3, budget_per_cycle=5, strategy="unified", seed=4)
@@ -253,7 +269,8 @@ class PoolSpy(DetectorInterface):
 
 
 class TestSinglePass:
-    """Each detector version predicts each view of each image at most once."""
+    """Each detector version predicts each view of each image at most once,
+    and each prediction goes through NMS once."""
 
     CYCLES = 3
 
@@ -266,12 +283,23 @@ class TestSinglePass:
             return map50(*args, **kwargs)
 
         monkeypatch.setattr(pool_module, "map50", counting_map50)
+        nms, nms_calls = boxes.nms, []
+
+        def counting_nms(*args, **kwargs):
+            nms_calls.append(1)
+            return nms(*args, **kwargs)
+
+        # every aldet module that imported nms by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("aldet.") and getattr(module, "nms", None) is nms:
+                monkeypatch.setattr(module, "nms", counting_nms)
         calls = Counter()
         pool = init_pool(train.image_ids, 10, seed=0)
         cfg = RunConfig(cycles=self.CYCLES, budget_per_cycle=5, seed=0, tau=0.9,
                         pl_enabled=pl_enabled)
         reports = run_cycles(pool, CountingDetector(make_detector(world), calls), cfg, train, test)
         assert set(calls.values()) == {1}
+        assert len(nms_calls) == sum(calls.values())
 
         def predicted(version, ids, flipped):
             return {i for v, i, f in calls if v == version and f == flipped and i in ids}

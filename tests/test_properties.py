@@ -1,13 +1,16 @@
-"""Properties that let the cycle score from the post-NMS predictions that
-pseudo-labelling already built, instead of predicting the originals again,
-and that let the pseudo-label audit compare only within (image, class)."""
+"""Properties that let every prediction pass through one post-NMS stage,
+whose output pseudo-labelling and scoring share, that let the pseudo-label
+audit compare only within (image, class), and that keep the JSONL readers
+from failing on any input without naming the line."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aldet import pseudo_label
-from aldet.acquisition import AcquisitionConfig, unified_score
+from aldet import formats, pseudo_label
+from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
 from aldet.boxes import BoxCorner, ClassDist, Detection, ImagePrediction, encode_box, image_anchor, iou, nms
 from aldet.pseudo_label import GroundTruthObject, PseudoLabel, audit_pl_correctness
 
@@ -54,14 +57,19 @@ def test_nms_is_idempotent_and_keeps_order(pred, iou_threshold, score_floor):
     iou_thresholds,
     score_floors,
     st.sampled_from([0.0, 0.3, 0.5]),
-    st.booleans(),
 )
 def test_scores_from_post_nms_originals_equal_scores_from_raw(
-    orig, flipped, iou_threshold, score_floor, min_match_iou, include_background
+    orig, flipped, iou_threshold, score_floor, min_match_iou
 ):
-    cfg = AcquisitionConfig(iou_threshold, score_floor, min_match_iou, include_background)
-    post_nms = orig.with_detections(nms(orig.detections, iou_threshold, score_floor))
-    assert unified_score(post_nms, flipped, cfg) == unified_score(orig, flipped, cfg)
+    # Passing a post-NMS original through post_nms again changes neither the
+    # prediction nor its scores, so one NMS per prediction keeps every score.
+    cfg = AcquisitionConfig(iou_threshold, score_floor, min_match_iou)
+    once = post_nms(orig, cfg)
+    assert post_nms(once, cfg) == once
+    unflipped = post_nms(flipped, cfg, flipped=True)
+    assert unified_score(post_nms(once, cfg), unflipped, min_match_iou) == unified_score(
+        once, unflipped, min_match_iou
+    )
 
 
 # -- pseudo-label audit ---------------------------------------------------------
@@ -153,3 +161,44 @@ def test_audit_compares_within_image_and_class(monkeypatch):
     assert len(calls) == len(groups) * 2 * 3
     # the ground truth is read once, not once per pseudo-label
     assert gt.passes == 1
+
+
+# -- line-based readers on arbitrary bytes ----------------------------------------
+
+RECORD_KEYS = ("image_id", "flipped", "detections", "bbox", "encoded", "probs", "class_id",
+               "confidence")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just("img") | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(RECORD_KEYS), inner, max_size=len(RECORD_KEYS)),
+    max_leaves=16,
+)
+VALID_LINES = (
+    b'{"image_id": "img", "flipped": false, "detections": [{"bbox": [0, 0, 10, 10], '
+    b'"encoded": [0, 0, 1, 1], "probs": [0.25, 0.75]}]}',
+    b'{"image_id": "img", "bbox": [0, 0, 10, 10], "class_id": 1, "confidence": 0.99}',
+)
+# Raw bytes, arbitrary JSON over the record keys, and valid records, so that
+# the decoder, the JSON parser and the record checks are all reached.
+jsonl_files = st.lists(
+    st.binary(max_size=24)
+    | json_values.map(lambda v: json.dumps(v).encode())
+    | st.sampled_from(VALID_LINES),
+    max_size=4,
+).map(b"\n".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(jsonl_files)
+def test_jsonl_readers_parse_or_name_the_line(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.jsonl"
+    path.write_bytes(data)
+    readers = (
+        lambda p: formats.read_predictions_jsonl(p, {"img": (SIZE, SIZE)}),
+        formats.read_pseudo_labels_jsonl,
+    )
+    for read in readers:
+        try:
+            read(path)
+        except ValueError as e:
+            assert str(e).startswith(f"{path}: line "), e

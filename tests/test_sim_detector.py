@@ -4,7 +4,7 @@ low-robustness regime that motivates the unified acquisition score."""
 import numpy as np
 import pytest
 
-from aldet.acquisition import AcquisitionConfig, unified_score
+from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
 from aldet.boxes import decode_box, hflip, image_anchor, iou, nms
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.pool import Pool, init_pool
@@ -16,6 +16,14 @@ def detector(dataset, **overrides):
     defaults = dict(n_classes=dataset.n_classes, seed=5)
     defaults.update(overrides)
     return SyntheticDetector(SyntheticDetectorConfig(**defaults), dataset)
+
+
+def score(det, image_id):
+    """Acquisition score of one image at the default settings."""
+    cfg = AcquisitionConfig()
+    return unified_score(
+        post_nms(det.predict(image_id), cfg), post_nms(det.predict(image_id, True), cfg, True)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +137,7 @@ class TestFlipBehavior:
     def test_perfect_robustness_zero_inconsistency(self, world):
         det = detector(world, flip_robustness=1.0, box_noise=0.0)
         for image_id in world.image_ids[:15]:
-            score = unified_score(det.predict(image_id), det.predict(image_id, True))
-            assert score.inconsistency == 0.0
+            assert score(det, image_id).inconsistency == 0.0
 
     def test_zero_noise_boxes_exact_mirror(self, world):
         det = detector(world, box_noise=0.0)
@@ -152,8 +159,7 @@ class TestFlipBehavior:
         means = {1: [], 2: []}
         for img in data.images:
             cls = img.objects[0].class_id
-            score = unified_score(det.predict(img.image_id), det.predict(img.image_id, True))
-            means[cls].append(score.inconsistency)
+            means[cls].append(score(det, img.image_id).inconsistency)
         assert np.mean(means[1]) > 3.0 * np.mean(means[2])
 
 
@@ -173,7 +179,7 @@ class TestConfidentlyWrongRegime:
         inc = {True: [], False: []}
         for img in data.images:
             fragile = img.objects[0].class_id == 1
-            s = unified_score(det.predict(img.image_id), det.predict(img.image_id, True))
+            s = score(det, img.image_id)
             h[fragile].append(s.entropy)
             inc[fragile].append(s.inconsistency)
         assert np.mean(inc[True]) > 2.0 * np.mean(inc[False])
@@ -194,7 +200,7 @@ class TestConfidentlyWrongRegime:
             )
             fragile, rest = [], []
             for img in data.images:
-                s = unified_score(det.predict(img.image_id), det.predict(img.image_id, True))
+                s = score(det, img.image_id)
                 (fragile if img.objects[0].class_id == 1 else rest).append(s.unified)
             if fragile and rest and np.mean(fragile) > np.mean(rest):
                 wins += 1
