@@ -19,7 +19,7 @@ here; everything else is imported from its module.
 """
 
 from .acquisition import AcquisitionConfig, AcquisitionScore, post_nms, select_for_labeling, unified_score
-from .boxes import BoxCorner, ClassDist, Detection, ImagePrediction
+from .boxes import BoxCorner, Detections, ImagePrediction
 from .dataset import Dataset, make_synthetic_dataset
 from .evaluation import EvalResult, map50
 from .pool import CycleReport, Pool, RunConfig, init_pool, run_cycles
@@ -33,8 +33,7 @@ __all__ = [
     "select_for_labeling",
     "unified_score",
     "BoxCorner",
-    "ClassDist",
-    "Detection",
+    "Detections",
     "ImagePrediction",
     "Dataset",
     "make_synthetic_dataset",

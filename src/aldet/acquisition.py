@@ -14,20 +14,12 @@ pre-NMS boxes number in the hundreds and inflate the maxima by chance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .boxes import (
-    DEFAULT_NMS_IOU,
-    DEFAULT_NMS_SCORE_FLOOR,
-    ClassDist,
-    Detection,
-    ImagePrediction,
-    hflip,
-    nms,
-)
-from .matching import DEFAULT_MIN_MATCH_IOU, MatchedPair, match_predictions
+from .boxes import DEFAULT_NMS_IOU, DEFAULT_NMS_SCORE_FLOOR, ImagePrediction, hflip, nms
+from .matching import DEFAULT_MIN_MATCH_IOU, match_predictions
 
 __all__ = [
     "LOG_EPS",
@@ -50,12 +42,6 @@ LOG_EPS = 1e-12
 SCORE_STRATEGIES = ("entropy", "inconsistency", "unified")
 
 
-def _as_probs(p) -> np.ndarray:
-    if isinstance(p, ClassDist):
-        return p.probs
-    return np.asarray(p, dtype=np.float64)
-
-
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
     logs = np.log(np.clip(p, LOG_EPS, 1.0)) - np.log(np.clip(q, LOG_EPS, 1.0))
     return float(np.dot(p, logs))
@@ -63,7 +49,7 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
 
 def sym_kl(p, q) -> float:
     """Symmetric KL divergence (p || q + q || p) / 2, natural log, eps-clamped."""
-    pa, qa = _as_probs(p), _as_probs(q)
+    pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if pa.shape != qa.shape:
         raise ValueError(f"distribution length mismatch: {pa.shape} vs {qa.shape}")
     return 0.5 * (_kl(pa, qa) + _kl(qa, pa))
@@ -71,22 +57,21 @@ def sym_kl(p, q) -> float:
 
 def entropy(p) -> float:
     """Shannon entropy -sum(p log p), natural log, eps-clamped."""
-    pa = _as_probs(p)
+    pa = np.asarray(p, dtype=np.float64)
     return float(-np.dot(pa, np.log(np.clip(pa, LOG_EPS, 1.0))))
 
 
-def image_inconsistency(pairs: Sequence[MatchedPair]) -> float:
-    """Max symmetric KL over matched pairs; 0 for an empty pair list."""
-    if not pairs:
-        return 0.0
-    return max(sym_kl(p.original.dist, p.flipped.dist) for p in pairs)
+def image_inconsistency(p, q) -> float:
+    """Max symmetric KL between the rows of ``p`` and ``q``, which hold the two
+    members of each matched pair row by row; 0 when there are no pairs."""
+    if len(p) != len(q):
+        raise ValueError(f"pair count mismatch: {len(p)} vs {len(q)} distributions")
+    return max((sym_kl(a, b) for a, b in zip(p, q)), default=0.0)
 
 
-def image_entropy(dets: Sequence[Detection]) -> float:
-    """Max per-detection entropy; 0 for an empty detection list."""
-    if not dets:
-        return 0.0
-    return max(entropy(d.dist) for d in dets)
+def image_entropy(probs) -> float:
+    """Max entropy over the rows of ``probs``; 0 when there are none."""
+    return max((entropy(p) for p in probs), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -148,9 +133,12 @@ def unified_score(
     all K+1 categories. An image with no detections scores (0, 0, 0) and is
     therefore never selected by score-based strategies.
     """
-    result = match_predictions(orig, unflipped, min_match_iou)
+    pairs = match_predictions(orig, unflipped, min_match_iou).pairs
+    o, f = orig.detections.probs, unflipped.detections.probs
     return AcquisitionScore.from_parts(
-        orig.image_id, image_entropy(orig.detections), image_inconsistency(result.pairs)
+        orig.image_id,
+        image_entropy(o),
+        image_inconsistency([o[i] for i, _ in pairs], [f[j] for _, j in pairs]),
     )
 
 

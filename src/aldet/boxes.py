@@ -3,28 +3,33 @@
 Boxes are half-open real rectangles: area = (xmax - xmin) * (ymax - ymin),
 with no +1 pixel convention. Class distributions span K+1 categories where
 index 0 is background and 1..K are foreground classes.
+
+A set of detections is one :class:`Detections`: a corner box, an encoded box
+and a class distribution per row. The encoded box (dx, dy, w, h) is taken
+against the full-image anchor (0, 0, W, H): dx/dy are the center offset from
+the image center in image-size units, w/h the size ratios against the image,
+so the full-image box encodes as (0, 0, 1, 1). A horizontal flip negates dx
+and leaves the rest unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "BoxCorner",
-    "BoxEncoded",
-    "ClassDist",
-    "Detection",
+    "Detections",
     "ImagePrediction",
+    "checked_encoded",
+    "checked_probs",
+    "encode_boxes",
     "iou",
+    "iou_matrix",
     "hflip",
     "nms",
-    "encode_box",
-    "decode_box",
-    "image_anchor",
     "DEFAULT_NMS_IOU",
     "DEFAULT_NMS_SCORE_FLOOR",
 ]
@@ -54,148 +59,160 @@ class BoxCorner:
             raise ValueError(f"inverted box: {vals}")
 
     @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
-
-    @property
     def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
-
-    def clamp(self, width: float, height: float) -> "BoxCorner":
-        """Clip the box to the image rectangle [0, width] x [0, height]."""
-        return BoxCorner(
-            min(max(self.xmin, 0.0), width),
-            min(max(self.ymin, 0.0), height),
-            min(max(self.xmax, 0.0), width),
-            min(max(self.ymax, 0.0), height),
-        )
-
-    def inside(self, width: float, height: float) -> bool:
-        return 0.0 <= self.xmin and 0.0 <= self.ymin and self.xmax <= width and self.ymax <= height
+        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
 
     def as_list(self) -> list[float]:
         return [self.xmin, self.ymin, self.xmax, self.ymax]
 
 
-@dataclass(frozen=True)
-class BoxEncoded:
-    """Offset-encoded box: center displacement (dx, dy) and scale coefficients (w, h).
+def _rows(values, what: str, width: int | None = None) -> np.ndarray:
+    """``values`` as a float64 array with one row per detection; an empty
+    input is (0, width), or (0, 0) when the width is not fixed."""
+    try:
+        arr = np.array(values)
+    except ValueError:
+        raise ValueError(f"{what}: every detection needs the same number of values") from None
+    if arr.size == 0:
+        return np.zeros((0, width or 0))
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what}: expected numbers")
+    if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
+        raise ValueError(f"{what}: expected {width or 'a list of'} numbers per detection, got shape {arr.shape}")
+    return arr.astype(np.float64, copy=False)
 
-    dx/dy are the center offset relative to an anchor, in anchor-size units;
-    w/h are size ratios against the anchor, so the neutral element is
-    (0, 0, 1, 1). A horizontal flip negates dx and leaves the rest unchanged.
+
+def _reject(arr: np.ndarray, bad: np.ndarray, message) -> None:
+    """Raise ``message(row)`` for the first row of ``arr`` where ``bad`` holds."""
+    if bad.any():
+        raise ValueError(message(arr[int(np.argmax(bad))]))
+
+
+def _checked_boxes(rows) -> np.ndarray:
+    arr = _rows(rows, "bbox", 4)
+    _reject(arr, ~np.isfinite(arr).all(axis=1),
+            lambda r: f"box coordinates must be finite, got {tuple(r.tolist())}")
+    _reject(arr, (arr[:, 0] > arr[:, 2]) | (arr[:, 1] > arr[:, 3]),
+            lambda r: f"inverted box: {tuple(r.tolist())}")
+    return arr
+
+
+def checked_encoded(rows) -> np.ndarray:
+    """Validated (N, 4) encoded boxes: finite, with positive scale coefficients."""
+    arr = _rows(rows, "encoded", 4)
+    _reject(arr, ~np.isfinite(arr).all(axis=1),
+            lambda r: f"encoded box must be finite, got {tuple(r.tolist())}")
+    _reject(arr, (arr[:, 2] <= 0) | (arr[:, 3] <= 0),
+            lambda r: f"encoded scale coefficients must be positive, got w={r[2]}, h={r[3]}")
+    return arr
+
+
+def checked_probs(rows) -> np.ndarray:
+    """Validated (N, K+1) class distributions, clipped to [0, 1]: each row has
+    at least 2 finite entries in [0, 1] (1e-9 slack) summing to 1 within
+    ``DIST_SUM_TOL``."""
+    arr = _rows(rows, "probs")
+    if arr.size == 0:
+        return arr
+    if arr.shape[1] < 2:
+        raise ValueError(f"class distribution needs >= 2 categories, got shape {arr.shape[1:]}")
+    lo, hi = arr.min(), arr.max()
+    if not (-1e-9 <= lo and hi <= 1.0 + 1e-9):  # NaN fails too
+        if not np.isfinite(arr).all():
+            raise ValueError("class distribution has non-finite entries")
+        _reject(arr, (arr.min(axis=1) < -1e-9) | (arr.max(axis=1) > 1.0 + 1e-9),
+                lambda r: f"probabilities outside [0, 1]: min={r.min()}, max={r.max()}")
+    _reject(arr, np.abs(arr.sum(axis=1) - 1.0) > DIST_SUM_TOL,
+            lambda r: f"probabilities sum to {r.sum()}, expected 1 within {DIST_SUM_TOL}")
+    return arr if 0.0 <= lo and hi <= 1.0 else np.clip(arr, 0.0, 1.0)
+
+
+class Detections:
+    """A frozen set of N detections held as read-only float64 arrays.
+
+    ``boxes`` (N, 4) are corner boxes (xmin, ymin, xmax, ymax) in pixels,
+    ``encoded`` (N, 4) the encoded boxes (dx, dy, w, h) described in the
+    module docstring, and ``probs`` (N, K+1) the class distributions. Each
+    row's argmax category (0 = background) is ``class_ids`` and its
+    probability ``scores``; both are computed once, here. An empty set whose K
+    is unknown has ``probs`` of shape (0, 0).
+
+    The constructor validates outside data: corner boxes must be finite and
+    not inverted, encoded boxes and distributions pass :func:`checked_encoded`
+    and :func:`checked_probs`. Sets derived from a validated one (row
+    selection, flips, clamping) are not validated again.
     """
 
-    dx: float
-    dy: float
-    w: float
-    h: float
+    __slots__ = ("boxes", "encoded", "probs", "class_ids", "scores")
 
-    def __post_init__(self):
-        vals = (self.dx, self.dy, self.w, self.h)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"encoded box must be finite, got {vals}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"encoded scale coefficients must be positive, got w={self.w}, h={self.h}")
+    def __init__(self, boxes, encoded, probs):
+        boxes, encoded, probs = _checked_boxes(boxes), checked_encoded(encoded), checked_probs(probs)
+        if not len(boxes) == len(encoded) == len(probs):
+            raise ValueError(f"row counts differ: {len(boxes)}, {len(encoded)}, {len(probs)}")
+        class_ids = probs.argmax(axis=1) if len(probs) else np.zeros(0, dtype=np.intp)
+        self._init(boxes, encoded, probs, class_ids, probs[np.arange(len(probs)), class_ids])
 
-    def as_list(self) -> list[float]:
-        return [self.dx, self.dy, self.w, self.h]
+    @classmethod
+    def _of(cls, *arrays) -> "Detections":
+        """A derived set from the five arrays of ``__slots__``, unchecked."""
+        out = cls.__new__(cls)
+        out._init(*arrays)
+        return out
 
-
-class ClassDist:
-    """Probability distribution over K+1 categories (index 0 = background)."""
-
-    __slots__ = ("probs",)
-
-    def __init__(self, probs):
-        arr = np.asarray(probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"class distribution needs >= 2 categories, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("class distribution has non-finite entries")
-        if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
-            raise ValueError(f"probabilities outside [0, 1]: min={arr.min()}, max={arr.max()}")
-        total = arr.sum()
-        if abs(total - 1.0) > DIST_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, expected 1 within {DIST_SUM_TOL}")
-        arr = np.clip(arr, 0.0, 1.0)
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+    def _init(self, *arrays) -> None:
+        for name, arr in zip(self.__slots__, arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ClassDist is immutable")
+        raise AttributeError("Detections is immutable")
 
     def __len__(self) -> int:
-        return self.probs.size
+        return len(self.probs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ClassDist) and np.array_equal(self.probs, other.probs)
+        # Two empty sets are equal whatever their K.
+        return isinstance(other, Detections) and len(self) == len(other) and all(
+            np.array_equal(a, b) or not len(self)
+            for a, b in ((self.boxes, other.boxes), (self.encoded, other.encoded), (self.probs, other.probs))
+        )
 
-    def __repr__(self) -> str:
-        return f"ClassDist({np.array2string(self.probs, precision=4)})"
+    def take(self, rows) -> "Detections":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return self._of(*(getattr(self, name)[rows] for name in self.__slots__))
 
-    @property
-    def argmax_class(self) -> int:
-        """Most probable category (0 = background)."""
-        return int(np.argmax(self.probs))
-
-    @property
-    def max_prob(self) -> float:
-        return float(self.probs[self.argmax_class])
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One predicted object: corner box, encoded box, class distribution."""
-
-    box_corner: BoxCorner
-    box_encoded: BoxEncoded
-    dist: ClassDist
-
-    @property
-    def class_id(self) -> int:
-        return self.dist.argmax_class
-
-    @property
-    def score(self) -> float:
-        return self.dist.max_prob
+    @classmethod
+    def concat(cls, sets) -> "Detections":
+        """The rows of every set, in order; empty sets are skipped, so they may
+        have any K."""
+        sets = [s for s in sets if len(s)]
+        if not sets:
+            return cls([], [], [])
+        return cls._of(*(np.concatenate([getattr(s, name) for s in sets]) for name in cls.__slots__))
 
 
 @dataclass(frozen=True)
 class ImagePrediction:
-    """The set of detections for one image (or for its flipped version)."""
+    """The detections for one image (or for its flipped version), with their
+    corner boxes clamped to the image."""
 
     image_id: str
     width: int
     height: int
-    detections: tuple[Detection, ...]
+    detections: Detections
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
-        dets = tuple(self.detections)
-        # Corner boxes are clamped to the image rectangle; encoded boxes are the
-        # detector's raw output and are left untouched.
-        clamped = []
-        for d in dets:
-            if d.box_corner.inside(self.width, self.height):
-                clamped.append(d)
-            else:
-                clamped.append(
-                    Detection(d.box_corner.clamp(self.width, self.height), d.box_encoded, d.dist)
-                )
-        object.__setattr__(self, "detections", tuple(clamped))
+        # Encoded boxes are the detector's raw output and are left untouched.
+        d, limits = self.detections, (self.width, self.height, self.width, self.height)
+        if not ((d.boxes >= 0.0) & (d.boxes <= limits)).all():
+            clamped = Detections._of(np.clip(d.boxes, 0.0, limits), d.encoded, d.probs, d.class_ids, d.scores)
+            object.__setattr__(self, "detections", clamped)
 
-    def with_detections(self, detections: Sequence[Detection]) -> "ImagePrediction":
-        return ImagePrediction(self.image_id, self.width, self.height, tuple(detections))
+    def with_detections(self, detections: Detections) -> "ImagePrediction":
+        return ImagePrediction(self.image_id, self.width, self.height, detections)
 
 
 def iou(a: BoxCorner, b: BoxCorner) -> float:
@@ -212,6 +229,19 @@ def iou(a: BoxCorner, b: BoxCorner) -> float:
     return inter / union
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU of the rows of two corner-box arrays, with the arithmetic of
+    :func:`iou`, so that each entry equals it bit for bit."""
+    ax0, ay0, ax1, ay1 = a.T[:, :, None]  # columns of (N, 1), broadcast against (M,)
+    bx0, by0, bx1, by1 = b.T
+    ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    # The union is 0 only for two zero-area boxes, whose intersection is 0 too.
+    return inter / np.where(union > 0.0, union, 1.0)
+
+
 def hflip(p: ImagePrediction) -> ImagePrediction:
     """Mirror a prediction about the vertical axis of its image.
 
@@ -220,25 +250,21 @@ def hflip(p: ImagePrediction) -> ImagePrediction:
     unchanged. Applying hflip twice returns the original prediction.
     """
     w = float(p.width)
-    flipped = []
-    for d in p.detections:
-        b = d.box_corner
-        e = d.box_encoded
-        flipped.append(
-            Detection(
-                BoxCorner(w - b.xmax, b.ymin, w - b.xmin, b.ymax),
-                BoxEncoded(-e.dx, e.dy, e.w, e.h),
-                d.dist,
-            )
-        )
-    return ImagePrediction(p.image_id, p.width, p.height, tuple(flipped))
+    d = p.detections
+    boxes = d.boxes.copy()
+    boxes[:, 0] = w - d.boxes[:, 2]
+    boxes[:, 2] = w - d.boxes[:, 0]
+    encoded = d.encoded.copy()
+    encoded[:, 0] = -d.encoded[:, 0]
+    flipped = Detections._of(boxes, encoded, d.probs, d.class_ids, d.scores)
+    return ImagePrediction(p.image_id, p.width, p.height, flipped)
 
 
 def nms(
-    dets: Sequence[Detection],
+    dets: Detections,
     iou_threshold: float = DEFAULT_NMS_IOU,
     score_floor: float = DEFAULT_NMS_SCORE_FLOOR,
-) -> list[Detection]:
+) -> Detections:
     """Class-wise greedy non-maximum suppression.
 
     Detections are grouped by their argmax class; background-argmax detections
@@ -254,49 +280,28 @@ def nms(
     if not (0.0 <= score_floor < 1.0):
         raise ValueError(f"score_floor must be in [0, 1), got {score_floor}")
 
-    by_class: dict[int, list[int]] = {}
-    for idx, d in enumerate(dets):
-        cls = d.class_id
-        if cls == 0 or d.score < score_floor:
-            continue
-        by_class.setdefault(cls, []).append(idx)
-
+    rows = np.flatnonzero((dets.class_ids != 0) & (dets.scores >= score_floor))
+    # A stable sort of -score keeps equal scores in index order: (-score, index).
+    rows = rows[np.argsort(-dets.scores[rows], kind="stable")].tolist()
+    classes = dets.class_ids.tolist()
+    if len({classes[i] for i in rows}) == len(rows):  # no two of a class: nothing to suppress
+        return dets.take(rows)
+    # Visiting all classes in (-score, index) order keeps each class's own
+    # greedy order, and the survivors come out already sorted.
+    ious = iou_matrix(dets.boxes, dets.boxes).tolist()
     kept: list[int] = []
-    for cls in sorted(by_class):
-        order = sorted(by_class[cls], key=lambda i: (-dets[i].score, i))
-        cls_kept: list[int] = []
-        for i in order:
-            if all(iou(dets[i].box_corner, dets[j].box_corner) <= iou_threshold for j in cls_kept):
-                cls_kept.append(i)
-        kept.extend(cls_kept)
-
-    kept.sort(key=lambda i: (-dets[i].score, i))
-    return [dets[i] for i in kept]
+    for i in rows:
+        if all(ious[i][j] <= iou_threshold for j in kept if classes[j] == classes[i]):
+            kept.append(i)
+    return dets.take(kept)
 
 
-def image_anchor(width: float, height: float) -> BoxCorner:
-    """The full-image box, the canonical anchor used by the simulator."""
-    return BoxCorner(0.0, 0.0, float(width), float(height))
-
-
-def encode_box(b: BoxCorner, anchor: BoxCorner) -> BoxEncoded:
-    """Encode a corner box as center displacement + size ratios against an anchor."""
-    aw, ah = anchor.width, anchor.height
+def encode_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
+    """Encode (N, 4) corner boxes against the full-image anchor (0, 0, width,
+    height): center displacement and size ratios, in image-size units."""
+    aw, ah = float(width), float(height)
     if aw <= 0.0 or ah <= 0.0:
-        raise ValueError(f"invalid anchor: degenerate size {aw}x{ah}")
-    acx, acy = anchor.center
-    bcx, bcy = b.center
-    return BoxEncoded((bcx - acx) / aw, (bcy - acy) / ah, b.width / aw, b.height / ah)
-
-
-def decode_box(e: BoxEncoded, anchor: BoxCorner) -> BoxCorner:
-    """Inverse of :func:`encode_box`; exact up to float rounding."""
-    aw, ah = anchor.width, anchor.height
-    if aw <= 0.0 or ah <= 0.0:
-        raise ValueError(f"invalid anchor: degenerate size {aw}x{ah}")
-    acx, acy = anchor.center
-    cx = acx + e.dx * aw
-    cy = acy + e.dy * ah
-    w = e.w * aw
-    h = e.h * ah
-    return BoxCorner(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+        raise ValueError(f"invalid anchor: degenerate image size {aw}x{ah}")
+    x0, y0, x1, y1 = boxes.T
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    return np.stack([(cx - 0.5 * aw) / aw, (cy - 0.5 * ah) / ah, (x1 - x0) / aw, (y1 - y0) / ah], axis=1)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import formats
 from .acquisition import AcquisitionConfig, post_nms, select_for_labeling
-from .boxes import BoxCorner, BoxEncoded, ClassDist, Detection
+from .boxes import checked_encoded, checked_probs
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, winrate_matrix
 from .losses import (
@@ -27,7 +27,6 @@ from .losses import (
     smooth_l1_loc_loss,
     total_loss,
 )
-from .matching import MatchedPair
 from .pool import (
     PL_STRATEGIES,
     SELECTION_STRATEGIES,
@@ -245,11 +244,11 @@ def _read_predictions(path, dataset: Dataset):
     preds = formats.read_predictions_jsonl(path, sizes)
     expected = dataset.n_classes + 1
     for (image_id, flipped), pred in preds.items():
-        bad = [len(det.dist) for det in pred.detections if len(det.dist) != expected]
-        if bad:
+        probs = pred.detections.probs
+        if len(probs) and probs.shape[1] != expected:
             raise ValueError(
                 f"{path}: {'flipped' if flipped else 'original'} record for image {image_id!r}: "
-                f"{bad[0]} probabilities, expected {expected} for {dataset.n_classes} classes"
+                f"{probs.shape[1]} probabilities, expected {expected} for {dataset.n_classes} classes"
             )
     return preds
 
@@ -367,28 +366,25 @@ def cmd_loss_check(args) -> int:
     with open(args.fixture, encoding="utf-8") as f:
         fixture = json.load(f)
 
-    dists = [ClassDist(p) for p in fixture.get("dists", [])]
+    dists = checked_probs(fixture.get("dists", []))
     asg_raw = fixture.get("assignment", {})
     asg = GroundTruthAssignment(
         positives=tuple(tuple(p) for p in asg_raw.get("positives", [])),
         negatives=tuple(asg_raw.get("negatives", [])),
         pl_positives=tuple(tuple(p) for p in asg_raw.get("pl_positives", [])),
     )
-    conf = pl_multibox_conf_loss(dists, asg) if dists else 0.0
+    conf = pl_multibox_conf_loss(dists, asg) if len(dists) else 0.0
 
-    loc_pred = [BoxEncoded(*b) for b in fixture.get("loc_pred", [])]
-    loc_target = [BoxEncoded(*b) for b in fixture.get("loc_target", [])]
+    loc_pred = checked_encoded(fixture.get("loc_pred", []))
+    loc_target = checked_encoded(fixture.get("loc_target", []))
     loc_positives = fixture.get("loc_positives", list(range(len(loc_pred))))
-    loc = smooth_l1_loc_loss(loc_pred, loc_target, loc_positives) if loc_pred else 0.0
+    loc = smooth_l1_loc_loss(loc_pred, loc_target, loc_positives) if len(loc_pred) else 0.0
 
-    pairs = []
-    dummy_box = BoxCorner(0.0, 0.0, 1.0, 1.0)
-    for rec in fixture.get("pairs", []):
-        orig = Detection(dummy_box, BoxEncoded(*rec["orig_encoded"]), ClassDist(rec["orig_probs"]))
-        flip = Detection(dummy_box, BoxEncoded(*rec["flip_encoded"]), ClassDist(rec["flip_probs"]))
-        pairs.append(MatchedPair(orig, flip, 1.0))
-    cons_c = consistency_class_loss(pairs)
-    cons_l = consistency_loc_loss(pairs)
+    # Matched pairs as one array per member and field: row k of each is pair k.
+    pairs = {key: [rec[key] for rec in fixture.get("pairs", [])]
+             for key in ("orig_probs", "flip_probs", "orig_encoded", "flip_encoded")}
+    cons_c = consistency_class_loss(checked_probs(pairs["orig_probs"]), checked_probs(pairs["flip_probs"]))
+    cons_l = consistency_loc_loss(checked_encoded(pairs["orig_encoded"]), checked_encoded(pairs["flip_encoded"]))
 
     total = total_loss(conf, cons_c, cons_l, loc)
     print(f"conf_loss={conf:.6f}")

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import Detection, iou
+from .boxes import BoxCorner, Detections, iou
 from .pseudo_label import GroundTruthObject
 
 __all__ = ["EvalResult", "average_precision", "map50", "winrate_table", "winrate_matrix"]
@@ -51,7 +51,8 @@ class EvalResult:
 
 
 def _assign_tp_fp(
-    dets: Sequence[tuple[Detection, str]],
+    dets: Detections,
+    image_ids: Sequence[str],
     gt: Sequence[GroundTruthObject],
     class_id: int,
     iou_thresh: float,
@@ -63,27 +64,24 @@ def _assign_tp_fp(
     box is not already claimed (VOC devkit semantics: no fallback to the
     second-best box).
     """
+    if len(image_ids) != len(dets):
+        raise ValueError(f"{len(image_ids)} image ids for {len(dets)} detections")
     gt_boxes: dict[str, list] = {}
     for obj in gt:
         if obj.class_id == class_id:
             gt_boxes.setdefault(obj.image_id, []).append([obj.box_corner, False])
     n_gt = sum(len(v) for v in gt_boxes.values())
 
-    ranked = sorted(
-        (
-            (det, image_id, idx)
-            for idx, (det, image_id) in enumerate(dets)
-            if det.class_id == class_id
-        ),
-        key=lambda t: (-t[0].score, t[2]),
-    )
+    rows = np.flatnonzero(dets.class_ids == class_id)
+    # A stable sort of -score ranks by (-score, row).
+    rows = rows[np.argsort(-dets.scores[rows], kind="stable")]
 
     flags: list[bool] = []
-    for det, image_id, _idx in ranked:
-        candidates = gt_boxes.get(image_id, [])
+    for row, box in zip(rows.tolist(), dets.boxes[rows].tolist()):
+        box = BoxCorner(*box)
         best_iou, best = 0.0, None
-        for entry in candidates:
-            v = iou(det.box_corner, entry[0])
+        for entry in gt_boxes.get(image_ids[row], ()):
+            v = iou(box, entry[0])
             if v > best_iou:
                 best_iou, best = v, entry
         if best is not None and best_iou > iou_thresh and not best[1]:
@@ -122,18 +120,20 @@ def _ap_all_point(tp_flags: Sequence[bool], n_gt: int) -> float:
 
 
 def average_precision(
-    dets: Sequence[tuple[Detection, str]],
+    dets: Detections,
+    image_ids: Sequence[str],
     gt: Sequence[GroundTruthObject],
     class_id: int,
     iou_thresh: float = 0.5,
     interpolation: str = "eleven_point",
 ) -> float:
-    """Average precision of one class at the given IoU threshold."""
+    """Average precision of one class at the given IoU threshold; row r of
+    ``dets`` is a detection in image ``image_ids[r]``."""
     if class_id < 1:
         raise ValueError(f"unknown class {class_id}: foreground classes start at 1")
     if interpolation not in INTERPOLATIONS:
         raise ValueError(f"interpolation must be one of {INTERPOLATIONS}, got {interpolation!r}")
-    flags, n_gt = _assign_tp_fp(dets, gt, class_id, iou_thresh)
+    flags, n_gt = _assign_tp_fp(dets, image_ids, gt, class_id, iou_thresh)
     if n_gt == 0:
         return 0.0
     if not flags:
@@ -144,22 +144,23 @@ def average_precision(
 
 
 def map50(
-    dets: Sequence[tuple[Detection, str]],
+    dets: Detections,
+    image_ids: Sequence[str],
     gt: Sequence[GroundTruthObject],
     interpolation: str = "eleven_point",
     class_ids: Sequence[int] | None = None,
     iou_thresh: float = 0.5,
 ) -> EvalResult:
-    """Mean AP over all classes that have ground truth.
+    """Mean AP over all classes that have ground truth; row r of ``dets`` is a
+    detection in image ``image_ids[r]``.
 
     Classes without any ground-truth object are excluded from the mean and
     listed in the result. The class universe defaults to every class seen in
     either the ground truth or the detections.
     """
     if class_ids is None:
-        universe = sorted(
-            {obj.class_id for obj in gt} | {det.class_id for det, _ in dets if det.class_id > 0}
-        )
+        seen = dets.class_ids[dets.class_ids > 0].tolist()
+        universe = sorted({obj.class_id for obj in gt} | set(seen))
     else:
         universe = sorted(set(class_ids))
 
@@ -174,7 +175,7 @@ def map50(
         if n_gt[c] == 0:
             excluded.append(c)
             continue
-        per_class[c] = average_precision(dets, gt, c, iou_thresh, interpolation)
+        per_class[c] = average_precision(dets, image_ids, gt, c, iou_thresh, interpolation)
     return EvalResult.from_per_class(per_class, n_gt, tuple(excluded))
 
 

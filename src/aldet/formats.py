@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .acquisition import AcquisitionScore
-from .boxes import BoxCorner, BoxEncoded, ClassDist, Detection, ImagePrediction
+from .boxes import BoxCorner, Detections, ImagePrediction
 from .dataset import Dataset, ImageRecord
 from .evaluation import EvalResult
 from .pool import CycleReport, Pool
@@ -87,20 +87,41 @@ def _int_field(rec, name: str) -> int:
     return value
 
 
+def _bool_field(rec, name: str) -> bool:
+    """``rec[name]``, which must be a JSON boolean (not a number or a string)."""
+    value = rec[name]
+    if type(value) is not bool:
+        raise ValueError(f"{name}: expected a boolean, got {value!r}")
+    return value
+
+
+def _structure_error(path, e: Exception, image_id=None) -> ValueError:
+    """A missing field or a wrong-typed container in a JSON document, as a
+    ValueError that names the file (and the image, if known)."""
+    where = "" if image_id is None else f"image {image_id!r}: "
+    what = f"missing field {e}" if isinstance(e, KeyError) else e
+    return ValueError(f"{path}: {where}{what}")
+
+
 # -- dataset JSON -----------------------------------------------------------
 
 
 def load_dataset(path) -> Dataset:
     raw = _read_json(path)
-    images = []
-    for rec in raw["images"]:
-        image_id = rec["id"]
-        objects = tuple(
-            GroundTruthObject(image_id, BoxCorner(*obj["bbox"]), _int_field(obj, "class_id"))
-            for obj in rec.get("objects", [])
-        )
-        images.append(ImageRecord(image_id, _int_field(rec, "width"), _int_field(rec, "height"), objects))
-    return Dataset(tuple(raw["classes"]), tuple(images))
+    images, image_id = [], None
+    try:
+        classes = tuple(raw["classes"])
+        for rec in raw["images"]:
+            image_id = None  # until this record's id is read
+            image_id = rec["id"]
+            objects = tuple(
+                GroundTruthObject(image_id, BoxCorner(*obj["bbox"]), _int_field(obj, "class_id"))
+                for obj in rec.get("objects", [])
+            )
+            images.append(ImageRecord(image_id, _int_field(rec, "width"), _int_field(rec, "height"), objects))
+    except (AttributeError, KeyError, TypeError) as e:
+        raise _structure_error(path, e, image_id) from None
+    return Dataset(classes, tuple(images))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -124,8 +145,10 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 # -- predictions JSONL --------------------------------------------------------
 
-# One record per (image, orientation):
-# {"image_id": ..., "flipped": bool, "detections": [{"bbox": [4], "encoded": [4], "probs": [K+1]}]}
+# One record per (image, orientation), read into one validated Detections:
+# {"image_id": str, "flipped": true|false,
+#  "detections": [{"bbox": [xmin, ymin, xmax, ymax], "encoded": [dx, dy, w, h], "probs": [K+1]}]}
+# Coordinates are written as floats.
 
 
 def _read_jsonl(path, parse) -> list:
@@ -148,13 +171,13 @@ def read_predictions_jsonl(
 
     def add(rec) -> None:
         image_id = rec["image_id"]
-        flipped = bool(rec["flipped"])
+        flipped = _bool_field(rec, "flipped")
         if image_id not in sizes:
             raise ValueError(f"unknown image id {image_id!r}")
         width, height = sizes[image_id]
-        dets = tuple(
-            Detection(BoxCorner(*d["bbox"]), BoxEncoded(*d["encoded"]), ClassDist(d["probs"]))
-            for d in rec["detections"]
+        records = rec["detections"]
+        dets = Detections(
+            [d["bbox"] for d in records], [d["encoded"] for d in records], [d["probs"] for d in records]
         )
         key = (image_id, flipped)
         if key in out:
@@ -170,17 +193,14 @@ def write_predictions_jsonl(
 ) -> None:
     records = []
     for pred, flipped in predictions:
+        d = pred.detections
         records.append(
             {
                 "image_id": pred.image_id,
                 "flipped": bool(flipped),
                 "detections": [
-                    {
-                        "bbox": det.box_corner.as_list(),
-                        "encoded": det.box_encoded.as_list(),
-                        "probs": det.dist.probs.tolist(),
-                    }
-                    for det in pred.detections
+                    {"bbox": box, "encoded": enc, "probs": probs}
+                    for box, enc, probs in zip(d.boxes.tolist(), d.encoded.tolist(), d.probs.tolist())
                 ],
             }
         )
@@ -235,11 +255,14 @@ def save_pool(pool: Pool, path) -> None:
 
 def load_pool(path) -> Pool:
     raw = _read_json(path)
-    pseudo = {
-        image_id: tuple(_pl_from_record(rec) for rec in recs)
-        for image_id, recs in raw.get("pseudo", {}).items()
-    }
-    return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), pseudo, _int_field(raw, "cycle"))
+    try:
+        pseudo = {
+            image_id: tuple(_pl_from_record(rec) for rec in recs)
+            for image_id, recs in raw.get("pseudo", {}).items()
+        }
+        return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), pseudo, _int_field(raw, "cycle"))
+    except (AttributeError, KeyError, TypeError) as e:
+        raise _structure_error(path, e) from None
 
 
 # -- scores CSV ---------------------------------------------------------------

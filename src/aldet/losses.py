@@ -5,6 +5,10 @@ loss over positive/negative box assignments, its pseudo-label-aware variant,
 smooth-L1 localization, the flip-consistency losses, and their unweighted
 total. Prediction indices covered by no assignment contribute nothing, which
 is what keeps unlabeled image regions neutral.
+
+Every loss reads rows: class distributions (N, K+1) and encoded boxes (N, 4)
+as held by :class:`aldet.boxes.Detections`. The consistency losses take the
+two members of each matched pair as two arrays aligned row by row.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .acquisition import LOG_EPS, sym_kl
-from .boxes import BoxEncoded, ClassDist
-from .matching import MatchedPair
 
 __all__ = [
     "GroundTruthAssignment",
@@ -55,41 +57,41 @@ class GroundTruthAssignment:
                 raise ValueError(f"pseudo-label class must be a foreground class, got {p}")
 
 
-def _log_prob(dists: Sequence[ClassDist], i: int, p: int) -> float:
-    if i < 0 or i >= len(dists):
-        raise ValueError(f"prediction index {i} out of range for {len(dists)} distributions")
-    probs = dists[i].probs
-    if p < 0 or p >= probs.size:
-        raise ValueError(f"class index {p} out of range for {probs.size} categories")
-    return math.log(max(float(probs[p]), LOG_EPS))
+def _log_prob(probs, i: int, p: int) -> float:
+    if i < 0 or i >= len(probs):
+        raise ValueError(f"prediction index {i} out of range for {len(probs)} distributions")
+    row = probs[i]
+    if p < 0 or p >= len(row):
+        raise ValueError(f"class index {p} out of range for {len(row)} categories")
+    return math.log(max(float(row[p]), LOG_EPS))
 
 
-def _conf_loss(dists: Sequence[ClassDist], asg: GroundTruthAssignment) -> float:
+def _conf_loss(probs, asg: GroundTruthAssignment) -> float:
     total = 0.0
     for i, _j, p in asg.positives:
-        total -= _log_prob(dists, i, p)
+        total -= _log_prob(probs, i, p)
     for i in asg.negatives:
-        total -= _log_prob(dists, i, 0)
+        total -= _log_prob(probs, i, 0)
     for i, p in asg.pl_positives:
-        total -= _log_prob(dists, i, p)
+        total -= _log_prob(probs, i, p)
     return total
 
 
-def multibox_conf_loss(dists: Sequence[ClassDist], asg: GroundTruthAssignment) -> float:
+def multibox_conf_loss(probs, asg: GroundTruthAssignment) -> float:
     """MultiBox classification loss over labeled data:
     -sum_{i in Pos} log c_i^{p(i)} - sum_{i in Neg} log c_i^0."""
     if asg.pl_positives:
         raise ValueError("labeled-data multibox loss takes no pseudo-label positives")
-    return _conf_loss(dists, asg)
+    return _conf_loss(probs, asg)
 
 
-def pl_multibox_conf_loss(dists: Sequence[ClassDist], asg: GroundTruthAssignment) -> float:
+def pl_multibox_conf_loss(probs, asg: GroundTruthAssignment) -> float:
     """MultiBox loss extended with the pseudo-label positive term.
 
     Reduces exactly to :func:`multibox_conf_loss` when ``pl_positives`` is
     empty (same code path).
     """
-    return _conf_loss(dists, asg)
+    return _conf_loss(probs, asg)
 
 
 def smooth_l1(x: float) -> float:
@@ -100,11 +102,7 @@ def smooth_l1(x: float) -> float:
     return ax - 0.5
 
 
-def smooth_l1_loc_loss(
-    pred: Sequence[BoxEncoded],
-    target: Sequence[BoxEncoded],
-    positives: Sequence[int],
-) -> float:
+def smooth_l1_loc_loss(pred, target, positives: Sequence[int]) -> float:
     """Smooth-L1 over the four encoded coordinates of each positive box."""
     if len(pred) != len(target):
         raise ValueError(f"length mismatch: {len(pred)} predictions vs {len(target)} targets")
@@ -112,35 +110,36 @@ def smooth_l1_loc_loss(
     for i in positives:
         if i < 0 or i >= len(pred):
             raise ValueError(f"positive index {i} out of range for {len(pred)} boxes")
-        p, t = pred[i], target[i]
-        total += smooth_l1(p.dx - t.dx)
-        total += smooth_l1(p.dy - t.dy)
-        total += smooth_l1(p.w - t.w)
-        total += smooth_l1(p.h - t.h)
+        for p, t in zip(pred[i], target[i]):
+            total += smooth_l1(p - t)
     return total
 
 
-def consistency_class_loss(pairs: Sequence[MatchedPair]) -> float:
-    """Mean symmetric KL over matched pairs; 0 on an empty list."""
-    if not pairs:
+def consistency_class_loss(orig, flipped) -> float:
+    """Mean symmetric KL between the rows of the two distribution arrays; 0
+    when there are no pairs."""
+    if len(orig) != len(flipped):
+        raise ValueError(f"length mismatch: {len(orig)} vs {len(flipped)} distributions")
+    if not len(orig):
         return 0.0
-    return sum(sym_kl(p.original.dist, p.flipped.dist) for p in pairs) / len(pairs)
+    return sum(sym_kl(p, q) for p, q in zip(orig, flipped)) / len(orig)
 
 
-def consistency_loc_loss(pairs: Sequence[MatchedPair]) -> float:
-    """Mean localization consistency over matched pairs.
+def consistency_loc_loss(orig, flipped) -> float:
+    """Mean localization consistency between the rows of two encoded-box arrays.
 
     The flipped member's encoded box must be in the flipped frame; the
     negation of its center displacement is applied here, inside the loss:
     (1/4) [ (dx' + dx_hat)^2 + (dy' - dy_hat)^2 + (w' - w_hat)^2 + (h' - h_hat)^2 ].
     """
-    if not pairs:
+    if len(orig) != len(flipped):
+        raise ValueError(f"length mismatch: {len(orig)} vs {len(flipped)} encoded boxes")
+    if not len(orig):
         return 0.0
     total = 0.0
-    for pair in pairs:
-        a, b = pair.original.box_encoded, pair.flipped.box_encoded
-        total += 0.25 * ((a.dx + b.dx) ** 2 + (a.dy - b.dy) ** 2 + (a.w - b.w) ** 2 + (a.h - b.h) ** 2)
-    return total / len(pairs)
+    for (adx, ady, aw, ah), (bdx, bdy, bw, bh) in zip(orig, flipped):
+        total += 0.25 * ((adx + bdx) ** 2 + (ady - bdy) ** 2 + (aw - bw) ** 2 + (ah - bh) ** 2)
+    return total / len(orig)
 
 
 def total_loss(conf: float, cons_class: float, cons_loc: float, loc_l1: float) -> float:

@@ -2,6 +2,8 @@
 
 Matching is done on corner-box IoU after the flipped prediction has been
 mapped back into the original coordinate frame (see :func:`aldet.boxes.hflip`).
+A pair is a pair of row indices, one into each prediction's
+:class:`~aldet.boxes.Detections`.
 """
 
 from __future__ import annotations
@@ -9,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .boxes import Detection, ImagePrediction, iou
+import numpy as np
 
-__all__ = [
-    "MatchedPair", "MatchResult", "greedy_assign", "match_predictions", "DEFAULT_MIN_MATCH_IOU"
-]
+from .boxes import ImagePrediction, iou_matrix
+
+__all__ = ["MatchResult", "greedy_assign", "match_predictions", "DEFAULT_MIN_MATCH_IOU"]
 
 # An unfloored argmax pairs unrelated boxes; 0.5 is the conventional overlap
 # floor. Set min_match_iou=0 to match without a floor.
@@ -21,24 +23,11 @@ DEFAULT_MIN_MATCH_IOU = 0.5
 
 
 @dataclass(frozen=True)
-class MatchedPair:
-    """A detection and its flipped-image counterpart.
-
-    ``flipped`` follows whatever frame the caller matched in; the matcher
-    produces pairs whose flipped member was already un-flipped into the
-    original frame.
-    """
-
-    original: Detection
-    flipped: Detection
-    iou: float
-    orig_index: int = -1
-    flipped_index: int = -1
-
-
-@dataclass(frozen=True)
 class MatchResult:
-    pairs: tuple[MatchedPair, ...]
+    """Matched ``(original row, flipped row)`` pairs in acceptance order, and
+    the rows left unmatched on each side."""
+
+    pairs: tuple[tuple[int, int], ...]
     unmatched_original: tuple[int, ...]
     unmatched_flipped: tuple[int, ...]
 
@@ -66,10 +55,10 @@ def match_predictions(
 ) -> MatchResult:
     """Greedy one-to-one IoU matching between two detection sets.
 
-    All cross pairs are ranked by IoU descending (ties by original index,
-    then flipped index) and accepted while both members are free and the IoU
-    is at least ``min_match_iou``. Unmatched detection indices on both sides
-    are reported for diagnostics.
+    All cross pairs are ranked by IoU descending (ties by original row,
+    then flipped row) and accepted while both members are free and the IoU
+    is at least ``min_match_iou``. Unmatched rows on both sides are reported
+    for diagnostics.
     """
     if orig.image_id != flipped.image_id:
         raise ValueError(
@@ -78,17 +67,15 @@ def match_predictions(
     if not (0.0 <= min_match_iou <= 1.0):
         raise ValueError(f"min_match_iou must be in [0, 1], got {min_match_iou}")
 
-    ious = (
-        (iou(a.box_corner, b.box_corner), i, j)
-        for i, a in enumerate(orig.detections)
-        for j, b in enumerate(flipped.detections)
-    )
-    accepted = greedy_assign(c for c in ious if c[0] >= min_match_iou)
+    n, m = len(orig.detections), len(flipped.detections)
+    accepted = []
+    if n and m:
+        ious = iou_matrix(orig.detections.boxes, flipped.detections.boxes)
+        rows, cols = np.nonzero(ious >= min_match_iou)
+        accepted = greedy_assign(zip(ious[rows, cols].tolist(), rows.tolist(), cols.tolist()))
 
-    pairs = tuple(
-        MatchedPair(orig.detections[i], flipped.detections[j], v, i, j) for v, i, j in accepted
-    )
-    taken_o, taken_f = {i for _, i, _ in accepted}, {j for _, _, j in accepted}
-    unmatched_o = tuple(i for i in range(len(orig.detections)) if i not in taken_o)
-    unmatched_f = tuple(j for j in range(len(flipped.detections)) if j not in taken_f)
+    pairs = tuple((i, j) for _, i, j in accepted)
+    taken_o, taken_f = {i for i, _ in pairs}, {j for _, j in pairs}
+    unmatched_o = tuple(i for i in range(n) if i not in taken_o)
+    unmatched_f = tuple(j for j in range(m) if j not in taken_f)
     return MatchResult(pairs, unmatched_o, unmatched_f)

@@ -28,7 +28,7 @@ from .acquisition import (
     select_for_labeling,
     unified_score,
 )
-from .boxes import ImagePrediction
+from .boxes import Detections, ImagePrediction
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, EvalResult, map50
 from .pseudo_label import (
@@ -214,9 +214,11 @@ def pseudo_label_pool(
 
 def evaluate(preds: Iterable[ImagePrediction], data: Dataset, interpolation: str) -> EvalResult:
     """mAP@0.5 of the detections as given (in input order) against ``data``."""
-    dets = [(det, pred.image_id) for pred in preds for det in pred.detections]
+    preds = list(preds)
+    image_ids = [pred.image_id for pred in preds for _ in range(len(pred.detections))]
     return map50(
-        dets,
+        Detections.concat(pred.detections for pred in preds),
+        image_ids,
         data.all_objects(),
         interpolation=interpolation,
         class_ids=range(1, data.n_classes + 1),

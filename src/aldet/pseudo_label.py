@@ -51,6 +51,12 @@ class GroundTruthObject:
             raise ValueError(f"ground-truth class must be a foreground class, got {self.class_id}")
 
 
+def _rows(pred: ImagePrediction):
+    """``(box, class_id, score)`` of each detection of ``pred``, as Python values."""
+    d = pred.detections
+    return zip(d.boxes.tolist(), d.class_ids.tolist(), d.scores.tolist())
+
+
 def extract_pseudo_labels(pred: ImagePrediction, tau: float) -> list[PseudoLabel]:
     """Pseudo-label every detection whose foreground argmax probability >= tau.
 
@@ -59,15 +65,11 @@ def extract_pseudo_labels(pred: ImagePrediction, tau: float) -> list[PseudoLabel
     """
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    out = []
-    for det in pred.detections:
-        cls = det.dist.argmax_class
-        if cls == 0:
-            continue
-        conf = float(det.dist.probs[cls])
-        if conf >= tau:
-            out.append(PseudoLabel(pred.image_id, det.box_corner, cls, conf))
-    return out
+    return [
+        PseudoLabel(pred.image_id, BoxCorner(*box), cls, conf)
+        for box, cls, conf in _rows(pred)
+        if cls != 0 and conf >= tau
+    ]
 
 
 def extract_topk_per_class(
@@ -82,21 +84,20 @@ def extract_topk_per_class(
     if not (0.0 < k_fraction <= 1.0):
         raise ValueError(f"k_fraction must be in (0, 1], got {k_fraction}")
 
-    by_class: dict[int, list[tuple[float, str, int, PseudoLabel]]] = {}
+    by_class: dict[int, list[tuple[float, str, int, list[float]]]] = {}
     for pred in preds:
-        for idx, det in enumerate(pred.detections):
-            cls = det.dist.argmax_class
-            if cls == 0:
-                continue
-            conf = float(det.dist.probs[cls])
-            pl = PseudoLabel(pred.image_id, det.box_corner, cls, conf)
-            by_class.setdefault(cls, []).append((conf, pred.image_id, idx, pl))
+        for idx, (box, cls, conf) in enumerate(_rows(pred)):
+            if cls != 0:
+                by_class.setdefault(cls, []).append((conf, pred.image_id, idx, box))
 
     out: list[PseudoLabel] = []
     for cls in sorted(by_class):
         entries = sorted(by_class[cls], key=lambda t: (-t[0], t[1], t[2]))
         take = math.ceil(k_fraction * len(entries))
-        out.extend(e[3] for e in entries[:take])
+        out.extend(
+            PseudoLabel(image_id, BoxCorner(*box), cls, conf)
+            for conf, image_id, _idx, box in entries[:take]
+        )
     return out
 
 

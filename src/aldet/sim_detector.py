@@ -22,14 +22,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .boxes import (
-    BoxCorner,
-    ClassDist,
-    Detection,
-    ImagePrediction,
-    encode_box,
-    image_anchor,
-)
+from .boxes import Detections, ImagePrediction, encode_boxes
 from .dataset import Dataset
 
 if TYPE_CHECKING:
@@ -180,14 +173,15 @@ class SyntheticDetector(DetectorInterface):
         k2 = _mix64(key, tag)
         return np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
 
-    def _jittered_box(self, rng, gt_box: BoxCorner, width: int, height: int) -> BoxCorner:
+    def _jittered_box(self, rng, gt_box, width: int, height: int) -> list[float]:
         s = self._config.box_noise
         noise = rng.normal(0.0, 1.0, 4)
-        bw, bh = gt_box.width, gt_box.height
-        x0 = gt_box.xmin + noise[0] * s * bw
-        y0 = gt_box.ymin + noise[1] * s * bh
-        x1 = gt_box.xmax + noise[2] * s * bw
-        y1 = gt_box.ymax + noise[3] * s * bh
+        xmin, ymin, xmax, ymax = gt_box
+        bw, bh = xmax - xmin, ymax - ymin
+        x0 = xmin + noise[0] * s * bw
+        y0 = ymin + noise[1] * s * bh
+        x1 = xmax + noise[2] * s * bw
+        y1 = ymax + noise[3] * s * bh
         x0, x1 = min(x0, x1), max(x0, x1)
         y0, y1 = min(y0, y1), max(y0, y1)
         x0, x1 = max(0.0, x0), min(float(width), x1)
@@ -198,9 +192,9 @@ class SyntheticDetector(DetectorInterface):
         if y1 - y0 < _MIN_BOX:
             y0 = max(0.0, min(y0, height - _MIN_BOX))
             y1 = y0 + _MIN_BOX
-        return BoxCorner(x0, y0, x1, y1)
+        return [x0, y0, x1, y1]
 
-    def _draw_dist(self, rng, true_class: int) -> ClassDist:
+    def _draw_dist(self, rng, true_class: int) -> np.ndarray:
         k = self._config.n_classes
         u = rng.uniform()
         confusion_step = int(rng.integers(0, max(k - 1, 1)))
@@ -212,52 +206,54 @@ class SyntheticDetector(DetectorInterface):
         logits = rng.normal(0.0, self._config.logit_noise, k + 1)
         logits[peak] += 1.0 / self._config.temperature
         e = np.exp(logits - logits.max())
-        return ClassDist(e / e.sum())
+        return e / e.sum()
 
-    def _false_positives(self, rng, width: int, height: int, anchor: BoxCorner) -> list[Detection]:
+    def _false_positives(self, rng, width: int, height: int, boxes: list, probs: list) -> None:
+        """Append the image's false positives to ``boxes`` and ``probs``."""
         if self._config.fp_rate <= 0.0:
-            return []
-        out = []
+            return
         for _ in range(int(rng.poisson(self._config.fp_rate))):
             bw = rng.uniform(_MIN_BOX * 10, 0.5 * width)
             bh = rng.uniform(_MIN_BOX * 10, 0.5 * height)
             x0 = rng.uniform(0.0, width - bw)
             y0 = rng.uniform(0.0, height - bh)
-            box = BoxCorner(float(x0), float(y0), float(x0 + bw), float(y0 + bh))
+            boxes.append([float(x0), float(y0), float(x0 + bw), float(y0 + bh)])
             cls = int(rng.integers(1, self._config.n_classes + 1))
-            dist = self._draw_dist(rng, cls)
-            out.append(Detection(box, encode_box(box, anchor), dist))
-        return out
+            probs.append(self._draw_dist(rng, cls))
 
     def predict(self, image_id: str, flipped: bool = False) -> ImagePrediction:
         rec = self._dataset[image_id]
-        anchor = image_anchor(rec.width, rec.height)
         rng = self._stream(image_id, 0)
+        boxes: list[list[float]] = []
+        probs: list[np.ndarray] = []
 
         if not flipped:
-            dets = []
             for obj in rec.objects:
-                box = self._jittered_box(rng, obj.box_corner, rec.width, rec.height)
-                dets.append(Detection(box, encode_box(box, anchor), self._draw_dist(rng, obj.class_id)))
-            dets.extend(self._false_positives(rng, rec.width, rec.height, anchor))
-            return ImagePrediction(image_id, rec.width, rec.height, tuple(dets))
+                boxes.append(self._jittered_box(rng, obj.box_corner.as_list(), rec.width, rec.height))
+                probs.append(self._draw_dist(rng, obj.class_id))
+            self._false_positives(rng, rec.width, rec.height, boxes, probs)
+        else:
+            frng = self._stream(image_id, 1)
+            for obj in rec.objects:
+                # The original view's distribution, reused when the flip is robust.
+                # Its box is not needed: skip past the draw _jittered_box makes.
+                rng.normal(0.0, 1.0, 4)
+                orig_dist = self._draw_dist(rng, obj.class_id)
+                g = obj.box_corner
+                mirrored_gt = (rec.width - g.xmax, g.ymin, rec.width - g.xmin, g.ymax)
+                boxes.append(self._jittered_box(frng, mirrored_gt, rec.width, rec.height))
+                reuse = frng.uniform() < self._robustness[obj.class_id]
+                resampled = self._draw_dist(frng, obj.class_id)  # drawn either way, fixed stream layout
+                probs.append(orig_dist if reuse else resampled)
+            self._false_positives(frng, rec.width, rec.height, boxes, probs)
 
-        frng = self._stream(image_id, 1)
-        dets = []
-        for obj in rec.objects:
-            # The original view's distribution, reused when the flip is robust.
-            # Its box is not needed: skip past the draw _jittered_box makes.
-            rng.normal(0.0, 1.0, 4)
-            orig_dist = self._draw_dist(rng, obj.class_id)
-            g = obj.box_corner
-            mirrored_gt = BoxCorner(rec.width - g.xmax, g.ymin, rec.width - g.xmin, g.ymax)
-            box = self._jittered_box(frng, mirrored_gt, rec.width, rec.height)
-            reuse = frng.uniform() < self._robustness[obj.class_id]
-            resampled = self._draw_dist(frng, obj.class_id)  # drawn either way, fixed stream layout
-            dist = orig_dist if reuse else resampled
-            dets.append(Detection(box, encode_box(box, anchor), dist))
-        dets.extend(self._false_positives(frng, rec.width, rec.height, anchor))
-        return ImagePrediction(image_id, rec.width, rec.height, tuple(dets))
+        box_rows = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+        dets = Detections(
+            box_rows,
+            encode_boxes(box_rows, rec.width, rec.height),
+            np.array(probs).reshape(len(boxes), self._config.n_classes + 1),
+        )
+        return ImagePrediction(image_id, rec.width, rec.height, dets)
 
     # -- retraining stand-in -------------------------------------------------
 

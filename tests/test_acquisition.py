@@ -16,17 +16,8 @@ from aldet.acquisition import (
     sym_kl,
     unified_score,
 )
-from aldet.boxes import (
-    BoxCorner,
-    ClassDist,
-    Detection,
-    ImagePrediction,
-    encode_box,
-    hflip,
-    image_anchor,
-    nms,
-)
-from aldet.matching import MatchedPair, match_predictions
+from aldet.boxes import BoxCorner, Detections, ImagePrediction, encode_boxes, hflip, nms
+from aldet.matching import match_predictions
 
 EPS = 1e-12
 
@@ -52,23 +43,19 @@ def random_dist(rng, k):
     return raw / raw.sum()
 
 
-def det_with_dist(probs, box=BoxCorner(0, 0, 10, 10)):
-    return Detection(box, encode_box(box, image_anchor(100, 100)), ClassDist(probs))
-
-
 class TestSymKL:
     def test_identical_dists(self):
-        p = ClassDist([0.3, 0.7])
+        p = [0.3, 0.7]
         assert sym_kl(p, p) == 0.0
 
     def test_frozen_example(self):
         # oracle: 0.5 * (0.14384103622589045 + 0.13081203594113697)
-        got = sym_kl(ClassDist([0.5, 0.5]), ClassDist([0.25, 0.75]))
+        got = sym_kl([0.5, 0.5], [0.25, 0.75])
         assert got == pytest.approx(0.1373265360835137, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            sym_kl(ClassDist([0.5, 0.5]), ClassDist([0.2, 0.3, 0.5]))
+            sym_kl([0.5, 0.5], [0.2, 0.3, 0.5])
 
     def test_symmetry_and_oracle_random(self):
         rng = np.random.default_rng(1)
@@ -81,23 +68,23 @@ class TestSymKL:
             assert v == pytest.approx(oracle_sym_kl(p, q), rel=1e-9)
 
     def test_one_hot_is_finite(self):
-        v = sym_kl(ClassDist([1.0, 0.0]), ClassDist([0.0, 1.0]))
+        v = sym_kl([1.0, 0.0], [0.0, 1.0])
         assert math.isfinite(v)
         assert v > 0.0
 
 
 class TestEntropy:
     def test_one_hot_is_zero(self):
-        assert entropy(ClassDist([1.0, 0.0, 0.0])) == 0.0
+        assert entropy([1.0, 0.0, 0.0]) == 0.0
 
     def test_uniform_21_categories(self):
-        p = ClassDist(np.full(21, 1.0 / 21.0))
+        p = np.full(21, 1.0 / 21.0)
         assert entropy(p) == pytest.approx(math.log(21), rel=1e-12)
 
     def test_frozen_example(self):
         probs = np.zeros(21)
         probs[0], probs[1] = 0.99, 0.01
-        assert entropy(ClassDist(probs)) == pytest.approx(0.056001534354847345, rel=1e-12)
+        assert entropy(probs) == pytest.approx(0.056001534354847345, rel=1e-12)
 
     def test_oracle_and_bounds_random(self):
         rng = np.random.default_rng(2)
@@ -109,58 +96,58 @@ class TestEntropy:
             assert v == pytest.approx(oracle_entropy(p), rel=1e-9)
 
 
-def make_pair(p_orig, p_flip):
-    return MatchedPair(det_with_dist(p_orig), det_with_dist(p_flip), 1.0)
-
-
 class TestImageAggregation:
     def test_inconsistency_identical_pairs(self):
-        pairs = [make_pair([0.2, 0.8], [0.2, 0.8])] * 3
-        assert image_inconsistency(pairs) == 0.0
+        rows = np.array([[0.2, 0.8]] * 3)
+        assert image_inconsistency(rows, rows) == 0.0
 
     def test_inconsistency_is_max(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            pairs = [
-                make_pair(random_dist(rng, 4), random_dist(rng, 4))
-                for _ in range(int(rng.integers(1, 6)))
-            ]
-            expected = max(oracle_sym_kl(p.original.dist.probs, p.flipped.dist.probs) for p in pairs)
-            assert image_inconsistency(pairs) == pytest.approx(expected, rel=1e-9)
+            n = int(rng.integers(1, 6))
+            p = np.array([random_dist(rng, 4) for _ in range(n)])
+            q = np.array([random_dist(rng, 4) for _ in range(n)])
+            expected = max(oracle_sym_kl(a, b) for a, b in zip(p, q))
+            assert image_inconsistency(p, q) == pytest.approx(expected, rel=1e-9)
 
     def test_empty_cases(self):
-        assert image_inconsistency([]) == 0.0
-        assert image_entropy([]) == 0.0
+        assert image_inconsistency([], []) == 0.0
+        assert image_entropy(np.zeros((0, 3))) == 0.0
+        with pytest.raises(ValueError, match="pair count mismatch"):
+            image_inconsistency([[0.5, 0.5]], [])
 
     def test_entropy_is_max(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            dets = [det_with_dist(random_dist(rng, 5)) for _ in range(int(rng.integers(1, 6)))]
-            expected = max(oracle_entropy(d.dist.probs) for d in dets)
-            assert image_entropy(dets) == pytest.approx(expected, rel=1e-9)
+            probs = np.array([random_dist(rng, 5) for _ in range(int(rng.integers(1, 6)))])
+            expected = max(oracle_entropy(p) for p in probs)
+            assert image_entropy(probs) == pytest.approx(expected, rel=1e-9)
 
 
 def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, perturb=0.0):
     """A prediction and a flipped-frame version whose dists differ by `perturb`."""
-    anchor = image_anchor(width, height)
-    orig, flip = [], []
+    boxes, mirrored, orig_probs, flip_probs = [], [], [], []
     for _ in range(n):
         x0, y0 = rng.uniform(0, 60, 2)
         w, h = rng.uniform(10, 30, 2)
         box = BoxCorner(x0, y0, x0 + w, y0 + h)
         probs = random_dist(rng, 4)
-        orig.append(Detection(box, encode_box(box, anchor), ClassDist(probs)))
-        mirrored = BoxCorner(width - box.xmax, box.ymin, width - box.xmin, box.ymax)
+        boxes.append(box.as_list())
+        orig_probs.append(probs)
+        mirrored.append([width - box.xmax, box.ymin, width - box.xmin, box.ymax])
         q = probs.copy()
         if perturb:
             q = q + rng.uniform(-perturb, perturb, 4)
             q = np.clip(q, 1e-4, None)
             q = q / q.sum()
-        flip.append(Detection(mirrored, encode_box(mirrored, anchor), ClassDist(q)))
-    return (
-        ImagePrediction(image_id, width, height, tuple(orig)),
-        ImagePrediction(image_id, width, height, tuple(flip)),
-    )
+        flip_probs.append(q)
+
+    def prediction(rows, probs):
+        rows = np.array(rows)
+        dets = Detections(rows, encode_boxes(rows, width, height), probs)
+        return ImagePrediction(image_id, width, height, dets)
+
+    return prediction(boxes, orig_probs), prediction(mirrored, flip_probs)
 
 
 class TestUnifiedScore:
@@ -171,7 +158,7 @@ class TestUnifiedScore:
             AcquisitionScore("a", 2.0, 0.5, 0.9)
 
     def test_empty_prediction_scores_zero(self):
-        empty = ImagePrediction("a", 100, 100, ())
+        empty = ImagePrediction("a", 100, 100, Detections([], [], []))
         s = unified_score(empty, empty)
         assert (s.entropy, s.inconsistency, s.unified) == (0.0, 0.0, 0.0)
 
@@ -192,8 +179,11 @@ class TestUnifiedScore:
                 unflipped.with_detections(flip_dets),
                 cfg.min_match_iou,
             )
-            h = image_entropy(orig_dets)
-            inc = image_inconsistency(result.pairs)
+            h = image_entropy(orig_dets.probs)
+            inc = image_inconsistency(
+                [orig_dets.probs[i] for i, _ in result.pairs],
+                [flip_dets.probs[j] for _, j in result.pairs],
+            )
             assert got.entropy == h
             assert got.inconsistency == inc
             assert got.unified == h * inc
@@ -205,8 +195,8 @@ class TestUnifiedScore:
         orig, flip = two_sided_prediction(rng, n=4, perturb=0.3)
         base = unified_score(post_nms(orig, cfg), post_nms(flip, cfg, flipped=True))
         perm = rng.permutation(4)
-        orig2 = orig.with_detections([orig.detections[i] for i in perm])
-        flip2 = flip.with_detections([flip.detections[i] for i in reversed(perm)])
+        orig2 = orig.with_detections(orig.detections.take(perm))
+        flip2 = flip.with_detections(flip.detections.take(perm[::-1]))
         shuffled = unified_score(post_nms(orig2, cfg), post_nms(flip2, cfg, flipped=True))
         assert shuffled.entropy == pytest.approx(base.entropy, rel=1e-12)
         assert shuffled.inconsistency == pytest.approx(base.inconsistency, rel=1e-12)

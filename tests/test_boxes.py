@@ -7,14 +7,12 @@ import pytest
 
 from aldet.boxes import (
     BoxCorner,
-    BoxEncoded,
-    ClassDist,
-    Detection,
+    Detections,
     ImagePrediction,
-    decode_box,
-    encode_box,
+    checked_encoded,
+    checked_probs,
+    encode_boxes,
     hflip,
-    image_anchor,
     iou,
     nms,
 )
@@ -28,8 +26,14 @@ def random_box(rng, width=100.0, height=100.0, min_side=1.0):
     return BoxCorner(x0, y0, x0 + w, y0 + h)
 
 
-def make_detection(box, probs, width=100.0, height=100.0):
-    return Detection(box, encode_box(box, image_anchor(width, height)), ClassDist(probs))
+def make_detections(boxes, probs, width=100.0, height=100.0):
+    """One row per box, encoded against the full-image anchor."""
+    rows = np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    return Detections(rows, encode_boxes(rows, width, height), probs)
+
+
+def corner(row):
+    return BoxCorner(*row.tolist())
 
 
 def brute_iou(a, b):
@@ -45,44 +49,48 @@ class TestBoxTypes:
     def test_inverted_box_rejected(self):
         with pytest.raises(ValueError):
             BoxCorner(1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="inverted box"):
+            Detections([[1.0, 0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0, 1.0]], [[0.5, 0.5]])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             BoxCorner(0.0, 0.0, math.inf, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            Detections([[0.0, 0.0, math.inf, 1.0]], [[0.0, 0.0, 1.0, 1.0]], [[0.5, 0.5]])
 
     def test_encoded_needs_positive_scales(self):
         with pytest.raises(ValueError):
-            BoxEncoded(0.0, 0.0, 0.0, 1.0)
+            checked_encoded([[0.0, 0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
-            BoxEncoded(0.0, 0.0, 1.0, -2.0)
+            checked_encoded([[0.0, 0.0, 1.0, -2.0]])
+        with pytest.raises(ValueError, match="scale coefficients must be positive"):
+            Detections([[0.0, 0.0, 1.0, 1.0]], [[0.0, 0.0, 1.0, -2.0]], [[0.5, 0.5]])
 
     def test_class_dist_validation(self):
         with pytest.raises(ValueError):
-            ClassDist([1.0])  # too short
+            checked_probs([[1.0]])  # too short
         with pytest.raises(ValueError):
-            ClassDist([0.5, 0.6])  # sums to 1.1
+            checked_probs([[0.5, 0.6]])  # sums to 1.1
         with pytest.raises(ValueError):
-            ClassDist([1.2, -0.2])  # out of range
-        d = ClassDist([0.25, 0.75])
-        assert d.argmax_class == 1
-        assert d.max_prob == 0.75
+            checked_probs([[1.2, -0.2]])  # out of range
+        d = Detections([[0.0, 0.0, 1.0, 1.0]], [[0.0, 0.0, 1.0, 1.0]], [[0.25, 0.75]])
+        assert d.class_ids.tolist() == [1]
+        assert d.scores.tolist() == [0.75]
         with pytest.raises(AttributeError):
-            d.probs = np.array([1.0, 0.0])
+            d.probs = np.array([[1.0, 0.0]])
+        with pytest.raises(ValueError):
+            d.probs[0, 0] = 1.0  # read-only
 
     def test_dist_normalization_tolerance(self):
         # within 1e-6 is accepted and entries stay in [0, 1]
-        d = ClassDist([0.5 + 4e-7, 0.5])
-        assert abs(d.probs.sum() - 1.0) < 1e-6
+        probs = checked_probs([[0.5 + 4e-7, 0.5]])
+        assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_prediction_clamps_boxes(self):
-        det = Detection(
-            BoxCorner(-5.0, 10.0, 120.0, 40.0),
-            BoxEncoded(0.0, 0.0, 1.0, 1.0),
-            ClassDist([0.2, 0.8]),
-        )
-        pred = ImagePrediction("a", 100, 50, (det,))
-        b = pred.detections[0].box_corner
-        assert (b.xmin, b.ymin, b.xmax, b.ymax) == (0.0, 10.0, 100.0, 40.0)
+        dets = Detections([[-5.0, 10.0, 120.0, 40.0]], [[0.0, 0.0, 1.0, 1.0]], [[0.2, 0.8]])
+        pred = ImagePrediction("a", 100, 50, dets)
+        assert pred.detections.boxes.tolist() == [[0.0, 10.0, 100.0, 40.0]]
+        assert pred.detections.encoded.tolist() == [[0.0, 0.0, 1.0, 1.0]]
 
 
 class TestIoU:
@@ -116,101 +124,87 @@ class TestIoU:
 
 class TestHFlip:
     def test_mirror_formula(self):
-        det = make_detection(BoxCorner(10, 20, 30, 40), [0.1, 0.9])
-        pred = ImagePrediction("a", 100, 100, (det,))
-        out = hflip(pred).detections[0].box_corner
-        assert (out.xmin, out.ymin, out.xmax, out.ymax) == (70.0, 20.0, 90.0, 40.0)
+        pred = ImagePrediction("a", 100, 100, make_detections([BoxCorner(10, 20, 30, 40)], [[0.1, 0.9]]))
+        assert hflip(pred).detections.boxes.tolist() == [[70.0, 20.0, 90.0, 40.0]]
 
     def test_encoded_dx_negated(self):
-        det = Detection(
-            BoxCorner(10, 20, 30, 40), BoxEncoded(0.2, -0.1, 0.5, 0.4), ClassDist([0.1, 0.9])
-        )
-        pred = ImagePrediction("a", 100, 100, (det,))
-        e = hflip(pred).detections[0].box_encoded
-        assert e.dx == -0.2
-        assert (e.dy, e.w, e.h) == (-0.1, 0.5, 0.4)
+        dets = Detections([[10, 20, 30, 40]], [[0.2, -0.1, 0.5, 0.4]], [[0.1, 0.9]])
+        pred = ImagePrediction("a", 100, 100, dets)
+        assert hflip(pred).detections.encoded.tolist() == [[-0.2, -0.1, 0.5, 0.4]]
 
     def test_involution_random(self):
         # corner mirroring is exact up to one rounding of W - (W - x); encoded
         # dx is negated, which is exact
         rng = np.random.default_rng(7)
         for _ in range(100):
-            dets = tuple(
-                make_detection(random_box(rng), [0.2, 0.5, 0.3]) for _ in range(rng.integers(0, 5))
-            )
-            pred = ImagePrediction("a", 100, 100, dets)
-            back = hflip(hflip(pred))
-            assert len(back.detections) == len(pred.detections)
-            for before, after in zip(pred.detections, back.detections):
-                for name in ("xmin", "ymin", "xmax", "ymax"):
-                    assert getattr(after.box_corner, name) == pytest.approx(
-                        getattr(before.box_corner, name), abs=1e-9
-                    )
-                assert after.box_encoded == before.box_encoded
-                assert after.dist == before.dist
+            n = int(rng.integers(0, 5))
+            boxes = [random_box(rng) for _ in range(n)]
+            pred = ImagePrediction("a", 100, 100, make_detections(boxes, [[0.2, 0.5, 0.3]] * n))
+            back = hflip(hflip(pred)).detections
+            assert len(back) == len(pred.detections)
+            np.testing.assert_allclose(back.boxes, pred.detections.boxes, rtol=0, atol=1e-9)
+            assert np.array_equal(back.encoded, pred.detections.encoded)
+            assert np.array_equal(back.probs, pred.detections.probs)
 
     def test_preserves_count_dists_and_areas(self):
         rng = np.random.default_rng(11)
-        dets = tuple(make_detection(random_box(rng), [0.3, 0.3, 0.4]) for _ in range(6))
-        pred = ImagePrediction("a", 100, 100, dets)
-        out = hflip(pred)
-        assert len(out.detections) == len(pred.detections)
-        for before, after in zip(pred.detections, out.detections):
-            assert after.dist == before.dist
-            assert after.box_corner.area == pytest.approx(before.box_corner.area, rel=1e-12)
+        boxes = [random_box(rng) for _ in range(6)]
+        pred = ImagePrediction("a", 100, 100, make_detections(boxes, [[0.3, 0.3, 0.4]] * 6))
+        out = hflip(pred).detections
+        assert len(out) == len(pred.detections)
+        assert np.array_equal(out.probs, pred.detections.probs)
+        for before, after in zip(pred.detections.boxes, out.boxes):
+            assert corner(after).area == pytest.approx(corner(before).area, rel=1e-12)
 
 
 def dist_peaked(cls, peak, k=3):
     probs = np.full(k + 1, (1.0 - peak) / k)
     probs[cls] = peak
-    return ClassDist(probs)
+    return probs
+
+
+EMPTY = Detections([], [], [])
 
 
 class TestNMS:
     def test_dominant_box_suppresses(self):
         a = BoxCorner(0, 0, 10, 10)
         b = BoxCorner(0, 0, 10, 8)  # IoU 0.8
-        d1 = make_detection(a, [0.05, 0.9, 0.05])
-        d2 = Detection(b, encode_box(b, image_anchor(100, 100)), dist_peaked(1, 0.8, 2))
-        kept = nms([d1, d2], iou_threshold=0.5)
-        assert kept == [d1]
+        dets = make_detections([a, b], [[0.05, 0.9, 0.05], dist_peaked(1, 0.8, 2)])
+        assert nms(dets, iou_threshold=0.5) == dets.take([0])
 
     def test_different_classes_both_kept(self):
         a = BoxCorner(0, 0, 10, 10)
         b = BoxCorner(0, 0, 10, 8)
-        d1 = Detection(a, encode_box(a, image_anchor(100, 100)), dist_peaked(1, 0.9, 2))
-        d2 = Detection(b, encode_box(b, image_anchor(100, 100)), dist_peaked(2, 0.8, 2))
-        kept = nms([d1, d2], iou_threshold=0.5)
-        assert set(id(k) for k in kept) == {id(d1), id(d2)}
+        dets = make_detections([a, b], [dist_peaked(1, 0.9, 2), dist_peaked(2, 0.8, 2)])
+        assert nms(dets, iou_threshold=0.5) == dets
 
     def test_background_argmax_dropped(self):
-        a = BoxCorner(0, 0, 10, 10)
-        d = Detection(a, encode_box(a, image_anchor(100, 100)), ClassDist([0.8, 0.1, 0.1]))
-        assert nms([d]) == []
+        dets = make_detections([BoxCorner(0, 0, 10, 10)], [[0.8, 0.1, 0.1]])
+        assert len(nms(dets)) == 0
 
     def test_score_floor(self):
-        a = BoxCorner(0, 0, 10, 10)
-        weak = Detection(a, encode_box(a, image_anchor(100, 100)), ClassDist([0.45, 0.55]))
-        assert nms([weak], score_floor=0.6) == []
-        assert nms([weak], score_floor=0.5) == [weak]
+        weak = make_detections([BoxCorner(0, 0, 10, 10)], [[0.45, 0.55]])
+        assert len(nms(weak, score_floor=0.6)) == 0
+        assert nms(weak, score_floor=0.5) == weak
 
     def test_empty_input(self):
-        assert nms([]) == []
+        assert len(nms(EMPTY)) == 0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            nms([], iou_threshold=0.0)
+            nms(EMPTY, iou_threshold=0.0)
         with pytest.raises(ValueError):
-            nms([], score_floor=1.0)
+            nms(EMPTY, score_floor=1.0)
 
     def _random_instance(self, rng, n_classes=3):
-        dets = []
+        boxes, probs = [], []
         for _ in range(int(rng.integers(1, 12))):
-            box = random_box(rng, min_side=5.0)
+            boxes.append(random_box(rng, min_side=5.0))
             cls = int(rng.integers(1, n_classes + 1))
             peak = float(rng.uniform(0.4, 0.99))
-            dets.append(make_detection(box, _peaked_probs(cls, peak, n_classes, rng)))
-        return dets
+            probs.append(_peaked_probs(cls, peak, n_classes, rng))
+        return make_detections(boxes, probs)
 
     def test_idempotence_and_invariants_random(self):
         rng = np.random.default_rng(3)
@@ -220,15 +214,15 @@ class TestNMS:
             again = nms(kept, 0.5, 0.01)
             assert again == kept
             # subset of input
-            ids = [id(d) for d in dets]
-            assert all(id(k) in ids for k in kept)
+            rows = [tuple(r) for r in dets.boxes.tolist()]
+            assert all(tuple(k) in rows for k in kept.boxes.tolist())
             # no two kept same-class boxes overlap above the threshold
-            for i, a in enumerate(kept):
-                for b in kept[i + 1:]:
-                    if a.class_id == b.class_id:
-                        assert iou(a.box_corner, b.box_corner) <= 0.5
+            for i in range(len(kept)):
+                for j in range(i + 1, len(kept)):
+                    if kept.class_ids[i] == kept.class_ids[j]:
+                        assert iou(corner(kept.boxes[i]), corner(kept.boxes[j])) <= 0.5
             # output sorted by descending score
-            scores = [k.score for k in kept]
+            scores = kept.scores.tolist()
             assert scores == sorted(scores, reverse=True)
 
 
@@ -242,42 +236,24 @@ def _peaked_probs(cls, peak, n_classes, rng):
 
 class TestEncodeDecode:
     def test_anchor_identity(self):
-        anchor = BoxCorner(10, 10, 50, 30)
-        e = encode_box(anchor, anchor)
-        assert (e.dx, e.dy, e.w, e.h) == (0.0, 0.0, 1.0, 1.0)
+        # the full-image box is the anchor itself
+        assert encode_boxes(np.array([[0.0, 0.0, 50.0, 30.0]]), 50, 30).tolist() == [[0.0, 0.0, 1.0, 1.0]]
 
     def test_degenerate_anchor(self):
         with pytest.raises(ValueError, match="invalid anchor"):
-            encode_box(BoxCorner(0, 0, 1, 1), BoxCorner(5, 5, 5, 10))
+            encode_boxes(np.array([[0.0, 0.0, 1.0, 1.0]]), 0, 10)
         with pytest.raises(ValueError, match="invalid anchor"):
-            decode_box(BoxEncoded(0, 0, 1, 1), BoxCorner(5, 5, 10, 5))
-
-    def test_roundtrip_random(self):
-        rng = np.random.default_rng(17)
-        worst = 0.0
-        for _ in range(1000):
-            b = random_box(rng)
-            anchor = random_box(rng, min_side=2.0)
-            back = decode_box(encode_box(b, anchor), anchor)
-            worst = max(
-                worst,
-                abs(back.xmin - b.xmin),
-                abs(back.ymin - b.ymin),
-                abs(back.xmax - b.xmax),
-                abs(back.ymax - b.ymax),
-            )
-        assert worst < 1e-9
+            encode_boxes(np.array([[0.0, 0.0, 1.0, 1.0]]), 10, -1)
 
     def test_image_anchor_flip_consistency(self):
         # encoding against the image box commutes with mirroring: the encoded
         # dx of the mirrored box is the negation of the original dx
         rng = np.random.default_rng(23)
-        anchor = image_anchor(100, 100)
         for _ in range(100):
             b = random_box(rng)
             mirrored = BoxCorner(100 - b.xmax, b.ymin, 100 - b.xmin, b.ymax)
-            e, em = encode_box(b, anchor), encode_box(mirrored, anchor)
-            assert em.dx == pytest.approx(-e.dx, abs=1e-12)
-            assert em.dy == e.dy
-            assert em.w == pytest.approx(e.w, abs=1e-12)
-            assert em.h == e.h
+            (e, em) = encode_boxes(np.array([b.as_list(), mirrored.as_list()]), 100, 100).tolist()
+            assert em[0] == pytest.approx(-e[0], abs=1e-12)
+            assert em[1] == e[1]
+            assert em[2] == pytest.approx(e[2], abs=1e-12)
+            assert em[3] == e[3]

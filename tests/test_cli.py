@@ -8,7 +8,7 @@ import pytest
 
 from aldet import formats
 from aldet.acquisition import AcquisitionConfig, AcquisitionScore, post_nms, unified_score
-from aldet.boxes import ClassDist, Detection, ImagePrediction, encode_box, image_anchor
+from aldet.boxes import Detections, ImagePrediction, encode_boxes
 from aldet.cli import CONFIG_DEFAULTS, ConfigError, ExperimentConfig, build_config, build_parser, main
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
@@ -216,7 +216,8 @@ class TestEvalCommand:
 
         empty_path = tmp_path / "empty.jsonl"
         formats.write_predictions_jsonl(
-            [(det.predict(i).with_detections(()), False) for i in data.image_ids], empty_path
+            [(det.predict(i).with_detections(Detections([], [], [])), False) for i in data.image_ids],
+            empty_path,
         )
         assert main(["eval", "--gt", str(gt_path), "--predictions", str(empty_path),
                      "--out", str(out)]) == 0
@@ -295,6 +296,69 @@ class TestMalformedInput:
                                   "--out", str(tmp_path / "eval.csv")])
         assert err == "error: width: expected an integer, got inf\n"
 
+    def test_flipped_must_be_a_boolean(self, workspace, capsys):
+        tmp_path, train, *_ = workspace
+        preds = tmp_path / "bad.jsonl"
+        preds.write_text('{"image_id": "%s", "flipped": "no", "detections": []}\n' % train.image_ids[0])
+        err = self.error(capsys, ["score", "--dataset", str(tmp_path / "train.json"),
+                                  "--predictions", str(preds), "--out", str(tmp_path / "s.csv")])
+        assert err == f"error: {preds}: line 1: flipped: expected a boolean, got 'no'\n"
+
+    @pytest.mark.parametrize("image, message", [
+        ({"id": "a", "width": 10, "height": 10, "objects": [{"bbox": [0, 0, 5], "class_id": 1}]},
+         "image 'a': BoxCorner.__init__() missing 1 required positional argument: 'ymax'"),
+        ({"id": "a", "width": 10, "height": 10, "objects": 5}, "image 'a': 'int' object is not iterable"),
+        ({"width": 10, "height": 10, "objects": []}, "missing field 'id'"),
+        (5, "'int' object is not subscriptable"),
+    ])
+    def test_eval_gt_malformed_structure(self, tmp_path, capsys, image, message):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"classes": ["c"], "images": [image]}))
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        err = self.error(capsys, ["eval", "--gt", str(gt), "--predictions", str(preds),
+                                  "--out", str(tmp_path / "eval.csv")])
+        assert err == f"error: {gt}: {message}\n"
+
+    @pytest.mark.parametrize("change, message", [
+        ({"pseudo": {"b": 5}}, "'int' object is not iterable"),
+        ({"labeled": 5}, "'int' object is not iterable"),
+        ({"labeled": None}, "missing field 'labeled'"),
+        ({"pseudo": []}, "'list' object has no attribute 'items'"),
+    ])
+    def test_select_pool_malformed_structure(self, tmp_path, capsys, change, message):
+        scores = tmp_path / "scores.csv"
+        formats.write_scores_csv([AcquisitionScore.from_parts("a", 0.1, 0.2)], scores)
+        state = {"cycle": 0, "labeled": [], "unlabeled": ["a", "b"], "pseudo": {}}
+        state.update(change)
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps({k: v for k, v in state.items() if v is not None}))
+        err = self.error(capsys, ["select", "--scores", str(scores), "--budget", "1",
+                                  "--out", str(tmp_path / "sel.txt"), "--pool", str(pool)])
+        assert err == f"error: {pool}: {message}\n"
+
+
+class TestIntegerCoordinates:
+    """Corner boxes are float64 rows, so an integer coordinate read from a
+    predictions JSONL, or a box clamped to an integer image width, is written
+    back into the pseudo-label JSONL as a float."""
+
+    def test_written_as_floats(self, tmp_path):
+        data = tmp_path / "gt.json"
+        data.write_text(json.dumps({"classes": ["c"], "images": [
+            {"id": "a", "width": 100, "height": 100, "objects": []}]}))
+        preds = tmp_path / "preds.jsonl"
+        dets = [{"bbox": [10, 10, 50, 50], "encoded": [0, 0, 1, 1], "probs": [0.005, 0.995]},
+                {"bbox": [60, 10, 120, 50], "encoded": [0, 0, 1, 1], "probs": [0.002, 0.998]}]
+        preds.write_text(json.dumps({"image_id": "a", "flipped": False, "detections": dets}) + "\n")
+        out = tmp_path / "pl.jsonl"
+        assert main(["pseudolabel", "--dataset", str(data), "--predictions", str(preds),
+                     "--out", str(out)]) == 0
+        boxes = [json.loads(line)["bbox"] for line in out.read_text().splitlines()]
+        assert boxes == [[60.0, 10.0, 100.0, 50.0], [10.0, 10.0, 50.0, 50.0]]
+        assert '"bbox": [60.0, 10.0, 100.0, 50.0]' in out.read_text()
+        assert '"bbox": [10.0, 10.0, 50.0, 50.0]' in out.read_text()
+
 
 class TestProbabilityLength:
     """score, pseudolabel and eval reject probability vectors without K+1 entries."""
@@ -310,13 +374,12 @@ class TestProbabilityLength:
         # one confident class-1 detection per view, with the given vector lengths
         records = []
         for img in data.images:
-            box = img.objects[0].box_corner
+            box = np.array([img.objects[0].box_corner.as_list()])
             for flipped, n in ((False, n_original), (True, n_flipped)):
                 probs = np.full(n, 0.05 / (n - 1))
                 probs[1] = 0.95
-                anchor = image_anchor(img.width, img.height)
-                det = Detection(box, encode_box(box, anchor), ClassDist(probs))
-                pred = ImagePrediction(img.image_id, img.width, img.height, (det,))
+                det = Detections(box, encode_boxes(box, img.width, img.height), [probs])
+                pred = ImagePrediction(img.image_id, img.width, img.height, det)
                 records.append((pred, flipped))
         formats.write_predictions_jsonl(records, path)
 

@@ -1,24 +1,42 @@
 """AP / mAP@0.5 against a brute-force precision-recall oracle."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from aldet.boxes import (
-    BoxCorner,
-    ClassDist,
-    Detection,
-    encode_box,
-    image_anchor,
-    iou,
-)
+from aldet.boxes import BoxCorner, Detections, encode_boxes, iou
 from aldet.evaluation import EvalResult, average_precision, map50, winrate_matrix, winrate_table
 from aldet.pseudo_label import GroundTruthObject
+
+
+class Det(NamedTuple):
+    """One detection as the oracle sees it: its class and score are derived
+    here, independently of Detections."""
+
+    box_corner: BoxCorner
+    probs: np.ndarray
+
+    @property
+    def class_id(self):
+        return int(np.argmax(self.probs))
+
+    @property
+    def score(self):
+        return float(self.probs[self.class_id])
 
 
 def det(box, cls, conf, k=3):
     probs = np.full(k + 1, (1.0 - conf) / k)
     probs[cls] = conf
-    return Detection(box, encode_box(box, image_anchor(200, 200)), ClassDist(probs))
+    return Det(box, probs)
+
+
+def as_set(dets):
+    """The (Detections, image ids) pair that evaluation takes, from a list of
+    (Det, image_id)."""
+    boxes = np.array([d.box_corner.as_list() for d, _ in dets]).reshape(-1, 4)
+    return Detections(boxes, encode_boxes(boxes, 200, 200), [d.probs for d, _ in dets]), [i for _, i in dets]
 
 
 def oracle_ap_eleven(dets, gt, class_id, iou_thresh=0.5):
@@ -65,20 +83,20 @@ class TestAveragePrecision:
         box = BoxCorner(10, 10, 50, 50)
         dets = [(det(BoxCorner(10, 10, 50, 46), 1, 0.9), "a")]  # IoU 0.9
         gt = [GroundTruthObject("a", box, 1)]
-        assert average_precision(dets, gt, 1) == 1.0
+        assert average_precision(*as_set(dets), gt, 1) == 1.0
 
     def test_low_iou_detection(self):
         dets = [(det(BoxCorner(10, 10, 50, 22), 1, 0.9), "a")]  # IoU 0.3
         gt = [GroundTruthObject("a", BoxCorner(10, 10, 50, 50), 1)]
-        assert average_precision(dets, gt, 1) == 0.0
+        assert average_precision(*as_set(dets), gt, 1) == 0.0
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="unknown class"):
-            average_precision([], [], 0)
+            average_precision(*as_set([]), [], 0)
 
     def test_bad_interpolation_rejected(self):
         with pytest.raises(ValueError):
-            average_precision([], [], 1, interpolation="nine_point")
+            average_precision(*as_set([]), [], 1, interpolation="nine_point")
 
     def test_duplicate_detections_single_tp(self):
         box = BoxCorner(10, 10, 50, 50)
@@ -88,7 +106,7 @@ class TestAveragePrecision:
             (det(BoxCorner(10, 10, 50, 48), 1, 0.8), "a"),  # duplicate, IoU 0.95
         ]
         # one TP at rank 1 (recall 1), the duplicate is a FP
-        ap = average_precision(dets, gt, 1)
+        ap = average_precision(*as_set(dets), gt, 1)
         assert ap == 1.0  # precision at full recall is already 1.0 at rank 1
 
     def test_hand_traced_fixture(self):
@@ -104,8 +122,8 @@ class TestAveragePrecision:
         ]
         # recall knots <= 0.5 -> precision 1.0 (TP at rank 1); knots > 0.5 -> 2/3
         expected = (6 * 1.0 + 5 * (2.0 / 3.0)) / 11.0
-        assert average_precision(dets, gt, 1) == pytest.approx(expected, rel=1e-12)
-        assert average_precision(dets, gt, 1) == oracle_ap_eleven(dets, gt, 1)
+        assert average_precision(*as_set(dets), gt, 1) == pytest.approx(expected, rel=1e-12)
+        assert average_precision(*as_set(dets), gt, 1) == oracle_ap_eleven(dets, gt, 1)
 
     def _random_scene(self, rng, n_classes=3):
         gt, dets = [], []
@@ -144,14 +162,14 @@ class TestAveragePrecision:
             if len(dets) > 10:
                 dets = dets[:10]
             for cls in (1, 2, 3):
-                got = average_precision(dets, gt, cls)
+                got = average_precision(*as_set(dets), gt, cls)
                 assert got == oracle_ap_eleven(dets, gt, cls)
 
     def test_removing_fp_never_lowers_ap(self):
         rng = np.random.default_rng(321)
         for _ in range(30):
             dets, gt = self._random_scene(rng)
-            base = average_precision(dets, gt, 1)
+            base = average_precision(*as_set(dets), gt, 1)
             # find one FP of class 1 and drop it
             for i, (d, image_id) in enumerate(dets):
                 if d.class_id != 1:
@@ -162,7 +180,7 @@ class TestAveragePrecision:
                 )
                 if not hit:
                     reduced = dets[:i] + dets[i + 1:]
-                    assert average_precision(reduced, gt, 1) >= base - 1e-12
+                    assert average_precision(*as_set(reduced), gt, 1) >= base - 1e-12
                     break
 
     def test_interpolations_agree_on_step_pr(self):
@@ -170,8 +188,8 @@ class TestAveragePrecision:
         box = BoxCorner(10, 10, 50, 50)
         dets = [(det(box, 1, 0.9), "a")]
         gt = [GroundTruthObject("a", box, 1)]
-        eleven = average_precision(dets, gt, 1, interpolation="eleven_point")
-        allp = average_precision(dets, gt, 1, interpolation="all_point")
+        eleven = average_precision(*as_set(dets), gt, 1, interpolation="eleven_point")
+        allp = average_precision(*as_set(dets), gt, 1, interpolation="all_point")
         assert eleven == allp == 1.0
 
 
@@ -183,18 +201,18 @@ class TestMap50:
             image_id = f"img_{i}"
             gt.append(GroundTruthObject(image_id, box, cls))
             dets.append((det(box, cls, 0.95), image_id))
-        result = map50(dets, gt)
+        result = map50(*as_set(dets), gt)
         assert result.map50 == 1.0
         assert set(result.per_class_ap) == {1, 2, 3}
 
     def test_empty_detections(self):
         gt = [GroundTruthObject("a", BoxCorner(0, 0, 10, 10), 1)]
-        assert map50([], gt).map50 == 0.0
+        assert map50(*as_set([]), gt).map50 == 0.0
 
     def test_zero_gt_classes_excluded(self):
         gt = [GroundTruthObject("a", BoxCorner(0, 0, 10, 10), 1)]
         dets = [(det(BoxCorner(0, 0, 10, 10), 1, 0.9), "a")]
-        result = map50(dets, gt, class_ids=[1, 2, 3])
+        result = map50(*as_set(dets), gt, class_ids=[1, 2, 3])
         assert set(result.per_class_ap) == {1}
         assert result.excluded == (2, 3)
         assert result.map50 == 1.0
@@ -207,9 +225,9 @@ class TestMap50:
             if not gt:
                 continue
             checked += 1
-            result = map50(dets, gt, class_ids=[1, 2, 3])
+            result = map50(*as_set(dets), gt, class_ids=[1, 2, 3])
             expected = {
-                c: average_precision(dets, gt, c)
+                c: average_precision(*as_set(dets), gt, c)
                 for c in (1, 2, 3)
                 if any(g.class_id == c for g in gt)
             }

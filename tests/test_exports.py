@@ -1,0 +1,27 @@
+"""Every exported name resolves, and the per-detection types stay gone."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import aldet
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(aldet.__path__))
+DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", "decode_box",
+           "image_anchor")
+
+
+@pytest.mark.parametrize("name", ["aldet"] + [f"aldet.{m}" for m in MODULES])
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_per_detection_types_are_gone():
+    for name in ["aldet"] + [f"aldet.{m}" for m in MODULES]:
+        module = importlib.import_module(name)
+        assert [n for n in DELETED if hasattr(module, n)] == [], name
+    assert "Detections" in aldet.__all__

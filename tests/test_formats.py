@@ -72,6 +72,45 @@ class TestPredictionsJSONL:
         with pytest.raises(ValueError, match="ghost"):
             formats.read_predictions_jsonl(path, sizes(world))
 
+    @pytest.mark.parametrize("value", ['"no"', "0", "1", "null"])
+    def test_flipped_must_be_a_boolean(self, world, tmp_path, value):
+        # bool("no") is True: a string would be filed as a flipped view
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"image_id": "img_0000", "flipped": %s, "detections": []}\n' % value)
+        expected = f"{path}: line 1: flipped: expected a boolean, got {json.loads(value)!r}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            formats.read_predictions_jsonl(path, sizes(world))
+
+    def test_empty_record_of_unknown_k(self, world, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text('{"image_id": "img_0000", "flipped": false, "detections": []}\n')
+        pred = formats.read_predictions_jsonl(path, sizes(world))[("img_0000", False)]
+        assert len(pred.detections) == 0
+        assert pred.detections.probs.shape == (0, 0)
+
+    @pytest.mark.parametrize("detection, message", [
+        ('{"bbox": [0, 0, 5], "encoded": [0, 0, 1, 1], "probs": [0.5, 0.5]}',
+         "bbox: expected 4 numbers per detection"),
+        ('{"bbox": [0, 0, "5", 5], "encoded": [0, 0, 1, 1], "probs": [0.5, 0.5]}', "bbox: expected numbers"),
+        ('{"bbox": [5, 0, 0, 5], "encoded": [0, 0, 1, 1], "probs": [0.5, 0.5]}', "inverted box"),
+        ('{"bbox": [0, 0, 5, 5], "encoded": [0, 0, 0, 1], "probs": [0.5, 0.5]}',
+         "encoded scale coefficients must be positive"),
+        ('{"bbox": [0, 0, 5, 5], "encoded": [0, 0, 1, 1], "probs": [0.5, 0.6]}', "probabilities sum to"),
+    ])
+    def test_invalid_detection_names_the_line(self, world, tmp_path, detection, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"image_id": "img_0000", "flipped": false, "detections": [%s]}\n' % detection)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: {message}")):
+            formats.read_predictions_jsonl(path, sizes(world))
+
+    def test_ragged_probabilities_rejected(self, world, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        dets = ('{"bbox": [0, 0, 5, 5], "encoded": [0, 0, 1, 1], "probs": [0.5, 0.5]}, '
+                '{"bbox": [0, 0, 5, 5], "encoded": [0, 0, 1, 1], "probs": [0.5, 0.25, 0.25]}')
+        path.write_text('{"image_id": "img_0000", "flipped": false, "detections": [%s]}\n' % dets)
+        with pytest.raises(ValueError, match="line 1: probs: every detection needs the same number"):
+            formats.read_predictions_jsonl(path, sizes(world))
+
 
 class TestPseudoLabelJSONL:
     def test_roundtrip(self, tmp_path):

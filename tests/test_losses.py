@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from aldet.boxes import BoxCorner, BoxEncoded, ClassDist, Detection
 from aldet.losses import (
     GroundTruthAssignment,
     consistency_class_loss,
@@ -16,10 +15,8 @@ from aldet.losses import (
     smooth_l1_loc_loss,
     total_loss,
 )
-from aldet.matching import MatchedPair
 
 EPS = 1e-12
-DUMMY_BOX = BoxCorner(0.0, 0.0, 1.0, 1.0)
 
 
 def random_dist(rng, k):
@@ -46,18 +43,18 @@ def random_assignment(rng, n_preds, n_classes, with_pl=True):
 def oracle_conf_loss(dists, asg):
     total = 0.0
     for i, _j, p in asg.positives:
-        total -= math.log(max(dists[i].probs[p], EPS))
+        total -= math.log(max(dists[i][p], EPS))
     for i in asg.negatives:
-        total -= math.log(max(dists[i].probs[0], EPS))
+        total -= math.log(max(dists[i][0], EPS))
     for i, p in asg.pl_positives:
-        total -= math.log(max(dists[i].probs[p], EPS))
+        total -= math.log(max(dists[i][p], EPS))
     return total
 
 
 def oracle_smooth_l1(pred, target, positives):
     total = 0.0
     for i in positives:
-        for a, b in zip(pred[i].as_list(), target[i].as_list()):
+        for a, b in zip(pred[i], target[i]):
             r = abs(a - b)
             total += 0.5 * r * r if r < 1.0 else r - 0.5
     return total
@@ -80,26 +77,26 @@ class TestAssignment:
 class TestMultibox:
     def test_perfect_prediction_is_zero(self):
         dists = [
-            ClassDist([0.0, 1.0, 0.0]),  # positive on class 1
-            ClassDist([1.0, 0.0, 0.0]),  # negative
+            [0.0, 1.0, 0.0],  # positive on class 1
+            [1.0, 0.0, 0.0],  # negative
         ]
         asg = GroundTruthAssignment(positives=((0, 0, 1),), negatives=(1,))
         assert multibox_conf_loss(dists, asg) == 0.0
 
     def test_single_term_log(self):
         p = math.exp(-1.0)
-        dists = [ClassDist([1.0 - p, p])]
+        dists = [[1.0 - p, p]]
         asg = GroundTruthAssignment(positives=((0, 0, 1),))
         assert multibox_conf_loss(dists, asg) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_pl_positives(self):
-        dists = [ClassDist([0.5, 0.5])]
+        dists = [[0.5, 0.5]]
         asg = GroundTruthAssignment(pl_positives=((0, 1),))
         with pytest.raises(ValueError):
             multibox_conf_loss(dists, asg)
 
     def test_index_out_of_range(self):
-        dists = [ClassDist([0.5, 0.5])]
+        dists = [[0.5, 0.5]]
         with pytest.raises(ValueError, match="out of range"):
             multibox_conf_loss(dists, GroundTruthAssignment(positives=((3, 0, 1),)))
         with pytest.raises(ValueError, match="out of range"):
@@ -109,7 +106,7 @@ class TestMultibox:
         rng = np.random.default_rng(10)
         for _ in range(1000):
             n, k = int(rng.integers(3, 12)), int(rng.integers(2, 6))
-            dists = [ClassDist(random_dist(rng, k + 1)) for _ in range(n)]
+            dists = [random_dist(rng, k + 1) for _ in range(n)]
             asg = random_assignment(rng, n, k, with_pl=False)
             got = multibox_conf_loss(dists, asg)
             assert got >= 0.0
@@ -121,19 +118,19 @@ class TestPLMultibox:
         rng = np.random.default_rng(20)
         for _ in range(200):
             n, k = int(rng.integers(3, 10)), 4
-            dists = [ClassDist(random_dist(rng, k + 1)) for _ in range(n)]
+            dists = [random_dist(rng, k + 1) for _ in range(n)]
             asg = random_assignment(rng, n, k, with_pl=False)
             assert pl_multibox_conf_loss(dists, asg) == multibox_conf_loss(dists, asg)
 
     def test_single_pl_term(self):
         p = math.exp(-2.0)
-        dists = [ClassDist([1.0 - p, p])]
+        dists = [[1.0 - p, p]]
         asg = GroundTruthAssignment(pl_positives=((0, 1),))
         assert pl_multibox_conf_loss(dists, asg) == pytest.approx(2.0, rel=1e-12)
 
     def test_uncovered_indices_are_neutral(self):
         # an extra distribution with no assignment contributes nothing
-        dists = [ClassDist([0.5, 0.5]), ClassDist([0.1, 0.9])]
+        dists = [[0.5, 0.5], [0.1, 0.9]]
         asg = GroundTruthAssignment(negatives=(0,))
         only_first = pl_multibox_conf_loss(dists, asg)
         assert only_first == pytest.approx(-math.log(0.5), rel=1e-12)
@@ -142,7 +139,7 @@ class TestPLMultibox:
         rng = np.random.default_rng(30)
         for _ in range(1000):
             n, k = int(rng.integers(3, 12)), int(rng.integers(2, 6))
-            dists = [ClassDist(random_dist(rng, k + 1)) for _ in range(n)]
+            dists = [random_dist(rng, k + 1) for _ in range(n)]
             asg = random_assignment(rng, n, k, with_pl=True)
             got = pl_multibox_conf_loss(dists, asg)
             assert got == pytest.approx(oracle_conf_loss(dists, asg), rel=1e-9, abs=1e-15)
@@ -150,76 +147,84 @@ class TestPLMultibox:
 
 class TestSmoothL1:
     def test_zero_on_equal(self):
-        boxes = [BoxEncoded(0.1, -0.2, 1.0, 2.0)]
+        boxes = [[0.1, -0.2, 1.0, 2.0]]
         assert smooth_l1_loc_loss(boxes, boxes, [0]) == 0.0
 
     def test_quadratic_branch(self):
-        a = [BoxEncoded(0.5, 0.0, 1.0, 1.0)]
-        b = [BoxEncoded(0.0, 0.0, 1.0, 1.0)]
+        a = [[0.5, 0.0, 1.0, 1.0]]
+        b = [[0.0, 0.0, 1.0, 1.0]]
         assert smooth_l1_loc_loss(a, b, [0]) == pytest.approx(0.125, rel=1e-12)
 
     def test_linear_branch(self):
-        a = [BoxEncoded(2.0, 0.0, 1.0, 1.0)]
-        b = [BoxEncoded(0.0, 0.0, 1.0, 1.0)]
+        a = [[2.0, 0.0, 1.0, 1.0]]
+        b = [[0.0, 0.0, 1.0, 1.0]]
         assert smooth_l1_loc_loss(a, b, [0]) == pytest.approx(1.5, rel=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            smooth_l1_loc_loss([BoxEncoded(0, 0, 1, 1)], [], [])
+            smooth_l1_loc_loss([[0, 0, 1, 1]], [], [])
 
     def test_oracle_random(self):
         rng = np.random.default_rng(40)
         for _ in range(1000):
             n = int(rng.integers(1, 10))
-            pred = [BoxEncoded(*rng.uniform(-2, 2, 2), *rng.uniform(0.2, 3, 2)) for _ in range(n)]
-            target = [BoxEncoded(*rng.uniform(-2, 2, 2), *rng.uniform(0.2, 3, 2)) for _ in range(n)]
+            pred = [[*rng.uniform(-2, 2, 2), *rng.uniform(0.2, 3, 2)] for _ in range(n)]
+            target = [[*rng.uniform(-2, 2, 2), *rng.uniform(0.2, 3, 2)] for _ in range(n)]
             positives = [int(i) for i in rng.choice(n, size=rng.integers(0, n + 1), replace=False)]
             got = smooth_l1_loc_loss(pred, target, positives)
             assert got == pytest.approx(oracle_smooth_l1(pred, target, positives), rel=1e-9, abs=1e-15)
 
 
-def pair(orig_probs, flip_probs, orig_enc=None, flip_enc=None):
-    orig_enc = orig_enc or BoxEncoded(0.0, 0.0, 1.0, 1.0)
-    flip_enc = flip_enc or BoxEncoded(0.0, 0.0, 1.0, 1.0)
-    return MatchedPair(
-        Detection(DUMMY_BOX, orig_enc, ClassDist(orig_probs)),
-        Detection(DUMMY_BOX, flip_enc, ClassDist(flip_probs)),
-        1.0,
-    )
+NEUTRAL = [0.0, 0.0, 1.0, 1.0]
+
+
+def pair(orig_probs, flip_probs, orig_enc=NEUTRAL, flip_enc=NEUTRAL):
+    """One matched pair: (orig probs, flipped probs, orig encoded, flipped encoded)."""
+    return orig_probs, flip_probs, orig_enc, flip_enc
+
+
+def class_loss(pairs):
+    return consistency_class_loss([p[0] for p in pairs], [p[1] for p in pairs])
+
+
+def loc_loss(pairs):
+    return consistency_loc_loss([p[2] for p in pairs], [p[3] for p in pairs])
 
 
 class TestConsistencyLosses:
     def test_class_loss_identical_pairs(self):
         pairs = [pair([0.2, 0.8], [0.2, 0.8])] * 4
-        assert consistency_class_loss(pairs) == 0.0
+        assert class_loss(pairs) == 0.0
 
     def test_class_loss_mean(self):
         rng = np.random.default_rng(50)
         from aldet.acquisition import sym_kl
 
         pairs = [pair(random_dist(rng, 3), random_dist(rng, 3)) for _ in range(5)]
-        expected = sum(sym_kl(p.original.dist, p.flipped.dist) for p in pairs) / 5
-        assert consistency_class_loss(pairs) == pytest.approx(expected, rel=1e-12)
+        expected = sum(sym_kl(p[0], p[1]) for p in pairs) / 5
+        assert class_loss(pairs) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_pairs(self):
-        assert consistency_class_loss([]) == 0.0
-        assert consistency_loc_loss([]) == 0.0
+        assert consistency_class_loss([], []) == 0.0
+        assert consistency_loc_loss([], []) == 0.0
+        with pytest.raises(ValueError, match="length mismatch"):
+            consistency_loc_loss([NEUTRAL], [])
 
     def test_loc_mirror_prediction_is_zero(self):
         # a flip-consistent prediction: dx' = -dx_hat, everything else equal
         p = pair(
             [0.2, 0.8],
             [0.2, 0.8],
-            orig_enc=BoxEncoded(0.1, 0.05, 1.2, 0.9),
-            flip_enc=BoxEncoded(-0.1, 0.05, 1.2, 0.9),
+            orig_enc=[0.1, 0.05, 1.2, 0.9],
+            flip_enc=[-0.1, 0.05, 1.2, 0.9],
         )
-        assert consistency_loc_loss([p]) == 0.0
+        assert loc_loss([p]) == 0.0
 
     def test_loc_negation_rule(self):
-        p = pair([0.5, 0.5], [0.5, 0.5], BoxEncoded(0.1, 0.0, 1.0, 1.0), BoxEncoded(-0.1, 0.0, 1.0, 1.0))
-        assert consistency_loc_loss([p]) == 0.0
-        q = pair([0.5, 0.5], [0.5, 0.5], BoxEncoded(0.1, 0.0, 1.0, 1.0), BoxEncoded(0.1, 0.0, 1.0, 1.0))
-        assert consistency_loc_loss([q]) == pytest.approx(0.25 * (0.2 ** 2), rel=1e-12)
+        p = pair([0.5, 0.5], [0.5, 0.5], [0.1, 0.0, 1.0, 1.0], [-0.1, 0.0, 1.0, 1.0])
+        assert loc_loss([p]) == 0.0
+        q = pair([0.5, 0.5], [0.5, 0.5], [0.1, 0.0, 1.0, 1.0], [0.1, 0.0, 1.0, 1.0])
+        assert loc_loss([q]) == pytest.approx(0.25 * (0.2 ** 2), rel=1e-12)
 
     def test_loc_oracle_random(self):
         rng = np.random.default_rng(60)
@@ -229,19 +234,19 @@ class TestConsistencyLosses:
                 pair(
                     [0.5, 0.5],
                     [0.5, 0.5],
-                    BoxEncoded(*rng.uniform(-1, 1, 2), *rng.uniform(0.2, 2, 2)),
-                    BoxEncoded(*rng.uniform(-1, 1, 2), *rng.uniform(0.2, 2, 2)),
+                    [*rng.uniform(-1, 1, 2), *rng.uniform(0.2, 2, 2)],
+                    [*rng.uniform(-1, 1, 2), *rng.uniform(0.2, 2, 2)],
                 )
                 for _ in range(n)
             ]
             expected = 0.0
             for p in pairs:
-                a, b = p.original.box_encoded, p.flipped.box_encoded
+                (adx, ady, aw, ah), (bdx, bdy, bw, bh) = p[2], p[3]
                 expected += 0.25 * (
-                    (a.dx + b.dx) ** 2 + (a.dy - b.dy) ** 2 + (a.w - b.w) ** 2 + (a.h - b.h) ** 2
+                    (adx + bdx) ** 2 + (ady - bdy) ** 2 + (aw - bw) ** 2 + (ah - bh) ** 2
                 )
             expected /= n
-            assert consistency_loc_loss(pairs) == pytest.approx(expected, rel=1e-9)
+            assert loc_loss(pairs) == pytest.approx(expected, rel=1e-9)
 
     def test_loc_symmetric_in_pair_roles(self):
         rng = np.random.default_rng(70)
@@ -250,14 +255,14 @@ class TestConsistencyLosses:
                 pair(
                     random_dist(rng, 3),
                     random_dist(rng, 3),
-                    BoxEncoded(*rng.uniform(-1, 1, 2), *rng.uniform(0.2, 2, 2)),
-                    BoxEncoded(*rng.uniform(-1, 1, 2), *rng.uniform(0.2, 2, 2)),
+                    [*rng.uniform(-1, 1, 2), *rng.uniform(0.2, 2, 2)],
+                    [*rng.uniform(-1, 1, 2), *rng.uniform(0.2, 2, 2)],
                 )
                 for _ in range(3)
             ]
-            swapped = [MatchedPair(p.flipped, p.original, p.iou) for p in pairs]
-            assert consistency_loc_loss(swapped) == pytest.approx(
-                consistency_loc_loss(pairs), rel=1e-12
+            swapped = [(p[1], p[0], p[3], p[2]) for p in pairs]
+            assert loc_loss(swapped) == pytest.approx(
+                loc_loss(pairs), rel=1e-12
             )
 
 
@@ -297,7 +302,7 @@ class TestContinuity:
                 p = probs.copy()
                 p[1] += eps  # paired perturbation keeps the simplex sum
                 p[2] -= eps
-                return multibox_conf_loss([ClassDist(p)], asg)
+                return multibox_conf_loss([p], asg)
 
             self.lipschitz_bound(f, probs)
 
@@ -307,8 +312,8 @@ class TestContinuity:
             base = float(rng.uniform(-2, 2))
 
             def f(eps):
-                a = [BoxEncoded(base + eps, 0.0, 1.0, 1.0)]
-                b = [BoxEncoded(0.0, 0.0, 1.0, 1.0)]
+                a = [[base + eps, 0.0, 1.0, 1.0]]
+                b = [[0.0, 0.0, 1.0, 1.0]]
                 return smooth_l1_loc_loss(a, b, [0])
 
             self.lipschitz_bound(f, base)
@@ -322,10 +327,10 @@ class TestContinuity:
                 p = pair(
                     [0.5, 0.5],
                     [0.5, 0.5],
-                    BoxEncoded(dx + eps, 0.0, 1.0, 1.0),
-                    BoxEncoded(0.3, 0.0, 1.0, 1.0),
+                    [dx + eps, 0.0, 1.0, 1.0],
+                    [0.3, 0.0, 1.0, 1.0],
                 )
-                return consistency_loc_loss([p])
+                return loc_loss([p])
 
             self.lipschitz_bound(f, dx)
 
@@ -339,6 +344,6 @@ class TestContinuity:
                 p = probs.copy()
                 p[0] += eps
                 p[1] -= eps
-                return consistency_class_loss([pair(p, other)])
+                return class_loss([pair(p, other)])
 
             self.lipschitz_bound(f, probs)

@@ -3,23 +3,13 @@
 import numpy as np
 import pytest
 
-from aldet.boxes import (
-    BoxCorner,
-    ClassDist,
-    Detection,
-    ImagePrediction,
-    encode_box,
-    image_anchor,
-    iou,
-)
+from aldet.boxes import BoxCorner, Detections, ImagePrediction, encode_boxes, iou
 from aldet.matching import greedy_assign, match_predictions
 
 
 def make_pred(image_id, boxes, width=100, height=100):
-    anchor = image_anchor(width, height)
-    dets = tuple(
-        Detection(b, encode_box(b, anchor), ClassDist([0.1, 0.9])) for b in boxes
-    )
+    rows = np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    dets = Detections(rows, encode_boxes(rows, width, height), [[0.1, 0.9]] * len(boxes))
     return ImagePrediction(image_id, width, height, dets)
 
 
@@ -95,9 +85,7 @@ class TestMatchPredictions:
         boxes = [BoxCorner(0, 0, 10, 10), BoxCorner(50, 50, 70, 80)]
         a, b = make_pred("x", boxes), make_pred("x", boxes)
         result = match_predictions(a, b)
-        assert len(result.pairs) == 2
-        assert all(p.iou == 1.0 for p in result.pairs)
-        assert [(p.orig_index, p.flipped_index) for p in result.pairs] == [(0, 0), (1, 1)]
+        assert result.pairs == ((0, 0), (1, 1))
         assert result.unmatched_original == ()
         assert result.unmatched_flipped == ()
 
@@ -121,8 +109,8 @@ class TestMatchPredictions:
             a = make_pred("x", random_boxes(rng, int(rng.integers(0, 6))))
             b = make_pred("x", random_boxes(rng, int(rng.integers(0, 6))))
             result = match_predictions(a, b, 0.1)
-            orig_idx = [p.orig_index for p in result.pairs]
-            flip_idx = [p.flipped_index for p in result.pairs]
+            orig_idx = [i for i, _ in result.pairs]
+            flip_idx = [j for _, j in result.pairs]
             assert len(set(orig_idx)) == len(orig_idx)
             assert len(set(flip_idx)) == len(flip_idx)
 
@@ -144,8 +132,8 @@ class TestMatchPredictions:
             boxes_b = random_boxes(rng, 4)
             fwd = match_predictions(make_pred("x", boxes_a), make_pred("x", boxes_b), 0.1)
             rev = match_predictions(make_pred("x", boxes_b), make_pred("x", boxes_a), 0.1)
-            fwd_pairs = {(p.orig_index, p.flipped_index) for p in fwd.pairs}
-            rev_pairs = {(p.flipped_index, p.orig_index) for p in rev.pairs}
+            fwd_pairs = set(fwd.pairs)
+            rev_pairs = {(j, i) for i, j in rev.pairs}
             assert fwd_pairs == rev_pairs
 
     def test_greedy_equals_enumeration_oracle(self):
@@ -156,4 +144,4 @@ class TestMatchPredictions:
             floor = float(rng.choice([0.0, 0.1, 0.3, 0.5]))
             got = match_predictions(make_pred("x", boxes_a), make_pred("x", boxes_b), floor)
             expected = enumerate_best_first(boxes_a, boxes_b, floor)
-            assert [(p.orig_index, p.flipped_index) for p in got.pairs] == expected
+            assert list(got.pairs) == expected

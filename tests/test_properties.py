@@ -1,7 +1,8 @@
 """Properties that let every prediction pass through one post-NMS stage,
 whose output pseudo-labelling and scoring share, that let the pseudo-label
-audit compare only within (image, class), and that keep the JSONL readers
-from failing on any input without naming the line."""
+audit compare only within (image, class), that keep the JSONL readers from
+failing on any input without naming the line, and that pin the array-backed
+detection core to the per-detection code it replaced, kept here as oracles."""
 
 import json
 
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 
 from aldet import formats, pseudo_label
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
-from aldet.boxes import BoxCorner, ClassDist, Detection, ImagePrediction, encode_box, image_anchor, iou, nms
+from aldet.boxes import BoxCorner, Detections, ImagePrediction, encode_boxes, hflip, iou, iou_matrix, nms
+from aldet.matching import match_predictions
 from aldet.pseudo_label import GroundTruthObject, PseudoLabel, audit_pl_correctness
 
 SIZE = 100
 N_CLASSES = 3
-ANCHOR = image_anchor(SIZE, SIZE)
 
 # Coarse grids make overlapping boxes and equal scores common, so the
 # suppression and tie-breaking paths are exercised.
@@ -26,17 +27,22 @@ logits = st.lists(st.integers(-4, 4), min_size=N_CLASSES + 1, max_size=N_CLASSES
 
 
 @st.composite
-def detection(draw) -> Detection:
+def detection(draw):
+    """One detection as (corner box, class distribution)."""
     x0, y0 = draw(coords), draw(coords)
-    box = BoxCorner(x0, y0, min(SIZE, x0 + draw(sides)), min(SIZE, y0 + draw(sides)))
+    box = [x0, y0, min(SIZE, x0 + draw(sides)), min(SIZE, y0 + draw(sides))]
     z = np.exp(np.asarray(draw(logits), dtype=np.float64))
-    return Detection(box, encode_box(box, ANCHOR), ClassDist(z / z.sum()))
+    return box, z / z.sum()
+
+
+def as_prediction(dets, image_id="img") -> ImagePrediction:
+    boxes = np.array([box for box, _ in dets]).reshape(-1, 4)
+    probs = np.array([probs for _, probs in dets]).reshape(len(dets), N_CLASSES + 1)
+    return ImagePrediction(image_id, SIZE, SIZE, Detections(boxes, encode_boxes(boxes, SIZE, SIZE), probs))
 
 
 def prediction(max_dets=8):
-    return st.lists(detection(), max_size=max_dets).map(
-        lambda dets: ImagePrediction("img", SIZE, SIZE, tuple(dets))
-    )
+    return st.lists(detection(), max_size=max_dets).map(as_prediction)
 
 
 iou_thresholds = st.sampled_from([0.1, 0.3, 0.45, 0.7, 1.0])
@@ -202,3 +208,116 @@ def test_jsonl_readers_parse_or_name_the_line(tmp_path_factory, data):
             read(path)
         except ValueError as e:
             assert str(e).startswith(f"{path}: line "), e
+
+
+# -- the array-backed core against the per-detection code it replaced ------------
+
+
+def bits(v: float) -> str:
+    return float(v).hex()
+
+
+def grid_boxes(min_side):
+    """Grid boxes inside the image: they touch, nest and tie on IoU, and with
+    ``min_side`` 0 degenerate to zero width or height."""
+    return st.lists(
+        st.tuples(coords, coords, st.integers(min_side, 6), st.integers(min_side, 6)).map(
+            lambda t: [t[0], t[1], min(SIZE, t[0] + 10.0 * t[2]), min(SIZE, t[1] + 10.0 * t[3])]
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+float_boxes = st.lists(
+    st.tuples(*[st.floats(0, 100, allow_nan=False)] * 4).map(
+        lambda t: [min(t[0], t[2]), min(t[1], t[3]), max(t[0], t[2]), max(t[1], t[3])]
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(grid_boxes(0) | float_boxes, grid_boxes(0) | float_boxes)
+def test_iou_matrix_equals_scalar_iou_bit_for_bit(a, b):
+    got = iou_matrix(np.array(a), np.array(b))
+    assert got.shape == (len(a), len(b))
+    for i, ra in enumerate(a):
+        for j, rb in enumerate(b):
+            assert bits(got[i, j]) == bits(iou(BoxCorner(*ra), BoxCorner(*rb)))
+
+
+def test_iou_matrix_equals_scalar_iou_on_40k_random_pairs():
+    rng = np.random.default_rng(0)
+    lo = rng.uniform(0, 100, (400, 2))
+    boxes = np.hstack([lo, lo + rng.uniform(0, 40, (400, 2))])
+    got = iou_matrix(boxes[:200], boxes[200:])
+    corners = [BoxCorner(*row) for row in boxes.tolist()]
+    expected = [[iou(a, b) for b in corners[200:]] for a in corners[:200]]
+    assert got.tolist() == expected
+
+
+def oracle_nms(dets, iou_threshold, score_floor):
+    """The per-detection NMS: rows kept, grouped by argmax class, each class
+    greedy by (-score, index), then sorted by (-score, index)."""
+    rows = [(BoxCorner(*box), int(np.argmax(p)), float(p[int(np.argmax(p))])) for box, p in dets]
+    by_class: dict[int, list[int]] = {}
+    for idx, (_, cls, score) in enumerate(rows):
+        if cls == 0 or score < score_floor:
+            continue
+        by_class.setdefault(cls, []).append(idx)
+    kept: list[int] = []
+    for cls in sorted(by_class):
+        cls_kept: list[int] = []
+        for i in sorted(by_class[cls], key=lambda i: (-rows[i][2], i)):
+            if all(iou(rows[i][0], rows[j][0]) <= iou_threshold for j in cls_kept):
+                cls_kept.append(i)
+        kept.extend(cls_kept)
+    return sorted(kept, key=lambda i: (-rows[i][2], i))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(detection(), max_size=10), iou_thresholds, score_floors)
+def test_nms_equals_per_detection_oracle(dets, iou_threshold, score_floor):
+    pred = as_prediction(dets)
+    expected = pred.detections.take(oracle_nms(dets, iou_threshold, score_floor))
+    assert nms(pred.detections, iou_threshold, score_floor) == expected
+
+
+def oracle_match(boxes_a, boxes_b, floor):
+    """The candidate-list matcher: every cross pair with IoU >= floor, taken by
+    (-IoU, i, j) while both members are free."""
+    candidates = [
+        (iou(BoxCorner(*a), BoxCorner(*b)), i, j)
+        for i, a in enumerate(boxes_a)
+        for j, b in enumerate(boxes_b)
+    ]
+    taken_i, taken_j, pairs = set(), set(), []
+    for _v, i, j in sorted((c for c in candidates if c[0] >= floor), key=lambda t: (-t[0], t[1], t[2])):
+        if i not in taken_i and j not in taken_j:
+            taken_i.add(i)
+            taken_j.add(j)
+            pairs.append((i, j))
+    return pairs
+
+
+@settings(deadline=None, max_examples=300)
+@given(grid_boxes(1), grid_boxes(1), st.sampled_from([0.0, 0.1, 0.3, 0.5]))
+def test_match_predictions_equals_candidate_list_oracle(boxes_a, boxes_b, floor):
+    def pred(boxes):
+        return as_prediction([(box, np.full(N_CLASSES + 1, 1.0 / (N_CLASSES + 1))) for box in boxes])
+
+    result = match_predictions(pred(boxes_a), pred(boxes_b), floor)
+    expected = oracle_match(boxes_a, boxes_b, floor)
+    assert list(result.pairs) == expected
+    assert result.unmatched_original == tuple(i for i in range(len(boxes_a)) if i not in {i for i, _ in expected})
+    assert result.unmatched_flipped == tuple(j for j in range(len(boxes_b)) if j not in {j for _, j in expected})
+
+
+@settings(deadline=None, max_examples=200)
+@given(prediction())
+def test_hflip_is_an_involution(pred):
+    once = hflip(pred)
+    assert np.array_equal(once.detections.encoded[:, 0], -pred.detections.encoded[:, 0])
+    assert hflip(once) == pred

@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aldet.boxes import (
-    BoxCorner,
-    ClassDist,
-    Detection,
-    ImagePrediction,
-    encode_box,
-    image_anchor,
-)
+from aldet.boxes import BoxCorner, Detections, ImagePrediction
 from aldet.pseudo_label import (
     GroundTruthObject,
     PseudoLabel,
@@ -22,12 +15,21 @@ from aldet.pseudo_label import (
 )
 
 
-def det(probs, box=BoxCorner(0, 0, 10, 10)):
-    return Detection(box, encode_box(box, image_anchor(100, 100)), ClassDist(probs))
+def det(probs, box=(0.0, 0.0, 10.0, 10.0)):
+    """One detection as (corner box, class distribution)."""
+    return box, np.asarray(probs, dtype=np.float64)
 
 
 def pred(dets, image_id="img"):
-    return ImagePrediction(image_id, 100, 100, tuple(dets))
+    boxes = [box for box, _ in dets]
+    detections = Detections(boxes, [[-0.4, -0.4, 0.1, 0.1]] * len(dets), [probs for _, probs in dets])
+    return ImagePrediction(image_id, 100, 100, detections)
+
+
+def class_and_score(d):
+    """The oracle's argmax class and its probability."""
+    cls = int(np.argmax(d[1]))
+    return cls, float(d[1][cls])
 
 
 def peaked(cls, peak, k=4):
@@ -75,9 +77,12 @@ class TestExtractPseudoLabels:
         for tau in (0.5, 0.9, 0.99):
             dets = [det(peaked(int(rng.integers(0, 5)), float(rng.uniform(0.3, 0.999)))) for _ in range(20)]
             p = pred(dets)
-            for pl, d in zip(extract_pseudo_labels(p, tau), (d for d in dets if d.class_id != 0 and d.score >= tau)):
-                assert pl.confidence >= tau
-                assert pl.class_id == d.class_id >= 1
+            expected = [(c, sc) for c, sc in map(class_and_score, dets) if c != 0 and sc >= tau]
+            got = extract_pseudo_labels(p, tau)
+            assert len(got) == len(expected)
+            for pl, (cls, score) in zip(got, expected):
+                assert pl.confidence == score >= tau
+                assert pl.class_id == cls >= 1
 
 
 class TestTopKPerClass:
@@ -97,21 +102,21 @@ class TestTopKPerClass:
     def test_matches_sort_and_slice_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            preds = []
+            preds, all_dets = [], []
             for i in range(3):
                 dets = [
                     det(peaked(int(rng.integers(1, 4)), float(rng.uniform(0.3, 0.99))))
                     for _ in range(int(rng.integers(0, 8)))
                 ]
                 preds.append(pred(dets, image_id=f"img_{i}"))
+                all_dets.extend(dets)
             k = float(rng.choice([0.2, 0.5, 1.0]))
             got = extract_topk_per_class(preds, k)
 
             per_class: dict[int, list[float]] = {}
-            for p in preds:
-                for d in p.detections:
-                    if d.class_id >= 1:
-                        per_class.setdefault(d.class_id, []).append(d.score)
+            for cls, score in map(class_and_score, all_dets):
+                if cls >= 1:
+                    per_class.setdefault(cls, []).append(score)
             expected_count = sum(
                 math.ceil(k * len(v)) for v in per_class.values()
             )

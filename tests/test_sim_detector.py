@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
-from aldet.boxes import decode_box, hflip, image_anchor, iou, nms
+from aldet.boxes import BoxCorner, encode_boxes, hflip, iou, nms
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.pool import Pool, init_pool
 from aldet.pseudo_label import extract_pseudo_labels
@@ -98,8 +98,9 @@ class TestPredictionShape:
         for image_id in world.image_ids[:10]:
             for flipped in (False, True):
                 pred = det.predict(image_id, flipped)
-                for d in pred.detections:
-                    assert d.box_corner.inside(pred.width, pred.height)
+                b = pred.detections.boxes
+                assert (b >= 0.0).all()
+                assert (b[:, [0, 2]] <= pred.width).all() and (b[:, [1, 3]] <= pred.height).all()
 
     def test_encoded_corner_roundtrip(self, world):
         # both box forms of every detection describe the same region, under
@@ -107,13 +108,13 @@ class TestPredictionShape:
         det = detector(world)
         for image_id in world.image_ids[:10]:
             pred = det.predict(image_id)
-            anchor = image_anchor(pred.width, pred.height)
-            for d in pred.detections:
-                back = decode_box(d.box_encoded, anchor)
-                for name in ("xmin", "ymin", "xmax", "ymax"):
-                    assert getattr(back, name) == pytest.approx(
-                        getattr(d.box_corner, name), abs=1e-9
-                    )
+            d, w, h = pred.detections, pred.width, pred.height
+            assert np.array_equal(d.encoded, encode_boxes(d.boxes, w, h))
+            # decoded by hand: center = image center + offset, size = ratio * image size
+            dx, dy, sw, sh = d.encoded.T
+            cx, cy = w / 2 + dx * w, h / 2 + dy * h
+            back = np.stack([cx - sw * w / 2, cy - sh * h / 2, cx + sw * w / 2, cy + sh * h / 2], axis=1)
+            np.testing.assert_allclose(back, d.boxes, rtol=0, atol=1e-9)
 
     def test_false_positive_rate(self, world):
         det = detector(world, fp_rate=2.0)
@@ -131,8 +132,8 @@ class TestFlipBehavior:
         for image_id in world.image_ids[:15]:
             orig = det.predict(image_id)
             back = hflip(det.predict(image_id, flipped=True))
-            for a, b in zip(orig.detections, back.detections):
-                assert iou(a.box_corner, b.box_corner) > 0.5
+            for a, b in zip(orig.detections.boxes.tolist(), back.detections.boxes.tolist()):
+                assert iou(BoxCorner(*a), BoxCorner(*b)) > 0.5
 
     def test_perfect_robustness_zero_inconsistency(self, world):
         det = detector(world, flip_robustness=1.0, box_noise=0.0)
@@ -144,8 +145,8 @@ class TestFlipBehavior:
         for image_id in world.image_ids[:5]:
             orig = det.predict(image_id)
             back = hflip(det.predict(image_id, flipped=True))
-            for a, b in zip(orig.detections, back.detections):
-                assert iou(a.box_corner, b.box_corner) > 0.999
+            for a, b in zip(orig.detections.boxes.tolist(), back.detections.boxes.tolist()):
+                assert iou(BoxCorner(*a), BoxCorner(*b)) > 0.999
 
     def test_low_robustness_raises_inconsistency(self):
         # class 1 fragile vs class 2 robust, one object per image
