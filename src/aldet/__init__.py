@@ -14,16 +14,20 @@ Typical entry points:
 - :func:`aldet.pool.run_cycles` with a :class:`aldet.sim_detector.SyntheticDetector`
 - the ``aldet`` command line (score/select/pseudolabel/simulate/eval/...)
 
+Every box is a float64 corner row (xmin, ymin, xmax, ymax) of a
+:class:`Detections`, of an image record of a :class:`Dataset`, or of an
+image's :class:`PseudoLabels`.
+
 Only these entry points and the types they take or return are re-exported
 here; everything else is imported from its module.
 """
 
 from .acquisition import AcquisitionConfig, AcquisitionScore, post_nms, select_for_labeling, unified_score
-from .boxes import BoxCorner, Detections, ImagePrediction
+from .boxes import Detections, ImagePrediction
 from .dataset import Dataset, make_synthetic_dataset
 from .evaluation import EvalResult, map50
 from .pool import CycleReport, Pool, RunConfig, init_pool, run_cycles
-from .pseudo_label import PseudoLabel, extract_pseudo_labels
+from .pseudo_label import PseudoLabels, extract_pseudo_labels
 from .sim_detector import DetectorInterface, SyntheticDetector, SyntheticDetectorConfig
 
 __all__ = [
@@ -32,7 +36,6 @@ __all__ = [
     "post_nms",
     "select_for_labeling",
     "unified_score",
-    "BoxCorner",
     "Detections",
     "ImagePrediction",
     "Dataset",
@@ -44,7 +47,7 @@ __all__ = [
     "RunConfig",
     "init_pool",
     "run_cycles",
-    "PseudoLabel",
+    "PseudoLabels",
     "extract_pseudo_labels",
     "DetectorInterface",
     "SyntheticDetector",

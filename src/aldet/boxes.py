@@ -4,30 +4,31 @@ Boxes are half-open real rectangles: area = (xmax - xmin) * (ymax - ymin),
 with no +1 pixel convention. Class distributions span K+1 categories where
 index 0 is background and 1..K are foreground classes.
 
-A set of detections is one :class:`Detections`: a corner box, an encoded box
-and a class distribution per row. The encoded box (dx, dy, w, h) is taken
-against the full-image anchor (0, 0, W, H): dx/dy are the center offset from
-the image center in image-size units, w/h the size ratios against the image,
-so the full-image box encodes as (0, 0, 1, 1). A horizontal flip negates dx
-and leaves the rest unchanged.
+Every box is a float64 corner row (xmin, ymin, xmax, ymax) in pixels. A set of
+detections is one :class:`Detections`: a corner box and a class distribution
+per row. The encoded form of a box is defined, not stored: :func:`encode_boxes`
+computes it from the box and the image size. It is (dx, dy, w, h) against the
+full-image anchor (0, 0, W, H): dx/dy are the center offset from the image
+center in image-size units, w/h the size ratios against the image, so the
+full-image box encodes as (0, 0, 1, 1). A horizontal flip negates dx and
+leaves the rest unchanged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BoxCorner",
     "Detections",
+    "FrozenRows",
     "ImagePrediction",
+    "checked_boxes",
     "checked_encoded",
     "checked_probs",
     "encode_boxes",
     "iou",
-    "iou_matrix",
     "hflip",
     "nms",
     "DEFAULT_NMS_IOU",
@@ -42,43 +43,19 @@ DEFAULT_NMS_SCORE_FLOOR = 0.01
 DIST_SUM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class BoxCorner:
-    """Axis-aligned box in absolute pixel coordinates."""
-
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
-
-    def __post_init__(self):
-        vals = (self.xmin, self.ymin, self.xmax, self.ymax)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"box coordinates must be finite, got {vals}")
-        if self.xmin > self.xmax or self.ymin > self.ymax:
-            raise ValueError(f"inverted box: {vals}")
-
-    @property
-    def area(self) -> float:
-        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
-
-    def as_list(self) -> list[float]:
-        return [self.xmin, self.ymin, self.xmax, self.ymax]
-
-
-def _rows(values, what: str, width: int | None = None) -> np.ndarray:
-    """``values`` as a float64 array with one row per detection; an empty
-    input is (0, width), or (0, 0) when the width is not fixed."""
+def _rows(values, what: str, width: int | None = None, row: str = "detection") -> np.ndarray:
+    """``values`` as a float64 array with one row per ``row``; an empty input
+    is (0, width), or (0, 0) when the width is not fixed."""
     try:
         arr = np.array(values)
     except ValueError:
-        raise ValueError(f"{what}: every detection needs the same number of values") from None
+        raise ValueError(f"{what}: every {row} needs the same number of values") from None
     if arr.size == 0:
         return np.zeros((0, width or 0))
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{what}: expected numbers")
     if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
-        raise ValueError(f"{what}: expected {width or 'a list of'} numbers per detection, got shape {arr.shape}")
+        raise ValueError(f"{what}: expected {width or 'a list of'} numbers per {row}, got shape {arr.shape}")
     return arr.astype(np.float64, copy=False)
 
 
@@ -88,7 +65,8 @@ def _reject(arr: np.ndarray, bad: np.ndarray, message) -> None:
         raise ValueError(message(arr[int(np.argmax(bad))]))
 
 
-def _checked_boxes(rows) -> np.ndarray:
+def checked_boxes(rows) -> np.ndarray:
+    """Validated (N, 4) corner boxes: finite and not inverted."""
     arr = _rows(rows, "bbox", 4)
     _reject(arr, ~np.isfinite(arr).all(axis=1),
             lambda r: f"box coordinates must be finite, got {tuple(r.tolist())}")
@@ -127,34 +105,16 @@ def checked_probs(rows) -> np.ndarray:
     return arr if 0.0 <= lo and hi <= 1.0 else np.clip(arr, 0.0, 1.0)
 
 
-class Detections:
-    """A frozen set of N detections held as read-only float64 arrays.
+class FrozenRows:
+    """Base of a frozen set of rows: one read-only array per name in
+    ``__slots__``, all of the same length. Derived sets (row selection,
+    concatenation) are built by :meth:`_of` and not validated again."""
 
-    ``boxes`` (N, 4) are corner boxes (xmin, ymin, xmax, ymax) in pixels,
-    ``encoded`` (N, 4) the encoded boxes (dx, dy, w, h) described in the
-    module docstring, and ``probs`` (N, K+1) the class distributions. Each
-    row's argmax category (0 = background) is ``class_ids`` and its
-    probability ``scores``; both are computed once, here. An empty set whose K
-    is unknown has ``probs`` of shape (0, 0).
-
-    The constructor validates outside data: corner boxes must be finite and
-    not inverted, encoded boxes and distributions pass :func:`checked_encoded`
-    and :func:`checked_probs`. Sets derived from a validated one (row
-    selection, flips, clamping) are not validated again.
-    """
-
-    __slots__ = ("boxes", "encoded", "probs", "class_ids", "scores")
-
-    def __init__(self, boxes, encoded, probs):
-        boxes, encoded, probs = _checked_boxes(boxes), checked_encoded(encoded), checked_probs(probs)
-        if not len(boxes) == len(encoded) == len(probs):
-            raise ValueError(f"row counts differ: {len(boxes)}, {len(encoded)}, {len(probs)}")
-        class_ids = probs.argmax(axis=1) if len(probs) else np.zeros(0, dtype=np.intp)
-        self._init(boxes, encoded, probs, class_ids, probs[np.arange(len(probs)), class_ids])
+    __slots__ = ()
 
     @classmethod
-    def _of(cls, *arrays) -> "Detections":
-        """A derived set from the five arrays of ``__slots__``, unchecked."""
+    def _of(cls, *arrays):
+        """A set from one array per name in ``__slots__``, unchecked."""
         out = cls.__new__(cls)
         out._init(*arrays)
         return out
@@ -165,31 +125,59 @@ class Detections:
             object.__setattr__(self, name, arr)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Detections is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self.scores)
 
     def __eq__(self, other) -> bool:
-        # Two empty sets are equal whatever their K.
-        return isinstance(other, Detections) and len(self) == len(other) and all(
-            np.array_equal(a, b) or not len(self)
-            for a, b in ((self.boxes, other.boxes), (self.encoded, other.encoded), (self.probs, other.probs))
+        # Two empty sets are equal whatever their widths.
+        return type(other) is type(self) and len(self) == len(other) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) or not len(self)
+            for name in self.__slots__
         )
 
-    def take(self, rows) -> "Detections":
+    def take(self, rows):
         """The given rows, in the given order."""
         rows = np.asarray(rows, dtype=np.intp)
         return self._of(*(getattr(self, name)[rows] for name in self.__slots__))
 
     @classmethod
-    def concat(cls, sets) -> "Detections":
+    def concat(cls, sets):
         """The rows of every set, in order; empty sets are skipped, so they may
-        have any K."""
+        have any width, but one set must be non-empty."""
         sets = [s for s in sets if len(s)]
-        if not sets:
-            return cls([], [], [])
         return cls._of(*(np.concatenate([getattr(s, name) for s in sets]) for name in cls.__slots__))
+
+
+class Detections(FrozenRows):
+    """A frozen set of N detections held as read-only float64 arrays.
+
+    ``boxes`` (N, 4) are corner boxes (xmin, ymin, xmax, ymax) in pixels and
+    ``probs`` (N, K+1) the class distributions. Each row's argmax category
+    (0 = background) is ``class_ids`` and its probability ``scores``; both
+    are computed once, here. An empty set whose K is unknown has ``probs`` of
+    shape (0, 0).
+
+    The constructor validates outside data: corner boxes pass
+    :func:`checked_boxes` and distributions :func:`checked_probs`. Sets
+    derived from a validated one (row selection, flips, clamping) are not
+    validated again.
+    """
+
+    __slots__ = ("boxes", "probs", "class_ids", "scores")
+
+    def __init__(self, boxes, probs):
+        boxes, probs = checked_boxes(boxes), checked_probs(probs)
+        if len(boxes) != len(probs):
+            raise ValueError(f"row counts differ: {len(boxes)} boxes, {len(probs)} distributions")
+        class_ids = probs.argmax(axis=1) if len(probs) else np.zeros(0, dtype=np.intp)
+        self._init(boxes, probs, class_ids, probs[np.arange(len(probs)), class_ids])
+
+    @classmethod
+    def concat(cls, sets) -> "Detections":
+        sets = [s for s in sets if len(s)]
+        return super().concat(sets) if sets else cls([], [])
 
 
 @dataclass(frozen=True)
@@ -205,35 +193,21 @@ class ImagePrediction:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
-        # Encoded boxes are the detector's raw output and are left untouched.
         d, limits = self.detections, (self.width, self.height, self.width, self.height)
         if not ((d.boxes >= 0.0) & (d.boxes <= limits)).all():
-            clamped = Detections._of(np.clip(d.boxes, 0.0, limits), d.encoded, d.probs, d.class_ids, d.scores)
+            clamped = Detections._of(np.clip(d.boxes, 0.0, limits), d.probs, d.class_ids, d.scores)
             object.__setattr__(self, "detections", clamped)
 
     def with_detections(self, detections: Detections) -> "ImagePrediction":
         return ImagePrediction(self.image_id, self.width, self.height, detections)
 
 
-def iou(a: BoxCorner, b: BoxCorner) -> float:
-    """Intersection over union of two corner boxes; 0 when the union is empty."""
-    ix = min(a.xmax, b.xmax) - max(a.xmin, b.xmin)
-    iy = min(a.ymax, b.ymax) - max(a.ymin, b.ymin)
-    if ix <= 0.0 or iy <= 0.0:
-        inter = 0.0
-    else:
-        inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(N, M) IoU of the rows of two corner-box arrays, with the arithmetic of
-    :func:`iou`, so that each entry equals it bit for bit."""
-    ax0, ay0, ax1, ay1 = a.T[:, :, None]  # columns of (N, 1), broadcast against (M,)
-    bx0, by0, bx1, by1 = b.T
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of corner boxes over the last axis, with
+    broadcasting: rows against rows for equal shapes, and the (N, M) matrix
+    for ``a[:, None]`` and ``b[None]``. 0 where the union is empty."""
+    ax0, ay0, ax1, ay1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx0, by0, bx1, by1 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     ix = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
     iy = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
@@ -245,18 +219,16 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hflip(p: ImagePrediction) -> ImagePrediction:
     """Mirror a prediction about the vertical axis of its image.
 
-    Corner boxes map as xmin' = width - xmax, xmax' = width - xmin; the center
-    displacement dx of the encoded form is negated; class distributions are
-    unchanged. Applying hflip twice returns the original prediction.
+    Corner boxes map as xmin' = width - xmax, xmax' = width - xmin (so the
+    encoded dx of each box is negated); class distributions are unchanged.
+    Applying hflip twice returns the original prediction.
     """
     w = float(p.width)
     d = p.detections
     boxes = d.boxes.copy()
     boxes[:, 0] = w - d.boxes[:, 2]
     boxes[:, 2] = w - d.boxes[:, 0]
-    encoded = d.encoded.copy()
-    encoded[:, 0] = -d.encoded[:, 0]
-    flipped = Detections._of(boxes, encoded, d.probs, d.class_ids, d.scores)
+    flipped = Detections._of(boxes, d.probs, d.class_ids, d.scores)
     return ImagePrediction(p.image_id, p.width, p.height, flipped)
 
 
@@ -288,7 +260,7 @@ def nms(
         return dets.take(rows)
     # Visiting all classes in (-score, index) order keeps each class's own
     # greedy order, and the survivors come out already sorted.
-    ious = iou_matrix(dets.boxes, dets.boxes).tolist()
+    ious = iou(dets.boxes[:, None], dets.boxes[None]).tolist()
     kept: list[int] = []
     for i in rows:
         if all(ious[i][j] <= iou_threshold for j in kept if classes[j] == classes[i]):

@@ -310,7 +310,7 @@ def cmd_pseudolabel(args) -> int:
     acq = cfg.acquisition_config()
     originals = [post_nms(preds[(image_id, False)], acq) for image_id in candidates]
     pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
-    formats.write_pseudo_labels_jsonl([pl for pls in pseudo.values() for pl in pls], args.out)
+    formats.write_pseudo_labels_jsonl(pseudo, args.out)
     return 0
 
 

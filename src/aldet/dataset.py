@@ -1,7 +1,8 @@
 """Annotation-level dataset model and a seeded synthetic dataset generator.
 
 The simulator operates purely on annotations: an image is an id, a size, and
-a list of ground-truth objects. No pixels are involved anywhere.
+its ground truth, corner boxes (M, 4) with their class ids (M,). No pixels are
+involved anywhere.
 """
 
 from __future__ import annotations
@@ -11,33 +12,48 @@ from typing import Mapping
 
 import numpy as np
 
-from .boxes import BoxCorner
-from .pseudo_label import GroundTruthObject
+from .boxes import _rows, checked_boxes
 
 __all__ = ["ImageRecord", "Dataset", "make_synthetic_dataset"]
 
 
 @dataclass(frozen=True)
 class ImageRecord:
+    """One image: its size, and its ground truth as read-only arrays of corner
+    ``boxes`` (M, 4) and foreground ``class_ids`` (M,). The values are checked
+    by the :class:`Dataset` that holds the record."""
+
     image_id: str
     width: int
     height: int
-    objects: tuple[GroundTruthObject, ...]
+    boxes: np.ndarray
+    class_ids: np.ndarray
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
-        object.__setattr__(self, "objects", tuple(self.objects))
-        for obj in self.objects:
-            if obj.image_id != self.image_id:
-                raise ValueError(
-                    f"object belongs to {obj.image_id!r}, record is {self.image_id!r}"
-                )
+        boxes = _rows(self.boxes, "bbox", 4, row="box")
+        class_ids = np.array(self.class_ids, dtype=np.intp)
+        if len(boxes) != len(class_ids):
+            raise ValueError(f"{len(boxes)} boxes for {len(class_ids)} class ids")
+        for name, arr in (("boxes", boxes), ("class_ids", class_ids)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+
+def _check_ground_truth(boxes: np.ndarray, class_ids: np.ndarray, k: int) -> None:
+    checked_boxes(boxes)
+    bad = (class_ids < 1) | (class_ids > k)
+    if bad.any():
+        raise ValueError(f"class_id {class_ids[np.argmax(bad)]} outside 1..{k}")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Class names plus image records; class_id k corresponds to classes[k-1]."""
+    """Class names plus image records; class_id k corresponds to classes[k-1].
+
+    Every box must be finite and not inverted, and every class id in 1..K.
+    """
 
     classes: tuple[str, ...]
     images: tuple[ImageRecord, ...]
@@ -51,12 +67,18 @@ class Dataset:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate image ids in dataset")
         k = len(self.classes)
-        for img in self.images:
-            for obj in img.objects:
-                if not (1 <= obj.class_id <= k):
-                    raise ValueError(
-                        f"class_id {obj.class_id} outside 1..{k} in image {img.image_id!r}"
-                    )
+        try:  # one pass over the whole dataset; per image only to name the failure
+            _check_ground_truth(
+                np.concatenate([img.boxes for img in self.images] or [np.zeros((0, 4))]),
+                np.concatenate([img.class_ids for img in self.images] or [np.zeros(0, np.intp)]),
+                k,
+            )
+        except ValueError:
+            for img in self.images:
+                try:
+                    _check_ground_truth(img.boxes, img.class_ids, k)
+                except ValueError as e:
+                    raise ValueError(f"image {img.image_id!r}: {e}") from None
         object.__setattr__(self, "_by_id", {img.image_id: img for img in self.images})
 
     @property
@@ -79,9 +101,6 @@ class Dataset:
 
     def __contains__(self, image_id: str) -> bool:
         return image_id in getattr(self, "_by_id")
-
-    def all_objects(self) -> list[GroundTruthObject]:
-        return [obj for img in self.images for obj in img.objects]
 
 
 def make_synthetic_dataset(
@@ -108,17 +127,15 @@ def make_synthetic_dataset(
     for n in range(n_images):
         image_id = f"{id_prefix}_{n:0{digits}d}"
         count = int(rng.integers(lo, hi + 1))
-        objects = []
+        boxes, class_ids = [], []
         for _ in range(count):
             bw = float(rng.uniform(min_box, max_box))
             bh = float(rng.uniform(min_box, max_box))
             x0 = float(rng.uniform(0.0, width - bw))
             y0 = float(rng.uniform(0.0, height - bh))
-            cls = int(rng.integers(1, n_classes + 1))
-            objects.append(
-                GroundTruthObject(image_id, BoxCorner(x0, y0, x0 + bw, y0 + bh), cls)
-            )
-        images.append(ImageRecord(image_id, width, height, tuple(objects)))
+            boxes.append([x0, y0, x0 + bw, y0 + bh])
+            class_ids.append(int(rng.integers(1, n_classes + 1)))
+        images.append(ImageRecord(image_id, width, height, boxes, class_ids))
 
     classes = tuple(f"class_{k:02d}" for k in range(1, n_classes + 1))
     return Dataset(classes, tuple(images))

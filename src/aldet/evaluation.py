@@ -8,13 +8,14 @@ knot comparisons are exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import BoxCorner, Detections, iou
-from .pseudo_label import GroundTruthObject
+from .boxes import Detections, iou
+from .dataset import Dataset
 
 __all__ = ["EvalResult", "average_precision", "map50", "winrate_table", "winrate_matrix"]
 
@@ -53,43 +54,56 @@ class EvalResult:
 def _assign_tp_fp(
     dets: Detections,
     image_ids: Sequence[str],
-    gt: Sequence[GroundTruthObject],
-    class_id: int,
+    gt: Dataset,
     iou_thresh: float,
-) -> tuple[list[bool], int]:
-    """Greedy highest-confidence-first TP/FP flags for one class.
+) -> dict[int, list[bool]]:
+    """Greedy highest-confidence-first TP/FP flags of each foreground class,
+    in rank order (-score, row).
 
     Each detection is matched against the best-IoU ground-truth box of its
-    image; it is a true positive iff that IoU exceeds the threshold and the
-    box is not already claimed (VOC devkit semantics: no fallback to the
-    second-best box).
+    own image and class (the first of equal IoUs); it is a true positive iff
+    that IoU exceeds the threshold and the box is not already claimed (VOC
+    devkit semantics: no fallback to the second-best box). Detections in an
+    image that ``gt`` lacks are false positives.
     """
     if len(image_ids) != len(dets):
         raise ValueError(f"{len(image_ids)} image ids for {len(dets)} detections")
-    gt_boxes: dict[str, list] = {}
-    for obj in gt:
-        if obj.class_id == class_id:
-            gt_boxes.setdefault(obj.image_id, []).append([obj.box_corner, False])
-    n_gt = sum(len(v) for v in gt_boxes.values())
+    # Same-(image, class) candidate pairs of global rows, then all their IoUs at once.
+    gt_rows: dict[tuple[str, int], list[int]] = {}
+    for g, key in enumerate((img.image_id, c) for img in gt.images for c in img.class_ids.tolist()):
+        gt_rows.setdefault(key, []).append(g)
+    classes = dets.class_ids.tolist()
+    pairs = [(r, g) for r, key in enumerate(zip(image_ids, classes)) for g in gt_rows.get(key, ())]
+    best: dict[int, tuple[float, int]] = {}  # row -> (IoU, ground-truth row)
+    if pairs:
+        rows, g_rows = np.array(pairs).T
+        gt_boxes = np.concatenate([img.boxes for img in gt.images])
+        for r, g, v in zip(rows.tolist(), g_rows.tolist(), iou(dets.boxes[rows], gt_boxes[g_rows]).tolist()):
+            if v > best.get(r, (0.0,))[0]:
+                best[r] = (v, g)
 
-    rows = np.flatnonzero(dets.class_ids == class_id)
-    # A stable sort of -score ranks by (-score, row).
-    rows = rows[np.argsort(-dets.scores[rows], kind="stable")]
+    flags: dict[int, list[bool]] = {}
+    claimed: set[int] = set()
+    # A stable sort of -score ranks by (-score, row), and so within each class.
+    for r in np.argsort(-dets.scores, kind="stable").tolist():
+        if classes[r] == 0:
+            continue
+        v, g = best.get(r, (0.0, None))
+        tp = g is not None and v > iou_thresh and g not in claimed
+        if tp:
+            claimed.add(g)
+        flags.setdefault(classes[r], []).append(tp)
+    return flags
 
-    flags: list[bool] = []
-    for row, box in zip(rows.tolist(), dets.boxes[rows].tolist()):
-        box = BoxCorner(*box)
-        best_iou, best = 0.0, None
-        for entry in gt_boxes.get(image_ids[row], ()):
-            v = iou(box, entry[0])
-            if v > best_iou:
-                best_iou, best = v, entry
-        if best is not None and best_iou > iou_thresh and not best[1]:
-            best[1] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags, n_gt
+
+def _ap(flags: Sequence[bool], n_gt: int, interpolation: str) -> float:
+    if interpolation not in INTERPOLATIONS:
+        raise ValueError(f"interpolation must be one of {INTERPOLATIONS}, got {interpolation!r}")
+    if n_gt == 0 or not flags:
+        return 0.0
+    if interpolation == "eleven_point":
+        return _ap_eleven_point(flags, n_gt)
+    return _ap_all_point(flags, n_gt)
 
 
 def _ap_eleven_point(tp_flags: Sequence[bool], n_gt: int) -> float:
@@ -122,7 +136,7 @@ def _ap_all_point(tp_flags: Sequence[bool], n_gt: int) -> float:
 def average_precision(
     dets: Detections,
     image_ids: Sequence[str],
-    gt: Sequence[GroundTruthObject],
+    gt: Dataset,
     class_id: int,
     iou_thresh: float = 0.5,
     interpolation: str = "eleven_point",
@@ -131,22 +145,14 @@ def average_precision(
     ``dets`` is a detection in image ``image_ids[r]``."""
     if class_id < 1:
         raise ValueError(f"unknown class {class_id}: foreground classes start at 1")
-    if interpolation not in INTERPOLATIONS:
-        raise ValueError(f"interpolation must be one of {INTERPOLATIONS}, got {interpolation!r}")
-    flags, n_gt = _assign_tp_fp(dets, image_ids, gt, class_id, iou_thresh)
-    if n_gt == 0:
-        return 0.0
-    if not flags:
-        return 0.0
-    if interpolation == "eleven_point":
-        return _ap_eleven_point(flags, n_gt)
-    return _ap_all_point(flags, n_gt)
+    n_gt = sum(img.class_ids.tolist().count(class_id) for img in gt.images)
+    return _ap(_assign_tp_fp(dets, image_ids, gt, iou_thresh).get(class_id, []), n_gt, interpolation)
 
 
 def map50(
     dets: Detections,
     image_ids: Sequence[str],
-    gt: Sequence[GroundTruthObject],
+    gt: Dataset,
     interpolation: str = "eleven_point",
     class_ids: Sequence[int] | None = None,
     iou_thresh: float = 0.5,
@@ -158,25 +164,17 @@ def map50(
     listed in the result. The class universe defaults to every class seen in
     either the ground truth or the detections.
     """
+    gt_counts = Counter(c for img in gt.images for c in img.class_ids.tolist())
     if class_ids is None:
-        seen = dets.class_ids[dets.class_ids > 0].tolist()
-        universe = sorted({obj.class_id for obj in gt} | set(seen))
+        universe = sorted(set(gt_counts) | set(dets.class_ids[dets.class_ids > 0].tolist()))
     else:
         universe = sorted(set(class_ids))
+    n_gt = {c: gt_counts[c] for c in universe}
 
-    n_gt = {c: 0 for c in universe}
-    for obj in gt:
-        if obj.class_id in n_gt:
-            n_gt[obj.class_id] += 1
-
-    per_class = {}
-    excluded = []
-    for c in universe:
-        if n_gt[c] == 0:
-            excluded.append(c)
-            continue
-        per_class[c] = average_precision(dets, image_ids, gt, c, iou_thresh, interpolation)
-    return EvalResult.from_per_class(per_class, n_gt, tuple(excluded))
+    flags = _assign_tp_fp(dets, image_ids, gt, iou_thresh)
+    per_class = {c: _ap(flags.get(c, []), n, interpolation) for c, n in n_gt.items() if n}
+    excluded = tuple(c for c, n in n_gt.items() if not n)
+    return EvalResult.from_per_class(per_class, n_gt, excluded)
 
 
 def winrate_table(results_a: Sequence[EvalResult], results_b: Sequence[EvalResult]) -> float:

@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .acquisition import AcquisitionScore
-from .boxes import BoxCorner, Detections, ImagePrediction
+from .boxes import Detections, ImagePrediction, checked_encoded, encode_boxes
 from .dataset import Dataset, ImageRecord
 from .evaluation import EvalResult
 from .pool import CycleReport, Pool
-from .pseudo_label import GroundTruthObject, PseudoLabel
+from .pseudo_label import PseudoLabels
 
 __all__ = [
     "load_dataset",
@@ -107,6 +107,7 @@ def _structure_error(path, e: Exception, image_id=None) -> ValueError:
 
 
 def load_dataset(path) -> Dataset:
+    """Every error about a record names the file and the image."""
     raw = _read_json(path)
     images, image_id = [], None
     try:
@@ -114,14 +115,17 @@ def load_dataset(path) -> Dataset:
         for rec in raw["images"]:
             image_id = None  # until this record's id is read
             image_id = rec["id"]
-            objects = tuple(
-                GroundTruthObject(image_id, BoxCorner(*obj["bbox"]), _int_field(obj, "class_id"))
-                for obj in rec.get("objects", [])
-            )
-            images.append(ImageRecord(image_id, _int_field(rec, "width"), _int_field(rec, "height"), objects))
-    except (AttributeError, KeyError, TypeError) as e:
+            objects = rec.get("objects", [])
+            images.append(ImageRecord(
+                image_id, _int_field(rec, "width"), _int_field(rec, "height"),
+                [obj["bbox"] for obj in objects], [_int_field(obj, "class_id") for obj in objects],
+            ))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise _structure_error(path, e, image_id) from None
-    return Dataset(classes, tuple(images))
+    try:
+        return Dataset(classes, tuple(images))
+    except ValueError as e:  # a box or class id check, which names the image
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -133,8 +137,8 @@ def save_dataset(dataset: Dataset, path) -> None:
                 "width": img.width,
                 "height": img.height,
                 "objects": [
-                    {"class_id": obj.class_id, "bbox": obj.box_corner.as_list()}
-                    for obj in img.objects
+                    {"class_id": c, "bbox": box}
+                    for box, c in zip(img.boxes.tolist(), img.class_ids.tolist())
                 ],
             }
             for img in dataset.images
@@ -148,7 +152,9 @@ def save_dataset(dataset: Dataset, path) -> None:
 # One record per (image, orientation), read into one validated Detections:
 # {"image_id": str, "flipped": true|false,
 #  "detections": [{"bbox": [xmin, ymin, xmax, ymax], "encoded": [dx, dy, w, h], "probs": [K+1]}]}
-# Coordinates are written as floats.
+# Coordinates are written as floats. "encoded" is the box's encoded form (see
+# aldet.boxes): the reader checks it and drops it, the writer computes it from
+# the box it holds and the image size.
 
 
 def _read_jsonl(path, parse) -> list:
@@ -176,9 +182,8 @@ def read_predictions_jsonl(
             raise ValueError(f"unknown image id {image_id!r}")
         width, height = sizes[image_id]
         records = rec["detections"]
-        dets = Detections(
-            [d["bbox"] for d in records], [d["encoded"] for d in records], [d["probs"] for d in records]
-        )
+        dets = Detections([d["bbox"] for d in records], [d["probs"] for d in records])
+        checked_encoded([d["encoded"] for d in records])
         key = (image_id, flipped)
         if key in out:
             raise ValueError(f"duplicate record for image {image_id!r}, flipped={flipped}")
@@ -200,7 +205,9 @@ def write_predictions_jsonl(
                 "flipped": bool(flipped),
                 "detections": [
                     {"bbox": box, "encoded": enc, "probs": probs}
-                    for box, enc, probs in zip(d.boxes.tolist(), d.encoded.tolist(), d.probs.tolist())
+                    for box, enc, probs in zip(
+                        d.boxes.tolist(), encode_boxes(d.boxes, pred.width, pred.height).tolist(), d.probs.tolist()
+                    )
                 ],
             }
         )
@@ -214,28 +221,36 @@ def write_predictions_jsonl(
 # {"image_id": ..., "bbox": [4], "class_id": int, "confidence": float}
 
 
-def _pl_record(pl: PseudoLabel) -> dict:
-    return {
-        "image_id": pl.image_id,
-        "bbox": pl.box_corner.as_list(),
-        "class_id": pl.class_id,
-        "confidence": pl.confidence,
-    }
+def _pl_records(pls: Mapping[str, PseudoLabels]) -> list[dict]:
+    return [
+        {"image_id": image_id, "bbox": box, "class_id": c, "confidence": conf}
+        for image_id, labels in pls.items()
+        for box, c, conf in zip(labels.boxes.tolist(), labels.class_ids.tolist(), labels.scores.tolist())
+    ]
 
 
-def _pl_from_record(rec) -> PseudoLabel:
-    cls = _int_field(rec, "class_id")
-    return PseudoLabel(rec["image_id"], BoxCorner(*rec["bbox"]), cls, float(rec["confidence"]))
+def _pl_set(recs) -> PseudoLabels:
+    """The pseudo-labels of the given records, checked."""
+    return PseudoLabels(
+        [rec["bbox"] for rec in recs],
+        [_int_field(rec, "class_id") for rec in recs],
+        [float(rec["confidence"]) for rec in recs],
+    )
 
 
-def write_pseudo_labels_jsonl(pls: Iterable[PseudoLabel], path) -> None:
-    records = [_pl_record(pl) for pl in pls]
+def write_pseudo_labels_jsonl(pls: Mapping[str, PseudoLabels], path) -> None:
+    records = _pl_records(pls)
     records.sort(key=lambda r: (r["image_id"], -r["confidence"], r["class_id"]))
     _write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
-def read_pseudo_labels_jsonl(path) -> list[PseudoLabel]:
-    return _read_jsonl(path, _pl_from_record)
+def read_pseudo_labels_jsonl(path) -> dict[str, PseudoLabels]:
+    """Pseudo-labels by image id, each image's in file order."""
+    grouped: dict[str, list[PseudoLabels]] = {}
+    # One record at a time, so that an error names its line.
+    for image_id, pl in _read_jsonl(path, lambda rec: (rec["image_id"], _pl_set([rec]))):
+        grouped.setdefault(image_id, []).append(pl)
+    return {image_id: PseudoLabels.concat(labels) for image_id, labels in grouped.items()}
 
 
 # -- pool state JSON ----------------------------------------------------------
@@ -246,9 +261,7 @@ def save_pool(pool: Pool, path) -> None:
         "cycle": pool.cycle,
         "labeled": sorted(pool.labeled),
         "unlabeled": sorted(pool.unlabeled),
-        "pseudo": {
-            image_id: [_pl_record(pl) for pl in pls] for image_id, pls in pool.pseudo.items()
-        },
+        "pseudo": {image_id: _pl_records({image_id: pls}) for image_id, pls in pool.pseudo.items()},
     }
     _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
@@ -256,12 +269,13 @@ def save_pool(pool: Pool, path) -> None:
 def load_pool(path) -> Pool:
     raw = _read_json(path)
     try:
-        pseudo = {
-            image_id: tuple(_pl_from_record(rec) for rec in recs)
-            for image_id, recs in raw.get("pseudo", {}).items()
-        }
+        pseudo = raw.get("pseudo", {})
+        misfiled = sorted(k for k, recs in pseudo.items() if any(rec["image_id"] != k for rec in recs))
+        if misfiled:
+            raise ValueError(f"{path}: pseudo-labels filed under another image's id: {misfiled[:5]}")
+        pseudo = {k: _pl_set(recs) for k, recs in pseudo.items()}
         return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), pseudo, _int_field(raw, "cycle"))
-    except (AttributeError, KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError, OverflowError) as e:
         raise _structure_error(path, e) from None
 
 

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boxes import ImagePrediction, iou_matrix
+from .boxes import ImagePrediction, iou
 
 __all__ = ["MatchResult", "greedy_assign", "match_predictions", "DEFAULT_MIN_MATCH_IOU"]
 
@@ -70,7 +70,7 @@ def match_predictions(
     n, m = len(orig.detections), len(flipped.detections)
     accepted = []
     if n and m:
-        ious = iou_matrix(orig.detections.boxes, flipped.detections.boxes)
+        ious = iou(orig.detections.boxes[:, None], flipped.detections.boxes[None])
         rows, cols = np.nonzero(ious >= min_match_iou)
         accepted = greedy_assign(zip(ious[rows, cols].tolist(), rows.tolist(), cols.tolist()))
 

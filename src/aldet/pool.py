@@ -32,7 +32,7 @@ from .boxes import Detections, ImagePrediction
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, EvalResult, map50
 from .pseudo_label import (
-    PseudoLabel,
+    PseudoLabels,
     audit_pl_correctness,
     extract_pseudo_labels,
     extract_topk_per_class,
@@ -58,19 +58,17 @@ PL_STRATEGIES = ("threshold", "topk")
 @dataclass(frozen=True)
 class Pool:
     """Partition of the dataset ids into labeled and unlabeled, plus the
-    pseudo-labels currently attached to unlabeled images."""
+    pseudo-labels currently attached to unlabeled images, by image id."""
 
     labeled: frozenset[str]
     unlabeled: frozenset[str]
-    pseudo: Mapping[str, tuple[PseudoLabel, ...]] = field(default_factory=dict)
+    pseudo: Mapping[str, PseudoLabels] = field(default_factory=dict)
     cycle: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "labeled", frozenset(self.labeled))
         object.__setattr__(self, "unlabeled", frozenset(self.unlabeled))
-        object.__setattr__(
-            self, "pseudo", {k: tuple(v) for k, v in sorted(self.pseudo.items())}
-        )
+        object.__setattr__(self, "pseudo", dict(sorted(self.pseudo.items())))
         if self.cycle < 0:
             raise ValueError("cycle must be non-negative")
         overlap = self.labeled & self.unlabeled
@@ -79,9 +77,6 @@ class Pool:
         stray = set(self.pseudo) - self.unlabeled
         if stray:
             raise ValueError(f"pseudo-labels attached to non-pool images: {sorted(stray)[:5]}")
-        misfiled = sorted(k for k, v in self.pseudo.items() if any(pl.image_id != k for pl in v))
-        if misfiled:
-            raise ValueError(f"pseudo-labels filed under another image's id: {misfiled[:5]}")
 
     @property
     def all_ids(self) -> frozenset[str]:
@@ -118,9 +113,9 @@ def commit_selection(pool: Pool, selected: Sequence[str]) -> Pool:
     return Pool(pool.labeled | sel, pool.unlabeled - sel, pseudo, pool.cycle + 1)
 
 
-def with_pseudo(pool: Pool, pseudo: Mapping[str, Sequence[PseudoLabel]]) -> Pool:
+def with_pseudo(pool: Pool, pseudo: Mapping[str, PseudoLabels]) -> Pool:
     """Replace the pool's pseudo-labels (regeneration, not accumulation)."""
-    cleaned = {k: tuple(v) for k, v in pseudo.items() if v}
+    cleaned = {k: v for k, v in pseudo.items() if len(v)}
     return Pool(pool.labeled, pool.unlabeled, cleaned, pool.cycle)
 
 
@@ -168,7 +163,7 @@ class CycleReport:
     pl_ratio: float
     pl_correctness: float
     evaluation: EvalResult
-    pseudo_labels: tuple[PseudoLabel, ...] = ()
+    pseudo_labels: Mapping[str, PseudoLabels] = field(default_factory=dict)
 
 
 def score_pool(
@@ -194,22 +189,17 @@ def pseudo_label_pool(
     strategy: str,
     tau: float,
     topk_fraction: float,
-) -> dict[str, tuple[PseudoLabel, ...]]:
-    """Pseudo-labels of the given post-NMS original-view predictions, grouped
-    by image; images without pseudo-labels are absent.
+) -> dict[str, PseudoLabels]:
+    """Pseudo-labels of the given post-NMS original-view predictions, by
+    image; images without pseudo-labels are absent.
 
     ``strategy`` is ``threshold`` (every detection with p >= tau) or ``topk``
     (the most confident ``topk_fraction`` of each class across all images).
     """
-    if strategy == "threshold":
-        labels = [pl for pred in originals for pl in extract_pseudo_labels(pred, tau)]
-    else:
-        labels = extract_topk_per_class(originals, topk_fraction)
-
-    grouped: dict[str, list[PseudoLabel]] = {}
-    for pl in labels:
-        grouped.setdefault(pl.image_id, []).append(pl)
-    return {k: tuple(v) for k, v in grouped.items()}
+    if strategy != "threshold":
+        return extract_topk_per_class(originals, topk_fraction)
+    labels = {pred.image_id: extract_pseudo_labels(pred, tau) for pred in originals}
+    return {image_id: pls for image_id, pls in labels.items() if len(pls)}
 
 
 def evaluate(preds: Iterable[ImagePrediction], data: Dataset, interpolation: str) -> EvalResult:
@@ -219,7 +209,7 @@ def evaluate(preds: Iterable[ImagePrediction], data: Dataset, interpolation: str
     return map50(
         Detections.concat(pred.detections for pred in preds),
         image_ids,
-        data.all_objects(),
+        data,
         interpolation=interpolation,
         class_ids=range(1, data.n_classes + 1),
     )
@@ -251,7 +241,6 @@ def run_cycles(
     if not cfg.pl_enabled:
         pool = with_pseudo(pool, {})
 
-    train_gt = train_data.all_objects()
     reports: list[CycleReport] = []
     selected: list[str] = []
     scores: list[AcquisitionScore] = []
@@ -276,9 +265,8 @@ def run_cycles(
             pool = with_pseudo(pool, pseudo)
 
         n_pl = pool.n_pseudo_labels
-        n_manual = sum(len(train_data[i].objects) for i in pool.labeled)
+        n_manual = sum(len(train_data[i].class_ids) for i in pool.labeled)
         denom = n_pl + n_manual
-        pls = [pl for v in pool.pseudo.values() for pl in v]
         test_preds = (post_nms(detector.predict(i), cfg.acquisition) for i in test_data.image_ids)
         reports.append(
             CycleReport(
@@ -288,9 +276,9 @@ def run_cycles(
                 n_labeled=len(pool.labeled),
                 pl_count=n_pl,
                 pl_ratio=n_pl / denom if denom else 0.0,
-                pl_correctness=audit_pl_correctness(pls, train_gt),
+                pl_correctness=audit_pl_correctness(pool.pseudo, train_data),
                 evaluation=evaluate(test_preds, test_data, cfg.interpolation),
-                pseudo_labels=tuple(pls),
+                pseudo_labels=pool.pseudo,
             )
         )
 

@@ -9,55 +9,53 @@ regions remain neutral in the losses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .boxes import BoxCorner, ImagePrediction, iou
+import numpy as np
+
+from .boxes import Detections, FrozenRows, ImagePrediction, checked_boxes, iou
+from .dataset import Dataset
 from .matching import greedy_assign
 
 __all__ = [
-    "PseudoLabel",
-    "GroundTruthObject",
+    "PseudoLabels",
     "extract_pseudo_labels",
     "extract_topk_per_class",
     "audit_pl_correctness",
 ]
 
 
-@dataclass(frozen=True)
-class PseudoLabel:
-    """A one-hot model-generated label for a confident detection."""
+class PseudoLabels(FrozenRows):
+    """One image's pseudo-labels, one-hot model-generated labels for confident
+    detections, held as read-only arrays: corner ``boxes`` (N, 4), foreground
+    ``class_ids`` (N,) and confidences ``scores`` (N,) in (0, 1].
 
-    image_id: str
-    box_corner: BoxCorner
-    class_id: int
-    confidence: float
+    The constructor validates outside data; :meth:`from_rows` takes rows of a
+    post-NMS :class:`~aldet.boxes.Detections`, which need no check.
+    """
 
-    def __post_init__(self):
-        if self.class_id < 1:
-            raise ValueError(f"pseudo-label class must be a foreground class, got {self.class_id}")
-        if not (0.0 < self.confidence <= 1.0):
-            raise ValueError(f"confidence must be in (0, 1], got {self.confidence}")
+    __slots__ = ("boxes", "class_ids", "scores")
 
+    def __init__(self, boxes, class_ids, scores):
+        boxes = checked_boxes(boxes)
+        class_ids = np.array(class_ids, dtype=np.intp)
+        scores = np.array(scores, dtype=np.float64)
+        if not len(boxes) == len(class_ids) == len(scores):
+            raise ValueError(f"row counts differ: {len(boxes)}, {len(class_ids)}, {len(scores)}")
+        if (class_ids < 1).any():
+            raise ValueError(f"pseudo-label class must be a foreground class, got {class_ids.min()}")
+        bad = ~((scores > 0.0) & (scores <= 1.0))
+        if bad.any():
+            raise ValueError(f"confidence must be in (0, 1], got {scores[np.argmax(bad)]}")
+        self._init(boxes, class_ids, scores)
 
-@dataclass(frozen=True)
-class GroundTruthObject:
-    image_id: str
-    box_corner: BoxCorner
-    class_id: int
-
-    def __post_init__(self):
-        if self.class_id < 1:
-            raise ValueError(f"ground-truth class must be a foreground class, got {self.class_id}")
-
-
-def _rows(pred: ImagePrediction):
-    """``(box, class_id, score)`` of each detection of ``pred``, as Python values."""
-    d = pred.detections
-    return zip(d.boxes.tolist(), d.class_ids.tolist(), d.scores.tolist())
+    @classmethod
+    def from_rows(cls, dets: Detections, rows) -> "PseudoLabels":
+        d = dets.take(rows)
+        return cls._of(d.boxes, d.class_ids, d.scores)
 
 
-def extract_pseudo_labels(pred: ImagePrediction, tau: float) -> list[PseudoLabel]:
+def extract_pseudo_labels(pred: ImagePrediction, tau: float) -> PseudoLabels:
     """Pseudo-label every detection whose foreground argmax probability >= tau.
 
     ``pred`` is expected to be post-NMS, consistent with the acquisition
@@ -65,67 +63,76 @@ def extract_pseudo_labels(pred: ImagePrediction, tau: float) -> list[PseudoLabel
     """
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    return [
-        PseudoLabel(pred.image_id, BoxCorner(*box), cls, conf)
-        for box, cls, conf in _rows(pred)
-        if cls != 0 and conf >= tau
-    ]
+    d = pred.detections
+    return PseudoLabels.from_rows(d, np.flatnonzero((d.class_ids != 0) & (d.scores >= tau)))
 
 
 def extract_topk_per_class(
     preds: Sequence[ImagePrediction], k_fraction: float
-) -> list[PseudoLabel]:
-    """Per-class top-k% pseudo-labeling variant.
+) -> dict[str, PseudoLabels]:
+    """Per-class top-k% pseudo-labeling variant, grouped by image; images
+    without pseudo-labels are absent.
 
     For each foreground class, the ceil(k_fraction * n_c) most confident
     detections whose argmax is that class become pseudo-labels, where n_c is
-    the number of such detections across all images.
+    the number of such detections across all images. Within an image, labels
+    are ordered by class, then by (-confidence, row).
     """
     if not (0.0 < k_fraction <= 1.0):
         raise ValueError(f"k_fraction must be in (0, 1], got {k_fraction}")
 
-    by_class: dict[int, list[tuple[float, str, int, list[float]]]] = {}
+    by_class: dict[int, list[tuple[float, str, int]]] = {}
     for pred in preds:
-        for idx, (box, cls, conf) in enumerate(_rows(pred)):
+        d = pred.detections
+        for row, (cls, conf) in enumerate(zip(d.class_ids.tolist(), d.scores.tolist())):
             if cls != 0:
-                by_class.setdefault(cls, []).append((conf, pred.image_id, idx, box))
+                by_class.setdefault(cls, []).append((-conf, pred.image_id, row))
 
-    out: list[PseudoLabel] = []
+    rows_of: dict[str, list[int]] = {}
     for cls in sorted(by_class):
-        entries = sorted(by_class[cls], key=lambda t: (-t[0], t[1], t[2]))
-        take = math.ceil(k_fraction * len(entries))
-        out.extend(
-            PseudoLabel(image_id, BoxCorner(*box), cls, conf)
-            for conf, image_id, _idx, box in entries[:take]
-        )
-    return out
+        entries = sorted(by_class[cls])  # (-confidence, image id, row)
+        for _, image_id, row in entries[: math.ceil(k_fraction * len(entries))]:
+            rows_of.setdefault(image_id, []).append(row)
+    dets = {pred.image_id: pred.detections for pred in preds}
+    return {image_id: PseudoLabels.from_rows(dets[image_id], rows) for image_id, rows in rows_of.items()}
 
 
 def audit_pl_correctness(
-    pls: Sequence[PseudoLabel],
-    gt: Sequence[GroundTruthObject],
+    pls: Mapping[str, PseudoLabels],
+    gt: Dataset,
     iou_thresh: float = 0.5,
 ) -> float:
     """Fraction of pseudo-labels matching a same-class GT object with IoU > 0.5.
 
-    Each ground-truth object can validate at most one pseudo-label; candidate
+    ``pls`` maps an image id of ``gt`` to its pseudo-labels. Each
+    ground-truth object can validate at most one pseudo-label; candidate
     matches are consumed greedily by descending IoU (see
-    :func:`aldet.matching.greedy_assign`). A pseudo-label is only compared
-    with the ground truth of its own (image, class). An empty pseudo-label
-    list audits as 1.0 by convention (callers should report the count
-    alongside).
+    :func:`aldet.matching.greedy_assign`), pseudo-labels numbered image by
+    image in the order given. A pseudo-label is only compared with the ground
+    truth of its own (image, class). An empty pseudo-label mapping audits as
+    1.0 by convention (callers should report the count alongside).
     """
-    if not pls:
+    n_labels = sum(len(labels) for labels in pls.values())
+    if not n_labels:
         return 1.0
 
-    by_group: dict[tuple[str, int], list[tuple[int, GroundTruthObject]]] = {}
-    for gi, obj in enumerate(gt):
-        by_group.setdefault((obj.image_id, obj.class_id), []).append((gi, obj))
-
-    candidates = []
-    for pi, pl in enumerate(pls):
-        for gi, obj in by_group.get((pl.image_id, pl.class_id), ()):
-            v = iou(pl.box_corner, obj.box_corner)
-            if v > iou_thresh:
-                candidates.append((v, pi, gi))
-    return len(greedy_assign(candidates)) / len(pls)
+    # Same-(image, class) pairs of global row numbers, then all their IoUs at once.
+    pairs: list[tuple[int, int]] = []
+    label_boxes, gt_boxes = [], []
+    p0 = g0 = 0
+    for image_id, labels in pls.items():
+        rec = gt[image_id]
+        gt_classes = list(enumerate(rec.class_ids.tolist(), start=g0))
+        for p, c in enumerate(labels.class_ids.tolist(), start=p0):
+            pairs.extend((p, g) for g, gc in gt_classes if gc == c)
+        label_boxes.append(labels.boxes)
+        gt_boxes.append(rec.boxes)
+        p0 += len(labels)
+        g0 += len(gt_classes)
+    if not pairs:
+        return 0.0
+    p_idx, g_idx = np.array(pairs).T
+    ious = iou(np.concatenate(label_boxes)[p_idx], np.concatenate(gt_boxes)[g_idx])
+    hit = ious > iou_thresh
+    candidates = zip(ious[hit].tolist(), p_idx[hit].tolist(), g_idx[hit].tolist())
+    return len(greedy_assign(candidates)) / n_labels

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .boxes import Detections, ImagePrediction, encode_boxes
+from .boxes import Detections, ImagePrediction
 from .dataset import Dataset
 
 if TYPE_CHECKING:
@@ -228,29 +228,26 @@ class SyntheticDetector(DetectorInterface):
         probs: list[np.ndarray] = []
 
         if not flipped:
-            for obj in rec.objects:
-                boxes.append(self._jittered_box(rng, obj.box_corner.as_list(), rec.width, rec.height))
-                probs.append(self._draw_dist(rng, obj.class_id))
+            for gt_box, cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
+                boxes.append(self._jittered_box(rng, gt_box, rec.width, rec.height))
+                probs.append(self._draw_dist(rng, cls))
             self._false_positives(rng, rec.width, rec.height, boxes, probs)
         else:
             frng = self._stream(image_id, 1)
-            for obj in rec.objects:
+            for (x0, y0, x1, y1), cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
                 # The original view's distribution, reused when the flip is robust.
                 # Its box is not needed: skip past the draw _jittered_box makes.
                 rng.normal(0.0, 1.0, 4)
-                orig_dist = self._draw_dist(rng, obj.class_id)
-                g = obj.box_corner
-                mirrored_gt = (rec.width - g.xmax, g.ymin, rec.width - g.xmin, g.ymax)
+                orig_dist = self._draw_dist(rng, cls)
+                mirrored_gt = (rec.width - x1, y0, rec.width - x0, y1)
                 boxes.append(self._jittered_box(frng, mirrored_gt, rec.width, rec.height))
-                reuse = frng.uniform() < self._robustness[obj.class_id]
-                resampled = self._draw_dist(frng, obj.class_id)  # drawn either way, fixed stream layout
+                reuse = frng.uniform() < self._robustness[cls]
+                resampled = self._draw_dist(frng, cls)  # drawn either way, fixed stream layout
                 probs.append(orig_dist if reuse else resampled)
             self._false_positives(frng, rec.width, rec.height, boxes, probs)
 
-        box_rows = np.array(boxes, dtype=np.float64).reshape(-1, 4)
         dets = Detections(
-            box_rows,
-            encode_boxes(box_rows, rec.width, rec.height),
+            np.array(boxes, dtype=np.float64).reshape(-1, 4),
             np.array(probs).reshape(len(boxes), self._config.n_classes + 1),
         )
         return ImagePrediction(image_id, rec.width, rec.height, dets)
@@ -268,14 +265,14 @@ class SyntheticDetector(DetectorInterface):
 
         new_ids = sorted(set(pool.labeled) - self._seen_labeled)
         for image_id in new_ids:
-            classes = {obj.class_id for obj in self._dataset[image_id].objects}
+            classes = set(self._dataset[image_id].class_ids.tolist())
             for c in classes:
                 acc[c] += cfg.skill_gain_per_labeled
                 rob[c] += cfg.skill_gain_per_labeled
 
         if cfg.skill_gain_per_pseudo > 0.0:
             for image_id in sorted(pool.pseudo):
-                classes = {pl.class_id for pl in pool.pseudo[image_id]}
+                classes = set(pool.pseudo[image_id].class_ids.tolist())
                 for c in classes:
                     acc[c] += cfg.skill_gain_per_pseudo
                     rob[c] += cfg.skill_gain_per_pseudo

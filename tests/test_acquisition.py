@@ -16,7 +16,7 @@ from aldet.acquisition import (
     sym_kl,
     unified_score,
 )
-from aldet.boxes import BoxCorner, Detections, ImagePrediction, encode_boxes, hflip, nms
+from aldet.boxes import Detections, ImagePrediction, hflip, nms
 from aldet.matching import match_predictions
 
 EPS = 1e-12
@@ -130,11 +130,10 @@ def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, pertur
     for _ in range(n):
         x0, y0 = rng.uniform(0, 60, 2)
         w, h = rng.uniform(10, 30, 2)
-        box = BoxCorner(x0, y0, x0 + w, y0 + h)
         probs = random_dist(rng, 4)
-        boxes.append(box.as_list())
+        boxes.append([x0, y0, x0 + w, y0 + h])
         orig_probs.append(probs)
-        mirrored.append([width - box.xmax, box.ymin, width - box.xmin, box.ymax])
+        mirrored.append([width - (x0 + w), y0, width - x0, y0 + h])
         q = probs.copy()
         if perturb:
             q = q + rng.uniform(-perturb, perturb, 4)
@@ -144,7 +143,7 @@ def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, pertur
 
     def prediction(rows, probs):
         rows = np.array(rows)
-        dets = Detections(rows, encode_boxes(rows, width, height), probs)
+        dets = Detections(rows, probs)
         return ImagePrediction(image_id, width, height, dets)
 
     return prediction(boxes, orig_probs), prediction(mirrored, flip_probs)
@@ -158,7 +157,7 @@ class TestUnifiedScore:
             AcquisitionScore("a", 2.0, 0.5, 0.9)
 
     def test_empty_prediction_scores_zero(self):
-        empty = ImagePrediction("a", 100, 100, Detections([], [], []))
+        empty = ImagePrediction("a", 100, 100, Detections([], []))
         s = unified_score(empty, empty)
         assert (s.entropy, s.inconsistency, s.unified) == (0.0, 0.0, 0.0)
 

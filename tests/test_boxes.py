@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import Box, scalar_iou
+
 from aldet.boxes import (
-    BoxCorner,
     Detections,
     ImagePrediction,
+    checked_boxes,
     checked_encoded,
     checked_probs,
     encode_boxes,
@@ -23,17 +25,12 @@ def random_box(rng, width=100.0, height=100.0, min_side=1.0):
     y0 = rng.uniform(0, height - min_side)
     w = rng.uniform(min_side, width - x0)
     h = rng.uniform(min_side, height - y0)
-    return BoxCorner(x0, y0, x0 + w, y0 + h)
+    return Box(x0, y0, x0 + w, y0 + h)
 
 
-def make_detections(boxes, probs, width=100.0, height=100.0):
-    """One row per box, encoded against the full-image anchor."""
-    rows = np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
-    return Detections(rows, encode_boxes(rows, width, height), probs)
-
-
-def corner(row):
-    return BoxCorner(*row.tolist())
+def make_detections(boxes, probs):
+    """One row per box."""
+    return Detections(np.array(boxes, dtype=np.float64).reshape(-1, 4), probs)
 
 
 def brute_iou(a, b):
@@ -47,24 +44,22 @@ def brute_iou(a, b):
 
 class TestBoxTypes:
     def test_inverted_box_rejected(self):
-        with pytest.raises(ValueError):
-            BoxCorner(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="inverted box"):
-            Detections([[1.0, 0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0, 1.0]], [[0.5, 0.5]])
+            checked_boxes([[1.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="inverted box"):
+            Detections([[1.0, 0.0, 0.0, 1.0]], [[0.5, 0.5]])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            BoxCorner(0.0, 0.0, math.inf, 1.0)
         with pytest.raises(ValueError, match="must be finite"):
-            Detections([[0.0, 0.0, math.inf, 1.0]], [[0.0, 0.0, 1.0, 1.0]], [[0.5, 0.5]])
+            checked_boxes([[0.0, 0.0, math.inf, 1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            Detections([[0.0, 0.0, math.inf, 1.0]], [[0.5, 0.5]])
 
     def test_encoded_needs_positive_scales(self):
         with pytest.raises(ValueError):
             checked_encoded([[0.0, 0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError):
-            checked_encoded([[0.0, 0.0, 1.0, -2.0]])
         with pytest.raises(ValueError, match="scale coefficients must be positive"):
-            Detections([[0.0, 0.0, 1.0, 1.0]], [[0.0, 0.0, 1.0, -2.0]], [[0.5, 0.5]])
+            checked_encoded([[0.0, 0.0, 1.0, -2.0]])
 
     def test_class_dist_validation(self):
         with pytest.raises(ValueError):
@@ -73,7 +68,7 @@ class TestBoxTypes:
             checked_probs([[0.5, 0.6]])  # sums to 1.1
         with pytest.raises(ValueError):
             checked_probs([[1.2, -0.2]])  # out of range
-        d = Detections([[0.0, 0.0, 1.0, 1.0]], [[0.0, 0.0, 1.0, 1.0]], [[0.25, 0.75]])
+        d = Detections([[0.0, 0.0, 1.0, 1.0]], [[0.25, 0.75]])
         assert d.class_ids.tolist() == [1]
         assert d.scores.tolist() == [0.75]
         with pytest.raises(AttributeError):
@@ -87,54 +82,65 @@ class TestBoxTypes:
         assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_prediction_clamps_boxes(self):
-        dets = Detections([[-5.0, 10.0, 120.0, 40.0]], [[0.0, 0.0, 1.0, 1.0]], [[0.2, 0.8]])
+        dets = Detections([[-5.0, 10.0, 120.0, 40.0]], [[0.2, 0.8]])
         pred = ImagePrediction("a", 100, 50, dets)
         assert pred.detections.boxes.tolist() == [[0.0, 10.0, 100.0, 40.0]]
-        assert pred.detections.encoded.tolist() == [[0.0, 0.0, 1.0, 1.0]]
+        assert np.array_equal(pred.detections.probs, dets.probs)
+
+
+def row_iou(a, b) -> float:
+    """:func:`iou` of two single boxes."""
+    return float(iou(np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)))
 
 
 class TestIoU:
     def test_identical_boxes(self):
-        a = BoxCorner(3.0, 4.0, 10.0, 12.0)
-        assert iou(a, a) == 1.0
+        a = [3.0, 4.0, 10.0, 12.0]
+        assert row_iou(a, a) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoxCorner(0, 0, 1, 1), BoxCorner(2, 2, 3, 3)) == 0.0
+        assert row_iou([0, 0, 1, 1], [2, 2, 3, 3]) == 0.0
 
     def test_half_overlap_is_one_third(self):
         # inter = 0.5, union = 1.5
-        a = BoxCorner(0.0, 0.0, 1.0, 1.0)
-        b = BoxCorner(0.5, 0.0, 1.5, 1.0)
-        assert iou(a, b) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert row_iou([0.0, 0.0, 1.0, 1.0], [0.5, 0.0, 1.5, 1.0]) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_degenerate_union_is_zero(self):
-        a = BoxCorner(1.0, 1.0, 1.0, 1.0)
-        b = BoxCorner(1.0, 1.0, 1.0, 1.0)
-        assert iou(a, b) == 0.0
+        a = [1.0, 1.0, 1.0, 1.0]
+        assert row_iou(a, a) == 0.0
+        assert iou(np.array([a, a]), np.array([a, [0.0, 0.0, 2.0, 2.0]])).tolist() == [0.0, 0.0]
 
     def test_symmetry_and_bounds_random(self):
         rng = np.random.default_rng(42)
         for _ in range(500):
             a, b = random_box(rng), random_box(rng)
-            v = iou(a, b)
-            assert v == iou(b, a)
+            v = row_iou(a, b)
+            assert v == row_iou(b, a) == scalar_iou(a, b)
             assert 0.0 <= v <= 1.0
             assert v == pytest.approx(brute_iou(a, b), rel=1e-12)
+
+    def test_broadcast_shapes(self):
+        rng = np.random.default_rng(5)
+        a = np.array([random_box(rng) for _ in range(3)])
+        b = np.array([random_box(rng) for _ in range(5)])
+        matrix = iou(a[:, None], b[None])
+        assert matrix.shape == (3, 5)
+        assert np.array_equal(iou(a, b[:3]), np.diag(matrix[:, :3]))
+        assert np.array_equal(iou(a[1], b), matrix[1])
 
 
 class TestHFlip:
     def test_mirror_formula(self):
-        pred = ImagePrediction("a", 100, 100, make_detections([BoxCorner(10, 20, 30, 40)], [[0.1, 0.9]]))
+        pred = ImagePrediction("a", 100, 100, make_detections([[10, 20, 30, 40]], [[0.1, 0.9]]))
         assert hflip(pred).detections.boxes.tolist() == [[70.0, 20.0, 90.0, 40.0]]
 
     def test_encoded_dx_negated(self):
-        dets = Detections([[10, 20, 30, 40]], [[0.2, -0.1, 0.5, 0.4]], [[0.1, 0.9]])
-        pred = ImagePrediction("a", 100, 100, dets)
-        assert hflip(pred).detections.encoded.tolist() == [[-0.2, -0.1, 0.5, 0.4]]
+        pred = ImagePrediction("a", 100, 100, make_detections([[10, 20, 30, 40]], [[0.1, 0.9]]))
+        assert encode_boxes(pred.detections.boxes, 100, 100).tolist() == [[-0.3, -0.2, 0.2, 0.2]]
+        assert encode_boxes(hflip(pred).detections.boxes, 100, 100).tolist() == [[0.3, -0.2, 0.2, 0.2]]
 
     def test_involution_random(self):
-        # corner mirroring is exact up to one rounding of W - (W - x); encoded
-        # dx is negated, which is exact
+        # corner mirroring is exact up to one rounding of W - (W - x)
         rng = np.random.default_rng(7)
         for _ in range(100):
             n = int(rng.integers(0, 5))
@@ -143,7 +149,6 @@ class TestHFlip:
             back = hflip(hflip(pred)).detections
             assert len(back) == len(pred.detections)
             np.testing.assert_allclose(back.boxes, pred.detections.boxes, rtol=0, atol=1e-9)
-            assert np.array_equal(back.encoded, pred.detections.encoded)
             assert np.array_equal(back.probs, pred.detections.probs)
 
     def test_preserves_count_dists_and_areas(self):
@@ -154,7 +159,7 @@ class TestHFlip:
         assert len(out) == len(pred.detections)
         assert np.array_equal(out.probs, pred.detections.probs)
         for before, after in zip(pred.detections.boxes, out.boxes):
-            assert corner(after).area == pytest.approx(corner(before).area, rel=1e-12)
+            assert Box(*after).area == pytest.approx(Box(*before).area, rel=1e-12)
 
 
 def dist_peaked(cls, peak, k=3):
@@ -163,28 +168,28 @@ def dist_peaked(cls, peak, k=3):
     return probs
 
 
-EMPTY = Detections([], [], [])
+EMPTY = Detections([], [])
 
 
 class TestNMS:
     def test_dominant_box_suppresses(self):
-        a = BoxCorner(0, 0, 10, 10)
-        b = BoxCorner(0, 0, 10, 8)  # IoU 0.8
+        a = [0, 0, 10, 10]
+        b = [0, 0, 10, 8]  # IoU 0.8
         dets = make_detections([a, b], [[0.05, 0.9, 0.05], dist_peaked(1, 0.8, 2)])
         assert nms(dets, iou_threshold=0.5) == dets.take([0])
 
     def test_different_classes_both_kept(self):
-        a = BoxCorner(0, 0, 10, 10)
-        b = BoxCorner(0, 0, 10, 8)
+        a = [0, 0, 10, 10]
+        b = [0, 0, 10, 8]
         dets = make_detections([a, b], [dist_peaked(1, 0.9, 2), dist_peaked(2, 0.8, 2)])
         assert nms(dets, iou_threshold=0.5) == dets
 
     def test_background_argmax_dropped(self):
-        dets = make_detections([BoxCorner(0, 0, 10, 10)], [[0.8, 0.1, 0.1]])
+        dets = make_detections([[0, 0, 10, 10]], [[0.8, 0.1, 0.1]])
         assert len(nms(dets)) == 0
 
     def test_score_floor(self):
-        weak = make_detections([BoxCorner(0, 0, 10, 10)], [[0.45, 0.55]])
+        weak = make_detections([[0, 0, 10, 10]], [[0.45, 0.55]])
         assert len(nms(weak, score_floor=0.6)) == 0
         assert nms(weak, score_floor=0.5) == weak
 
@@ -220,7 +225,7 @@ class TestNMS:
             for i in range(len(kept)):
                 for j in range(i + 1, len(kept)):
                     if kept.class_ids[i] == kept.class_ids[j]:
-                        assert iou(corner(kept.boxes[i]), corner(kept.boxes[j])) <= 0.5
+                        assert scalar_iou(kept.boxes[i], kept.boxes[j]) <= 0.5
             # output sorted by descending score
             scores = kept.scores.tolist()
             assert scores == sorted(scores, reverse=True)
@@ -251,8 +256,8 @@ class TestEncodeDecode:
         rng = np.random.default_rng(23)
         for _ in range(100):
             b = random_box(rng)
-            mirrored = BoxCorner(100 - b.xmax, b.ymin, 100 - b.xmin, b.ymax)
-            (e, em) = encode_boxes(np.array([b.as_list(), mirrored.as_list()]), 100, 100).tolist()
+            mirrored = Box(100 - b.xmax, b.ymin, 100 - b.xmin, b.ymax)
+            (e, em) = encode_boxes(np.array([b, mirrored]), 100, 100).tolist()
             assert em[0] == pytest.approx(-e[0], abs=1e-12)
             assert em[1] == e[1]
             assert em[2] == pytest.approx(e[2], abs=1e-12)

@@ -8,7 +8,7 @@ import pytest
 
 from aldet import formats
 from aldet.acquisition import AcquisitionConfig, AcquisitionScore, post_nms, unified_score
-from aldet.boxes import Detections, ImagePrediction, encode_boxes
+from aldet.boxes import Detections, ImagePrediction
 from aldet.cli import CONFIG_DEFAULTS, ConfigError, ExperimentConfig, build_config, build_parser, main
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
@@ -188,8 +188,7 @@ class TestPseudolabelCommand:
         assert rc == 0
         pls = formats.read_pseudo_labels_jsonl(out)
         assert pls, "expected some pseudo-labels at tau=0.9 with a cold detector"
-        assert all(pl.confidence >= 0.9 for pl in pls)
-        assert all(pl.class_id >= 1 for pl in pls)
+        assert all((v.scores >= 0.9).all() and (v.class_ids >= 1).all() for v in pls.values())
 
 
 class TestEvalCommand:
@@ -216,7 +215,7 @@ class TestEvalCommand:
 
         empty_path = tmp_path / "empty.jsonl"
         formats.write_predictions_jsonl(
-            [(det.predict(i).with_detections(Detections([], [], [])), False) for i in data.image_ids],
+            [(det.predict(i).with_detections(Detections([], [])), False) for i in data.image_ids],
             empty_path,
         )
         assert main(["eval", "--gt", str(gt_path), "--predictions", str(empty_path),
@@ -294,7 +293,7 @@ class TestMalformedInput:
         preds.write_text("")
         err = self.error(capsys, ["eval", "--gt", str(gt), "--predictions", str(preds),
                                   "--out", str(tmp_path / "eval.csv")])
-        assert err == "error: width: expected an integer, got inf\n"
+        assert err == f"error: {gt}: image 'a': width: expected an integer, got inf\n"
 
     def test_flipped_must_be_a_boolean(self, workspace, capsys):
         tmp_path, train, *_ = workspace
@@ -306,10 +305,12 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("image, message", [
         ({"id": "a", "width": 10, "height": 10, "objects": [{"bbox": [0, 0, 5], "class_id": 1}]},
-         "image 'a': BoxCorner.__init__() missing 1 required positional argument: 'ymax'"),
+         "image 'a': bbox: expected 4 numbers per box, got shape (1, 3)"),
         ({"id": "a", "width": 10, "height": 10, "objects": 5}, "image 'a': 'int' object is not iterable"),
         ({"width": 10, "height": 10, "objects": []}, "missing field 'id'"),
         (5, "'int' object is not subscriptable"),
+        ({"id": "a", "width": 10, "height": 10, "objects": [{"bbox": [5, 0, 0, 5], "class_id": 1}]},
+         "image 'a': inverted box: (5.0, 0.0, 0.0, 5.0)"),
     ])
     def test_eval_gt_malformed_structure(self, tmp_path, capsys, image, message):
         gt = tmp_path / "gt.json"
@@ -374,11 +375,11 @@ class TestProbabilityLength:
         # one confident class-1 detection per view, with the given vector lengths
         records = []
         for img in data.images:
-            box = np.array([img.objects[0].box_corner.as_list()])
+            box = img.boxes[:1]
             for flipped, n in ((False, n_original), (True, n_flipped)):
                 probs = np.full(n, 0.05 / (n - 1))
                 probs[1] = 0.95
-                det = Detections(box, encode_boxes(box, img.width, img.height), [probs])
+                det = Detections(box, [probs])
                 pred = ImagePrediction(img.image_id, img.width, img.height, det)
                 records.append((pred, flipped))
         formats.write_predictions_jsonl(records, path)

@@ -5,16 +5,38 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from aldet.boxes import BoxCorner, Detections, encode_boxes, iou
+from oracles import Box, scalar_iou
+
+from aldet.boxes import Detections
+from aldet.dataset import Dataset, ImageRecord
 from aldet.evaluation import EvalResult, average_precision, map50, winrate_matrix, winrate_table
-from aldet.pseudo_label import GroundTruthObject
+
+
+class GroundTruthObject(NamedTuple):
+    """One ground-truth box as the oracle sees it."""
+
+    image_id: str
+    box_corner: Box
+    class_id: int
+
+
+def as_dataset(gt, n_classes=3):
+    """The Dataset that evaluation takes, from a list of GroundTruthObject."""
+    images: dict[str, list] = {}
+    for g in gt:
+        images.setdefault(g.image_id, []).append(g)
+    return Dataset(
+        tuple(f"c{k}" for k in range(1, n_classes + 1)),
+        tuple(ImageRecord(i, 200, 200, [g.box_corner for g in objs], [g.class_id for g in objs])
+              for i, objs in images.items()),
+    )
 
 
 class Det(NamedTuple):
     """One detection as the oracle sees it: its class and score are derived
     here, independently of Detections."""
 
-    box_corner: BoxCorner
+    box_corner: Box
     probs: np.ndarray
 
     @property
@@ -35,8 +57,8 @@ def det(box, cls, conf, k=3):
 def as_set(dets):
     """The (Detections, image ids) pair that evaluation takes, from a list of
     (Det, image_id)."""
-    boxes = np.array([d.box_corner.as_list() for d, _ in dets]).reshape(-1, 4)
-    return Detections(boxes, encode_boxes(boxes, 200, 200), [d.probs for d, _ in dets]), [i for _, i in dets]
+    boxes = np.array([d.box_corner for d, _ in dets]).reshape(-1, 4)
+    return Detections(boxes, [d.probs for d, _ in dets]), [i for _, i in dets]
 
 
 def oracle_ap_eleven(dets, gt, class_id, iou_thresh=0.5):
@@ -58,7 +80,7 @@ def oracle_ap_eleven(dets, gt, class_id, iou_thresh=0.5):
         for gi, g in enumerate(gt_class):
             if g.image_id != image_id:
                 continue
-            v = iou(d.box_corner, g.box_corner)
+            v = scalar_iou(d.box_corner, g.box_corner)
             if v > best_iou:
                 best_iou, best_idx = v, gi
         if best_idx is not None and best_iou > iou_thresh and best_idx not in claimed:
@@ -80,50 +102,50 @@ def oracle_ap_eleven(dets, gt, class_id, iou_thresh=0.5):
 
 class TestAveragePrecision:
     def test_single_perfect_detection(self):
-        box = BoxCorner(10, 10, 50, 50)
-        dets = [(det(BoxCorner(10, 10, 50, 46), 1, 0.9), "a")]  # IoU 0.9
+        box = Box(10, 10, 50, 50)
+        dets = [(det(Box(10, 10, 50, 46), 1, 0.9), "a")]  # IoU 0.9
         gt = [GroundTruthObject("a", box, 1)]
-        assert average_precision(*as_set(dets), gt, 1) == 1.0
+        assert average_precision(*as_set(dets), as_dataset(gt), 1) == 1.0
 
     def test_low_iou_detection(self):
-        dets = [(det(BoxCorner(10, 10, 50, 22), 1, 0.9), "a")]  # IoU 0.3
-        gt = [GroundTruthObject("a", BoxCorner(10, 10, 50, 50), 1)]
-        assert average_precision(*as_set(dets), gt, 1) == 0.0
+        dets = [(det(Box(10, 10, 50, 22), 1, 0.9), "a")]  # IoU 0.3
+        gt = [GroundTruthObject("a", Box(10, 10, 50, 50), 1)]
+        assert average_precision(*as_set(dets), as_dataset(gt), 1) == 0.0
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="unknown class"):
-            average_precision(*as_set([]), [], 0)
+            average_precision(*as_set([]), as_dataset([]), 0)
 
     def test_bad_interpolation_rejected(self):
         with pytest.raises(ValueError):
-            average_precision(*as_set([]), [], 1, interpolation="nine_point")
+            average_precision(*as_set([]), as_dataset([]), 1, interpolation="nine_point")
 
     def test_duplicate_detections_single_tp(self):
-        box = BoxCorner(10, 10, 50, 50)
+        box = Box(10, 10, 50, 50)
         gt = [GroundTruthObject("a", box, 1)]
         dets = [
             (det(box, 1, 0.9), "a"),
-            (det(BoxCorner(10, 10, 50, 48), 1, 0.8), "a"),  # duplicate, IoU 0.95
+            (det(Box(10, 10, 50, 48), 1, 0.8), "a"),  # duplicate, IoU 0.95
         ]
         # one TP at rank 1 (recall 1), the duplicate is a FP
-        ap = average_precision(*as_set(dets), gt, 1)
+        ap = average_precision(*as_set(dets), as_dataset(gt), 1)
         assert ap == 1.0  # precision at full recall is already 1.0 at rank 1
 
     def test_hand_traced_fixture(self):
         # 3 images, 2 GT of class 1, 4 detections: TP, FP, TP, FP by confidence
-        g1 = BoxCorner(0, 0, 20, 20)
-        g2 = BoxCorner(100, 100, 140, 140)
+        g1 = Box(0, 0, 20, 20)
+        g2 = Box(100, 100, 140, 140)
         gt = [GroundTruthObject("a", g1, 1), GroundTruthObject("b", g2, 1)]
         dets = [
-            (det(BoxCorner(0, 0, 20, 19), 1, 0.95), "a"),      # TP (IoU 0.95)
-            (det(BoxCorner(60, 60, 80, 80), 1, 0.90), "c"),    # FP (no GT there)
-            (det(BoxCorner(100, 100, 140, 136), 1, 0.85), "b"),  # TP (IoU 0.9)
-            (det(BoxCorner(0, 30, 20, 50), 1, 0.80), "a"),     # FP
+            (det(Box(0, 0, 20, 19), 1, 0.95), "a"),      # TP (IoU 0.95)
+            (det(Box(60, 60, 80, 80), 1, 0.90), "c"),    # FP (no GT there)
+            (det(Box(100, 100, 140, 136), 1, 0.85), "b"),  # TP (IoU 0.9)
+            (det(Box(0, 30, 20, 50), 1, 0.80), "a"),     # FP
         ]
         # recall knots <= 0.5 -> precision 1.0 (TP at rank 1); knots > 0.5 -> 2/3
         expected = (6 * 1.0 + 5 * (2.0 / 3.0)) / 11.0
-        assert average_precision(*as_set(dets), gt, 1) == pytest.approx(expected, rel=1e-12)
-        assert average_precision(*as_set(dets), gt, 1) == oracle_ap_eleven(dets, gt, 1)
+        assert average_precision(*as_set(dets), as_dataset(gt), 1) == pytest.approx(expected, rel=1e-12)
+        assert average_precision(*as_set(dets), as_dataset(gt), 1) == oracle_ap_eleven(dets, gt, 1)
 
     def _random_scene(self, rng, n_classes=3):
         gt, dets = [], []
@@ -132,17 +154,16 @@ class TestAveragePrecision:
             for _ in range(int(rng.integers(0, 4))):
                 x0, y0 = rng.uniform(0, 150, 2)
                 w, h = rng.uniform(10, 40, 2)
-                box = BoxCorner(x0, y0, x0 + w, y0 + h)
+                box = Box(x0, y0, x0 + w, y0 + h)
                 cls = int(rng.integers(1, n_classes + 1))
                 gt.append(GroundTruthObject(image_id, box, cls))
                 # detector may or may not see it, with jitter
                 if rng.uniform() < 0.8:
                     jitter = rng.uniform(-8, 8, 4)
-                    try:
-                        dbox = BoxCorner(
-                            x0 + jitter[0], y0 + jitter[1], x0 + w + jitter[2], y0 + h + jitter[3]
-                        )
-                    except ValueError:
+                    dbox = Box(
+                        x0 + jitter[0], y0 + jitter[1], x0 + w + jitter[2], y0 + h + jitter[3]
+                    )
+                    if dbox.xmin > dbox.xmax or dbox.ymin > dbox.ymax:
                         continue
                     dets.append((det(dbox, cls, float(rng.uniform(0.3, 0.99))), image_id))
             # false positives
@@ -151,7 +172,7 @@ class TestAveragePrecision:
                 w, h = rng.uniform(10, 40, 2)
                 cls = int(rng.integers(1, n_classes + 1))
                 dets.append(
-                    (det(BoxCorner(x0, y0, x0 + w, y0 + h), cls, float(rng.uniform(0.3, 0.99))), image_id)
+                    (det(Box(x0, y0, x0 + w, y0 + h), cls, float(rng.uniform(0.3, 0.99))), image_id)
                 )
         return dets, gt
 
@@ -162,34 +183,34 @@ class TestAveragePrecision:
             if len(dets) > 10:
                 dets = dets[:10]
             for cls in (1, 2, 3):
-                got = average_precision(*as_set(dets), gt, cls)
+                got = average_precision(*as_set(dets), as_dataset(gt), cls)
                 assert got == oracle_ap_eleven(dets, gt, cls)
 
     def test_removing_fp_never_lowers_ap(self):
         rng = np.random.default_rng(321)
         for _ in range(30):
             dets, gt = self._random_scene(rng)
-            base = average_precision(*as_set(dets), gt, 1)
+            base = average_precision(*as_set(dets), as_dataset(gt), 1)
             # find one FP of class 1 and drop it
             for i, (d, image_id) in enumerate(dets):
                 if d.class_id != 1:
                     continue
                 hit = any(
-                    g.image_id == image_id and g.class_id == 1 and iou(d.box_corner, g.box_corner) > 0.5
+                    g.image_id == image_id and g.class_id == 1 and scalar_iou(d.box_corner, g.box_corner) > 0.5
                     for g in gt
                 )
                 if not hit:
                     reduced = dets[:i] + dets[i + 1:]
-                    assert average_precision(*as_set(reduced), gt, 1) >= base - 1e-12
+                    assert average_precision(*as_set(reduced), as_dataset(gt), 1) >= base - 1e-12
                     break
 
     def test_interpolations_agree_on_step_pr(self):
         # single TP at rank 1, nothing else: PR is constant at the knots
-        box = BoxCorner(10, 10, 50, 50)
+        box = Box(10, 10, 50, 50)
         dets = [(det(box, 1, 0.9), "a")]
         gt = [GroundTruthObject("a", box, 1)]
-        eleven = average_precision(*as_set(dets), gt, 1, interpolation="eleven_point")
-        allp = average_precision(*as_set(dets), gt, 1, interpolation="all_point")
+        eleven = average_precision(*as_set(dets), as_dataset(gt), 1, interpolation="eleven_point")
+        allp = average_precision(*as_set(dets), as_dataset(gt), 1, interpolation="all_point")
         assert eleven == allp == 1.0
 
 
@@ -197,22 +218,22 @@ class TestMap50:
     def test_perfect_detections(self):
         gt, dets = [], []
         for i, cls in enumerate([1, 2, 3]):
-            box = BoxCorner(10, 10, 50, 50)
+            box = Box(10, 10, 50, 50)
             image_id = f"img_{i}"
             gt.append(GroundTruthObject(image_id, box, cls))
             dets.append((det(box, cls, 0.95), image_id))
-        result = map50(*as_set(dets), gt)
+        result = map50(*as_set(dets), as_dataset(gt))
         assert result.map50 == 1.0
         assert set(result.per_class_ap) == {1, 2, 3}
 
     def test_empty_detections(self):
-        gt = [GroundTruthObject("a", BoxCorner(0, 0, 10, 10), 1)]
-        assert map50(*as_set([]), gt).map50 == 0.0
+        gt = [GroundTruthObject("a", Box(0, 0, 10, 10), 1)]
+        assert map50(*as_set([]), as_dataset(gt)).map50 == 0.0
 
     def test_zero_gt_classes_excluded(self):
-        gt = [GroundTruthObject("a", BoxCorner(0, 0, 10, 10), 1)]
-        dets = [(det(BoxCorner(0, 0, 10, 10), 1, 0.9), "a")]
-        result = map50(*as_set(dets), gt, class_ids=[1, 2, 3])
+        gt = [GroundTruthObject("a", Box(0, 0, 10, 10), 1)]
+        dets = [(det(Box(0, 0, 10, 10), 1, 0.9), "a")]
+        result = map50(*as_set(dets), as_dataset(gt), class_ids=[1, 2, 3])
         assert set(result.per_class_ap) == {1}
         assert result.excluded == (2, 3)
         assert result.map50 == 1.0
@@ -225,9 +246,9 @@ class TestMap50:
             if not gt:
                 continue
             checked += 1
-            result = map50(*as_set(dets), gt, class_ids=[1, 2, 3])
+            result = map50(*as_set(dets), as_dataset(gt), class_ids=[1, 2, 3])
             expected = {
-                c: average_precision(*as_set(dets), gt, c)
+                c: average_precision(*as_set(dets), as_dataset(gt), c)
                 for c in (1, 2, 3)
                 if any(g.class_id == c for g in gt)
             }

@@ -1,4 +1,4 @@
-"""Every exported name resolves, and the per-detection types stay gone."""
+"""Every exported name resolves, and the per-detection and per-box types stay gone."""
 
 import importlib
 import pkgutil
@@ -6,10 +6,12 @@ import pkgutil
 import pytest
 
 import aldet
+from aldet.boxes import Detections
+from aldet.dataset import Dataset, ImageRecord
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(aldet.__path__))
 DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", "decode_box",
-           "image_anchor")
+           "image_anchor", "BoxCorner", "GroundTruthObject", "PseudoLabel", "iou_matrix")
 
 
 @pytest.mark.parametrize("name", ["aldet"] + [f"aldet.{m}" for m in MODULES])
@@ -25,3 +27,12 @@ def test_per_detection_types_are_gone():
         module = importlib.import_module(name)
         assert [n for n in DELETED if hasattr(module, n)] == [], name
     assert "Detections" in aldet.__all__
+    assert "PseudoLabels" in aldet.__all__
+
+
+def test_one_box_representation():
+    # boxes are float64 corner rows: no per-object ground truth, no stored encoded copy
+    assert not hasattr(Dataset, "all_objects")
+    assert "objects" not in ImageRecord.__dataclass_fields__
+    assert "encoded" not in Detections.__slots__
+    assert not hasattr(Detections([], []), "encoded")

@@ -8,11 +8,10 @@ import pytest
 
 from aldet import formats
 from aldet.acquisition import AcquisitionScore
-from aldet.boxes import BoxCorner
 from aldet.dataset import make_synthetic_dataset
 from aldet.evaluation import EvalResult
 from aldet.pool import init_pool, with_pseudo
-from aldet.pseudo_label import PseudoLabel
+from aldet.pseudo_label import PseudoLabels
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
 
@@ -33,11 +32,9 @@ class TestDatasetJSON:
         assert back.classes == world.classes
         assert len(back.images) == len(world.images)
         for a, b in zip(back.images, world.images):
-            assert a.image_id == b.image_id
-            assert len(a.objects) == len(b.objects)
-            for oa, ob in zip(a.objects, b.objects):
-                assert oa.class_id == ob.class_id
-                assert oa.box_corner == ob.box_corner
+            assert (a.image_id, a.width, a.height) == (b.image_id, b.width, b.height)
+            assert np.array_equal(a.boxes, b.boxes)
+            assert np.array_equal(a.class_ids, b.class_ids)
 
     def test_deterministic_file(self, world, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -45,8 +42,46 @@ class TestDatasetJSON:
         formats.save_dataset(world, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_integer_coordinates_written_as_floats(self, tmp_path):
+        # ground-truth boxes are float64 rows, so an integer coordinate read
+        # from a file is written back as a float; the reader accepts both
+        path = tmp_path / "data.json"
+        image = {"id": "a", "width": 20, "height": 20, "objects": [{"bbox": [0, 5, 10, 15], "class_id": 1}]}
+        path.write_text(json.dumps({"classes": ["c"], "images": [image]}))
+        formats.save_dataset(formats.load_dataset(path), path)
+        assert json.loads(path.read_text())["images"][0]["objects"][0]["bbox"] == [0, 5, 10, 15]
+        assert '"bbox": [0.0, 5.0, 10.0, 15.0]' in path.read_text()
+
+    # The inverted and short boxes are covered through the CLI (test_cli.py).
+    @pytest.mark.parametrize("objects, message", [
+        ([{"bbox": [0, 0, 5, 5], "class_id": 2}], "image 'a': class_id 2 outside 1..1"),
+        ([{"bbox": [0, 0, "5", 5], "class_id": 1}], "image 'a': bbox: expected numbers"),
+        ([{"bbox": [0, 0, 5, None], "class_id": 1}], "image 'a': bbox: expected numbers"),
+    ])
+    def test_invalid_record_names_the_file_and_the_image(self, tmp_path, objects, message):
+        path = tmp_path / "data.json"
+        images = [{"id": "ok", "width": 10, "height": 10, "objects": [{"bbox": [0, 0, 5, 5], "class_id": 1}]},
+                  {"id": "a", "width": 10, "height": 10, "objects": objects}]
+        path.write_text(json.dumps({"classes": ["c"], "images": images}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            formats.load_dataset(path)
+
 
 class TestPredictionsJSONL:
+    def test_encoded_is_written_from_the_box(self, tmp_path):
+        # the reader checks and drops "encoded"; the writer encodes the box it
+        # holds, which for a clamped box differs from the field it was read with
+        sizes = {"a": (100, 50)}
+        path = tmp_path / "preds.jsonl"
+        det = '{"bbox": [-10.0, 0.0, 50.0, 50.0], "encoded": [-0.3, 0.0, 0.6, 1.0], "probs": [0.25, 0.75]}'
+        path.write_text('{"image_id": "a", "flipped": false, "detections": [%s]}\n' % det)
+        pred = formats.read_predictions_jsonl(path, sizes)[("a", False)]
+        assert pred.detections.boxes.tolist() == [[0.0, 0.0, 50.0, 50.0]]
+        formats.write_predictions_jsonl([(pred, False)], path)
+        (written,) = json.loads(path.read_text())["detections"]
+        assert written["bbox"] == [0.0, 0.0, 50.0, 50.0]
+        assert written["encoded"] == [-0.25, 0.0, 0.5, 1.0]
+
     def test_roundtrip(self, world, tmp_path):
         det = SyntheticDetector(SyntheticDetectorConfig(n_classes=3, seed=1), world)
         records = []
@@ -114,23 +149,36 @@ class TestPredictionsJSONL:
 
 class TestPseudoLabelJSONL:
     def test_roundtrip(self, tmp_path):
-        pls = [
-            PseudoLabel("b", BoxCorner(1, 2, 3, 4), 2, 0.995),
-            PseudoLabel("a", BoxCorner(0, 0, 5, 5), 1, 0.999),
-        ]
+        pls = {
+            "b": PseudoLabels([[1, 2, 3, 4], [0, 0, 2, 2]], [2, 1], [0.995, 0.999]),
+            "a": PseudoLabels([[0, 0, 5, 5]], [1], [0.999]),
+        }
         path = tmp_path / "pl.jsonl"
         formats.write_pseudo_labels_jsonl(pls, path)
         back = formats.read_pseudo_labels_jsonl(path)
-        assert sorted(back, key=lambda p: p.image_id) == sorted(pls, key=lambda p: p.image_id)
         # records are sorted by image then confidence
-        assert back[0].image_id == "a"
+        assert list(back) == ["a", "b"]
+        assert back["a"] == pls["a"]
+        assert back["b"] == pls["b"].take([1, 0])
+
+    @pytest.mark.parametrize("record, message", [
+        ('"bbox": [5, 0, 0, 5], "class_id": 1, "confidence": 0.99', "inverted box"),
+        ('"bbox": [0, 0, 5, 5], "class_id": 0, "confidence": 0.99', "pseudo-label class must be a foreground class"),
+        ('"bbox": [0, 0, 5, 5], "class_id": 1, "confidence": 1.5', "confidence must be in (0, 1]"),
+    ])
+    def test_invalid_record_names_the_line(self, tmp_path, record, message):
+        path = tmp_path / "pl.jsonl"
+        path.write_text('{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}\n'
+                        '{"image_id": "a", %s}\n' % record)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: {message}")):
+            formats.read_pseudo_labels_jsonl(path)
 
 
 class TestPoolState:
     def test_roundtrip(self, world, tmp_path):
         pool = init_pool(world.image_ids, 3, seed=5)
         target = sorted(pool.unlabeled)[0]
-        pool = with_pseudo(pool, {target: [PseudoLabel(target, BoxCorner(0, 0, 9, 9), 1, 0.99)]})
+        pool = with_pseudo(pool, {target: PseudoLabels([[0, 0, 9, 9]], [1], [0.99])})
         path = tmp_path / "pool.json"
         formats.save_pool(pool, path)
         assert formats.load_pool(path) == pool

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from aldet.boxes import BoxCorner, Detections, ImagePrediction, encode_boxes, iou
+from oracles import Box, scalar_iou
+
+from aldet.boxes import Detections, ImagePrediction
 from aldet.matching import greedy_assign, match_predictions
 
 
 def make_pred(image_id, boxes, width=100, height=100):
-    rows = np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
-    dets = Detections(rows, encode_boxes(rows, width, height), [[0.1, 0.9]] * len(boxes))
+    rows = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    dets = Detections(rows, [[0.1, 0.9]] * len(boxes))
     return ImagePrediction(image_id, width, height, dets)
 
 
@@ -20,7 +22,7 @@ def random_boxes(rng, n, width=100.0):
         y0 = rng.uniform(0, width - 10)
         w = rng.uniform(5, min(40.0, width - x0))
         h = rng.uniform(5, min(40.0, width - y0))
-        out.append(BoxCorner(x0, y0, x0 + w, y0 + h))
+        out.append(Box(x0, y0, x0 + w, y0 + h))
     return out
 
 
@@ -30,10 +32,10 @@ def enumerate_best_first(boxes_a, boxes_b, floor):
     (-iou, i, j) keys)."""
     candidates = sorted(
         (
-            (-iou(a, b), i, j)
+            (-scalar_iou(a, b), i, j)
             for i, a in enumerate(boxes_a)
             for j, b in enumerate(boxes_b)
-            if iou(a, b) >= floor
+            if scalar_iou(a, b) >= floor
         )
     )
 
@@ -82,7 +84,7 @@ class TestGreedyAssign:
 
 class TestMatchPredictions:
     def test_identical_sets_match_to_self(self):
-        boxes = [BoxCorner(0, 0, 10, 10), BoxCorner(50, 50, 70, 80)]
+        boxes = [Box(0, 0, 10, 10), Box(50, 50, 70, 80)]
         a, b = make_pred("x", boxes), make_pred("x", boxes)
         result = match_predictions(a, b)
         assert result.pairs == ((0, 0), (1, 1))
@@ -90,16 +92,16 @@ class TestMatchPredictions:
         assert result.unmatched_flipped == ()
 
     def test_disjoint_sets_no_pairs(self):
-        a = make_pred("x", [BoxCorner(0, 0, 10, 10)])
-        b = make_pred("x", [BoxCorner(60, 60, 90, 90)])
+        a = make_pred("x", [Box(0, 0, 10, 10)])
+        b = make_pred("x", [Box(60, 60, 90, 90)])
         result = match_predictions(a, b)
         assert result.pairs == ()
         assert result.unmatched_original == (0,)
         assert result.unmatched_flipped == (0,)
 
     def test_frame_mismatch(self):
-        a = make_pred("x", [BoxCorner(0, 0, 10, 10)])
-        b = make_pred("y", [BoxCorner(0, 0, 10, 10)])
+        a = make_pred("x", [Box(0, 0, 10, 10)])
+        b = make_pred("y", [Box(0, 0, 10, 10)])
         with pytest.raises(ValueError, match="frame mismatch"):
             match_predictions(a, b)
 

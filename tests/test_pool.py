@@ -7,7 +7,6 @@ import pytest
 
 from aldet import boxes
 from aldet.acquisition import AcquisitionConfig
-from aldet.boxes import BoxCorner
 from aldet import pool as pool_module
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import map50
@@ -19,7 +18,7 @@ from aldet.pool import (
     run_cycles,
     with_pseudo,
 )
-from aldet.pseudo_label import PseudoLabel
+from aldet.pseudo_label import PseudoLabels
 from aldet.sim_detector import DetectorInterface, SyntheticDetector, SyntheticDetectorConfig
 
 
@@ -27,8 +26,8 @@ def ids(n, prefix="img"):
     return [f"{prefix}_{i:04d}" for i in range(n)]
 
 
-def a_pl(image_id):
-    return PseudoLabel(image_id, BoxCorner(0, 0, 10, 10), 1, 0.995)
+def some_pls(n=1):
+    return PseudoLabels([[0, 0, 10, 10]] * n, [1] * n, [0.995] * n)
 
 
 class TestPoolType:
@@ -36,12 +35,12 @@ class TestPoolType:
         with pytest.raises(ValueError, match="overlap"):
             Pool(frozenset({"a", "b"}), frozenset({"b", "c"}))
         with pytest.raises(ValueError, match="non-pool"):
-            Pool(frozenset({"a"}), frozenset({"b"}), {"a": (a_pl("a"),)})
+            Pool(frozenset({"a"}), frozenset({"b"}), {"a": some_pls()})
         with pytest.raises(ValueError):
             Pool(frozenset(), frozenset(), {}, cycle=-1)
 
     def test_counts(self):
-        pool = Pool(frozenset({"a"}), frozenset({"b", "c"}), {"b": (a_pl("b"), a_pl("b"))})
+        pool = Pool(frozenset({"a"}), frozenset({"b", "c"}), {"b": some_pls(2)})
         assert pool.n_pseudo_labels == 2
         assert pool.all_ids == {"a", "b", "c"}
 
@@ -86,7 +85,7 @@ class TestCommitSelection:
     def test_drops_pseudo_entries_of_selected(self):
         pool = init_pool(ids(10), 2, seed=0)
         target = sorted(pool.unlabeled)[0]
-        pool = with_pseudo(pool, {target: [a_pl(target)]})
+        pool = with_pseudo(pool, {target: some_pls()})
         after = commit_selection(pool, [target])
         assert target not in after.pseudo
 
@@ -160,7 +159,7 @@ class TestRunCycles:
         train, test, world = small_world()
         pool = init_pool(train.image_ids, 10, seed=0)
         stale = sorted(pool.unlabeled)[0]
-        pool = with_pseudo(pool, {stale: [a_pl(stale)]})
+        pool = with_pseudo(pool, {stale: some_pls()})
         seen = []
         cfg = RunConfig(cycles=2, budget_per_cycle=5, seed=0, pl_enabled=False)
         reports = run_cycles(pool, PoolSpy(make_detector(world), seen), cfg, train, test)
@@ -206,7 +205,7 @@ class TestRunCycles:
         for r in reports:
             assert 0.0 <= r.pl_ratio <= 1.0
             assert 0.0 <= r.pl_correctness <= 1.0
-            assert len(r.pseudo_labels) == r.pl_count
+            assert sum(len(v) for v in r.pseudo_labels.values()) == r.pl_count
 
     def test_unified_targets_fragile_class(self):
         # with one flip-fragile class injected, the unified strategy selects
@@ -227,7 +226,7 @@ class TestRunCycles:
                 1
                 for r in reports
                 for i in r.selected
-                if train[i].objects[0].class_id == 1
+                if train[i].class_ids[0] == 1
             )
 
         assert fragile_selected("unified") > fragile_selected("random")

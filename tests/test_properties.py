@@ -2,19 +2,24 @@
 whose output pseudo-labelling and scoring share, that let the pseudo-label
 audit compare only within (image, class), that keep the JSONL readers from
 failing on any input without naming the line, and that pin the array-backed
-detection core to the per-detection code it replaced, kept here as oracles."""
+detection core, ground truth and evaluation to the per-detection and
+per-object code they replaced, kept here as oracles."""
 
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aldet import formats, pseudo_label
+from oracles import Box, scalar_iou
+
+from aldet import evaluation, formats, pseudo_label
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
-from aldet.boxes import BoxCorner, Detections, ImagePrediction, encode_boxes, hflip, iou, iou_matrix, nms
+from aldet.boxes import Detections, ImagePrediction, hflip, iou, nms
+from aldet.dataset import Dataset, ImageRecord
+from aldet.evaluation import map50
 from aldet.matching import match_predictions
-from aldet.pseudo_label import GroundTruthObject, PseudoLabel, audit_pl_correctness
+from aldet.pseudo_label import PseudoLabels, audit_pl_correctness
 
 SIZE = 100
 N_CLASSES = 3
@@ -38,7 +43,7 @@ def detection(draw):
 def as_prediction(dets, image_id="img") -> ImagePrediction:
     boxes = np.array([box for box, _ in dets]).reshape(-1, 4)
     probs = np.array([probs for _, probs in dets]).reshape(len(dets), N_CLASSES + 1)
-    return ImagePrediction(image_id, SIZE, SIZE, Detections(boxes, encode_boxes(boxes, SIZE, SIZE), probs))
+    return ImagePrediction(image_id, SIZE, SIZE, Detections(boxes, probs))
 
 
 def prediction(max_dets=8):
@@ -82,15 +87,16 @@ def test_scores_from_post_nms_originals_equal_scores_from_raw(
 
 
 def brute_force_audit(pls, gt, iou_thresh=0.5):
-    """The O(P*G) audit: every pseudo-label against every ground-truth object."""
+    """The O(P*G) audit: every pseudo-label against every ground-truth object,
+    both given as (image id, box, class) items."""
     if not pls:
         return 1.0
     candidates = []
-    for pi, pl in enumerate(pls):
-        for gi, obj in enumerate(gt):
-            if obj.image_id != pl.image_id or obj.class_id != pl.class_id:
+    for pi, (pl_image, pl_box, pl_class) in enumerate(pls):
+        for gi, (gt_image, gt_box, gt_class) in enumerate(gt):
+            if gt_image != pl_image or gt_class != pl_class:
                 continue
-            v = iou(pl.box_corner, obj.box_corner)
+            v = scalar_iou(pl_box, gt_box)
             if v > iou_thresh:
                 candidates.append((v, pi, gi))
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
@@ -104,6 +110,32 @@ def brute_force_audit(pls, gt, iou_thresh=0.5):
     return len(matched_pl) / len(pls)
 
 
+def by_image(items, image_ids):
+    """``(box, class)`` lists of each image, in item order."""
+    out = {image_id: [] for image_id in image_ids}
+    for image_id, box, cls in items:
+        out[image_id].append((box, cls))
+    return out
+
+
+def as_pseudo_labels(items) -> dict[str, PseudoLabels]:
+    """One confidence-0.99 pseudo-label per (image id, box, class) item."""
+    return {
+        image_id: PseudoLabels([b for b, _ in rows], [c for _, c in rows], [0.99] * len(rows))
+        for image_id, rows in by_image(items, sorted({i for i, _, _ in items})).items()
+    }
+
+
+def as_dataset(items, image_ids="abc") -> Dataset:
+    """One ground-truth box per (image id, box, class) item, in images
+    ``image_ids``."""
+    return Dataset(
+        tuple(f"c{k}" for k in range(1, N_CLASSES + 1)),
+        tuple(ImageRecord(i, SIZE, SIZE, [b for b, _ in rows], [c for _, c in rows])
+              for i, rows in by_image(items, image_ids).items()),
+    )
+
+
 # Few images, classes and grid positions, so that several labels share a
 # group, IoU ties are common and IoU is exactly 0.5 (e.g. 20x10 against 10x10).
 audit_coords = st.integers(0, 3).map(lambda v: 10.0 * v)
@@ -111,62 +143,121 @@ audit_sides = st.integers(1, 3).map(lambda v: 10.0 * v)
 
 
 @st.composite
-def labelled_box(draw):
+def labelled_box(draw, images="abc"):
     x0, y0 = draw(audit_coords), draw(audit_coords)
-    box = BoxCorner(x0, y0, x0 + draw(audit_sides), y0 + draw(audit_sides))
-    return draw(st.sampled_from("abc")), box, draw(st.integers(1, 3))
+    box = Box(x0, y0, x0 + draw(audit_sides), y0 + draw(audit_sides))
+    return draw(st.sampled_from(images)), box, draw(st.integers(1, N_CLASSES))
 
 
-pseudo_labels = st.lists(labelled_box(), max_size=12).map(
-    lambda items: [PseudoLabel(i, box, c, 0.99) for i, box, c in items]
-)
-ground_truth = st.lists(labelled_box(), max_size=12).map(
-    lambda items: [GroundTruthObject(i, box, c) for i, box, c in items]
-)
+labelled_boxes = st.lists(labelled_box(), max_size=12)
 
 
 @settings(deadline=None, max_examples=200)
-@given(pseudo_labels, ground_truth, st.sampled_from([0.0, 0.3, 0.5]))
+@given(labelled_boxes, labelled_boxes, st.sampled_from([0.0, 0.3, 0.5]))
 def test_audit_equals_brute_force(pls, gt, iou_thresh):
-    assert audit_pl_correctness(pls, gt, iou_thresh) == brute_force_audit(pls, gt, iou_thresh)
-
-
-class CountingSequence(tuple):
-    """A tuple that counts how often it is iterated."""
-
-    passes = 0
-
-    def __iter__(self):
-        self.passes += 1
-        return super().__iter__()
+    got = audit_pl_correctness(as_pseudo_labels(pls), as_dataset(gt), iou_thresh)
+    assert got == brute_force_audit(pls, gt, iou_thresh)
 
 
 def test_audit_compares_within_image_and_class(monkeypatch):
-    # every box is unique, so each IoU call can be traced back to its groups
+    # every box has its own xmin, so each IoU pair can be traced back to its groups
     group_of = {}
 
     def item(image_id, class_id, k):
-        box = BoxCorner(float(k), 0.0, k + 10.0, 10.0)
-        group_of[box] = (image_id, class_id)
-        return image_id, box, class_id
+        group_of[float(k)] = (image_id, class_id)
+        return image_id, (float(k), 0.0, k + 10.0, 10.0), class_id
 
     groups = [(i, c) for i in "abcd" for c in (1, 2, 3)]
-    pls = [PseudoLabel(*item(i, c, 3 * k), 0.99) for k, (i, c) in enumerate(groups * 2)]
-    gt = CountingSequence(
-        GroundTruthObject(*item(i, c, 3 * k + 1)) for k, (i, c) in enumerate(groups * 3)
-    )
+    pls = [item(i, c, 3 * k) for k, (i, c) in enumerate(groups * 2)]
+    gt = [item(i, c, 3 * k + 1) for k, (i, c) in enumerate(groups * 3)]
     calls = []
 
     def counting_iou(a, b):
-        calls.append((group_of[a], group_of[b]))
+        calls.append([(group_of[x], group_of[y]) for x, y in zip(a[:, 0].tolist(), b[:, 0].tolist())])
         return iou(a, b)
 
     monkeypatch.setattr(pseudo_label, "iou", counting_iou)
-    audit_pl_correctness(pls, gt)
-    assert all(a == b for a, b in calls)
-    assert len(calls) == len(groups) * 2 * 3
-    # the ground truth is read once, not once per pseudo-label
-    assert gt.passes == 1
+    audit_pl_correctness(as_pseudo_labels(pls), as_dataset(gt, "abcd"))
+    # one IoU call, on same-(image, class) pairs only
+    (pairs,) = calls
+    assert all(a == b for a, b in pairs)
+    assert len(pairs) == len(groups) * 2 * 3
+
+
+# -- evaluation ---------------------------------------------------------------------
+
+
+def oracle_assign_tp_fp(dets, image_ids, gt, class_id, iou_thresh):
+    """The per-object TP/FP assignment of one class: each detection, by
+    (-score, row), against the best-IoU (the first of equal IoUs) ground-truth
+    box of its image and class, a TP iff that IoU exceeds the threshold and
+    the box is unclaimed. ``gt`` is a list of (image id, box, class) items."""
+    gt_boxes: dict[str, list] = {}
+    for image_id, box, cls in gt:
+        if cls == class_id:
+            gt_boxes.setdefault(image_id, []).append([box, False])
+    n_gt = sum(len(v) for v in gt_boxes.values())
+
+    rows = np.flatnonzero(dets.class_ids == class_id)
+    rows = rows[np.argsort(-dets.scores[rows], kind="stable")]
+
+    flags: list[bool] = []
+    for row, box in zip(rows.tolist(), dets.boxes[rows].tolist()):
+        best_iou, best = 0.0, None
+        for entry in gt_boxes.get(image_ids[row], ()):
+            v = scalar_iou(box, entry[0])
+            if v > best_iou:
+                best_iou, best = v, entry
+        if best is not None and best_iou > iou_thresh and not best[1]:
+            best[1] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags, n_gt
+
+
+@st.composite
+def scored_detection(draw):
+    """(image id, box, class distribution); the dataset lacks image "d"."""
+    image_id, box, _ = draw(labelled_box("abcd"))
+    z = np.exp(np.asarray(draw(logits), dtype=np.float64))
+    return image_id, box, z / z.sum()
+
+
+# The first detection has equal IoUs with both ground-truth boxes and takes
+# the first; the second, ranked lower, then finds its best box claimed.
+EQUAL_IOUS = (
+    [("a", Box(10.0, 0.0, 20.0, 10.0), np.array([0.1, 0.7, 0.1, 0.1])),
+     ("a", Box(0.0, 0.0, 20.0, 10.0), np.array([0.1, 0.6, 0.2, 0.1]))],
+    [("a", Box(0.0, 0.0, 20.0, 10.0), 1), ("a", Box(10.0, 0.0, 30.0, 10.0), 1)],
+)
+
+
+@settings(deadline=None, max_examples=300)
+@example(*EQUAL_IOUS, 0.3, "eleven_point", None)
+@given(
+    st.lists(scored_detection(), max_size=14),
+    labelled_boxes,
+    st.sampled_from([0.0, 0.3, 0.5]),
+    st.sampled_from(["eleven_point", "all_point"]),
+    st.sampled_from([None, [1, 2, 3]]),
+)
+def test_map50_equals_per_object_oracle(items, gt, iou_thresh, interpolation, class_ids):
+    dets = Detections(np.array([b for _, b, _ in items]).reshape(-1, 4),
+                      np.array([p for _, _, p in items]).reshape(len(items), N_CLASSES + 1))
+    image_ids = [i for i, _, _ in items]
+    got = map50(dets, image_ids, as_dataset(gt), interpolation, class_ids, iou_thresh)
+
+    if class_ids is None:
+        class_ids = {c for _, _, c in gt} | set(dets.class_ids[dets.class_ids > 0].tolist())
+    ap = evaluation._ap_eleven_point if interpolation == "eleven_point" else evaluation._ap_all_point
+    per_class, n_gt = {}, {}
+    for c in sorted(class_ids):
+        flags, n_gt[c] = oracle_assign_tp_fp(dets, image_ids, gt, c, iou_thresh)
+        if n_gt[c]:
+            per_class[c] = ap(flags, n_gt[c]) if flags else 0.0
+    expected = evaluation.EvalResult.from_per_class(per_class, n_gt, [c for c in n_gt if not n_gt[c]])
+    assert got == expected
 
 
 # -- line-based readers on arbitrary bytes ----------------------------------------
@@ -241,27 +332,33 @@ float_boxes = st.lists(
 @settings(deadline=None, max_examples=300)
 @given(grid_boxes(0) | float_boxes, grid_boxes(0) | float_boxes)
 def test_iou_matrix_equals_scalar_iou_bit_for_bit(a, b):
-    got = iou_matrix(np.array(a), np.array(b))
+    # the matrix form, and the row-pair form on the rows both lists have
+    a_rows, b_rows = np.array(a), np.array(b)
+    got = iou(a_rows[:, None], b_rows[None])
     assert got.shape == (len(a), len(b))
     for i, ra in enumerate(a):
         for j, rb in enumerate(b):
-            assert bits(got[i, j]) == bits(iou(BoxCorner(*ra), BoxCorner(*rb)))
+            assert bits(got[i, j]) == bits(scalar_iou(ra, rb))
+    n = min(len(a), len(b))
+    pairs = iou(a_rows[:n], b_rows[:n])
+    assert [bits(v) for v in pairs.tolist()] == [bits(scalar_iou(ra, rb)) for ra, rb in zip(a, b)]
 
 
 def test_iou_matrix_equals_scalar_iou_on_40k_random_pairs():
     rng = np.random.default_rng(0)
     lo = rng.uniform(0, 100, (400, 2))
     boxes = np.hstack([lo, lo + rng.uniform(0, 40, (400, 2))])
-    got = iou_matrix(boxes[:200], boxes[200:])
-    corners = [BoxCorner(*row) for row in boxes.tolist()]
-    expected = [[iou(a, b) for b in corners[200:]] for a in corners[:200]]
-    assert got.tolist() == expected
+    expected = [[scalar_iou(a, b) for b in boxes[200:].tolist()] for a in boxes[:200].tolist()]
+    assert iou(boxes[:200, None], boxes[None, 200:]).tolist() == expected
+    # the same pairs as rows: row k of each side is the pair (k // 200, k % 200)
+    left, right = np.repeat(boxes[:200], 200, axis=0), np.tile(boxes[200:], (200, 1))
+    assert iou(left, right).tolist() == [v for row in expected for v in row]
 
 
 def oracle_nms(dets, iou_threshold, score_floor):
     """The per-detection NMS: rows kept, grouped by argmax class, each class
     greedy by (-score, index), then sorted by (-score, index)."""
-    rows = [(BoxCorner(*box), int(np.argmax(p)), float(p[int(np.argmax(p))])) for box, p in dets]
+    rows = [(box, int(np.argmax(p)), float(p[int(np.argmax(p))])) for box, p in dets]
     by_class: dict[int, list[int]] = {}
     for idx, (_, cls, score) in enumerate(rows):
         if cls == 0 or score < score_floor:
@@ -271,7 +368,7 @@ def oracle_nms(dets, iou_threshold, score_floor):
     for cls in sorted(by_class):
         cls_kept: list[int] = []
         for i in sorted(by_class[cls], key=lambda i: (-rows[i][2], i)):
-            if all(iou(rows[i][0], rows[j][0]) <= iou_threshold for j in cls_kept):
+            if all(scalar_iou(rows[i][0], rows[j][0]) <= iou_threshold for j in cls_kept):
                 cls_kept.append(i)
         kept.extend(cls_kept)
     return sorted(kept, key=lambda i: (-rows[i][2], i))
@@ -289,7 +386,7 @@ def oracle_match(boxes_a, boxes_b, floor):
     """The candidate-list matcher: every cross pair with IoU >= floor, taken by
     (-IoU, i, j) while both members are free."""
     candidates = [
-        (iou(BoxCorner(*a), BoxCorner(*b)), i, j)
+        (scalar_iou(a, b), i, j)
         for i, a in enumerate(boxes_a)
         for j, b in enumerate(boxes_b)
     ]
@@ -318,6 +415,4 @@ def test_match_predictions_equals_candidate_list_oracle(boxes_a, boxes_b, floor)
 @settings(deadline=None, max_examples=200)
 @given(prediction())
 def test_hflip_is_an_involution(pred):
-    once = hflip(pred)
-    assert np.array_equal(once.detections.encoded[:, 0], -pred.detections.encoded[:, 0])
-    assert hflip(once) == pred
+    assert hflip(hflip(pred)) == pred

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from aldet.boxes import BoxCorner, Detections, ImagePrediction
+from aldet.boxes import Detections, ImagePrediction
+from aldet.dataset import Dataset, ImageRecord
 from aldet.pseudo_label import (
-    GroundTruthObject,
-    PseudoLabel,
+    PseudoLabels,
     audit_pl_correctness,
     extract_pseudo_labels,
     extract_topk_per_class,
@@ -22,7 +22,7 @@ def det(probs, box=(0.0, 0.0, 10.0, 10.0)):
 
 def pred(dets, image_id="img"):
     boxes = [box for box, _ in dets]
-    detections = Detections(boxes, [[-0.4, -0.4, 0.1, 0.1]] * len(dets), [probs for _, probs in dets])
+    detections = Detections(boxes, [probs for _, probs in dets])
     return ImagePrediction(image_id, 100, 100, detections)
 
 
@@ -43,16 +43,17 @@ class TestExtractPseudoLabels:
         p = pred([det(peaked(3, 0.995))])
         pls = extract_pseudo_labels(p, 0.99)
         assert len(pls) == 1
-        assert pls[0].class_id == 3
-        assert pls[0].confidence == pytest.approx(0.995)
+        assert pls.class_ids.tolist() == [3]
+        assert pls.scores.tolist() == pytest.approx([0.995])
+        assert pls.boxes.tolist() == [[0.0, 0.0, 10.0, 10.0]]
 
     def test_below_threshold_skipped(self):
         p = pred([det(peaked(3, 0.98))])
-        assert extract_pseudo_labels(p, 0.99) == []
+        assert len(extract_pseudo_labels(p, 0.99)) == 0
 
     def test_background_argmax_never_labeled(self):
         p = pred([det(peaked(0, 0.999))])
-        assert extract_pseudo_labels(p, 0.99) == []
+        assert len(extract_pseudo_labels(p, 0.99)) == 0
 
     def test_tau_validation(self):
         p = pred([])
@@ -80,24 +81,26 @@ class TestExtractPseudoLabels:
             expected = [(c, sc) for c, sc in map(class_and_score, dets) if c != 0 and sc >= tau]
             got = extract_pseudo_labels(p, tau)
             assert len(got) == len(expected)
-            for pl, (cls, score) in zip(got, expected):
-                assert pl.confidence == score >= tau
-                assert pl.class_id == cls >= 1
+            for got_cls, got_score, (cls, score) in zip(got.class_ids.tolist(), got.scores.tolist(), expected):
+                assert got_score == score >= tau
+                assert got_cls == cls >= 1
 
 
 class TestTopKPerClass:
     def test_full_take(self):
         dets = [det(peaked(1, 0.6)), det(peaked(2, 0.7)), det(peaked(0, 0.9))]
         pls = extract_topk_per_class([pred(dets)], 1.0)
-        assert len(pls) == 2  # background-argmax detection excluded
+        assert list(pls) == ["img"]
+        assert len(pls["img"]) == 2  # background-argmax detection excluded
 
     def test_top_20_percent(self):
         # 10 detections of one class -> ceil(0.2 * 10) = 2 labels, highest probs
         confs = [0.3, 0.9, 0.5, 0.7, 0.95, 0.4, 0.6, 0.45, 0.35, 0.55]
         dets = [det(peaked(1, c)) for c in confs]
-        pls = extract_topk_per_class([pred(dets)], 0.2)
+        pls = extract_topk_per_class([pred(dets)], 0.2)["img"]
         assert len(pls) == 2
-        assert sorted(pl.confidence for pl in pls) == pytest.approx([0.9, 0.95])
+        assert pls.scores.tolist() == pytest.approx([0.95, 0.9])
+        assert pls.class_ids.tolist() == [1, 1]
 
     def test_matches_sort_and_slice_oracle(self):
         rng = np.random.default_rng(11)
@@ -112,6 +115,8 @@ class TestTopKPerClass:
                 all_dets.extend(dets)
             k = float(rng.choice([0.2, 0.5, 1.0]))
             got = extract_topk_per_class(preds, k)
+            assert all(len(v) for v in got.values())
+            labels = [(c, sc) for v in got.values() for c, sc in zip(v.class_ids.tolist(), v.scores.tolist())]
 
             per_class: dict[int, list[float]] = {}
             for cls, score in map(class_and_score, all_dets):
@@ -120,10 +125,10 @@ class TestTopKPerClass:
             expected_count = sum(
                 math.ceil(k * len(v)) for v in per_class.values()
             )
-            assert len(got) == expected_count
+            assert len(labels) == expected_count
             for cls, confs in per_class.items():
                 take = math.ceil(k * len(confs))
-                kept = sorted((pl.confidence for pl in got if pl.class_id == cls), reverse=True)
+                kept = sorted((sc for c, sc in labels if c == cls), reverse=True)
                 assert kept == pytest.approx(sorted(confs, reverse=True)[:take])
 
     def test_k_validation(self):
@@ -133,49 +138,74 @@ class TestTopKPerClass:
             extract_topk_per_class([], 1.5)
 
 
-def gt(image_id, box, cls):
-    return GroundTruthObject(image_id, box, cls)
+def audit(labels, truths, iou_thresh=0.5):
+    """``audit_pl_correctness`` of (image id, box, class) items: one
+    confidence-0.995 pseudo-label per item of ``labels``, one ground-truth box
+    per item of ``truths``, in order within each image."""
+    pls: dict[str, list] = {}
+    for image_id, box, cls in labels:
+        pls.setdefault(image_id, []).append((box, cls))
+    gt: dict[str, list] = {image_id: [] for image_id, _, _ in labels}
+    for image_id, box, cls in truths:
+        gt.setdefault(image_id, []).append((box, cls))
+    sets = {i: PseudoLabels([b for b, _ in v], [c for _, c in v], [0.995] * len(v)) for i, v in pls.items()}
+    images = tuple(ImageRecord(i, 100, 100, [b for b, _ in v], [c for _, c in v]) for i, v in gt.items())
+    return audit_pl_correctness(sets, Dataset(("c1", "c2", "c3"), images), iou_thresh)
 
 
-def pl(image_id, box, cls, conf=0.995):
-    return PseudoLabel(image_id, box, cls, conf)
+class TestPseudoLabels:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="inverted box"):
+            PseudoLabels([[5, 0, 0, 5]], [1], [0.9])
+        with pytest.raises(ValueError, match="foreground class"):
+            PseudoLabels([[0, 0, 5, 5]], [0], [0.9])
+        for bad in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="confidence must be in"):
+                PseudoLabels([[0, 0, 5, 5]], [1], [bad])
+        with pytest.raises(ValueError, match="row counts differ"):
+            PseudoLabels([[0, 0, 5, 5]], [1, 2], [0.9])
+
+    def test_rows_of_detections(self):
+        p = pred([det(peaked(1, 0.6), (0, 0, 5, 5)), det(peaked(2, 0.7), (1, 1, 6, 6))])
+        pls = PseudoLabels.from_rows(p.detections, [1])
+        assert pls == PseudoLabels([[1, 1, 6, 6]], [2], [p.detections.scores[1]])
+        with pytest.raises(ValueError):
+            pls.scores[0] = 0.5  # read-only
 
 
 class TestAudit:
     def test_match_above_threshold_counts(self):
-        box_gt = BoxCorner(0, 0, 10, 10)
-        box_pl = BoxCorner(0, 0, 10, 8)  # IoU 0.8
-        assert audit_pl_correctness([pl("a", box_pl, 1)], [gt("a", box_gt, 1)]) == 1.0
+        box_gt = (0, 0, 10, 10)
+        box_pl = (0, 0, 10, 8)  # IoU 0.8
+        assert audit([("a", box_pl, 1)], [("a", box_gt, 1)]) == 1.0
 
     def test_low_iou_counts_as_wrong(self):
-        box_gt = BoxCorner(0, 0, 10, 10)
-        box_pl = BoxCorner(0, 0, 10, 4)  # IoU 0.4
-        assert audit_pl_correctness([pl("a", box_pl, 1)], [gt("a", box_gt, 1)]) == 0.0
+        box_gt = (0, 0, 10, 10)
+        box_pl = (0, 0, 10, 4)  # IoU 0.4
+        assert audit([("a", box_pl, 1)], [("a", box_gt, 1)]) == 0.0
 
     def test_class_mismatch_counts_as_wrong(self):
-        box = BoxCorner(0, 0, 10, 10)
-        assert audit_pl_correctness([pl("a", box, 2)], [gt("a", box, 1)]) == 0.0
+        box = (0, 0, 10, 10)
+        assert audit([("a", box, 2)], [("a", box, 1)]) == 0.0
 
     def test_gt_single_use(self):
         # two duplicate pseudo-labels, one GT: only one can be validated
-        box = BoxCorner(0, 0, 10, 10)
-        labels = [pl("a", box, 1), pl("a", BoxCorner(0, 0, 10, 9.5), 1)]
-        assert audit_pl_correctness(labels, [gt("a", box, 1)]) == 0.5
+        box = (0, 0, 10, 10)
+        assert audit([("a", box, 1), ("a", (0, 0, 10, 9.5), 1)], [("a", box, 1)]) == 0.5
 
     def test_empty_pl_list_convention(self):
-        assert audit_pl_correctness([], [gt("a", BoxCorner(0, 0, 1, 1), 1)]) == 1.0
+        assert audit([], [("a", (0, 0, 1, 1), 1)]) == 1.0
 
     def test_24_of_25_fixture(self):
         labels, truths = [], []
         for i in range(25):
             image_id = f"img_{i:02d}"
-            box = BoxCorner(10, 10, 50, 50)
-            truths.append(gt(image_id, box, 1 + i % 3))
+            truths.append((image_id, (10, 10, 50, 50), 1 + i % 3))
             if i < 24:
-                labels.append(pl(image_id, BoxCorner(10, 10, 50, 46), 1 + i % 3))  # IoU 0.9
+                labels.append((image_id, (10, 10, 50, 46), 1 + i % 3))  # IoU 0.9
             else:
-                labels.append(pl(image_id, BoxCorner(60, 60, 80, 80), 1 + i % 3))  # IoU 0
-        assert audit_pl_correctness(labels, truths) == 0.96
+                labels.append((image_id, (60, 60, 80, 80), 1 + i % 3))  # IoU 0
+        assert audit(labels, truths) == 0.96
 
     def test_order_invariance_with_distinct_ious(self):
         rng = np.random.default_rng(3)
@@ -183,11 +213,10 @@ class TestAudit:
         for i in range(12):
             image_id = f"img_{i}"
             x = float(rng.uniform(0, 40))
-            box = BoxCorner(x, 10, x + 30, 40)
-            truths.append(gt(image_id, box, 1))
+            truths.append((image_id, (x, 10, x + 30, 40), 1))
             shrink = float(rng.uniform(0, 12))
-            labels.append(pl(image_id, BoxCorner(x, 10, x + 30 - shrink, 40), 1))
-        base = audit_pl_correctness(labels, truths)
+            labels.append((image_id, (x, 10, x + 30 - shrink, 40), 1))
+        base = audit(labels, truths)
         for _ in range(5):
             perm = rng.permutation(len(labels))
-            assert audit_pl_correctness([labels[k] for k in perm], truths) == base
+            assert audit([labels[k] for k in perm], truths) == base
