@@ -42,9 +42,12 @@ LOG_EPS = 1e-12
 SCORE_STRATEGIES = ("entropy", "inconsistency", "unified")
 
 
+def _logs(probs: np.ndarray) -> np.ndarray:
+    return np.log(np.clip(probs, LOG_EPS, 1.0))
+
+
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    logs = np.log(np.clip(p, LOG_EPS, 1.0)) - np.log(np.clip(q, LOG_EPS, 1.0))
-    return float(np.dot(p, logs))
+    return float(np.dot(p, _logs(p) - _logs(q)))
 
 
 def sym_kl(p, q) -> float:
@@ -58,20 +61,35 @@ def sym_kl(p, q) -> float:
 def entropy(p) -> float:
     """Shannon entropy -sum(p log p), natural log, eps-clamped."""
     pa = np.asarray(p, dtype=np.float64)
-    return float(-np.dot(pa, np.log(np.clip(pa, LOG_EPS, 1.0))))
+    return float(-np.dot(pa, _logs(pa)))
 
 
 def image_inconsistency(p, q) -> float:
     """Max symmetric KL between the rows of ``p`` and ``q``, which hold the two
-    members of each matched pair row by row; 0 when there are no pairs."""
+    members of each matched pair row by row; 0 when there are no pairs.
+
+    Each row's value is the same float as :func:`sym_kl` of the two rows:
+    the logs are taken once per matrix, and each KL term is still one
+    ``np.dot`` per row."""
     if len(p) != len(q):
         raise ValueError(f"pair count mismatch: {len(p)} vs {len(q)} distributions")
-    return max((sym_kl(a, b) for a, b in zip(p, q)), default=0.0)
+    if not len(p):
+        return 0.0
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ValueError(f"distribution length mismatch: {p.shape[1:]} vs {q.shape[1:]}")
+    d = _logs(p) - _logs(q)
+    # -(log p - log q) is exactly log q - log p.
+    return max(0.5 * (float(np.dot(a, dp)) + float(np.dot(b, dq))) for a, b, dp, dq in zip(p, q, d, -d))
 
 
 def image_entropy(probs) -> float:
-    """Max entropy over the rows of ``probs``; 0 when there are none."""
-    return max((entropy(p) for p in probs), default=0.0)
+    """Max entropy over the rows of ``probs``; 0 when there are none. Each
+    row's value is the same float as :func:`entropy` of that row."""
+    if not len(probs):
+        return 0.0
+    probs = np.asarray(probs, dtype=np.float64)
+    return max(float(-np.dot(p, lp)) for p, lp in zip(probs, _logs(probs)))
 
 
 @dataclass(frozen=True)
@@ -133,12 +151,10 @@ def unified_score(
     all K+1 categories. An image with no detections scores (0, 0, 0) and is
     therefore never selected by score-based strategies.
     """
-    pairs = match_predictions(orig, unflipped, min_match_iou).pairs
+    pairs = np.array(match_predictions(orig, unflipped, min_match_iou).pairs, dtype=np.intp).reshape(-1, 2)
     o, f = orig.detections.probs, unflipped.detections.probs
     return AcquisitionScore.from_parts(
-        orig.image_id,
-        image_entropy(o),
-        image_inconsistency([o[i] for i, _ in pairs], [f[j] for _, j in pairs]),
+        orig.image_id, image_entropy(o), image_inconsistency(o[pairs[:, 0]], f[pairs[:, 1]])
     )
 
 

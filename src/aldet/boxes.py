@@ -68,10 +68,12 @@ def _reject(arr: np.ndarray, bad: np.ndarray, message) -> None:
 def checked_boxes(rows) -> np.ndarray:
     """Validated (N, 4) corner boxes: finite and not inverted."""
     arr = _rows(rows, "bbox", 4)
-    _reject(arr, ~np.isfinite(arr).all(axis=1),
-            lambda r: f"box coordinates must be finite, got {tuple(r.tolist())}")
-    _reject(arr, (arr[:, 0] > arr[:, 2]) | (arr[:, 1] > arr[:, 3]),
-            lambda r: f"inverted box: {tuple(r.tolist())}")
+    # Whole-array checks first; the row-by-row ones only find the row to name.
+    if not (np.isfinite(arr).all() and (arr[:, :2] <= arr[:, 2:]).all()):
+        _reject(arr, ~np.isfinite(arr).all(axis=1),
+                lambda r: f"box coordinates must be finite, got {tuple(r.tolist())}")
+        _reject(arr, (arr[:, 0] > arr[:, 2]) | (arr[:, 1] > arr[:, 3]),
+                lambda r: f"inverted box: {tuple(r.tolist())}")
     return arr
 
 
@@ -100,8 +102,10 @@ def checked_probs(rows) -> np.ndarray:
             raise ValueError("class distribution has non-finite entries")
         _reject(arr, (arr.min(axis=1) < -1e-9) | (arr.max(axis=1) > 1.0 + 1e-9),
                 lambda r: f"probabilities outside [0, 1]: min={r.min()}, max={r.max()}")
-    _reject(arr, np.abs(arr.sum(axis=1) - 1.0) > DIST_SUM_TOL,
-            lambda r: f"probabilities sum to {r.sum()}, expected 1 within {DIST_SUM_TOL}")
+    off = np.abs(arr.sum(axis=1) - 1.0)  # finite here
+    if off.max() > DIST_SUM_TOL:
+        _reject(arr, off > DIST_SUM_TOL,
+                lambda r: f"probabilities sum to {r.sum()}, expected 1 within {DIST_SUM_TOL}")
     return arr if 0.0 <= lo and hi <= 1.0 else np.clip(arr, 0.0, 1.0)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .boxes import Detections, iou
 from .dataset import Dataset
 
-__all__ = ["EvalResult", "average_precision", "map50", "winrate_table", "winrate_matrix"]
+__all__ = ["EvalResult", "map50", "winrate_table", "winrate_matrix"]
 
 INTERPOLATIONS = ("eleven_point", "all_point")
 
@@ -97,8 +97,6 @@ def _assign_tp_fp(
 
 
 def _ap(flags: Sequence[bool], n_gt: int, interpolation: str) -> float:
-    if interpolation not in INTERPOLATIONS:
-        raise ValueError(f"interpolation must be one of {INTERPOLATIONS}, got {interpolation!r}")
     if n_gt == 0 or not flags:
         return 0.0
     if interpolation == "eleven_point":
@@ -133,22 +131,6 @@ def _ap_all_point(tp_flags: Sequence[bool], n_gt: int) -> float:
     return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
 
 
-def average_precision(
-    dets: Detections,
-    image_ids: Sequence[str],
-    gt: Dataset,
-    class_id: int,
-    iou_thresh: float = 0.5,
-    interpolation: str = "eleven_point",
-) -> float:
-    """Average precision of one class at the given IoU threshold; row r of
-    ``dets`` is a detection in image ``image_ids[r]``."""
-    if class_id < 1:
-        raise ValueError(f"unknown class {class_id}: foreground classes start at 1")
-    n_gt = sum(img.class_ids.tolist().count(class_id) for img in gt.images)
-    return _ap(_assign_tp_fp(dets, image_ids, gt, iou_thresh).get(class_id, []), n_gt, interpolation)
-
-
 def map50(
     dets: Detections,
     image_ids: Sequence[str],
@@ -164,11 +146,15 @@ def map50(
     listed in the result. The class universe defaults to every class seen in
     either the ground truth or the detections.
     """
+    if interpolation not in INTERPOLATIONS:
+        raise ValueError(f"interpolation must be one of {INTERPOLATIONS}, got {interpolation!r}")
     gt_counts = Counter(c for img in gt.images for c in img.class_ids.tolist())
     if class_ids is None:
         universe = sorted(set(gt_counts) | set(dets.class_ids[dets.class_ids > 0].tolist()))
     else:
         universe = sorted(set(class_ids))
+        if universe and universe[0] < 1:
+            raise ValueError(f"unknown class {universe[0]}: foreground classes start at 1")
     n_gt = {c: gt_counts[c] for c in universe}
 
     flags = _assign_tp_fp(dets, image_ids, gt, iou_thresh)

@@ -267,14 +267,20 @@ def save_pool(pool: Pool, path) -> None:
 
 
 def load_pool(path) -> Pool:
+    """Every error about a pseudo-label record names the file and the image."""
     raw = _read_json(path)
     try:
         pseudo = raw.get("pseudo", {})
         misfiled = sorted(k for k, recs in pseudo.items() if any(rec["image_id"] != k for rec in recs))
         if misfiled:
             raise ValueError(f"{path}: pseudo-labels filed under another image's id: {misfiled[:5]}")
-        pseudo = {k: _pl_set(recs) for k, recs in pseudo.items()}
-        return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), pseudo, _int_field(raw, "cycle"))
+        sets = {}
+        for image_id, recs in pseudo.items():
+            try:
+                sets[image_id] = _pl_set(recs)
+            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+                raise _structure_error(path, e, image_id) from None
+        return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), sets, _int_field(raw, "cycle"))
     except (AttributeError, KeyError, TypeError, OverflowError) as e:
         raise _structure_error(path, e) from None
 

@@ -130,8 +130,43 @@ def _id_key(image_id: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)`` for ``low <= high``: the same single draw and
+    the same arithmetic, ``low + (high - low) * u``, at a fraction of its call
+    cost. Equal to the bit as long as numpy rounds the product and the sum
+    separately (no fused multiply-add), as its x86-64 builds do;
+    ``test_predict_equals_fresh_generator_oracle`` checks it."""
+    return low + (high - low) * rng.random()
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an (n, K+1) logit matrix; each row is the same
+    float as the softmax of that row alone."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class SyntheticDetector(DetectorInterface):
-    """Deterministic prediction generator over a dataset's annotations."""
+    """Deterministic prediction generator over a dataset's annotations.
+
+    Every random draw of a prediction comes from a Philox stream keyed by
+    ``[k1, k2]``, with ``k1 = _mix64(seed, version)`` and
+    ``k2 = _mix64(blake2b-64(image_id), tag)``; tag 0 is the original view and
+    tag 1 the flipped one. ``predict`` makes its draws in a fixed order
+    whatever their outcome (the flipped view replays the original view's
+    draws on stream 0 and resamples on stream 1, and the resampled
+    distribution is drawn even when it is not used), so a prediction is a
+    function of (seed, version, image_id, flipped) alone.
+
+    The detector keeps one generator per tag and, on each call, resets it to
+    the start of the image's stream (key ``[k1, k2]``, counter 0, empty
+    buffer): exactly the state a new ``Philox(key=[k1, k2])`` starts in, so
+    the draws are the same as from a fresh generator, without the cost of
+    building one per image. Uniform draws use ``rng.random()`` with the
+    arithmetic of ``rng.uniform`` (see :func:`_uniform`), which consumes the
+    same single draw. The generators are shared by the calls of one detector,
+    which is therefore not safe to call from several threads at once.
+    """
 
     def __init__(self, config: SyntheticDetectorConfig, dataset: Dataset):
         if dataset.n_classes != config.n_classes:
@@ -142,9 +177,19 @@ class SyntheticDetector(DetectorInterface):
         self._dataset = dataset
         self._accuracy = _per_class(config.accuracy, config.n_classes, "accuracy")
         self._robustness = _per_class(config.flip_robustness, config.n_classes, "flip_robustness")
-        self._version = 0
         self._seen_labeled: frozenset[str] = frozenset()
+        # image id -> k2 of tag 0 in the low 64 bits and of tag 1 in the high
+        # 64 bits: one int per image, where a tuple of two would cost about
+        # 0.1 MB more peak memory per thousand images.
         self._id_keys: dict[str, int] = {}
+        self._set_version(0)
+
+    def _set_version(self, version: int) -> None:
+        self._version = version
+        self._k1 = _mix64(self._config.seed, version)
+        # Seeded only to skip the OS entropy an unseeded one reads; _stream
+        # replaces the state before every use.
+        self._rngs = (np.random.Generator(np.random.Philox(0)), np.random.Generator(np.random.Philox(0)))
 
     # -- introspection used by tests and reports ---------------------------
 
@@ -165,17 +210,22 @@ class SyntheticDetector(DetectorInterface):
     # -- prediction ---------------------------------------------------------
 
     def _stream(self, image_id: str, tag: int) -> np.random.Generator:
-        key = self._id_keys.get(image_id)
-        if key is None:
+        """Tag ``tag``'s generator, reset to the start of the image's stream."""
+        keys = self._id_keys.get(image_id)
+        if keys is None:
             key = _id_key(image_id)
-            self._id_keys[image_id] = key
-        k1 = _mix64(self._config.seed, self._version)
-        k2 = _mix64(key, tag)
-        return np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
+            keys = self._id_keys[image_id] = _mix64(key, 0) | _mix64(key, 1) << 64
+        rng = self._rngs[tag]
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (self._k1, keys >> 64 if tag else keys & 0xFFFFFFFFFFFFFFFF)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return rng
 
     def _jittered_box(self, rng, gt_box, width: int, height: int) -> list[float]:
         s = self._config.box_noise
-        noise = rng.normal(0.0, 1.0, 4)
+        noise = rng.normal(0.0, 1.0, 4).tolist()
         xmin, ymin, xmax, ymax = gt_box
         bw, bh = xmax - xmin, ymax - ymin
         x0 = xmin + noise[0] * s * bw
@@ -195,8 +245,9 @@ class SyntheticDetector(DetectorInterface):
         return [x0, y0, x1, y1]
 
     def _draw_dist(self, rng, true_class: int) -> np.ndarray:
+        """The logits of one detection's class distribution."""
         k = self._config.n_classes
-        u = rng.uniform()
+        u = rng.random()  # the one draw of rng.uniform(), at a fraction of its call cost
         confusion_step = int(rng.integers(0, max(k - 1, 1)))
         if u < self._accuracy[true_class]:
             peak = true_class
@@ -205,50 +256,53 @@ class SyntheticDetector(DetectorInterface):
             peak = 1 + (true_class - 1 + 1 + confusion_step) % k if k > 1 else 1
         logits = rng.normal(0.0, self._config.logit_noise, k + 1)
         logits[peak] += 1.0 / self._config.temperature
-        e = np.exp(logits - logits.max())
-        return e / e.sum()
+        return logits
 
-    def _false_positives(self, rng, width: int, height: int, boxes: list, probs: list) -> None:
-        """Append the image's false positives to ``boxes`` and ``probs``."""
+    def _false_positives(self, rng, width: int, height: int, boxes: list, logits: list) -> None:
+        """Append the image's false positives to ``boxes`` and ``logits``."""
         if self._config.fp_rate <= 0.0:
             return
-        for _ in range(int(rng.poisson(self._config.fp_rate))):
-            bw = rng.uniform(_MIN_BOX * 10, 0.5 * width)
-            bh = rng.uniform(_MIN_BOX * 10, 0.5 * height)
-            x0 = rng.uniform(0.0, width - bw)
-            y0 = rng.uniform(0.0, height - bh)
-            boxes.append([float(x0), float(y0), float(x0 + bw), float(y0 + bh)])
+        n, side = int(rng.poisson(self._config.fp_rate)), _MIN_BOX * 10
+        if n and min(width, height) * 0.5 < side:
+            raise ValueError(f"false positives need an image of at least {2 * side:g} pixels a side, "
+                             f"got {width}x{height}")
+        for _ in range(n):
+            bw = _uniform(rng, side, 0.5 * width)
+            bh = _uniform(rng, side, 0.5 * height)
+            x0 = _uniform(rng, 0.0, width - bw)
+            y0 = _uniform(rng, 0.0, height - bh)
+            boxes.append([x0, y0, x0 + bw, y0 + bh])
             cls = int(rng.integers(1, self._config.n_classes + 1))
-            probs.append(self._draw_dist(rng, cls))
+            logits.append(self._draw_dist(rng, cls))
 
     def predict(self, image_id: str, flipped: bool = False) -> ImagePrediction:
         rec = self._dataset[image_id]
         rng = self._stream(image_id, 0)
         boxes: list[list[float]] = []
-        probs: list[np.ndarray] = []
+        logits: list[np.ndarray] = []
 
         if not flipped:
             for gt_box, cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
                 boxes.append(self._jittered_box(rng, gt_box, rec.width, rec.height))
-                probs.append(self._draw_dist(rng, cls))
-            self._false_positives(rng, rec.width, rec.height, boxes, probs)
+                logits.append(self._draw_dist(rng, cls))
+            self._false_positives(rng, rec.width, rec.height, boxes, logits)
         else:
             frng = self._stream(image_id, 1)
             for (x0, y0, x1, y1), cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
                 # The original view's distribution, reused when the flip is robust.
                 # Its box is not needed: skip past the draw _jittered_box makes.
                 rng.normal(0.0, 1.0, 4)
-                orig_dist = self._draw_dist(rng, cls)
+                orig_logits = self._draw_dist(rng, cls)
                 mirrored_gt = (rec.width - x1, y0, rec.width - x0, y1)
                 boxes.append(self._jittered_box(frng, mirrored_gt, rec.width, rec.height))
-                reuse = frng.uniform() < self._robustness[cls]
+                reuse = frng.random() < self._robustness[cls]
                 resampled = self._draw_dist(frng, cls)  # drawn either way, fixed stream layout
-                probs.append(orig_dist if reuse else resampled)
-            self._false_positives(frng, rec.width, rec.height, boxes, probs)
+                logits.append(orig_logits if reuse else resampled)
+            self._false_positives(frng, rec.width, rec.height, boxes, logits)
 
         dets = Detections(
             np.array(boxes, dtype=np.float64).reshape(-1, 4),
-            np.array(probs).reshape(len(boxes), self._config.n_classes + 1),
+            _softmax(np.array(logits).reshape(len(boxes), self._config.n_classes + 1)),
         )
         return ImagePrediction(image_id, rec.width, rec.height, dets)
 
@@ -285,7 +339,7 @@ class SyntheticDetector(DetectorInterface):
         out._dataset = self._dataset
         out._accuracy = acc
         out._robustness = rob
-        out._version = self._version + 1
         out._seen_labeled = frozenset(pool.labeled)
         out._id_keys = self._id_keys
+        out._set_version(self._version + 1)
         return out

@@ -1,7 +1,14 @@
-"""The scalar corner-box IoU that the broadcasting ``aldet.boxes.iou``
-replaced, kept as the oracle the tests compare against."""
+"""Code that the library replaced with faster or array-based versions, kept
+as the oracles the tests compare against: the scalar corner-box IoU, the
+row-by-row box and distribution checks, and the synthetic detector's
+prediction with a fresh generator per stream."""
 
+import hashlib
 from typing import NamedTuple
+
+import numpy as np
+
+from aldet.boxes import Detections, ImagePrediction
 
 
 class Box(NamedTuple):
@@ -31,3 +38,142 @@ def scalar_iou(a, b) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+# -- per-row validation --------------------------------------------------------
+#
+# ``aldet.boxes.checked_boxes`` and ``checked_probs`` as they were before the
+# whole-array fast path: every check row by row. They take a float64 (N, 4) or
+# (N, K+1) array and return what the library returns or raise what it raises.
+
+DIST_SUM_TOL = 1e-6
+
+
+def _reject(arr, bad, message):
+    if bad.any():
+        raise ValueError(message(arr[int(np.argmax(bad))]))
+
+
+def rowwise_checked_boxes(arr):
+    _reject(arr, ~np.isfinite(arr).all(axis=1),
+            lambda r: f"box coordinates must be finite, got {tuple(r.tolist())}")
+    _reject(arr, (arr[:, 0] > arr[:, 2]) | (arr[:, 1] > arr[:, 3]),
+            lambda r: f"inverted box: {tuple(r.tolist())}")
+    return arr
+
+
+def rowwise_checked_probs(arr):
+    if arr.size == 0:
+        return arr
+    if arr.shape[1] < 2:
+        raise ValueError(f"class distribution needs >= 2 categories, got shape {arr.shape[1:]}")
+    if not np.isfinite(arr).all():
+        raise ValueError("class distribution has non-finite entries")
+    _reject(arr, (arr.min(axis=1) < -1e-9) | (arr.max(axis=1) > 1.0 + 1e-9),
+            lambda r: f"probabilities outside [0, 1]: min={r.min()}, max={r.max()}")
+    _reject(arr, np.abs(arr.sum(axis=1) - 1.0) > DIST_SUM_TOL,
+            lambda r: f"probabilities sum to {r.sum()}, expected 1 within {DIST_SUM_TOL}")
+    return np.clip(arr, 0.0, 1.0)
+
+
+# -- the synthetic detector with a fresh generator per stream --------------------
+#
+# ``SyntheticDetector.predict`` as it was when every call built a new
+# ``Generator(Philox(key=[k1, k2]))`` for each stream it read, drew with
+# ``rng.uniform`` and normalised each distribution on its own.
+
+
+def _mix64(*values):
+    h = 0x9E3779B97F4A7C15
+    for v in values:
+        h = (h + (v & 0xFFFFFFFFFFFFFFFF)) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        h = h ^ (h >> 31)
+    return h
+
+
+def _fresh_stream(seed, version, image_id, tag):
+    id_key = int.from_bytes(hashlib.blake2b(image_id.encode("utf-8"), digest_size=8).digest(), "little")
+    key = np.array([_mix64(seed, version), _mix64(id_key, tag)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _jittered_box(cfg, rng, gt_box, width, height):
+    s = cfg.box_noise
+    noise = rng.normal(0.0, 1.0, 4)
+    xmin, ymin, xmax, ymax = gt_box
+    bw, bh = xmax - xmin, ymax - ymin
+    x0 = xmin + noise[0] * s * bw
+    y0 = ymin + noise[1] * s * bh
+    x1 = xmax + noise[2] * s * bw
+    y1 = ymax + noise[3] * s * bh
+    x0, x1 = min(x0, x1), max(x0, x1)
+    y0, y1 = min(y0, y1), max(y0, y1)
+    x0, x1 = max(0.0, x0), min(float(width), x1)
+    y0, y1 = max(0.0, y0), min(float(height), y1)
+    if x1 - x0 < 1.0:
+        x0 = max(0.0, min(x0, width - 1.0))
+        x1 = x0 + 1.0
+    if y1 - y0 < 1.0:
+        y0 = max(0.0, min(y0, height - 1.0))
+        y1 = y0 + 1.0
+    return [x0, y0, x1, y1]
+
+
+def _draw_dist(det, rng, true_class):
+    cfg = det.config
+    k = cfg.n_classes
+    u = rng.uniform()
+    confusion_step = int(rng.integers(0, max(k - 1, 1)))
+    if u < det.class_accuracy(true_class):
+        peak = true_class
+    else:
+        peak = 1 + (true_class - 1 + 1 + confusion_step) % k if k > 1 else 1
+    logits = rng.normal(0.0, cfg.logit_noise, k + 1)
+    logits[peak] += 1.0 / cfg.temperature
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def _false_positives(det, rng, width, height, boxes, probs):
+    cfg = det.config
+    if cfg.fp_rate <= 0.0:
+        return
+    for _ in range(int(rng.poisson(cfg.fp_rate))):
+        bw = rng.uniform(10.0, 0.5 * width)
+        bh = rng.uniform(10.0, 0.5 * height)
+        x0 = rng.uniform(0.0, width - bw)
+        y0 = rng.uniform(0.0, height - bh)
+        boxes.append([float(x0), float(y0), float(x0 + bw), float(y0 + bh)])
+        cls = int(rng.integers(1, cfg.n_classes + 1))
+        probs.append(_draw_dist(det, rng, cls))
+
+
+def fresh_stream_predict(det, dataset, image_id, flipped=False):
+    """The prediction of ``det`` (a ``SyntheticDetector`` over ``dataset``),
+    drawn from fresh generators."""
+    cfg, rec = det.config, dataset[image_id]
+    rng = _fresh_stream(cfg.seed, det.version, image_id, 0)
+    boxes, probs = [], []
+    if not flipped:
+        for gt_box, cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
+            boxes.append(_jittered_box(cfg, rng, gt_box, rec.width, rec.height))
+            probs.append(_draw_dist(det, rng, cls))
+        _false_positives(det, rng, rec.width, rec.height, boxes, probs)
+    else:
+        frng = _fresh_stream(cfg.seed, det.version, image_id, 1)
+        for (x0, y0, x1, y1), cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
+            rng.normal(0.0, 1.0, 4)
+            orig_dist = _draw_dist(det, rng, cls)
+            mirrored_gt = (rec.width - x1, y0, rec.width - x0, y1)
+            boxes.append(_jittered_box(cfg, frng, mirrored_gt, rec.width, rec.height))
+            reuse = frng.uniform() < det.class_robustness(cls)
+            resampled = _draw_dist(det, frng, cls)
+            probs.append(orig_dist if reuse else resampled)
+        _false_positives(det, frng, rec.width, rec.height, boxes, probs)
+    dets = Detections(
+        np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        np.array(probs).reshape(len(boxes), cfg.n_classes + 1),
+    )
+    return ImagePrediction(image_id, rec.width, rec.height, dets)

@@ -283,7 +283,24 @@ class TestMalformedInput:
                         '"confidence": 0.99}]}}\n')
         err = self.error(capsys, ["select", "--scores", str(scores), "--budget", "1",
                                   "--out", str(tmp_path / "sel.txt"), "--pool", str(pool)])
-        assert err == "error: class_id: expected an integer, got inf\n"
+        assert err == f"error: {pool}: image 'b': class_id: expected an integer, got inf\n"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"bbox": [5, 0, 0, 5]}, "inverted box: (5.0, 0.0, 0.0, 5.0)"),
+        ({"confidence": 1.5}, "confidence must be in (0, 1], got 1.5"),
+        ({"bbox": None}, "missing field 'bbox'"),
+    ])
+    def test_pool_record_error_names_the_file_and_the_image(self, tmp_path, capsys, record, message):
+        scores = tmp_path / "scores.csv"
+        formats.write_scores_csv([AcquisitionScore.from_parts("a", 0.1, 0.2)], scores)
+        label = {"image_id": "b", "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}
+        label.update(record)
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps({"cycle": 0, "labeled": [], "unlabeled": ["a", "b"], "pseudo": {
+            "b": [{k: v for k, v in label.items() if v is not None}]}}))
+        err = self.error(capsys, ["select", "--scores", str(scores), "--budget", "1",
+                                  "--out", str(tmp_path / "sel.txt"), "--pool", str(pool)])
+        assert err == f"error: {pool}: image 'b': {message}\n"
 
     def test_eval_gt_width_must_be_an_integer(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"

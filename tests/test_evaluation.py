@@ -9,7 +9,7 @@ from oracles import Box, scalar_iou
 
 from aldet.boxes import Detections
 from aldet.dataset import Dataset, ImageRecord
-from aldet.evaluation import EvalResult, average_precision, map50, winrate_matrix, winrate_table
+from aldet.evaluation import EvalResult, map50, winrate_matrix, winrate_table
 
 
 class GroundTruthObject(NamedTuple):
@@ -61,6 +61,11 @@ def as_set(dets):
     return Detections(boxes, [d.probs for d, _ in dets]), [i for _, i in dets]
 
 
+def class_ap(dets, gt, class_id, **kw):
+    """One class's AP through ``map50``; 0 for a class without ground truth."""
+    return map50(*as_set(dets), as_dataset(gt), class_ids=[class_id], **kw).per_class_ap.get(class_id, 0.0)
+
+
 def oracle_ap_eleven(dets, gt, class_id, iou_thresh=0.5):
     """Brute-force 11-point AP: re-derive TP flags with an explicit pass, then
     evaluate the precision envelope at each recall knot by rescanning every
@@ -105,20 +110,20 @@ class TestAveragePrecision:
         box = Box(10, 10, 50, 50)
         dets = [(det(Box(10, 10, 50, 46), 1, 0.9), "a")]  # IoU 0.9
         gt = [GroundTruthObject("a", box, 1)]
-        assert average_precision(*as_set(dets), as_dataset(gt), 1) == 1.0
+        assert class_ap(dets, gt, 1) == 1.0
 
     def test_low_iou_detection(self):
         dets = [(det(Box(10, 10, 50, 22), 1, 0.9), "a")]  # IoU 0.3
         gt = [GroundTruthObject("a", Box(10, 10, 50, 50), 1)]
-        assert average_precision(*as_set(dets), as_dataset(gt), 1) == 0.0
+        assert class_ap(dets, gt, 1) == 0.0
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="unknown class"):
-            average_precision(*as_set([]), as_dataset([]), 0)
+            map50(*as_set([]), as_dataset([]), class_ids=[0, 1])
 
     def test_bad_interpolation_rejected(self):
-        with pytest.raises(ValueError):
-            average_precision(*as_set([]), as_dataset([]), 1, interpolation="nine_point")
+        with pytest.raises(ValueError, match="interpolation must be one of"):
+            map50(*as_set([]), as_dataset([]), class_ids=[1], interpolation="nine_point")
 
     def test_duplicate_detections_single_tp(self):
         box = Box(10, 10, 50, 50)
@@ -128,7 +133,7 @@ class TestAveragePrecision:
             (det(Box(10, 10, 50, 48), 1, 0.8), "a"),  # duplicate, IoU 0.95
         ]
         # one TP at rank 1 (recall 1), the duplicate is a FP
-        ap = average_precision(*as_set(dets), as_dataset(gt), 1)
+        ap = class_ap(dets, gt, 1)
         assert ap == 1.0  # precision at full recall is already 1.0 at rank 1
 
     def test_hand_traced_fixture(self):
@@ -144,8 +149,8 @@ class TestAveragePrecision:
         ]
         # recall knots <= 0.5 -> precision 1.0 (TP at rank 1); knots > 0.5 -> 2/3
         expected = (6 * 1.0 + 5 * (2.0 / 3.0)) / 11.0
-        assert average_precision(*as_set(dets), as_dataset(gt), 1) == pytest.approx(expected, rel=1e-12)
-        assert average_precision(*as_set(dets), as_dataset(gt), 1) == oracle_ap_eleven(dets, gt, 1)
+        assert class_ap(dets, gt, 1) == pytest.approx(expected, rel=1e-12)
+        assert class_ap(dets, gt, 1) == oracle_ap_eleven(dets, gt, 1)
 
     def _random_scene(self, rng, n_classes=3):
         gt, dets = [], []
@@ -183,14 +188,14 @@ class TestAveragePrecision:
             if len(dets) > 10:
                 dets = dets[:10]
             for cls in (1, 2, 3):
-                got = average_precision(*as_set(dets), as_dataset(gt), cls)
+                got = class_ap(dets, gt, cls)
                 assert got == oracle_ap_eleven(dets, gt, cls)
 
     def test_removing_fp_never_lowers_ap(self):
         rng = np.random.default_rng(321)
         for _ in range(30):
             dets, gt = self._random_scene(rng)
-            base = average_precision(*as_set(dets), as_dataset(gt), 1)
+            base = class_ap(dets, gt, 1)
             # find one FP of class 1 and drop it
             for i, (d, image_id) in enumerate(dets):
                 if d.class_id != 1:
@@ -201,7 +206,7 @@ class TestAveragePrecision:
                 )
                 if not hit:
                     reduced = dets[:i] + dets[i + 1:]
-                    assert average_precision(*as_set(reduced), as_dataset(gt), 1) >= base - 1e-12
+                    assert class_ap(reduced, gt, 1) >= base - 1e-12
                     break
 
     def test_interpolations_agree_on_step_pr(self):
@@ -209,8 +214,8 @@ class TestAveragePrecision:
         box = Box(10, 10, 50, 50)
         dets = [(det(box, 1, 0.9), "a")]
         gt = [GroundTruthObject("a", box, 1)]
-        eleven = average_precision(*as_set(dets), as_dataset(gt), 1, interpolation="eleven_point")
-        allp = average_precision(*as_set(dets), as_dataset(gt), 1, interpolation="all_point")
+        eleven = class_ap(dets, gt, 1, interpolation="eleven_point")
+        allp = class_ap(dets, gt, 1, interpolation="all_point")
         assert eleven == allp == 1.0
 
 
@@ -248,7 +253,7 @@ class TestMap50:
             checked += 1
             result = map50(*as_set(dets), as_dataset(gt), class_ids=[1, 2, 3])
             expected = {
-                c: average_precision(*as_set(dets), as_dataset(gt), c)
+                c: class_ap(dets, gt, c)
                 for c in (1, 2, 3)
                 if any(g.class_id == c for g in gt)
             }

@@ -3,23 +3,37 @@ whose output pseudo-labelling and scoring share, that let the pseudo-label
 audit compare only within (image, class), that keep the JSONL readers from
 failing on any input without naming the line, and that pin the array-backed
 detection core, ground truth and evaluation to the per-detection and
-per-object code they replaced, kept here as oracles."""
+per-object code they replaced, kept here as oracles. The per-image fast
+paths (long-lived generators in the synthetic detector, whole-array input
+checks, one log matrix per image when scoring) are pinned to the code they
+replaced in the same way."""
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import Box, scalar_iou
+from oracles import Box, fresh_stream_predict, rowwise_checked_boxes, rowwise_checked_probs, scalar_iou
 
 from aldet import evaluation, formats, pseudo_label
-from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
-from aldet.boxes import Detections, ImagePrediction, hflip, iou, nms
-from aldet.dataset import Dataset, ImageRecord
+from aldet.acquisition import (
+    AcquisitionConfig,
+    entropy,
+    image_entropy,
+    image_inconsistency,
+    post_nms,
+    sym_kl,
+    unified_score,
+)
+from aldet.boxes import Detections, ImagePrediction, checked_boxes, checked_probs, hflip, iou, nms
+from aldet.dataset import Dataset, ImageRecord, make_synthetic_dataset
 from aldet.evaluation import map50
 from aldet.matching import match_predictions
+from aldet.pool import Pool
 from aldet.pseudo_label import PseudoLabels, audit_pl_correctness
+from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
 SIZE = 100
 N_CLASSES = 3
@@ -416,3 +430,139 @@ def test_match_predictions_equals_candidate_list_oracle(boxes_a, boxes_b, floor)
 @given(prediction())
 def test_hflip_is_an_involution(pred):
     assert hflip(hflip(pred)) == pred
+
+
+# -- per-image fast paths against the per-row and fresh-generator code ----------
+
+
+@st.composite
+def scene(draw):
+    """A small dataset with arbitrary image ids, images from 20 to 300 pixels a
+    side and 0-3 ground-truth boxes each (some thinner than a pixel)."""
+    k = draw(st.sampled_from([1, 2, 5]))
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3, unique=True))
+    images = []
+    for image_id in ids:
+        w, h = draw(st.sampled_from([20, 64, 300])), draw(st.sampled_from([20, 64, 300]))
+        boxes, classes = [], []
+        for _ in range(draw(st.integers(0, 3))):
+            x0, y0 = draw(st.floats(0, w - 0.5)), draw(st.floats(0, h - 0.5))
+            boxes.append([x0, y0, draw(st.floats(x0, w)), draw(st.floats(y0, h))])
+            classes.append(draw(st.integers(1, k)))
+        images.append(ImageRecord(image_id, w, h, boxes, classes))
+    return Dataset(tuple(f"c{c}" for c in range(1, k + 1)), tuple(images))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    scene(),
+    st.integers(-(2**63), 2**64 - 1),
+    st.sampled_from([0.0, 0.5, 3.0]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2),
+)
+def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, robustness, updates):
+    # The detector resets two long-lived generators per call; the oracle
+    # builds a fresh Philox generator per stream, as predict once did. Every
+    # version reached by update() must agree, whatever was predicted before.
+    cfg = SyntheticDetectorConfig(
+        n_classes=data.n_classes, seed=seed, fp_rate=fp_rate, accuracy=accuracy,
+        flip_robustness=robustness, skill_gain_per_labeled=0.1, skill_gain_per_pseudo=0.05,
+    )
+    dets = [SyntheticDetector(cfg, data)]
+    ids = data.image_ids
+    for v in range(updates):
+        labeled = ids[: v + 1]
+        pseudo = {i: PseudoLabels([[0, 0, 9, 9]], [1], [0.99]) for i in ids[v + 1:]}
+        dets.append(dets[-1].update(Pool(frozenset(labeled), frozenset(ids) - set(labeled), pseudo)))
+    for det in dets + dets[:1]:  # the first version again, after its successors ran
+        for image_id in ids:
+            for flipped in (True, False, True):
+                got = det.predict(image_id, flipped)
+                assert got == fresh_stream_predict(det, data, image_id, flipped)
+
+
+def test_predict_builds_no_generator(monkeypatch):
+    data = make_synthetic_dataset(5, 3, seed=2)
+    det = SyntheticDetector(SyntheticDetectorConfig(n_classes=3, fp_rate=2.0, seed=4), data)
+    det = det.update(Pool(frozenset(data.image_ids[:1]), frozenset(data.image_ids[1:])))
+    built = []
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return build
+
+    for name in ("Philox", "Generator", "SeedSequence", "default_rng"):
+        monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
+    for image_id in data.image_ids:
+        det.predict(image_id)
+        det.predict(image_id, flipped=True)
+    assert built == []
+
+
+special = st.sampled_from([0.0, 1.0, -0.0, 5.0, -3.0, 1e300, np.nan, np.inf, -np.inf])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(special | st.floats(-10, 10), min_size=4, max_size=4), min_size=n, max_size=n)
+    )
+)
+def test_checked_boxes_equals_rowwise_checks(rows):
+    arr = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    assert_same_outcome(checked_boxes, rowwise_checked_boxes, arr)
+
+
+@st.composite
+def distribution_rows(draw):
+    """(N, K+1) rows that are mostly distributions, some with an entry or the
+    sum nudged past the bounds, a NaN or an infinity."""
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        z = np.exp(np.array(draw(st.lists(st.floats(-5, 5), min_size=width, max_size=width))))
+        row = (z / z.sum()).tolist()
+        i = draw(st.integers(0, width - 1))
+        nudge = draw(st.sampled_from(["none", "none", "add", "set"]))
+        if nudge == "add":
+            row[i] += draw(st.sampled_from([1e-10, -1e-10, 5e-7, -5e-7, 2e-6, -2e-6, 0.5]))
+        elif nudge == "set":
+            row[i] = draw(st.sampled_from([-1e-8, -1e-10, 1.0 + 1e-10, 1.0 + 1e-8, 1.5, np.nan, np.inf, -np.inf]))
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
+@settings(deadline=None, max_examples=300)
+@given(distribution_rows())
+def test_checked_probs_equals_rowwise_checks(arr):
+    assert_same_outcome(checked_probs, rowwise_checked_probs, arr)
+
+
+def assert_same_outcome(fast, rowwise, arr):
+    """Both accept with equal arrays, or both reject with the same message."""
+    try:
+        want = rowwise(arr.copy())
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            fast(arr)
+        assert str(got.value) == str(e)
+    else:
+        got = fast(arr)
+        assert np.array_equal(got, want) or got.size == want.size == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(detection(), max_size=8), st.lists(detection(), max_size=8))
+def test_image_scores_equal_per_row_values_bit_for_bit(a, b):
+    p = np.array([probs for _, probs in a]).reshape(-1, N_CLASSES + 1)
+    q = np.array([probs for _, probs in b]).reshape(-1, N_CLASSES + 1)
+    # one-hot-ish rows reach the LOG_EPS clamp
+    p = np.vstack([p, np.eye(N_CLASSES + 1)[:1]])
+    q = np.vstack([q, np.eye(N_CLASSES + 1)[1:2]])
+    assert bits(image_entropy(p)) == bits(max(entropy(r) for r in p))
+    n = min(len(p), len(q))
+    assert bits(image_inconsistency(p[:n], q[:n])) == bits(max(sym_kl(x, y) for x, y in zip(p[:n], q[:n])))

@@ -6,7 +6,7 @@ import pytest
 
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
 from aldet.boxes import encode_boxes, hflip, iou, nms
-from aldet.dataset import Dataset, make_synthetic_dataset
+from aldet.dataset import Dataset, ImageRecord, make_synthetic_dataset
 from aldet.pool import Pool, init_pool
 from aldet.pseudo_label import extract_pseudo_labels
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
@@ -254,3 +254,13 @@ class TestUpdate:
         det2 = det.update(pool)
         for c in range(1, world.n_classes + 1):
             assert det2.class_accuracy(c) <= 0.97
+
+
+def test_false_positives_need_a_20_pixel_image():
+    # A false positive's side is drawn from [10, half the image side].
+    data = Dataset(("c",), (ImageRecord("a", 16, 300, [[1, 1, 5, 5]], [1]), ImageRecord("b", 20, 20, [], [])))
+    det = detector(data, fp_rate=5.0)
+    with pytest.raises(ValueError, match="at least 20 pixels a side, got 16x300"):
+        det.predict("a")
+    det.predict("b")  # exactly 20 pixels a side: sides drawn from [10, 10]
+    assert len(detector(data, fp_rate=0.0).predict("a").detections) == 1
