@@ -9,16 +9,35 @@ it: a flipped-view prediction is mapped back into the original frame, then
 class-wise NMS keeps the survivors. Scoring only matches the two post-NMS
 views and takes the maxima; raw detector outputs are never scored, since
 pre-NMS boxes number in the hundreds and inflate the maxima by chance.
+
+A pool is scored in chunks of ``CHUNK_IMAGES`` images. A chunk
+(:class:`~aldet.boxes.PredictionChunk`) holds the rows of all its images as
+one set, so :func:`post_nms`, :func:`~aldet.matching.match_predictions` and
+:func:`unified_score` make a fixed number of numpy calls per chunk: at a
+handful of boxes per image, numpy's per-call overhead, not the arithmetic,
+is what a per-image pass pays for. One image is the one-image case of the
+same code, and every score is the same float either way. Callers stream
+their predictions through :func:`chunked` and :func:`post_nms_stream`, so at
+most a chunk of each view is held, never the whole pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .boxes import DEFAULT_NMS_IOU, DEFAULT_NMS_SCORE_FLOOR, ImagePrediction, hflip, nms
+from .boxes import (
+    DEFAULT_NMS_IOU,
+    DEFAULT_NMS_SCORE_FLOOR,
+    ImagePrediction,
+    PredictionChunk,
+    as_chunk,
+    hflip,
+    nms,
+)
 from .matching import DEFAULT_MIN_MATCH_IOU, match_predictions
 
 __all__ = [
@@ -29,7 +48,10 @@ __all__ = [
     "image_entropy",
     "AcquisitionConfig",
     "AcquisitionScore",
+    "CHUNK_IMAGES",
+    "chunked",
     "post_nms",
+    "post_nms_stream",
     "unified_score",
     "select_for_labeling",
     "SCORE_STRATEGIES",
@@ -40,6 +62,14 @@ __all__ = [
 LOG_EPS = 1e-12
 
 SCORE_STRATEGIES = ("entropy", "inconsistency", "unified")
+
+# Images per chunk. Scoring the 2,400-image sim-scan pool took 0.80 s one
+# image at a time and 0.11, 0.10 and 0.10 s in chunks of 32, 64 and 128,
+# while its peak of traced memory grew 0.8, 1.1 and 1.6 MB (matching's cross
+# pairs): 32 keeps nearly all of the gain and leaves the peak RSS in place.
+CHUNK_IMAGES = 32
+
+T = TypeVar("T")
 
 
 def _logs(probs: np.ndarray) -> np.ndarray:
@@ -64,13 +94,25 @@ def entropy(p) -> float:
     return float(-np.dot(pa, _logs(pa)))
 
 
+def _entropies(probs: np.ndarray) -> list[float]:
+    """:func:`entropy` of each row, with the logs taken once per matrix."""
+    return [float(-np.dot(p, lp)) for p, lp in zip(probs, _logs(probs))]
+
+
+def _sym_kls(p: np.ndarray, q: np.ndarray) -> list[float]:
+    """:func:`sym_kl` of each pair of rows, with the logs taken once per
+    matrix; each KL term is still one ``np.dot`` per row."""
+    if not len(p):
+        return []
+    d = _logs(p) - _logs(q)
+    # -(log p - log q) is exactly log q - log p.
+    return [0.5 * (float(np.dot(a, dp)) + float(np.dot(b, dq))) for a, b, dp, dq in zip(p, q, d, -d)]
+
+
 def image_inconsistency(p, q) -> float:
     """Max symmetric KL between the rows of ``p`` and ``q``, which hold the two
     members of each matched pair row by row; 0 when there are no pairs.
-
-    Each row's value is the same float as :func:`sym_kl` of the two rows:
-    the logs are taken once per matrix, and each KL term is still one
-    ``np.dot`` per row."""
+    Each row's value is the same float as :func:`sym_kl` of the two rows."""
     if len(p) != len(q):
         raise ValueError(f"pair count mismatch: {len(p)} vs {len(q)} distributions")
     if not len(p):
@@ -78,9 +120,7 @@ def image_inconsistency(p, q) -> float:
     p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"distribution length mismatch: {p.shape[1:]} vs {q.shape[1:]}")
-    d = _logs(p) - _logs(q)
-    # -(log p - log q) is exactly log q - log p.
-    return max(0.5 * (float(np.dot(a, dp)) + float(np.dot(b, dq))) for a, b, dp, dq in zip(p, q, d, -d))
+    return max(_sym_kls(p, q))
 
 
 def image_entropy(probs) -> float:
@@ -88,8 +128,17 @@ def image_entropy(probs) -> float:
     row's value is the same float as :func:`entropy` of that row."""
     if not len(probs):
         return 0.0
-    probs = np.asarray(probs, dtype=np.float64)
-    return max(float(-np.dot(p, lp)) for p, lp in zip(probs, _logs(probs)))
+    return max(_entropies(np.asarray(probs, dtype=np.float64)))
+
+
+def _max_per_image(values: list[float], image: np.ndarray, n_images: int) -> list[float]:
+    """The max of each image's values, 0 for an image without any; ``image``
+    gives each value's image and is non-decreasing."""
+    out, start = [], 0
+    for count in np.bincount(image, minlength=n_images).tolist():
+        out.append(max(values[start:start + count]) if count else 0.0)
+        start += count
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,33 +178,62 @@ class AcquisitionScore:
         return getattr(self, strategy)
 
 
-def post_nms(pred: ImagePrediction, cfg: AcquisitionConfig, flipped: bool = False) -> ImagePrediction:
+def post_nms(
+    pred: ImagePrediction | PredictionChunk, cfg: AcquisitionConfig, flipped: bool = False
+) -> ImagePrediction | PredictionChunk:
     """The prediction that matching, scoring, pseudo-labelling and evaluation take:
     a flipped-view prediction is mapped back into the original frame with
     :func:`hflip`, then class-wise NMS with ``cfg``'s thresholds keeps the
-    survivors, sorted by descending score."""
+    survivors, sorted by descending score. ``pred`` is one
+    :class:`~aldet.boxes.ImagePrediction` or a
+    :class:`~aldet.boxes.PredictionChunk`, done image by image in one pass;
+    the result is of the same kind."""
+    chunk = as_chunk(pred)
     if flipped:
-        pred = hflip(pred)
-    return pred.with_detections(nms(pred.detections, cfg.nms_iou, cfg.nms_score_floor))
+        chunk = hflip(chunk)
+    kept = chunk.with_detections(nms(chunk.detections, cfg.nms_iou, cfg.nms_score_floor))
+    return kept if isinstance(pred, PredictionChunk) else kept.split()[0]
+
+
+def chunked(items: Iterable[T], size: int = CHUNK_IMAGES) -> Iterator[list[T]]:
+    """``items`` in consecutive lists of ``size``; the last may be shorter."""
+    it = iter(items)
+    while group := list(islice(it, size)):
+        yield group
+
+
+def post_nms_stream(preds: Iterable[ImagePrediction], cfg: AcquisitionConfig) -> Iterator[ImagePrediction]:
+    """:func:`post_nms` of each original-view prediction, in input order,
+    done chunk by chunk; lazy, so at most one chunk of predictions is held."""
+    for group in chunked(preds):
+        yield from post_nms(PredictionChunk.of(group), cfg).split()
 
 
 def unified_score(
-    orig: ImagePrediction,
-    unflipped: ImagePrediction,
+    orig: ImagePrediction | PredictionChunk,
+    unflipped: ImagePrediction | PredictionChunk,
     min_match_iou: float = DEFAULT_MIN_MATCH_IOU,
-) -> AcquisitionScore:
-    """Score one image from the :func:`post_nms` output of its two views.
+) -> AcquisitionScore | list[AcquisitionScore]:
+    """Score one image, or every image of a chunk, from the :func:`post_nms`
+    output of its two views: an :class:`AcquisitionScore` for two
+    :class:`~aldet.boxes.ImagePrediction`, a list in chunk order for two
+    :class:`~aldet.boxes.PredictionChunk`.
 
     H is the max entropy over ``orig``'s detections and I the max symmetric
     KL over the pairs matched between ``orig`` and ``unflipped``, both over
     all K+1 categories. An image with no detections scores (0, 0, 0) and is
-    therefore never selected by score-based strategies.
+    therefore never selected by score-based strategies. A chunk's logs are
+    taken once, and each row's entropy and each pair's KL is one ``np.dot``,
+    so every score is the same float as for the image alone.
     """
-    pairs = np.array(match_predictions(orig, unflipped, min_match_iou).pairs, dtype=np.intp).reshape(-1, 2)
-    o, f = orig.detections.probs, unflipped.detections.probs
-    return AcquisitionScore.from_parts(
-        orig.image_id, image_entropy(o), image_inconsistency(o[pairs[:, 0]], f[pairs[:, 1]])
-    )
+    a, b = as_chunk(orig), as_chunk(unflipped)
+    pairs = np.array(match_predictions(a, b, min_match_iou).pairs, dtype=np.intp).reshape(-1, 2)
+    o, f = a.detections.probs, b.detections.probs
+    n, image = len(a.image_ids), a.detections.image
+    h = _max_per_image(_entropies(o), image, n)
+    i = _max_per_image(_sym_kls(o[pairs[:, 0]], f[pairs[:, 1]]), image[pairs[:, 0]], n)
+    scores = [AcquisitionScore.from_parts(*parts) for parts in zip(a.image_ids, h, i)]
+    return scores if isinstance(orig, PredictionChunk) else scores[0]
 
 
 def select_for_labeling(

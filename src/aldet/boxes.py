@@ -17,19 +17,24 @@ leaves the rest unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "ChunkDetections",
     "Detections",
     "FrozenRows",
     "ImagePrediction",
+    "PredictionChunk",
+    "as_chunk",
     "checked_boxes",
     "checked_encoded",
     "checked_probs",
     "encode_boxes",
     "iou",
     "hflip",
+    "span_pairs",
     "nms",
     "DEFAULT_NMS_IOU",
     "DEFAULT_NMS_SCORE_FLOOR",
@@ -111,20 +116,26 @@ def checked_probs(rows) -> np.ndarray:
 
 class FrozenRows:
     """Base of a frozen set of rows: one read-only array per name in
-    ``__slots__``, all of the same length. Derived sets (row selection,
-    concatenation) are built by :meth:`_of` and not validated again."""
+    ``_fields`` (the ``__slots__`` of the class and of its bases), all of the
+    same length. Derived sets (row selection, concatenation) are built by
+    :meth:`_of` and not validated again."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
 
     @classmethod
     def _of(cls, *arrays):
-        """A set from one array per name in ``__slots__``, unchecked."""
+        """A set from one array per name in ``_fields``, unchecked."""
         out = cls.__new__(cls)
         out._init(*arrays)
         return out
 
     def _init(self, *arrays) -> None:
-        for name, arr in zip(self.__slots__, arrays):
+        for name, arr in zip(self._fields, arrays):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -138,20 +149,20 @@ class FrozenRows:
         # Two empty sets are equal whatever their widths.
         return type(other) is type(self) and len(self) == len(other) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) or not len(self)
-            for name in self.__slots__
+            for name in self._fields
         )
 
     def take(self, rows):
         """The given rows, in the given order."""
         rows = np.asarray(rows, dtype=np.intp)
-        return self._of(*(getattr(self, name)[rows] for name in self.__slots__))
+        return self._of(*(getattr(self, name)[rows] for name in self._fields))
 
     @classmethod
     def concat(cls, sets):
         """The rows of every set, in order; empty sets are skipped, so they may
         have any width, but one set must be non-empty."""
         sets = [s for s in sets if len(s)]
-        return cls._of(*(np.concatenate([getattr(s, name) for s in sets]) for name in cls.__slots__))
+        return cls._of(*(np.concatenate([getattr(s, name) for s in sets]) for name in cls._fields))
 
 
 class Detections(FrozenRows):
@@ -184,10 +195,32 @@ class Detections(FrozenRows):
         return super().concat(sets) if sets else cls([], [])
 
 
+class ChunkDetections(Detections):
+    """The detections of a chunk of images as one set: row r belongs to the
+    chunk's image ``image[r]``, and rows are grouped image by image, in chunk
+    order. Row selection keeps each row's image."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, boxes, probs, image):
+        super().__init__(boxes, probs)
+        image = np.array(image, dtype=np.intp).reshape(-1)
+        if len(image) != len(self) or (np.diff(image) < 0).any():
+            raise ValueError("image: expected one non-decreasing image position per row")
+        image.flags.writeable = False
+        object.__setattr__(self, "image", image)
+
+
 @dataclass(frozen=True)
 class ImagePrediction:
     """The detections for one image (or for its flipped version), with their
-    corner boxes clamped to the image."""
+    corner boxes clamped to the image.
+
+    The constructor clamps. Predictions derived from a clamped one (row
+    subsets, the flip and the images of a chunk) are built by :meth:`_of`,
+    unchecked: a subset of boxes inside the image stays inside, and so does
+    its mirror image, because w - x lies in [0, w] for every x in [0, w] in
+    IEEE arithmetic."""
 
     image_id: str
     width: int
@@ -202,8 +235,64 @@ class ImagePrediction:
             clamped = Detections._of(np.clip(d.boxes, 0.0, limits), d.probs, d.class_ids, d.scores)
             object.__setattr__(self, "detections", clamped)
 
+    @classmethod
+    def _of(cls, image_id: str, width: int, height: int, detections: Detections) -> "ImagePrediction":
+        """A prediction whose boxes are known to lie inside the image, unchecked."""
+        out = object.__new__(cls)
+        for name, value in (("image_id", image_id), ("width", width), ("height", height),
+                            ("detections", detections)):
+            object.__setattr__(out, name, value)
+        return out
+
     def with_detections(self, detections: Detections) -> "ImagePrediction":
         return ImagePrediction(self.image_id, self.width, self.height, detections)
+
+
+@dataclass(frozen=True)
+class PredictionChunk:
+    """The predictions of a run of images held as one set of rows, so that
+    the flip, NMS, matching and scoring make a fixed number of numpy calls
+    per chunk rather than per image. ``detections.image[r]`` is the position
+    in ``image_ids`` of row r's image. :meth:`of` builds a chunk from clamped
+    predictions and :meth:`split` gives them back, unchecked."""
+
+    image_ids: tuple[str, ...]
+    widths: tuple[int, ...]
+    heights: tuple[int, ...]
+    detections: ChunkDetections
+
+    @classmethod
+    def of(cls, preds: Sequence[ImagePrediction]) -> "PredictionChunk":
+        sets = [p.detections for p in preds]
+        d = Detections.concat(sets)
+        image = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+        return cls(
+            tuple(p.image_id for p in preds), tuple(p.width for p in preds),
+            tuple(p.height for p in preds),
+            ChunkDetections._of(d.boxes, d.probs, d.class_ids, d.scores, image),
+        )
+
+    def with_detections(self, detections: ChunkDetections) -> "PredictionChunk":
+        return PredictionChunk(self.image_ids, self.widths, self.heights, detections)
+
+    def split(self) -> list[ImagePrediction]:
+        """One prediction per image, in chunk order; their arrays are views of
+        the chunk's."""
+        d = self.detections
+        ends = np.cumsum(np.bincount(d.image, minlength=len(self.image_ids))).tolist()
+        out = []
+        for image_id, width, height, start, end in zip(
+            self.image_ids, self.widths, self.heights, [0] + ends, ends
+        ):
+            rows = Detections._of(d.boxes[start:end], d.probs[start:end],
+                                  d.class_ids[start:end], d.scores[start:end])
+            out.append(ImagePrediction._of(image_id, width, height, rows))
+        return out
+
+
+def as_chunk(pred: ImagePrediction | PredictionChunk) -> PredictionChunk:
+    """A one-image chunk for a prediction; a chunk as it is."""
+    return PredictionChunk.of([pred]) if isinstance(pred, ImagePrediction) else pred
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -220,20 +309,30 @@ def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / np.where(union > 0.0, union, 1.0)
 
 
-def hflip(p: ImagePrediction) -> ImagePrediction:
-    """Mirror a prediction about the vertical axis of its image.
+def span_pairs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row r paired with each of ``starts[r]``, ..., ``starts[r] + counts[r] - 1``,
+    row-major: the pairs as two index arrays, built with a fixed number of
+    numpy calls."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(len(rows))
+
+
+def hflip(p: ImagePrediction | PredictionChunk) -> ImagePrediction | PredictionChunk:
+    """Mirror a prediction, or every image of a chunk, about the vertical axis
+    of its image; returns the same kind.
 
     Corner boxes map as xmin' = width - xmax, xmax' = width - xmin (so the
     encoded dx of each box is negated); class distributions are unchanged.
     Applying hflip twice returns the original prediction.
     """
-    w = float(p.width)
-    d = p.detections
+    chunk = as_chunk(p)
+    d = chunk.detections
+    w = np.array(chunk.widths, dtype=np.float64)[d.image]
     boxes = d.boxes.copy()
     boxes[:, 0] = w - d.boxes[:, 2]
     boxes[:, 2] = w - d.boxes[:, 0]
-    flipped = Detections._of(boxes, d.probs, d.class_ids, d.scores)
-    return ImagePrediction(p.image_id, p.width, p.height, flipped)
+    flipped = chunk.with_detections(ChunkDetections._of(boxes, d.probs, d.class_ids, d.scores, d.image))
+    return flipped if isinstance(p, PredictionChunk) else flipped.split()[0]
 
 
 def nms(
@@ -241,7 +340,7 @@ def nms(
     iou_threshold: float = DEFAULT_NMS_IOU,
     score_floor: float = DEFAULT_NMS_SCORE_FLOOR,
 ) -> Detections:
-    """Class-wise greedy non-maximum suppression.
+    """Class-wise greedy non-maximum suppression, image by image.
 
     Detections are grouped by their argmax class; background-argmax detections
     are dropped. Within each class, detections scoring below ``score_floor``
@@ -250,6 +349,10 @@ def nms(
     suppressed. Ties on equal scores are broken by lower original index.
     The output is sorted by descending score (ties again by original index)
     and the operation is idempotent.
+
+    The rows of a :class:`ChunkDetections` are suppressed per image in one
+    pass: only rows of the same (image, class) are compared, and the output
+    keeps the chunk's image order, each image's rows sorted as above.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
@@ -257,19 +360,32 @@ def nms(
         raise ValueError(f"score_floor must be in [0, 1), got {score_floor}")
 
     rows = np.flatnonzero((dets.class_ids != 0) & (dets.scores >= score_floor))
-    # A stable sort of -score keeps equal scores in index order: (-score, index).
-    rows = rows[np.argsort(-dets.scores[rows], kind="stable")].tolist()
-    classes = dets.class_ids.tolist()
-    if len({classes[i] for i in rows}) == len(rows):  # no two of a class: nothing to suppress
+    image = dets.image[rows] if isinstance(dets, ChunkDetections) else np.zeros(len(rows), np.intp)
+    # A stable sort keeps equal keys in index order: (image, -score, index).
+    order = np.lexsort((-dets.scores[rows], image))
+    rows = rows[order]
+    group = dets.class_ids[rows] + image[order] * dets.probs.shape[1]  # one key per (image, class)
+    # Contiguous (image, class) groups, each still in greedy order, and the
+    # number of earlier members of each row's group.
+    by_group = np.argsort(group, kind="stable")
+    group = group[by_group]
+    n = len(rows)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = group[1:] != group[:-1]
+    first = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
+    ahead = np.arange(n) - first
+    if not ahead.any():  # no two of a group: nothing to suppress
         return dets.take(rows)
-    # Visiting all classes in (-score, index) order keeps each class's own
-    # greedy order, and the survivors come out already sorted.
-    ious = iou(dets.boxes[:, None], dets.boxes[None]).tolist()
-    kept: list[int] = []
-    for i in rows:
-        if all(ious[i][j] <= iou_threshold for j in kept if classes[j] == classes[i]):
-            kept.append(i)
-    return dets.take(kept)
+    # Every (later, earlier) pair of a group, later-major, and all their IoUs at once.
+    later, earlier = span_pairs(first, ahead)
+    later, earlier = rows[by_group[later]], rows[by_group[earlier]]
+    over = iou(dets.boxes[later], dets.boxes[earlier]) > iou_threshold
+    # A row's earlier members are settled before its own pairs come up.
+    suppressed: set[int] = set()
+    for i, j in zip(later[over].tolist(), earlier[over].tolist()):
+        if j not in suppressed:
+            suppressed.add(i)
+    return dets.take([r for r in rows.tolist() if r not in suppressed])
 
 
 def encode_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:

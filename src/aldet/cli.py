@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import formats
-from .acquisition import AcquisitionConfig, post_nms, select_for_labeling
+from .acquisition import AcquisitionConfig, post_nms_stream, select_for_labeling
 from .boxes import checked_encoded, checked_probs
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, winrate_matrix
@@ -278,7 +278,7 @@ def cmd_score(args) -> int:
     image_ids = sorted({image_id for image_id, _ in preds})
     original = _record(preds, flipped=False)
     scores = score_pool(
-        (post_nms(original(i), acq) for i in image_ids), _record(preds, flipped=True), acq
+        post_nms_stream((original(i) for i in image_ids), acq), _record(preds, flipped=True), acq
     )
     formats.write_scores_csv(scores, args.out)
     return 0
@@ -308,7 +308,7 @@ def cmd_pseudolabel(args) -> int:
         candidates = [i for i in candidates if i in pool.unlabeled]
 
     acq = cfg.acquisition_config()
-    originals = [post_nms(preds[(image_id, False)], acq) for image_id in candidates]
+    originals = list(post_nms_stream((preds[(image_id, False)] for image_id in candidates), acq))
     pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
     formats.write_pseudo_labels_jsonl(pseudo, args.out)
     return 0
@@ -381,6 +381,8 @@ def cmd_loss_check(args) -> int:
     loc = smooth_l1_loc_loss(loc_pred, loc_target, loc_positives) if len(loc_pred) else 0.0
 
     # Matched pairs as one array per member and field: row k of each is pair k.
+    # Both members are in the original frame, as the matcher pairs them: a
+    # flipped member's "flip_encoded" is its box mapped back by the flip.
     pairs = {key: [rec[key] for rec in fixture.get("pairs", [])]
              for key in ("orig_probs", "flip_probs", "orig_encoded", "flip_encoded")}
     cons_c = consistency_class_loss(checked_probs(pairs["orig_probs"]), checked_probs(pairs["flip_probs"]))

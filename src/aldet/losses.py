@@ -128,9 +128,11 @@ def consistency_class_loss(orig, flipped) -> float:
 def consistency_loc_loss(orig, flipped) -> float:
     """Mean localization consistency between the rows of two encoded-box arrays.
 
-    The flipped member's encoded box must be in the flipped frame; the
-    negation of its center displacement is applied here, inside the loss:
-    (1/4) [ (dx' + dx_hat)^2 + (dy' - dy_hat)^2 + (w' - w_hat)^2 + (h' - h_hat)^2 ].
+    Both members of each pair are in the original frame, as the matcher
+    gives them: :func:`aldet.acquisition.post_nms` has already mapped the
+    flipped view back with :func:`aldet.boxes.hflip`, which negates dx. So a
+    flip-consistent pair is two equal rows, and
+    (1/4) [ (dx' - dx_hat)^2 + (dy' - dy_hat)^2 + (w' - w_hat)^2 + (h' - h_hat)^2 ].
     """
     if len(orig) != len(flipped):
         raise ValueError(f"length mismatch: {len(orig)} vs {len(flipped)} encoded boxes")
@@ -138,7 +140,7 @@ def consistency_loc_loss(orig, flipped) -> float:
         return 0.0
     total = 0.0
     for (adx, ady, aw, ah), (bdx, bdy, bw, bh) in zip(orig, flipped):
-        total += 0.25 * ((adx + bdx) ** 2 + (ady - bdy) ** 2 + (aw - bw) ** 2 + (ah - bh) ** 2)
+        total += 0.25 * ((adx - bdx) ** 2 + (ady - bdy) ** 2 + (aw - bw) ** 2 + (ah - bh) ** 2)
     return total / len(orig)
 
 

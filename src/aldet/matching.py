@@ -3,17 +3,21 @@
 Matching is done on corner-box IoU after the flipped prediction has been
 mapped back into the original coordinate frame (see :func:`aldet.boxes.hflip`).
 A pair is a pair of row indices, one into each prediction's
-:class:`~aldet.boxes.Detections`.
+:class:`~aldet.boxes.Detections`. Two chunks of images
+(:class:`~aldet.boxes.PredictionChunk`) are matched image by image in one
+pass; their rows are numbered across the chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby, zip_longest
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
-from .boxes import ImagePrediction, iou
+from .boxes import ImagePrediction, PredictionChunk, as_chunk, iou, span_pairs
 
 __all__ = ["MatchResult", "greedy_assign", "match_predictions", "DEFAULT_MIN_MATCH_IOU"]
 
@@ -49,30 +53,43 @@ def greedy_assign(candidates: Iterable[tuple[float, int, int]]) -> list[tuple[fl
 
 
 def match_predictions(
-    orig: ImagePrediction,
-    flipped: ImagePrediction,
+    orig: ImagePrediction | PredictionChunk,
+    flipped: ImagePrediction | PredictionChunk,
     min_match_iou: float = DEFAULT_MIN_MATCH_IOU,
 ) -> MatchResult:
-    """Greedy one-to-one IoU matching between two detection sets.
+    """Greedy one-to-one IoU matching between two detection sets of an image.
 
     All cross pairs are ranked by IoU descending (ties by original row,
     then flipped row) and accepted while both members are free and the IoU
     is at least ``min_match_iou``. Unmatched rows on both sides are reported
     for diagnostics.
+
+    ``orig`` and ``flipped`` are two :class:`~aldet.boxes.ImagePrediction`
+    or two :class:`~aldet.boxes.PredictionChunk` of the same images. Chunks
+    are matched image by image: one ``iou`` call covers every cross pair of
+    every image, and the pairs come image by image, each image's in
+    acceptance order.
     """
-    if orig.image_id != flipped.image_id:
-        raise ValueError(
-            f"frame mismatch: cannot match {orig.image_id!r} against {flipped.image_id!r}"
-        )
+    a, b = as_chunk(orig), as_chunk(flipped)
+    if a.image_ids != b.image_ids:
+        x, y = next((x, y) for x, y in zip_longest(a.image_ids, b.image_ids) if x != y)
+        raise ValueError(f"frame mismatch: cannot match {x!r} against {y!r}")
     if not (0.0 <= min_match_iou <= 1.0):
         raise ValueError(f"min_match_iou must be in [0, 1], got {min_match_iou}")
 
-    n, m = len(orig.detections), len(flipped.detections)
+    da, db = a.detections, b.detections
+    n, m = len(da), len(db)
     accepted = []
     if n and m:
-        ious = iou(orig.detections.boxes[:, None], flipped.detections.boxes[None])
-        rows, cols = np.nonzero(ious >= min_match_iou)
-        accepted = greedy_assign(zip(ious[rows, cols].tolist(), rows.tolist(), cols.tolist()))
+        # Each original row against every flipped row of its image, row-major.
+        per_image = np.bincount(db.image, minlength=len(a.image_ids))
+        rows, cols = span_pairs((np.cumsum(per_image) - per_image)[da.image], per_image[da.image])
+        ious = iou(da.boxes[rows], db.boxes[cols])
+        hit = ious >= min_match_iou
+        rows, cols = rows[hit], cols[hit]
+        candidates = zip(da.image[rows].tolist(), ious[hit].tolist(), rows.tolist(), cols.tolist())
+        for _, group in groupby(candidates, key=itemgetter(0)):
+            accepted += greedy_assign(c[1:] for c in group)
 
     pairs = tuple((i, j) for _, i, j in accepted)
     taken_o, taken_f = {i for i, _ in pairs}, {j for _, j in pairs}

@@ -11,6 +11,12 @@ each pool image once (pseudo-labelling keeps the result, and the next cycle
 scores from it), the flipped view of each scored image once, and the test set
 once. Each prediction goes through :func:`aldet.acquisition.post_nms` once,
 where it is made; scoring, pseudo-labelling and evaluation take its output.
+
+Predictions are made, passed through NMS and scored in chunks of
+:data:`aldet.acquisition.CHUNK_IMAGES` images: each chunk costs a fixed
+number of numpy calls, where a pass per image paid numpy's per-call overhead
+on a handful of boxes for every image. The pool is streamed chunk by chunk
+and never held whole unless pseudo-labelling keeps its originals.
 """
 
 from __future__ import annotations
@@ -24,11 +30,13 @@ from .acquisition import (
     SCORE_STRATEGIES,
     AcquisitionConfig,
     AcquisitionScore,
+    chunked,
     post_nms,
+    post_nms_stream,
     select_for_labeling,
     unified_score,
 )
-from .boxes import Detections, ImagePrediction
+from .boxes import Detections, ImagePrediction, PredictionChunk
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, EvalResult, map50
 from .pseudo_label import (
@@ -175,13 +183,15 @@ def score_pool(
     input order.
 
     ``flipped(image_id)`` supplies each image's flipped-view prediction as the
-    detector emits it, and :func:`post_nms` is applied to it here. Passing a
-    generator streams the pool instead of holding every prediction at once.
+    detector emits it, and :func:`post_nms` is applied to it here. The pool
+    is scored in chunks of ``CHUNK_IMAGES`` images, so passing a generator
+    streams it instead of holding every prediction at once.
     """
-    return [
-        unified_score(orig, post_nms(flipped(orig.image_id), cfg, flipped=True), cfg.min_match_iou)
-        for orig in originals
-    ]
+    scores: list[AcquisitionScore] = []
+    for group in chunked(originals):
+        unflipped = post_nms(PredictionChunk.of([flipped(p.image_id) for p in group]), cfg, flipped=True)
+        scores += unified_score(PredictionChunk.of(group), unflipped, cfg.min_match_iou)
+    return scores
 
 
 def pseudo_label_pool(
@@ -258,7 +268,9 @@ def run_cycles(
             pool = commit_selection(pool, selected)
         detector = detector.update(pool)
         # Lazy, so that with pseudo-labels off the next cycle's scoring streams it.
-        originals = (post_nms(detector.predict(i), cfg.acquisition) for i in sorted(pool.unlabeled))
+        originals = post_nms_stream(
+            (detector.predict(i) for i in sorted(pool.unlabeled)), cfg.acquisition
+        )
         if cfg.pl_enabled:
             originals = list(originals)
             pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
@@ -267,7 +279,9 @@ def run_cycles(
         n_pl = pool.n_pseudo_labels
         n_manual = sum(len(train_data[i].class_ids) for i in pool.labeled)
         denom = n_pl + n_manual
-        test_preds = (post_nms(detector.predict(i), cfg.acquisition) for i in test_data.image_ids)
+        test_preds = post_nms_stream(
+            (detector.predict(i) for i in test_data.image_ids), cfg.acquisition
+        )
         reports.append(
             CycleReport(
                 cycle=t,

@@ -1,14 +1,17 @@
 """Code that the library replaced with faster or array-based versions, kept
 as the oracles the tests compare against: the scalar corner-box IoU, the
-row-by-row box and distribution checks, and the synthetic detector's
-prediction with a fresh generator per stream."""
+row-by-row box and distribution checks, the synthetic detector's
+prediction with a fresh generator per stream, and the per-image NMS,
+matching and scoring that the chunked pass replaced."""
 
 import hashlib
 from typing import NamedTuple
 
 import numpy as np
 
-from aldet.boxes import Detections, ImagePrediction
+from aldet.acquisition import AcquisitionScore
+from aldet.boxes import Detections, ImagePrediction, iou
+from aldet.matching import MatchResult, greedy_assign
 
 
 class Box(NamedTuple):
@@ -177,3 +180,77 @@ def fresh_stream_predict(det, dataset, image_id, flipped=False):
         np.array(probs).reshape(len(boxes), cfg.n_classes + 1),
     )
     return ImagePrediction(image_id, rec.width, rec.height, dets)
+
+
+# -- per-image NMS, matching and scoring ----------------------------------------
+#
+# ``aldet.boxes.nms``, ``aldet.matching.match_predictions`` and
+# ``aldet.acquisition.unified_score`` as they were before a chunk of images
+# went through them in one pass: one image at a time, with the full IoU
+# matrix of the image.
+
+
+def per_image_nms(dets, iou_threshold, score_floor):
+    rows = np.flatnonzero((dets.class_ids != 0) & (dets.scores >= score_floor))
+    rows = rows[np.argsort(-dets.scores[rows], kind="stable")].tolist()
+    classes = dets.class_ids.tolist()
+    if len({classes[i] for i in rows}) == len(rows):
+        return dets.take(rows)
+    ious = iou(dets.boxes[:, None], dets.boxes[None]).tolist()
+    kept = []
+    for i in rows:
+        if all(ious[i][j] <= iou_threshold for j in kept if classes[j] == classes[i]):
+            kept.append(i)
+    return dets.take(kept)
+
+
+def per_image_post_nms(pred, cfg, flipped=False):
+    if flipped:
+        d = pred.detections
+        boxes = d.boxes.copy()
+        boxes[:, 0] = float(pred.width) - d.boxes[:, 2]
+        boxes[:, 2] = float(pred.width) - d.boxes[:, 0]
+        pred = ImagePrediction(pred.image_id, pred.width, pred.height,
+                               Detections._of(boxes, d.probs, d.class_ids, d.scores))
+    return pred.with_detections(per_image_nms(pred.detections, cfg.nms_iou, cfg.nms_score_floor))
+
+
+def per_image_match(orig, flipped, min_match_iou):
+    n, m = len(orig.detections), len(flipped.detections)
+    accepted = []
+    if n and m:
+        ious = iou(orig.detections.boxes[:, None], flipped.detections.boxes[None])
+        rows, cols = np.nonzero(ious >= min_match_iou)
+        accepted = greedy_assign(zip(ious[rows, cols].tolist(), rows.tolist(), cols.tolist()))
+    pairs = tuple((i, j) for _, i, j in accepted)
+    taken_o, taken_f = {i for i, _ in pairs}, {j for _, j in pairs}
+    return MatchResult(
+        pairs,
+        tuple(i for i in range(n) if i not in taken_o),
+        tuple(j for j in range(m) if j not in taken_f),
+    )
+
+
+def _logs(probs):
+    return np.log(np.clip(probs, 1e-12, 1.0))
+
+
+def _image_entropy(probs):
+    if not len(probs):
+        return 0.0
+    return max(float(-np.dot(p, lp)) for p, lp in zip(probs, _logs(probs)))
+
+
+def _image_inconsistency(p, q):
+    if not len(p):
+        return 0.0
+    d = _logs(p) - _logs(q)
+    return max(0.5 * (float(np.dot(a, dp)) + float(np.dot(b, dq))) for a, b, dp, dq in zip(p, q, d, -d))
+
+
+def per_image_unified_score(orig, unflipped, min_match_iou):
+    pairs = np.array(per_image_match(orig, unflipped, min_match_iou).pairs, dtype=np.intp).reshape(-1, 2)
+    o, f = orig.detections.probs, unflipped.detections.probs
+    return AcquisitionScore.from_parts(
+        orig.image_id, _image_entropy(o), _image_inconsistency(o[pairs[:, 0]], f[pairs[:, 1]])
+    )

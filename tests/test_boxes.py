@@ -8,6 +8,7 @@ import pytest
 from oracles import Box, scalar_iou
 
 from aldet.boxes import (
+    ChunkDetections,
     Detections,
     ImagePrediction,
     checked_boxes,
@@ -195,6 +196,20 @@ class TestNMS:
 
     def test_empty_input(self):
         assert len(nms(EMPTY)) == 0
+
+    def test_chunk_compares_only_within_an_image(self):
+        # the same two overlapping same-class boxes: one image suppresses,
+        # two images keep both, and each kept row keeps its image
+        box, probs = [[0, 0, 10, 10]] * 2, [dist_peaked(1, 0.9, 2), dist_peaked(1, 0.8, 2)]
+        assert len(nms(ChunkDetections(box, probs, [0, 0]), 0.5)) == 1
+        kept = nms(ChunkDetections(box, probs, [0, 1]), 0.5)
+        assert kept.image.tolist() == [0, 1]
+
+    def test_chunk_image_positions_checked(self):
+        box, probs = [[0, 0, 10, 10]] * 2, [dist_peaked(1, 0.9, 2)] * 2
+        for image in ([1, 0], [0]):
+            with pytest.raises(ValueError, match="non-decreasing image position"):
+                ChunkDetections(box, probs, image)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -447,8 +447,9 @@ class TestLossCheckCommand:
                 {
                     "orig_probs": [0.5, 0.5],
                     "flip_probs": [0.5, 0.5],
+                    # the flipped member in the original frame, as matched
                     "orig_encoded": [0.1, 0.0, 1.0, 1.0],
-                    "flip_encoded": [-0.1, 0.0, 1.0, 1.0],
+                    "flip_encoded": [0.1, 0.0, 1.0, 1.0],
                 }
             ],
         }

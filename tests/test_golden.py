@@ -1,15 +1,17 @@
 """Byte-identical output contract: SHA-256 digests of small end-to-end runs.
 
 The default-setting digests were recorded from the command line before the
-cycle was reworked to make one pass per detector version, and the
+cycle was reworked to make one pass per detector version, the
 non-default-setting digests before NMS and the un-flip moved into one
-post-NMS stage. Any change to a digest is a behaviour change and must be
-argued on its own, not absorbed here.
+post-NMS stage, and the seam digests before the pool was scored in chunks.
+Any change to a digest is a behaviour change and must be argued on its own,
+not absorbed here.
 """
 
 import hashlib
 
 from aldet import formats
+from aldet.acquisition import CHUNK_IMAGES
 from aldet.cli import main
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
@@ -108,6 +110,54 @@ GOLDEN = {
         "selected_cycle1.txt":
             "9396a10aed33ed840378a035050d42677d68e02c3e916a25404298ad4733160c",
     },
+    "seam-pl": {
+        "eval_cycle0.csv":
+            "a8910dfdb8f0f7778dee5134b71cd3cffd4106800f13b45f3a3efcf15fb077ca",
+        "eval_cycle1.csv":
+            "529487929b0da6649d11da27bce23ade9255e5c17c5982207d412bfc768ac46a",
+        "eval_cycle2.csv":
+            "2be06a5da5e511a258ed2f31540e5bfd550bc60adf3ab59eb227d779095b9aaf",
+        "pseudo_cycle0.jsonl":
+            "6fee35dc736b7a18d31783d51096688780623017c9c44a27a375dfef2cb94bc7",
+        "pseudo_cycle1.jsonl":
+            "cd233d6d05043953977c569e3358beeb6970936fe6413a9fc374bc239d43d587",
+        "pseudo_cycle2.jsonl":
+            "cfff4190a35856466a438d117ed0cb5c2fc20b3dcf59fb6a322327a28be31812",
+        "report.csv":
+            "e0a860145376bf07aff6e83d10da2fccb6fd23ddc4a0671e03747885456d5495",
+        "scores_cycle1.csv":
+            "c90cffc9f8156771af5c8be11545dca572cd49d9da82d6ec2d8f6ed1f3c52553",
+        "scores_cycle2.csv":
+            "348e411b088a94670b79ff4e138e75cf95d9675eb203db706455e2458d4a271c",
+        "selected_cycle1.txt":
+            "064ce8ed107173bd8249f5f08daf7e7f9f66bd9e979195c9c5e56a89ffa159d1",
+        "selected_cycle2.txt":
+            "1998c22ac7928d38e3eab764e123f9244803514e2f53eefab77b0adb90f7f54a",
+    },
+    "seam-scan": {
+        "eval_cycle0.csv":
+            "a8910dfdb8f0f7778dee5134b71cd3cffd4106800f13b45f3a3efcf15fb077ca",
+        "eval_cycle1.csv":
+            "2b11d5f06f7780d955bb949df59c58d72faf0c693757f9d762fa2b3489d6362e",
+        "eval_cycle2.csv":
+            "6f475384bd496cd7459e7a0a79ce9e2f9b80e2f821834d30fe2d5523e27a7555",
+        "pseudo_cycle0.jsonl":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "pseudo_cycle1.jsonl":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "pseudo_cycle2.jsonl":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "report.csv":
+            "c03e7c05801a5518e70aff6efa7ab904a5d9d964d5b2d96d3e931e7f0ae815d9",
+        "scores_cycle1.csv":
+            "c90cffc9f8156771af5c8be11545dca572cd49d9da82d6ec2d8f6ed1f3c52553",
+        "scores_cycle2.csv":
+            "d19bc5ac1cdf7705c57c6eb4d9f8ad61d1b0ed85880855d8f548b2a96f44f4d3",
+        "selected_cycle1.txt":
+            "064ce8ed107173bd8249f5f08daf7e7f9f66bd9e979195c9c5e56a89ffa159d1",
+        "selected_cycle2.txt":
+            "6273a668d688b6769e78af7161ae3525af67786893dcb25e0e5260e80cf107fd",
+    },
 }
 
 
@@ -127,10 +177,10 @@ def _datasets(tmp_path):
     return train, test
 
 
-def _simulate(tmp_path, name, extra):
+def _simulate(tmp_path, name, extra, data=""):
     out = tmp_path / name
-    argv = ["simulate", "--dataset", str(tmp_path / "train.json"),
-            "--test-dataset", str(tmp_path / "test.json"), "--output-dir", str(out),
+    argv = ["simulate", "--dataset", str(tmp_path / f"{data}train.json"),
+            "--test-dataset", str(tmp_path / f"{data}test.json"), "--output-dir", str(out),
             *SIMULATE_FLAGS, *extra]
     assert main(argv) == 0
     return _digests(out)
@@ -170,6 +220,23 @@ def run_all(tmp_path) -> dict[str, dict[str, str]]:
         "simulate-non-default": _simulate(
             tmp_path, "sim-nd", ["--cycles", "1", *NON_DEFAULT_FLAGS]
         ),
+        **_seam(tmp_path),
+    }
+
+
+def _seam(tmp_path) -> dict[str, dict[str, str]]:
+    """Pseudo-labels on and off, on a pool and a test set of more than two
+    chunks each, neither a multiple of the chunk size, so that chunk seams
+    fall inside every cycle's scoring, pseudo-labelling and evaluation."""
+    train = make_synthetic_dataset(701, 3, seed=13, id_prefix="tr")
+    test = make_synthetic_dataset(301, 3, seed=14, id_prefix="te")
+    for n in (len(train) - 8, len(test)):  # the pool after the initial budget of 8
+        assert n > 2 * CHUNK_IMAGES and n % CHUNK_IMAGES
+    formats.save_dataset(train, tmp_path / "seam-train.json")
+    formats.save_dataset(test, tmp_path / "seam-test.json")
+    return {
+        "seam-pl": _simulate(tmp_path, "seam-pl", ["--pl-strategy", "threshold"], "seam-"),
+        "seam-scan": _simulate(tmp_path, "seam-scan", ["--pl-enabled", "false"], "seam-"),
     }
 
 

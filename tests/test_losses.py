@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from aldet.acquisition import AcquisitionConfig, post_nms
+from aldet.boxes import PredictionChunk, encode_boxes
+from aldet.dataset import make_synthetic_dataset
 from aldet.losses import (
     GroundTruthAssignment,
     consistency_class_loss,
@@ -15,6 +18,8 @@ from aldet.losses import (
     smooth_l1_loc_loss,
     total_loss,
 )
+from aldet.matching import match_predictions
+from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
 EPS = 1e-12
 
@@ -211,20 +216,42 @@ class TestConsistencyLosses:
             consistency_loc_loss([NEUTRAL], [])
 
     def test_loc_mirror_prediction_is_zero(self):
-        # a flip-consistent prediction: dx' = -dx_hat, everything else equal
+        # a flip-consistent prediction, its flipped member mapped back into
+        # the original frame as the matcher gives it: both rows are equal
         p = pair(
             [0.2, 0.8],
             [0.2, 0.8],
             orig_enc=[0.1, 0.05, 1.2, 0.9],
-            flip_enc=[-0.1, 0.05, 1.2, 0.9],
+            flip_enc=[0.1, 0.05, 1.2, 0.9],
         )
         assert loc_loss([p]) == 0.0
 
     def test_loc_negation_rule(self):
-        p = pair([0.5, 0.5], [0.5, 0.5], [0.1, 0.0, 1.0, 1.0], [-0.1, 0.0, 1.0, 1.0])
+        # both members are in the same frame: the loss negates nothing, so a
+        # dx of the opposite sign is a disagreement
+        p = pair([0.5, 0.5], [0.5, 0.5], [0.1, 0.0, 1.0, 1.0], [0.1, 0.0, 1.0, 1.0])
         assert loc_loss([p]) == 0.0
-        q = pair([0.5, 0.5], [0.5, 0.5], [0.1, 0.0, 1.0, 1.0], [0.1, 0.0, 1.0, 1.0])
+        q = pair([0.5, 0.5], [0.5, 0.5], [0.1, 0.0, 1.0, 1.0], [-0.1, 0.0, 1.0, 1.0])
         assert loc_loss([q]) == pytest.approx(0.25 * (0.2 ** 2), rel=1e-12)
+
+    def test_loc_flip_consistent_detector_is_zero(self):
+        # Every box of a detector with robustness 1 and no box noise is
+        # mirrored exactly by its flipped view, so the matched pairs of the
+        # post-NMS views agree up to rounding and the loss vanishes.
+        data = make_synthetic_dataset(50, 3, seed=21)
+        det = SyntheticDetector(
+            SyntheticDetectorConfig(n_classes=3, flip_robustness=1.0, box_noise=0.0, seed=2), data
+        )
+        cfg = AcquisitionConfig()
+        orig = post_nms(PredictionChunk.of([det.predict(i) for i in data.image_ids]), cfg)
+        back = post_nms(PredictionChunk.of([det.predict(i, True) for i in data.image_ids]), cfg, True)
+        enc_a, enc_b = [], []
+        for a, b in zip(orig.split(), back.split()):
+            i, j = np.array(match_predictions(a, b).pairs, dtype=np.intp).reshape(-1, 2).T
+            enc_a += encode_boxes(a.detections.boxes[i], a.width, a.height).tolist()
+            enc_b += encode_boxes(b.detections.boxes[j], b.width, b.height).tolist()
+        assert len(enc_a) >= 50
+        assert consistency_loc_loss(enc_a, enc_b) < 1e-24
 
     def test_loc_oracle_random(self):
         rng = np.random.default_rng(60)
@@ -243,7 +270,7 @@ class TestConsistencyLosses:
             for p in pairs:
                 (adx, ady, aw, ah), (bdx, bdy, bw, bh) = p[2], p[3]
                 expected += 0.25 * (
-                    (adx + bdx) ** 2 + (ady - bdy) ** 2 + (aw - bw) ** 2 + (ah - bh) ** 2
+                    (adx - bdx) ** 2 + (ady - bdy) ** 2 + (aw - bw) ** 2 + (ah - bh) ** 2
                 )
             expected /= n
             assert loc_loss(pairs) == pytest.approx(expected, rel=1e-9)

@@ -4,8 +4,9 @@ import sys
 from collections import Counter
 
 import pytest
+from oracles import per_image_post_nms, per_image_unified_score
 
-from aldet import boxes
+from aldet import acquisition, boxes
 from aldet.acquisition import AcquisitionConfig
 from aldet import pool as pool_module
 from aldet.dataset import Dataset, make_synthetic_dataset
@@ -16,6 +17,7 @@ from aldet.pool import (
     commit_selection,
     init_pool,
     run_cycles,
+    score_pool,
     with_pseudo,
 )
 from aldet.pseudo_label import PseudoLabels
@@ -269,7 +271,7 @@ class PoolSpy(DetectorInterface):
 
 class TestSinglePass:
     """Each detector version predicts each view of each image at most once,
-    and each prediction goes through NMS once."""
+    and each prediction goes through NMS once, as part of a chunk."""
 
     CYCLES = 3
 
@@ -282,23 +284,32 @@ class TestSinglePass:
             return map50(*args, **kwargs)
 
         monkeypatch.setattr(pool_module, "map50", counting_map50)
-        nms, nms_calls = boxes.nms, []
+        post_nms, nms, through_nms, nms_calls = acquisition.post_nms, boxes.nms, [], []
+
+        def counting_post_nms(pred, *args, **kwargs):
+            through_nms.extend(boxes.as_chunk(pred).image_ids)
+            return post_nms(pred, *args, **kwargs)
 
         def counting_nms(*args, **kwargs):
             nms_calls.append(1)
             return nms(*args, **kwargs)
 
-        # every aldet module that imported nms by name
+        # every aldet module that imported either by name
         for name, module in list(sys.modules.items()):
-            if name.startswith("aldet.") and getattr(module, "nms", None) is nms:
-                monkeypatch.setattr(module, "nms", counting_nms)
+            if name.startswith("aldet."):
+                for attr, fn, counting in (("post_nms", post_nms, counting_post_nms),
+                                           ("nms", nms, counting_nms)):
+                    if getattr(module, attr, None) is fn:
+                        monkeypatch.setattr(module, attr, counting)
         calls = Counter()
         pool = init_pool(train.image_ids, 10, seed=0)
         cfg = RunConfig(cycles=self.CYCLES, budget_per_cycle=5, seed=0, tau=0.9,
                         pl_enabled=pl_enabled)
         reports = run_cycles(pool, CountingDetector(make_detector(world), calls), cfg, train, test)
         assert set(calls.values()) == {1}
-        assert len(nms_calls) == sum(calls.values())
+        # every prediction passes through NMS, once; one NMS call per chunk
+        assert len(through_nms) == sum(calls.values())
+        assert 0 < len(nms_calls) < len(through_nms)
 
         def predicted(version, ids, flipped):
             return {i for v, i, f in calls if v == version and f == flipped and i in ids}
@@ -327,3 +338,22 @@ class TestSinglePass:
 
     def test_pseudo_labels_off(self, monkeypatch):
         self.run(monkeypatch, pl_enabled=False)
+
+
+def test_score_pool_across_chunks_equals_per_image_code():
+    # A pool of more than two chunks whose size is no multiple of the chunk
+    # size, with false positives so that NMS suppresses and matching competes.
+    n = 2 * acquisition.CHUNK_IMAGES + 7
+    train, _, world = small_world(n_train=n)
+    det = make_detector(world, fp_rate=3.0)
+    cfg = AcquisitionConfig()
+    originals = list(acquisition.post_nms_stream((det.predict(i) for i in train.image_ids), cfg))
+    assert originals == [per_image_post_nms(det.predict(i), cfg) for i in train.image_ids]
+    scores = score_pool(iter(originals), lambda i: det.predict(i, flipped=True), cfg)
+    expected = [
+        per_image_unified_score(o, per_image_post_nms(det.predict(o.image_id, True), cfg, True), 0.5)
+        for o in originals
+    ]
+    assert [(s.image_id, s.entropy.hex(), s.inconsistency.hex()) for s in scores] == [
+        (s.image_id, s.entropy.hex(), s.inconsistency.hex()) for s in expected
+    ]

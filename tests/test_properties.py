@@ -6,7 +6,9 @@ detection core, ground truth and evaluation to the per-detection and
 per-object code they replaced, kept here as oracles. The per-image fast
 paths (long-lived generators in the synthetic detector, whole-array input
 checks, one log matrix per image when scoring) are pinned to the code they
-replaced in the same way."""
+replaced in the same way, and so is the chunked pass of NMS, matching and
+scoring to the per-image code. Every prediction derived from a clamped one
+stays inside its image without being checked again."""
 
 import json
 
@@ -15,11 +17,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import Box, fresh_stream_predict, rowwise_checked_boxes, rowwise_checked_probs, scalar_iou
+from oracles import (
+    Box,
+    fresh_stream_predict,
+    per_image_match,
+    per_image_post_nms,
+    per_image_unified_score,
+    rowwise_checked_boxes,
+    rowwise_checked_probs,
+    scalar_iou,
+)
 
 from aldet import evaluation, formats, pseudo_label
 from aldet.acquisition import (
     AcquisitionConfig,
+    chunked,
     entropy,
     image_entropy,
     image_inconsistency,
@@ -27,10 +39,19 @@ from aldet.acquisition import (
     sym_kl,
     unified_score,
 )
-from aldet.boxes import Detections, ImagePrediction, checked_boxes, checked_probs, hflip, iou, nms
+from aldet.boxes import (
+    Detections,
+    ImagePrediction,
+    PredictionChunk,
+    checked_boxes,
+    checked_probs,
+    hflip,
+    iou,
+    nms,
+)
 from aldet.dataset import Dataset, ImageRecord, make_synthetic_dataset
 from aldet.evaluation import map50
-from aldet.matching import match_predictions
+from aldet.matching import MatchResult, match_predictions
 from aldet.pool import Pool
 from aldet.pseudo_label import PseudoLabels, audit_pl_correctness
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
@@ -566,3 +587,93 @@ def test_image_scores_equal_per_row_values_bit_for_bit(a, b):
     assert bits(image_entropy(p)) == bits(max(entropy(r) for r in p))
     n = min(len(p), len(q))
     assert bits(image_inconsistency(p[:n], q[:n])) == bits(max(sym_kl(x, y) for x, y in zip(p[:n], q[:n])))
+
+
+# -- the chunked pass against the per-image code it replaced ---------------------
+
+
+@st.composite
+def image_views(draw):
+    """The two views of a run of images of two widths. Each view may be empty,
+    and the grid detections tie on scores and IoUs, cluster within a class,
+    peak on the background and fall below the score floors."""
+    views = []
+    for k in range(draw(st.integers(0, 7))):
+        width = draw(st.sampled_from([SIZE, 130]))
+        orig, flipped = (as_prediction(draw(st.lists(detection(), max_size=7)), f"im{k}")
+                         for _ in range(2))
+        views.append(tuple(ImagePrediction(p.image_id, width, SIZE, p.detections) for p in (orig, flipped)))
+    return views
+
+
+def score_bits(s):
+    return s.image_id, bits(s.entropy), bits(s.inconsistency), bits(s.unified)
+
+
+@settings(deadline=None, max_examples=250)
+@given(image_views(), iou_thresholds, score_floors, st.sampled_from([0.0, 0.3, 0.5]), st.integers(1, 4))
+def test_chunked_pass_equals_per_image_code_bit_for_bit(views, iou_threshold, score_floor, min_match_iou, size):
+    cfg = AcquisitionConfig(iou_threshold, score_floor, min_match_iou)
+    originals = [per_image_post_nms(o, cfg) for o, _ in views]
+    unflipped = [per_image_post_nms(f, cfg, flipped=True) for _, f in views]
+    expected = [per_image_unified_score(o, u, min_match_iou) for o, u in zip(originals, unflipped)]
+    # the one-image case
+    for (orig, flipped), o, u, score in zip(views, originals, unflipped, expected):
+        assert post_nms(orig, cfg) == o
+        assert post_nms(flipped, cfg, flipped=True) == u
+        assert match_predictions(o, u, min_match_iou) == per_image_match(o, u, min_match_iou)
+        assert score_bits(unified_score(o, u, min_match_iou)) == score_bits(score)
+    # chunks of one image and chunk sizes that do not divide the run
+    got_o, got_u, scores = [], [], []
+    for group in chunked(views, size):
+        o = post_nms(PredictionChunk.of([v[0] for v in group]), cfg)
+        u = post_nms(PredictionChunk.of([v[1] for v in group]), cfg, flipped=True)
+        got_o += o.split()
+        got_u += u.split()
+        scores += unified_score(o, u, min_match_iou)
+        # the per-image matches, their rows numbered across the chunk
+        i0 = j0 = 0
+        pairs, unmatched_o, unmatched_u = [], [], []
+        for a, b in zip(o.split(), u.split()):
+            m = per_image_match(a, b, min_match_iou)
+            pairs += [(i + i0, j + j0) for i, j in m.pairs]
+            unmatched_o += [i + i0 for i in m.unmatched_original]
+            unmatched_u += [j + j0 for j in m.unmatched_flipped]
+            i0, j0 = i0 + len(a.detections), j0 + len(b.detections)
+        expected_match = MatchResult(tuple(pairs), tuple(unmatched_o), tuple(unmatched_u))
+        assert match_predictions(o, u, min_match_iou) == expected_match
+    assert got_o == originals
+    assert got_u == unflipped
+    assert [score_bits(s) for s in scores] == [score_bits(s) for s in expected]
+
+
+finite = {"allow_nan": False, "allow_infinity": False}
+
+
+@st.composite
+def unclamped_prediction(draw):
+    """A prediction of any size from boxes that may stick out of the image,
+    which the constructor clamps."""
+    width, height = draw(st.integers(1, 2000)), draw(st.integers(1, 2000))
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        x = sorted(draw(st.floats(-0.5 * width, 1.5 * width, **finite)) for _ in range(2))
+        y = sorted(draw(st.floats(-0.5 * height, 1.5 * height, **finite)) for _ in range(2))
+        boxes.append([x[0], y[0], x[1], y[1]])
+    probs = np.full((len(boxes), N_CLASSES + 1), 0.1)
+    probs[:, 1] = 1.0 - 0.1 * N_CLASSES
+    return ImagePrediction("img", width, height, Detections(np.array(boxes).reshape(-1, 4), probs))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(unclamped_prediction(), min_size=1, max_size=4), iou_thresholds, score_floors)
+def test_derived_predictions_stay_inside_the_image(preds, iou_threshold, score_floor):
+    cfg = AcquisitionConfig(iou_threshold, score_floor)
+    chunk = PredictionChunk.of(preds)
+    derived = [hflip(p) for p in preds] + [hflip(hflip(p)) for p in preds]
+    derived += [post_nms(p, cfg, flipped) for p in preds for flipped in (False, True)]
+    derived += chunk.split() + hflip(chunk).split()
+    derived += post_nms(chunk, cfg).split() + post_nms(chunk, cfg, flipped=True).split()
+    for p in derived:
+        b = p.detections.boxes
+        assert ((b >= 0.0) & (b <= [p.width, p.height, p.width, p.height])).all()
