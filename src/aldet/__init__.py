@@ -14,6 +14,12 @@ Typical entry points:
 - :func:`aldet.pool.run_cycles` with a :class:`aldet.sim_detector.SyntheticDetector`
 - the ``aldet`` command line (score/select/pseudolabel/simulate/eval/...)
 
+A detector or the predictions reader gives one :class:`ImagePrediction` per
+image and view. The library functions above take them in chunks of images,
+:class:`PredictionChunk` (``PredictionChunk.of(predictions)``): NMS,
+matching, scoring, pseudo-labelling and evaluation each make one pass per
+chunk.
+
 Every box is a float64 corner row (xmin, ymin, xmax, ymax) of a
 :class:`Detections`, of an image record of a :class:`Dataset`, or of an
 image's :class:`PseudoLabels`.
@@ -23,7 +29,7 @@ here; everything else is imported from its module.
 """
 
 from .acquisition import AcquisitionConfig, AcquisitionScore, post_nms, select_for_labeling, unified_score
-from .boxes import Detections, ImagePrediction
+from .boxes import Detections, ImagePrediction, PredictionChunk
 from .dataset import Dataset, make_synthetic_dataset
 from .evaluation import EvalResult, map50
 from .pool import CycleReport, Pool, RunConfig, init_pool, run_cycles
@@ -38,6 +44,7 @@ __all__ = [
     "unified_score",
     "Detections",
     "ImagePrediction",
+    "PredictionChunk",
     "Dataset",
     "make_synthetic_dataset",
     "EvalResult",

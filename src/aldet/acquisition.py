@@ -10,15 +10,15 @@ class-wise NMS keeps the survivors. Scoring only matches the two post-NMS
 views and takes the maxima; raw detector outputs are never scored, since
 pre-NMS boxes number in the hundreds and inflate the maxima by chance.
 
-A pool is scored in chunks of ``CHUNK_IMAGES`` images. A chunk
+Predictions are handled in chunks of ``CHUNK_IMAGES`` images. A chunk
 (:class:`~aldet.boxes.PredictionChunk`) holds the rows of all its images as
 one set, so :func:`post_nms`, :func:`~aldet.matching.match_predictions` and
 :func:`unified_score` make a fixed number of numpy calls per chunk: at a
 handful of boxes per image, numpy's per-call overhead, not the arithmetic,
-is what a per-image pass pays for. One image is the one-image case of the
-same code, and every score is the same float either way. Callers stream
-their predictions through :func:`chunked` and :func:`post_nms_stream`, so at
-most a chunk of each view is held, never the whole pool.
+is what a per-image pass pays for. Every score is the same float as the
+image alone would get. :func:`post_nms_stream` makes the chunks, and each
+is passed on whole to scoring, pseudo-labelling and evaluation, so at most a
+chunk of each view is held, never the whole pool.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .boxes import (
     DEFAULT_NMS_SCORE_FLOOR,
     ImagePrediction,
     PredictionChunk,
-    as_chunk,
     hflip,
     nms,
 )
@@ -44,8 +43,6 @@ __all__ = [
     "LOG_EPS",
     "sym_kl",
     "entropy",
-    "image_inconsistency",
-    "image_entropy",
     "AcquisitionConfig",
     "AcquisitionScore",
     "CHUNK_IMAGES",
@@ -109,28 +106,6 @@ def _sym_kls(p: np.ndarray, q: np.ndarray) -> list[float]:
     return [0.5 * (float(np.dot(a, dp)) + float(np.dot(b, dq))) for a, b, dp, dq in zip(p, q, d, -d)]
 
 
-def image_inconsistency(p, q) -> float:
-    """Max symmetric KL between the rows of ``p`` and ``q``, which hold the two
-    members of each matched pair row by row; 0 when there are no pairs.
-    Each row's value is the same float as :func:`sym_kl` of the two rows."""
-    if len(p) != len(q):
-        raise ValueError(f"pair count mismatch: {len(p)} vs {len(q)} distributions")
-    if not len(p):
-        return 0.0
-    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"distribution length mismatch: {p.shape[1:]} vs {q.shape[1:]}")
-    return max(_sym_kls(p, q))
-
-
-def image_entropy(probs) -> float:
-    """Max entropy over the rows of ``probs``; 0 when there are none. Each
-    row's value is the same float as :func:`entropy` of that row."""
-    if not len(probs):
-        return 0.0
-    return max(_entropies(np.asarray(probs, dtype=np.float64)))
-
-
 def _max_per_image(values: list[float], image: np.ndarray, n_images: int) -> list[float]:
     """The max of each image's values, 0 for an image without any; ``image``
     gives each value's image and is non-decreasing."""
@@ -178,21 +153,14 @@ class AcquisitionScore:
         return getattr(self, strategy)
 
 
-def post_nms(
-    pred: ImagePrediction | PredictionChunk, cfg: AcquisitionConfig, flipped: bool = False
-) -> ImagePrediction | PredictionChunk:
-    """The prediction that matching, scoring, pseudo-labelling and evaluation take:
-    a flipped-view prediction is mapped back into the original frame with
+def post_nms(chunk: PredictionChunk, cfg: AcquisitionConfig, flipped: bool = False) -> PredictionChunk:
+    """The chunk that matching, scoring, pseudo-labelling and evaluation take:
+    a flipped-view chunk is mapped back into the original frame with
     :func:`hflip`, then class-wise NMS with ``cfg``'s thresholds keeps the
-    survivors, sorted by descending score. ``pred`` is one
-    :class:`~aldet.boxes.ImagePrediction` or a
-    :class:`~aldet.boxes.PredictionChunk`, done image by image in one pass;
-    the result is of the same kind."""
-    chunk = as_chunk(pred)
+    survivors of each image, sorted by descending score."""
     if flipped:
         chunk = hflip(chunk)
-    kept = chunk.with_detections(nms(chunk.detections, cfg.nms_iou, cfg.nms_score_floor))
-    return kept if isinstance(pred, PredictionChunk) else kept.split()[0]
+    return chunk.with_detections(nms(chunk.detections, cfg.nms_iou, cfg.nms_score_floor))
 
 
 def chunked(items: Iterable[T], size: int = CHUNK_IMAGES) -> Iterator[list[T]]:
@@ -202,38 +170,34 @@ def chunked(items: Iterable[T], size: int = CHUNK_IMAGES) -> Iterator[list[T]]:
         yield group
 
 
-def post_nms_stream(preds: Iterable[ImagePrediction], cfg: AcquisitionConfig) -> Iterator[ImagePrediction]:
-    """:func:`post_nms` of each original-view prediction, in input order,
-    done chunk by chunk; lazy, so at most one chunk of predictions is held."""
+def post_nms_stream(preds: Iterable[ImagePrediction], cfg: AcquisitionConfig) -> Iterator[PredictionChunk]:
+    """:func:`post_nms` of the original-view predictions in chunks of
+    ``CHUNK_IMAGES``, in input order; lazy, so at most one chunk of
+    predictions is held."""
     for group in chunked(preds):
-        yield from post_nms(PredictionChunk.of(group), cfg).split()
+        yield post_nms(PredictionChunk.of(group), cfg)
 
 
 def unified_score(
-    orig: ImagePrediction | PredictionChunk,
-    unflipped: ImagePrediction | PredictionChunk,
-    min_match_iou: float = DEFAULT_MIN_MATCH_IOU,
-) -> AcquisitionScore | list[AcquisitionScore]:
-    """Score one image, or every image of a chunk, from the :func:`post_nms`
-    output of its two views: an :class:`AcquisitionScore` for two
-    :class:`~aldet.boxes.ImagePrediction`, a list in chunk order for two
-    :class:`~aldet.boxes.PredictionChunk`.
+    orig: PredictionChunk, unflipped: PredictionChunk, min_match_iou: float = DEFAULT_MIN_MATCH_IOU
+) -> list[AcquisitionScore]:
+    """The score of every image of a chunk, in chunk order, from the
+    :func:`post_nms` output of its two views.
 
-    H is the max entropy over ``orig``'s detections and I the max symmetric
-    KL over the pairs matched between ``orig`` and ``unflipped``, both over
-    all K+1 categories. An image with no detections scores (0, 0, 0) and is
-    therefore never selected by score-based strategies. A chunk's logs are
-    taken once, and each row's entropy and each pair's KL is one ``np.dot``,
-    so every score is the same float as for the image alone.
+    H is the max entropy over an image's ``orig`` detections and I the max
+    symmetric KL over the pairs matched between its ``orig`` and
+    ``unflipped`` detections, both over all K+1 categories. An image with no
+    detections scores (0, 0, 0) and is therefore never selected by
+    score-based strategies. The chunk's logs are taken once, and each row's
+    entropy and each pair's KL is one ``np.dot``, so every score is the same
+    float as for the image alone.
     """
-    a, b = as_chunk(orig), as_chunk(unflipped)
-    pairs = np.array(match_predictions(a, b, min_match_iou).pairs, dtype=np.intp).reshape(-1, 2)
-    o, f = a.detections.probs, b.detections.probs
-    n, image = len(a.image_ids), a.detections.image
+    pairs = np.array(match_predictions(orig, unflipped, min_match_iou).pairs, dtype=np.intp).reshape(-1, 2)
+    o, f = orig.detections.probs, unflipped.detections.probs
+    n, image = len(orig.image_ids), orig.detections.image
     h = _max_per_image(_entropies(o), image, n)
     i = _max_per_image(_sym_kls(o[pairs[:, 0]], f[pairs[:, 1]]), image[pairs[:, 0]], n)
-    scores = [AcquisitionScore.from_parts(*parts) for parts in zip(a.image_ids, h, i)]
-    return scores if isinstance(orig, PredictionChunk) else scores[0]
+    return [AcquisitionScore.from_parts(*parts) for parts in zip(orig.image_ids, h, i)]
 
 
 def select_for_labeling(

@@ -27,7 +27,6 @@ __all__ = [
     "FrozenRows",
     "ImagePrediction",
     "PredictionChunk",
-    "as_chunk",
     "checked_boxes",
     "checked_encoded",
     "checked_probs",
@@ -160,8 +159,11 @@ class FrozenRows:
     @classmethod
     def concat(cls, sets):
         """The rows of every set, in order; empty sets are skipped, so they may
-        have any width, but one set must be non-empty."""
+        have any width, but one set must be non-empty. Sets are immutable, so
+        a lone non-empty set is returned as it is, not copied."""
         sets = [s for s in sets if len(s)]
+        if len(sets) == 1:
+            return sets[0]
         return cls._of(*(np.concatenate([getattr(s, name) for s in sets]) for name in cls._fields))
 
 
@@ -214,13 +216,9 @@ class ChunkDetections(Detections):
 @dataclass(frozen=True)
 class ImagePrediction:
     """The detections for one image (or for its flipped version), with their
-    corner boxes clamped to the image.
-
-    The constructor clamps. Predictions derived from a clamped one (row
-    subsets, the flip and the images of a chunk) are built by :meth:`_of`,
-    unchecked: a subset of boxes inside the image stays inside, and so does
-    its mirror image, because w - x lies in [0, w] for every x in [0, w] in
-    IEEE arithmetic."""
+    corner boxes clamped to the image, as a detector or the predictions
+    reader gives them. Every later stage takes them in chunks
+    (:class:`PredictionChunk`)."""
 
     image_id: str
     width: int
@@ -235,26 +233,18 @@ class ImagePrediction:
             clamped = Detections._of(np.clip(d.boxes, 0.0, limits), d.probs, d.class_ids, d.scores)
             object.__setattr__(self, "detections", clamped)
 
-    @classmethod
-    def _of(cls, image_id: str, width: int, height: int, detections: Detections) -> "ImagePrediction":
-        """A prediction whose boxes are known to lie inside the image, unchecked."""
-        out = object.__new__(cls)
-        for name, value in (("image_id", image_id), ("width", width), ("height", height),
-                            ("detections", detections)):
-            object.__setattr__(out, name, value)
-        return out
-
-    def with_detections(self, detections: Detections) -> "ImagePrediction":
-        return ImagePrediction(self.image_id, self.width, self.height, detections)
-
 
 @dataclass(frozen=True)
 class PredictionChunk:
     """The predictions of a run of images held as one set of rows, so that
-    the flip, NMS, matching and scoring make a fixed number of numpy calls
-    per chunk rather than per image. ``detections.image[r]`` is the position
-    in ``image_ids`` of row r's image. :meth:`of` builds a chunk from clamped
-    predictions and :meth:`split` gives them back, unchecked."""
+    the flip, NMS, matching, scoring and pseudo-labelling make a fixed number
+    of numpy calls per chunk rather than per image. ``detections.image[r]``
+    is the position in ``image_ids`` of row r's image.
+
+    :meth:`of` builds a chunk from clamped predictions. Chunks derived from
+    it (the flip, NMS) are not checked again: a subset of boxes inside the
+    image stays inside, and so does its mirror image, because w - x lies in
+    [0, w] for every x in [0, w] in IEEE arithmetic."""
 
     image_ids: tuple[str, ...]
     widths: tuple[int, ...]
@@ -274,25 +264,6 @@ class PredictionChunk:
 
     def with_detections(self, detections: ChunkDetections) -> "PredictionChunk":
         return PredictionChunk(self.image_ids, self.widths, self.heights, detections)
-
-    def split(self) -> list[ImagePrediction]:
-        """One prediction per image, in chunk order; their arrays are views of
-        the chunk's."""
-        d = self.detections
-        ends = np.cumsum(np.bincount(d.image, minlength=len(self.image_ids))).tolist()
-        out = []
-        for image_id, width, height, start, end in zip(
-            self.image_ids, self.widths, self.heights, [0] + ends, ends
-        ):
-            rows = Detections._of(d.boxes[start:end], d.probs[start:end],
-                                  d.class_ids[start:end], d.scores[start:end])
-            out.append(ImagePrediction._of(image_id, width, height, rows))
-        return out
-
-
-def as_chunk(pred: ImagePrediction | PredictionChunk) -> PredictionChunk:
-    """A one-image chunk for a prediction; a chunk as it is."""
-    return PredictionChunk.of([pred]) if isinstance(pred, ImagePrediction) else pred
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,22 +288,19 @@ def span_pairs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
     return rows, np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(len(rows))
 
 
-def hflip(p: ImagePrediction | PredictionChunk) -> ImagePrediction | PredictionChunk:
-    """Mirror a prediction, or every image of a chunk, about the vertical axis
-    of its image; returns the same kind.
+def hflip(chunk: PredictionChunk) -> PredictionChunk:
+    """Mirror every image of a chunk about the vertical axis of its image.
 
     Corner boxes map as xmin' = width - xmax, xmax' = width - xmin (so the
     encoded dx of each box is negated); class distributions are unchanged.
-    Applying hflip twice returns the original prediction.
+    Applying hflip twice returns the original chunk.
     """
-    chunk = as_chunk(p)
     d = chunk.detections
     w = np.array(chunk.widths, dtype=np.float64)[d.image]
     boxes = d.boxes.copy()
     boxes[:, 0] = w - d.boxes[:, 2]
     boxes[:, 2] = w - d.boxes[:, 0]
-    flipped = chunk.with_detections(ChunkDetections._of(boxes, d.probs, d.class_ids, d.scores, d.image))
-    return flipped if isinstance(p, PredictionChunk) else flipped.split()[0]
+    return chunk.with_detections(ChunkDetections._of(boxes, d.probs, d.class_ids, d.scores, d.image))
 
 
 def nms(

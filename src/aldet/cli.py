@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import formats
 from .acquisition import AcquisitionConfig, post_nms_stream, select_for_labeling
-from .boxes import checked_encoded, checked_probs
+from .boxes import PredictionChunk, checked_encoded, checked_probs
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, winrate_matrix
 from .losses import (
@@ -287,12 +287,13 @@ def cmd_score(args) -> int:
 def cmd_select(args) -> int:
     scores = formats.read_scores_csv(args.scores)
     selected = select_for_labeling(scores, args.budget, args.strategy, seed=args.seed)
+    # The selection is committed before any file is written, so a selection
+    # the pool rejects leaves no output behind.
+    pool = commit_selection(formats.load_pool(args.pool), selected) if args.pool else None
     Path(args.out).write_text(
         "".join(f"{image_id}\n" for image_id in selected), encoding="utf-8", newline="\n"
     )
-    if args.pool:
-        pool = formats.load_pool(args.pool)
-        pool = commit_selection(pool, selected)
+    if pool is not None:
         formats.save_pool(pool, args.pool_out or args.pool)
     return 0
 
@@ -355,8 +356,8 @@ def cmd_eval(args) -> int:
     detections (simulate applies NMS to its detector's raw output)."""
     gt_data = formats.load_dataset(args.gt)
     preds = _read_predictions(args.predictions, gt_data)
-    originals = (pred for (_, flipped), pred in sorted(preds.items()) if not flipped)
-    formats.write_eval_csv(evaluate(originals, gt_data, args.interpolation), args.out)
+    originals = PredictionChunk.of([pred for (_, flipped), pred in sorted(preds.items()) if not flipped])
+    formats.write_eval_csv(evaluate([originals], gt_data, args.interpolation), args.out)
     return 0
 
 

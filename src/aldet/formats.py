@@ -306,8 +306,13 @@ def read_scores_csv(path) -> list[AcquisitionScore]:
     """Read a scores table back; the unified column is recomputed from the
     rounded entropy and inconsistency so the product identity holds exactly."""
 
+    seen: set[str] = set()
+
     def row(line):
         image_id, h, inc, _unified = _columns(line, 4)
+        if image_id in seen:
+            raise ValueError(f"duplicate image_id {image_id!r}")
+        seen.add(image_id)
         return AcquisitionScore.from_parts(image_id, float(h), float(inc))
 
     return _read_lines(path, row, header="image_id,entropy,inconsistency,unified")
@@ -354,6 +359,8 @@ def read_eval_csv(path) -> EvalResult:
         if cls_s == "mAP":
             return
         cls = int(cls_s)
+        if cls in n_gt:
+            raise ValueError(f"duplicate class_id {cls}")
         n_gt[cls] = int(n_s)
         if ap_s == "":
             excluded.append(cls)

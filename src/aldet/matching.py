@@ -2,10 +2,9 @@
 
 Matching is done on corner-box IoU after the flipped prediction has been
 mapped back into the original coordinate frame (see :func:`aldet.boxes.hflip`).
-A pair is a pair of row indices, one into each prediction's
-:class:`~aldet.boxes.Detections`. Two chunks of images
-(:class:`~aldet.boxes.PredictionChunk`) are matched image by image in one
-pass; their rows are numbered across the chunk.
+Two chunks of images (:class:`~aldet.boxes.PredictionChunk`) are matched
+image by image in one pass. A pair is a pair of row indices, one into each
+chunk's detections, numbered across the chunk.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boxes import ImagePrediction, PredictionChunk, as_chunk, iou, span_pairs
+from .boxes import PredictionChunk, iou, span_pairs
 
 __all__ = ["MatchResult", "greedy_assign", "match_predictions", "DEFAULT_MIN_MATCH_IOU"]
 
@@ -53,36 +52,31 @@ def greedy_assign(candidates: Iterable[tuple[float, int, int]]) -> list[tuple[fl
 
 
 def match_predictions(
-    orig: ImagePrediction | PredictionChunk,
-    flipped: ImagePrediction | PredictionChunk,
-    min_match_iou: float = DEFAULT_MIN_MATCH_IOU,
+    orig: PredictionChunk, flipped: PredictionChunk, min_match_iou: float = DEFAULT_MIN_MATCH_IOU
 ) -> MatchResult:
-    """Greedy one-to-one IoU matching between two detection sets of an image.
+    """Greedy one-to-one IoU matching between the detections of each image
+    in two chunks of the same images: the original view ``orig`` and the
+    flipped view ``flipped``, mapped back.
 
-    All cross pairs are ranked by IoU descending (ties by original row,
-    then flipped row) and accepted while both members are free and the IoU
-    is at least ``min_match_iou``. Unmatched rows on both sides are reported
-    for diagnostics.
-
-    ``orig`` and ``flipped`` are two :class:`~aldet.boxes.ImagePrediction`
-    or two :class:`~aldet.boxes.PredictionChunk` of the same images. Chunks
-    are matched image by image: one ``iou`` call covers every cross pair of
-    every image, and the pairs come image by image, each image's in
+    Within an image, all cross pairs are ranked by IoU descending (ties by
+    original row, then flipped row) and accepted while both members are free
+    and the IoU is at least ``min_match_iou``. Unmatched rows on both sides
+    are reported for diagnostics. One ``iou`` call covers every cross pair
+    of every image, and the pairs come image by image, each image's in
     acceptance order.
     """
-    a, b = as_chunk(orig), as_chunk(flipped)
-    if a.image_ids != b.image_ids:
-        x, y = next((x, y) for x, y in zip_longest(a.image_ids, b.image_ids) if x != y)
+    if orig.image_ids != flipped.image_ids:
+        x, y = next((x, y) for x, y in zip_longest(orig.image_ids, flipped.image_ids) if x != y)
         raise ValueError(f"frame mismatch: cannot match {x!r} against {y!r}")
     if not (0.0 <= min_match_iou <= 1.0):
         raise ValueError(f"min_match_iou must be in [0, 1], got {min_match_iou}")
 
-    da, db = a.detections, b.detections
+    da, db = orig.detections, flipped.detections
     n, m = len(da), len(db)
     accepted = []
     if n and m:
         # Each original row against every flipped row of its image, row-major.
-        per_image = np.bincount(db.image, minlength=len(a.image_ids))
+        per_image = np.bincount(db.image, minlength=len(orig.image_ids))
         rows, cols = span_pairs((np.cumsum(per_image) - per_image)[da.image], per_image[da.image])
         ious = iou(da.boxes[rows], db.boxes[cols])
         hit = ious >= min_match_iou

@@ -12,11 +12,13 @@ scores from it), the flipped view of each scored image once, and the test set
 once. Each prediction goes through :func:`aldet.acquisition.post_nms` once,
 where it is made; scoring, pseudo-labelling and evaluation take its output.
 
-Predictions are made, passed through NMS and scored in chunks of
-:data:`aldet.acquisition.CHUNK_IMAGES` images: each chunk costs a fixed
-number of numpy calls, where a pass per image paid numpy's per-call overhead
-on a handful of boxes for every image. The pool is streamed chunk by chunk
-and never held whole unless pseudo-labelling keeps its originals.
+Predictions are made and passed through NMS in chunks of
+:data:`aldet.acquisition.CHUNK_IMAGES` images
+(:class:`~aldet.boxes.PredictionChunk`), and scoring, pseudo-labelling and
+evaluation take those chunks as they are: each chunk costs a fixed number of
+numpy calls, where a pass per image paid numpy's per-call overhead on a
+handful of boxes for every image. The pool is streamed chunk by chunk and
+never held whole unless pseudo-labelling keeps its originals.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .acquisition import (
     SCORE_STRATEGIES,
     AcquisitionConfig,
     AcquisitionScore,
-    chunked,
     post_nms,
     post_nms_stream,
     select_for_labeling,
@@ -175,49 +176,48 @@ class CycleReport:
 
 
 def score_pool(
-    originals: Iterable[ImagePrediction],
+    originals: Iterable[PredictionChunk],
     flipped: Callable[[str], ImagePrediction],
     cfg: AcquisitionConfig,
 ) -> list[AcquisitionScore]:
-    """Acquisition scores of the given post-NMS original-view predictions, in
-    input order.
+    """Acquisition scores of the images of the given post-NMS original-view
+    chunks, in input order.
 
     ``flipped(image_id)`` supplies each image's flipped-view prediction as the
-    detector emits it, and :func:`post_nms` is applied to it here. The pool
-    is scored in chunks of ``CHUNK_IMAGES`` images, so passing a generator
-    streams it instead of holding every prediction at once.
+    detector emits it; each chunk's flipped views are gathered into one chunk
+    and :func:`post_nms` is applied to it here. Passing a generator streams
+    the pool instead of holding every chunk at once.
     """
     scores: list[AcquisitionScore] = []
-    for group in chunked(originals):
-        unflipped = post_nms(PredictionChunk.of([flipped(p.image_id) for p in group]), cfg, flipped=True)
-        scores += unified_score(PredictionChunk.of(group), unflipped, cfg.min_match_iou)
+    for chunk in originals:
+        unflipped = post_nms(PredictionChunk.of([flipped(i) for i in chunk.image_ids]), cfg, flipped=True)
+        scores += unified_score(chunk, unflipped, cfg.min_match_iou)
     return scores
 
 
 def pseudo_label_pool(
-    originals: Sequence[ImagePrediction],
+    originals: Sequence[PredictionChunk],
     strategy: str,
     tau: float,
     topk_fraction: float,
 ) -> dict[str, PseudoLabels]:
-    """Pseudo-labels of the given post-NMS original-view predictions, by
-    image; images without pseudo-labels are absent.
+    """Pseudo-labels of the given post-NMS original-view chunks, by image;
+    images without pseudo-labels are absent.
 
     ``strategy`` is ``threshold`` (every detection with p >= tau) or ``topk``
     (the most confident ``topk_fraction`` of each class across all images).
     """
-    if strategy != "threshold":
-        return extract_topk_per_class(originals, topk_fraction)
-    labels = {pred.image_id: extract_pseudo_labels(pred, tau) for pred in originals}
-    return {image_id: pls for image_id, pls in labels.items() if len(pls)}
+    if strategy == "threshold":
+        return extract_pseudo_labels(originals, tau)
+    return extract_topk_per_class(originals, topk_fraction)
 
 
-def evaluate(preds: Iterable[ImagePrediction], data: Dataset, interpolation: str) -> EvalResult:
+def evaluate(chunks: Iterable[PredictionChunk], data: Dataset, interpolation: str) -> EvalResult:
     """mAP@0.5 of the detections as given (in input order) against ``data``."""
-    preds = list(preds)
-    image_ids = [pred.image_id for pred in preds for _ in range(len(pred.detections))]
+    chunks = list(chunks)
+    image_ids = [c.image_ids[k] for c in chunks for k in c.detections.image.tolist()]
     return map50(
-        Detections.concat(pred.detections for pred in preds),
+        Detections.concat(c.detections for c in chunks),
         image_ids,
         data,
         interpolation=interpolation,
@@ -254,7 +254,7 @@ def run_cycles(
     reports: list[CycleReport] = []
     selected: list[str] = []
     scores: list[AcquisitionScore] = []
-    originals: Iterable[ImagePrediction] = ()
+    originals: Iterable[PredictionChunk] = ()
 
     for t in range(cfg.cycles + 1):
         if t > 0:

@@ -9,11 +9,11 @@ regions remain neutral in the losses.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .boxes import Detections, FrozenRows, ImagePrediction, checked_boxes, iou
+from .boxes import Detections, FrozenRows, PredictionChunk, checked_boxes, iou
 from .dataset import Dataset
 from .matching import greedy_assign
 
@@ -55,20 +55,32 @@ class PseudoLabels(FrozenRows):
         return cls._of(d.boxes, d.class_ids, d.scores)
 
 
-def extract_pseudo_labels(pred: ImagePrediction, tau: float) -> PseudoLabels:
-    """Pseudo-label every detection whose foreground argmax probability >= tau.
+def extract_pseudo_labels(chunks: Iterable[PredictionChunk], tau: float) -> dict[str, PseudoLabels]:
+    """Pseudo-label every detection whose foreground argmax probability >=
+    tau, grouped by image in input order; images without pseudo-labels are
+    absent. Each image's labels keep its row order.
 
-    ``pred`` is expected to be post-NMS, consistent with the acquisition
+    The chunks are expected to be post-NMS, consistent with the acquisition
     pipeline.
     """
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    d = pred.detections
-    return PseudoLabels.from_rows(d, np.flatnonzero((d.class_ids != 0) & (d.scores >= tau)))
+    out: dict[str, PseudoLabels] = {}
+    for chunk in chunks:
+        d = chunk.detections
+        rows = np.flatnonzero((d.class_ids != 0) & (d.scores >= tau))
+        if not len(rows):
+            continue
+        # Rows are grouped image by image: cut where the image changes.
+        image = d.image[rows]
+        cuts = [0, *(np.flatnonzero(np.diff(image)) + 1).tolist(), len(rows)]
+        for start, end in zip(cuts, cuts[1:]):
+            out[chunk.image_ids[image[start]]] = PseudoLabels.from_rows(d, rows[start:end])
+    return out
 
 
 def extract_topk_per_class(
-    preds: Sequence[ImagePrediction], k_fraction: float
+    chunks: Iterable[PredictionChunk], k_fraction: float
 ) -> dict[str, PseudoLabels]:
     """Per-class top-k% pseudo-labeling variant, grouped by image; images
     without pseudo-labels are absent.
@@ -81,19 +93,23 @@ def extract_topk_per_class(
     if not (0.0 < k_fraction <= 1.0):
         raise ValueError(f"k_fraction must be in (0, 1], got {k_fraction}")
 
+    # An image's rows are contiguous and in order within its chunk, so
+    # ranking by chunk row ranks by image row.
     by_class: dict[int, list[tuple[float, str, int]]] = {}
-    for pred in preds:
-        d = pred.detections
-        for row, (cls, conf) in enumerate(zip(d.class_ids.tolist(), d.scores.tolist())):
+    dets: dict[str, Detections] = {}
+    for chunk in chunks:
+        d = chunk.detections
+        dets.update(dict.fromkeys(chunk.image_ids, d))
+        image_ids = [chunk.image_ids[k] for k in d.image.tolist()]
+        for row, (cls, conf, image_id) in enumerate(zip(d.class_ids.tolist(), d.scores.tolist(), image_ids)):
             if cls != 0:
-                by_class.setdefault(cls, []).append((-conf, pred.image_id, row))
+                by_class.setdefault(cls, []).append((-conf, image_id, row))
 
     rows_of: dict[str, list[int]] = {}
     for cls in sorted(by_class):
         entries = sorted(by_class[cls])  # (-confidence, image id, row)
         for _, image_id, row in entries[: math.ceil(k_fraction * len(entries))]:
             rows_of.setdefault(image_id, []).append(row)
-    dets = {pred.image_id: pred.detections for pred in preds}
     return {image_id: PseudoLabels.from_rows(dets[image_id], rows) for image_id, rows in rows_of.items()}
 
 

@@ -4,8 +4,9 @@ The synthetic detector turns ground-truth annotations into realistic-looking
 predictions: jittered boxes, temperature-controlled confidences, seeded class
 confusions, and a per-class flip-robustness knob that decides whether the
 flipped image's distributions are reused or resampled. Ground truth is only
-visible inside this module; everything downstream sees ImagePrediction values
-only.
+visible inside this module; everything downstream sees only the
+ImagePrediction values it returns, gathered into chunks of images
+(PredictionChunk) by the post-NMS stage.
 
 Low per-class accuracy combined with a low temperature produces confidently
 wrong predictions: low entropy but, under low flip robustness, high

@@ -2,7 +2,8 @@
 as the oracles the tests compare against: the scalar corner-box IoU, the
 row-by-row box and distribution checks, the synthetic detector's
 prediction with a fresh generator per stream, and the per-image NMS,
-matching and scoring that the chunked pass replaced."""
+matching and scoring that the chunked pass replaced, with the per-image
+maxima of entropy and symmetric KL that define an image's H and I."""
 
 import hashlib
 from typing import NamedTuple
@@ -212,7 +213,8 @@ def per_image_post_nms(pred, cfg, flipped=False):
         boxes[:, 2] = float(pred.width) - d.boxes[:, 0]
         pred = ImagePrediction(pred.image_id, pred.width, pred.height,
                                Detections._of(boxes, d.probs, d.class_ids, d.scores))
-    return pred.with_detections(per_image_nms(pred.detections, cfg.nms_iou, cfg.nms_score_floor))
+    return ImagePrediction(pred.image_id, pred.width, pred.height,
+                           per_image_nms(pred.detections, cfg.nms_iou, cfg.nms_score_floor))
 
 
 def per_image_match(orig, flipped, min_match_iou):

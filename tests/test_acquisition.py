@@ -4,19 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from oracles import _image_entropy, _image_inconsistency
 
 from aldet.acquisition import (
     AcquisitionConfig,
     AcquisitionScore,
     entropy,
-    image_entropy,
-    image_inconsistency,
     post_nms,
     select_for_labeling,
     sym_kl,
     unified_score,
 )
-from aldet.boxes import Detections, ImagePrediction, hflip, nms
+from aldet.boxes import Detections, ImagePrediction, PredictionChunk, hflip, nms
 from aldet.matching import match_predictions
 
 EPS = 1e-12
@@ -97,9 +96,12 @@ class TestEntropy:
 
 
 class TestImageAggregation:
+    """The per-image maxima that define H and I, as the oracle the chunked
+    scoring is pinned to (see tests/test_properties.py)."""
+
     def test_inconsistency_identical_pairs(self):
         rows = np.array([[0.2, 0.8]] * 3)
-        assert image_inconsistency(rows, rows) == 0.0
+        assert _image_inconsistency(rows, rows) == 0.0
 
     def test_inconsistency_is_max(self):
         rng = np.random.default_rng(3)
@@ -108,24 +110,22 @@ class TestImageAggregation:
             p = np.array([random_dist(rng, 4) for _ in range(n)])
             q = np.array([random_dist(rng, 4) for _ in range(n)])
             expected = max(oracle_sym_kl(a, b) for a, b in zip(p, q))
-            assert image_inconsistency(p, q) == pytest.approx(expected, rel=1e-9)
+            assert _image_inconsistency(p, q) == pytest.approx(expected, rel=1e-9)
 
     def test_empty_cases(self):
-        assert image_inconsistency([], []) == 0.0
-        assert image_entropy(np.zeros((0, 3))) == 0.0
-        with pytest.raises(ValueError, match="pair count mismatch"):
-            image_inconsistency([[0.5, 0.5]], [])
+        assert _image_inconsistency(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0
+        assert _image_entropy(np.zeros((0, 3))) == 0.0
 
     def test_entropy_is_max(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             probs = np.array([random_dist(rng, 5) for _ in range(int(rng.integers(1, 6)))])
             expected = max(oracle_entropy(p) for p in probs)
-            assert image_entropy(probs) == pytest.approx(expected, rel=1e-9)
+            assert _image_entropy(probs) == pytest.approx(expected, rel=1e-9)
 
 
 def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, perturb=0.0):
-    """A prediction and a flipped-frame version whose dists differ by `perturb`."""
+    """A one-image chunk and a flipped-frame version whose dists differ by `perturb`."""
     boxes, mirrored, orig_probs, flip_probs = [], [], [], []
     for _ in range(n):
         x0, y0 = rng.uniform(0, 60, 2)
@@ -144,7 +144,7 @@ def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, pertur
     def prediction(rows, probs):
         rows = np.array(rows)
         dets = Detections(rows, probs)
-        return ImagePrediction(image_id, width, height, dets)
+        return PredictionChunk.of([ImagePrediction(image_id, width, height, dets)])
 
     return prediction(boxes, orig_probs), prediction(mirrored, flip_probs)
 
@@ -157,8 +157,8 @@ class TestUnifiedScore:
             AcquisitionScore("a", 2.0, 0.5, 0.9)
 
     def test_empty_prediction_scores_zero(self):
-        empty = ImagePrediction("a", 100, 100, Detections([], []))
-        s = unified_score(empty, empty)
+        empty = PredictionChunk.of([ImagePrediction("a", 100, 100, Detections([], []))])
+        [s] = unified_score(empty, empty)
         assert (s.entropy, s.inconsistency, s.unified) == (0.0, 0.0, 0.0)
 
     def test_matches_hand_composed_pipeline(self):
@@ -166,7 +166,7 @@ class TestUnifiedScore:
         cfg = AcquisitionConfig()
         for _ in range(50):
             orig, flip = two_sided_prediction(rng, perturb=0.2)
-            got = unified_score(
+            [got] = unified_score(
                 post_nms(orig, cfg), post_nms(flip, cfg, flipped=True), cfg.min_match_iou
             )
 
@@ -178,10 +178,9 @@ class TestUnifiedScore:
                 unflipped.with_detections(flip_dets),
                 cfg.min_match_iou,
             )
-            h = image_entropy(orig_dets.probs)
-            inc = image_inconsistency(
-                [orig_dets.probs[i] for i, _ in result.pairs],
-                [flip_dets.probs[j] for _, j in result.pairs],
+            h = max((entropy(p) for p in orig_dets.probs), default=0.0)
+            inc = max(
+                (sym_kl(orig_dets.probs[i], flip_dets.probs[j]) for i, j in result.pairs), default=0.0
             )
             assert got.entropy == h
             assert got.inconsistency == inc
@@ -192,11 +191,11 @@ class TestUnifiedScore:
         rng = np.random.default_rng(15)
         cfg = AcquisitionConfig()
         orig, flip = two_sided_prediction(rng, n=4, perturb=0.3)
-        base = unified_score(post_nms(orig, cfg), post_nms(flip, cfg, flipped=True))
+        [base] = unified_score(post_nms(orig, cfg), post_nms(flip, cfg, flipped=True))
         perm = rng.permutation(4)
         orig2 = orig.with_detections(orig.detections.take(perm))
         flip2 = flip.with_detections(flip.detections.take(perm[::-1]))
-        shuffled = unified_score(post_nms(orig2, cfg), post_nms(flip2, cfg, flipped=True))
+        [shuffled] = unified_score(post_nms(orig2, cfg), post_nms(flip2, cfg, flipped=True))
         assert shuffled.entropy == pytest.approx(base.entropy, rel=1e-12)
         assert shuffled.inconsistency == pytest.approx(base.inconsistency, rel=1e-12)
 

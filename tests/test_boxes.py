@@ -11,6 +11,7 @@ from aldet.boxes import (
     ChunkDetections,
     Detections,
     ImagePrediction,
+    PredictionChunk,
     checked_boxes,
     checked_encoded,
     checked_probs,
@@ -130,13 +131,18 @@ class TestIoU:
         assert np.array_equal(iou(a[1], b), matrix[1])
 
 
+def one_image(dets):
+    """A chunk of one 100x100 image."""
+    return PredictionChunk.of([ImagePrediction("a", 100, 100, dets)])
+
+
 class TestHFlip:
     def test_mirror_formula(self):
-        pred = ImagePrediction("a", 100, 100, make_detections([[10, 20, 30, 40]], [[0.1, 0.9]]))
+        pred = one_image(make_detections([[10, 20, 30, 40]], [[0.1, 0.9]]))
         assert hflip(pred).detections.boxes.tolist() == [[70.0, 20.0, 90.0, 40.0]]
 
     def test_encoded_dx_negated(self):
-        pred = ImagePrediction("a", 100, 100, make_detections([[10, 20, 30, 40]], [[0.1, 0.9]]))
+        pred = one_image(make_detections([[10, 20, 30, 40]], [[0.1, 0.9]]))
         assert encode_boxes(pred.detections.boxes, 100, 100).tolist() == [[-0.3, -0.2, 0.2, 0.2]]
         assert encode_boxes(hflip(pred).detections.boxes, 100, 100).tolist() == [[0.3, -0.2, 0.2, 0.2]]
 
@@ -146,7 +152,7 @@ class TestHFlip:
         for _ in range(100):
             n = int(rng.integers(0, 5))
             boxes = [random_box(rng) for _ in range(n)]
-            pred = ImagePrediction("a", 100, 100, make_detections(boxes, [[0.2, 0.5, 0.3]] * n))
+            pred = one_image(make_detections(boxes, [[0.2, 0.5, 0.3]] * n))
             back = hflip(hflip(pred)).detections
             assert len(back) == len(pred.detections)
             np.testing.assert_allclose(back.boxes, pred.detections.boxes, rtol=0, atol=1e-9)
@@ -155,7 +161,7 @@ class TestHFlip:
     def test_preserves_count_dists_and_areas(self):
         rng = np.random.default_rng(11)
         boxes = [random_box(rng) for _ in range(6)]
-        pred = ImagePrediction("a", 100, 100, make_detections(boxes, [[0.3, 0.3, 0.4]] * 6))
+        pred = one_image(make_detections(boxes, [[0.3, 0.3, 0.4]] * 6))
         out = hflip(pred).detections
         assert len(out) == len(pred.detections)
         assert np.array_equal(out.probs, pred.detections.probs)

@@ -8,11 +8,11 @@ import pytest
 
 from aldet import formats
 from aldet.acquisition import AcquisitionConfig, AcquisitionScore, post_nms, unified_score
-from aldet.boxes import Detections, ImagePrediction
+from aldet.boxes import Detections, ImagePrediction, PredictionChunk
 from aldet.cli import CONFIG_DEFAULTS, ConfigError, ExperimentConfig, build_config, build_parser, main
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
-from aldet.pool import init_pool
+from aldet.pool import Pool, init_pool
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
 
@@ -112,9 +112,9 @@ class TestScoreCommand:
         assert len(scores) == len(train.image_ids)
         cfg = AcquisitionConfig()
         for image_id in train.image_ids[:5]:
-            expected = unified_score(
-                post_nms(det.predict(image_id), cfg),
-                post_nms(det.predict(image_id, True), cfg, flipped=True),
+            [expected] = unified_score(
+                post_nms(PredictionChunk.of([det.predict(image_id)]), cfg),
+                post_nms(PredictionChunk.of([det.predict(image_id, True)]), cfg, flipped=True),
                 cfg.min_match_iou,
             )
             got = scores[image_id]
@@ -167,6 +167,20 @@ class TestSelectCommand:
         assert after.cycle == 1
         assert set(chosen) <= after.labeled
 
+    def test_rejected_selection_writes_nothing(self, tmp_path, capsys):
+        # the pool is loaded and the selection committed before any file is written
+        scores_csv, pool_path, out = tmp_path / "scores.csv", tmp_path / "pool.json", tmp_path / "sel.txt"
+        formats.write_scores_csv([AcquisitionScore.from_parts("a", 1.0, 1.0),
+                                  AcquisitionScore.from_parts("b", 0.5, 0.5)], scores_csv)
+        formats.save_pool(Pool(frozenset({"a"}), frozenset({"b"})), pool_path)
+        before = pool_path.read_bytes()
+        rc = main(["select", "--scores", str(scores_csv), "--budget", "1",
+                   "--out", str(out), "--pool", str(pool_path)])
+        assert rc == 1
+        assert "already labeled or unknown: ['a']" in capsys.readouterr().err
+        assert not out.exists()
+        assert pool_path.read_bytes() == before
+
     def test_random_needs_seed(self, workspace, capsys):
         tmp_path, *_ , preds_path = workspace
         scores_csv = tmp_path / "scores.csv"
@@ -215,7 +229,8 @@ class TestEvalCommand:
 
         empty_path = tmp_path / "empty.jsonl"
         formats.write_predictions_jsonl(
-            [(det.predict(i).with_detections(Detections([], [])), False) for i in data.image_ids],
+            [(ImagePrediction(i, data[i].width, data[i].height, Detections([], [])), False)
+             for i in data.image_ids],
             empty_path,
         )
         assert main(["eval", "--gt", str(gt_path), "--predictions", str(empty_path),

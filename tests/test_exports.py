@@ -1,4 +1,5 @@
-"""Every exported name resolves, and the per-detection and per-box types stay gone."""
+"""Every exported name resolves, and the per-detection and per-box types, and
+the one-image forms of the chunked stages, stay gone."""
 
 import importlib
 import pkgutil
@@ -12,7 +13,7 @@ from aldet.dataset import Dataset, ImageRecord
 MODULES = sorted(m.name for m in pkgutil.iter_modules(aldet.__path__))
 DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", "decode_box",
            "image_anchor", "BoxCorner", "GroundTruthObject", "PseudoLabel", "iou_matrix",
-           "average_precision")
+           "average_precision", "as_chunk", "image_entropy", "image_inconsistency")
 
 
 @pytest.mark.parametrize("name", ["aldet"] + [f"aldet.{m}" for m in MODULES])
@@ -29,6 +30,7 @@ def test_per_detection_types_are_gone():
         assert [n for n in DELETED if hasattr(module, n)] == [], name
     assert "Detections" in aldet.__all__
     assert "PseudoLabels" in aldet.__all__
+    assert "PredictionChunk" in aldet.__all__
 
 
 def test_one_box_representation():

@@ -244,6 +244,13 @@ class TestScoresCSV:
         with pytest.raises(ValueError, match="header"):
             formats.read_scores_csv(path)
 
+    def test_duplicate_image_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("image_id,entropy,inconsistency,unified\n"
+                        "a,1.0,1.0,1.0\nb,0.5,0.5,0.25\na,0.1,0.1,0.01\n")
+        with pytest.raises(ValueError, match=r"scores.csv: line 4: duplicate image_id 'a'"):
+            formats.read_scores_csv(path)
+
 
 class TestEvalCSV:
     def test_roundtrip_with_excluded(self, tmp_path):
@@ -255,6 +262,13 @@ class TestEvalCSV:
         lines = path.read_text().splitlines()
         assert lines[0] == "class_id,ap,n_gt"
         assert lines[-1].startswith("mAP,0.625000,")
+
+    def test_duplicate_class_rejected(self, tmp_path):
+        # a second row for a class used to replace the first
+        path = tmp_path / "eval.csv"
+        path.write_text("class_id,ap,n_gt\n1,0.500000,4\n1,0.900000,4\nmAP,0.500000,4\n")
+        with pytest.raises(ValueError, match=r"eval.csv: line 3: duplicate class_id 1"):
+            formats.read_eval_csv(path)
 
 
 class TestConfigFile:

@@ -246,10 +246,11 @@ class TestConsistencyLosses:
         orig = post_nms(PredictionChunk.of([det.predict(i) for i in data.image_ids]), cfg)
         back = post_nms(PredictionChunk.of([det.predict(i, True) for i in data.image_ids]), cfg, True)
         enc_a, enc_b = [], []
-        for a, b in zip(orig.split(), back.split()):
-            i, j = np.array(match_predictions(a, b).pairs, dtype=np.intp).reshape(-1, 2).T
-            enc_a += encode_boxes(a.detections.boxes[i], a.width, a.height).tolist()
-            enc_b += encode_boxes(b.detections.boxes[j], b.width, b.height).tolist()
+        for i, j in match_predictions(orig, back).pairs:
+            k = orig.detections.image[i]
+            size = orig.widths[k], orig.heights[k]
+            enc_a += encode_boxes(orig.detections.boxes[[i]], *size).tolist()
+            enc_b += encode_boxes(back.detections.boxes[[j]], *size).tolist()
         assert len(enc_a) >= 50
         assert consistency_loc_loss(enc_a, enc_b) < 1e-24
 

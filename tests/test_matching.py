@@ -5,14 +5,15 @@ import pytest
 
 from oracles import Box, scalar_iou
 
-from aldet.boxes import Detections, ImagePrediction
+from aldet.boxes import Detections, ImagePrediction, PredictionChunk
 from aldet.matching import greedy_assign, match_predictions
 
 
 def make_pred(image_id, boxes, width=100, height=100):
+    """A chunk of the one image."""
     rows = np.array(boxes, dtype=np.float64).reshape(-1, 4)
     dets = Detections(rows, [[0.1, 0.9]] * len(boxes))
-    return ImagePrediction(image_id, width, height, dets)
+    return PredictionChunk.of([ImagePrediction(image_id, width, height, dets)])
 
 
 def random_boxes(rng, n, width=100.0):

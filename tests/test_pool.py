@@ -285,10 +285,17 @@ class TestSinglePass:
 
         monkeypatch.setattr(pool_module, "map50", counting_map50)
         post_nms, nms, through_nms, nms_calls = acquisition.post_nms, boxes.nms, [], []
+        of, concatenated = boxes.PredictionChunk.of.__func__, []
 
         def counting_post_nms(pred, *args, **kwargs):
-            through_nms.extend(boxes.as_chunk(pred).image_ids)
+            through_nms.extend(pred.image_ids)
             return post_nms(pred, *args, **kwargs)
+
+        def counting_of(cls, preds):
+            concatenated.extend(preds)
+            return of(cls, preds)
+
+        monkeypatch.setattr(boxes.PredictionChunk, "of", classmethod(counting_of))
 
         def counting_nms(*args, **kwargs):
             nms_calls.append(1)
@@ -307,7 +314,9 @@ class TestSinglePass:
                         pl_enabled=pl_enabled)
         reports = run_cycles(pool, CountingDetector(make_detector(world), calls), cfg, train, test)
         assert set(calls.values()) == {1}
-        # every prediction passes through NMS, once; one NMS call per chunk
+        # every prediction is concatenated into a chunk once and passes
+        # through NMS once; one NMS call per chunk
+        assert len(concatenated) == len(set(map(id, concatenated))) == sum(calls.values())
         assert len(through_nms) == sum(calls.values())
         assert 0 < len(nms_calls) < len(through_nms)
 
@@ -348,11 +357,12 @@ def test_score_pool_across_chunks_equals_per_image_code():
     det = make_detector(world, fp_rate=3.0)
     cfg = AcquisitionConfig()
     originals = list(acquisition.post_nms_stream((det.predict(i) for i in train.image_ids), cfg))
-    assert originals == [per_image_post_nms(det.predict(i), cfg) for i in train.image_ids]
+    per_image = [per_image_post_nms(det.predict(i), cfg) for i in train.image_ids]
+    assert originals == [boxes.PredictionChunk.of(group) for group in acquisition.chunked(per_image)]
     scores = score_pool(iter(originals), lambda i: det.predict(i, flipped=True), cfg)
     expected = [
         per_image_unified_score(o, per_image_post_nms(det.predict(o.image_id, True), cfg, True), 0.5)
-        for o in originals
+        for o in per_image
     ]
     assert [(s.image_id, s.entropy.hex(), s.inconsistency.hex()) for s in scores] == [
         (s.image_id, s.entropy.hex(), s.inconsistency.hex()) for s in expected

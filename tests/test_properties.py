@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     Box,
+    _image_entropy,
+    _image_inconsistency,
     fresh_stream_predict,
     per_image_match,
     per_image_post_nms,
@@ -33,8 +35,6 @@ from aldet.acquisition import (
     AcquisitionConfig,
     chunked,
     entropy,
-    image_entropy,
-    image_inconsistency,
     post_nms,
     sym_kl,
     unified_score,
@@ -110,9 +110,9 @@ def test_scores_from_post_nms_originals_equal_scores_from_raw(
     # Passing a post-NMS original through post_nms again changes neither the
     # prediction nor its scores, so one NMS per prediction keeps every score.
     cfg = AcquisitionConfig(iou_threshold, score_floor, min_match_iou)
-    once = post_nms(orig, cfg)
+    once = post_nms(PredictionChunk.of([orig]), cfg)
     assert post_nms(once, cfg) == once
-    unflipped = post_nms(flipped, cfg, flipped=True)
+    unflipped = post_nms(PredictionChunk.of([flipped]), cfg, flipped=True)
     assert unified_score(post_nms(once, cfg), unflipped, min_match_iou) == unified_score(
         once, unflipped, min_match_iou
     )
@@ -438,7 +438,8 @@ def oracle_match(boxes_a, boxes_b, floor):
 @given(grid_boxes(1), grid_boxes(1), st.sampled_from([0.0, 0.1, 0.3, 0.5]))
 def test_match_predictions_equals_candidate_list_oracle(boxes_a, boxes_b, floor):
     def pred(boxes):
-        return as_prediction([(box, np.full(N_CLASSES + 1, 1.0 / (N_CLASSES + 1))) for box in boxes])
+        uniform = np.full(N_CLASSES + 1, 1.0 / (N_CLASSES + 1))
+        return PredictionChunk.of([as_prediction([(box, uniform) for box in boxes])])
 
     result = match_predictions(pred(boxes_a), pred(boxes_b), floor)
     expected = oracle_match(boxes_a, boxes_b, floor)
@@ -450,7 +451,8 @@ def test_match_predictions_equals_candidate_list_oracle(boxes_a, boxes_b, floor)
 @settings(deadline=None, max_examples=200)
 @given(prediction())
 def test_hflip_is_an_involution(pred):
-    assert hflip(hflip(pred)) == pred
+    chunk = PredictionChunk.of([pred])
+    assert hflip(hflip(chunk)) == chunk
 
 
 # -- per-image fast paths against the per-row and fresh-generator code ----------
@@ -584,9 +586,10 @@ def test_image_scores_equal_per_row_values_bit_for_bit(a, b):
     # one-hot-ish rows reach the LOG_EPS clamp
     p = np.vstack([p, np.eye(N_CLASSES + 1)[:1]])
     q = np.vstack([q, np.eye(N_CLASSES + 1)[1:2]])
-    assert bits(image_entropy(p)) == bits(max(entropy(r) for r in p))
+    # the oracle, whose per-image maxima the chunked scoring is pinned to below
+    assert bits(_image_entropy(p)) == bits(max(entropy(r) for r in p))
     n = min(len(p), len(q))
-    assert bits(image_inconsistency(p[:n], q[:n])) == bits(max(sym_kl(x, y) for x, y in zip(p[:n], q[:n])))
+    assert bits(_image_inconsistency(p[:n], q[:n])) == bits(max(sym_kl(x, y) for x, y in zip(p[:n], q[:n])))
 
 
 # -- the chunked pass against the per-image code it replaced ---------------------
@@ -617,24 +620,18 @@ def test_chunked_pass_equals_per_image_code_bit_for_bit(views, iou_threshold, sc
     originals = [per_image_post_nms(o, cfg) for o, _ in views]
     unflipped = [per_image_post_nms(f, cfg, flipped=True) for _, f in views]
     expected = [per_image_unified_score(o, u, min_match_iou) for o, u in zip(originals, unflipped)]
-    # the one-image case
-    for (orig, flipped), o, u, score in zip(views, originals, unflipped, expected):
-        assert post_nms(orig, cfg) == o
-        assert post_nms(flipped, cfg, flipped=True) == u
-        assert match_predictions(o, u, min_match_iou) == per_image_match(o, u, min_match_iou)
-        assert score_bits(unified_score(o, u, min_match_iou)) == score_bits(score)
     # chunks of one image and chunk sizes that do not divide the run
-    got_o, got_u, scores = [], [], []
-    for group in chunked(views, size):
+    scores = []
+    for group, want_o, want_u in zip(chunked(views, size), chunked(originals, size), chunked(unflipped, size)):
         o = post_nms(PredictionChunk.of([v[0] for v in group]), cfg)
         u = post_nms(PredictionChunk.of([v[1] for v in group]), cfg, flipped=True)
-        got_o += o.split()
-        got_u += u.split()
+        assert o == PredictionChunk.of(want_o)
+        assert u == PredictionChunk.of(want_u)
         scores += unified_score(o, u, min_match_iou)
         # the per-image matches, their rows numbered across the chunk
         i0 = j0 = 0
         pairs, unmatched_o, unmatched_u = [], [], []
-        for a, b in zip(o.split(), u.split()):
+        for a, b in zip(want_o, want_u):
             m = per_image_match(a, b, min_match_iou)
             pairs += [(i + i0, j + j0) for i, j in m.pairs]
             unmatched_o += [i + i0 for i in m.unmatched_original]
@@ -642,8 +639,6 @@ def test_chunked_pass_equals_per_image_code_bit_for_bit(views, iou_threshold, sc
             i0, j0 = i0 + len(a.detections), j0 + len(b.detections)
         expected_match = MatchResult(tuple(pairs), tuple(unmatched_o), tuple(unmatched_u))
         assert match_predictions(o, u, min_match_iou) == expected_match
-    assert got_o == originals
-    assert got_u == unflipped
     assert [score_bits(s) for s in scores] == [score_bits(s) for s in expected]
 
 
@@ -669,11 +664,11 @@ def unclamped_prediction(draw):
 @given(st.lists(unclamped_prediction(), min_size=1, max_size=4), iou_thresholds, score_floors)
 def test_derived_predictions_stay_inside_the_image(preds, iou_threshold, score_floor):
     cfg = AcquisitionConfig(iou_threshold, score_floor)
-    chunk = PredictionChunk.of(preds)
-    derived = [hflip(p) for p in preds] + [hflip(hflip(p)) for p in preds]
-    derived += [post_nms(p, cfg, flipped) for p in preds for flipped in (False, True)]
-    derived += chunk.split() + hflip(chunk).split()
-    derived += post_nms(chunk, cfg).split() + post_nms(chunk, cfg, flipped=True).split()
-    for p in derived:
-        b = p.detections.boxes
-        assert ((b >= 0.0) & (b <= [p.width, p.height, p.width, p.height])).all()
+    # the images in one chunk and each in a chunk of its own
+    chunks = [PredictionChunk.of(preds)] + [PredictionChunk.of([p]) for p in preds]
+    derived = chunks + [hflip(c) for c in chunks] + [hflip(hflip(c)) for c in chunks]
+    derived += [post_nms(c, cfg, flipped) for c in chunks for flipped in (False, True)]
+    for c in derived:
+        d = c.detections
+        w, h = np.array(c.widths)[d.image], np.array(c.heights)[d.image]
+        assert ((d.boxes >= 0.0) & (d.boxes <= np.stack([w, h, w, h], axis=1))).all()

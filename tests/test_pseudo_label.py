@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aldet.boxes import Detections, ImagePrediction
+from aldet.boxes import Detections, ImagePrediction, PredictionChunk
 from aldet.dataset import Dataset, ImageRecord
 from aldet.pseudo_label import (
     PseudoLabels,
@@ -26,6 +26,11 @@ def pred(dets, image_id="img"):
     return ImagePrediction(image_id, 100, 100, detections)
 
 
+def labels_of(p, tau):
+    """The pseudo-labels of one image's prediction, as a chunk of one."""
+    return extract_pseudo_labels([PredictionChunk.of([p])], tau).get(p.image_id, PseudoLabels([], [], []))
+
+
 def class_and_score(d):
     """The oracle's argmax class and its probability."""
     cls = int(np.argmax(d[1]))
@@ -41,7 +46,7 @@ def peaked(cls, peak, k=4):
 class TestExtractPseudoLabels:
     def test_confident_detection_labeled(self):
         p = pred([det(peaked(3, 0.995))])
-        pls = extract_pseudo_labels(p, 0.99)
+        pls = labels_of(p, 0.99)
         assert len(pls) == 1
         assert pls.class_ids.tolist() == [3]
         assert pls.scores.tolist() == pytest.approx([0.995])
@@ -49,17 +54,17 @@ class TestExtractPseudoLabels:
 
     def test_below_threshold_skipped(self):
         p = pred([det(peaked(3, 0.98))])
-        assert len(extract_pseudo_labels(p, 0.99)) == 0
+        assert extract_pseudo_labels([PredictionChunk.of([p])], 0.99) == {}
 
     def test_background_argmax_never_labeled(self):
         p = pred([det(peaked(0, 0.999))])
-        assert len(extract_pseudo_labels(p, 0.99)) == 0
+        assert extract_pseudo_labels([PredictionChunk.of([p])], 0.99) == {}
 
     def test_tau_validation(self):
-        p = pred([])
+        p = PredictionChunk.of([pred([])])
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                extract_pseudo_labels(p, bad)
+                extract_pseudo_labels([p], bad)
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(6)
@@ -70,7 +75,7 @@ class TestExtractPseudoLabels:
                 peak = float(rng.uniform(0.3, 0.999))
                 dets.append(det(peaked(cls, peak)))
             p = pred(dets)
-            counts = [len(extract_pseudo_labels(p, tau)) for tau in (0.5, 0.9, 0.99)]
+            counts = [len(labels_of(p, tau)) for tau in (0.5, 0.9, 0.99)]
             assert counts == sorted(counts, reverse=True)
 
     def test_emitted_labels_satisfy_contract(self):
@@ -79,17 +84,30 @@ class TestExtractPseudoLabels:
             dets = [det(peaked(int(rng.integers(0, 5)), float(rng.uniform(0.3, 0.999)))) for _ in range(20)]
             p = pred(dets)
             expected = [(c, sc) for c, sc in map(class_and_score, dets) if c != 0 and sc >= tau]
-            got = extract_pseudo_labels(p, tau)
+            got = labels_of(p, tau)
             assert len(got) == len(expected)
             for got_cls, got_score, (cls, score) in zip(got.class_ids.tolist(), got.scores.tolist(), expected):
                 assert got_score == score >= tau
                 assert got_cls == cls >= 1
 
 
+    def test_chunks_labelled_image_by_image(self):
+        # images keep their order and their own rows; images without labels are absent
+        rng = np.random.default_rng(8)
+        preds = []
+        for i, n in enumerate([6, 0, 5, 7, 1, 4]):
+            dets = [det(peaked(int(rng.integers(0, 5)), float(rng.uniform(0.3, 0.999)))) for _ in range(n)]
+            preds.append(pred(dets, f"img_{i}"))
+        got = extract_pseudo_labels([PredictionChunk.of(preds[:4]), PredictionChunk.of(preds[4:])], 0.6)
+        expected = {p.image_id: labels_of(p, 0.6) for p in preds}
+        assert list(got.items()) == [(i, pls) for i, pls in expected.items() if len(pls)]
+        assert len(got) >= 3
+
+
 class TestTopKPerClass:
     def test_full_take(self):
         dets = [det(peaked(1, 0.6)), det(peaked(2, 0.7)), det(peaked(0, 0.9))]
-        pls = extract_topk_per_class([pred(dets)], 1.0)
+        pls = extract_topk_per_class([PredictionChunk.of([pred(dets)])], 1.0)
         assert list(pls) == ["img"]
         assert len(pls["img"]) == 2  # background-argmax detection excluded
 
@@ -97,7 +115,7 @@ class TestTopKPerClass:
         # 10 detections of one class -> ceil(0.2 * 10) = 2 labels, highest probs
         confs = [0.3, 0.9, 0.5, 0.7, 0.95, 0.4, 0.6, 0.45, 0.35, 0.55]
         dets = [det(peaked(1, c)) for c in confs]
-        pls = extract_topk_per_class([pred(dets)], 0.2)["img"]
+        pls = extract_topk_per_class([PredictionChunk.of([pred(dets)])], 0.2)["img"]
         assert len(pls) == 2
         assert pls.scores.tolist() == pytest.approx([0.95, 0.9])
         assert pls.class_ids.tolist() == [1, 1]
@@ -114,7 +132,8 @@ class TestTopKPerClass:
                 preds.append(pred(dets, image_id=f"img_{i}"))
                 all_dets.extend(dets)
             k = float(rng.choice([0.2, 0.5, 1.0]))
-            got = extract_topk_per_class(preds, k)
+            # the images in two chunks
+            got = extract_topk_per_class([PredictionChunk.of(preds[:2]), PredictionChunk.of(preds[2:])], k)
             assert all(len(v) for v in got.values())
             labels = [(c, sc) for v in got.values() for c, sc in zip(v.class_ids.tolist(), v.scores.tolist())]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
-from aldet.boxes import encode_boxes, hflip, iou, nms
+from aldet.boxes import PredictionChunk, encode_boxes, hflip, iou, nms
 from aldet.dataset import Dataset, ImageRecord, make_synthetic_dataset
 from aldet.pool import Pool, init_pool
 from aldet.pseudo_label import extract_pseudo_labels
@@ -21,9 +21,11 @@ def detector(dataset, **overrides):
 def score(det, image_id):
     """Acquisition score of one image at the default settings."""
     cfg = AcquisitionConfig()
-    return unified_score(
-        post_nms(det.predict(image_id), cfg), post_nms(det.predict(image_id, True), cfg, True)
+    [s] = unified_score(
+        post_nms(PredictionChunk.of([det.predict(image_id)]), cfg),
+        post_nms(PredictionChunk.of([det.predict(image_id, True)]), cfg, True),
     )
+    return s
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +132,7 @@ class TestFlipBehavior:
         det = detector(world, box_noise=0.02)
         for image_id in world.image_ids[:15]:
             orig = det.predict(image_id)
-            back = hflip(det.predict(image_id, flipped=True))
+            back = hflip(PredictionChunk.of([det.predict(image_id, flipped=True)]))
             for a, b in zip(orig.detections.boxes.tolist(), back.detections.boxes.tolist()):
                 assert iou(np.array(a), np.array(b)) > 0.5
 
@@ -143,7 +145,7 @@ class TestFlipBehavior:
         det = detector(world, box_noise=0.0)
         for image_id in world.image_ids[:5]:
             orig = det.predict(image_id)
-            back = hflip(det.predict(image_id, flipped=True))
+            back = hflip(PredictionChunk.of([det.predict(image_id, flipped=True)]))
             for a, b in zip(orig.detections.boxes.tolist(), back.detections.boxes.tolist()):
                 assert iou(np.array(a), np.array(b)) > 0.999
 
@@ -211,11 +213,11 @@ class TestConfidenceLimit:
     def test_cold_temperature_pseudo_labelable(self, world):
         det = detector(world, accuracy=1.0, temperature=0.05, logit_noise=0.0, box_noise=0.0)
         for image_id in world.image_ids[:10]:
-            pred = det.predict(image_id)
-            post = pred.with_detections(nms(pred.detections))
-            pls = extract_pseudo_labels(post, 0.99)
-            assert len(pls) == len(post.detections)
-            assert (pls.scores > 0.99).all()
+            post = PredictionChunk.of([det.predict(image_id)])
+            post = post.with_detections(nms(post.detections))
+            pls = extract_pseudo_labels([post], 0.99)
+            assert sum(map(len, pls.values())) == len(post.detections)
+            assert all((labels.scores > 0.99).all() for labels in pls.values())
 
 
 class TestUpdate:
