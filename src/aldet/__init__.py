@@ -14,11 +14,11 @@ Typical entry points:
 - :func:`aldet.pool.run_cycles` with a :class:`aldet.sim_detector.SyntheticDetector`
 - the ``aldet`` command line (score/select/pseudolabel/simulate/eval/...)
 
-A detector or the predictions reader gives one :class:`ImagePrediction` per
-image and view. The library functions above take them in chunks of images,
-:class:`PredictionChunk` (``PredictionChunk.of(predictions)``): NMS,
-matching, scoring, pseudo-labelling and evaluation each make one pass per
-chunk.
+A detector predicts one :class:`PredictionChunk` of images per call and
+view; the predictions reader gives one :class:`ImagePrediction` per image
+and view, which ``PredictionChunk.of(predictions)`` joins into a chunk. The
+library functions above take chunks: NMS, matching, scoring,
+pseudo-labelling and evaluation each make one pass per chunk.
 
 Every box is a float64 corner row (xmin, ymin, xmax, ymax) of a
 :class:`Detections`, of an image record of a :class:`Dataset`, or of an

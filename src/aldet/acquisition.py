@@ -12,27 +12,28 @@ pre-NMS boxes number in the hundreds and inflate the maxima by chance.
 
 Predictions are handled in chunks of ``CHUNK_IMAGES`` images. A chunk
 (:class:`~aldet.boxes.PredictionChunk`) holds the rows of all its images as
-one set, so :func:`post_nms`, :func:`~aldet.matching.match_predictions` and
-:func:`unified_score` make a fixed number of numpy calls per chunk: at a
-handful of boxes per image, numpy's per-call overhead, not the arithmetic,
-is what a per-image pass pays for. Every score is the same float as the
-image alone would get. :func:`post_nms_stream` makes the chunks, and each
-is passed on whole to scoring, pseudo-labelling and evaluation, so at most a
-chunk of each view is held, never the whole pool.
+one set, so the detector, :func:`post_nms`,
+:func:`~aldet.matching.match_predictions` and :func:`unified_score` make a
+fixed number of numpy calls per chunk: at a handful of boxes per image,
+numpy's per-call overhead, not the arithmetic, is what a per-image pass pays
+for. Every score is the same float as the image alone would get.
+:func:`post_nms_stream` asks a chunk source (a detector's ``predict``, or a
+lookup of file records) for each chunk of ids and passes each chunk on
+whole to scoring, pseudo-labelling and evaluation, so at most a chunk of
+each view is held, never the whole pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .boxes import (
     DEFAULT_NMS_IOU,
     DEFAULT_NMS_SCORE_FLOOR,
-    ImagePrediction,
     PredictionChunk,
     hflip,
     nms,
@@ -170,12 +171,14 @@ def chunked(items: Iterable[T], size: int = CHUNK_IMAGES) -> Iterator[list[T]]:
         yield group
 
 
-def post_nms_stream(preds: Iterable[ImagePrediction], cfg: AcquisitionConfig) -> Iterator[PredictionChunk]:
-    """:func:`post_nms` of the original-view predictions in chunks of
-    ``CHUNK_IMAGES``, in input order; lazy, so at most one chunk of
-    predictions is held."""
-    for group in chunked(preds):
-        yield post_nms(PredictionChunk.of(group), cfg)
+def post_nms_stream(
+    predict: Callable[[Sequence[str]], PredictionChunk], image_ids: Iterable[str], cfg: AcquisitionConfig
+) -> Iterator[PredictionChunk]:
+    """:func:`post_nms` of the original-view chunks ``predict(ids)`` of
+    ``image_ids`` in consecutive runs of ``CHUNK_IMAGES``, in input order;
+    lazy, so at most one chunk of predictions is held."""
+    for group in chunked(image_ids):
+        yield post_nms(predict(group), cfg)
 
 
 def unified_score(

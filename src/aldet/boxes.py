@@ -17,7 +17,7 @@ leaves the rest unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "checked_boxes",
     "checked_encoded",
     "checked_probs",
+    "clamp_to_images",
     "encode_boxes",
     "iou",
     "hflip",
@@ -213,11 +214,31 @@ class ChunkDetections(Detections):
         object.__setattr__(self, "image", image)
 
 
+D = TypeVar("D", bound=Detections)
+
+
+def clamp_to_images(dets: D, widths: Sequence[int], heights: Sequence[int], image) -> D:
+    """``dets`` with the corner box of each row r clamped to its image,
+    ``widths[image[r]]`` by ``heights[image[r]]`` pixels; ``image`` may be
+    one int when every row is of the same image. Every image's size must be
+    positive, whether or not it has rows. A set already inside its images is
+    returned as it is; a clamped one keeps every other field of each row."""
+    # Python's min and one array build: the reader clamps one image at a time.
+    if min(widths, default=1) <= 0 or min(heights, default=1) <= 0:
+        w, h = next((w, h) for w, h in zip(widths, heights) if w <= 0 or h <= 0)
+        raise ValueError(f"image size must be positive, got {w}x{h}")
+    limits = np.array([widths, heights, widths, heights], dtype=np.float64).T[image]
+    if ((dets.boxes >= 0.0) & (dets.boxes <= limits)).all():
+        return dets
+    clipped = np.clip(dets.boxes, 0.0, limits)
+    return dets._of(*(clipped if name == "boxes" else getattr(dets, name) for name in dets._fields))
+
+
 @dataclass(frozen=True)
 class ImagePrediction:
     """The detections for one image (or for its flipped version), with their
-    corner boxes clamped to the image, as a detector or the predictions
-    reader gives them. Every later stage takes them in chunks
+    corner boxes clamped to the image (:func:`clamp_to_images`), as the
+    predictions reader gives them. Every later stage takes them in chunks
     (:class:`PredictionChunk`)."""
 
     image_id: str
@@ -226,12 +247,8 @@ class ImagePrediction:
     detections: Detections
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
-        d, limits = self.detections, (self.width, self.height, self.width, self.height)
-        if not ((d.boxes >= 0.0) & (d.boxes <= limits)).all():
-            clamped = Detections._of(np.clip(d.boxes, 0.0, limits), d.probs, d.class_ids, d.scores)
-            object.__setattr__(self, "detections", clamped)
+        clamped = clamp_to_images(self.detections, (self.width,), (self.height,), 0)
+        object.__setattr__(self, "detections", clamped)
 
 
 @dataclass(frozen=True)
@@ -241,10 +258,11 @@ class PredictionChunk:
     of numpy calls per chunk rather than per image. ``detections.image[r]``
     is the position in ``image_ids`` of row r's image.
 
-    :meth:`of` builds a chunk from clamped predictions. Chunks derived from
-    it (the flip, NMS) are not checked again: a subset of boxes inside the
-    image stays inside, and so does its mirror image, because w - x lies in
-    [0, w] for every x in [0, w] in IEEE arithmetic."""
+    :meth:`of` builds a chunk from clamped predictions, and a detector builds
+    its chunk with its boxes clamped by :func:`clamp_to_images`. Chunks
+    derived from one (the flip, NMS) are not checked again: a subset of boxes
+    inside the image stays inside, and so does its mirror image, because
+    w - x lies in [0, w] for every x in [0, w] in IEEE arithmetic."""
 
     image_ids: tuple[str, ...]
     widths: tuple[int, ...]

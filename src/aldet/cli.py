@@ -256,8 +256,9 @@ def _read_predictions(path, dataset: Dataset):
 # -- subcommands ------------------------------------------------------------
 
 
-def _record(preds, flipped: bool):
-    """Lookup of one orientation's prediction, naming the image when it is missing."""
+def _records(preds, flipped: bool):
+    """Chunk source over one orientation's records: the chunk of the given
+    images' records, naming the first image whose record is missing."""
     kind = "flipped" if flipped else "original"
 
     def get(image_id: str):
@@ -266,7 +267,7 @@ def _record(preds, flipped: bool):
         except KeyError:
             raise ValueError(f"missing {kind} record for image {image_id!r}") from None
 
-    return get
+    return lambda image_ids: PredictionChunk.of([get(i) for i in image_ids])
 
 
 def cmd_score(args) -> int:
@@ -276,9 +277,8 @@ def cmd_score(args) -> int:
 
     acq = cfg.acquisition_config()
     image_ids = sorted({image_id for image_id, _ in preds})
-    original = _record(preds, flipped=False)
     scores = score_pool(
-        post_nms_stream((original(i) for i in image_ids), acq), _record(preds, flipped=True), acq
+        post_nms_stream(_records(preds, flipped=False), image_ids, acq), _records(preds, flipped=True), acq
     )
     formats.write_scores_csv(scores, args.out)
     return 0
@@ -306,10 +306,15 @@ def cmd_pseudolabel(args) -> int:
     candidates = sorted({image_id for (image_id, flipped) in preds if not flipped})
     if args.pool:
         pool = formats.load_pool(args.pool)
+        # load_pool does not know K; the dataset does.
+        for image_id, labels in pool.pseudo.items():
+            if len(labels) and labels.class_ids.max() > dataset.n_classes:
+                raise ValueError(f"{args.pool}: image {image_id!r}: class_id {labels.class_ids.max()} "
+                                 f"outside 1..{dataset.n_classes}")
         candidates = [i for i in candidates if i in pool.unlabeled]
 
     acq = cfg.acquisition_config()
-    originals = list(post_nms_stream((preds[(image_id, False)] for image_id in candidates), acq))
+    originals = list(post_nms_stream(_records(preds, flipped=False), candidates, acq))
     pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
     formats.write_pseudo_labels_jsonl(pseudo, args.out)
     return 0

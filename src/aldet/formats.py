@@ -349,14 +349,32 @@ def write_eval_csv(result: EvalResult, path) -> None:
     _write_text(path, "".join(lines))
 
 
+# The mAP row is the mean of unrounded APs rounded to six decimals, and each
+# class row's AP is rounded the same way: the two means differ by at most 1e-6.
+_MAP_ROW_TOL = 1e-6 + 1e-12
+
+
 def read_eval_csv(path) -> EvalResult:
+    """Read an eval table back: the class rows, then one ``mAP`` row whose
+    ``n_gt`` is the sum of theirs and whose value is the mean of their APs
+    within six-decimal rounding. The mean is recomputed from the class rows."""
     per_class: dict[int, float] = {}
     n_gt: dict[int, int] = {}
     excluded: list[int] = []
+    map_row_seen = False
 
     def row(line):
+        nonlocal map_row_seen
         cls_s, ap_s, n_s = _columns(line, 3)
+        if map_row_seen:
+            raise ValueError("duplicate mAP row" if cls_s == "mAP" else "class row after the mAP row")
         if cls_s == "mAP":
+            map_row_seen = True
+            total, mean = sum(n_gt.values()), EvalResult.from_per_class(per_class, n_gt).map50
+            if int(n_s) != total:
+                raise ValueError(f"mAP row n_gt {n_s} is not {total}, the sum of the class rows")
+            if not abs(float(ap_s) - mean) <= _MAP_ROW_TOL:  # NaN fails too
+                raise ValueError(f"mAP row {ap_s} is not {mean:.6f}, the mean AP of the class rows")
             return
         cls = int(cls_s)
         if cls in n_gt:

@@ -12,9 +12,9 @@ scores from it), the flipped view of each scored image once, and the test set
 once. Each prediction goes through :func:`aldet.acquisition.post_nms` once,
 where it is made; scoring, pseudo-labelling and evaluation take its output.
 
-Predictions are made and passed through NMS in chunks of
-:data:`aldet.acquisition.CHUNK_IMAGES` images
-(:class:`~aldet.boxes.PredictionChunk`), and scoring, pseudo-labelling and
+The detector predicts chunks of :data:`aldet.acquisition.CHUNK_IMAGES`
+images (:class:`~aldet.boxes.PredictionChunk`), one call per chunk and view;
+each chunk passes through NMS whole, and scoring, pseudo-labelling and
 evaluation take those chunks as they are: each chunk costs a fixed number of
 numpy calls, where a pass per image paid numpy's per-call overhead on a
 handful of boxes for every image. The pool is streamed chunk by chunk and
@@ -37,7 +37,7 @@ from .acquisition import (
     select_for_labeling,
     unified_score,
 )
-from .boxes import Detections, ImagePrediction, PredictionChunk
+from .boxes import Detections, PredictionChunk
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, EvalResult, map50
 from .pseudo_label import (
@@ -177,20 +177,20 @@ class CycleReport:
 
 def score_pool(
     originals: Iterable[PredictionChunk],
-    flipped: Callable[[str], ImagePrediction],
+    flipped: Callable[[Sequence[str]], PredictionChunk],
     cfg: AcquisitionConfig,
 ) -> list[AcquisitionScore]:
     """Acquisition scores of the images of the given post-NMS original-view
     chunks, in input order.
 
-    ``flipped(image_id)`` supplies each image's flipped-view prediction as the
-    detector emits it; each chunk's flipped views are gathered into one chunk
-    and :func:`post_nms` is applied to it here. Passing a generator streams
-    the pool instead of holding every chunk at once.
+    ``flipped(chunk.image_ids)`` supplies the chunk of each original chunk's
+    flipped views as the detector emits it, in the flipped frame;
+    :func:`post_nms` is applied to it here. Passing a generator streams the
+    pool instead of holding every chunk at once.
     """
     scores: list[AcquisitionScore] = []
     for chunk in originals:
-        unflipped = post_nms(PredictionChunk.of([flipped(i) for i in chunk.image_ids]), cfg, flipped=True)
+        unflipped = post_nms(flipped(chunk.image_ids), cfg, flipped=True)
         scores += unified_score(chunk, unflipped, cfg.min_match_iou)
     return scores
 
@@ -243,6 +243,10 @@ def run_cycles(
     - predicts the flipped view of every image it scores once;
     - is evaluated on the test set once, ``cycles + 1`` evaluations in all.
 
+    The detector is asked for one chunk of ``CHUNK_IMAGES`` images per call:
+    the sorted pool and the test set in consecutive runs, and the flipped
+    view of each scored chunk of originals.
+
     Fully deterministic given the pool seed, the detector's seed, and the
     config; repeated runs produce identical reports.
     """
@@ -259,7 +263,7 @@ def run_cycles(
     for t in range(cfg.cycles + 1):
         if t > 0:
             scores = score_pool(
-                originals, lambda i: detector.predict(i, flipped=True), cfg.acquisition
+                originals, lambda ids: detector.predict(ids, flipped=True), cfg.acquisition
             )
             originals = ()  # released before the next version predicts its own
             selected = select_for_labeling(
@@ -268,9 +272,7 @@ def run_cycles(
             pool = commit_selection(pool, selected)
         detector = detector.update(pool)
         # Lazy, so that with pseudo-labels off the next cycle's scoring streams it.
-        originals = post_nms_stream(
-            (detector.predict(i) for i in sorted(pool.unlabeled)), cfg.acquisition
-        )
+        originals = post_nms_stream(detector.predict, sorted(pool.unlabeled), cfg.acquisition)
         if cfg.pl_enabled:
             originals = list(originals)
             pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
@@ -279,9 +281,7 @@ def run_cycles(
         n_pl = pool.n_pseudo_labels
         n_manual = sum(len(train_data[i].class_ids) for i in pool.labeled)
         denom = n_pl + n_manual
-        test_preds = post_nms_stream(
-            (detector.predict(i) for i in test_data.image_ids), cfg.acquisition
-        )
+        test_preds = post_nms_stream(detector.predict, test_data.image_ids, cfg.acquisition)
         reports.append(
             CycleReport(
                 cycle=t,

@@ -4,9 +4,14 @@ The synthetic detector turns ground-truth annotations into realistic-looking
 predictions: jittered boxes, temperature-controlled confidences, seeded class
 confusions, and a per-class flip-robustness knob that decides whether the
 flipped image's distributions are reused or resampled. Ground truth is only
-visible inside this module; everything downstream sees only the
-ImagePrediction values it returns, gathered into chunks of images
-(PredictionChunk) by the post-NMS stage.
+visible inside this module; everything downstream sees only the chunks of
+images (PredictionChunk) it returns.
+
+A detector predicts a chunk of images per call. The synthetic one makes each
+image's random draws in a Python loop, image by image, and then builds the
+chunk's arrays once: one softmax, one box and one distribution check, and
+one clamp of every row to its image, where a call per image paid numpy's
+per-call overhead on a handful of rows for each image.
 
 Low per-class accuracy combined with a low temperature produces confidently
 wrong predictions: low entropy but, under low flip robustness, high
@@ -19,11 +24,11 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .boxes import Detections, ImagePrediction
+from .boxes import ChunkDetections, PredictionChunk, clamp_to_images
 from .dataset import Dataset
 
 if TYPE_CHECKING:
@@ -41,10 +46,14 @@ _MIN_BOX = 1.0  # floor on predicted box side length, keeps encodings valid
 class DetectorInterface(ABC):
     """What the active-learning loop needs from a detector.
 
-    ``predict`` must be deterministic given (detector state, image_id,
-    flipped), and ``predict(id, flipped=True)`` returns detections in the
-    flipped coordinate frame. ``update`` consumes a pool snapshot and returns
-    the detector state after retraining, leaving the old state unchanged.
+    ``predict(image_ids, flipped)`` returns one :class:`PredictionChunk` of
+    the given images, in the given order, with every box clamped to its
+    image and in the frame of the view: ``flipped=True`` gives the flipped
+    images' detections in the flipped coordinate frame. Each image's
+    detections must be deterministic given (detector state, image_id,
+    flipped), whatever chunk the image is predicted in. ``update`` consumes
+    a pool snapshot and returns the detector state after retraining, leaving
+    the old state unchanged.
 
     :func:`aldet.pool.run_cycles` relies on this determinism: it predicts
     each image once per detector state and reuses that prediction for both
@@ -52,7 +61,7 @@ class DetectorInterface(ABC):
     """
 
     @abstractmethod
-    def predict(self, image_id: str, flipped: bool = False) -> ImagePrediction: ...
+    def predict(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk: ...
 
     @abstractmethod
     def update(self, pool: "Pool") -> "DetectorInterface": ...
@@ -153,14 +162,15 @@ class SyntheticDetector(DetectorInterface):
     Every random draw of a prediction comes from a Philox stream keyed by
     ``[k1, k2]``, with ``k1 = _mix64(seed, version)`` and
     ``k2 = _mix64(blake2b-64(image_id), tag)``; tag 0 is the original view and
-    tag 1 the flipped one. ``predict`` makes its draws in a fixed order
-    whatever their outcome (the flipped view replays the original view's
-    draws on stream 0 and resamples on stream 1, and the resampled
-    distribution is drawn even when it is not used), so a prediction is a
-    function of (seed, version, image_id, flipped) alone.
+    tag 1 the flipped one. ``predict`` makes each image's draws in a fixed
+    order whatever their outcome (the flipped view replays the original
+    view's draws on stream 0 and resamples on stream 1, and the resampled
+    distribution is drawn even when it is not used), so an image's
+    prediction is a function of (seed, version, image_id, flipped) alone,
+    whatever chunk it is predicted in.
 
-    The detector keeps one generator per tag and, on each call, resets it to
-    the start of the image's stream (key ``[k1, k2]``, counter 0, empty
+    The detector keeps one generator per tag and, for each image, resets it
+    to the start of the image's stream (key ``[k1, k2]``, counter 0, empty
     buffer): exactly the state a new ``Philox(key=[k1, k2])`` starts in, so
     the draws are the same as from a fresh generator, without the cost of
     building one per image. Uniform draws use ``rng.random()`` with the
@@ -276,19 +286,16 @@ class SyntheticDetector(DetectorInterface):
             cls = int(rng.integers(1, self._config.n_classes + 1))
             logits.append(self._draw_dist(rng, cls))
 
-    def predict(self, image_id: str, flipped: bool = False) -> ImagePrediction:
-        rec = self._dataset[image_id]
-        rng = self._stream(image_id, 0)
-        boxes: list[list[float]] = []
-        logits: list[np.ndarray] = []
-
+    def _draw_image(self, rec, flipped: bool, boxes: list, logits: list) -> None:
+        """Append the image's boxes and logits to ``boxes`` and ``logits``."""
+        rng = self._stream(rec.image_id, 0)
         if not flipped:
             for gt_box, cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
                 boxes.append(self._jittered_box(rng, gt_box, rec.width, rec.height))
                 logits.append(self._draw_dist(rng, cls))
             self._false_positives(rng, rec.width, rec.height, boxes, logits)
         else:
-            frng = self._stream(image_id, 1)
+            frng = self._stream(rec.image_id, 1)
             for (x0, y0, x1, y1), cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
                 # The original view's distribution, reused when the flip is robust.
                 # Its box is not needed: skip past the draw _jittered_box makes.
@@ -301,11 +308,29 @@ class SyntheticDetector(DetectorInterface):
                 logits.append(orig_logits if reuse else resampled)
             self._false_positives(frng, rec.width, rec.height, boxes, logits)
 
-        dets = Detections(
+    def predict(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk:
+        boxes: list[list[float]] = []
+        logits: list[np.ndarray] = []
+        widths, heights, counts = [], [], []
+        for image_id in image_ids:
+            rec = self._dataset[image_id]
+            start = len(boxes)
+            self._draw_image(rec, flipped, boxes, logits)
+            widths.append(rec.width)
+            heights.append(rec.height)
+            counts.append(len(boxes) - start)
+
+        # Row-wise arithmetic only: each row is the same float as in a chunk
+        # of its image alone.
+        image = np.repeat(np.arange(len(counts)), counts)
+        dets = ChunkDetections(
             np.array(boxes, dtype=np.float64).reshape(-1, 4),
             _softmax(np.array(logits).reshape(len(boxes), self._config.n_classes + 1)),
+            image,
         )
-        return ImagePrediction(image_id, rec.width, rec.height, dets)
+        return PredictionChunk(
+            tuple(image_ids), tuple(widths), tuple(heights), clamp_to_images(dets, widths, heights, image)
+        )
 
     # -- retraining stand-in -------------------------------------------------
 

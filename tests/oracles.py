@@ -3,7 +3,9 @@ as the oracles the tests compare against: the scalar corner-box IoU, the
 row-by-row box and distribution checks, the synthetic detector's
 prediction with a fresh generator per stream, and the per-image NMS,
 matching and scoring that the chunked pass replaced, with the per-image
-maxima of entropy and symmetric KL that define an image's H and I."""
+maxima of entropy and symmetric KL that define an image's H and I; and
+:func:`per_image`, which splits a chunk into the per-image predictions that
+the predictions JSONL writer takes."""
 
 import hashlib
 from typing import NamedTuple
@@ -152,6 +154,16 @@ def _false_positives(det, rng, width, height, boxes, probs):
         boxes.append([float(x0), float(y0), float(x0 + bw), float(y0 + bh)])
         cls = int(rng.integers(1, cfg.n_classes + 1))
         probs.append(_draw_dist(det, rng, cls))
+
+
+def per_image(chunk):
+    """The chunk's images, one ``ImagePrediction`` each, in chunk order."""
+    d = chunk.detections
+    rows = [np.flatnonzero(d.image == k) for k in range(len(chunk.image_ids))]
+    return [
+        ImagePrediction(image_id, w, h, Detections._of(*(getattr(d, name)[r] for name in Detections._fields)))
+        for image_id, w, h, r in zip(chunk.image_ids, chunk.widths, chunk.heights, rows)
+    ]
 
 
 def fresh_stream_predict(det, dataset, image_id, flipped=False):

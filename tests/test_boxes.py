@@ -15,6 +15,7 @@ from aldet.boxes import (
     checked_boxes,
     checked_encoded,
     checked_probs,
+    clamp_to_images,
     encode_boxes,
     hflip,
     iou,
@@ -88,6 +89,21 @@ class TestBoxTypes:
         pred = ImagePrediction("a", 100, 50, dets)
         assert pred.detections.boxes.tolist() == [[0.0, 10.0, 100.0, 40.0]]
         assert np.array_equal(pred.detections.probs, dets.probs)
+
+    def test_chunk_rows_clamped_to_their_own_image(self):
+        # a detector's chunk: each row against its own image's size, and
+        # every image's size checked, the row-less middle one's too
+        boxes = [[-5.0, 10.0, 120.0, 40.0], [-5.0, 10.0, 120.0, 40.0], [1.0, 2.0, 3.0, 4.0]]
+        dets = ChunkDetections(boxes, [[0.2, 0.8]] * 3, [0, 2, 2])
+        clamped = clamp_to_images(dets, [100, 30, 200], [50, 30, 20], dets.image)
+        assert clamped.boxes.tolist() == [
+            [0.0, 10.0, 100.0, 40.0], [0.0, 10.0, 120.0, 20.0], [1.0, 2.0, 3.0, 4.0]
+        ]
+        assert np.array_equal(clamped.image, dets.image) and np.array_equal(clamped.scores, dets.scores)
+        inside = dets.take([2])
+        assert clamp_to_images(inside, [1, 1, 3], [1, 1, 4], inside.image) is inside
+        with pytest.raises(ValueError, match="image size must be positive, got 0x30"):
+            clamp_to_images(dets, [200, 0, 200], [50, 30, 50], dets.image)
 
 
 def row_iou(a, b) -> float:

@@ -5,10 +5,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from oracles import per_image
 
 from aldet import formats
 from aldet.acquisition import AcquisitionConfig, AcquisitionScore, post_nms, unified_score
-from aldet.boxes import Detections, ImagePrediction, PredictionChunk
+from aldet.boxes import Detections, ImagePrediction
 from aldet.cli import CONFIG_DEFAULTS, ConfigError, ExperimentConfig, build_config, build_parser, main
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
@@ -30,10 +31,8 @@ def workspace(tmp_path):
         SyntheticDetectorConfig(n_classes=3, temperature=0.1, seed=2), world
     )
     preds_path = tmp_path / "preds.jsonl"
-    records = []
-    for image_id in train.image_ids:
-        records.append((det.predict(image_id), False))
-        records.append((det.predict(image_id, True), True))
+    records = [(pred, flipped) for flipped in (False, True)
+               for pred in per_image(det.predict(train.image_ids, flipped))]
     formats.write_predictions_jsonl(records, preds_path)
     return tmp_path, train, test, det, preds_path
 
@@ -113,8 +112,8 @@ class TestScoreCommand:
         cfg = AcquisitionConfig()
         for image_id in train.image_ids[:5]:
             [expected] = unified_score(
-                post_nms(PredictionChunk.of([det.predict(image_id)]), cfg),
-                post_nms(PredictionChunk.of([det.predict(image_id, True)]), cfg, flipped=True),
+                post_nms(det.predict([image_id]), cfg),
+                post_nms(det.predict([image_id], True), cfg, flipped=True),
                 cfg.min_match_iou,
             )
             got = scores[image_id]
@@ -131,7 +130,7 @@ class TestScoreCommand:
     def test_missing_flipped_record_names_image(self, workspace, capsys):
         tmp_path, train, _test, det, _ = workspace
         partial = tmp_path / "partial.jsonl"
-        formats.write_predictions_jsonl([(det.predict(train.image_ids[0]), False)], partial)
+        formats.write_predictions_jsonl([(per_image(det.predict(train.image_ids[:1]))[0], False)], partial)
         rc = main([
             "score", "--dataset", str(tmp_path / "train.json"), "--budget-per-cycle", "1",
             "--predictions", str(partial), "--out", str(tmp_path / "x.csv"),
@@ -218,7 +217,7 @@ class TestEvalCommand:
             ),
             data,
         )
-        records = [(det.predict(i), False) for i in data.image_ids]
+        records = [(pred, False) for pred in per_image(det.predict(data.image_ids))]
         preds_path = tmp_path / "perfect.jsonl"
         formats.write_predictions_jsonl(records, preds_path)
         out = tmp_path / "eval.csv"
@@ -316,6 +315,21 @@ class TestMalformedInput:
         err = self.error(capsys, ["select", "--scores", str(scores), "--budget", "1",
                                   "--out", str(tmp_path / "sel.txt"), "--pool", str(pool)])
         assert err == f"error: {pool}: image 'b': {message}\n"
+
+    def test_pseudolabel_pool_class_id_must_be_a_dataset_class(self, workspace, capsys):
+        # load_pool cannot know K; pseudolabel, which loads the dataset, can
+        tmp_path, train, _test, _det, preds_path = workspace
+        image = sorted(train.image_ids)[-1]
+        labels = [{"image_id": image, "bbox": [0, 0, 9, 9], "class_id": c, "confidence": 0.99}
+                  for c in (3, 99)]
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps({"cycle": 0, "labeled": [], "unlabeled": train.image_ids,
+                                    "pseudo": {image: labels}}))
+        err = self.error(capsys, ["pseudolabel", "--dataset", str(tmp_path / "train.json"),
+                                  "--predictions", str(preds_path), "--pool", str(pool),
+                                  "--out", str(tmp_path / "pl.jsonl")])
+        assert err == f"error: {pool}: image '{image}': class_id 99 outside 1..3\n"
+        assert not (tmp_path / "pl.jsonl").exists()
 
     def test_eval_gt_width_must_be_an_integer(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"

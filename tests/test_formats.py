@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import per_image
 
 from aldet import formats
 from aldet.acquisition import AcquisitionScore
@@ -84,10 +85,8 @@ class TestPredictionsJSONL:
 
     def test_roundtrip(self, world, tmp_path):
         det = SyntheticDetector(SyntheticDetectorConfig(n_classes=3, seed=1), world)
-        records = []
-        for image_id in world.image_ids:
-            records.append((det.predict(image_id), False))
-            records.append((det.predict(image_id, True), True))
+        records = [(pred, flipped) for flipped in (False, True)
+                   for pred in per_image(det.predict(world.image_ids, flipped))]
         path = tmp_path / "preds.jsonl"
         formats.write_predictions_jsonl(records, path)
         back = formats.read_predictions_jsonl(path, sizes(world))
@@ -269,6 +268,30 @@ class TestEvalCSV:
         path.write_text("class_id,ap,n_gt\n1,0.500000,4\n1,0.900000,4\nmAP,0.500000,4\n")
         with pytest.raises(ValueError, match=r"eval.csv: line 3: duplicate class_id 1"):
             formats.read_eval_csv(path)
+
+    @pytest.mark.parametrize("rows, error", [
+        # a mAP row that contradicts the class rows used to be skipped unread
+        ("1,0.500000,4\nmAP,0.100000,4\nmAP,0.900000,9\n",
+         "line 3: mAP row 0.100000 is not 0.500000, the mean AP of the class rows"),
+        ("1,0.500000,4\nmAP,0.500000,4\nmAP,0.500000,4\n", "line 4: duplicate mAP row"),
+        ("1,0.500000,4\n2,,3\nmAP,0.500000,4\n",
+         "line 4: mAP row n_gt 4 is not 7, the sum of the class rows"),
+        ("1,0.500000,4\n3,0.250000,1\nmAP,0.375002,5\n", "line 4: mAP row 0.375002 is not 0.375000"),
+        ("1,0.500000,4\nmAP,nan,4\n", "line 3: mAP row nan is not 0.500000"),
+        ("mAP,0.000000,0\n1,0.500000,4\n", "line 3: class row after the mAP row"),
+    ])
+    def test_map_row_must_agree_with_class_rows(self, tmp_path, rows, error):
+        path = tmp_path / "eval.csv"
+        path.write_text("class_id,ap,n_gt\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"eval.csv: {error}")):
+            formats.read_eval_csv(path)
+
+    def test_map_row_within_rounding_accepted(self, tmp_path):
+        # the APs and their mean are each rounded to six decimals, so the mAP
+        # row may miss the mean of the written APs (0.3117285) by up to 1e-6
+        path = tmp_path / "eval.csv"
+        path.write_text("class_id,ap,n_gt\n1,0.123457,2\n2,0.500000,3\nmAP,0.311728,5\n")
+        assert formats.read_eval_csv(path).map50 == (0.123457 + 0.5) / 2
 
 
 class TestConfigFile:

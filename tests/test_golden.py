@@ -10,6 +10,8 @@ not absorbed here.
 
 import hashlib
 
+from oracles import per_image
+
 from aldet import formats
 from aldet.acquisition import CHUNK_IMAGES
 from aldet.cli import main
@@ -196,7 +198,8 @@ def _files(tmp_path, train, test, name, pl_strategy, extra=()):
     )
     preds = out / "preds.jsonl"
     formats.write_predictions_jsonl(
-        [(det.predict(i, flipped), flipped) for i in train.image_ids for flipped in (False, True)],
+        [(pred, flipped) for flipped in (False, True)
+         for pred in per_image(det.predict(train.image_ids, flipped))],
         preds,
     )
     data = str(tmp_path / "train.json")
@@ -242,3 +245,8 @@ def _seam(tmp_path) -> dict[str, dict[str, str]]:
 
 def test_outputs_match_recorded_digests(tmp_path):
     assert run_all(tmp_path) == GOLDEN
+    # and every eval table the runs wrote reads back, mAP row included
+    written = sorted(tmp_path.rglob("eval_*.csv"))
+    assert len(written) == sum(name.startswith("eval_") for run in GOLDEN.values() for name in run)
+    for path in written:
+        formats.read_eval_csv(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aldet.acquisition import AcquisitionConfig, post_nms
-from aldet.boxes import PredictionChunk, encode_boxes
+from aldet.boxes import encode_boxes
 from aldet.dataset import make_synthetic_dataset
 from aldet.losses import (
     GroundTruthAssignment,
@@ -243,8 +243,8 @@ class TestConsistencyLosses:
             SyntheticDetectorConfig(n_classes=3, flip_robustness=1.0, box_noise=0.0, seed=2), data
         )
         cfg = AcquisitionConfig()
-        orig = post_nms(PredictionChunk.of([det.predict(i) for i in data.image_ids]), cfg)
-        back = post_nms(PredictionChunk.of([det.predict(i, True) for i in data.image_ids]), cfg, True)
+        orig = post_nms(det.predict(data.image_ids), cfg)
+        back = post_nms(det.predict(data.image_ids, True), cfg, True)
         enc_a, enc_b = [], []
         for i, j in match_predictions(orig, back).pairs:
             k = orig.detections.image[i]

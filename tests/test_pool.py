@@ -4,9 +4,9 @@ import sys
 from collections import Counter
 
 import pytest
-from oracles import per_image_post_nms, per_image_unified_score
+from oracles import fresh_stream_predict, per_image_post_nms, per_image_unified_score
 
-from aldet import acquisition, boxes
+from aldet import acquisition, boxes, sim_detector
 from aldet.acquisition import AcquisitionConfig
 from aldet import pool as pool_module
 from aldet.dataset import Dataset, make_synthetic_dataset
@@ -22,6 +22,16 @@ from aldet.pool import (
 )
 from aldet.pseudo_label import PseudoLabels
 from aldet.sim_detector import DetectorInterface, SyntheticDetector, SyntheticDetectorConfig
+
+
+def logging_call(fn, name, log):
+    """``fn``, appending ``name`` to ``log`` on every call."""
+
+    def call(*args, **kwargs):
+        log.append(name)
+        return fn(*args, **kwargs)
+
+    return call
 
 
 def ids(n, prefix="img"):
@@ -242,17 +252,23 @@ class TestRunCycles:
 
 
 class CountingDetector(DetectorInterface):
-    """Delegates to a detector and counts predict calls per (version, image_id, flipped)."""
+    """Delegates to a detector, counts predictions per (version, image_id,
+    flipped), and records each predict call's chunk and the calls that the
+    ``log`` gained during it."""
 
-    def __init__(self, inner, calls):
-        self.inner, self.calls = inner, calls
+    def __init__(self, inner, calls, chunks, log):
+        self.inner, self.calls, self.chunks, self.log = inner, calls, chunks, log
 
-    def predict(self, image_id, flipped=False):
-        self.calls[(self.inner.version, image_id, flipped)] += 1
-        return self.inner.predict(image_id, flipped)
+    def predict(self, image_ids, flipped=False):
+        for image_id in image_ids:
+            self.calls[(self.inner.version, image_id, flipped)] += 1
+        start = len(self.log)
+        pred = self.inner.predict(image_ids, flipped)
+        self.chunks.append((tuple(image_ids), Counter(self.log[start:])))
+        return pred
 
     def update(self, pool):
-        return CountingDetector(self.inner.update(pool), self.calls)
+        return CountingDetector(self.inner.update(pool), self.calls, self.chunks, self.log)
 
 
 class PoolSpy(DetectorInterface):
@@ -261,8 +277,8 @@ class PoolSpy(DetectorInterface):
     def __init__(self, inner, seen):
         self.inner, self.seen = inner, seen
 
-    def predict(self, image_id, flipped=False):
-        return self.inner.predict(image_id, flipped)
+    def predict(self, image_ids, flipped=False):
+        return self.inner.predict(image_ids, flipped)
 
     def update(self, pool):
         self.seen.append(pool.n_pseudo_labels)
@@ -271,7 +287,8 @@ class PoolSpy(DetectorInterface):
 
 class TestSinglePass:
     """Each detector version predicts each view of each image at most once,
-    and each prediction goes through NMS once, as part of a chunk."""
+    in chunks, and each prediction goes through NMS once, as part of a
+    chunk."""
 
     CYCLES = 3
 
@@ -286,6 +303,10 @@ class TestSinglePass:
         monkeypatch.setattr(pool_module, "map50", counting_map50)
         post_nms, nms, through_nms, nms_calls = acquisition.post_nms, boxes.nms, [], []
         of, concatenated = boxes.PredictionChunk.of.__func__, []
+        # the array work of a prediction: logged per call, grouped per chunk by CountingDetector
+        log = []
+        for module, name in ((sim_detector, "_softmax"), (boxes, "checked_probs"), (boxes, "checked_boxes")):
+            monkeypatch.setattr(module, name, logging_call(getattr(module, name), name, log))
 
         def counting_post_nms(pred, *args, **kwargs):
             through_nms.extend(pred.image_ids)
@@ -308,15 +329,24 @@ class TestSinglePass:
                                            ("nms", nms, counting_nms)):
                     if getattr(module, attr, None) is fn:
                         monkeypatch.setattr(module, attr, counting)
-        calls = Counter()
+        calls, chunks = Counter(), []
         pool = init_pool(train.image_ids, 10, seed=0)
         cfg = RunConfig(cycles=self.CYCLES, budget_per_cycle=5, seed=0, tau=0.9,
                         pl_enabled=pl_enabled)
-        reports = run_cycles(pool, CountingDetector(make_detector(world), calls), cfg, train, test)
+        detector = CountingDetector(make_detector(world), calls, chunks, log)
+        reports = run_cycles(pool, detector, cfg, train, test)
         assert set(calls.values()) == {1}
-        # every prediction is concatenated into a chunk once and passes
-        # through NMS once; one NMS call per chunk
-        assert len(concatenated) == len(set(map(id, concatenated))) == sum(calls.values())
+        # The detector predicts chunks of up to CHUNK_IMAGES images, and
+        # builds each chunk's arrays once: one softmax, one distribution
+        # check and one box check per chunk, not per image; the chunk is
+        # built directly, not concatenated from per-image predictions.
+        assert len(chunks) < sum(calls.values())
+        assert all(0 < len(ids) <= acquisition.CHUNK_IMAGES for ids, _ in chunks)
+        assert any(len(ids) == acquisition.CHUNK_IMAGES for ids, _ in chunks)
+        once = Counter(["_softmax", "checked_probs", "checked_boxes"])
+        assert all(work == once for _, work in chunks)
+        assert concatenated == []
+        # every prediction passes through NMS once; one NMS call per chunk
         assert len(through_nms) == sum(calls.values())
         assert 0 < len(nms_calls) < len(through_nms)
 
@@ -356,12 +386,13 @@ def test_score_pool_across_chunks_equals_per_image_code():
     train, _, world = small_world(n_train=n)
     det = make_detector(world, fp_rate=3.0)
     cfg = AcquisitionConfig()
-    originals = list(acquisition.post_nms_stream((det.predict(i) for i in train.image_ids), cfg))
-    per_image = [per_image_post_nms(det.predict(i), cfg) for i in train.image_ids]
+    originals = list(acquisition.post_nms_stream(det.predict, train.image_ids, cfg))
+    per_image = [per_image_post_nms(fresh_stream_predict(det, world, i), cfg) for i in train.image_ids]
     assert originals == [boxes.PredictionChunk.of(group) for group in acquisition.chunked(per_image)]
-    scores = score_pool(iter(originals), lambda i: det.predict(i, flipped=True), cfg)
+    scores = score_pool(iter(originals), lambda ids: det.predict(ids, flipped=True), cfg)
     expected = [
-        per_image_unified_score(o, per_image_post_nms(det.predict(o.image_id, True), cfg, True), 0.5)
+        per_image_unified_score(o, per_image_post_nms(fresh_stream_predict(det, world, o.image_id, True), cfg, True),
+                                0.5)
         for o in per_image
     ]
     assert [(s.image_id, s.entropy.hex(), s.inconsistency.hex()) for s in scores] == [

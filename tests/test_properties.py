@@ -3,12 +3,13 @@ whose output pseudo-labelling and scoring share, that let the pseudo-label
 audit compare only within (image, class), that keep the JSONL readers from
 failing on any input without naming the line, and that pin the array-backed
 detection core, ground truth and evaluation to the per-detection and
-per-object code they replaced, kept here as oracles. The per-image fast
-paths (long-lived generators in the synthetic detector, whole-array input
-checks, one log matrix per image when scoring) are pinned to the code they
-replaced in the same way, and so is the chunked pass of NMS, matching and
-scoring to the per-image code. Every prediction derived from a clamped one
-stays inside its image without being checked again."""
+per-object code they replaced, kept here as oracles. The fast paths
+(long-lived generators and one array build per chunk in the synthetic
+detector, whole-array input checks, one log matrix per image when scoring)
+are pinned to the code they replaced in the same way, and so is the chunked
+pass of NMS, matching and scoring to the per-image code. Every prediction
+derived from a clamped one stays inside its image without being checked
+again, and every eval table the writer produces reads back."""
 
 import json
 
@@ -50,7 +51,7 @@ from aldet.boxes import (
     nms,
 )
 from aldet.dataset import Dataset, ImageRecord, make_synthetic_dataset
-from aldet.evaluation import map50
+from aldet.evaluation import EvalResult, map50
 from aldet.matching import MatchResult, match_predictions
 from aldet.pool import Pool
 from aldet.pseudo_label import PseudoLabels, audit_pl_correctness
@@ -336,6 +337,27 @@ def test_jsonl_readers_parse_or_name_the_line(tmp_path_factory, data):
             assert str(e).startswith(f"{path}: line "), e
 
 
+# APs anywhere in [0, 1], and halfway between two six-decimal values, where
+# the writer's rounding moves them furthest.
+eval_aps = st.floats(0.0, 1.0) | st.integers(0, 999_999).map(lambda v: (v + 0.5) / 1e6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.dictionaries(st.integers(1, 30), st.tuples(st.none() | eval_aps, st.integers(0, 100)), max_size=8))
+def test_written_eval_csv_reads_back(tmp_path_factory, classes):
+    # class -> (AP, or None for an excluded class, n_gt)
+    result = EvalResult.from_per_class(
+        {c: ap for c, (ap, _) in classes.items() if ap is not None},
+        {c: n for c, (_, n) in classes.items()},
+        tuple(c for c, (ap, _) in classes.items() if ap is None),
+    )
+    path = tmp_path_factory.getbasetemp() / "eval.csv"
+    formats.write_eval_csv(result, path)
+    back = formats.read_eval_csv(path)
+    assert back.n_gt == result.n_gt and set(back.excluded) == set(result.excluded)
+    assert all(abs(back.per_class_ap[c] - ap) <= 5e-7 + 1e-12 for c, ap in result.per_class_ap.items())
+
+
 # -- the array-backed core against the per-detection code it replaced ------------
 
 
@@ -463,7 +485,7 @@ def scene(draw):
     """A small dataset with arbitrary image ids, images from 20 to 300 pixels a
     side and 0-3 ground-truth boxes each (some thinner than a pixel)."""
     k = draw(st.sampled_from([1, 2, 5]))
-    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=6, unique=True))
     images = []
     for image_id in ids:
         w, h = draw(st.sampled_from([20, 64, 300])), draw(st.sampled_from([20, 64, 300]))
@@ -476,6 +498,13 @@ def scene(draw):
     return Dataset(tuple(f"c{c}" for c in range(1, k + 1)), tuple(images))
 
 
+def chunk_bits(chunk):
+    """Everything a chunk holds, with each array as its dtype, shape and bytes."""
+    d = chunk.detections
+    arrays = [getattr(d, name) for name in d._fields]
+    return chunk.image_ids, chunk.widths, chunk.heights, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     scene(),
@@ -484,11 +513,21 @@ def scene(draw):
     st.floats(0.0, 1.0),
     st.floats(0.0, 1.0),
     st.integers(0, 2),
+    st.integers(1, 4),
 )
-def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, robustness, updates):
-    # The detector resets two long-lived generators per call; the oracle
-    # builds a fresh Philox generator per stream, as predict once did. Every
-    # version reached by update() must agree, whatever was predicted before.
+@example(  # images without objects and no false positives: an all-empty last chunk
+    data=Dataset(("c1",), (ImageRecord("a", 64, 64, [], []), ImageRecord("b", 20, 300, [[1, 1, 5, 5]], [1]),
+                           ImageRecord("c", 300, 20, [], []))),
+    seed=7, fp_rate=0.0, accuracy=0.5, robustness=0.5, updates=2, size=2,
+)
+def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, robustness, updates, size):
+    # The detector predicts a chunk per call: it resets two long-lived
+    # generators per image and builds the chunk's arrays once. The oracle
+    # builds a fresh Philox generator per stream and one prediction per
+    # image, as predict once did, joined into a chunk. Every version reached
+    # by update() must agree bit for bit, whatever was predicted before, in
+    # chunks of 1-4 images (the last one shorter when the size does not
+    # divide the run).
     cfg = SyntheticDetectorConfig(
         n_classes=data.n_classes, seed=seed, fp_rate=fp_rate, accuracy=accuracy,
         flip_robustness=robustness, skill_gain_per_labeled=0.1, skill_gain_per_pseudo=0.05,
@@ -500,10 +539,10 @@ def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, ro
         pseudo = {i: PseudoLabels([[0, 0, 9, 9]], [1], [0.99]) for i in ids[v + 1:]}
         dets.append(dets[-1].update(Pool(frozenset(labeled), frozenset(ids) - set(labeled), pseudo)))
     for det in dets + dets[:1]:  # the first version again, after its successors ran
-        for image_id in ids:
-            for flipped in (True, False, True):
-                got = det.predict(image_id, flipped)
-                assert got == fresh_stream_predict(det, data, image_id, flipped)
+        for flipped in (True, False, True):
+            for group in chunked(ids, size):
+                expected = PredictionChunk.of([fresh_stream_predict(det, data, i, flipped) for i in group])
+                assert chunk_bits(det.predict(group, flipped)) == chunk_bits(expected)
 
 
 def test_predict_builds_no_generator(monkeypatch):
@@ -520,9 +559,9 @@ def test_predict_builds_no_generator(monkeypatch):
 
     for name in ("Philox", "Generator", "SeedSequence", "default_rng"):
         monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
-    for image_id in data.image_ids:
-        det.predict(image_id)
-        det.predict(image_id, flipped=True)
+    for ids in ([data.image_ids[0]], data.image_ids):
+        det.predict(ids)
+        det.predict(ids, flipped=True)
     assert built == []
 
 

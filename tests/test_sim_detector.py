@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
-from aldet.boxes import PredictionChunk, encode_boxes, hflip, iou, nms
+from aldet.boxes import encode_boxes, hflip, iou, nms
 from aldet.dataset import Dataset, ImageRecord, make_synthetic_dataset
 from aldet.pool import Pool, init_pool
 from aldet.pseudo_label import extract_pseudo_labels
@@ -22,8 +22,8 @@ def score(det, image_id):
     """Acquisition score of one image at the default settings."""
     cfg = AcquisitionConfig()
     [s] = unified_score(
-        post_nms(PredictionChunk.of([det.predict(image_id)]), cfg),
-        post_nms(PredictionChunk.of([det.predict(image_id, True)]), cfg, True),
+        post_nms(det.predict([image_id]), cfg),
+        post_nms(det.predict([image_id], True), cfg, True),
     )
     return s
 
@@ -52,21 +52,21 @@ class TestConfig:
 class TestDeterminism:
     def test_repeated_predict_identical(self, world):
         det = detector(world)
-        a = det.predict("img_0003")
-        b = det.predict("img_0003")
+        a = det.predict(["img_0003"])
+        b = det.predict(["img_0003"])
         assert a == b
-        fa = det.predict("img_0003", flipped=True)
-        fb = det.predict("img_0003", flipped=True)
+        fa = det.predict(["img_0003"], flipped=True)
+        fb = det.predict(["img_0003"], flipped=True)
         assert fa == fb
 
     def test_fresh_detector_same_stream(self, world):
-        a = detector(world).predict("img_0007", flipped=True)
-        b = detector(world).predict("img_0007", flipped=True)
+        a = detector(world).predict(["img_0007"], flipped=True)
+        b = detector(world).predict(["img_0007"], flipped=True)
         assert a == b
 
     def test_seed_changes_stream(self, world):
-        a = detector(world, seed=5).predict("img_0007")
-        b = detector(world, seed=6).predict("img_0007")
+        a = detector(world, seed=5).predict(["img_0007"])
+        b = detector(world, seed=6).predict(["img_0007"])
         assert a != b
 
     def test_update_changes_stream(self, world):
@@ -74,43 +74,46 @@ class TestDeterminism:
         pool = init_pool(world.image_ids, 10, seed=0)
         det2 = det.update(pool)
         assert det2.version == 1
-        assert det.predict("img_0001") != det2.predict("img_0001")
+        assert det.predict(["img_0001"]) != det2.predict(["img_0001"])
 
     def test_order_independence(self, world):
         det = detector(world)
         ids = world.image_ids[:6]
-        first = {i: det.predict(i) for i in ids}
-        second = {i: det.predict(i) for i in reversed(ids)}
+        first = {i: det.predict([i]) for i in ids}
+        second = {i: det.predict([i]) for i in reversed(ids)}
         assert first == second
 
     def test_unknown_image(self, world):
         with pytest.raises(KeyError, match="unknown image"):
-            detector(world).predict("nope")
+            detector(world).predict(["img_0001", "nope"])
 
 
 class TestPredictionShape:
     def test_one_detection_per_object(self, world):
         det = detector(world)
-        for image_id in world.image_ids[:10]:
-            pred = det.predict(image_id)
-            assert len(pred.detections) == len(world[image_id].class_ids)
+        ids = world.image_ids[:10]
+        pred = det.predict(ids)
+        assert pred.image_ids == tuple(ids)
+        assert np.bincount(pred.detections.image, minlength=len(ids)).tolist() == [
+            len(world[i].class_ids) for i in ids
+        ]
 
     def test_boxes_inside_image(self, world):
         det = detector(world, box_noise=0.3)
-        for image_id in world.image_ids[:10]:
-            for flipped in (False, True):
-                pred = det.predict(image_id, flipped)
-                b = pred.detections.boxes
-                assert (b >= 0.0).all()
-                assert (b[:, [0, 2]] <= pred.width).all() and (b[:, [1, 3]] <= pred.height).all()
+        for flipped in (False, True):
+            pred = det.predict(world.image_ids[:10], flipped)
+            b, image = pred.detections.boxes, pred.detections.image
+            w, h = np.array(pred.widths)[image, None], np.array(pred.heights)[image, None]
+            assert len(b) and (b >= 0.0).all()
+            assert (b[:, [0, 2]] <= w).all() and (b[:, [1, 3]] <= h).all()
 
     def test_encoded_corner_roundtrip(self, world):
         # the encoded form of every detection, under the full-image anchor,
         # describes the same region as its corner box
         det = detector(world)
         for image_id in world.image_ids[:10]:
-            pred = det.predict(image_id)
-            d, w, h = pred.detections, pred.width, pred.height
+            pred = det.predict([image_id])
+            d, w, h = pred.detections, pred.widths[0], pred.heights[0]
             # decoded by hand: center = image center + offset, size = ratio * image size
             dx, dy, sw, sh = encode_boxes(d.boxes, w, h).T
             cx, cy = w / 2 + dx * w, h / 2 + dy * h
@@ -121,7 +124,7 @@ class TestPredictionShape:
         det = detector(world, fp_rate=2.0)
         extra = 0
         for image_id in world.image_ids:
-            pred = det.predict(image_id)
+            pred = det.predict([image_id])
             extra += len(pred.detections) - len(world[image_id].class_ids)
         assert extra / len(world.image_ids) == pytest.approx(2.0, abs=0.6)
 
@@ -131,8 +134,8 @@ class TestFlipBehavior:
         # un-flipping the flipped prediction recovers boxes near the originals
         det = detector(world, box_noise=0.02)
         for image_id in world.image_ids[:15]:
-            orig = det.predict(image_id)
-            back = hflip(PredictionChunk.of([det.predict(image_id, flipped=True)]))
+            orig = det.predict([image_id])
+            back = hflip(det.predict([image_id], flipped=True))
             for a, b in zip(orig.detections.boxes.tolist(), back.detections.boxes.tolist()):
                 assert iou(np.array(a), np.array(b)) > 0.5
 
@@ -144,8 +147,8 @@ class TestFlipBehavior:
     def test_zero_noise_boxes_exact_mirror(self, world):
         det = detector(world, box_noise=0.0)
         for image_id in world.image_ids[:5]:
-            orig = det.predict(image_id)
-            back = hflip(PredictionChunk.of([det.predict(image_id, flipped=True)]))
+            orig = det.predict([image_id])
+            back = hflip(det.predict([image_id], flipped=True))
             for a, b in zip(orig.detections.boxes.tolist(), back.detections.boxes.tolist()):
                 assert iou(np.array(a), np.array(b)) > 0.999
 
@@ -213,7 +216,7 @@ class TestConfidenceLimit:
     def test_cold_temperature_pseudo_labelable(self, world):
         det = detector(world, accuracy=1.0, temperature=0.05, logit_noise=0.0, box_noise=0.0)
         for image_id in world.image_ids[:10]:
-            post = PredictionChunk.of([det.predict(image_id)])
+            post = det.predict([image_id])
             post = post.with_detections(nms(post.detections))
             pls = extract_pseudo_labels([post], 0.99)
             assert sum(map(len, pls.values())) == len(post.detections)
@@ -263,6 +266,6 @@ def test_false_positives_need_a_20_pixel_image():
     data = Dataset(("c",), (ImageRecord("a", 16, 300, [[1, 1, 5, 5]], [1]), ImageRecord("b", 20, 20, [], [])))
     det = detector(data, fp_rate=5.0)
     with pytest.raises(ValueError, match="at least 20 pixels a side, got 16x300"):
-        det.predict("a")
-    det.predict("b")  # exactly 20 pixels a side: sides drawn from [10, 10]
-    assert len(detector(data, fp_rate=0.0).predict("a").detections) == 1
+        det.predict(["a"])
+    det.predict(["b"])  # exactly 20 pixels a side: sides drawn from [10, 10]
+    assert len(detector(data, fp_rate=0.0).predict(["a"]).detections) == 1
