@@ -14,11 +14,12 @@ Typical entry points:
 - :func:`aldet.pool.run_cycles` with a :class:`aldet.sim_detector.SyntheticDetector`
 - the ``aldet`` command line (score/select/pseudolabel/simulate/eval/...)
 
-A detector predicts one :class:`PredictionChunk` of images per call and
-view; the predictions reader gives one :class:`ImagePrediction` per image
-and view, which ``PredictionChunk.of(predictions)`` joins into a chunk. The
-library functions above take chunks: NMS, matching, scoring,
-pseudo-labelling and evaluation each make one pass per chunk.
+A prediction is a :class:`PredictionChunk` of images, from the detector and
+from a predictions file alike: a detector predicts one chunk per call and
+view, and the predictions reader gives one chunk per view, out of which
+runs of images are cut. The library functions above take chunks: NMS,
+matching, scoring, pseudo-labelling and evaluation each make one pass per
+chunk.
 
 Every box is a float64 corner row (xmin, ymin, xmax, ymax) of a
 :class:`Detections`, of an image record of a :class:`Dataset`, or of an
@@ -29,7 +30,7 @@ here; everything else is imported from its module.
 """
 
 from .acquisition import AcquisitionConfig, AcquisitionScore, post_nms, select_for_labeling, unified_score
-from .boxes import Detections, ImagePrediction, PredictionChunk
+from .boxes import Detections, PredictionChunk
 from .dataset import Dataset, make_synthetic_dataset
 from .evaluation import EvalResult, map50
 from .pool import CycleReport, Pool, RunConfig, init_pool, run_cycles
@@ -43,7 +44,6 @@ __all__ = [
     "select_for_labeling",
     "unified_score",
     "Detections",
-    "ImagePrediction",
     "PredictionChunk",
     "Dataset",
     "make_synthetic_dataset",

@@ -25,7 +25,6 @@ __all__ = [
     "ChunkDetections",
     "Detections",
     "FrozenRows",
-    "ImagePrediction",
     "PredictionChunk",
     "checked_boxes",
     "checked_encoded",
@@ -50,9 +49,11 @@ DIST_SUM_TOL = 1e-6
 
 def _rows(values, what: str, width: int | None = None, row: str = "detection") -> np.ndarray:
     """``values`` as a float64 array with one row per ``row``; an empty input
-    is (0, width), or (0, 0) when the width is not fixed."""
+    is (0, width), or (0, 0) when the width is not fixed. A float64 array is
+    returned as it is, not copied, so that a whole predictions file is held
+    once; a frozen set built from it makes it read-only."""
     try:
-        arr = np.array(values)
+        arr = np.asarray(values)
     except ValueError:
         raise ValueError(f"{what}: every {row} needs the same number of values") from None
     if arr.size == 0:
@@ -217,13 +218,12 @@ class ChunkDetections(Detections):
 D = TypeVar("D", bound=Detections)
 
 
-def clamp_to_images(dets: D, widths: Sequence[int], heights: Sequence[int], image) -> D:
+def clamp_to_images(dets: D, widths: Sequence[int], heights: Sequence[int], image: np.ndarray) -> D:
     """``dets`` with the corner box of each row r clamped to its image,
-    ``widths[image[r]]`` by ``heights[image[r]]`` pixels; ``image`` may be
-    one int when every row is of the same image. Every image's size must be
-    positive, whether or not it has rows. A set already inside its images is
-    returned as it is; a clamped one keeps every other field of each row."""
-    # Python's min and one array build: the reader clamps one image at a time.
+    ``widths[image[r]]`` by ``heights[image[r]]`` pixels. Every image's size
+    must be positive, whether or not it has rows. A set already inside its
+    images is returned as it is; a clamped one keeps every other field of
+    each row."""
     if min(widths, default=1) <= 0 or min(heights, default=1) <= 0:
         w, h = next((w, h) for w, h in zip(widths, heights) if w <= 0 or h <= 0)
         raise ValueError(f"image size must be positive, got {w}x{h}")
@@ -235,32 +235,15 @@ def clamp_to_images(dets: D, widths: Sequence[int], heights: Sequence[int], imag
 
 
 @dataclass(frozen=True)
-class ImagePrediction:
-    """The detections for one image (or for its flipped version), with their
-    corner boxes clamped to the image (:func:`clamp_to_images`), as the
-    predictions reader gives them. Every later stage takes them in chunks
-    (:class:`PredictionChunk`)."""
-
-    image_id: str
-    width: int
-    height: int
-    detections: Detections
-
-    def __post_init__(self):
-        clamped = clamp_to_images(self.detections, (self.width,), (self.height,), 0)
-        object.__setattr__(self, "detections", clamped)
-
-
-@dataclass(frozen=True)
 class PredictionChunk:
     """The predictions of a run of images held as one set of rows, so that
     the flip, NMS, matching, scoring and pseudo-labelling make a fixed number
     of numpy calls per chunk rather than per image. ``detections.image[r]``
     is the position in ``image_ids`` of row r's image.
 
-    :meth:`of` builds a chunk from clamped predictions, and a detector builds
-    its chunk with its boxes clamped by :func:`clamp_to_images`. Chunks
-    derived from one (the flip, NMS) are not checked again: a subset of boxes
+    A detector and the predictions reader build their chunks with every box
+    clamped by :func:`clamp_to_images`. Chunks derived from one (the flip,
+    NMS, a run of a reader's images) are not checked again: a subset of boxes
     inside the image stays inside, and so does its mirror image, because
     w - x lies in [0, w] for every x in [0, w] in IEEE arithmetic."""
 
@@ -268,17 +251,6 @@ class PredictionChunk:
     widths: tuple[int, ...]
     heights: tuple[int, ...]
     detections: ChunkDetections
-
-    @classmethod
-    def of(cls, preds: Sequence[ImagePrediction]) -> "PredictionChunk":
-        sets = [p.detections for p in preds]
-        d = Detections.concat(sets)
-        image = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-        return cls(
-            tuple(p.image_id for p in preds), tuple(p.width for p in preds),
-            tuple(p.height for p in preds),
-            ChunkDetections._of(d.boxes, d.probs, d.class_ids, d.scores, image),
-        )
 
     def with_detections(self, detections: ChunkDetections) -> "PredictionChunk":
         return PredictionChunk(self.image_ids, self.widths, self.heights, detections)
@@ -374,12 +346,14 @@ def nms(
     return dets.take([r for r in rows.tolist() if r not in suppressed])
 
 
-def encode_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
-    """Encode (N, 4) corner boxes against the full-image anchor (0, 0, width,
-    height): center displacement and size ratios, in image-size units."""
-    aw, ah = float(width), float(height)
-    if aw <= 0.0 or ah <= 0.0:
-        raise ValueError(f"invalid anchor: degenerate image size {aw}x{ah}")
+def encode_boxes(boxes: np.ndarray, widths, heights) -> np.ndarray:
+    """Encode (N, 4) corner boxes, row r against the full-image anchor (0, 0,
+    widths[r], heights[r]): center displacement and size ratios, in
+    image-size units. A scalar size is every row's."""
+    aw, ah = np.atleast_1d(np.asarray(widths, np.float64)), np.atleast_1d(np.asarray(heights, np.float64))
+    bad = np.flatnonzero((aw <= 0.0) | (ah <= 0.0))
+    if len(bad):
+        raise ValueError(f"invalid anchor: degenerate image size {aw[bad[0]]}x{ah[bad[0]]}")
     x0, y0, x1, y1 = boxes.T
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     return np.stack([(cx - 0.5 * aw) / aw, (cy - 0.5 * ah) / ah, (x1 - x0) / aw, (y1 - y0) / ah], axis=1)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from . import formats
 from .acquisition import AcquisitionConfig, post_nms_stream, select_for_labeling
-from .boxes import PredictionChunk, checked_encoded, checked_probs
+from .boxes import checked_encoded, checked_probs
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, winrate_matrix
 from .losses import (
@@ -63,6 +63,8 @@ def _parse_per_class(raw: str):
     out = {}
     for part in raw.split(","):
         cls, val = part.split(":")
+        if int(cls) in out:
+            raise ValueError(f"duplicate class id {int(cls)}")
         out[int(cls)] = float(val)
     return out
 
@@ -238,36 +240,24 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
     }
 
 
-def _read_predictions(path, dataset: Dataset):
+def _read_predictions(path, dataset: Dataset) -> formats.PredictionViews:
     """Predictions JSONL for ``dataset``'s images, each with K+1 probabilities."""
     sizes = {img.image_id: (img.width, img.height) for img in dataset.images}
     preds = formats.read_predictions_jsonl(path, sizes)
     expected = dataset.n_classes + 1
-    for (image_id, flipped), pred in preds.items():
-        probs = pred.detections.probs
-        if len(probs) and probs.shape[1] != expected:
+    # The reader gives each view one probability width: its first non-empty record's.
+    for flipped, view in preds.views.items():
+        d = view.detections
+        if len(d) and d.probs.shape[1] != expected:
             raise ValueError(
-                f"{path}: {'flipped' if flipped else 'original'} record for image {image_id!r}: "
-                f"{probs.shape[1]} probabilities, expected {expected} for {dataset.n_classes} classes"
+                f"{path}: {'flipped' if flipped else 'original'} record for image "
+                f"{view.image_ids[d.image[0]]!r}: {d.probs.shape[1]} probabilities, "
+                f"expected {expected} for {dataset.n_classes} classes"
             )
     return preds
 
 
 # -- subcommands ------------------------------------------------------------
-
-
-def _records(preds, flipped: bool):
-    """Chunk source over one orientation's records: the chunk of the given
-    images' records, naming the first image whose record is missing."""
-    kind = "flipped" if flipped else "original"
-
-    def get(image_id: str):
-        try:
-            return preds[(image_id, flipped)]
-        except KeyError:
-            raise ValueError(f"missing {kind} record for image {image_id!r}") from None
-
-    return lambda image_ids: PredictionChunk.of([get(i) for i in image_ids])
 
 
 def cmd_score(args) -> int:
@@ -276,9 +266,9 @@ def cmd_score(args) -> int:
     preds = _read_predictions(args.predictions, dataset)
 
     acq = cfg.acquisition_config()
-    image_ids = sorted({image_id for image_id, _ in preds})
+    image_ids = sorted(set(preds.views[False].image_ids) | set(preds.views[True].image_ids))
     scores = score_pool(
-        post_nms_stream(_records(preds, flipped=False), image_ids, acq), _records(preds, flipped=True), acq
+        post_nms_stream(preds.chunk, image_ids, acq), lambda ids: preds.chunk(ids, flipped=True), acq
     )
     formats.write_scores_csv(scores, args.out)
     return 0
@@ -303,7 +293,7 @@ def cmd_pseudolabel(args) -> int:
     dataset = formats.load_dataset(cfg.dataset)
     preds = _read_predictions(args.predictions, dataset)
 
-    candidates = sorted({image_id for (image_id, flipped) in preds if not flipped})
+    candidates = sorted(preds.views[False].image_ids)
     if args.pool:
         pool = formats.load_pool(args.pool)
         # load_pool does not know K; the dataset does.
@@ -314,7 +304,7 @@ def cmd_pseudolabel(args) -> int:
         candidates = [i for i in candidates if i in pool.unlabeled]
 
     acq = cfg.acquisition_config()
-    originals = list(post_nms_stream(_records(preds, flipped=False), candidates, acq))
+    originals = list(post_nms_stream(preds.chunk, candidates, acq))
     pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
     formats.write_pseudo_labels_jsonl(pseudo, args.out)
     return 0
@@ -327,6 +317,9 @@ def cmd_simulate(args) -> int:
     test = formats.load_dataset(cfg.test_dataset)
     if train.classes != test.classes:
         raise ValueError("train and test datasets disagree on class names")
+    shared = sorted(set(train.image_ids) & set(test.image_ids))
+    if shared:
+        raise ValueError(f"{cfg.dataset} and {cfg.test_dataset} share image ids: {shared[:5]}")
 
     world = Dataset(train.classes, train.images + test.images)
     detector = SyntheticDetector(cfg.detector_config(train.n_classes), world)
@@ -361,7 +354,7 @@ def cmd_eval(args) -> int:
     detections (simulate applies NMS to its detector's raw output)."""
     gt_data = formats.load_dataset(args.gt)
     preds = _read_predictions(args.predictions, gt_data)
-    originals = PredictionChunk.of([pred for (_, flipped), pred in sorted(preds.items()) if not flipped])
+    originals = preds.chunk(sorted(preds.views[False].image_ids))
     formats.write_eval_csv(evaluate([originals], gt_data, args.interpolation), args.out)
     return 0
 
@@ -440,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="unified", choices=SELECTION_STRATEGIES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--pool", help="pool state JSON to commit the selection into")
+    p.add_argument("--pool", help="pool state JSON to commit the selection into; select reads no "
+                   "dataset, so the pool's pseudo-label class ids are not checked against K")
     p.add_argument("--pool-out", help="where to write the updated pool (default: in place)")
     p.set_defaults(func=cmd_select)
 

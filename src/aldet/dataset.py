@@ -63,9 +63,11 @@ class Dataset:
         object.__setattr__(self, "images", tuple(self.images))
         if not self.classes:
             raise ValueError("dataset needs at least one foreground class")
-        ids = [img.image_id for img in self.images]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate image ids in dataset")
+        seen: set[str] = set()
+        for img in self.images:
+            if img.image_id in seen:
+                raise ValueError(f"duplicate image id {img.image_id!r} in dataset")
+            seen.add(img.image_id)
         k = len(self.classes)
         try:  # one pass over the whole dataset; per image only to name the failure
             _check_ground_truth(

@@ -10,11 +10,22 @@ formats, in every error about its content, undecodable bytes included.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .acquisition import AcquisitionScore
-from .boxes import Detections, ImagePrediction, checked_encoded, encode_boxes
+from .boxes import (
+    ChunkDetections,
+    PredictionChunk,
+    _rows,
+    checked_encoded,
+    clamp_to_images,
+    encode_boxes,
+    span_pairs,
+)
 from .dataset import Dataset, ImageRecord
 from .evaluation import EvalResult
 from .pool import CycleReport, Pool
@@ -23,6 +34,7 @@ from .pseudo_label import PseudoLabels
 __all__ = [
     "load_dataset",
     "save_dataset",
+    "PredictionViews",
     "read_predictions_jsonl",
     "write_predictions_jsonl",
     "read_pseudo_labels_jsonl",
@@ -149,7 +161,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 # -- predictions JSONL --------------------------------------------------------
 
-# One record per (image, orientation), read into one validated Detections:
+# One record per (image, orientation):
 # {"image_id": str, "flipped": true|false,
 #  "detections": [{"bbox": [xmin, ymin, xmax, ymax], "encoded": [dx, dy, w, h], "probs": [K+1]}]}
 # Coordinates are written as floats. "encoded" is the box's encoded form (see
@@ -170,47 +182,116 @@ def _read_jsonl(path, parse) -> list:
     return _read_lines(path, record)
 
 
-def read_predictions_jsonl(
-    path, sizes: Mapping[str, tuple[int, int]]
-) -> dict[tuple[str, bool], ImagePrediction]:
-    out: dict[tuple[str, bool], ImagePrediction] = {}
+class _View:
+    """The records of one view as they are read. Each record's rows are
+    appended to one byte buffer per array, so no per-record array outlives
+    its line; :meth:`chunk` checks the values and clamps the boxes at once."""
+
+    def __init__(self):
+        self.image_ids: dict[str, None] = {}  # an ordered set, in file order
+        self.counts, self.k = [], None  # k: the first non-empty record's width
+        self.buffers = (bytearray(), bytearray(), bytearray())  # boxes, probs, encoded
+
+    def add(self, image_id: str, records) -> "_View":
+        """One record's rows, with its shape checks."""
+        boxes = _rows([d["bbox"] for d in records], "bbox", 4)
+        probs = _rows([d["probs"] for d in records], "probs", self.k)
+        if len(boxes) != len(probs):
+            raise ValueError(f"row counts differ: {len(boxes)} boxes, {len(probs)} distributions")
+        encoded = _rows([d["encoded"] for d in records], "encoded", 4)
+        for buffer, rows in zip(self.buffers, (boxes, probs, encoded)):
+            buffer += rows.data
+        self.k = probs.shape[1] if len(probs) else self.k
+        self.image_ids[image_id] = None
+        self.counts.append(len(boxes))
+        return self
+
+    def chunk(self, sizes: Mapping[str, tuple[int, int]]) -> PredictionChunk:
+        """The view as one chunk, its images in file order."""
+        n, image = sum(self.counts), np.repeat(np.arange(len(self.counts)), self.counts)
+        boxes, probs, encoded = (np.frombuffer(buffer) for buffer in self.buffers)
+        dets = ChunkDetections(boxes.reshape(n, 4), probs.reshape(n, self.k or 0), image)
+        checked_encoded(encoded.reshape(n, 4))
+        widths, heights = [sizes[i][0] for i in self.image_ids], [sizes[i][1] for i in self.image_ids]
+        dets = clamp_to_images(dets, widths, heights, image)
+        return PredictionChunk(tuple(self.image_ids), tuple(widths), tuple(heights), dets)
+
+
+class PredictionViews(Mapping):
+    """The records of a predictions file: ``views[flipped]`` is the chunk of
+    one view, its images in file order, and :meth:`chunk` cuts images out of
+    it. As a mapping, ``(image_id, flipped)`` gives one record's chunk."""
+
+    def __init__(self, views: dict[bool, PredictionChunk]):
+        self.views = views
+        self._at = {flipped: {image_id: k for k, image_id in enumerate(view.image_ids)}
+                    for flipped, view in views.items()}
+
+    def chunk(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk:
+        """The given images' records of one view as one chunk, in the given
+        order; the first image without a record is named."""
+        try:
+            pos = np.array([self._at[flipped][image_id] for image_id in image_ids], dtype=np.intp)
+        except KeyError as e:
+            kind = "flipped" if flipped else "original"
+            raise ValueError(f"missing {kind} record for image {e.args[0]!r}") from None
+        view = self.views[flipped]
+        d = view.detections
+        counts = np.bincount(d.image, minlength=len(view.image_ids))
+        image, rows = span_pairs((np.cumsum(counts) - counts)[pos], counts[pos])
+        # Without rows the width is 0, as in every set checked from no rows.
+        probs = d.probs[rows] if len(rows) else np.zeros((0, 0))
+        return PredictionChunk(
+            *(tuple(values[k] for k in pos.tolist()) for values in (view.image_ids, view.widths, view.heights)),
+            ChunkDetections._of(d.boxes[rows], probs, d.class_ids[rows], d.scores[rows], image),
+        )
+
+    def __getitem__(self, key: tuple[str, bool]) -> PredictionChunk:
+        image_id, flipped = key
+        if image_id not in self._at[flipped]:
+            raise KeyError(key)
+        return self.chunk([image_id], flipped)
+
+    def __iter__(self) -> Iterator[tuple[str, bool]]:
+        return ((image_id, flipped) for flipped, at in self._at.items() for image_id in at)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._at.values()))
+
+
+def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> PredictionViews:
+    """The file's records, one chunk per view. A record's shape is checked
+    as it is read, and every value once per view; only when a value check
+    fails is the file read again, record by record, to name the line."""
+    views = {False: _View(), True: _View()}
 
     def add(rec) -> None:
         image_id = rec["image_id"]
         flipped = _bool_field(rec, "flipped")
         if image_id not in sizes:
             raise ValueError(f"unknown image id {image_id!r}")
-        width, height = sizes[image_id]
-        records = rec["detections"]
-        dets = Detections([d["bbox"] for d in records], [d["probs"] for d in records])
-        checked_encoded([d["encoded"] for d in records])
-        key = (image_id, flipped)
-        if key in out:
+        if image_id in views[flipped].image_ids:
             raise ValueError(f"duplicate record for image {image_id!r}, flipped={flipped}")
-        out[key] = ImagePrediction(image_id, width, height, dets)
+        views[flipped].add(image_id, rec["detections"])
 
     _read_jsonl(path, add)
-    return out
+    try:
+        return PredictionViews({flipped: view.chunk(sizes) for flipped, view in views.items()})
+    except ValueError:  # each record a view of its own, to raise naming its line
+        _read_jsonl(path, lambda rec: _View().add(rec["image_id"], rec["detections"]).chunk(sizes))
+        raise
 
 
-def write_predictions_jsonl(
-    predictions: Iterable[tuple[ImagePrediction, bool]], path
-) -> None:
+def write_predictions_jsonl(chunks: Iterable[tuple[PredictionChunk, bool]], path) -> None:
+    """One record per image of every (chunk, flipped) pair."""
     records = []
-    for pred, flipped in predictions:
-        d = pred.detections
-        records.append(
-            {
-                "image_id": pred.image_id,
-                "flipped": bool(flipped),
-                "detections": [
-                    {"bbox": box, "encoded": enc, "probs": probs}
-                    for box, enc, probs in zip(
-                        d.boxes.tolist(), encode_boxes(d.boxes, pred.width, pred.height).tolist(), d.probs.tolist()
-                    )
-                ],
-            }
-        )
+    for chunk, flipped in chunks:
+        d = chunk.detections
+        encoded = encode_boxes(d.boxes, np.array(chunk.widths)[d.image], np.array(chunk.heights)[d.image])
+        rows = zip(d.boxes.tolist(), encoded.tolist(), d.probs.tolist())
+        for image_id, n in zip(chunk.image_ids, np.bincount(d.image, minlength=len(chunk.image_ids)).tolist()):
+            dets = [{"bbox": box, "encoded": enc, "probs": probs} for box, enc, probs in islice(rows, n)]
+            records.append({"image_id": image_id, "flipped": bool(flipped), "detections": dets})
     records.sort(key=lambda r: (r["image_id"], r["flipped"]))
     _write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 

@@ -79,7 +79,7 @@ def _per_class(value, n_classes: int, name: str) -> np.ndarray:
             arr[k] = float(v)
     else:
         arr[1:] = float(value)
-    if arr[1:].min() < 0.0 or arr[1:].max() > 1.0:
+    if not (0.0 <= arr[1:].min() and arr[1:].max() <= 1.0):  # NaN fails too
         raise ValueError(f"{name} values must lie in [0, 1]")
     return arr
 
@@ -115,11 +115,15 @@ class SyntheticDetectorConfig:
     def __post_init__(self):
         if self.n_classes < 1:
             raise ValueError("need at least one foreground class")
-        if self.temperature <= 0:
+        # Every check is written so that NaN fails it.
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         for name in ("logit_noise", "box_noise", "fp_rate", "skill_gain_per_labeled", "skill_gain_per_pseudo"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("accuracy_ceiling", "robustness_ceiling"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         _per_class(self.accuracy, self.n_classes, "accuracy")
         _per_class(self.flip_robustness, self.n_classes, "flip_robustness")
 

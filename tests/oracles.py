@@ -3,17 +3,22 @@ as the oracles the tests compare against: the scalar corner-box IoU, the
 row-by-row box and distribution checks, the synthetic detector's
 prediction with a fresh generator per stream, and the per-image NMS,
 matching and scoring that the chunked pass replaced, with the per-image
-maxima of entropy and symmetric KL that define an image's H and I; and
-:func:`per_image`, which splits a chunk into the per-image predictions that
-the predictions JSONL writer takes."""
+maxima of entropy and symmetric KL that define an image's H and I; and the
+predictions reader that built one clamped prediction per record, which the
+chunk of a view is pinned to.
+
+A one-image prediction is a :class:`PredictionChunk` of one image:
+:func:`one_image` builds one, :func:`chunk_of` joins them into a chunk, and
+:func:`per_image` splits a chunk into them."""
 
 import hashlib
+import json
 from typing import NamedTuple
 
 import numpy as np
 
 from aldet.acquisition import AcquisitionScore
-from aldet.boxes import Detections, ImagePrediction, iou
+from aldet.boxes import ChunkDetections, Detections, PredictionChunk, checked_encoded, clamp_to_images, iou
 from aldet.matching import MatchResult, greedy_assign
 
 
@@ -156,14 +161,57 @@ def _false_positives(det, rng, width, height, boxes, probs):
         probs.append(_draw_dist(det, rng, cls))
 
 
+# -- one-image predictions --------------------------------------------------------
+
+
+def one_image(image_id, width, height, dets):
+    """``dets`` as the chunk of the one image ``image_id``, each box clamped
+    to the image."""
+    image = np.zeros(len(dets), dtype=np.intp)
+    d = ChunkDetections._of(dets.boxes, dets.probs, dets.class_ids, dets.scores, image)
+    return PredictionChunk((image_id,), (width,), (height,), clamp_to_images(d, (width,), (height,), image))
+
+
+def chunk_of(preds):
+    """One-image chunks joined into one chunk, in order. Sets without rows
+    are skipped, so a chunk without rows has probabilities of width 0."""
+    sets = [p.detections for p in preds]
+    d = Detections.concat(sets)
+    image = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    return PredictionChunk(
+        tuple(p.image_ids[0] for p in preds), tuple(p.widths[0] for p in preds),
+        tuple(p.heights[0] for p in preds),
+        ChunkDetections._of(d.boxes, d.probs, d.class_ids, d.scores, image),
+    )
+
+
 def per_image(chunk):
-    """The chunk's images, one ``ImagePrediction`` each, in chunk order."""
+    """The chunk's images, one one-image chunk each, in chunk order."""
     d = chunk.detections
-    rows = [np.flatnonzero(d.image == k) for k in range(len(chunk.image_ids))]
     return [
-        ImagePrediction(image_id, w, h, Detections._of(*(getattr(d, name)[r] for name in Detections._fields)))
-        for image_id, w, h, r in zip(chunk.image_ids, chunk.widths, chunk.heights, rows)
+        one_image(image_id, w, h, d.take(np.flatnonzero(d.image == k)))
+        for k, (image_id, w, h) in enumerate(zip(chunk.image_ids, chunk.widths, chunk.heights))
     ]
+
+
+def read_predictions_per_record(path, sizes):
+    """``aldet.formats.read_predictions_jsonl`` as it was before it read a
+    view into one chunk: every record checked on its own and clamped to its
+    image, as a one-image chunk under its key ``(image_id, flipped)``. Takes
+    a file that reads without error."""
+    out = {}
+    with open(path, "rb") as f:
+        for line in f:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            records = rec["detections"]
+            dets = Detections([d["bbox"] for d in records], [d["probs"] for d in records])
+            checked_encoded([d["encoded"] for d in records])
+            key = (rec["image_id"], rec["flipped"])
+            assert key not in out
+            out[key] = one_image(rec["image_id"], *sizes[rec["image_id"]], dets)
+    return out
 
 
 def fresh_stream_predict(det, dataset, image_id, flipped=False):
@@ -192,7 +240,7 @@ def fresh_stream_predict(det, dataset, image_id, flipped=False):
         np.array(boxes, dtype=np.float64).reshape(-1, 4),
         np.array(probs).reshape(len(boxes), cfg.n_classes + 1),
     )
-    return ImagePrediction(image_id, rec.width, rec.height, dets)
+    return one_image(image_id, rec.width, rec.height, dets)
 
 
 # -- per-image NMS, matching and scoring ----------------------------------------
@@ -218,15 +266,13 @@ def per_image_nms(dets, iou_threshold, score_floor):
 
 
 def per_image_post_nms(pred, cfg, flipped=False):
+    d = pred.detections
     if flipped:
-        d = pred.detections
         boxes = d.boxes.copy()
-        boxes[:, 0] = float(pred.width) - d.boxes[:, 2]
-        boxes[:, 2] = float(pred.width) - d.boxes[:, 0]
-        pred = ImagePrediction(pred.image_id, pred.width, pred.height,
-                               Detections._of(boxes, d.probs, d.class_ids, d.scores))
-    return ImagePrediction(pred.image_id, pred.width, pred.height,
-                           per_image_nms(pred.detections, cfg.nms_iou, cfg.nms_score_floor))
+        boxes[:, 0] = float(pred.widths[0]) - d.boxes[:, 2]
+        boxes[:, 2] = float(pred.widths[0]) - d.boxes[:, 0]
+        d = ChunkDetections._of(boxes, d.probs, d.class_ids, d.scores, d.image)
+    return pred.with_detections(per_image_nms(d, cfg.nms_iou, cfg.nms_score_floor))
 
 
 def per_image_match(orig, flipped, min_match_iou):
@@ -266,5 +312,5 @@ def per_image_unified_score(orig, unflipped, min_match_iou):
     pairs = np.array(per_image_match(orig, unflipped, min_match_iou).pairs, dtype=np.intp).reshape(-1, 2)
     o, f = orig.detections.probs, unflipped.detections.probs
     return AcquisitionScore.from_parts(
-        orig.image_id, _image_entropy(o), _image_inconsistency(o[pairs[:, 0]], f[pairs[:, 1]])
+        orig.image_ids[0], _image_entropy(o), _image_inconsistency(o[pairs[:, 0]], f[pairs[:, 1]])
     )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import _image_entropy, _image_inconsistency
+from oracles import _image_entropy, _image_inconsistency, chunk_of, one_image
 
 from aldet.acquisition import (
     AcquisitionConfig,
@@ -15,7 +15,7 @@ from aldet.acquisition import (
     sym_kl,
     unified_score,
 )
-from aldet.boxes import Detections, ImagePrediction, PredictionChunk, hflip, nms
+from aldet.boxes import Detections, hflip, nms
 from aldet.matching import match_predictions
 
 EPS = 1e-12
@@ -144,7 +144,7 @@ def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, pertur
     def prediction(rows, probs):
         rows = np.array(rows)
         dets = Detections(rows, probs)
-        return PredictionChunk.of([ImagePrediction(image_id, width, height, dets)])
+        return chunk_of([one_image(image_id, width, height, dets)])
 
     return prediction(boxes, orig_probs), prediction(mirrored, flip_probs)
 
@@ -157,7 +157,7 @@ class TestUnifiedScore:
             AcquisitionScore("a", 2.0, 0.5, 0.9)
 
     def test_empty_prediction_scores_zero(self):
-        empty = PredictionChunk.of([ImagePrediction("a", 100, 100, Detections([], []))])
+        empty = chunk_of([one_image("a", 100, 100, Detections([], []))])
         [s] = unified_score(empty, empty)
         assert (s.entropy, s.inconsistency, s.unified) == (0.0, 0.0, 0.0)
 

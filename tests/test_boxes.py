@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import Box, scalar_iou
 
 from aldet.boxes import (
     ChunkDetections,
     Detections,
-    ImagePrediction,
-    PredictionChunk,
     checked_boxes,
     checked_encoded,
     checked_probs,
@@ -85,10 +84,10 @@ class TestBoxTypes:
         assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_prediction_clamps_boxes(self):
-        dets = Detections([[-5.0, 10.0, 120.0, 40.0]], [[0.2, 0.8]])
-        pred = ImagePrediction("a", 100, 50, dets)
-        assert pred.detections.boxes.tolist() == [[0.0, 10.0, 100.0, 40.0]]
-        assert np.array_equal(pred.detections.probs, dets.probs)
+        dets = ChunkDetections([[-5.0, 10.0, 120.0, 40.0]], [[0.2, 0.8]], [0])
+        clamped = clamp_to_images(dets, [100], [50], dets.image)
+        assert clamped.boxes.tolist() == [[0.0, 10.0, 100.0, 40.0]]
+        assert np.array_equal(clamped.probs, dets.probs)
 
     def test_chunk_rows_clamped_to_their_own_image(self):
         # a detector's chunk: each row against its own image's size, and
@@ -149,7 +148,7 @@ class TestIoU:
 
 def one_image(dets):
     """A chunk of one 100x100 image."""
-    return PredictionChunk.of([ImagePrediction("a", 100, 100, dets)])
+    return oracles.chunk_of([oracles.one_image("a", 100, 100, dets)])
 
 
 class TestHFlip:

@@ -5,12 +5,20 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from oracles import per_image
+from oracles import one_image, per_image
 
 from aldet import formats
 from aldet.acquisition import AcquisitionConfig, AcquisitionScore, post_nms, unified_score
-from aldet.boxes import Detections, ImagePrediction
-from aldet.cli import CONFIG_DEFAULTS, ConfigError, ExperimentConfig, build_config, build_parser, main
+from aldet.boxes import Detections
+from aldet.cli import (
+    CONFIG_DEFAULTS,
+    ConfigError,
+    ExperimentConfig,
+    _parse_per_class,
+    build_config,
+    build_parser,
+    main,
+)
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
 from aldet.pool import Pool, init_pool
@@ -87,6 +95,13 @@ class TestConfig:
         cfg.write_text("batch_mode = random\n")
         with pytest.raises(ConfigError, match="unknown config keys: batch_mode"):
             build_config(str(cfg), {})
+
+    def test_repeated_class_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate class id 1"):
+            _parse_per_class("1:0.3,1:0.5,2:0.9")
+        with pytest.raises(ConfigError, match="detector_accuracy: duplicate class id 2"):
+            build_config(None, {"detector_accuracy": "1:0.3,2:0.5,2:0.9"})
+        assert _parse_per_class("1:0.3,2:0.9") == {1: 0.3, 2: 0.9}
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -166,6 +181,11 @@ class TestSelectCommand:
         assert after.cycle == 1
         assert set(chosen) <= after.labeled
 
+    def test_help_says_the_pool_is_not_checked_against_k(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["select", "--help"])
+        assert "pseudo-label class ids are not checked against K" in " ".join(capsys.readouterr().out.split())
+
     def test_rejected_selection_writes_nothing(self, tmp_path, capsys):
         # the pool is loaded and the selection committed before any file is written
         scores_csv, pool_path, out = tmp_path / "scores.csv", tmp_path / "pool.json", tmp_path / "sel.txt"
@@ -228,7 +248,7 @@ class TestEvalCommand:
 
         empty_path = tmp_path / "empty.jsonl"
         formats.write_predictions_jsonl(
-            [(ImagePrediction(i, data[i].width, data[i].height, Detections([], [])), False)
+            [(one_image(i, data[i].width, data[i].height, Detections([], [])), False)
              for i in data.image_ids],
             empty_path,
         )
@@ -426,7 +446,7 @@ class TestProbabilityLength:
                 probs = np.full(n, 0.05 / (n - 1))
                 probs[1] = 0.95
                 det = Detections(box, [probs])
-                pred = ImagePrediction(img.image_id, img.width, img.height, det)
+                pred = one_image(img.image_id, img.width, img.height, det)
                 records.append((pred, flipped))
         formats.write_predictions_jsonl(records, path)
 
@@ -551,6 +571,23 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "run2")]) == 0
         for name in ("report.csv", "scores_cycle1.csv", "selected_cycle2.txt"):
             assert (run1 / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--detector-accuracy", "--detector-flip-robustness"])
+    def test_nan_detector_setting_rejected(self, workspace, capsys, flag):
+        tmp_path, *_ = workspace
+        cfg = write_sim_config(tmp_path, tmp_path / "train.json", tmp_path / "test.json", tmp_path / "nan")
+        assert main(["simulate", "--config", str(cfg), flag, "nan"]) == 1
+        assert "values must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "nan" / "report.csv").exists()
+
+    def test_shared_image_ids_named(self, tmp_path, capsys):
+        train, test = tmp_path / "train.json", tmp_path / "test.json"
+        formats.save_dataset(make_synthetic_dataset(6, 2, seed=0, id_prefix="x"), train)
+        formats.save_dataset(make_synthetic_dataset(3, 2, seed=1, id_prefix="x"), test)
+        cfg = write_sim_config(tmp_path, train, test, tmp_path / "out")
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{train} and {test} share image ids: ['x_0000', 'x_0001', 'x_0002']" in err
 
     def test_seed_changes_selections(self, workspace):
         tmp_path, *_ = workspace

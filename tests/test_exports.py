@@ -1,5 +1,6 @@
-"""Every exported name resolves, and the per-detection and per-box types, and
-the one-image forms of the chunked stages, stay gone."""
+"""Every exported name resolves, and the per-detection and per-box types, the
+one-image prediction type and the one-image forms of the chunked stages stay
+gone."""
 
 import importlib
 import pkgutil
@@ -7,13 +8,13 @@ import pkgutil
 import pytest
 
 import aldet
-from aldet.boxes import Detections
+from aldet.boxes import Detections, PredictionChunk
 from aldet.dataset import Dataset, ImageRecord
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(aldet.__path__))
 DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", "decode_box",
            "image_anchor", "BoxCorner", "GroundTruthObject", "PseudoLabel", "iou_matrix",
-           "average_precision", "as_chunk", "image_entropy", "image_inconsistency")
+           "average_precision", "as_chunk", "image_entropy", "image_inconsistency", "ImagePrediction")
 
 
 @pytest.mark.parametrize("name", ["aldet"] + [f"aldet.{m}" for m in MODULES])
@@ -31,6 +32,8 @@ def test_per_detection_types_are_gone():
     assert "Detections" in aldet.__all__
     assert "PseudoLabels" in aldet.__all__
     assert "PredictionChunk" in aldet.__all__
+    # one prediction type: a chunk is built by a detector or the reader, never joined from images
+    assert not hasattr(PredictionChunk, "of")
 
 
 def test_one_box_representation():

@@ -9,7 +9,7 @@ from oracles import per_image
 
 from aldet import formats
 from aldet.acquisition import AcquisitionScore
-from aldet.dataset import make_synthetic_dataset
+from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
 from aldet.pool import init_pool, with_pseudo
 from aldet.pseudo_label import PseudoLabels
@@ -26,6 +26,10 @@ def sizes(dataset):
 
 
 class TestDatasetJSON:
+    def test_duplicate_image_id_is_named(self, world):
+        with pytest.raises(ValueError, match="duplicate image id 'img_0001' in dataset"):
+            Dataset(world.classes, world.images + world.images[1:3])
+
     def test_roundtrip(self, world, tmp_path):
         path = tmp_path / "data.json"
         formats.save_dataset(world, path)
@@ -92,7 +96,7 @@ class TestPredictionsJSONL:
         back = formats.read_predictions_jsonl(path, sizes(world))
         assert len(back) == len(records)
         for pred, flipped in records:
-            assert back[(pred.image_id, flipped)] == pred
+            assert back[(pred.image_ids[0], flipped)] == pred
 
     def test_malformed_line_reports_number(self, world, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -143,6 +147,69 @@ class TestPredictionsJSONL:
                 '{"bbox": [0, 0, 5, 5], "encoded": [0, 0, 1, 1], "probs": [0.5, 0.25, 0.25]}')
         path.write_text('{"image_id": "img_0000", "flipped": false, "detections": [%s]}\n' % dets)
         with pytest.raises(ValueError, match="line 1: probs: every detection needs the same number"):
+            formats.read_predictions_jsonl(path, sizes(world))
+
+
+    @staticmethod
+    def record(image_id, flipped, *dets):
+        return json.dumps({"image_id": image_id, "flipped": flipped, "detections": list(dets)}) + "\n"
+
+    @staticmethod
+    def det(bbox=(0, 0, 5, 5), encoded=(0, 0, 1, 1), probs=(0.25, 0.75)):
+        return {"bbox": list(bbox), "encoded": list(encoded), "probs": list(probs)}
+
+    def test_one_chunk_per_view_in_file_order(self, world, tmp_path):
+        # records in any order, an empty one among them; a view without
+        # records is an empty chunk
+        path = tmp_path / "preds.jsonl"
+        path.write_text(self.record("img_0002", False, self.det(), self.det((1, 1, 4, 4)))
+                        + self.record("img_0000", False) + "\n"
+                        + self.record("img_0001", False, self.det((-3, 0, 500, 5))))
+        preds = formats.read_predictions_jsonl(path, sizes(world))
+        original, flipped = preds.views[False], preds.views[True]
+        assert original.image_ids == ("img_0002", "img_0000", "img_0001")
+        assert original.detections.image.tolist() == [0, 0, 2]
+        assert original.detections.boxes.tolist() == [[0, 0, 5, 5], [1, 1, 4, 4], [0, 0, 300, 5]]
+        assert flipped.image_ids == () and len(flipped.detections) == 0
+        assert set(preds) == {("img_0002", False), ("img_0000", False), ("img_0001", False)}
+        cut = preds.chunk(["img_0001", "img_0000", "img_0002"])
+        assert cut.image_ids == ("img_0001", "img_0000", "img_0002")
+        assert cut.detections.image.tolist() == [0, 2, 2]
+        assert cut.detections.boxes.tolist() == [[0, 0, 300, 5], [0, 0, 5, 5], [1, 1, 4, 4]]
+        with pytest.raises(ValueError, match="missing flipped record for image 'img_0000'"):
+            preds.chunk(["img_0000"], flipped=True)
+        assert ("img_0000", True) not in preds
+
+    @pytest.mark.parametrize("fault, message", [
+        ({"bbox": [5, 0, 0, 5]}, "inverted box"),
+        ({"probs": [0.5, 0.6]}, "probabilities sum to"),
+        ({"encoded": [0, 0, 1, 0]}, "encoded scale coefficients must be positive"),
+    ])
+    def test_value_fault_names_its_line(self, world, tmp_path, fault, message):
+        # values are checked once per view; a fault is then found record by record
+        path = tmp_path / "preds.jsonl"
+        path.write_text(self.record("img_0000", False, self.det()) + self.record("img_0000", True, self.det())
+                        + self.record("img_0001", False, self.det(), {**self.det(), **fault})
+                        + self.record("img_0001", True, self.det()))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {message}")):
+            formats.read_predictions_jsonl(path, sizes(world))
+
+    def test_probability_width_fixed_per_view(self, world, tmp_path):
+        # the first non-empty record of a view fixes its width; the other view has its own
+        path = tmp_path / "preds.jsonl"
+        path.write_text(self.record("img_0000", False) + self.record("img_0000", True, self.det(probs=(0.5, 0.25, 0.25)))
+                        + self.record("img_0001", False, self.det())
+                        + self.record("img_0002", False, self.det(probs=(0.5, 0.25, 0.25))))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: probs: expected 2 numbers per detection")):
+            formats.read_predictions_jsonl(path, sizes(world))
+
+    def test_structural_fault_reported_before_an_earlier_value_fault(self, world, tmp_path):
+        # a record's shape is checked as it is read and its values per view,
+        # after the whole file: the later line's fault is the one named
+        path = tmp_path / "preds.jsonl"
+        path.write_text(self.record("img_0000", False, self.det(bbox=(5, 0, 0, 5)))
+                        + self.record("ghost", False))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: unknown image id 'ghost'")):
             formats.read_predictions_jsonl(path, sizes(world))
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import Box, scalar_iou
+from oracles import Box, one_image, scalar_iou
 
-from aldet.boxes import Detections, ImagePrediction, PredictionChunk
+from aldet.boxes import Detections
 from aldet.matching import greedy_assign, match_predictions
 
 
@@ -13,7 +13,7 @@ def make_pred(image_id, boxes, width=100, height=100):
     """A chunk of the one image."""
     rows = np.array(boxes, dtype=np.float64).reshape(-1, 4)
     dets = Detections(rows, [[0.1, 0.9]] * len(boxes))
-    return PredictionChunk.of([ImagePrediction(image_id, width, height, dets)])
+    return one_image(image_id, width, height, dets)
 
 
 def random_boxes(rng, n, width=100.0):

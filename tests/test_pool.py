@@ -4,7 +4,7 @@ import sys
 from collections import Counter
 
 import pytest
-from oracles import fresh_stream_predict, per_image_post_nms, per_image_unified_score
+from oracles import chunk_of, fresh_stream_predict, per_image_post_nms, per_image_unified_score
 
 from aldet import acquisition, boxes, sim_detector
 from aldet.acquisition import AcquisitionConfig
@@ -302,7 +302,6 @@ class TestSinglePass:
 
         monkeypatch.setattr(pool_module, "map50", counting_map50)
         post_nms, nms, through_nms, nms_calls = acquisition.post_nms, boxes.nms, [], []
-        of, concatenated = boxes.PredictionChunk.of.__func__, []
         # the array work of a prediction: logged per call, grouped per chunk by CountingDetector
         log = []
         for module, name in ((sim_detector, "_softmax"), (boxes, "checked_probs"), (boxes, "checked_boxes")):
@@ -311,12 +310,6 @@ class TestSinglePass:
         def counting_post_nms(pred, *args, **kwargs):
             through_nms.extend(pred.image_ids)
             return post_nms(pred, *args, **kwargs)
-
-        def counting_of(cls, preds):
-            concatenated.extend(preds)
-            return of(cls, preds)
-
-        monkeypatch.setattr(boxes.PredictionChunk, "of", classmethod(counting_of))
 
         def counting_nms(*args, **kwargs):
             nms_calls.append(1)
@@ -339,13 +332,13 @@ class TestSinglePass:
         # The detector predicts chunks of up to CHUNK_IMAGES images, and
         # builds each chunk's arrays once: one softmax, one distribution
         # check and one box check per chunk, not per image; the chunk is
-        # built directly, not concatenated from per-image predictions.
+        # built directly: there is no joining of per-image predictions.
         assert len(chunks) < sum(calls.values())
         assert all(0 < len(ids) <= acquisition.CHUNK_IMAGES for ids, _ in chunks)
         assert any(len(ids) == acquisition.CHUNK_IMAGES for ids, _ in chunks)
         once = Counter(["_softmax", "checked_probs", "checked_boxes"])
         assert all(work == once for _, work in chunks)
-        assert concatenated == []
+        assert not hasattr(boxes.PredictionChunk, "of")
         # every prediction passes through NMS once; one NMS call per chunk
         assert len(through_nms) == sum(calls.values())
         assert 0 < len(nms_calls) < len(through_nms)
@@ -388,10 +381,10 @@ def test_score_pool_across_chunks_equals_per_image_code():
     cfg = AcquisitionConfig()
     originals = list(acquisition.post_nms_stream(det.predict, train.image_ids, cfg))
     per_image = [per_image_post_nms(fresh_stream_predict(det, world, i), cfg) for i in train.image_ids]
-    assert originals == [boxes.PredictionChunk.of(group) for group in acquisition.chunked(per_image)]
+    assert originals == [chunk_of(group) for group in acquisition.chunked(per_image)]
     scores = score_pool(iter(originals), lambda ids: det.predict(ids, flipped=True), cfg)
     expected = [
-        per_image_unified_score(o, per_image_post_nms(fresh_stream_predict(det, world, o.image_id, True), cfg, True),
+        per_image_unified_score(o, per_image_post_nms(fresh_stream_predict(det, world, o.image_ids[0], True), cfg, True),
                                 0.5)
         for o in per_image
     ]

@@ -22,10 +22,13 @@ from oracles import (
     Box,
     _image_entropy,
     _image_inconsistency,
+    chunk_of,
     fresh_stream_predict,
+    one_image,
     per_image_match,
     per_image_post_nms,
     per_image_unified_score,
+    read_predictions_per_record,
     rowwise_checked_boxes,
     rowwise_checked_probs,
     scalar_iou,
@@ -42,8 +45,6 @@ from aldet.acquisition import (
 )
 from aldet.boxes import (
     Detections,
-    ImagePrediction,
-    PredictionChunk,
     checked_boxes,
     checked_probs,
     hflip,
@@ -76,10 +77,10 @@ def detection(draw):
     return box, z / z.sum()
 
 
-def as_prediction(dets, image_id="img") -> ImagePrediction:
+def as_prediction(dets, image_id="img"):
     boxes = np.array([box for box, _ in dets]).reshape(-1, 4)
     probs = np.array([probs for _, probs in dets]).reshape(len(dets), N_CLASSES + 1)
-    return ImagePrediction(image_id, SIZE, SIZE, Detections(boxes, probs))
+    return one_image(image_id, SIZE, SIZE, Detections(boxes, probs))
 
 
 def prediction(max_dets=8):
@@ -111,9 +112,9 @@ def test_scores_from_post_nms_originals_equal_scores_from_raw(
     # Passing a post-NMS original through post_nms again changes neither the
     # prediction nor its scores, so one NMS per prediction keeps every score.
     cfg = AcquisitionConfig(iou_threshold, score_floor, min_match_iou)
-    once = post_nms(PredictionChunk.of([orig]), cfg)
+    once = post_nms(chunk_of([orig]), cfg)
     assert post_nms(once, cfg) == once
-    unflipped = post_nms(PredictionChunk.of([flipped]), cfg, flipped=True)
+    unflipped = post_nms(chunk_of([flipped]), cfg, flipped=True)
     assert unified_score(post_nms(once, cfg), unflipped, min_match_iou) == unified_score(
         once, unflipped, min_match_iou
     )
@@ -461,7 +462,7 @@ def oracle_match(boxes_a, boxes_b, floor):
 def test_match_predictions_equals_candidate_list_oracle(boxes_a, boxes_b, floor):
     def pred(boxes):
         uniform = np.full(N_CLASSES + 1, 1.0 / (N_CLASSES + 1))
-        return PredictionChunk.of([as_prediction([(box, uniform) for box in boxes])])
+        return chunk_of([as_prediction([(box, uniform) for box in boxes])])
 
     result = match_predictions(pred(boxes_a), pred(boxes_b), floor)
     expected = oracle_match(boxes_a, boxes_b, floor)
@@ -473,7 +474,7 @@ def test_match_predictions_equals_candidate_list_oracle(boxes_a, boxes_b, floor)
 @settings(deadline=None, max_examples=200)
 @given(prediction())
 def test_hflip_is_an_involution(pred):
-    chunk = PredictionChunk.of([pred])
+    chunk = chunk_of([pred])
     assert hflip(hflip(chunk)) == chunk
 
 
@@ -541,7 +542,7 @@ def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, ro
     for det in dets + dets[:1]:  # the first version again, after its successors ran
         for flipped in (True, False, True):
             for group in chunked(ids, size):
-                expected = PredictionChunk.of([fresh_stream_predict(det, data, i, flipped) for i in group])
+                expected = chunk_of([fresh_stream_predict(det, data, i, flipped) for i in group])
                 assert chunk_bits(det.predict(group, flipped)) == chunk_bits(expected)
 
 
@@ -644,7 +645,7 @@ def image_views(draw):
         width = draw(st.sampled_from([SIZE, 130]))
         orig, flipped = (as_prediction(draw(st.lists(detection(), max_size=7)), f"im{k}")
                          for _ in range(2))
-        views.append(tuple(ImagePrediction(p.image_id, width, SIZE, p.detections) for p in (orig, flipped)))
+        views.append(tuple(one_image(f"im{k}", width, SIZE, p.detections) for p in (orig, flipped)))
     return views
 
 
@@ -662,10 +663,10 @@ def test_chunked_pass_equals_per_image_code_bit_for_bit(views, iou_threshold, sc
     # chunks of one image and chunk sizes that do not divide the run
     scores = []
     for group, want_o, want_u in zip(chunked(views, size), chunked(originals, size), chunked(unflipped, size)):
-        o = post_nms(PredictionChunk.of([v[0] for v in group]), cfg)
-        u = post_nms(PredictionChunk.of([v[1] for v in group]), cfg, flipped=True)
-        assert o == PredictionChunk.of(want_o)
-        assert u == PredictionChunk.of(want_u)
+        o = post_nms(chunk_of([v[0] for v in group]), cfg)
+        u = post_nms(chunk_of([v[1] for v in group]), cfg, flipped=True)
+        assert o == chunk_of(want_o)
+        assert u == chunk_of(want_u)
         scores += unified_score(o, u, min_match_iou)
         # the per-image matches, their rows numbered across the chunk
         i0 = j0 = 0
@@ -696,7 +697,7 @@ def unclamped_prediction(draw):
         boxes.append([x[0], y[0], x[1], y[1]])
     probs = np.full((len(boxes), N_CLASSES + 1), 0.1)
     probs[:, 1] = 1.0 - 0.1 * N_CLASSES
-    return ImagePrediction("img", width, height, Detections(np.array(boxes).reshape(-1, 4), probs))
+    return one_image("img", width, height, Detections(np.array(boxes).reshape(-1, 4), probs))
 
 
 @settings(deadline=None, max_examples=300)
@@ -704,10 +705,74 @@ def unclamped_prediction(draw):
 def test_derived_predictions_stay_inside_the_image(preds, iou_threshold, score_floor):
     cfg = AcquisitionConfig(iou_threshold, score_floor)
     # the images in one chunk and each in a chunk of its own
-    chunks = [PredictionChunk.of(preds)] + [PredictionChunk.of([p]) for p in preds]
+    chunks = [chunk_of(preds)] + [chunk_of([p]) for p in preds]
     derived = chunks + [hflip(c) for c in chunks] + [hflip(hflip(c)) for c in chunks]
     derived += [post_nms(c, cfg, flipped) for c in chunks for flipped in (False, True)]
     for c in derived:
         d = c.detections
         w, h = np.array(c.widths)[d.image], np.array(c.heights)[d.image]
         assert ((d.boxes >= 0.0) & (d.boxes <= np.stack([w, h, w, h], axis=1))).all()
+
+
+# -- the predictions reader against the per-record reader it replaced -----------
+
+
+@st.composite
+def distribution(draw, k):
+    """A class distribution of width k; some peak at 1 + 1e-10 next to a
+    -1e-10 entry, within the slack that the reader accepts and clips."""
+    if draw(st.booleans()):
+        z = np.exp(np.asarray(draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)), dtype=np.float64))
+        return (z / z.sum()).tolist()
+    peak = draw(st.integers(0, k - 1))
+    probs = [0.0] * k
+    probs[peak], probs[(peak + 1) % k] = 1.0 + 1e-10, -1e-10
+    return probs
+
+
+@st.composite
+def prediction_file(draw):
+    """The lines of a predictions file and its images' sizes: both views or
+    either or none of each image, records in any order with blank lines among
+    them, some records empty, and boxes that may stick out of their image."""
+    k = draw(st.sampled_from([2, 4]))
+    sizes = {f"im{i}": (draw(st.sampled_from([20, 64, 300])), draw(st.sampled_from([20, 64, 300])))
+             for i in range(draw(st.integers(1, 6)))}
+    lines = []
+    for image_id, (w, h) in sizes.items():
+        for flipped in (False, True):
+            if draw(st.integers(0, 3)) == 0:
+                continue
+            dets = []
+            for _ in range(draw(st.integers(0, 3))):
+                x = sorted(draw(st.floats(-0.5 * w, 1.5 * w, **finite)) for _ in range(2))
+                y = sorted(draw(st.floats(-0.5 * h, 1.5 * h, **finite)) for _ in range(2))
+                dets.append({"bbox": [x[0], y[0], x[1], y[1]], "encoded": [0.0, 0.0, 1.0, 1.0],
+                             "probs": draw(distribution(k))})
+            lines.append(json.dumps({"image_id": image_id, "flipped": flipped, "detections": dets}))
+    lines = draw(st.permutations(lines + [""] * draw(st.integers(0, 2))))
+    return "\n".join(lines) + "\n", sizes
+
+
+@settings(deadline=None, max_examples=200)
+@given(prediction_file(), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_reader_chunks_equal_per_record_reader_bit_for_bit(tmp_path_factory, file, size, rnd):
+    # The reader reads each view into one chunk and cuts runs of images out
+    # of it. The per-record reader built one clamped prediction per record:
+    # the runs joined from its records must be the same arrays, whatever
+    # the order of the images and the chunk size.
+    text, sizes = file
+    path = tmp_path_factory.getbasetemp() / "preds.jsonl"
+    path.write_text(text)
+    preds = formats.read_predictions_jsonl(path, sizes)
+    reference = read_predictions_per_record(path, sizes)
+    assert sorted(preds) == sorted(reference)
+    for key, pred in reference.items():
+        assert chunk_bits(preds[key]) == chunk_bits(pred)
+    for flipped in (False, True):
+        ids = [image_id for image_id, f in reference if f == flipped]
+        assert chunk_bits(preds.views[flipped]) == chunk_bits(chunk_of([reference[(i, flipped)] for i in ids]))
+        rnd.shuffle(ids)
+        for group in chunked(ids, size):
+            expected = chunk_of([reference[(i, flipped)] for i in group])
+            assert chunk_bits(preds.chunk(group, flipped)) == chunk_bits(expected)

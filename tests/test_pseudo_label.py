@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from aldet.boxes import Detections, ImagePrediction, PredictionChunk
+from oracles import chunk_of, one_image
+
+from aldet.boxes import Detections
 from aldet.dataset import Dataset, ImageRecord
 from aldet.pseudo_label import (
     PseudoLabels,
@@ -23,12 +25,12 @@ def det(probs, box=(0.0, 0.0, 10.0, 10.0)):
 def pred(dets, image_id="img"):
     boxes = [box for box, _ in dets]
     detections = Detections(boxes, [probs for _, probs in dets])
-    return ImagePrediction(image_id, 100, 100, detections)
+    return one_image(image_id, 100, 100, detections)
 
 
 def labels_of(p, tau):
     """The pseudo-labels of one image's prediction, as a chunk of one."""
-    return extract_pseudo_labels([PredictionChunk.of([p])], tau).get(p.image_id, PseudoLabels([], [], []))
+    return extract_pseudo_labels([chunk_of([p])], tau).get(p.image_ids[0], PseudoLabels([], [], []))
 
 
 def class_and_score(d):
@@ -54,14 +56,14 @@ class TestExtractPseudoLabels:
 
     def test_below_threshold_skipped(self):
         p = pred([det(peaked(3, 0.98))])
-        assert extract_pseudo_labels([PredictionChunk.of([p])], 0.99) == {}
+        assert extract_pseudo_labels([chunk_of([p])], 0.99) == {}
 
     def test_background_argmax_never_labeled(self):
         p = pred([det(peaked(0, 0.999))])
-        assert extract_pseudo_labels([PredictionChunk.of([p])], 0.99) == {}
+        assert extract_pseudo_labels([chunk_of([p])], 0.99) == {}
 
     def test_tau_validation(self):
-        p = PredictionChunk.of([pred([])])
+        p = chunk_of([pred([])])
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 extract_pseudo_labels([p], bad)
@@ -98,8 +100,8 @@ class TestExtractPseudoLabels:
         for i, n in enumerate([6, 0, 5, 7, 1, 4]):
             dets = [det(peaked(int(rng.integers(0, 5)), float(rng.uniform(0.3, 0.999)))) for _ in range(n)]
             preds.append(pred(dets, f"img_{i}"))
-        got = extract_pseudo_labels([PredictionChunk.of(preds[:4]), PredictionChunk.of(preds[4:])], 0.6)
-        expected = {p.image_id: labels_of(p, 0.6) for p in preds}
+        got = extract_pseudo_labels([chunk_of(preds[:4]), chunk_of(preds[4:])], 0.6)
+        expected = {p.image_ids[0]: labels_of(p, 0.6) for p in preds}
         assert list(got.items()) == [(i, pls) for i, pls in expected.items() if len(pls)]
         assert len(got) >= 3
 
@@ -107,7 +109,7 @@ class TestExtractPseudoLabels:
 class TestTopKPerClass:
     def test_full_take(self):
         dets = [det(peaked(1, 0.6)), det(peaked(2, 0.7)), det(peaked(0, 0.9))]
-        pls = extract_topk_per_class([PredictionChunk.of([pred(dets)])], 1.0)
+        pls = extract_topk_per_class([chunk_of([pred(dets)])], 1.0)
         assert list(pls) == ["img"]
         assert len(pls["img"]) == 2  # background-argmax detection excluded
 
@@ -115,7 +117,7 @@ class TestTopKPerClass:
         # 10 detections of one class -> ceil(0.2 * 10) = 2 labels, highest probs
         confs = [0.3, 0.9, 0.5, 0.7, 0.95, 0.4, 0.6, 0.45, 0.35, 0.55]
         dets = [det(peaked(1, c)) for c in confs]
-        pls = extract_topk_per_class([PredictionChunk.of([pred(dets)])], 0.2)["img"]
+        pls = extract_topk_per_class([chunk_of([pred(dets)])], 0.2)["img"]
         assert len(pls) == 2
         assert pls.scores.tolist() == pytest.approx([0.95, 0.9])
         assert pls.class_ids.tolist() == [1, 1]
@@ -133,7 +135,7 @@ class TestTopKPerClass:
                 all_dets.extend(dets)
             k = float(rng.choice([0.2, 0.5, 1.0]))
             # the images in two chunks
-            got = extract_topk_per_class([PredictionChunk.of(preds[:2]), PredictionChunk.of(preds[2:])], k)
+            got = extract_topk_per_class([chunk_of(preds[:2]), chunk_of(preds[2:])], k)
             assert all(len(v) for v in got.values())
             labels = [(c, sc) for v in got.values() for c, sc in zip(v.class_ids.tolist(), v.scores.tolist())]
 

@@ -42,6 +42,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             SyntheticDetectorConfig(n_classes=0)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("accuracy", float("nan")),
+        ("accuracy", {1: 0.5, 2: float("nan"), 3: 0.5}),
+        ("flip_robustness", float("nan")),
+        ("temperature", float("nan")),
+        ("logit_noise", float("nan")),
+        ("box_noise", float("nan")),
+        ("fp_rate", float("nan")),
+        ("skill_gain_per_labeled", float("nan")),
+        ("skill_gain_per_pseudo", float("nan")),
+        ("accuracy_ceiling", 5.0),
+        ("accuracy_ceiling", float("nan")),
+        ("robustness_ceiling", -0.1),
+        ("robustness_ceiling", float("nan")),
+    ])
+    def test_nan_and_out_of_range_rejected(self, knob, value):
+        # NaN passes a test of the form x < lo or x > hi; every check must fail it
+        with pytest.raises(ValueError, match=knob):
+            SyntheticDetectorConfig(n_classes=3, **{knob: value})
+
     def test_per_class_mapping_must_cover(self):
         with pytest.raises(ValueError):
             SyntheticDetectorConfig(n_classes=3, accuracy={1: 0.5})
