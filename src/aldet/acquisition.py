@@ -42,8 +42,6 @@ from .matching import DEFAULT_MIN_MATCH_IOU, match_predictions
 
 __all__ = [
     "LOG_EPS",
-    "sym_kl",
-    "entropy",
     "AcquisitionConfig",
     "AcquisitionScore",
     "CHUNK_IMAGES",
@@ -74,31 +72,16 @@ def _logs(probs: np.ndarray) -> np.ndarray:
     return np.log(np.clip(probs, LOG_EPS, 1.0))
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.dot(p, _logs(p) - _logs(q)))
-
-
-def sym_kl(p, q) -> float:
-    """Symmetric KL divergence (p || q + q || p) / 2, natural log, eps-clamped."""
-    pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    if pa.shape != qa.shape:
-        raise ValueError(f"distribution length mismatch: {pa.shape} vs {qa.shape}")
-    return 0.5 * (_kl(pa, qa) + _kl(qa, pa))
-
-
-def entropy(p) -> float:
-    """Shannon entropy -sum(p log p), natural log, eps-clamped."""
-    pa = np.asarray(p, dtype=np.float64)
-    return float(-np.dot(pa, _logs(pa)))
-
-
 def _entropies(probs: np.ndarray) -> list[float]:
-    """:func:`entropy` of each row, with the logs taken once per matrix."""
+    """The Shannon entropy -sum(p log p) of each row p, natural log with
+    probabilities clamped to [LOG_EPS, 1], the logs taken once per matrix."""
     return [float(-np.dot(p, lp)) for p, lp in zip(probs, _logs(probs))]
 
 
 def _sym_kls(p: np.ndarray, q: np.ndarray) -> list[float]:
-    """:func:`sym_kl` of each pair of rows, with the logs taken once per
+    """The symmetric KL divergence (KL(p || q) + KL(q || p)) / 2 of each
+    pair of rows, where KL(p || q) = sum(p (log p - log q)), natural log with
+    probabilities clamped to [LOG_EPS, 1]. The logs are taken once per
     matrix; each KL term is still one ``np.dot`` per row."""
     if not len(p):
         return []

@@ -1,6 +1,6 @@
 """Command-line surface binding the library into runnable experiments.
 
-Subcommands: score, select, pseudolabel, simulate, eval, loss-check, winrate.
+Subcommands: score, select, pseudolabel, simulate, eval, winrate.
 Experiment settings come from a flat ``key = value`` config file; every key
 can be overridden by a same-named command-line flag, and flags win. Commands
 are deterministic: identical inputs and seeds give byte-identical outputs.
@@ -16,17 +16,8 @@ from typing import Mapping, Sequence
 
 from . import formats
 from .acquisition import AcquisitionConfig, post_nms_stream, select_for_labeling
-from .boxes import checked_encoded, checked_probs
 from .dataset import Dataset
 from .evaluation import INTERPOLATIONS, winrate_matrix
-from .losses import (
-    GroundTruthAssignment,
-    consistency_class_loss,
-    consistency_loc_loss,
-    pl_multibox_conf_loss,
-    smooth_l1_loc_loss,
-    total_loss,
-)
 from .pool import (
     PL_STRATEGIES,
     SELECTION_STRATEGIES,
@@ -275,6 +266,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if args.pool_out and not args.pool:
+        raise ValueError("--pool-out needs --pool")
     scores = formats.read_scores_csv(args.scores)
     selected = select_for_labeling(scores, args.budget, args.strategy, seed=args.seed)
     # The selection is committed before any file is written, so a selection
@@ -359,49 +352,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_loss_check(args) -> int:
-    import json
-
-    with open(args.fixture, encoding="utf-8") as f:
-        fixture = json.load(f)
-
-    dists = checked_probs(fixture.get("dists", []))
-    asg_raw = fixture.get("assignment", {})
-    asg = GroundTruthAssignment(
-        positives=tuple(tuple(p) for p in asg_raw.get("positives", [])),
-        negatives=tuple(asg_raw.get("negatives", [])),
-        pl_positives=tuple(tuple(p) for p in asg_raw.get("pl_positives", [])),
-    )
-    conf = pl_multibox_conf_loss(dists, asg) if len(dists) else 0.0
-
-    loc_pred = checked_encoded(fixture.get("loc_pred", []))
-    loc_target = checked_encoded(fixture.get("loc_target", []))
-    loc_positives = fixture.get("loc_positives", list(range(len(loc_pred))))
-    loc = smooth_l1_loc_loss(loc_pred, loc_target, loc_positives) if len(loc_pred) else 0.0
-
-    # Matched pairs as one array per member and field: row k of each is pair k.
-    # Both members are in the original frame, as the matcher pairs them: a
-    # flipped member's "flip_encoded" is its box mapped back by the flip.
-    pairs = {key: [rec[key] for rec in fixture.get("pairs", [])]
-             for key in ("orig_probs", "flip_probs", "orig_encoded", "flip_encoded")}
-    cons_c = consistency_class_loss(checked_probs(pairs["orig_probs"]), checked_probs(pairs["flip_probs"]))
-    cons_l = consistency_loc_loss(checked_encoded(pairs["orig_encoded"]), checked_encoded(pairs["flip_encoded"]))
-
-    total = total_loss(conf, cons_c, cons_l, loc)
-    print(f"conf_loss={conf:.6f}")
-    print(f"smooth_l1={loc:.6f}")
-    print(f"consistency_class={cons_c:.6f}")
-    print(f"consistency_loc={cons_l:.6f}")
-    print(f"total={total:.6f}")
-    return 0
-
-
 def cmd_winrate(args) -> int:
     by_method = {}
     for spec_arg in args.methods:
         if "=" not in spec_arg:
             raise ValueError(f"expected NAME=eval.csv[,eval.csv...], got {spec_arg!r}")
         name, paths = spec_arg.split("=", 1)
+        # the name becomes a CSV header cell and a row label
+        if not name or any(c in name for c in ",\r\n"):
+            raise ValueError(f"method name must be non-empty, without commas or line breaks, got {name!r}")
+        if name in by_method:
+            raise ValueError(f"duplicate method name {name!r}")
         by_method[name] = [formats.read_eval_csv(p) for p in paths.split(",")]
     if len(by_method) < 2:
         raise ValueError("need at least two methods to compare")
@@ -456,10 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interpolation", default="eleven_point", choices=INTERPOLATIONS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("loss-check", help="print loss terms for a JSON fixture")
-    p.add_argument("--fixture", required=True)
-    p.set_defaults(func=cmd_loss_check)
 
     p = sub.add_parser("winrate", help="pairwise per-class win-rate matrix")
     p.add_argument("methods", nargs="+", metavar="NAME=eval.csv[,eval.csv...]")

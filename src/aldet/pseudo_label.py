@@ -2,8 +2,7 @@
 
 A detection becomes a pseudo-label when its argmax is a foreground class with
 probability at least tau; background-argmax detections are never labeled, and
-everything below the threshold stays unlabeled so the corresponding image
-regions remain neutral in the losses.
+everything below the threshold stays unlabeled.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 as the oracles the tests compare against: the scalar corner-box IoU, the
 row-by-row box and distribution checks, the synthetic detector's
 prediction with a fresh generator per stream, and the per-image NMS,
-matching and scoring that the chunked pass replaced, with the per-image
-maxima of entropy and symmetric KL that define an image's H and I; and the
+matching and scoring that the chunked pass replaced, with the scalar
+entropy and symmetric KL of one distribution or pair and their per-image
+maxima, which define an image's H and I; and the
 predictions reader that built one clamped prediction per record, which the
 chunk of a view is pinned to.
 
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from aldet.acquisition import AcquisitionScore
+from aldet.acquisition import LOG_EPS, AcquisitionScore
 from aldet.boxes import ChunkDetections, Detections, PredictionChunk, checked_encoded, clamp_to_images, iou
 from aldet.matching import MatchResult, greedy_assign
 
@@ -292,7 +293,25 @@ def per_image_match(orig, flipped, min_match_iou):
 
 
 def _logs(probs):
-    return np.log(np.clip(probs, 1e-12, 1.0))
+    return np.log(np.clip(probs, LOG_EPS, 1.0))
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    return float(np.dot(p, _logs(p) - _logs(q)))
+
+
+def sym_kl(p, q) -> float:
+    """Symmetric KL divergence (p || q + q || p) / 2, natural log, eps-clamped."""
+    pa, qa = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if pa.shape != qa.shape:
+        raise ValueError(f"distribution length mismatch: {pa.shape} vs {qa.shape}")
+    return 0.5 * (_kl(pa, qa) + _kl(qa, pa))
+
+
+def entropy(p) -> float:
+    """Shannon entropy -sum(p log p), natural log, eps-clamped."""
+    pa = np.asarray(p, dtype=np.float64)
+    return float(-np.dot(pa, _logs(pa)))
 
 
 def _image_entropy(probs):

@@ -4,15 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import _image_entropy, _image_inconsistency, chunk_of, one_image
+from oracles import _image_entropy, _image_inconsistency, chunk_of, entropy, one_image, sym_kl
 
 from aldet.acquisition import (
     AcquisitionConfig,
     AcquisitionScore,
-    entropy,
     post_nms,
     select_for_labeling,
-    sym_kl,
     unified_score,
 )
 from aldet.boxes import Detections, hflip, nms

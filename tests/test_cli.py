@@ -200,6 +200,16 @@ class TestSelectCommand:
         assert not out.exists()
         assert pool_path.read_bytes() == before
 
+    def test_pool_out_without_pool_rejected(self, tmp_path, capsys):
+        scores_csv, out, pool_out = tmp_path / "scores.csv", tmp_path / "sel.txt", tmp_path / "pool.json"
+        formats.write_scores_csv([AcquisitionScore.from_parts("a", 1.0, 1.0)], scores_csv)
+        rc = main(["select", "--scores", str(scores_csv), "--budget", "1",
+                   "--out", str(out), "--pool-out", str(pool_out)])
+        assert rc == 1
+        assert "--pool-out needs --pool" in capsys.readouterr().err
+        assert not out.exists()
+        assert not pool_out.exists()
+
     def test_random_needs_seed(self, workspace, capsys):
         tmp_path, *_ , preds_path = workspace
         scores_csv = tmp_path / "scores.csv"
@@ -484,35 +494,6 @@ class TestProbabilityLength:
         assert set(formats.read_eval_csv(out).n_gt) == {1, 2, 3, 4, 5}
 
 
-class TestLossCheckCommand:
-    def test_prints_terms(self, tmp_path, capsys):
-        fixture = {
-            "dists": [[0.0, 1.0], [1.0, 0.0]],
-            "assignment": {"positives": [[0, 0, 1]], "negatives": [1], "pl_positives": []},
-            "loc_pred": [[0.5, 0.0, 1.0, 1.0]],
-            "loc_target": [[0.0, 0.0, 1.0, 1.0]],
-            "loc_positives": [0],
-            "pairs": [
-                {
-                    "orig_probs": [0.5, 0.5],
-                    "flip_probs": [0.5, 0.5],
-                    # the flipped member in the original frame, as matched
-                    "orig_encoded": [0.1, 0.0, 1.0, 1.0],
-                    "flip_encoded": [0.1, 0.0, 1.0, 1.0],
-                }
-            ],
-        }
-        path = tmp_path / "fixture.json"
-        path.write_text(json.dumps(fixture))
-        assert main(["loss-check", "--fixture", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "conf_loss=0.000000" in out
-        assert "smooth_l1=0.125000" in out
-        assert "consistency_class=0.000000" in out
-        assert "consistency_loc=0.000000" in out
-        assert "total=0.125000" in out
-
-
 class TestWinrateCommand:
     def test_matrix_output(self, tmp_path):
         from aldet.evaluation import EvalResult
@@ -529,6 +510,32 @@ class TestWinrateCommand:
         assert lines[0] == "method,ours,base"
         assert lines[1] == "ours,,0.500000"
         assert lines[2] == "base,0.500000,"
+
+    def winrate(self, tmp_path, *methods):
+        for name in ("a", "b", "c"):
+            formats.write_eval_csv(EvalResult.from_per_class({1: 0.5}, {1: 5}), tmp_path / f"{name}.csv")
+        out = tmp_path / "win.csv"
+        rc = main(["winrate", *(m.format(d=tmp_path) for m in methods), "--out", str(out)])
+        return rc, out
+
+    def test_repeated_method_name_rejected(self, tmp_path, capsys):
+        # several runs of one method go comma-joined in one argument
+        rc, out = self.winrate(tmp_path, "x={d}/a.csv", "x={d}/c.csv", "y={d}/b.csv")
+        assert rc == 1
+        assert "duplicate method name 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["", "p,q", "p\rq", "p\nq"])
+    def test_bad_method_name_rejected(self, tmp_path, capsys, name):
+        rc, out = self.winrate(tmp_path, name + "={d}/a.csv", "y={d}/b.csv")
+        assert rc == 1
+        assert f"method name must be non-empty, without commas or line breaks, got {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_comma_joined_runs_of_one_method(self, tmp_path):
+        rc, out = self.winrate(tmp_path, "x={d}/a.csv,{d}/c.csv", "y={d}/b.csv")
+        assert rc == 0
+        assert out.read_text().splitlines()[0] == "method,x,y"
 
 
 def write_sim_config(tmp_path, train_path, test_path, out_dir, **extra):

@@ -1,20 +1,26 @@
 """Every exported name resolves, and the per-detection and per-box types, the
-one-image prediction type and the one-image forms of the chunked stages stay
-gone."""
+one-image prediction type, the one-image forms of the chunked stages, the
+losses and the scalar entropy and symmetric KL stay gone. The command line
+offers exactly the subcommands its module docstring lists."""
 
+import argparse
 import importlib
 import pkgutil
 
 import pytest
 
 import aldet
+from aldet import cli
 from aldet.boxes import Detections, PredictionChunk
 from aldet.dataset import Dataset, ImageRecord
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(aldet.__path__))
 DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", "decode_box",
            "image_anchor", "BoxCorner", "GroundTruthObject", "PseudoLabel", "iou_matrix",
-           "average_precision", "as_chunk", "image_entropy", "image_inconsistency", "ImagePrediction")
+           "average_precision", "as_chunk", "image_entropy", "image_inconsistency", "ImagePrediction",
+           "GroundTruthAssignment", "multibox_conf_loss", "pl_multibox_conf_loss", "smooth_l1",
+           "smooth_l1_loc_loss", "consistency_class_loss", "consistency_loc_loss", "total_loss",
+           "sym_kl", "entropy")
 
 
 @pytest.mark.parametrize("name", ["aldet"] + [f"aldet.{m}" for m in MODULES])
@@ -42,3 +48,17 @@ def test_one_box_representation():
     assert "objects" not in ImageRecord.__dataclass_fields__
     assert "encoded" not in Detections.__slots__
     assert not hasattr(Detections([], []), "encoded")
+
+
+def test_subcommands_are_the_ones_the_docstring_lists():
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (line,) = [line for line in cli.__doc__.splitlines() if line.startswith("Subcommands: ")]
+    assert list(action.choices) == line[len("Subcommands: "):].rstrip(".").split(", ")
+
+
+def test_loss_check_is_an_unknown_subcommand(capsys):
+    assert "losses" not in MODULES
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["loss-check", "--fixture", "fixture.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'loss-check'" in capsys.readouterr().err

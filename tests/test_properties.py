@@ -23,6 +23,7 @@ from oracles import (
     _image_entropy,
     _image_inconsistency,
     chunk_of,
+    entropy,
     fresh_stream_predict,
     one_image,
     per_image_match,
@@ -32,15 +33,14 @@ from oracles import (
     rowwise_checked_boxes,
     rowwise_checked_probs,
     scalar_iou,
+    sym_kl,
 )
 
 from aldet import evaluation, formats, pseudo_label
 from aldet.acquisition import (
     AcquisitionConfig,
     chunked,
-    entropy,
     post_nms,
-    sym_kl,
     unified_score,
 )
 from aldet.boxes import (
