@@ -3,7 +3,7 @@
 The library scores unlabeled images by combining prediction uncertainty
 (entropy) with prediction robustness under horizontal flip (symmetric-KL
 inconsistency between matched detections), selects a labeling budget per
-cycle, pseudo-labels confident detections, and evaluates with VOC-style
+cycle, pseudo-labels confident detections, and evaluates with VOC07 11-point
 mAP@0.5. A seeded synthetic detector makes the whole loop runnable and
 reproducible without any network training.
 

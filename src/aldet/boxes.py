@@ -223,14 +223,18 @@ def clamp_to_images(dets: D, widths: Sequence[int], heights: Sequence[int], imag
     ``widths[image[r]]`` by ``heights[image[r]]`` pixels. Every image's size
     must be positive, whether or not it has rows. A set already inside its
     images is returned as it is; a clamped one keeps every other field of
-    each row."""
+    each row, and each coordinate already inside its image bit for bit, so
+    a row's result does not depend on the other rows of the set."""
     if min(widths, default=1) <= 0 or min(heights, default=1) <= 0:
         w, h = next((w, h) for w, h in zip(widths, heights) if w <= 0 or h <= 0)
         raise ValueError(f"image size must be positive, got {w}x{h}")
     limits = np.array([widths, heights, widths, heights], dtype=np.float64).T[image]
-    if ((dets.boxes >= 0.0) & (dets.boxes <= limits)).all():
+    inside = (dets.boxes >= 0.0) & (dets.boxes <= limits)
+    if inside.all():
         return dets
-    clipped = np.clip(dets.boxes, 0.0, limits)
+    # np.clip against array limits turns -0.0 into 0.0, and the writers print
+    # the two apart: what is inside stays as it is.
+    clipped = np.where(inside, dets.boxes, np.clip(dets.boxes, 0.0, limits))
     return dets._of(*(clipped if name == "boxes" else getattr(dets, name) for name in dets._fields))
 
 

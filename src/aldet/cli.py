@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from . import formats
 from .acquisition import AcquisitionConfig, post_nms_stream, select_for_labeling
 from .dataset import Dataset
-from .evaluation import INTERPOLATIONS, winrate_matrix
+from .evaluation import winrate_matrix
 from .pool import (
     PL_STRATEGIES,
     SELECTION_STRATEGIES,
@@ -95,9 +95,7 @@ class ExperimentConfig:
     output_dir: str = _key("out")
     initial_budget: int = _key("20", int, _NON_NEGATIVE)
     cycles: int = _key("5", int, (lambda v: v >= 1, "need at least one cycle"))
-    # Either budget may be set; budget_per_cycle wins, and a total_budget is
-    # divided across the cycles. Only simulate needs one (see run_config).
-    total_budget: int | None = _key("", _parse_optional_int, _NON_NEGATIVE)
+    # Only simulate needs a budget (see run_config).
     budget_per_cycle: int | None = _key("", _parse_optional_int, _NON_NEGATIVE)
     strategy: str = _key("unified", str, _one_of(SELECTION_STRATEGIES))
     tau: float = _key("0.99", float, (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"))
@@ -108,7 +106,6 @@ class ExperimentConfig:
     nms_score_floor: float = _key("0.01", float, (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"))
     min_match_iou: float = _key("0.5", float, _UNIT_INTERVAL)
     seed: int = _key("0", int)
-    interpolation: str = _key("eleven_point", str, _one_of(INTERPOLATIONS))
     detector_seed: int = _key("0", int)
     detector_accuracy: object = _key("0.8", _parse_per_class)
     detector_flip_robustness: object = _key("0.9", _parse_per_class)
@@ -130,7 +127,7 @@ class ExperimentConfig:
 
     def run_config(self) -> RunConfig:
         if self.budget_per_cycle is None:
-            raise ConfigError("budget: set either total_budget or budget_per_cycle")
+            raise ConfigError("budget_per_cycle: required")
         return RunConfig(
             cycles=self.cycles,
             budget_per_cycle=self.budget_per_cycle,
@@ -139,7 +136,6 @@ class ExperimentConfig:
             pl_enabled=self.pl_enabled,
             acquisition=self.acquisition_config(),
             seed=self.seed,
-            interpolation=self.interpolation,
             pl_strategy=self.pl_strategy,
             pl_topk_fraction=self.pl_topk_fraction,
         )
@@ -196,13 +192,6 @@ def build_config(
         except ValueError as e:
             errors.append(f"{key.name}: {e}")
             parsed[key.name] = None
-
-    total, cycles = parsed["total_budget"], parsed["cycles"]
-    if parsed["budget_per_cycle"] is None and total is not None and cycles:
-        if total % cycles != 0:
-            errors.append(f"budget: total budget {total} not divisible by {cycles} cycles")
-        else:
-            parsed["budget_per_cycle"] = total // cycles
 
     for key in require_files:
         path = parsed.get(key)
@@ -342,13 +331,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """mAP@0.5 of the original-view records against ground truth. The
-    detections are scored as given: eval applies no NMS, so pass post-NMS
-    detections (simulate applies NMS to its detector's raw output)."""
+    """VOC07 11-point mAP@0.5 of the original-view records against ground
+    truth, over the ground truth's classes 1..K. The detections are scored
+    as given: eval applies no NMS, so pass post-NMS detections (simulate
+    applies NMS to its detector's raw output)."""
     gt_data = formats.load_dataset(args.gt)
     preds = _read_predictions(args.predictions, gt_data)
     originals = preds.chunk(sorted(preds.views[False].image_ids))
-    formats.write_eval_csv(evaluate([originals], gt_data, args.interpolation), args.out)
+    formats.write_eval_csv(evaluate([originals], gt_data), args.out)
     return 0
 
 
@@ -410,11 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("eval", help="mAP@0.5 of a predictions JSONL against ground truth, "
-                       "no NMS", description=cmd_eval.__doc__)
+    p = sub.add_parser("eval", help="VOC07 11-point mAP@0.5 of a predictions JSONL against "
+                       "ground truth, no NMS", description=cmd_eval.__doc__)
     p.add_argument("--gt", required=True)
     p.add_argument("--predictions", required=True)
-    p.add_argument("--interpolation", default="eleven_point", choices=INTERPOLATIONS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

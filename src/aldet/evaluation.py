@@ -1,9 +1,9 @@
-"""VOC-style detection evaluation: per-class AP, mAP@0.5, win-rate tables.
+"""VOC07 detection evaluation: per-class AP, mAP@0.5, win-rate tables.
 
-The default interpolation is the 11-point VOC07 convention; the all-point
-variant is available for COCO-style analysis. Recall thresholds in the
-11-point sum are compared in integer arithmetic (tp * 10 >= k * n_gt) so the
-knot comparisons are exact.
+One protocol, the paper's: 11-point interpolated AP (Everingham et al., IJCV
+2010) at IoU > 0.5, over the foreground classes 1..K. Recall thresholds in
+the 11-point sum are compared in integer arithmetic (tp * 10 >= k * n_gt) so
+the knot comparisons are exact.
 """
 
 from __future__ import annotations
@@ -19,52 +19,34 @@ from .dataset import Dataset
 
 __all__ = ["EvalResult", "map50", "winrate_table", "winrate_matrix"]
 
-INTERPOLATIONS = ("eleven_point", "all_point")
-
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Per-class AP over classes with ground truth, their mean, and GT counts."""
+    """Per-class AP of the classes with ground truth, and the ground-truth
+    count of every class; a class with none is excluded from the mean."""
 
     per_class_ap: dict[int, float]
-    map50: float
     n_gt: dict[int, int]
-    excluded: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "per_class_ap", dict(self.per_class_ap))
-        object.__setattr__(self, "n_gt", dict(self.n_gt))
-        object.__setattr__(self, "excluded", tuple(self.excluded))
-        if self.per_class_ap:
-            expected = sum(self.per_class_ap.values()) / len(self.per_class_ap)
-        else:
-            expected = 0.0
-        if abs(self.map50 - expected) > 1e-12:
-            raise ValueError(f"map50 {self.map50} != mean per-class AP {expected}")
+    @property
+    def map50(self) -> float:
+        aps = self.per_class_ap
+        return sum(aps.values()) / len(aps) if aps else 0.0
 
-    @classmethod
-    def from_per_class(
-        cls, per_class_ap: Mapping[int, float], n_gt: Mapping[int, int], excluded=()
-    ) -> "EvalResult":
-        aps = dict(per_class_ap)
-        mean = sum(aps.values()) / len(aps) if aps else 0.0
-        return cls(aps, mean, dict(n_gt), tuple(excluded))
+    @property
+    def excluded(self) -> tuple[int, ...]:
+        return tuple(c for c, n in self.n_gt.items() if not n)
 
 
-def _assign_tp_fp(
-    dets: Detections,
-    image_ids: Sequence[str],
-    gt: Dataset,
-    iou_thresh: float,
-) -> dict[int, list[bool]]:
+def _assign_tp_fp(dets: Detections, image_ids: Sequence[str], gt: Dataset) -> dict[int, list[bool]]:
     """Greedy highest-confidence-first TP/FP flags of each foreground class,
     in rank order (-score, row).
 
     Each detection is matched against the best-IoU ground-truth box of its
     own image and class (the first of equal IoUs); it is a true positive iff
-    that IoU exceeds the threshold and the box is not already claimed (VOC
-    devkit semantics: no fallback to the second-best box). Detections in an
-    image that ``gt`` lacks are false positives.
+    that IoU exceeds 0.5 and the box is not already claimed (VOC devkit
+    semantics: no fallback to the second-best box). Detections in an image
+    that ``gt`` lacks are false positives.
     """
     if len(image_ids) != len(dets):
         raise ValueError(f"{len(image_ids)} image ids for {len(dets)} detections")
@@ -89,19 +71,11 @@ def _assign_tp_fp(
         if classes[r] == 0:
             continue
         v, g = best.get(r, (0.0, None))
-        tp = g is not None and v > iou_thresh and g not in claimed
+        tp = g is not None and v > 0.5 and g not in claimed
         if tp:
             claimed.add(g)
         flags.setdefault(classes[r], []).append(tp)
     return flags
-
-
-def _ap(flags: Sequence[bool], n_gt: int, interpolation: str) -> float:
-    if n_gt == 0 or not flags:
-        return 0.0
-    if interpolation == "eleven_point":
-        return _ap_eleven_point(flags, n_gt)
-    return _ap_all_point(flags, n_gt)
 
 
 def _ap_eleven_point(tp_flags: Sequence[bool], n_gt: int) -> float:
@@ -120,47 +94,17 @@ def _ap_eleven_point(tp_flags: Sequence[bool], n_gt: int) -> float:
     return total / 11.0
 
 
-def _ap_all_point(tp_flags: Sequence[bool], n_gt: int) -> float:
-    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
-    ranks = np.arange(1, len(tp_flags) + 1, dtype=np.float64)
-    recall = np.concatenate([[0.0], tp / n_gt])
-    precision = np.concatenate([[1.0], tp / ranks])
-    # precision envelope from the right
-    for i in range(precision.size - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
-    return float(np.sum((recall[1:] - recall[:-1]) * precision[1:]))
+def map50(dets: Detections, image_ids: Sequence[str], gt: Dataset) -> EvalResult:
+    """VOC07 mAP@0.5 over the classes 1..``gt.n_classes``; row r of ``dets``
+    is a detection in image ``image_ids[r]``.
 
-
-def map50(
-    dets: Detections,
-    image_ids: Sequence[str],
-    gt: Dataset,
-    interpolation: str = "eleven_point",
-    class_ids: Sequence[int] | None = None,
-    iou_thresh: float = 0.5,
-) -> EvalResult:
-    """Mean AP over all classes that have ground truth; row r of ``dets`` is a
-    detection in image ``image_ids[r]``.
-
-    Classes without any ground-truth object are excluded from the mean and
-    listed in the result. The class universe defaults to every class seen in
-    either the ground truth or the detections.
+    Classes without any ground-truth object are excluded from the mean
+    (:attr:`EvalResult.excluded`); detections of other classes are ignored.
     """
-    if interpolation not in INTERPOLATIONS:
-        raise ValueError(f"interpolation must be one of {INTERPOLATIONS}, got {interpolation!r}")
     gt_counts = Counter(c for img in gt.images for c in img.class_ids.tolist())
-    if class_ids is None:
-        universe = sorted(set(gt_counts) | set(dets.class_ids[dets.class_ids > 0].tolist()))
-    else:
-        universe = sorted(set(class_ids))
-        if universe and universe[0] < 1:
-            raise ValueError(f"unknown class {universe[0]}: foreground classes start at 1")
-    n_gt = {c: gt_counts[c] for c in universe}
-
-    flags = _assign_tp_fp(dets, image_ids, gt, iou_thresh)
-    per_class = {c: _ap(flags.get(c, []), n, interpolation) for c, n in n_gt.items() if n}
-    excluded = tuple(c for c, n in n_gt.items() if not n)
-    return EvalResult.from_per_class(per_class, n_gt, excluded)
+    n_gt = {c: gt_counts[c] for c in range(1, gt.n_classes + 1)}
+    flags = _assign_tp_fp(dets, image_ids, gt)
+    return EvalResult({c: _ap_eleven_point(flags.get(c, []), n) for c, n in n_gt.items() if n}, n_gt)
 
 
 def winrate_table(results_a: Sequence[EvalResult], results_b: Sequence[EvalResult]) -> float:

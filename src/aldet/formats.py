@@ -438,10 +438,13 @@ _MAP_ROW_TOL = 1e-6 + 1e-12
 def read_eval_csv(path) -> EvalResult:
     """Read an eval table back: the class rows, then one ``mAP`` row whose
     ``n_gt`` is the sum of theirs and whose value is the mean of their APs
-    within six-decimal rounding. The mean is recomputed from the class rows."""
+    within six-decimal rounding. The mean is recomputed from the class rows.
+
+    A class row has a ``class_id`` of at least 1 and a non-negative ``n_gt``;
+    its AP is empty iff ``n_gt`` is 0 (the class is excluded) and otherwise
+    lies in [0, 1]."""
     per_class: dict[int, float] = {}
     n_gt: dict[int, int] = {}
-    excluded: list[int] = []
     map_row_seen = False
 
     def row(line):
@@ -451,23 +454,30 @@ def read_eval_csv(path) -> EvalResult:
             raise ValueError("duplicate mAP row" if cls_s == "mAP" else "class row after the mAP row")
         if cls_s == "mAP":
             map_row_seen = True
-            total, mean = sum(n_gt.values()), EvalResult.from_per_class(per_class, n_gt).map50
+            total, mean = sum(n_gt.values()), EvalResult(per_class, n_gt).map50
             if int(n_s) != total:
                 raise ValueError(f"mAP row n_gt {n_s} is not {total}, the sum of the class rows")
             if not abs(float(ap_s) - mean) <= _MAP_ROW_TOL:  # NaN fails too
                 raise ValueError(f"mAP row {ap_s} is not {mean:.6f}, the mean AP of the class rows")
             return
-        cls = int(cls_s)
+        cls, n = int(cls_s), int(n_s)
+        if cls < 1:
+            raise ValueError(f"class_id {cls}: foreground classes start at 1")
         if cls in n_gt:
             raise ValueError(f"duplicate class_id {cls}")
-        n_gt[cls] = int(n_s)
-        if ap_s == "":
-            excluded.append(cls)
-        else:
-            per_class[cls] = float(ap_s)
+        if n < 0:
+            raise ValueError(f"class_id {cls}: negative n_gt {n}")
+        if (ap_s == "") != (n == 0):
+            raise ValueError(f"class_id {cls}: AP {ap_s!r} with n_gt {n}; the AP is empty iff n_gt is 0")
+        n_gt[cls] = n
+        if n:
+            ap = float(ap_s)
+            if not 0.0 <= ap <= 1.0:  # NaN fails too
+                raise ValueError(f"class_id {cls}: AP {ap_s} outside [0, 1]")
+            per_class[cls] = ap
 
     _read_lines(path, row, header="class_id,ap,n_gt")
-    return EvalResult.from_per_class(per_class, n_gt, tuple(excluded))
+    return EvalResult(per_class, n_gt)
 
 
 def write_winrate_csv(names: Sequence[str], matrix, path) -> None:

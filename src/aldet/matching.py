@@ -27,12 +27,10 @@ DEFAULT_MIN_MATCH_IOU = 0.5
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Matched ``(original row, flipped row)`` pairs in acceptance order, and
-    the rows left unmatched on each side."""
+    """Matched ``(original row, flipped row)`` pairs in acceptance order; a
+    side's unmatched rows number its row count less ``len(pairs)``."""
 
     pairs: tuple[tuple[int, int], ...]
-    unmatched_original: tuple[int, ...]
-    unmatched_flipped: tuple[int, ...]
 
 
 def greedy_assign(candidates: Iterable[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
@@ -60,10 +58,9 @@ def match_predictions(
 
     Within an image, all cross pairs are ranked by IoU descending (ties by
     original row, then flipped row) and accepted while both members are free
-    and the IoU is at least ``min_match_iou``. Unmatched rows on both sides
-    are reported for diagnostics. One ``iou`` call covers every cross pair
-    of every image, and the pairs come image by image, each image's in
-    acceptance order.
+    and the IoU is at least ``min_match_iou``. One ``iou`` call covers every
+    cross pair of every image, and the pairs come image by image, each
+    image's in acceptance order.
     """
     if orig.image_ids != flipped.image_ids:
         x, y = next((x, y) for x, y in zip_longest(orig.image_ids, flipped.image_ids) if x != y)
@@ -72,9 +69,8 @@ def match_predictions(
         raise ValueError(f"min_match_iou must be in [0, 1], got {min_match_iou}")
 
     da, db = orig.detections, flipped.detections
-    n, m = len(da), len(db)
     accepted = []
-    if n and m:
+    if len(da) and len(db):
         # Each original row against every flipped row of its image, row-major.
         per_image = np.bincount(db.image, minlength=len(orig.image_ids))
         rows, cols = span_pairs((np.cumsum(per_image) - per_image)[da.image], per_image[da.image])
@@ -85,8 +81,4 @@ def match_predictions(
         for _, group in groupby(candidates, key=itemgetter(0)):
             accepted += greedy_assign(c[1:] for c in group)
 
-    pairs = tuple((i, j) for _, i, j in accepted)
-    taken_o, taken_f = {i for i, _ in pairs}, {j for _, j in pairs}
-    unmatched_o = tuple(i for i in range(n) if i not in taken_o)
-    unmatched_f = tuple(j for j in range(m) if j not in taken_f)
-    return MatchResult(pairs, unmatched_o, unmatched_f)
+    return MatchResult(tuple((i, j) for _, i, j in accepted))

@@ -39,7 +39,7 @@ from .acquisition import (
 )
 from .boxes import Detections, PredictionChunk
 from .dataset import Dataset
-from .evaluation import INTERPOLATIONS, EvalResult, map50
+from .evaluation import EvalResult, map50
 from .pseudo_label import (
     PseudoLabels,
     audit_pl_correctness,
@@ -139,7 +139,6 @@ class RunConfig:
     pl_enabled: bool = True
     acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
     seed: int = 0
-    interpolation: str = "eleven_point"
     pl_strategy: str = "threshold"
     pl_topk_fraction: float = 0.2
 
@@ -152,8 +151,6 @@ class RunConfig:
             raise ValueError(f"strategy must be one of {SELECTION_STRATEGIES}, got {self.strategy!r}")
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if self.interpolation not in INTERPOLATIONS:
-            raise ValueError(f"interpolation must be one of {INTERPOLATIONS}")
         if self.pl_strategy not in PL_STRATEGIES:
             raise ValueError(f"pl_strategy must be one of {PL_STRATEGIES}")
         if not (0.0 < self.pl_topk_fraction <= 1.0):
@@ -212,17 +209,12 @@ def pseudo_label_pool(
     return extract_topk_per_class(originals, topk_fraction)
 
 
-def evaluate(chunks: Iterable[PredictionChunk], data: Dataset, interpolation: str) -> EvalResult:
-    """mAP@0.5 of the detections as given (in input order) against ``data``."""
+def evaluate(chunks: Iterable[PredictionChunk], data: Dataset) -> EvalResult:
+    """VOC07 mAP@0.5 (:func:`aldet.evaluation.map50`) of the detections as
+    given, in input order, against ``data``."""
     chunks = list(chunks)
     image_ids = [c.image_ids[k] for c in chunks for k in c.detections.image.tolist()]
-    return map50(
-        Detections.concat(c.detections for c in chunks),
-        image_ids,
-        data,
-        interpolation=interpolation,
-        class_ids=range(1, data.n_classes + 1),
-    )
+    return map50(Detections.concat(c.detections for c in chunks), image_ids, data)
 
 
 def run_cycles(
@@ -291,7 +283,7 @@ def run_cycles(
                 pl_count=n_pl,
                 pl_ratio=n_pl / denom if denom else 0.0,
                 pl_correctness=audit_pl_correctness(pool.pseudo, train_data),
-                evaluation=evaluate(test_preds, test_data, cfg.interpolation),
+                evaluation=evaluate(test_preds, test_data),
                 pseudo_labels=pool.pseudo,
             )
         )

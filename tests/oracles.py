@@ -277,19 +277,12 @@ def per_image_post_nms(pred, cfg, flipped=False):
 
 
 def per_image_match(orig, flipped, min_match_iou):
-    n, m = len(orig.detections), len(flipped.detections)
     accepted = []
-    if n and m:
+    if len(orig.detections) and len(flipped.detections):
         ious = iou(orig.detections.boxes[:, None], flipped.detections.boxes[None])
         rows, cols = np.nonzero(ious >= min_match_iou)
         accepted = greedy_assign(zip(ious[rows, cols].tolist(), rows.tolist(), cols.tolist()))
-    pairs = tuple((i, j) for _, i, j in accepted)
-    taken_o, taken_f = {i for i, _ in pairs}, {j for _, j in pairs}
-    return MatchResult(
-        pairs,
-        tuple(i for i in range(n) if i not in taken_o),
-        tuple(j for j in range(m) if j not in taken_f),
-    )
+    return MatchResult(tuple((i, j) for _, i, j in accepted))
 
 
 def _logs(probs):

@@ -104,6 +104,16 @@ class TestBoxTypes:
         with pytest.raises(ValueError, match="image size must be positive, got 0x30"):
             clamp_to_images(dets, [200, 0, 200], [50, 30, 50], dets.image)
 
+    def test_inside_coordinates_kept_whatever_the_other_rows(self):
+        # a -0.0 inside its image stays -0.0 when another row is clamped, as
+        # when its image is clamped alone (a predictions file may hold -0.0)
+        dets = ChunkDetections([[0.0, 0.0, 5.0, 21.0], [-0.0, 0.0, 5.0, 5.0]], [[0.2, 0.8]] * 2, [0, 1])
+        clamped = clamp_to_images(dets, [20, 20], [20, 20], dets.image)
+        alone = dets.take([1])
+        assert clamp_to_images(alone, [20, 20], [20, 20], alone.image) is alone
+        assert clamped.boxes.tolist() == [[0.0, 0.0, 5.0, 20.0], [0.0, 0.0, 5.0, 5.0]]
+        assert np.signbit(clamped.boxes).tolist() == [[False] * 4, [True, False, False, False]]
+
 
 def row_iou(a, b) -> float:
     """:func:`iou` of two single boxes."""

@@ -61,16 +61,10 @@ class TestConfig:
         built = build_config(str(cfg), {"tau": "0.5"})
         assert built.tau == 0.5
 
-    def test_total_budget_division(self, tmp_path):
-        built = build_config(None, {"total_budget": "5000", "cycles": "5"})
-        assert built.budget_per_cycle == 1000
-        with pytest.raises(ConfigError, match="divisible"):
-            build_config(None, {"total_budget": "5001", "cycles": "5"})
-
     def test_budget_required(self, workspace, capsys):
         # only simulate consumes a budget, so only simulate demands one
         tmp_path, *_ = workspace
-        with pytest.raises(ConfigError, match="budget"):
+        with pytest.raises(ConfigError, match="budget_per_cycle: required"):
             build_config(None, {}).run_config()
         rc = main(["simulate", "--dataset", str(tmp_path / "train.json"),
                    "--test-dataset", str(tmp_path / "test.json"),
@@ -83,7 +77,7 @@ class TestConfig:
         # the config table, every subcommand's flags and ExperimentConfig agree
         keys = set(CONFIG_DEFAULTS)
         assert keys == {f.name for f in fields(ExperimentConfig)}
-        assert len(keys) == 28
+        assert len(keys) == 26
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         for command in ("score", "pseudolabel", "simulate"):
             flags = {a.dest[len("cfg_"):] for a in sub.choices[command]._actions
@@ -94,6 +88,14 @@ class TestConfig:
         assert build_config(str(cfg), {}) == build_config(None, {})
         cfg.write_text("batch_mode = random\n")
         with pytest.raises(ConfigError, match="unknown config keys: batch_mode"):
+            build_config(str(cfg), {})
+
+    @pytest.mark.parametrize("line", ["interpolation = all_point", "total_budget = 100"])
+    def test_deleted_keys_are_unknown(self, tmp_path, line):
+        # mAP has one protocol, and budget_per_cycle is the one budget
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{line}\nbudget_per_cycle = 5\n")
+        with pytest.raises(ConfigError, match=f"unknown config keys: {line.split()[0]}$"):
             build_config(str(cfg), {})
 
     def test_repeated_class_id_rejected(self):
@@ -277,6 +279,14 @@ class TestEvalCommand:
         assert rc == 1
         assert "line" in capsys.readouterr().err
 
+    def test_interpolation_is_an_unknown_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "--gt", "gt.json", "--predictions", "p.jsonl",
+                  "--interpolation", "all_point", "--out", str(tmp_path / "o.csv")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --interpolation" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestMalformedInput:
     """A malformed input file ends in one ``error:`` line that names the file,
@@ -288,7 +298,7 @@ class TestMalformedInput:
 
     def test_eval_csv_wrong_column_count(self, tmp_path, capsys):
         good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-        formats.write_eval_csv(EvalResult.from_per_class({1: 0.5}, {1: 2}), good)
+        formats.write_eval_csv(EvalResult({1: 0.5}, {1: 2}), good)
         bad.write_text("class_id,ap,n_gt\n1,0.5,2\n2,0.5\n")
         err = self.error(capsys, ["winrate", f"a={bad}", f"b={good}", "--out", str(tmp_path / "w.csv")])
         assert err == f"error: {bad}: line 3: expected 3 columns, got 2\n"
@@ -498,8 +508,8 @@ class TestWinrateCommand:
     def test_matrix_output(self, tmp_path):
         from aldet.evaluation import EvalResult
 
-        a = EvalResult.from_per_class({1: 0.9, 2: 0.2}, {1: 5, 2: 5})
-        b = EvalResult.from_per_class({1: 0.5, 2: 0.5}, {1: 5, 2: 5})
+        a = EvalResult({1: 0.9, 2: 0.2}, {1: 5, 2: 5})
+        b = EvalResult({1: 0.5, 2: 0.5}, {1: 5, 2: 5})
         formats.write_eval_csv(a, tmp_path / "a.csv")
         formats.write_eval_csv(b, tmp_path / "b.csv")
         out = tmp_path / "win.csv"
@@ -513,7 +523,7 @@ class TestWinrateCommand:
 
     def winrate(self, tmp_path, *methods):
         for name in ("a", "b", "c"):
-            formats.write_eval_csv(EvalResult.from_per_class({1: 0.5}, {1: 5}), tmp_path / f"{name}.csv")
+            formats.write_eval_csv(EvalResult({1: 0.5}, {1: 5}), tmp_path / f"{name}.csv")
         out = tmp_path / "win.csv"
         rc = main(["winrate", *(m.format(d=tmp_path) for m in methods), "--out", str(out)])
         return rc, out

@@ -61,12 +61,12 @@ def as_set(dets):
     return Detections(boxes, [d.probs for d, _ in dets]), [i for _, i in dets]
 
 
-def class_ap(dets, gt, class_id, **kw):
+def class_ap(dets, gt, class_id):
     """One class's AP through ``map50``; 0 for a class without ground truth."""
-    return map50(*as_set(dets), as_dataset(gt), class_ids=[class_id], **kw).per_class_ap.get(class_id, 0.0)
+    return map50(*as_set(dets), as_dataset(gt)).per_class_ap.get(class_id, 0.0)
 
 
-def oracle_ap_eleven(dets, gt, class_id, iou_thresh=0.5):
+def oracle_ap_eleven(dets, gt, class_id):
     """Brute-force 11-point AP: re-derive TP flags with an explicit pass, then
     evaluate the precision envelope at each recall knot by rescanning every
     prefix (no cumulative arrays)."""
@@ -88,7 +88,7 @@ def oracle_ap_eleven(dets, gt, class_id, iou_thresh=0.5):
             v = scalar_iou(d.box_corner, g.box_corner)
             if v > best_iou:
                 best_iou, best_idx = v, gi
-        if best_idx is not None and best_iou > iou_thresh and best_idx not in claimed:
+        if best_idx is not None and best_iou > 0.5 and best_idx not in claimed:
             claimed.add(best_idx)
             flags.append(True)
         else:
@@ -116,14 +116,6 @@ class TestAveragePrecision:
         dets = [(det(Box(10, 10, 50, 22), 1, 0.9), "a")]  # IoU 0.3
         gt = [GroundTruthObject("a", Box(10, 10, 50, 50), 1)]
         assert class_ap(dets, gt, 1) == 0.0
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError, match="unknown class"):
-            map50(*as_set([]), as_dataset([]), class_ids=[0, 1])
-
-    def test_bad_interpolation_rejected(self):
-        with pytest.raises(ValueError, match="interpolation must be one of"):
-            map50(*as_set([]), as_dataset([]), class_ids=[1], interpolation="nine_point")
 
     def test_duplicate_detections_single_tp(self):
         box = Box(10, 10, 50, 50)
@@ -209,15 +201,6 @@ class TestAveragePrecision:
                     assert class_ap(reduced, gt, 1) >= base - 1e-12
                     break
 
-    def test_interpolations_agree_on_step_pr(self):
-        # single TP at rank 1, nothing else: PR is constant at the knots
-        box = Box(10, 10, 50, 50)
-        dets = [(det(box, 1, 0.9), "a")]
-        gt = [GroundTruthObject("a", box, 1)]
-        eleven = class_ap(dets, gt, 1, interpolation="eleven_point")
-        allp = class_ap(dets, gt, 1, interpolation="all_point")
-        assert eleven == allp == 1.0
-
 
 class TestMap50:
     def test_perfect_detections(self):
@@ -238,7 +221,7 @@ class TestMap50:
     def test_zero_gt_classes_excluded(self):
         gt = [GroundTruthObject("a", Box(0, 0, 10, 10), 1)]
         dets = [(det(Box(0, 0, 10, 10), 1, 0.9), "a")]
-        result = map50(*as_set(dets), as_dataset(gt), class_ids=[1, 2, 3])
+        result = map50(*as_set(dets), as_dataset(gt))
         assert set(result.per_class_ap) == {1}
         assert result.excluded == (2, 3)
         assert result.map50 == 1.0
@@ -251,7 +234,7 @@ class TestMap50:
             if not gt:
                 continue
             checked += 1
-            result = map50(*as_set(dets), as_dataset(gt), class_ids=[1, 2, 3])
+            result = map50(*as_set(dets), as_dataset(gt))
             expected = {
                 c: class_ap(dets, gt, c)
                 for c in (1, 2, 3)
@@ -260,13 +243,9 @@ class TestMap50:
             assert result.per_class_ap == expected
             assert result.map50 == pytest.approx(sum(expected.values()) / len(expected), rel=1e-12)
 
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            EvalResult({1: 0.5, 2: 0.7}, 0.9, {1: 3, 2: 4})
-
 
 def eval_result(aps):
-    return EvalResult.from_per_class(aps, {c: 10 for c in aps})
+    return EvalResult(aps, {c: 10 for c in aps})
 
 
 class TestWinrate:

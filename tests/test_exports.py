@@ -1,9 +1,11 @@
 """Every exported name resolves, and the per-detection and per-box types, the
 one-image prediction type, the one-image forms of the chunked stages, the
-losses and the scalar entropy and symmetric KL stay gone. The command line
-offers exactly the subcommands its module docstring lists."""
+losses, the scalar entropy and symmetric KL, and the evaluation settings
+other than VOC07 11-point mAP@0.5 stay gone. The command line offers exactly
+the subcommands its module docstring lists."""
 
 import argparse
+import dataclasses
 import importlib
 import pkgutil
 
@@ -13,6 +15,9 @@ import aldet
 from aldet import cli
 from aldet.boxes import Detections, PredictionChunk
 from aldet.dataset import Dataset, ImageRecord
+from aldet.evaluation import EvalResult
+from aldet.matching import MatchResult
+from aldet.pool import RunConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(aldet.__path__))
 DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", "decode_box",
@@ -20,7 +25,7 @@ DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", 
            "average_precision", "as_chunk", "image_entropy", "image_inconsistency", "ImagePrediction",
            "GroundTruthAssignment", "multibox_conf_loss", "pl_multibox_conf_loss", "smooth_l1",
            "smooth_l1_loc_loss", "consistency_class_loss", "consistency_loc_loss", "total_loss",
-           "sym_kl", "entropy")
+           "sym_kl", "entropy", "INTERPOLATIONS")
 
 
 @pytest.mark.parametrize("name", ["aldet"] + [f"aldet.{m}" for m in MODULES])
@@ -48,6 +53,15 @@ def test_one_box_representation():
     assert "objects" not in ImageRecord.__dataclass_fields__
     assert "encoded" not in Detections.__slots__
     assert not hasattr(Detections([], []), "encoded")
+
+
+def test_results_store_nothing_they_can_derive():
+    # the mean and the excluded classes follow from per_class_ap and n_gt
+    assert [f.name for f in dataclasses.fields(EvalResult)] == ["per_class_ap", "n_gt"]
+    assert not hasattr(EvalResult, "from_per_class")
+    # a side's unmatched rows number its row count less len(pairs)
+    assert [f.name for f in dataclasses.fields(MatchResult)] == ["pairs"]
+    assert "interpolation" not in {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_subcommands_are_the_ones_the_docstring_lists():

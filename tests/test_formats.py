@@ -320,7 +320,8 @@ class TestScoresCSV:
 
 class TestEvalCSV:
     def test_roundtrip_with_excluded(self, tmp_path):
-        result = EvalResult.from_per_class({1: 0.5, 3: 0.75}, {1: 4, 2: 0, 3: 2}, excluded=(2,))
+        result = EvalResult({1: 0.5, 3: 0.75}, {1: 4, 2: 0, 3: 2})
+        assert result.excluded == (2,)
         path = tmp_path / "eval.csv"
         formats.write_eval_csv(result, path)
         back = formats.read_eval_csv(path)
@@ -341,7 +342,7 @@ class TestEvalCSV:
         ("1,0.500000,4\nmAP,0.100000,4\nmAP,0.900000,9\n",
          "line 3: mAP row 0.100000 is not 0.500000, the mean AP of the class rows"),
         ("1,0.500000,4\nmAP,0.500000,4\nmAP,0.500000,4\n", "line 4: duplicate mAP row"),
-        ("1,0.500000,4\n2,,3\nmAP,0.500000,4\n",
+        ("1,0.500000,4\n2,0.500000,3\nmAP,0.500000,4\n",
          "line 4: mAP row n_gt 4 is not 7, the sum of the class rows"),
         ("1,0.500000,4\n3,0.250000,1\nmAP,0.375002,5\n", "line 4: mAP row 0.375002 is not 0.375000"),
         ("1,0.500000,4\nmAP,nan,4\n", "line 3: mAP row nan is not 0.500000"),
@@ -352,6 +353,31 @@ class TestEvalCSV:
         path.write_text("class_id,ap,n_gt\n" + rows)
         with pytest.raises(ValueError, match=re.escape(f"eval.csv: {error}")):
             formats.read_eval_csv(path)
+
+    def bad_row(self, tmp_path, row, error):
+        # the faulty class row is line 2, ahead of rows that are all valid
+        path = tmp_path / "eval.csv"
+        path.write_text(f"class_id,ap,n_gt\n{row}\n3,0.250000,1\nmAP,0.250000,1\n")
+        with pytest.raises(ValueError, match=re.escape(f"eval.csv: line 2: class_id {error}")):
+            formats.read_eval_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,0.5,3", "-2,0.25,1"])
+    def test_class_id_below_one_rejected(self, tmp_path, row):
+        cls = row.split(",")[0]
+        self.bad_row(tmp_path, row, f"{cls}: foreground classes start at 1")
+
+    @pytest.mark.parametrize("ap", ["7.5", "-0.25", "1.000001", "nan", "inf"])
+    def test_ap_outside_unit_interval_rejected(self, tmp_path, ap):
+        self.bad_row(tmp_path, f"1,{ap},4", f"1: AP {ap} outside [0, 1]")
+
+    def test_negative_n_gt_rejected(self, tmp_path):
+        self.bad_row(tmp_path, "1,7.5,-3", "1: negative n_gt -3")
+        self.bad_row(tmp_path, "1,,-3", "1: negative n_gt -3")
+
+    @pytest.mark.parametrize("row, ap, n", [("2,,4", "", 4), ("2,0.25,0", "0.25", 0)])
+    def test_ap_present_iff_class_has_ground_truth(self, tmp_path, row, ap, n):
+        # excluded classes are the ones with n_gt 0, so an empty AP must say the same
+        self.bad_row(tmp_path, row, f"2: AP {ap!r} with n_gt {n}; the AP is empty iff n_gt is 0")
 
     def test_map_row_within_rounding_accepted(self, tmp_path):
         # the APs and their mean are each rounded to six decimals, so the mAP

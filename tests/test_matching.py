@@ -89,16 +89,12 @@ class TestMatchPredictions:
         a, b = make_pred("x", boxes), make_pred("x", boxes)
         result = match_predictions(a, b)
         assert result.pairs == ((0, 0), (1, 1))
-        assert result.unmatched_original == ()
-        assert result.unmatched_flipped == ()
 
     def test_disjoint_sets_no_pairs(self):
         a = make_pred("x", [Box(0, 0, 10, 10)])
         b = make_pred("x", [Box(60, 60, 90, 90)])
         result = match_predictions(a, b)
         assert result.pairs == ()
-        assert result.unmatched_original == (0,)
-        assert result.unmatched_flipped == (0,)
 
     def test_frame_mismatch(self):
         a = make_pred("x", [Box(0, 0, 10, 10)])
