@@ -438,7 +438,8 @@ _MAP_ROW_TOL = 1e-6 + 1e-12
 def read_eval_csv(path) -> EvalResult:
     """Read an eval table back: the class rows, then one ``mAP`` row whose
     ``n_gt`` is the sum of theirs and whose value is the mean of their APs
-    within six-decimal rounding. The mean is recomputed from the class rows.
+    within six-decimal rounding. The mean is recomputed from the class rows;
+    a table without the ``mAP`` row is rejected as cut short.
 
     A class row has a ``class_id`` of at least 1 and a non-negative ``n_gt``;
     its AP is empty iff ``n_gt`` is 0 (the class is excluded) and otherwise
@@ -477,6 +478,8 @@ def read_eval_csv(path) -> EvalResult:
             per_class[cls] = ap
 
     _read_lines(path, row, header="class_id,ap,n_gt")
+    if not map_row_seen:
+        raise ValueError(f"{path}: no mAP row after the class rows")
     return EvalResult(per_class, n_gt)
 
 

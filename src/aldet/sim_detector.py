@@ -11,7 +11,12 @@ A detector predicts a chunk of images per call. The synthetic one makes each
 image's random draws in a Python loop, image by image, and then builds the
 chunk's arrays once: one softmax, one box and one distribution check, and
 one clamp of every row to its image, where a call per image paid numpy's
-per-call overhead on a handful of rows for each image.
+per-call overhead on a handful of rows for each image. The loop itself is
+kept to few numpy calls per detection, with the same draws as numpy's:
+bounded integers come from raw Philox words by numpy's own algorithm, a false
+positive's four uniforms from one call, and the flipped view takes the
+original view's logits from the last original-view call instead of drawing
+them again when that call held the image (see :class:`SyntheticDetector`).
 
 Low per-class accuracy combined with a low temperature produces confidently
 wrong predictions: low entropy but, under low flip robustness, high
@@ -41,6 +46,8 @@ __all__ = [
 ]
 
 _MIN_BOX = 1.0  # floor on predicted box side length, keeps encodings valid
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class DetectorInterface(ABC):
@@ -144,13 +151,56 @@ def _id_key(image_id: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
-    """``rng.uniform(low, high)`` for ``low <= high``: the same single draw and
-    the same arithmetic, ``low + (high - low) * u``, at a fraction of its call
-    cost. Equal to the bit as long as numpy rounds the product and the sum
-    separately (no fused multiply-add), as its x86-64 builds do;
-    ``test_predict_equals_fresh_generator_oracle`` checks it."""
-    return low + (high - low) * rng.random()
+class _Stream:
+    """One Philox stream: numpy's ``Generator`` draws, and its bounded
+    integers taken from the raw 64-bit words at a fraction of the call cost.
+
+    ``random``, ``normal`` and ``poisson`` are the generator's own methods.
+    ``integers(n)`` is ``int(Generator.integers(0, n))`` for
+    ``1 <= n < 2**32`` by numpy's own algorithm (Lemire, "Fast random
+    integer generation in an interval", 2019): each 64-bit word gives two
+    32-bit draws, low half first; a draw ``x`` maps to ``(x * n) >> 32``
+    unless ``(x * n) mod 2**32`` falls below ``(2**32 - n) % n``, in which
+    case the next draw is tried; ``n == 1`` draws nothing. The high half of
+    a word is kept for the stream's next integer draw, as numpy keeps it in
+    the bit generator. This is exact because nothing else drawn from the
+    stream reads that half: ``random``, ``normal`` and ``poisson`` take
+    whole words.
+    """
+
+    __slots__ = ("_bits", "_raw", "_half", "random", "normal", "poisson")
+
+    def __init__(self):
+        # Seeded only to skip the OS entropy an unseeded one reads; reset
+        # replaces the state before every use.
+        gen = np.random.Generator(np.random.Philox(0))
+        self._bits = gen.bit_generator
+        self._raw = self._bits.random_raw
+        self._half: int | None = None
+        self.random, self.normal, self.poisson = gen.random, gen.normal, gen.poisson
+
+    def reset(self, k1: int, k2: int) -> None:
+        """Back to the start of stream ``[k1, k2]``: counter 0, empty buffers,
+        the state a new ``Philox(key=[k1, k2])`` starts in."""
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (k1, k2)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        self._half = None
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        while True:
+            if self._half is None:
+                word = self._raw()
+                x, self._half = word & _MASK32, word >> 32
+            else:
+                x, self._half = self._half, None
+            m = x * n
+            if m & _MASK32 >= (2**32 - n) % n:
+                return m >> 32
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -165,22 +215,34 @@ class SyntheticDetector(DetectorInterface):
 
     Every random draw of a prediction comes from a Philox stream keyed by
     ``[k1, k2]``, with ``k1 = _mix64(seed, version)`` and
-    ``k2 = _mix64(blake2b-64(image_id), tag)``; tag 0 is the original view and
-    tag 1 the flipped one. ``predict`` makes each image's draws in a fixed
-    order whatever their outcome (the flipped view replays the original
-    view's draws on stream 0 and resamples on stream 1, and the resampled
-    distribution is drawn even when it is not used), so an image's
-    prediction is a function of (seed, version, image_id, flipped) alone,
-    whatever chunk it is predicted in.
+    ``k2 = _mix64(blake2b-64(image_id), tag)``; tag 0 is the original view
+    and tag 1 the flipped one. Each image's draws come in a fixed order,
+    whatever their outcome:
 
-    The detector keeps one generator per tag and, for each image, resets it
-    to the start of the image's stream (key ``[k1, k2]``, counter 0, empty
-    buffer): exactly the state a new ``Philox(key=[k1, k2])`` starts in, so
-    the draws are the same as from a fresh generator, without the cost of
-    building one per image. Uniform draws use ``rng.random()`` with the
-    arithmetic of ``rng.uniform`` (see :func:`_uniform`), which consumes the
-    same single draw. The generators are shared by the calls of one detector,
-    which is therefore not safe to call from several threads at once.
+    - stream 0, per ground-truth object: four box normals, then the
+      distribution (a uniform for the peak, a confusion integer in
+      ``[0, max(K-1, 1))``, K+1 logit normals); then a Poisson false-positive
+      count and, per false positive, four uniforms for the box, a class
+      integer in ``[0, K)`` and a distribution;
+    - stream 1, per ground-truth object: four box normals of the mirrored
+      box, a uniform that decides whether the original distribution is
+      reused, and a resampled distribution, drawn even when it is not used;
+      then the false positives as on stream 0.
+
+    The flipped view takes the original view's ground-truth logits from
+    stream 0. So an image's prediction is a function of (seed, version,
+    image_id, flipped) alone, whatever chunk it is predicted in.
+
+    The detector keeps one :class:`_Stream` per tag and resets it to the
+    start of an image's stream before drawing it: the draws are the same as
+    from a fresh generator, without the cost of building one per image.
+    Bounded integers are taken from raw words (see :class:`_Stream`). The
+    ground-truth logits of the most recent original-view call are kept, so a
+    flipped call of the same images reuses them instead of replaying stream
+    0; any other flipped call replays it. That keeps one chunk's logits,
+    O(images in the call x objects), never a pool's. The streams and that
+    call's logits are shared by the calls of one detector, which is
+    therefore not safe to call from several threads at once.
     """
 
     def __init__(self, config: SyntheticDetectorConfig, dataset: Dataset):
@@ -200,11 +262,20 @@ class SyntheticDetector(DetectorInterface):
         self._set_version(0)
 
     def _set_version(self, version: int) -> None:
+        cfg = self._config
         self._version = version
-        self._k1 = _mix64(self._config.seed, version)
-        # Seeded only to skip the OS entropy an unseeded one reads; _stream
-        # replaces the state before every use.
-        self._rngs = (np.random.Generator(np.random.Philox(0)), np.random.Generator(np.random.Philox(0)))
+        self._k1 = _mix64(cfg.seed, version)
+        self._streams = (_Stream(), _Stream())
+        # image id -> its ground-truth logits, from the last original-view call
+        self._last_original: dict[str, list[np.ndarray]] = {}
+        # Read once per detection; Python floats compare and add as the
+        # numpy scalars they come from.
+        self._k = cfg.n_classes
+        self._n_confusions = max(cfg.n_classes - 1, 1)
+        self._accuracies = self._accuracy.tolist()
+        self._robustnesses = self._robustness.tolist()
+        self._logit_noise = cfg.logit_noise
+        self._inv_temperature = 1.0 / cfg.temperature
 
     # -- introspection used by tests and reports ---------------------------
 
@@ -224,21 +295,17 @@ class SyntheticDetector(DetectorInterface):
 
     # -- prediction ---------------------------------------------------------
 
-    def _stream(self, image_id: str, tag: int) -> np.random.Generator:
-        """Tag ``tag``'s generator, reset to the start of the image's stream."""
+    def _stream(self, image_id: str, tag: int) -> _Stream:
+        """Tag ``tag``'s stream, reset to the start of the image's stream."""
         keys = self._id_keys.get(image_id)
         if keys is None:
             key = _id_key(image_id)
             keys = self._id_keys[image_id] = _mix64(key, 0) | _mix64(key, 1) << 64
-        rng = self._rngs[tag]
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (self._k1, keys >> 64 if tag else keys & 0xFFFFFFFFFFFFFFFF)},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        return rng
+        stream = self._streams[tag]
+        stream.reset(self._k1, keys >> 64 if tag else keys & _MASK64)
+        return stream
 
-    def _jittered_box(self, rng, gt_box, width: int, height: int) -> list[float]:
+    def _jittered_box(self, rng: _Stream, gt_box, width: int, height: int) -> list[float]:
         s = self._config.box_noise
         noise = rng.normal(0.0, 1.0, 4).tolist()
         xmin, ymin, xmax, ymax = gt_box
@@ -259,21 +326,21 @@ class SyntheticDetector(DetectorInterface):
             y1 = y0 + _MIN_BOX
         return [x0, y0, x1, y1]
 
-    def _draw_dist(self, rng, true_class: int) -> np.ndarray:
+    def _draw_dist(self, rng: _Stream, true_class: int) -> np.ndarray:
         """The logits of one detection's class distribution."""
-        k = self._config.n_classes
+        k = self._k
         u = rng.random()  # the one draw of rng.uniform(), at a fraction of its call cost
-        confusion_step = int(rng.integers(0, max(k - 1, 1)))
-        if u < self._accuracy[true_class]:
+        confusion_step = rng.integers(self._n_confusions)
+        if u < self._accuracies[true_class]:
             peak = true_class
         else:
             # uniform over the other foreground classes (or the class itself when K=1)
             peak = 1 + (true_class - 1 + 1 + confusion_step) % k if k > 1 else 1
-        logits = rng.normal(0.0, self._config.logit_noise, k + 1)
-        logits[peak] += 1.0 / self._config.temperature
+        logits = rng.normal(0.0, self._logit_noise, k + 1)
+        logits[peak] += self._inv_temperature
         return logits
 
-    def _false_positives(self, rng, width: int, height: int, boxes: list, logits: list) -> None:
+    def _false_positives(self, rng: _Stream, width: int, height: int, boxes: list, logits: list) -> None:
         """Append the image's false positives to ``boxes`` and ``logits``."""
         if self._config.fp_rate <= 0.0:
             return
@@ -282,54 +349,76 @@ class SyntheticDetector(DetectorInterface):
             raise ValueError(f"false positives need an image of at least {2 * side:g} pixels a side, "
                              f"got {width}x{height}")
         for _ in range(n):
-            bw = _uniform(rng, side, 0.5 * width)
-            bh = _uniform(rng, side, 0.5 * height)
-            x0 = _uniform(rng, 0.0, width - bw)
-            y0 = _uniform(rng, 0.0, height - bh)
+            # Four rng.uniform(low, high) calls in one: the same draws and the
+            # same arithmetic, low + (high - low) * u, written out. Equal to
+            # the bit as long as numpy rounds the product and the sum
+            # separately (no fused multiply-add), as its x86-64 builds do;
+            # test_predict_equals_fresh_generator_oracle checks it.
+            u = rng.random(4).tolist()
+            bw = side + (0.5 * width - side) * u[0]
+            bh = side + (0.5 * height - side) * u[1]
+            x0 = 0.0 + (width - bw - 0.0) * u[2]
+            y0 = 0.0 + (height - bh - 0.0) * u[3]
             boxes.append([x0, y0, x0 + bw, y0 + bh])
-            cls = int(rng.integers(1, self._config.n_classes + 1))
-            logits.append(self._draw_dist(rng, cls))
+            logits.append(self._draw_dist(rng, 1 + rng.integers(self._k)))
 
-    def _draw_image(self, rec, flipped: bool, boxes: list, logits: list) -> None:
-        """Append the image's boxes and logits to ``boxes`` and ``logits``."""
+    def _draw_original(self, rec, boxes: list, logits: list) -> list[np.ndarray]:
+        """Append the original view of the image to ``boxes`` and ``logits``;
+        return its ground-truth logits."""
         rng = self._stream(rec.image_id, 0)
-        if not flipped:
-            for gt_box, cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
-                boxes.append(self._jittered_box(rng, gt_box, rec.width, rec.height))
-                logits.append(self._draw_dist(rng, cls))
-            self._false_positives(rng, rec.width, rec.height, boxes, logits)
-        else:
-            frng = self._stream(rec.image_id, 1)
-            for (x0, y0, x1, y1), cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
-                # The original view's distribution, reused when the flip is robust.
-                # Its box is not needed: skip past the draw _jittered_box makes.
+        gt_logits = []
+        for gt_box, cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
+            boxes.append(self._jittered_box(rng, gt_box, rec.width, rec.height))
+            gt_logits.append(self._draw_dist(rng, cls))
+        logits += gt_logits
+        self._false_positives(rng, rec.width, rec.height, boxes, logits)
+        return gt_logits
+
+    def _draw_flipped(self, rec, boxes: list, logits: list) -> None:
+        """Append the flipped view of the image to ``boxes`` and ``logits``."""
+        classes = rec.class_ids.tolist()
+        orig_logits = self._last_original.get(rec.image_id)
+        if orig_logits is None:
+            # Replay stream 0, skipping past the box draws of the original view.
+            rng = self._stream(rec.image_id, 0)
+            orig_logits = []
+            for cls in classes:
                 rng.normal(0.0, 1.0, 4)
-                orig_logits = self._draw_dist(rng, cls)
-                mirrored_gt = (rec.width - x1, y0, rec.width - x0, y1)
-                boxes.append(self._jittered_box(frng, mirrored_gt, rec.width, rec.height))
-                reuse = frng.random() < self._robustness[cls]
-                resampled = self._draw_dist(frng, cls)  # drawn either way, fixed stream layout
-                logits.append(orig_logits if reuse else resampled)
-            self._false_positives(frng, rec.width, rec.height, boxes, logits)
+                orig_logits.append(self._draw_dist(rng, cls))
+        frng = self._stream(rec.image_id, 1)
+        for (x0, y0, x1, y1), cls, orig in zip(rec.boxes.tolist(), classes, orig_logits):
+            mirrored_gt = (rec.width - x1, y0, rec.width - x0, y1)
+            boxes.append(self._jittered_box(frng, mirrored_gt, rec.width, rec.height))
+            # The original view's distribution, reused when the flip is robust.
+            reuse = frng.random() < self._robustnesses[cls]
+            resampled = self._draw_dist(frng, cls)  # drawn either way, fixed stream layout
+            logits.append(orig if reuse else resampled)
+        self._false_positives(frng, rec.width, rec.height, boxes, logits)
 
     def predict(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk:
         boxes: list[list[float]] = []
         logits: list[np.ndarray] = []
         widths, heights, counts = [], [], []
+        originals: dict[str, list[np.ndarray]] = {}
         for image_id in image_ids:
             rec = self._dataset[image_id]
             start = len(boxes)
-            self._draw_image(rec, flipped, boxes, logits)
+            if flipped:
+                self._draw_flipped(rec, boxes, logits)
+            else:
+                originals[image_id] = self._draw_original(rec, boxes, logits)
             widths.append(rec.width)
             heights.append(rec.height)
             counts.append(len(boxes) - start)
+        if not flipped:
+            self._last_original = originals
 
         # Row-wise arithmetic only: each row is the same float as in a chunk
         # of its image alone.
         image = np.repeat(np.arange(len(counts)), counts)
         dets = ChunkDetections(
             np.array(boxes, dtype=np.float64).reshape(-1, 4),
-            _softmax(np.array(logits).reshape(len(boxes), self._config.n_classes + 1)),
+            _softmax(np.array(logits).reshape(len(boxes), self._k + 1)),
             image,
         )
         return PredictionChunk(

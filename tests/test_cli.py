@@ -303,6 +303,14 @@ class TestMalformedInput:
         err = self.error(capsys, ["winrate", f"a={bad}", f"b={good}", "--out", str(tmp_path / "w.csv")])
         assert err == f"error: {bad}: line 3: expected 3 columns, got 2\n"
 
+    def test_eval_csv_without_map_row(self, tmp_path, capsys):
+        good, cut = tmp_path / "good.csv", tmp_path / "cut.csv"
+        formats.write_eval_csv(EvalResult({1: 0.5}, {1: 2}), good)
+        cut.write_text("class_id,ap,n_gt\n1,0.5,4\n2,0.25,3\n")
+        err = self.error(capsys, ["winrate", f"a={good}", f"b={cut}", "--out", str(tmp_path / "w.csv")])
+        assert err == f"error: {cut}: no mAP row after the class rows\n"
+        assert not (tmp_path / "w.csv").exists()
+
     @pytest.mark.parametrize("row, message", [
         ("b,x,0.2,0.1", "could not convert string to float: 'x'"),  # not a number
         ("b,-0.5,0.2,0.1", "must be non-negative"),  # rejected by AcquisitionScore

@@ -354,6 +354,14 @@ class TestEvalCSV:
         with pytest.raises(ValueError, match=re.escape(f"eval.csv: {error}")):
             formats.read_eval_csv(path)
 
+    @pytest.mark.parametrize("rows", ["1,0.5,4\n2,0.25,3\n", ""])
+    def test_missing_map_row_rejected(self, tmp_path, rows):
+        # a table cut before its mAP row used to read as complete
+        path = tmp_path / "eval.csv"
+        path.write_text("class_id,ap,n_gt\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no mAP row after the class rows")):
+            formats.read_eval_csv(path)
+
     def bad_row(self, tmp_path, row, error):
         # the faulty class row is line 2, ahead of rows that are all valid
         path = tmp_path / "eval.csv"

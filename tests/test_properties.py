@@ -56,7 +56,7 @@ from aldet.evaluation import EvalResult, map50
 from aldet.matching import MatchResult, match_predictions
 from aldet.pool import Pool
 from aldet.pseudo_label import PseudoLabels, audit_pl_correctness
-from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
+from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig, _Stream
 
 SIZE = 100
 N_CLASSES = 3
@@ -511,12 +511,13 @@ def chunk_bits(chunk):
 )
 def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, robustness, updates, size):
     # The detector predicts a chunk per call: it resets two long-lived
-    # generators per image and builds the chunk's arrays once. The oracle
-    # builds a fresh Philox generator per stream and one prediction per
-    # image, as predict once did, joined into a chunk. Every version reached
-    # by update() must agree bit for bit, whatever was predicted before, in
-    # chunks of 1-4 images (the last one shorter when the size does not
-    # divide the run).
+    # streams per image, takes bounded integers from raw words, reuses the
+    # last original call's logits in the flipped view and builds the chunk's
+    # arrays once. The oracle builds a fresh Philox generator per stream and
+    # one prediction per image, as predict once did, joined into a chunk.
+    # Every version reached by update() must agree bit for bit, whatever was
+    # predicted before, in chunks of 1-4 images (the last one shorter when
+    # the size does not divide the run).
     cfg = SyntheticDetectorConfig(
         n_classes=data.n_classes, seed=seed, fp_rate=fp_rate, accuracy=accuracy,
         flip_robustness=robustness, skill_gain_per_labeled=0.1, skill_gain_per_pseudo=0.05,
@@ -527,11 +528,58 @@ def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, ro
         labeled = ids[: v + 1]
         pseudo = {i: PseudoLabels([[0, 0, 9, 9]], [1], [0.99]) for i in ids[v + 1:]}
         dets.append(dets[-1].update(Pool(frozenset(labeled), frozenset(ids) - set(labeled), pseudo)))
+
+    def check(det, group, flipped):
+        expected = chunk_of([fresh_stream_predict(det, data, i, flipped) for i in group])
+        assert chunk_bits(det.predict(group, flipped)) == chunk_bits(expected)
+
     for det in dets + dets[:1]:  # the first version again, after its successors ran
         for flipped in (True, False, True):
             for group in chunked(ids, size):
-                expected = chunk_of([fresh_stream_predict(det, data, i, flipped) for i in group])
-                assert chunk_bits(det.predict(group, flipped)) == chunk_bits(expected)
+                check(det, group, flipped)
+        # Each group's flipped view right after its original view, which
+        # reuses that call's logits, then with one more image, whose logits
+        # are replayed.
+        for start in range(0, len(ids), size):
+            check(det, ids[start:start + size], False)
+            check(det, ids[start:start + size], True)
+            check(det, ids[start:start + size + 1], True)
+
+
+INTEGER_BOUNDS = [1, 2, 3, 20, 21, 3 * 2**30, 2**31 + 1, 2**32 - 1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.lists(st.sampled_from(INTEGER_BOUNDS) | st.sampled_from(["random", "random4", "normal", "poisson", "reset"]),
+             max_size=60),
+)
+@example(k1=1, k2=2, ops=[3 * 2**30] * 40 + ["normal"] + [2**31 + 1] * 40)  # rejects many times
+def test_stream_integers_equal_numpy(k1, k2, ops):
+    # _Stream.integers(n) is numpy's Generator.integers(0, n) computed from
+    # raw words. n above 2**30 rejects often and leaves half words behind
+    # that random, normal and poisson must not disturb; "reset" must drop
+    # them. If numpy changes its algorithm, this fails.
+    stream = _Stream()
+    stream.reset(k1, k2)
+    gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
+    for op in ops:
+        if op == "reset":
+            stream.reset(k1, k2)
+            gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
+        elif op == "random":
+            assert stream.random() == gen.random()
+        elif op == "random4":
+            assert stream.random(4).tobytes() == gen.random(4).tobytes()
+        elif op == "normal":
+            assert stream.normal(0.0, 0.1, 21).tobytes() == gen.normal(0.0, 0.1, 21).tobytes()
+        elif op == "poisson":
+            assert stream.poisson(4.0) == gen.poisson(4.0)
+        else:
+            got = stream.integers(op)
+            assert type(got) is int and got == int(gen.integers(0, op))
 
 
 def test_predict_builds_no_generator(monkeypatch):

@@ -289,3 +289,39 @@ def test_false_positives_need_a_20_pixel_image():
         det.predict(["a"])
     det.predict(["b"])  # exactly 20 pixels a side: sides drawn from [10, 10]
     assert len(detector(data, fp_rate=0.0).predict(["a"]).detections) == 1
+
+
+def test_flipped_view_replays_stream_0_only_without_the_last_original_call(world, monkeypatch):
+    # The flipped view needs the original view's ground-truth logits. It
+    # takes them from the detector's most recent original-view call when the
+    # image was in it, and replays stream 0 otherwise; either way the
+    # prediction is the same.
+    resets = []
+    stream = SyntheticDetector._stream
+    monkeypatch.setattr(SyntheticDetector, "_stream",
+                        lambda self, image_id, tag: resets.append((image_id, tag)) or stream(self, image_id, tag))
+
+    def replayed(det, fresh, ids):
+        """The images whose stream 0 ``det.predict(ids, flipped=True)`` resets;
+        ``fresh`` is a detector of the same version that never predicted an
+        original view, so it replays every image."""
+        expected = fresh.predict(ids, flipped=True)
+        resets.clear()
+        assert det.predict(ids, flipped=True) == expected
+        assert sorted(i for i, tag in resets if tag == 1) == sorted(ids)
+        return sorted(i for i, tag in resets if tag == 0)
+
+    det, fresh = detector(world, fp_rate=2.0), detector(world, fp_rate=2.0)
+    pool = init_pool(world.image_ids, 10, seed=0)
+    ids, others = world.image_ids[:4], world.image_ids[4:8]
+    det.predict(ids)
+    assert replayed(det, fresh, ids) == []
+    assert replayed(det, fresh, ids[1:3]) == []
+    assert replayed(det, fresh, others) == sorted(others)
+    assert replayed(det, fresh, ids + others[:1]) == others[:1]  # still the last original call
+    det.predict(others)
+    assert replayed(det, fresh, ids) == sorted(ids)  # only the last original call is kept
+    newer, fresh = det.update(pool), fresh.update(pool)
+    assert replayed(newer, fresh, others) == sorted(others)  # a new version starts with none
+    newer.predict(others)
+    assert replayed(newer, fresh, others) == []
