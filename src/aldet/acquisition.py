@@ -25,9 +25,10 @@ each view is held, never the whole pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -67,6 +68,27 @@ CHUNK_IMAGES = 32
 
 T = TypeVar("T")
 
+# A config class's range checks are its ``CHECKS``: field name -> (predicate
+# on the field's value, message when it fails), run by check_fields. Every
+# predicate is written so that NaN fails it. The command line applies the
+# same predicates to its keys (:class:`aldet.cli.ExperimentConfig`), so a
+# setting is checked in one place.
+NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+
+
+def one_of(options: tuple) -> tuple[Callable[[object], bool], str]:
+    return (lambda v: v in options, f"must be one of {options}")
+
+
+def check_fields(cfg) -> None:
+    """Raise one ValueError naming every field of the config ``cfg`` that
+    fails its check in ``cfg.CHECKS``, as ``name: message, got value``."""
+    bad = [f"{name}: {message}, got {getattr(cfg, name)!r}"
+           for name, (ok, message) in cfg.CHECKS.items() if not ok(getattr(cfg, name))]
+    if bad:
+        raise ValueError("; ".join(bad))
+
 
 def _logs(probs: np.ndarray) -> np.ndarray:
     return np.log(np.clip(probs, LOG_EPS, 1.0))
@@ -102,11 +124,29 @@ def _max_per_image(values: list[float], image: np.ndarray, n_images: int) -> lis
 
 @dataclass(frozen=True)
 class AcquisitionConfig:
-    """Knobs of the scoring pipeline; defaults follow the detection conventions."""
+    """Knobs of the scoring pipeline; defaults follow the detection conventions.
+
+    nms_iou: the IoU above which NMS suppresses a same-class box, in (0, 1].
+    nms_score_floor: the score below which NMS drops a box, in [0, 1).
+    min_match_iou: the IoU an original/flipped pair needs to be matched,
+        in [0, 1].
+
+    Each field's default and range check are written here only (``CHECKS``);
+    the ``aldet`` command line takes both from here.
+    """
 
     nms_iou: float = DEFAULT_NMS_IOU
     nms_score_floor: float = DEFAULT_NMS_SCORE_FLOOR
     min_match_iou: float = DEFAULT_MIN_MATCH_IOU
+
+    CHECKS: ClassVar[dict] = {
+        "nms_iou": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+        "nms_score_floor": (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"),
+        "min_match_iou": UNIT_INTERVAL,
+    }
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -119,8 +159,8 @@ class AcquisitionScore:
     unified: float
 
     def __post_init__(self):
-        if not (self.entropy >= 0 and self.inconsistency >= 0):  # NaN fails too
-            raise ValueError("entropy and inconsistency must be non-negative numbers")
+        if not (0 <= self.entropy < math.inf and 0 <= self.inconsistency < math.inf):  # NaN fails too
+            raise ValueError("entropy and inconsistency must be non-negative finite numbers")
         if self.unified != self.entropy * self.inconsistency:
             raise ValueError(
                 f"unified score must equal entropy * inconsistency exactly "

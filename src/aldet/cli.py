@@ -15,11 +15,10 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import formats
-from .acquisition import AcquisitionConfig, post_nms_stream, select_for_labeling
+from .acquisition import NON_NEGATIVE, AcquisitionConfig, post_nms_stream, select_for_labeling
 from .dataset import Dataset
 from .evaluation import winrate_matrix
 from .pool import (
-    PL_STRATEGIES,
     SELECTION_STRATEGIES,
     RunConfig,
     commit_selection,
@@ -64,21 +63,21 @@ def _parse_optional_int(raw: str) -> int | None:
     return None if raw == "" else int(raw)
 
 
-# Checks: (predicate on the parsed value, message when it fails). An unset
-# optional key parses to None and passes.
-_NON_NEGATIVE = (lambda v: v is None or v >= 0, "must be non-negative")
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_UNIT_INTERVAL = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
-
-
-def _one_of(options):
-    return (lambda v: v in options, f"must be one of {options}")
-
-
 def _key(default: str, parse=str, check=None):
-    """One config key: its default as written in a config file, its parser,
-    and an optional check on the parsed value."""
+    """A key of the command line's own: its default as written in a config
+    file, its parser, and an optional check on the parsed value."""
     return field(metadata={"default": default, "parse": parse, "check": check})
+
+
+def _setting(owner, name: str, parse, default: str | None = None):
+    """A key that sets the field ``name`` of the library config ``owner``:
+    the field's default, unless the field has none and the key gives one,
+    and the field's check in ``owner.CHECKS`` are the owner's."""
+    if default is None:
+        value = owner.__dataclass_fields__[name].default
+        default = str(value).lower() if isinstance(value, bool) else str(value)
+    return field(metadata={"default": default, "parse": parse, "check": owner.CHECKS.get(name),
+                           "owner": owner, "field": name})
 
 
 @dataclass(frozen=True)
@@ -87,74 +86,56 @@ class ExperimentConfig:
 
     Each field is one config key, and this class is the only list of them:
     the command-line flags, the unknown-key check and validation are all
-    derived from the fields and their metadata (see :func:`_key`).
+    derived from the fields and their metadata. A key that sets a field of a
+    library config names its owner and field (:func:`_setting`) and takes
+    the field's default and check from there; the builders pass each owner
+    the keys that name it. The other keys are the command line's own
+    (:func:`_key`).
     """
 
     dataset: str = _key("")
     test_dataset: str = _key("")
     output_dir: str = _key("out")
-    initial_budget: int = _key("20", int, _NON_NEGATIVE)
-    cycles: int = _key("5", int, (lambda v: v >= 1, "need at least one cycle"))
+    initial_budget: int = _key("20", int, NON_NEGATIVE)
+    cycles: int = _setting(RunConfig, "cycles", int, default="5")
     # Only simulate needs a budget (see run_config).
-    budget_per_cycle: int | None = _key("", _parse_optional_int, _NON_NEGATIVE)
-    strategy: str = _key("unified", str, _one_of(SELECTION_STRATEGIES))
-    tau: float = _key("0.99", float, (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"))
-    pl_enabled: bool = _key("true", _parse_bool)
-    pl_strategy: str = _key("threshold", str, _one_of(PL_STRATEGIES))
-    pl_topk_fraction: float = _key("0.2", float, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"))
-    nms_iou: float = _key("0.45", float, (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"))
-    nms_score_floor: float = _key("0.01", float, (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)"))
-    min_match_iou: float = _key("0.5", float, _UNIT_INTERVAL)
-    seed: int = _key("0", int)
-    detector_seed: int = _key("0", int)
-    detector_accuracy: object = _key("0.8", _parse_per_class)
-    detector_flip_robustness: object = _key("0.9", _parse_per_class)
-    detector_temperature: float = _key("0.15", float, _POSITIVE)
-    detector_logit_noise: float = _key("0.1", float, _NON_NEGATIVE)
-    detector_box_noise: float = _key("0.05", float, _NON_NEGATIVE)
-    detector_fp_rate: float = _key("0.0", float, _NON_NEGATIVE)
-    detector_skill_gain: float = _key("0.0", float, _NON_NEGATIVE)
-    detector_skill_gain_pl: float = _key("0.0", float, _NON_NEGATIVE)
-    detector_accuracy_ceiling: float = _key("0.97", float, _UNIT_INTERVAL)
-    detector_robustness_ceiling: float = _key("0.99", float, _UNIT_INTERVAL)
+    budget_per_cycle: int | None = _setting(RunConfig, "budget_per_cycle", _parse_optional_int, default="")
+    strategy: str = _setting(RunConfig, "strategy", str)
+    tau: float = _setting(RunConfig, "tau", float)
+    pl_enabled: bool = _setting(RunConfig, "pl_enabled", _parse_bool)
+    pl_strategy: str = _setting(RunConfig, "pl_strategy", str)
+    pl_topk_fraction: float = _setting(RunConfig, "pl_topk_fraction", float)
+    nms_iou: float = _setting(AcquisitionConfig, "nms_iou", float)
+    nms_score_floor: float = _setting(AcquisitionConfig, "nms_score_floor", float)
+    min_match_iou: float = _setting(AcquisitionConfig, "min_match_iou", float)
+    seed: int = _setting(RunConfig, "seed", int)
+    detector_seed: int = _setting(SyntheticDetectorConfig, "seed", int)
+    detector_accuracy: object = _setting(SyntheticDetectorConfig, "accuracy", _parse_per_class)
+    detector_flip_robustness: object = _setting(SyntheticDetectorConfig, "flip_robustness", _parse_per_class)
+    detector_temperature: float = _setting(SyntheticDetectorConfig, "temperature", float)
+    detector_logit_noise: float = _setting(SyntheticDetectorConfig, "logit_noise", float)
+    detector_box_noise: float = _setting(SyntheticDetectorConfig, "box_noise", float)
+    detector_fp_rate: float = _setting(SyntheticDetectorConfig, "fp_rate", float)
+    detector_skill_gain: float = _setting(SyntheticDetectorConfig, "skill_gain_per_labeled", float)
+    detector_skill_gain_pl: float = _setting(SyntheticDetectorConfig, "skill_gain_per_pseudo", float)
+    detector_accuracy_ceiling: float = _setting(SyntheticDetectorConfig, "accuracy_ceiling", float)
+    detector_robustness_ceiling: float = _setting(SyntheticDetectorConfig, "robustness_ceiling", float)
+
+    def _settings_of(self, owner) -> dict[str, object]:
+        """The values of the keys that set fields of ``owner``, by field name."""
+        return {key.metadata["field"]: getattr(self, key.name)
+                for key in fields(self) if key.metadata.get("owner") is owner}
 
     def acquisition_config(self) -> AcquisitionConfig:
-        return AcquisitionConfig(
-            nms_iou=self.nms_iou,
-            nms_score_floor=self.nms_score_floor,
-            min_match_iou=self.min_match_iou,
-        )
+        return AcquisitionConfig(**self._settings_of(AcquisitionConfig))
 
     def run_config(self) -> RunConfig:
         if self.budget_per_cycle is None:
             raise ConfigError("budget_per_cycle: required")
-        return RunConfig(
-            cycles=self.cycles,
-            budget_per_cycle=self.budget_per_cycle,
-            strategy=self.strategy,
-            tau=self.tau,
-            pl_enabled=self.pl_enabled,
-            acquisition=self.acquisition_config(),
-            seed=self.seed,
-            pl_strategy=self.pl_strategy,
-            pl_topk_fraction=self.pl_topk_fraction,
-        )
+        return RunConfig(acquisition=self.acquisition_config(), **self._settings_of(RunConfig))
 
     def detector_config(self, n_classes: int) -> SyntheticDetectorConfig:
-        return SyntheticDetectorConfig(
-            n_classes=n_classes,
-            accuracy=self.detector_accuracy,
-            flip_robustness=self.detector_flip_robustness,
-            temperature=self.detector_temperature,
-            logit_noise=self.detector_logit_noise,
-            box_noise=self.detector_box_noise,
-            fp_rate=self.detector_fp_rate,
-            skill_gain_per_labeled=self.detector_skill_gain,
-            skill_gain_per_pseudo=self.detector_skill_gain_pl,
-            accuracy_ceiling=self.detector_accuracy_ceiling,
-            robustness_ceiling=self.detector_robustness_ceiling,
-            seed=self.detector_seed,
-        )
+        return SyntheticDetectorConfig(n_classes=n_classes, **self._settings_of(SyntheticDetectorConfig))
 
 
 CONFIG_DEFAULTS: dict[str, str] = {f.name: f.metadata["default"] for f in fields(ExperimentConfig)}
@@ -185,8 +166,9 @@ def build_config(
     for key in fields(ExperimentConfig):
         try:
             value = key.metadata["parse"](merged[key.name])
+            # An unset optional key parses to None and passes its check.
             check = key.metadata["check"]
-            if check is not None and not check[0](value):
+            if check is not None and value is not None and not check[0](value):
                 raise ValueError(check[1])
             parsed[key.name] = value
         except ValueError as e:
@@ -381,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="pick images for labeling from a scores CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--strategy", default="unified", choices=SELECTION_STRATEGIES)
+    p.add_argument("--strategy", default=RunConfig.strategy, choices=SELECTION_STRATEGIES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--pool", help="pool state JSON to commit the selection into; select reads no "

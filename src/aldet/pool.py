@@ -24,14 +24,17 @@ never held whole unless pseudo-labelling keeps its originals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .acquisition import (
+    NON_NEGATIVE,
     SCORE_STRATEGIES,
     AcquisitionConfig,
     AcquisitionScore,
+    check_fields,
+    one_of,
     post_nms,
     post_nms_stream,
     select_for_labeling,
@@ -130,7 +133,20 @@ def with_pseudo(pool: Pool, pseudo: Mapping[str, PseudoLabels]) -> Pool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Protocol parameters for one active-learning experiment."""
+    """Protocol parameters for one active-learning experiment.
+
+    cycles: acquisition cycles after cycle 0, at least one.
+    budget_per_cycle: images moved from U to L per cycle, non-negative.
+    strategy: one of :data:`SELECTION_STRATEGIES`.
+    tau: pseudo-label confidence threshold (p >= tau), in (0, 1).
+    pl_enabled: whether pseudo-labels are generated at all.
+    seed: seed of the random strategy's draws.
+    pl_strategy: ``threshold`` (p >= tau) or ``topk`` (the most confident
+        ``pl_topk_fraction`` of each class, in (0, 1]).
+
+    Each field's default and range check are written here only (``CHECKS``);
+    the ``aldet`` command line takes both from here.
+    """
 
     cycles: int
     budget_per_cycle: int
@@ -142,19 +158,17 @@ class RunConfig:
     pl_strategy: str = "threshold"
     pl_topk_fraction: float = 0.2
 
+    CHECKS: ClassVar[dict] = {
+        "cycles": (lambda v: v >= 1, "need at least one cycle"),
+        "budget_per_cycle": NON_NEGATIVE,
+        "strategy": one_of(SELECTION_STRATEGIES),
+        "tau": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+        "pl_strategy": one_of(PL_STRATEGIES),
+        "pl_topk_fraction": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    }
+
     def __post_init__(self):
-        if self.cycles < 1:
-            raise ValueError("need at least one cycle")
-        if self.budget_per_cycle < 0:
-            raise ValueError("budget_per_cycle must be non-negative")
-        if self.strategy not in SELECTION_STRATEGIES:
-            raise ValueError(f"strategy must be one of {SELECTION_STRATEGIES}, got {self.strategy!r}")
-        if not (0.0 < self.tau < 1.0):
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if self.pl_strategy not in PL_STRATEGIES:
-            raise ValueError(f"pl_strategy must be one of {PL_STRATEGIES}")
-        if not (0.0 < self.pl_topk_fraction <= 1.0):
-            raise ValueError("pl_topk_fraction must be in (0, 1]")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -206,7 +220,9 @@ def pseudo_label_pool(
     """
     if strategy == "threshold":
         return extract_pseudo_labels(originals, tau)
-    return extract_topk_per_class(originals, topk_fraction)
+    if strategy == "topk":
+        return extract_topk_per_class(originals, topk_fraction)
+    raise ValueError(f"pseudo-label strategy must be one of {PL_STRATEGIES}, got {strategy!r}")
 
 
 def evaluate(chunks: Iterable[PredictionChunk], data: Dataset) -> EvalResult:

@@ -112,11 +112,7 @@ def extract_topk_per_class(
     return {image_id: PseudoLabels.from_rows(dets[image_id], rows) for image_id, rows in rows_of.items()}
 
 
-def audit_pl_correctness(
-    pls: Mapping[str, PseudoLabels],
-    gt: Dataset,
-    iou_thresh: float = 0.5,
-) -> float:
+def audit_pl_correctness(pls: Mapping[str, PseudoLabels], gt: Dataset) -> float:
     """Fraction of pseudo-labels matching a same-class GT object with IoU > 0.5.
 
     ``pls`` maps an image id of ``gt`` to its pseudo-labels. Each
@@ -148,6 +144,6 @@ def audit_pl_correctness(
         return 0.0
     p_idx, g_idx = np.array(pairs).T
     ious = iou(np.concatenate(label_boxes)[p_idx], np.concatenate(gt_boxes)[g_idx])
-    hit = ious > iou_thresh
+    hit = ious > 0.5
     candidates = zip(ious[hit].tolist(), p_idx[hit].tolist(), g_idx[hit].tolist())
     return len(greedy_assign(candidates)) / n_labels

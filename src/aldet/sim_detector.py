@@ -29,10 +29,11 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
 
 import numpy as np
 
+from .acquisition import NON_NEGATIVE, UNIT_INTERVAL, check_fields
 from .boxes import ChunkDetections, PredictionChunk, clamp_to_images
 from .dataset import Dataset
 
@@ -104,6 +105,18 @@ class SyntheticDetectorConfig:
         a class; flip robustness rises by the same amount.
     skill_gain_per_pseudo: accuracy added per pseudo-labeled image of a class
         at each update (pseudo-labels are regenerated every cycle).
+    logit_noise: standard deviation of the Gaussian noise on every logit.
+    box_noise: standard deviation of a box edge's jitter, as a fraction of
+        the box's side.
+    fp_rate: mean number of false positives per image (Poisson).
+    accuracy_ceiling, robustness_ceiling: caps on the per-class accuracy and
+        flip robustness after the skill gains, in [0, 1].
+    seed: seed of every draw.
+
+    Each field's default and range check are written here only (``CHECKS``);
+    the ``aldet`` command line takes both from here. The checks of
+    ``n_classes`` and of the per-class ``accuracy`` and ``flip_robustness``
+    need K and stay in ``__post_init__``.
     """
 
     n_classes: int
@@ -119,18 +132,18 @@ class SyntheticDetectorConfig:
     robustness_ceiling: float = 0.99
     seed: int = 0
 
+    CHECKS: ClassVar[dict] = {
+        "temperature": (lambda v: v > 0, "must be positive"),
+        **dict.fromkeys(("logit_noise", "box_noise", "fp_rate", "skill_gain_per_labeled",
+                         "skill_gain_per_pseudo"), NON_NEGATIVE),
+        "accuracy_ceiling": UNIT_INTERVAL,
+        "robustness_ceiling": UNIT_INTERVAL,
+    }
+
     def __post_init__(self):
         if self.n_classes < 1:
             raise ValueError("need at least one foreground class")
-        # Every check is written so that NaN fails it.
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        for name in ("logit_noise", "box_noise", "fp_rate", "skill_gain_per_labeled", "skill_gain_per_pseudo"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("accuracy_ceiling", "robustness_ceiling"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        check_fields(self)
         _per_class(self.accuracy, self.n_classes, "accuracy")
         _per_class(self.flip_robustness, self.n_classes, "flip_robustness")
 

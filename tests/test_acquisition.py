@@ -147,12 +147,40 @@ def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, pertur
     return prediction(boxes, orig_probs), prediction(mirrored, flip_probs)
 
 
+class TestAcquisitionConfig:
+    @pytest.mark.parametrize("knob, value, message", [
+        ("nms_iou", 0.0, "must be in (0, 1]"),
+        ("nms_iou", 1.5, "must be in (0, 1]"),
+        ("nms_iou", float("nan"), "must be in (0, 1]"),
+        ("nms_score_floor", 1.0, "must be in [0, 1)"),
+        ("nms_score_floor", -0.1, "must be in [0, 1)"),
+        ("nms_score_floor", float("nan"), "must be in [0, 1)"),
+        ("min_match_iou", 1.2, "must be in [0, 1]"),
+        ("min_match_iou", float("nan"), "must be in [0, 1]"),
+    ])
+    def test_range_and_nan_rejected(self, knob, value, message):
+        # NaN passes a test of the form x < lo or x > hi; every check must fail it
+        with pytest.raises(ValueError) as err:
+            AcquisitionConfig(**{knob: value})
+        assert str(err.value) == f"{knob}: {message}, got {value!r}"
+
+    def test_bounds_accepted(self):
+        AcquisitionConfig(nms_iou=1.0, nms_score_floor=0.0, min_match_iou=0.0)
+        AcquisitionConfig(min_match_iou=1.0)
+
+
 class TestUnifiedScore:
     def test_product_identity(self):
         s = AcquisitionScore.from_parts("a", 2.0, 0.5)
         assert s.unified == 1.0
         with pytest.raises(ValueError):
             AcquisitionScore("a", 2.0, 0.5, 0.9)
+
+    def test_infinite_scores_rejected(self):
+        # aldet's own scores are finite; an infinite one would rank first
+        for parts in ((math.inf, 0.2), (0.5, math.inf)):
+            with pytest.raises(ValueError, match="must be non-negative finite numbers"):
+                AcquisitionScore.from_parts("a", *parts)
 
     def test_empty_prediction_scores_zero(self):
         empty = chunk_of([one_image("a", 100, 100, Detections([], []))])

@@ -21,7 +21,7 @@ from aldet.cli import (
 )
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
-from aldet.pool import Pool, init_pool
+from aldet.pool import Pool, RunConfig, init_pool
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
 
@@ -89,6 +89,45 @@ class TestConfig:
         cfg.write_text("batch_mode = random\n")
         with pytest.raises(ConfigError, match="unknown config keys: batch_mode"):
             build_config(str(cfg), {})
+
+    def test_every_library_setting_has_one_key(self):
+        # a library setting added without a key, or set by two keys, fails here
+        owned = [(f.metadata["owner"], f.metadata["field"]) for f in fields(ExperimentConfig)
+                 if "owner" in f.metadata]
+        assert len(owned) == len(set(owned)) == 22
+        for owner, skip in ((RunConfig, {"acquisition"}), (AcquisitionConfig, set()),
+                            (SyntheticDetectorConfig, {"n_classes"})):
+            library = {f.name for f in fields(owner)} - skip
+            assert {name for o, name in owned if o is owner} == library, owner.__name__
+
+    def test_defaults_unchanged(self):
+        # in order: the keys' order is the flags' and the error lines' order
+        assert list(CONFIG_DEFAULTS.items()) == list({
+            "dataset": "", "test_dataset": "", "output_dir": "out", "initial_budget": "20",
+            "cycles": "5", "budget_per_cycle": "", "strategy": "unified", "tau": "0.99",
+            "pl_enabled": "true", "pl_strategy": "threshold", "pl_topk_fraction": "0.2",
+            "nms_iou": "0.45", "nms_score_floor": "0.01", "min_match_iou": "0.5", "seed": "0",
+            "detector_seed": "0", "detector_accuracy": "0.8", "detector_flip_robustness": "0.9",
+            "detector_temperature": "0.15", "detector_logit_noise": "0.1",
+            "detector_box_noise": "0.05", "detector_fp_rate": "0.0", "detector_skill_gain": "0.0",
+            "detector_skill_gain_pl": "0.0", "detector_accuracy_ceiling": "0.97",
+            "detector_robustness_ceiling": "0.99",
+        }.items())
+
+    @pytest.mark.parametrize("key, value, build", [
+        ("tau", "1.5", lambda: RunConfig(cycles=1, budget_per_cycle=1, tau=1.5)),
+        ("nms_iou", "0", lambda: AcquisitionConfig(nms_iou=0.0)),
+        ("detector_temperature", "0", lambda: SyntheticDetectorConfig(n_classes=1, temperature=0.0)),
+    ])
+    def test_cli_and_library_report_the_same_message(self, key, value, build):
+        with pytest.raises(ConfigError) as cli_err:
+            build_config(None, {key: value})
+        with pytest.raises(ValueError) as lib_err:
+            build()
+        (line,) = str(cli_err.value).splitlines()[1:]
+        assert line.startswith(f"  {key}: ")
+        message = line[len(f"  {key}: "):]
+        assert str(lib_err.value).split(": ", 1)[1] == f"{message}, got {float(value)}"
 
     @pytest.mark.parametrize("line", ["interpolation = all_point", "total_budget = 100"])
     def test_deleted_keys_are_unknown(self, tmp_path, line):
@@ -315,6 +354,8 @@ class TestMalformedInput:
         ("b,x,0.2,0.1", "could not convert string to float: 'x'"),  # not a number
         ("b,-0.5,0.2,0.1", "must be non-negative"),  # rejected by AcquisitionScore
         ("b,nan,0.2,0.1", "must be non-negative"),
+        ("b,inf,0.2,0.1", "must be non-negative"),  # would rank first
+        ("b,0.5,1e309,0", "must be non-negative"),  # 1e309 reads as inf
     ])
     def test_scores_csv_bad_row(self, tmp_path, capsys, row, message):
         scores = tmp_path / "scores.csv"

@@ -1,5 +1,6 @@
 """Pool partition invariants and the cycle protocol."""
 
+import re
 import sys
 from collections import Counter
 
@@ -12,10 +13,12 @@ from aldet import pool as pool_module
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import map50
 from aldet.pool import (
+    PL_STRATEGIES,
     Pool,
     RunConfig,
     commit_selection,
     init_pool,
+    pseudo_label_pool,
     run_cycles,
     score_pool,
     with_pseudo,
@@ -138,6 +141,33 @@ def make_detector(world, **overrides):
     )
     defaults.update(overrides)
     return SyntheticDetector(SyntheticDetectorConfig(**defaults), world)
+
+
+class TestRunConfig:
+    def test_every_bad_field_reported_at_once(self):
+        with pytest.raises(ValueError) as err:
+            RunConfig(cycles=0, budget_per_cycle=-1, strategy="bogus", tau=float("nan"))
+        assert str(err.value) == (
+            "cycles: need at least one cycle, got 0; budget_per_cycle: must be non-negative, got -1; "
+            "strategy: must be one of ('random', 'entropy', 'inconsistency', 'unified'), got 'bogus'; "
+            "tau: must be in (0, 1), got nan"
+        )
+
+    @pytest.mark.parametrize("knob, value", [
+        ("pl_strategy", "top"), ("pl_topk_fraction", 0.0), ("pl_topk_fraction", float("nan")),
+    ])
+    def test_pseudo_label_settings_checked(self, knob, value):
+        with pytest.raises(ValueError, match=f"^{knob}: "):
+            RunConfig(cycles=1, budget_per_cycle=1, **{knob: value})
+
+
+class TestPseudoLabelPool:
+    def test_unknown_strategy_rejected(self):
+        # a typo must not silently fall back to top-k
+        with pytest.raises(ValueError, match=re.escape(f"must be one of {PL_STRATEGIES}, got 'bogus'")):
+            pseudo_label_pool([], "bogus", 0.5, 0.2)
+        for strategy in PL_STRATEGIES:
+            assert pseudo_label_pool([], strategy, 0.5, 0.2) == {}
 
 
 class TestRunCycles:

@@ -123,7 +123,7 @@ def test_scores_from_post_nms_originals_equal_scores_from_raw(
 # -- pseudo-label audit ---------------------------------------------------------
 
 
-def brute_force_audit(pls, gt, iou_thresh=0.5):
+def brute_force_audit(pls, gt):
     """The O(P*G) audit: every pseudo-label against every ground-truth object,
     both given as (image id, box, class) items."""
     if not pls:
@@ -134,7 +134,7 @@ def brute_force_audit(pls, gt, iou_thresh=0.5):
             if gt_image != pl_image or gt_class != pl_class:
                 continue
             v = scalar_iou(pl_box, gt_box)
-            if v > iou_thresh:
+            if v > 0.5:
                 candidates.append((v, pi, gi))
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
     matched_pl: set[int] = set()
@@ -190,10 +190,10 @@ labelled_boxes = st.lists(labelled_box(), max_size=12)
 
 
 @settings(deadline=None, max_examples=200)
-@given(labelled_boxes, labelled_boxes, st.sampled_from([0.0, 0.3, 0.5]))
-def test_audit_equals_brute_force(pls, gt, iou_thresh):
-    got = audit_pl_correctness(as_pseudo_labels(pls), as_dataset(gt), iou_thresh)
-    assert got == brute_force_audit(pls, gt, iou_thresh)
+@given(labelled_boxes, labelled_boxes)
+def test_audit_equals_brute_force(pls, gt):
+    got = audit_pl_correctness(as_pseudo_labels(pls), as_dataset(gt))
+    assert got == brute_force_audit(pls, gt)
 
 
 def test_audit_compares_within_image_and_class(monkeypatch):

@@ -159,7 +159,7 @@ class TestTopKPerClass:
             extract_topk_per_class([], 1.5)
 
 
-def audit(labels, truths, iou_thresh=0.5):
+def audit(labels, truths):
     """``audit_pl_correctness`` of (image id, box, class) items: one
     confidence-0.995 pseudo-label per item of ``labels``, one ground-truth box
     per item of ``truths``, in order within each image."""
@@ -171,7 +171,7 @@ def audit(labels, truths, iou_thresh=0.5):
         gt.setdefault(image_id, []).append((box, cls))
     sets = {i: PseudoLabels([b for b, _ in v], [c for _, c in v], [0.995] * len(v)) for i, v in pls.items()}
     images = tuple(ImageRecord(i, 100, 100, [b for b, _ in v], [c for _, c in v]) for i, v in gt.items())
-    return audit_pl_correctness(sets, Dataset(("c1", "c2", "c3"), images), iou_thresh)
+    return audit_pl_correctness(sets, Dataset(("c1", "c2", "c3"), images))
 
 
 class TestPseudoLabels:
