@@ -22,8 +22,9 @@ matching, scoring, pseudo-labelling and evaluation each make one pass per
 chunk.
 
 Every box is a float64 corner row (xmin, ymin, xmax, ymax) of a
-:class:`Detections`, of an image record of a :class:`Dataset`, or of an
-image's :class:`PseudoLabels`.
+:class:`Detections`, of an image record of a :class:`Dataset`, or of a
+:class:`PseudoLabels` set, which holds the pseudo-labels of any number of
+images with one image id per row.
 
 Only these entry points and the types they take or return are re-exported
 here; everything else is imported from its module.

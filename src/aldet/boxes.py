@@ -161,11 +161,12 @@ class FrozenRows:
     @classmethod
     def concat(cls, sets):
         """The rows of every set, in order; empty sets are skipped, so they may
-        have any width, but one set must be non-empty. Sets are immutable, so
-        a lone non-empty set is returned as it is, not copied."""
+        have any width, and without a non-empty set the result is ``cls()``.
+        Sets are immutable, so a lone non-empty set is returned as it is, not
+        copied."""
         sets = [s for s in sets if len(s)]
-        if len(sets) == 1:
-            return sets[0]
+        if len(sets) <= 1:
+            return sets[0] if sets else cls()
         return cls._of(*(np.concatenate([getattr(s, name) for s in sets]) for name in cls._fields))
 
 
@@ -186,17 +187,12 @@ class Detections(FrozenRows):
 
     __slots__ = ("boxes", "probs", "class_ids", "scores")
 
-    def __init__(self, boxes, probs):
+    def __init__(self, boxes=(), probs=()):
         boxes, probs = checked_boxes(boxes), checked_probs(probs)
         if len(boxes) != len(probs):
             raise ValueError(f"row counts differ: {len(boxes)} boxes, {len(probs)} distributions")
         class_ids = probs.argmax(axis=1) if len(probs) else np.zeros(0, dtype=np.intp)
         self._init(boxes, probs, class_ids, probs[np.arange(len(probs)), class_ids])
-
-    @classmethod
-    def concat(cls, sets) -> "Detections":
-        sets = [s for s in sets if len(s)]
-        return super().concat(sets) if sets else cls([], [])
 
 
 class ChunkDetections(Detections):

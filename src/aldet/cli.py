@@ -261,10 +261,11 @@ def cmd_pseudolabel(args) -> int:
     if args.pool:
         pool = formats.load_pool(args.pool)
         # load_pool does not know K; the dataset does.
-        for image_id, labels in pool.pseudo.items():
-            if len(labels) and labels.class_ids.max() > dataset.n_classes:
-                raise ValueError(f"{args.pool}: image {image_id!r}: class_id {labels.class_ids.max()} "
-                                 f"outside 1..{dataset.n_classes}")
+        outside = pool.pseudo.class_ids > dataset.n_classes
+        if outside.any():
+            row = outside.argmax()
+            raise ValueError(f"{args.pool}: image {str(pool.pseudo.image_ids[row])!r}: class_id "
+                             f"{pool.pseudo.class_ids[row]} outside 1..{dataset.n_classes}")
         candidates = [i for i in candidates if i in pool.unlabeled]
 
     acq = cfg.acquisition_config()

@@ -14,7 +14,7 @@ import numpy as np
 
 from .boxes import _rows, checked_boxes
 
-__all__ = ["ImageRecord", "Dataset", "make_synthetic_dataset"]
+__all__ = ["ImageRecord", "Dataset", "checked_image_id", "make_synthetic_dataset"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,14 @@ class ImageRecord:
             object.__setattr__(self, name, arr)
 
 
+def checked_image_id(value) -> str:
+    """``value``, which must be a string that a numpy string column holds as
+    it is: numpy drops trailing NUL characters."""
+    if not isinstance(value, str) or value.endswith("\0"):
+        raise ValueError(f"image_id: expected a string without a trailing NUL, got {value!r}")
+    return value
+
+
 def _check_ground_truth(boxes: np.ndarray, class_ids: np.ndarray, k: int) -> None:
     checked_boxes(boxes)
     bad = (class_ids < 1) | (class_ids > k)
@@ -52,7 +60,8 @@ def _check_ground_truth(boxes: np.ndarray, class_ids: np.ndarray, k: int) -> Non
 class Dataset:
     """Class names plus image records; class_id k corresponds to classes[k-1].
 
-    Every box must be finite and not inverted, and every class id in 1..K.
+    Every image id must pass :func:`checked_image_id`, every box must be
+    finite and not inverted, and every class id must be in 1..K.
     """
 
     classes: tuple[str, ...]
@@ -65,7 +74,7 @@ class Dataset:
             raise ValueError("dataset needs at least one foreground class")
         seen: set[str] = set()
         for img in self.images:
-            if img.image_id in seen:
+            if checked_image_id(img.image_id) in seen:
                 raise ValueError(f"duplicate image id {img.image_id!r} in dataset")
             seen.add(img.image_id)
         k = len(self.classes)

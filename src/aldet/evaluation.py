@@ -15,9 +15,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .boxes import Detections, iou
-from .dataset import Dataset
+from .dataset import Dataset, ImageRecord
 
-__all__ = ["EvalResult", "map50", "winrate_table", "winrate_matrix"]
+__all__ = ["EvalResult", "map50", "same_class_pairs", "winrate_table", "winrate_matrix"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,18 @@ class EvalResult:
         return tuple(c for c, n in self.n_gt.items() if not n)
 
 
+def same_class_pairs(image_ids: Sequence[str], class_ids: Sequence[int], images: Sequence[ImageRecord]):
+    """Every pair of a row r, of class ``class_ids[r]`` in image
+    ``image_ids[r]``, and a ground-truth object of the same image and class,
+    as two index arrays in row-major order. The objects are numbered image by
+    image through ``images``, each image's in its own order."""
+    gt_rows: dict[tuple[str, int], list[int]] = {}
+    for g, key in enumerate((img.image_id, c) for img in images for c in img.class_ids.tolist()):
+        gt_rows.setdefault(key, []).append(g)
+    pairs = [(r, g) for r, key in enumerate(zip(image_ids, class_ids)) for g in gt_rows.get(key, ())]
+    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+
+
 def _assign_tp_fp(dets: Detections, image_ids: Sequence[str], gt: Dataset) -> dict[int, list[bool]]:
     """Greedy highest-confidence-first TP/FP flags of each foreground class,
     in rank order (-score, row).
@@ -51,14 +63,10 @@ def _assign_tp_fp(dets: Detections, image_ids: Sequence[str], gt: Dataset) -> di
     if len(image_ids) != len(dets):
         raise ValueError(f"{len(image_ids)} image ids for {len(dets)} detections")
     # Same-(image, class) candidate pairs of global rows, then all their IoUs at once.
-    gt_rows: dict[tuple[str, int], list[int]] = {}
-    for g, key in enumerate((img.image_id, c) for img in gt.images for c in img.class_ids.tolist()):
-        gt_rows.setdefault(key, []).append(g)
     classes = dets.class_ids.tolist()
-    pairs = [(r, g) for r, key in enumerate(zip(image_ids, classes)) for g in gt_rows.get(key, ())]
+    rows, g_rows = same_class_pairs(image_ids, classes, gt.images)
     best: dict[int, tuple[float, int]] = {}  # row -> (IoU, ground-truth row)
-    if pairs:
-        rows, g_rows = np.array(pairs).T
+    if len(rows):
         gt_boxes = np.concatenate([img.boxes for img in gt.images])
         for r, g, v in zip(rows.tolist(), g_rows.tolist(), iou(dets.boxes[rows], gt_boxes[g_rows]).tolist()):
             if v > best.get(r, (0.0,))[0]:

@@ -298,51 +298,53 @@ def write_predictions_jsonl(chunks: Iterable[tuple[PredictionChunk, bool]], path
 
 # -- pseudo-label JSONL -------------------------------------------------------
 
-# One record per pseudo-label, shared by the JSONL file and the pool state:
-# {"image_id": ..., "bbox": [4], "class_id": int, "confidence": float}
+# One record per row of a PseudoLabels set, shared by the JSONL file and the
+# pool state: {"image_id": str, "bbox": [4], "class_id": int, "confidence": float}
 
 
-def _pl_records(pls: Mapping[str, PseudoLabels]) -> list[dict]:
+def _pl_records(pls: PseudoLabels) -> list[dict]:
     return [
         {"image_id": image_id, "bbox": box, "class_id": c, "confidence": conf}
-        for image_id, labels in pls.items()
-        for box, c, conf in zip(labels.boxes.tolist(), labels.class_ids.tolist(), labels.scores.tolist())
+        for image_id, box, c, conf in zip(
+            pls.image_ids.tolist(), pls.boxes.tolist(), pls.class_ids.tolist(), pls.scores.tolist()
+        )
     ]
 
 
 def _pl_set(recs) -> PseudoLabels:
     """The pseudo-labels of the given records, checked."""
     return PseudoLabels(
+        [rec["image_id"] for rec in recs],
         [rec["bbox"] for rec in recs],
         [_int_field(rec, "class_id") for rec in recs],
         [float(rec["confidence"]) for rec in recs],
     )
 
 
-def write_pseudo_labels_jsonl(pls: Mapping[str, PseudoLabels], path) -> None:
+def write_pseudo_labels_jsonl(pls: PseudoLabels, path) -> None:
     records = _pl_records(pls)
     records.sort(key=lambda r: (r["image_id"], -r["confidence"], r["class_id"]))
     _write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
-def read_pseudo_labels_jsonl(path) -> dict[str, PseudoLabels]:
-    """Pseudo-labels by image id, each image's in file order."""
-    grouped: dict[str, list[PseudoLabels]] = {}
+def read_pseudo_labels_jsonl(path) -> PseudoLabels:
+    """The file's pseudo-labels, in file order."""
     # One record at a time, so that an error names its line.
-    for image_id, pl in _read_jsonl(path, lambda rec: (rec["image_id"], _pl_set([rec]))):
-        grouped.setdefault(image_id, []).append(pl)
-    return {image_id: PseudoLabels.concat(labels) for image_id, labels in grouped.items()}
+    return PseudoLabels.concat(_read_jsonl(path, lambda rec: _pl_set([rec])))
 
 
 # -- pool state JSON ----------------------------------------------------------
 
 
 def save_pool(pool: Pool, path) -> None:
+    pseudo: dict[str, list[dict]] = {}
+    for rec in _pl_records(pool.pseudo):
+        pseudo.setdefault(rec["image_id"], []).append(rec)
     payload = {
         "cycle": pool.cycle,
         "labeled": sorted(pool.labeled),
         "unlabeled": sorted(pool.unlabeled),
-        "pseudo": {image_id: _pl_records({image_id: pls}) for image_id, pls in pool.pseudo.items()},
+        "pseudo": pseudo,
     }
     _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
@@ -352,16 +354,18 @@ def load_pool(path) -> Pool:
     raw = _read_json(path)
     try:
         pseudo = raw.get("pseudo", {})
+        # JSON keys are strings, so a record whose image_id is not one is misfiled.
         misfiled = sorted(k for k, recs in pseudo.items() if any(rec["image_id"] != k for rec in recs))
         if misfiled:
             raise ValueError(f"{path}: pseudo-labels filed under another image's id: {misfiled[:5]}")
-        sets = {}
+        sets = []
         for image_id, recs in pseudo.items():
             try:
-                sets[image_id] = _pl_set(recs)
+                sets.append(_pl_set(recs))
             except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
                 raise _structure_error(path, e, image_id) from None
-        return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), sets, _int_field(raw, "cycle"))
+        return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), PseudoLabels.concat(sets),
+                    _int_field(raw, "cycle"))
     except (AttributeError, KeyError, TypeError, OverflowError) as e:
         raise _structure_error(path, e) from None
 

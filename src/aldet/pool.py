@@ -4,7 +4,9 @@ A dataset is partitioned into a labeled set L and an unlabeled pool U. Each
 cycle scores U, moves a budget of images into L, retrains the detector,
 regenerates pseudo-labels over the remaining pool, and evaluates the new
 detector on a held-out test set. Pseudo-labels are regenerated from scratch
-by every detector version; they are never accumulated.
+by every detector version; they are never accumulated. The pool's
+pseudo-labels are one :class:`~aldet.pseudo_label.PseudoLabels` set, a row
+per label with its image id, like the chunks every other stage passes.
 
 Every detector version does each job once: it predicts the original view of
 each pool image once (pseudo-labelling keeps the result, and the next cycle
@@ -24,7 +26,7 @@ never held whole unless pseudo-labelling keeps its originals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -70,23 +72,23 @@ PL_STRATEGIES = ("threshold", "topk")
 @dataclass(frozen=True)
 class Pool:
     """Partition of the dataset ids into labeled and unlabeled, plus the
-    pseudo-labels currently attached to unlabeled images, by image id."""
+    pseudo-labels currently attached to unlabeled images: one set holding
+    every such image's labels, its rows in the order given."""
 
     labeled: frozenset[str]
     unlabeled: frozenset[str]
-    pseudo: Mapping[str, PseudoLabels] = field(default_factory=dict)
+    pseudo: PseudoLabels = field(default_factory=PseudoLabels)
     cycle: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "labeled", frozenset(self.labeled))
         object.__setattr__(self, "unlabeled", frozenset(self.unlabeled))
-        object.__setattr__(self, "pseudo", dict(sorted(self.pseudo.items())))
         if self.cycle < 0:
             raise ValueError("cycle must be non-negative")
         overlap = self.labeled & self.unlabeled
         if overlap:
             raise ValueError(f"labeled and unlabeled overlap: {sorted(overlap)[:5]}")
-        stray = set(self.pseudo) - self.unlabeled
+        stray = set(self.pseudo.image_ids.tolist()) - self.unlabeled
         if stray:
             raise ValueError(f"pseudo-labels attached to non-pool images: {sorted(stray)[:5]}")
 
@@ -94,23 +96,21 @@ class Pool:
     def all_ids(self) -> frozenset[str]:
         return self.labeled | self.unlabeled
 
-    @property
-    def n_pseudo_labels(self) -> int:
-        return sum(len(v) for v in self.pseudo.values())
-
 
 def init_pool(dataset_ids: Iterable[str], initial_budget: int, seed) -> Pool:
     """Seeded uniform initial labeling: ``initial_budget`` ids into L, rest into U."""
     ids = sorted(dataset_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate dataset ids")
-    if not (0 <= initial_budget <= len(ids)):
+    if initial_budget < 0:
+        raise ValueError(f"initial budget must be non-negative, got {initial_budget}")
+    if initial_budget > len(ids):
         raise ValueError(f"initial budget {initial_budget} exceeds dataset size {len(ids)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     labeled = frozenset(ids[k] for k in order[:initial_budget])
     unlabeled = frozenset(ids) - labeled
-    return Pool(labeled, unlabeled, {}, cycle=0)
+    return Pool(labeled, unlabeled, cycle=0)
 
 
 def commit_selection(pool: Pool, selected: Sequence[str]) -> Pool:
@@ -121,14 +121,14 @@ def commit_selection(pool: Pool, selected: Sequence[str]) -> Pool:
     bad = sel - pool.unlabeled
     if bad:
         raise ValueError(f"already labeled or unknown: {sorted(bad)[:5]}")
-    pseudo = {k: v for k, v in pool.pseudo.items() if k not in sel}
+    # Not np.isin, which imports numpy.ma and so raises every run's peak memory.
+    pseudo = pool.pseudo.take([r for r, i in enumerate(pool.pseudo.image_ids.tolist()) if i not in sel])
     return Pool(pool.labeled | sel, pool.unlabeled - sel, pseudo, pool.cycle + 1)
 
 
-def with_pseudo(pool: Pool, pseudo: Mapping[str, PseudoLabels]) -> Pool:
+def with_pseudo(pool: Pool, pseudo: PseudoLabels) -> Pool:
     """Replace the pool's pseudo-labels (regeneration, not accumulation)."""
-    cleaned = {k: v for k, v in pseudo.items() if len(v)}
-    return Pool(pool.labeled, pool.unlabeled, cleaned, pool.cycle)
+    return Pool(pool.labeled, pool.unlabeled, pseudo, pool.cycle)
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ class CycleReport:
     pl_ratio: float
     pl_correctness: float
     evaluation: EvalResult
-    pseudo_labels: Mapping[str, PseudoLabels] = field(default_factory=dict)
+    pseudo_labels: PseudoLabels = field(default_factory=PseudoLabels)
 
 
 def score_pool(
@@ -211,9 +211,9 @@ def pseudo_label_pool(
     strategy: str,
     tau: float,
     topk_fraction: float,
-) -> dict[str, PseudoLabels]:
-    """Pseudo-labels of the given post-NMS original-view chunks, by image;
-    images without pseudo-labels are absent.
+) -> PseudoLabels:
+    """Pseudo-labels of the given post-NMS original-view chunks, image by
+    image in input order.
 
     ``strategy`` is ``threshold`` (every detection with p >= tau) or ``topk``
     (the most confident ``topk_fraction`` of each class across all images).
@@ -261,7 +261,7 @@ def run_cycles(
     if pool.all_ids != frozenset(train_data.image_ids):
         raise ValueError("pool ids do not match the training dataset")
     if not cfg.pl_enabled:
-        pool = with_pseudo(pool, {})
+        pool = with_pseudo(pool, PseudoLabels())
 
     reports: list[CycleReport] = []
     selected: list[str] = []
@@ -286,7 +286,7 @@ def run_cycles(
             pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
             pool = with_pseudo(pool, pseudo)
 
-        n_pl = pool.n_pseudo_labels
+        n_pl = len(pool.pseudo)
         n_manual = sum(len(train_data[i].class_ids) for i in pool.labeled)
         denom = n_pl + n_manual
         test_preds = post_nms_stream(detector.predict, test_data.image_ids, cfg.acquisition)

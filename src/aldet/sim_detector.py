@@ -457,11 +457,9 @@ class SyntheticDetector(DetectorInterface):
                 rob[c] += cfg.skill_gain_per_labeled
 
         if cfg.skill_gain_per_pseudo > 0.0:
-            for image_id in sorted(pool.pseudo):
-                classes = set(pool.pseudo[image_id].class_ids.tolist())
-                for c in classes:
-                    acc[c] += cfg.skill_gain_per_pseudo
-                    rob[c] += cfg.skill_gain_per_pseudo
+            for _, c in sorted(set(zip(pool.pseudo.image_ids.tolist(), pool.pseudo.class_ids.tolist()))):
+                acc[c] += cfg.skill_gain_per_pseudo
+                rob[c] += cfg.skill_gain_per_pseudo
 
         np.clip(acc, 0.0, cfg.accuracy_ceiling, out=acc)
         np.clip(rob, 0.0, cfg.robustness_ceiling, out=rob)

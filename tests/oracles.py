@@ -4,9 +4,11 @@ row-by-row box and distribution checks, the synthetic detector's
 prediction with a fresh generator per stream, and the per-image NMS,
 matching and scoring that the chunked pass replaced, with the scalar
 entropy and symmetric KL of one distribution or pair and their per-image
-maxima, which define an image's H and I; and the
+maxima, which define an image's H and I; the
 predictions reader that built one clamped prediction per record, which the
-chunk of a view is pinned to.
+chunk of a view is pinned to; and the threshold and top-k pseudo-label
+extractors that built one set per image, which the one set of a pool is
+pinned to.
 
 A one-image prediction is a :class:`PredictionChunk` of one image:
 :func:`one_image` builds one, :func:`chunk_of` joins them into a chunk, and
@@ -14,6 +16,7 @@ A one-image prediction is a :class:`PredictionChunk` of one image:
 
 import hashlib
 import json
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +24,7 @@ import numpy as np
 from aldet.acquisition import LOG_EPS, AcquisitionScore
 from aldet.boxes import ChunkDetections, Detections, PredictionChunk, checked_encoded, clamp_to_images, iou
 from aldet.matching import MatchResult, greedy_assign
+from aldet.pseudo_label import PseudoLabels
 
 
 class Box(NamedTuple):
@@ -326,3 +330,53 @@ def per_image_unified_score(orig, unflipped, min_match_iou):
     return AcquisitionScore.from_parts(
         orig.image_ids[0], _image_entropy(o), _image_inconsistency(o[pairs[:, 0]], f[pairs[:, 1]])
     )
+
+
+# -- per-image pseudo-labels ----------------------------------------------------------
+#
+# The extractors as they were when the pool held one set per image: each
+# returns {image id: that image's labels}, images without labels absent.
+
+
+def _image_labels(image_id, d, rows):
+    d = d.take(rows)
+    return PseudoLabels([image_id] * len(d), d.boxes, d.class_ids, d.scores)
+
+
+def per_image_threshold_labels(chunks, tau):
+    """Every detection with foreground argmax probability >= tau, grouped by
+    image in input order, each image's labels in its row order."""
+    out = {}
+    for chunk in chunks:
+        d = chunk.detections
+        rows = np.flatnonzero((d.class_ids != 0) & (d.scores >= tau))
+        if not len(rows):
+            continue
+        # Rows are grouped image by image: cut where the image changes.
+        image = d.image[rows]
+        cuts = [0, *(np.flatnonzero(np.diff(image)) + 1).tolist(), len(rows)]
+        for start, end in zip(cuts, cuts[1:]):
+            out[chunk.image_ids[image[start]]] = _image_labels(chunk.image_ids[image[start]], d, rows[start:end])
+    return out
+
+
+def per_image_topk_labels(chunks, k_fraction):
+    """The ceil(k_fraction * n_c) most confident detections of each class c,
+    ranked by (-confidence, image id, row); within an image, labels are
+    ordered by class, then by (-confidence, row)."""
+    by_class = {}
+    dets = {}
+    for chunk in chunks:
+        d = chunk.detections
+        dets.update(dict.fromkeys(chunk.image_ids, d))
+        image_ids = [chunk.image_ids[k] for k in d.image.tolist()]
+        for row, (cls, conf, image_id) in enumerate(zip(d.class_ids.tolist(), d.scores.tolist(), image_ids)):
+            if cls != 0:
+                by_class.setdefault(cls, []).append((-conf, image_id, row))
+
+    rows_of = {}
+    for cls in sorted(by_class):
+        entries = sorted(by_class[cls])  # (-confidence, image id, row)
+        for _, image_id, row in entries[: math.ceil(k_fraction * len(entries))]:
+            rows_of.setdefault(image_id, []).append(row)
+    return {image_id: _image_labels(image_id, dets[image_id], rows) for image_id, rows in rows_of.items()}

@@ -1,12 +1,17 @@
 """End-to-end command-line behavior, file contracts, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import one_image, per_image
 
+import aldet
 from aldet import formats
 from aldet.acquisition import AcquisitionConfig, AcquisitionScore, post_nms, unified_score
 from aldet.boxes import Detections
@@ -272,7 +277,7 @@ class TestPseudolabelCommand:
         assert rc == 0
         pls = formats.read_pseudo_labels_jsonl(out)
         assert pls, "expected some pseudo-labels at tau=0.9 with a cold detector"
-        assert all((v.scores >= 0.9).all() and (v.class_ids >= 1).all() for v in pls.values())
+        assert (pls.scores >= 0.9).all() and (pls.class_ids >= 1).all()
 
 
 class TestEvalCommand:
@@ -677,3 +682,35 @@ class TestSimulateCommand:
             )
             assert main(["simulate", "--config", str(cfg)]) == 0
             assert (out / "report.csv").exists()
+
+
+# Run in a fresh interpreter as ``-c PROBE OUT ARGS...``: simulate into
+# OUT_threshold and OUT_topk, then print the exit codes and whether numpy.ma
+# was loaded before and after.
+NUMPY_MA_PROBE = """
+import sys
+import aldet.cli
+before = "numpy.ma" in sys.modules
+out, args = sys.argv[1], sys.argv[2:]
+rcs = [aldet.cli.main(args + ["--pl-strategy", s, "--output-dir", f"{out}_{s}"]) for s in ("threshold", "topk")]
+print(rcs, before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_pseudo_labelling_simulate_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique, and np.isin with a selection this large, import numpy.ma on
+    # first use, which raises the peak memory of every run; the pool's
+    # pseudo-labels get by without them.
+    train, test = tmp_path / "train.json", tmp_path / "test.json"
+    formats.save_dataset(make_synthetic_dataset(60, 3, seed=0, id_prefix="tr"), train)
+    formats.save_dataset(make_synthetic_dataset(10, 3, seed=1, id_prefix="te"), test)
+    cfg = write_sim_config(tmp_path, train, test, tmp_path / "unused", budget_per_cycle=25,
+                           detector_skill_gain_pl=0.01)
+    src = str(Path(aldet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, str(tmp_path / "run"), "simulate",
+                             "--config", str(cfg)], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() in ("[0, 0] False False", "[0, 0] True True"), result.stdout + result.stderr
+    for strategy in ("threshold", "topk"):
+        report = (tmp_path / f"run_{strategy}" / "report.csv").read_text().splitlines()[1:]
+        assert all(int(row.split(",")[2]) > 0 for row in report), report  # every cycle pseudo-labelled

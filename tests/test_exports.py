@@ -1,7 +1,7 @@
 """Every exported name resolves, and the per-detection and per-box types, the
-one-image prediction type, the one-image forms of the chunked stages, the
-losses, the scalar entropy and symmetric KL, and the evaluation settings
-other than VOC07 11-point mAP@0.5 stay gone. The command line offers exactly
+one-image prediction type, the one-image forms of the chunked stages and of
+the pseudo-labels, the losses, the scalar entropy and symmetric KL, and the
+evaluation settings other than VOC07 11-point mAP@0.5 stay gone. The command line offers exactly
 the subcommands its module docstring lists."""
 
 import argparse
@@ -17,7 +17,8 @@ from aldet.boxes import Detections, PredictionChunk
 from aldet.dataset import Dataset, ImageRecord
 from aldet.evaluation import EvalResult
 from aldet.matching import MatchResult
-from aldet.pool import RunConfig
+from aldet.pool import Pool, RunConfig
+from aldet.pseudo_label import PseudoLabels
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(aldet.__path__))
 DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", "decode_box",
@@ -45,6 +46,10 @@ def test_per_detection_types_are_gone():
     assert "PredictionChunk" in aldet.__all__
     # one prediction type: a chunk is built by a detector or the reader, never joined from images
     assert not hasattr(PredictionChunk, "of")
+    # one pseudo-label set for any number of images: no per-image sets cut from detections, no count of them
+    assert not hasattr(PseudoLabels, "from_rows")
+    assert not hasattr(Pool, "n_pseudo_labels")
+    assert "image_ids" in PseudoLabels._fields
 
 
 def test_one_box_representation():

@@ -215,17 +215,18 @@ class TestPredictionsJSONL:
 
 class TestPseudoLabelJSONL:
     def test_roundtrip(self, tmp_path):
-        pls = {
-            "b": PseudoLabels([[1, 2, 3, 4], [0, 0, 2, 2]], [2, 1], [0.995, 0.999]),
-            "a": PseudoLabels([[0, 0, 5, 5]], [1], [0.999]),
-        }
+        pls = PseudoLabels(["b", "b", "a"], [[1, 2, 3, 4], [0, 0, 2, 2], [0, 0, 5, 5]], [2, 1, 1],
+                           [0.995, 0.999, 0.999])
         path = tmp_path / "pl.jsonl"
         formats.write_pseudo_labels_jsonl(pls, path)
-        back = formats.read_pseudo_labels_jsonl(path)
-        # records are sorted by image then confidence
-        assert list(back) == ["a", "b"]
-        assert back["a"] == pls["a"]
-        assert back["b"] == pls["b"].take([1, 0])
+        # records are sorted by image then confidence, and read back in file order
+        assert formats.read_pseudo_labels_jsonl(path) == pls.take([2, 1, 0])
+
+    def test_empty_file_reads_as_no_labels(self, tmp_path):
+        path = tmp_path / "pl.jsonl"
+        formats.write_pseudo_labels_jsonl(PseudoLabels(), path)
+        assert path.read_bytes() == b""
+        assert formats.read_pseudo_labels_jsonl(path) == PseudoLabels()
 
     @pytest.mark.parametrize("record, message", [
         ('"bbox": [5, 0, 0, 5], "class_id": 1, "confidence": 0.99', "inverted box"),
@@ -239,15 +240,30 @@ class TestPseudoLabelJSONL:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: {message}")):
             formats.read_pseudo_labels_jsonl(path)
 
+    @pytest.mark.parametrize("value", ["5", "null", '["a"]'])
+    def test_image_id_must_be_a_string(self, tmp_path, value):
+        # a numpy string column would file the image id 5 under "5"
+        path = tmp_path / "pl.jsonl"
+        path.write_text('{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}\n'
+                        '{"image_id": %s, "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}\n' % value)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: image_id: expected a string")):
+            formats.read_pseudo_labels_jsonl(path)
+
 
 class TestPoolState:
     def test_roundtrip(self, world, tmp_path):
         pool = init_pool(world.image_ids, 3, seed=5)
         target = sorted(pool.unlabeled)[0]
-        pool = with_pseudo(pool, {target: PseudoLabels([[0, 0, 9, 9]], [1], [0.99])})
+        second = sorted(pool.unlabeled)[1]
+        pool = with_pseudo(pool, PseudoLabels([target, target, second], [[0, 0, 9, 9], [1, 1, 5, 5], [0, 0, 9, 9]],
+                                              [1, 2, 1], [0.99, 0.995, 0.99]))
         path = tmp_path / "pool.json"
         formats.save_pool(pool, path)
         assert formats.load_pool(path) == pool
+        # the file keeps its format: each image's labels filed under its id
+        pseudo = json.loads(path.read_text())["pseudo"]
+        assert list(pseudo) == [target, second]
+        assert [rec["class_id"] for rec in pseudo[target]] == [1, 2]
 
     def test_misfiled_pseudo_label_rejected(self, tmp_path):
         path = tmp_path / "pool.json"
@@ -257,6 +273,23 @@ class TestPoolState:
         ))
         with pytest.raises(ValueError, match=r"filed under another image's id: \['b'\]"):
             formats.load_pool(path)
+
+    def test_image_id_must_be_a_string(self, tmp_path):
+        # JSON keys are strings, so a record with the image id 5 is misfiled under "5"
+        path = tmp_path / "pool.json"
+        record = {"image_id": 5, "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}
+        path.write_text(json.dumps({"cycle": 0, "labeled": [], "unlabeled": ["5"], "pseudo": {"5": [record]}}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: pseudo-labels filed under another image's id: ['5']")):
+            formats.load_pool(path)
+
+
+@pytest.mark.parametrize("image_id, shown", [(5, "5"), ("a\u0000", "'a\\x00'")])
+def test_dataset_image_id_must_be_a_string_the_pseudo_labels_hold(tmp_path, image_id, shown):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"classes": ["c"], "images": [{"id": image_id, "width": 10, "height": 10}]}))
+    message = f"{path}: image_id: expected a string without a trailing NUL, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        formats.load_dataset(path)
 
 
 class TestIntegerFields:

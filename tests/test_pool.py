@@ -41,8 +41,8 @@ def ids(n, prefix="img"):
     return [f"{prefix}_{i:04d}" for i in range(n)]
 
 
-def some_pls(n=1):
-    return PseudoLabels([[0, 0, 10, 10]] * n, [1] * n, [0.995] * n)
+def some_pls(image_id, n=1):
+    return PseudoLabels([image_id] * n, [[0, 0, 10, 10]] * n, [1] * n, [0.995] * n)
 
 
 class TestPoolType:
@@ -50,13 +50,13 @@ class TestPoolType:
         with pytest.raises(ValueError, match="overlap"):
             Pool(frozenset({"a", "b"}), frozenset({"b", "c"}))
         with pytest.raises(ValueError, match="non-pool"):
-            Pool(frozenset({"a"}), frozenset({"b"}), {"a": some_pls()})
+            Pool(frozenset({"a"}), frozenset({"b"}), some_pls("a"))
         with pytest.raises(ValueError):
-            Pool(frozenset(), frozenset(), {}, cycle=-1)
+            Pool(frozenset(), frozenset(), cycle=-1)
 
     def test_counts(self):
-        pool = Pool(frozenset({"a"}), frozenset({"b", "c"}), {"b": some_pls(2)})
-        assert pool.n_pseudo_labels == 2
+        pool = Pool(frozenset({"a"}), frozenset({"b", "c"}), some_pls("b", 2))
+        assert len(pool.pseudo) == 2
         assert pool.all_ids == {"a", "b", "c"}
 
 
@@ -82,6 +82,10 @@ class TestInitPool:
         with pytest.raises(ValueError, match="exceeds"):
             init_pool(ids(10), 11, seed=0)
 
+    def test_negative_budget(self):
+        with pytest.raises(ValueError, match=r"^initial budget must be non-negative, got -1$"):
+            init_pool(["a", "b"], -1, 0)
+
     def test_seed_determinism(self):
         assert init_pool(ids(50), 10, seed=7) == init_pool(ids(50), 10, seed=7)
         assert init_pool(ids(50), 10, seed=7) != init_pool(ids(50), 10, seed=8)
@@ -99,10 +103,10 @@ class TestCommitSelection:
 
     def test_drops_pseudo_entries_of_selected(self):
         pool = init_pool(ids(10), 2, seed=0)
-        target = sorted(pool.unlabeled)[0]
-        pool = with_pseudo(pool, {target: some_pls()})
+        target, other = sorted(pool.unlabeled)[:2]
+        pool = with_pseudo(pool, PseudoLabels.concat([some_pls(target, 2), some_pls(other), some_pls(target)]))
         after = commit_selection(pool, [target])
-        assert target not in after.pseudo
+        assert after.pseudo == some_pls(other)
 
     def test_empty_selection(self):
         pool = init_pool(ids(10), 2, seed=0)
@@ -167,7 +171,7 @@ class TestPseudoLabelPool:
         with pytest.raises(ValueError, match=re.escape(f"must be one of {PL_STRATEGIES}, got 'bogus'")):
             pseudo_label_pool([], "bogus", 0.5, 0.2)
         for strategy in PL_STRATEGIES:
-            assert pseudo_label_pool([], strategy, 0.5, 0.2) == {}
+            assert pseudo_label_pool([], strategy, 0.5, 0.2) == PseudoLabels()
 
 
 class TestRunCycles:
@@ -201,7 +205,7 @@ class TestRunCycles:
         train, test, world = small_world()
         pool = init_pool(train.image_ids, 10, seed=0)
         stale = sorted(pool.unlabeled)[0]
-        pool = with_pseudo(pool, {stale: some_pls()})
+        pool = with_pseudo(pool, some_pls(stale))
         seen = []
         cfg = RunConfig(cycles=2, budget_per_cycle=5, seed=0, pl_enabled=False)
         reports = run_cycles(pool, PoolSpy(make_detector(world), seen), cfg, train, test)
@@ -247,7 +251,7 @@ class TestRunCycles:
         for r in reports:
             assert 0.0 <= r.pl_ratio <= 1.0
             assert 0.0 <= r.pl_correctness <= 1.0
-            assert sum(len(v) for v in r.pseudo_labels.values()) == r.pl_count
+            assert len(r.pseudo_labels) == r.pl_count
 
     def test_unified_targets_fragile_class(self):
         # with one flip-fragile class injected, the unified strategy selects
@@ -311,7 +315,7 @@ class PoolSpy(DetectorInterface):
         return self.inner.predict(image_ids, flipped)
 
     def update(self, pool):
-        self.seen.append(pool.n_pseudo_labels)
+        self.seen.append(len(pool.pseudo))
         return PoolSpy(self.inner.update(pool), self.seen)
 
 

@@ -6,8 +6,9 @@ detection core, ground truth and evaluation to the per-detection and
 per-object code they replaced, kept here as oracles. The fast paths
 (long-lived generators and one array build per chunk in the synthetic
 detector, whole-array input checks, one log matrix per image when scoring)
-are pinned to the code they replaced in the same way, and so is the chunked
-pass of NMS, matching and scoring to the per-image code. Every prediction
+are pinned to the code they replaced in the same way, and so are the chunked
+pass of NMS, matching and scoring and the one set of pseudo-labels to the
+per-image code. Every prediction
 derived from a clamped one stays inside its image without being checked
 again, and every eval table the writer produces reads back."""
 
@@ -28,6 +29,8 @@ from oracles import (
     one_image,
     per_image_match,
     per_image_post_nms,
+    per_image_threshold_labels,
+    per_image_topk_labels,
     per_image_unified_score,
     read_predictions_per_record,
     rowwise_checked_boxes,
@@ -155,12 +158,12 @@ def by_image(items, image_ids):
     return out
 
 
-def as_pseudo_labels(items) -> dict[str, PseudoLabels]:
-    """One confidence-0.99 pseudo-label per (image id, box, class) item."""
-    return {
-        image_id: PseudoLabels([b for b, _ in rows], [c for _, c in rows], [0.99] * len(rows))
-        for image_id, rows in by_image(items, sorted({i for i, _, _ in items})).items()
-    }
+def as_pseudo_labels(items) -> PseudoLabels:
+    """One confidence-0.99 pseudo-label per (image id, box, class) item,
+    image by image in id order, each image's in item order."""
+    rows = sorted(items, key=lambda item: item[0])
+    return PseudoLabels([i for i, _, _ in rows], [b for _, b, _ in rows], [c for _, _, c in rows],
+                        [0.99] * len(rows))
 
 
 def as_dataset(items, image_ids="abc") -> Dataset:
@@ -219,6 +222,44 @@ def test_audit_compares_within_image_and_class(monkeypatch):
     (pairs,) = calls
     assert all(a == b for a, b in pairs)
     assert len(pairs) == len(groups) * 2 * 3
+
+
+# -- pseudo-label extractors ------------------------------------------------------
+
+
+def label_bits(pls):
+    """Everything a set of pseudo-labels holds: its image ids, and each other
+    array as its dtype, shape and bytes."""
+    return pls.image_ids.tolist(), [(a.dtype.str, a.shape, a.tobytes()) for a in (pls.boxes, pls.class_ids, pls.scores)]
+
+
+@st.composite
+def chunked_images(draw):
+    """Predictions of up to 6 images, their ids out of id order, cut into
+    chunks at arbitrary image boundaries."""
+    ids = draw(st.permutations([f"img_{k}" for k in range(6)]))[: draw(st.integers(0, 6))]
+    preds = [as_prediction(draw(st.lists(detection(), max_size=6)), image_id) for image_id in ids]
+    cuts = [0] + [k for k in range(1, len(ids)) if draw(st.booleans())] + [len(ids)]
+    return preds, [chunk_of(preds[a:b]) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+@settings(deadline=None, max_examples=300)
+@given(chunked_images(), st.sampled_from([0.3, 0.5, 0.9, 0.99]), st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+def test_extractors_equal_per_image_oracles(images, tau, k_fraction):
+    # One set for all images, built a chunk at a time, equals the per-image
+    # sets of the code it replaced, joined in input order, row for row and
+    # bit for bit. Integer logits make confidence ties across images common,
+    # so top-k's tie-break by image id, then row, is exercised.
+    preds, chunks = images
+    ids = [p.image_ids[0] for p in preds]
+    one_per_image = [chunk_of([p]) for p in preds]
+    for extract, oracle, setting in (
+        (pseudo_label.extract_pseudo_labels, per_image_threshold_labels, tau),
+        (pseudo_label.extract_topk_per_class, per_image_topk_labels, k_fraction),
+    ):
+        by_image = oracle(one_per_image, setting)
+        expected = PseudoLabels.concat(by_image[i] for i in ids if i in by_image)
+        assert label_bits(extract(chunks, setting)) == label_bits(expected)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -526,7 +567,8 @@ def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, ro
     ids = data.image_ids
     for v in range(updates):
         labeled = ids[: v + 1]
-        pseudo = {i: PseudoLabels([[0, 0, 9, 9]], [1], [0.99]) for i in ids[v + 1:]}
+        n = len(ids) - v - 1
+        pseudo = PseudoLabels(ids[v + 1:], [[0, 0, 9, 9]] * n, [1] * n, [0.99] * n)
         dets.append(dets[-1].update(Pool(frozenset(labeled), frozenset(ids) - set(labeled), pseudo)))
 
     def check(det, group, flipped):

@@ -1,6 +1,7 @@
 """Pseudo-label extraction rules and the correctness audit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def pred(dets, image_id="img"):
 
 def labels_of(p, tau):
     """The pseudo-labels of one image's prediction, as a chunk of one."""
-    return extract_pseudo_labels([chunk_of([p])], tau).get(p.image_ids[0], PseudoLabels([], [], []))
+    return extract_pseudo_labels([chunk_of([p])], tau)
 
 
 def class_and_score(d):
@@ -53,14 +54,15 @@ class TestExtractPseudoLabels:
         assert pls.class_ids.tolist() == [3]
         assert pls.scores.tolist() == pytest.approx([0.995])
         assert pls.boxes.tolist() == [[0.0, 0.0, 10.0, 10.0]]
+        assert pls.image_ids.tolist() == ["img"]
 
     def test_below_threshold_skipped(self):
         p = pred([det(peaked(3, 0.98))])
-        assert extract_pseudo_labels([chunk_of([p])], 0.99) == {}
+        assert extract_pseudo_labels([chunk_of([p])], 0.99) == PseudoLabels()
 
     def test_background_argmax_never_labeled(self):
         p = pred([det(peaked(0, 0.999))])
-        assert extract_pseudo_labels([chunk_of([p])], 0.99) == {}
+        assert extract_pseudo_labels([chunk_of([p])], 0.99) == PseudoLabels()
 
     def test_tau_validation(self):
         p = chunk_of([pred([])])
@@ -94,30 +96,28 @@ class TestExtractPseudoLabels:
 
 
     def test_chunks_labelled_image_by_image(self):
-        # images keep their order and their own rows; images without labels are absent
+        # images keep their order and their own rows; images without labels have no rows
         rng = np.random.default_rng(8)
         preds = []
         for i, n in enumerate([6, 0, 5, 7, 1, 4]):
             dets = [det(peaked(int(rng.integers(0, 5)), float(rng.uniform(0.3, 0.999)))) for _ in range(n)]
             preds.append(pred(dets, f"img_{i}"))
         got = extract_pseudo_labels([chunk_of(preds[:4]), chunk_of(preds[4:])], 0.6)
-        expected = {p.image_ids[0]: labels_of(p, 0.6) for p in preds}
-        assert list(got.items()) == [(i, pls) for i, pls in expected.items() if len(pls)]
-        assert len(got) >= 3
+        assert got == PseudoLabels.concat(labels_of(p, 0.6) for p in preds)
+        assert len(set(got.image_ids.tolist())) >= 3
 
 
 class TestTopKPerClass:
     def test_full_take(self):
         dets = [det(peaked(1, 0.6)), det(peaked(2, 0.7)), det(peaked(0, 0.9))]
         pls = extract_topk_per_class([chunk_of([pred(dets)])], 1.0)
-        assert list(pls) == ["img"]
-        assert len(pls["img"]) == 2  # background-argmax detection excluded
+        assert pls.image_ids.tolist() == ["img", "img"]  # background-argmax detection excluded
 
     def test_top_20_percent(self):
         # 10 detections of one class -> ceil(0.2 * 10) = 2 labels, highest probs
         confs = [0.3, 0.9, 0.5, 0.7, 0.95, 0.4, 0.6, 0.45, 0.35, 0.55]
         dets = [det(peaked(1, c)) for c in confs]
-        pls = extract_topk_per_class([chunk_of([pred(dets)])], 0.2)["img"]
+        pls = extract_topk_per_class([chunk_of([pred(dets)])], 0.2)
         assert len(pls) == 2
         assert pls.scores.tolist() == pytest.approx([0.95, 0.9])
         assert pls.class_ids.tolist() == [1, 1]
@@ -136,8 +136,7 @@ class TestTopKPerClass:
             k = float(rng.choice([0.2, 0.5, 1.0]))
             # the images in two chunks
             got = extract_topk_per_class([chunk_of(preds[:2]), chunk_of(preds[2:])], k)
-            assert all(len(v) for v in got.values())
-            labels = [(c, sc) for v in got.values() for c, sc in zip(v.class_ids.tolist(), v.scores.tolist())]
+            labels = list(zip(got.class_ids.tolist(), got.scores.tolist()))
 
             per_class: dict[int, list[float]] = {}
             for cls, score in map(class_and_score, all_dets):
@@ -163,35 +162,42 @@ def audit(labels, truths):
     """``audit_pl_correctness`` of (image id, box, class) items: one
     confidence-0.995 pseudo-label per item of ``labels``, one ground-truth box
     per item of ``truths``, in order within each image."""
-    pls: dict[str, list] = {}
-    for image_id, box, cls in labels:
-        pls.setdefault(image_id, []).append((box, cls))
     gt: dict[str, list] = {image_id: [] for image_id, _, _ in labels}
     for image_id, box, cls in truths:
         gt.setdefault(image_id, []).append((box, cls))
-    sets = {i: PseudoLabels([b for b, _ in v], [c for _, c in v], [0.995] * len(v)) for i, v in pls.items()}
+    pls = PseudoLabels(*zip(*labels), [0.995] * len(labels)) if labels else PseudoLabels()
     images = tuple(ImageRecord(i, 100, 100, [b for b, _ in v], [c for _, c in v]) for i, v in gt.items())
-    return audit_pl_correctness(sets, Dataset(("c1", "c2", "c3"), images))
+    return audit_pl_correctness(pls, Dataset(("c1", "c2", "c3"), images))
 
 
 class TestPseudoLabels:
     def test_validation(self):
         with pytest.raises(ValueError, match="inverted box"):
-            PseudoLabels([[5, 0, 0, 5]], [1], [0.9])
+            PseudoLabels(["a"], [[5, 0, 0, 5]], [1], [0.9])
         with pytest.raises(ValueError, match="foreground class"):
-            PseudoLabels([[0, 0, 5, 5]], [0], [0.9])
+            PseudoLabels(["a"], [[0, 0, 5, 5]], [0], [0.9])
         for bad in (0.0, 1.5, float("nan")):
             with pytest.raises(ValueError, match="confidence must be in"):
-                PseudoLabels([[0, 0, 5, 5]], [1], [bad])
+                PseudoLabels(["a"], [[0, 0, 5, 5]], [1], [bad])
         with pytest.raises(ValueError, match="row counts differ"):
-            PseudoLabels([[0, 0, 5, 5]], [1, 2], [0.9])
+            PseudoLabels(["a", "a"], [[0, 0, 5, 5]], [1, 2], [0.9])
+
+    @pytest.mark.parametrize("image_id, shown", [(5, "5"), (None, "None"), ("a\0", "'a\\x00'")])
+    def test_image_id_must_be_a_string_the_column_holds(self, image_id, shown):
+        # a numpy string column would hold 5 as "5" and "a\0" as "a"
+        message = f"image_id: expected a string without a trailing NUL, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PseudoLabels(["a", image_id], [[0, 0, 5, 5]] * 2, [1, 1], [0.9, 0.9])
+        assert PseudoLabels(["a\0b"], [[0, 0, 5, 5]], [1], [0.9]).image_ids.tolist() == ["a\0b"]
 
     def test_rows_of_detections(self):
-        p = pred([det(peaked(1, 0.6), (0, 0, 5, 5)), det(peaked(2, 0.7), (1, 1, 6, 6))])
-        pls = PseudoLabels.from_rows(p.detections, [1])
-        assert pls == PseudoLabels([[1, 1, 6, 6]], [2], [p.detections.scores[1]])
-        with pytest.raises(ValueError):
-            pls.scores[0] = 0.5  # read-only
+        # the extractors take rows of the detections as they are, with their image ids
+        p = pred([det(peaked(1, 0.6), (0, 0, 5, 5)), det(peaked(2, 0.995), (1, 1, 6, 6))])
+        pls = extract_pseudo_labels([p], 0.99)
+        assert pls == PseudoLabels(["img"], [[1, 1, 6, 6]], [2], [p.detections.scores[1]])
+        for name in PseudoLabels._fields:
+            with pytest.raises(ValueError):
+                getattr(pls, name)[0] = getattr(pls, name)[0]  # read-only
 
 
 class TestAudit:
@@ -216,6 +222,21 @@ class TestAudit:
 
     def test_empty_pl_list_convention(self):
         assert audit([], [("a", (0, 0, 1, 1), 1)]) == 1.0
+
+    def test_reads_only_the_ground_truth_of_labelled_images(self):
+        read = []
+
+        class Spy(Dataset):
+            def __getitem__(self, image_id):
+                read.append(image_id)
+                return super().__getitem__(image_id)
+
+        images = tuple(ImageRecord(i, 100, 100, [(0, 0, 10, 10)], [1]) for i in "abc")
+        pls = PseudoLabels(["c", "a", "a"], [(0, 0, 10, 10)] * 3, [1, 1, 2], [0.995] * 3)
+        assert audit_pl_correctness(pls, Spy(("c1", "c2"), images)) == 2 / 3
+        assert read == ["c", "a"]
+        with pytest.raises(KeyError, match="unknown image id 'd'"):
+            audit_pl_correctness(PseudoLabels(["d"], [(0, 0, 10, 10)], [1], [0.995]), Spy(("c1",), images))
 
     def test_24_of_25_fixture(self):
         labels, truths = [], []
