@@ -11,7 +11,8 @@ Typical entry points:
 
 - :func:`aldet.acquisition.post_nms` / :func:`unified_score` / :func:`select_for_labeling`
 - :func:`aldet.pseudo_label.extract_pseudo_labels`
-- :func:`aldet.pool.run_cycles` with a :class:`aldet.sim_detector.SyntheticDetector`
+- :func:`aldet.pool.run_cycles` with a :class:`aldet.sim_detector.SyntheticDetector`,
+  a generator that runs the protocol one cycle per :class:`CycleReport` it yields
 - the ``aldet`` command line (score/select/pseudolabel/simulate/eval/...)
 
 A prediction is a :class:`PredictionChunk` of images, from the detector and

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,6 +28,7 @@ from .pool import (
     run_cycles,
     score_pool,
 )
+from .pseudo_label import PseudoLabels
 from .sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -244,9 +245,7 @@ def cmd_select(args) -> int:
     # The selection is committed before any file is written, so a selection
     # the pool rejects leaves no output behind.
     pool = commit_selection(formats.load_pool(args.pool), selected) if args.pool else None
-    Path(args.out).write_text(
-        "".join(f"{image_id}\n" for image_id in selected), encoding="utf-8", newline="\n"
-    )
+    formats.write_selected_txt(selected, args.out)
     if pool is not None:
         formats.save_pool(pool, args.pool_out or args.pool)
     return 0
@@ -289,27 +288,25 @@ def cmd_simulate(args) -> int:
     world = Dataset(train.classes, train.images + test.images)
     detector = SyntheticDetector(cfg.detector_config(train.n_classes), world)
     pool = init_pool(train.image_ids, cfg.initial_budget, cfg.seed)
-    reports = run_cycles(pool, detector, run_cfg, train, test)
-
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    selected_files = []
-    for rep in reports:
-        tag = f"cycle{rep.cycle}"
+    # Each cycle's files are written as its report arrives, and the report is
+    # kept without its pool-sized scores and pseudo-labels, which report.csv
+    # does not need. report.csv is written last, so it marks a complete run.
+    rows = []
+    for rep in run_cycles(pool, detector, run_cfg, train, test):
+        tag, sel_name = f"cycle{rep.cycle}", ""
         if rep.cycle > 0:
             formats.write_scores_csv(rep.scores, out_dir / f"scores_{tag}.csv")
             sel_name = f"selected_{tag}.txt"
-            (out_dir / sel_name).write_text(
-                "".join(f"{i}\n" for i in rep.selected), encoding="utf-8", newline="\n"
-            )
-            selected_files.append(sel_name)
-        else:
-            selected_files.append("")
+            formats.write_selected_txt(rep.selected, out_dir / sel_name)
         formats.write_pseudo_labels_jsonl(rep.pseudo_labels, out_dir / f"pseudo_{tag}.jsonl")
         formats.write_eval_csv(rep.evaluation, out_dir / f"eval_{tag}.csv")
+        rep = replace(rep, scores=(), pseudo_labels=PseudoLabels())
+        rows.append((rep, sel_name))
 
-    formats.write_reports_csv(reports, out_dir / "report.csv", selected_files)
+    formats.write_reports_csv(rows, out_dir / "report.csv")
     return 0
 
 

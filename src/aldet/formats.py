@@ -43,6 +43,7 @@ __all__ = [
     "save_pool",
     "read_scores_csv",
     "write_scores_csv",
+    "write_selected_txt",
     "write_reports_csv",
     "read_eval_csv",
     "write_eval_csv",
@@ -403,16 +404,21 @@ def read_scores_csv(path) -> list[AcquisitionScore]:
     return _read_lines(path, row, header="image_id,entropy,inconsistency,unified")
 
 
+# -- selection text ------------------------------------------------------------
+
+
+def write_selected_txt(image_ids: Iterable[str], path) -> None:
+    """One selected image id per line, in the given order."""
+    _write_text(path, "".join(f"{image_id}\n" for image_id in image_ids))
+
+
 # -- cycle report CSV ----------------------------------------------------------
 
 
-def write_reports_csv(
-    reports: Sequence[CycleReport], path, selected_files: Sequence[str] | None = None
-) -> None:
-    if selected_files is None:
-        selected_files = [""] * len(reports)
+def write_reports_csv(rows: Iterable[tuple[CycleReport, str]], path) -> None:
+    """One line per (report, selection file name) row, in the given order."""
     lines = ["cycle,n_labeled,n_pl,pl_ratio,pl_correctness,map50,selected_file\n"]
-    for rep, sel in zip(reports, selected_files):
+    for rep, sel in rows:
         lines.append(
             f"{rep.cycle},{rep.n_labeled},{rep.pl_count},"
             f"{rep.pl_ratio:.6f},{rep.pl_correctness:.6f},{rep.evaluation.map50:.6f},{sel}\n"

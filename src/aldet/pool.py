@@ -21,12 +21,15 @@ evaluation take those chunks as they are: each chunk costs a fixed number of
 numpy calls, where a pass per image paid numpy's per-call overhead on a
 handful of boxes for every image. The pool is streamed chunk by chunk and
 never held whole unless pseudo-labelling keeps its originals.
+
+:func:`run_cycles` yields each cycle's report as the cycle ends, so a caller
+that writes each report and lets it go holds one cycle's results at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,7 +76,8 @@ PL_STRATEGIES = ("threshold", "topk")
 class Pool:
     """Partition of the dataset ids into labeled and unlabeled, plus the
     pseudo-labels currently attached to unlabeled images: one set holding
-    every such image's labels, its rows in the order given."""
+    every such image's labels, its rows stably sorted by image id, the order
+    in which the pool file lists them."""
 
     labeled: frozenset[str]
     unlabeled: frozenset[str]
@@ -91,6 +95,10 @@ class Pool:
         stray = set(self.pseudo.image_ids.tolist()) - self.unlabeled
         if stray:
             raise ValueError(f"pseudo-labels attached to non-pool images: {sorted(stray)[:5]}")
+        ids = self.pseudo.image_ids
+        # The loop's pools are in id order already; they keep their set, uncopied.
+        if (ids[1:] < ids[:-1]).any():
+            object.__setattr__(self, "pseudo", self.pseudo.take(np.argsort(ids, kind="stable")))
 
     @property
     def all_ids(self) -> frozenset[str]:
@@ -173,7 +181,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Everything recorded about one cycle of the protocol."""
+    """Everything recorded about one cycle of the protocol, as
+    :func:`run_cycles` yields it. ``scores`` (empty in cycle 0) and
+    ``pseudo_labels`` are as large as the pool."""
 
     cycle: int
     selected: tuple[str, ...]
@@ -239,9 +249,13 @@ def run_cycles(
     cfg: RunConfig,
     train_data: Dataset,
     test_data: Dataset,
-) -> list[CycleReport]:
-    """Run the full protocol: cycle 0 trains on the initial labeled set only,
-    cycles 1..T score, select, commit, retrain, re-pseudo-label, evaluate.
+) -> Iterator[CycleReport]:
+    """Run the full protocol, yielding each cycle's report as the cycle ends:
+    cycle 0 trains on the initial labeled set only, cycles 1..T score,
+    select, commit, retrain, re-pseudo-label, evaluate. A cycle runs only
+    when its report is asked for; ``list(run_cycles(...))`` runs them all.
+    A pool whose ids are not the training dataset's raises ValueError at the
+    first ``next()``, before the detector predicts anything.
 
     Each cycle ends with one detector version, which then
     - predicts the original view of every pool image once: pseudo-labelling
@@ -263,12 +277,10 @@ def run_cycles(
     if not cfg.pl_enabled:
         pool = with_pseudo(pool, PseudoLabels())
 
-    reports: list[CycleReport] = []
-    selected: list[str] = []
-    scores: list[AcquisitionScore] = []
     originals: Iterable[PredictionChunk] = ()
 
     for t in range(cfg.cycles + 1):
+        selected, scores = [], []  # drops the last cycle's before this one scores
         if t > 0:
             scores = score_pool(
                 originals, lambda ids: detector.predict(ids, flipped=True), cfg.acquisition
@@ -283,25 +295,20 @@ def run_cycles(
         originals = post_nms_stream(detector.predict, sorted(pool.unlabeled), cfg.acquisition)
         if cfg.pl_enabled:
             originals = list(originals)
-            pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
-            pool = with_pseudo(pool, pseudo)
+            pool = with_pseudo(pool, pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction))
 
         n_pl = len(pool.pseudo)
         n_manual = sum(len(train_data[i].class_ids) for i in pool.labeled)
         denom = n_pl + n_manual
         test_preds = post_nms_stream(detector.predict, test_data.image_ids, cfg.acquisition)
-        reports.append(
-            CycleReport(
-                cycle=t,
-                selected=tuple(selected),
-                scores=tuple(scores),
-                n_labeled=len(pool.labeled),
-                pl_count=n_pl,
-                pl_ratio=n_pl / denom if denom else 0.0,
-                pl_correctness=audit_pl_correctness(pool.pseudo, train_data),
-                evaluation=evaluate(test_preds, test_data),
-                pseudo_labels=pool.pseudo,
-            )
+        yield CycleReport(
+            cycle=t,
+            selected=tuple(selected),
+            scores=tuple(scores),
+            n_labeled=len(pool.labeled),
+            pl_count=n_pl,
+            pl_ratio=n_pl / denom if denom else 0.0,
+            pl_correctness=audit_pl_correctness(pool.pseudo, train_data),
+            evaluation=evaluate(test_preds, test_data),
+            pseudo_labels=pool.pseudo,
         )
-
-    return reports

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, file contracts, and determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from aldet.cli import (
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
 from aldet.pool import Pool, RunConfig, init_pool
+from aldet.pseudo_label import PseudoLabels
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
 
@@ -682,6 +684,70 @@ class TestSimulateCommand:
             )
             assert main(["simulate", "--config", str(cfg)]) == 0
             assert (out / "report.csv").exists()
+
+
+    @staticmethod
+    def cycle_files(t):
+        """The files simulate writes for cycle ``t``, in the order it writes them."""
+        scored = [f"scores_cycle{t}.csv", f"selected_cycle{t}.txt"] if t else []
+        return scored + [f"pseudo_cycle{t}.jsonl", f"eval_cycle{t}.csv"]
+
+    def test_each_cycle_is_written_before_the_next_cycle_predicts(self, workspace, monkeypatch):
+        # With pseudo-labels on, the detector of version v predicts the pool's
+        # and the test set's originals in cycle v - 1 and scores the pool's
+        # flipped views in cycle v. Whenever it predicts, the files of every
+        # earlier cycle exist and no other; report.csv is written last.
+        tmp_path, *_ = workspace
+        out = tmp_path / "run"
+        cfg = write_sim_config(tmp_path, tmp_path / "train.json", tmp_path / "test.json", out, cycles=3)
+        predict, write_text, seen, written = SyntheticDetector.predict, formats._write_text, [], []
+
+        def spy(self, image_ids, flipped=False):
+            seen.append((self.version if flipped else self.version - 1, {p.name for p in out.glob("*")}))
+            return predict(self, image_ids, flipped)
+
+        def logged(path, text):
+            written.append(Path(path).name)
+            write_text(path, text)
+
+        monkeypatch.setattr(SyntheticDetector, "predict", spy)
+        monkeypatch.setattr(formats, "_write_text", logged)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert sorted({cycle for cycle, _ in seen}) == [0, 1, 2, 3]
+        for cycle, files in seen:
+            assert files == {name for t in range(cycle) for name in self.cycle_files(t)}, cycle
+        assert written == [name for t in range(4) for name in self.cycle_files(t)] + ["report.csv"]
+
+    def test_holds_one_cycle_of_pseudo_labels_and_scores(self, workspace, monkeypatch):
+        # Whenever the detector predicts, at most one non-empty pseudo-label
+        # set made by this run is alive: each cycle's set is written and let
+        # go once the next cycle has replaced it in the pool. When a cycle
+        # starts scoring, no earlier cycle's scores are alive.
+        tmp_path, *_ = workspace
+        out = tmp_path / "run"
+        cfg = write_sim_config(tmp_path, tmp_path / "train.json", tmp_path / "test.json", out, cycles=4)
+        earlier = [o for o in gc.get_objects() if isinstance(o, (PseudoLabels, AcquisitionScore))]
+        earlier_ids = {id(o) for o in earlier}  # the objects are kept alive, so their ids stay unique
+        predict, live = SyntheticDetector.predict, []
+
+        def spy(self, image_ids, flipped=False):
+            gc.collect()
+            made = [o for o in gc.get_objects()
+                    if isinstance(o, (PseudoLabels, AcquisitionScore)) and id(o) not in earlier_ids]
+            live.append((self.version, flipped, sum(isinstance(o, PseudoLabels) and len(o) > 0 for o in made),
+                         sum(isinstance(o, AcquisitionScore) for o in made)))
+            return predict(self, image_ids, flipped)
+
+        monkeypatch.setattr(SyntheticDetector, "predict", spy)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        report = (out / "report.csv").read_text().splitlines()[1:]
+        assert len(report) == 5 and all(int(row.split(",")[2]) > 0 for row in report), report
+        assert max(n_sets for *_, n_sets, _ in live) == 1
+        first_flipped = {}
+        for version, flipped, _, n_scores in live:
+            if flipped:
+                first_flipped.setdefault(version, n_scores)
+        assert first_flipped == dict.fromkeys(range(1, 5), 0)
 
 
 # Run in a fresh interpreter as ``-c PROBE OUT ARGS...``: simulate into

@@ -11,7 +11,7 @@ from aldet import formats
 from aldet.acquisition import AcquisitionScore
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
-from aldet.pool import init_pool, with_pseudo
+from aldet.pool import Pool, init_pool, with_pseudo
 from aldet.pseudo_label import PseudoLabels
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
@@ -264,6 +264,13 @@ class TestPoolState:
         pseudo = json.loads(path.read_text())["pseudo"]
         assert list(pseudo) == [target, second]
         assert [rec["class_id"] for rec in pseudo[target]] == [1, 2]
+
+    def test_rows_out_of_id_order_roundtrip(self, tmp_path):
+        # the file lists the labels image by image in id order, and so does the pool
+        pool = Pool(frozenset(), frozenset({"a", "b"}),
+                    PseudoLabels(["b", "a"], [[0, 0, 1, 1]] * 2, [1, 1], [0.9, 0.9]))
+        formats.save_pool(pool, tmp_path / "pool.json")
+        assert formats.load_pool(tmp_path / "pool.json") == pool
 
     def test_misfiled_pseudo_label_rejected(self, tmp_path):
         path = tmp_path / "pool.json"

@@ -1,5 +1,6 @@
 """Pool partition invariants and the cycle protocol."""
 
+import inspect
 import re
 import sys
 from collections import Counter
@@ -58,6 +59,13 @@ class TestPoolType:
         pool = Pool(frozenset({"a"}), frozenset({"b", "c"}), some_pls("b", 2))
         assert len(pool.pseudo) == 2
         assert pool.all_ids == {"a", "b", "c"}
+
+    def test_pseudo_rows_held_stably_in_id_order(self):
+        pls = PseudoLabels(["c", "b", "c", "b"], [[0, 0, 1, 1]] * 4, [1, 2, 3, 4], [0.9] * 4)
+        pool = Pool(frozenset(), frozenset({"b", "c"}), pls)
+        assert pool.pseudo == pls.take([1, 3, 0, 2])
+        # a set already in id order is kept as it is
+        assert with_pseudo(pool, pool.pseudo).pseudo is pool.pseudo
 
 
 class TestInitPool:
@@ -179,7 +187,7 @@ class TestRunCycles:
         train, test, world = small_world()
         pool = init_pool(train.image_ids, 10, seed=0)
         cfg = RunConfig(cycles=3, budget_per_cycle=5, strategy="unified", seed=0)
-        reports = run_cycles(pool, make_detector(world), cfg, train, test)
+        reports = list(run_cycles(pool, make_detector(world), cfg, train, test))
         assert len(reports) == 4
         assert [r.n_labeled for r in reports] == [10, 15, 20, 25]
         assert [r.cycle for r in reports] == [0, 1, 2, 3]
@@ -188,7 +196,7 @@ class TestRunCycles:
         train, test, world = small_world()
         pool = init_pool(train.image_ids, 10, seed=0)
         cfg = RunConfig(cycles=4, budget_per_cycle=5, strategy="unified", seed=0)
-        reports = run_cycles(pool, make_detector(world), cfg, train, test)
+        reports = list(run_cycles(pool, make_detector(world), cfg, train, test))
         all_selected = [i for r in reports for i in r.selected]
         assert len(all_selected) == len(set(all_selected)) == 20
 
@@ -196,7 +204,7 @@ class TestRunCycles:
         train, test, world = small_world()
         pool = init_pool(train.image_ids, 10, seed=0)
         cfg = RunConfig(cycles=2, budget_per_cycle=5, strategy="unified", seed=0, pl_enabled=False)
-        reports = run_cycles(pool, make_detector(world), cfg, train, test)
+        reports = list(run_cycles(pool, make_detector(world), cfg, train, test))
         assert all(r.pl_count == 0 for r in reports)
         assert all(r.pl_ratio == 0.0 for r in reports)
 
@@ -208,7 +216,7 @@ class TestRunCycles:
         pool = with_pseudo(pool, some_pls(stale))
         seen = []
         cfg = RunConfig(cycles=2, budget_per_cycle=5, seed=0, pl_enabled=False)
-        reports = run_cycles(pool, PoolSpy(make_detector(world), seen), cfg, train, test)
+        reports = list(run_cycles(pool, PoolSpy(make_detector(world), seen), cfg, train, test))
         assert [(r.cycle, r.pl_count, r.pl_correctness) for r in reports] == [
             (0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)
         ]
@@ -224,29 +232,29 @@ class TestRunCycles:
                             acquisition=AcquisitionConfig(nms_score_floor=floor))
             pool = init_pool(train.image_ids, 10, seed=0)
             detector = make_detector(world, temperature=0.5)
-            maps.append(run_cycles(pool, detector, cfg, train, test)[0].evaluation.map50)
+            maps.append(list(run_cycles(pool, detector, cfg, train, test))[0].evaluation.map50)
         assert maps[0] > 0.0 and maps[1] == 0.0
 
     def test_reproducible(self):
         train, test, world = small_world()
         cfg = RunConfig(cycles=3, budget_per_cycle=5, strategy="unified", seed=4)
-        a = run_cycles(init_pool(train.image_ids, 10, 4), make_detector(world), cfg, train, test)
-        b = run_cycles(init_pool(train.image_ids, 10, 4), make_detector(world), cfg, train, test)
+        a = list(run_cycles(init_pool(train.image_ids, 10, 4), make_detector(world), cfg, train, test))
+        b = list(run_cycles(init_pool(train.image_ids, 10, 4), make_detector(world), cfg, train, test))
         assert a == b
 
     def test_random_strategy_seeded(self):
         train, test, world = small_world()
         cfg1 = RunConfig(cycles=2, budget_per_cycle=5, strategy="random", seed=1)
         cfg2 = RunConfig(cycles=2, budget_per_cycle=5, strategy="random", seed=2)
-        a = run_cycles(init_pool(train.image_ids, 10, 0), make_detector(world), cfg1, train, test)
-        b = run_cycles(init_pool(train.image_ids, 10, 0), make_detector(world), cfg2, train, test)
+        a = list(run_cycles(init_pool(train.image_ids, 10, 0), make_detector(world), cfg1, train, test))
+        b = list(run_cycles(init_pool(train.image_ids, 10, 0), make_detector(world), cfg2, train, test))
         assert a[1].selected != b[1].selected
 
     def test_pl_stats_populated(self):
         train, test, world = small_world()
         pool = init_pool(train.image_ids, 10, seed=0)
         cfg = RunConfig(cycles=2, budget_per_cycle=5, strategy="unified", seed=0, tau=0.9)
-        reports = run_cycles(pool, make_detector(world), cfg, train, test)
+        reports = list(run_cycles(pool, make_detector(world), cfg, train, test))
         assert any(r.pl_count > 0 for r in reports)
         for r in reports:
             assert 0.0 <= r.pl_ratio <= 1.0
@@ -267,7 +275,7 @@ class TestRunCycles:
 
         def fragile_selected(strategy):
             cfg = RunConfig(cycles=2, budget_per_cycle=10, strategy=strategy, seed=0)
-            reports = run_cycles(init_pool(train.image_ids, 10, 0), det, cfg, train, test)
+            reports = list(run_cycles(init_pool(train.image_ids, 10, 0), det, cfg, train, test))
             return sum(
                 1
                 for r in reports
@@ -277,12 +285,28 @@ class TestRunCycles:
 
         assert fragile_selected("unified") > fragile_selected("random")
 
+    def test_one_cycle_per_report(self):
+        # the detector trained in cycle 0 is version 1; until cycle 0's report
+        # is asked for nothing is predicted, and cycle 1 has not started when it
+        # arrives: no flipped view is predicted, no later version predicts
+        assert inspect.isgeneratorfunction(run_cycles)
+        train, test, world = small_world()
+        pool = init_pool(train.image_ids, 10, seed=0)
+        calls = Counter()
+        detector = CountingDetector(make_detector(world), calls, [], [])
+        reports = run_cycles(pool, detector, RunConfig(cycles=2, budget_per_cycle=5, seed=0), train, test)
+        assert not calls
+        assert next(reports).cycle == 0
+        assert {(v, f) for v, _, f in calls} == {(1, False)}
+        assert {i for _, i, _ in calls} == pool.unlabeled | set(test.image_ids)
+        assert [r.cycle for r in reports] == [1, 2]
+
     def test_pool_mismatch_rejected(self):
         train, test, world = small_world()
         pool = init_pool(train.image_ids[:-1], 5, seed=0)
         cfg = RunConfig(cycles=1, budget_per_cycle=2, seed=0)
         with pytest.raises(ValueError, match="do not match"):
-            run_cycles(pool, make_detector(world), cfg, train, test)
+            list(run_cycles(pool, make_detector(world), cfg, train, test))
 
 
 class CountingDetector(DetectorInterface):
@@ -361,7 +385,7 @@ class TestSinglePass:
         cfg = RunConfig(cycles=self.CYCLES, budget_per_cycle=5, seed=0, tau=0.9,
                         pl_enabled=pl_enabled)
         detector = CountingDetector(make_detector(world), calls, chunks, log)
-        reports = run_cycles(pool, detector, cfg, train, test)
+        reports = list(run_cycles(pool, detector, cfg, train, test))
         assert set(calls.values()) == {1}
         # The detector predicts chunks of up to CHUNK_IMAGES images, and
         # builds each chunk's arrays once: one softmax, one distribution
