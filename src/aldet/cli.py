@@ -268,7 +268,7 @@ def cmd_pseudolabel(args) -> int:
         candidates = [i for i in candidates if i in pool.unlabeled]
 
     acq = cfg.acquisition_config()
-    originals = list(post_nms_stream(preds.chunk, candidates, acq))
+    originals = post_nms_stream(preds.chunk, candidates, acq)
     pseudo = pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction)
     formats.write_pseudo_labels_jsonl(pseudo, args.out)
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -322,10 +323,22 @@ def _pl_set(recs) -> PseudoLabels:
     )
 
 
+# A record as json.dumps(record, sort_keys=True) writes it: json writes a
+# finite float as float.__repr__, an int as int.__repr__ and a string with
+# encode_basestring_ascii.
+_PL_LINE = '{"bbox": [%r, %r, %r, %r], "class_id": %d, "confidence": %r, "image_id": %s}\n'
+
+
 def write_pseudo_labels_jsonl(pls: PseudoLabels, path) -> None:
-    records = _pl_records(pls)
-    records.sort(key=lambda r: (r["image_id"], -r["confidence"], r["class_id"]))
-    _write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    """One record per label, ordered by (image_id, -confidence, class_id),
+    ties in row order."""
+    pls = pls.take(np.lexsort((pls.class_ids, -pls.scores, pls.image_ids)))
+    _write_text(path, "".join(
+        _PL_LINE % (x0, y0, x1, y1, c, conf, encode_basestring_ascii(image_id))
+        for image_id, (x0, y0, x1, y1), c, conf in zip(
+            pls.image_ids.tolist(), pls.boxes.tolist(), pls.class_ids.tolist(), pls.scores.tolist()
+        )
+    ))
 
 
 def read_pseudo_labels_jsonl(path) -> PseudoLabels:
@@ -375,8 +388,15 @@ def load_pool(path) -> Pool:
 
 
 def write_scores_csv(scores: Iterable[AcquisitionScore], path) -> None:
+    """Ids are written unquoted, so an id that :func:`read_scores_csv` would
+    not read back as it is (one holding a comma or a line break, or starting
+    with whitespace, which the reader strips) raises a ValueError naming it
+    before anything is written."""
     lines = ["image_id,entropy,inconsistency,unified\n"]
     for s in sorted(scores, key=lambda s: s.image_id):
+        if "," in s.image_id or "\n" in s.image_id or s.image_id[:1].isspace():
+            raise ValueError(f"image_id {s.image_id!r} cannot be written to a scores CSV: it holds a comma "
+                             f"or a line break, or starts with whitespace")
         lines.append(f"{s.image_id},{s.entropy:.6f},{s.inconsistency:.6f},{s.unified:.6f}\n")
     _write_text(path, "".join(lines))
 

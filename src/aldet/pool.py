@@ -1,26 +1,30 @@
 """Labeled/unlabeled pool management and the active-learning cycle loop.
 
 A dataset is partitioned into a labeled set L and an unlabeled pool U. Each
-cycle scores U, moves a budget of images into L, retrains the detector,
-regenerates pseudo-labels over the remaining pool, and evaluates the new
-detector on a held-out test set. Pseudo-labels are regenerated from scratch
-by every detector version; they are never accumulated. The pool's
-pseudo-labels are one :class:`~aldet.pseudo_label.PseudoLabels` set, a row
-per label with its image id, like the chunks every other stage passes.
+cycle moves a budget of images from U into L, chosen by the scores the
+previous detector version gave U, retrains the detector, evaluates the new
+detector on a held-out test set, and regenerates pseudo-labels over the
+remaining pool while scoring it for the next cycle. Pseudo-labels are
+regenerated from scratch by every detector version; they are never
+accumulated. The pool's pseudo-labels are one
+:class:`~aldet.pseudo_label.PseudoLabels` set, a row per label with its image
+id, like the chunks every other stage passes.
 
-Every detector version does each job once: it predicts the original view of
-each pool image once (pseudo-labelling keeps the result, and the next cycle
-scores from it), the flipped view of each scored image once, and the test set
-once. Each prediction goes through :func:`aldet.acquisition.post_nms` once,
-where it is made; scoring, pseudo-labelling and evaluation take its output.
+Every detector version does each job once. It predicts the test set once,
+and then makes one pass over the sorted pool: it predicts the original view of
+a chunk of pool images, then the flipped view of the same chunk, scores the
+chunk for the next cycle's selection and hands it on to pseudo-labelling, then
+drops it and goes on to the next chunk. Each prediction goes through
+:func:`aldet.acquisition.post_nms` once, where it is made; scoring,
+pseudo-labelling and evaluation take its output.
 
 The detector predicts chunks of :data:`aldet.acquisition.CHUNK_IMAGES`
 images (:class:`~aldet.boxes.PredictionChunk`), one call per chunk and view;
 each chunk passes through NMS whole, and scoring, pseudo-labelling and
 evaluation take those chunks as they are: each chunk costs a fixed number of
 numpy calls, where a pass per image paid numpy's per-call overhead on a
-handful of boxes for every image. The pool is streamed chunk by chunk and
-never held whole unless pseudo-labelling keeps its originals.
+handful of boxes for every image. No stage holds the pool's predictions
+whole: the loop holds one chunk of them at a time.
 
 :func:`run_cycles` yields each cycle's report as the cycle ends, so a caller
 that writes each report and lets it go holds one cycle's results at a time.
@@ -28,6 +32,7 @@ that writes each report and lets it go holds one cycle's results at a time.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
@@ -217,13 +222,14 @@ def score_pool(
 
 
 def pseudo_label_pool(
-    originals: Sequence[PredictionChunk],
+    originals: Iterable[PredictionChunk],
     strategy: str,
     tau: float,
     topk_fraction: float,
 ) -> PseudoLabels:
     """Pseudo-labels of the given post-NMS original-view chunks, image by
-    image in input order.
+    image in input order. The chunks are read once, in order, and none is
+    kept, so a generator streams them.
 
     ``strategy`` is ``threshold`` (every detection with p >= tau) or ``topk``
     (the most confident ``topk_fraction`` of each class across all images).
@@ -243,6 +249,17 @@ def evaluate(chunks: Iterable[PredictionChunk], data: Dataset) -> EvalResult:
     return map50(Detections.concat(c.detections for c in chunks), image_ids, data)
 
 
+def _scored_chunks(
+    originals: Iterable[PredictionChunk], detector, cfg: AcquisitionConfig, scores: list[AcquisitionScore]
+) -> Iterator[PredictionChunk]:
+    """Each of the post-NMS original-view ``originals``, after appending its
+    images' :func:`score_pool` scores to ``scores``: the detector predicts a
+    chunk's flipped view right after its original view."""
+    for chunk in originals:
+        scores += score_pool((chunk,), lambda ids: detector.predict(ids, flipped=True), cfg)
+        yield chunk
+
+
 def run_cycles(
     pool: Pool,
     detector,
@@ -251,23 +268,23 @@ def run_cycles(
     test_data: Dataset,
 ) -> Iterator[CycleReport]:
     """Run the full protocol, yielding each cycle's report as the cycle ends:
-    cycle 0 trains on the initial labeled set only, cycles 1..T score,
-    select, commit, retrain, re-pseudo-label, evaluate. A cycle runs only
-    when its report is asked for; ``list(run_cycles(...))`` runs them all.
-    A pool whose ids are not the training dataset's raises ValueError at the
-    first ``next()``, before the detector predicts anything.
+    cycle 0 trains on the initial labeled set only, cycles 1..T select,
+    commit, retrain, re-pseudo-label, evaluate. A cycle runs only when its
+    report is asked for; ``list(run_cycles(...))`` runs them all. A pool
+    whose ids are not the training dataset's raises ValueError at the first
+    ``next()``, before the detector predicts anything.
 
-    Each cycle ends with one detector version, which then
-    - predicts the original view of every pool image once: pseudo-labelling
-      keeps the post-NMS predictions and the next cycle scores from them
-      (with pseudo-labels off, the pool's pseudo-labels are dropped before
-      cycle 0, and the next cycle streams the originals instead);
-    - predicts the flipped view of every image it scores once;
-    - is evaluated on the test set once, ``cycles + 1`` evaluations in all.
-
-    The detector is asked for one chunk of ``CHUNK_IMAGES`` images per call:
-    the sorted pool and the test set in consecutive runs, and the flipped
-    view of each scored chunk of originals.
+    Each cycle ends with one detector version. It is evaluated on the test
+    set once, ``cycles + 1`` evaluations in all, and then makes one pass
+    over the sorted pool, a chunk of ``CHUNK_IMAGES`` images at a time: it
+    predicts the chunk's original view and then its flipped view, scores the
+    chunk for the next cycle's selection, and hands it on to
+    pseudo-labelling (with pseudo-labels off, the pool's pseudo-labels are
+    dropped before cycle 0 and the pass only scores). The version of the
+    last cycle scores nothing, and with pseudo-labels off it predicts no
+    pool image. Nothing is held whole: the pass keeps one chunk of the
+    pool's predictions at a time, and the next cycle selects from the scores
+    carried over.
 
     Fully deterministic given the pool seed, the detector's seed, and the
     config; repeated runs produce identical reports.
@@ -277,30 +294,29 @@ def run_cycles(
     if not cfg.pl_enabled:
         pool = with_pseudo(pool, PseudoLabels())
 
-    originals: Iterable[PredictionChunk] = ()
-
+    scores: list[AcquisitionScore] = []
     for t in range(cfg.cycles + 1):
-        selected, scores = [], []  # drops the last cycle's before this one scores
+        selected = []
         if t > 0:
-            scores = score_pool(
-                originals, lambda ids: detector.predict(ids, flipped=True), cfg.acquisition
-            )
-            originals = ()  # released before the next version predicts its own
             selected = select_for_labeling(
                 scores, cfg.budget_per_cycle, cfg.strategy, seed=(cfg.seed, t)
             )
             pool = commit_selection(pool, selected)
         detector = detector.update(pool)
-        # Lazy, so that with pseudo-labels off the next cycle's scoring streams it.
+        # Before the pass, so the test set's chunks and the scores the pass builds are never held together.
+        evaluation = evaluate(post_nms_stream(detector.predict, test_data.image_ids, cfg.acquisition), test_data)
+        next_scores: list[AcquisitionScore] = []
         originals = post_nms_stream(detector.predict, sorted(pool.unlabeled), cfg.acquisition)
+        if t < cfg.cycles:
+            originals = _scored_chunks(originals, detector, cfg.acquisition, next_scores)
         if cfg.pl_enabled:
-            originals = list(originals)
             pool = with_pseudo(pool, pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction))
+        elif t < cfg.cycles:
+            deque(originals, maxlen=0)  # consumed without keeping a chunk
 
         n_pl = len(pool.pseudo)
         n_manual = sum(len(train_data[i].class_ids) for i in pool.labeled)
         denom = n_pl + n_manual
-        test_preds = post_nms_stream(detector.predict, test_data.image_ids, cfg.acquisition)
         yield CycleReport(
             cycle=t,
             selected=tuple(selected),
@@ -309,6 +325,7 @@ def run_cycles(
             pl_count=n_pl,
             pl_ratio=n_pl / denom if denom else 0.0,
             pl_correctness=audit_pl_correctness(pool.pseudo, train_data),
-            evaluation=evaluate(test_preds, test_data),
+            evaluation=evaluation,
             pseudo_labels=pool.pseudo,
         )
+        scores = next_scores

@@ -7,11 +7,11 @@ everything below the threshold stays unlabeled.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .boxes import FrozenRows, PredictionChunk, checked_boxes, iou
+from .boxes import ChunkDetections, FrozenRows, PredictionChunk, checked_boxes, iou
 from .dataset import Dataset, checked_image_id
 from .evaluation import same_class_pairs
 from .matching import greedy_assign
@@ -53,11 +53,22 @@ class PseudoLabels(FrozenRows):
         self._init(image_ids, boxes, class_ids, scores)
 
 
-def _labels(chunk: PredictionChunk, rows) -> PseudoLabels:
-    """The given rows of a chunk's detections, as pseudo-labels."""
-    d = chunk.detections
-    image_ids = np.array(chunk.image_ids, dtype=str)[d.image[rows]]
-    return PseudoLabels._of(image_ids, d.boxes[rows], d.class_ids[rows], d.scores[rows])
+def _labels(chunks: Iterable[PredictionChunk], keep: Callable[[ChunkDetections], np.ndarray]) -> PseudoLabels:
+    """The rows ``keep(detections)`` of every chunk, in order, as one set of
+    pseudo-labels.
+
+    Each chunk is read once and let go, so a stream of chunks is never held
+    whole. Its rows are kept as plain columns, which become the one set when
+    the last chunk has been read: no set is made per chunk.
+    """
+
+    def columns(chunk: PredictionChunk):
+        d = chunk.detections
+        rows = keep(d)
+        return np.array(chunk.image_ids, dtype=str)[d.image[rows]], d.boxes[rows], d.class_ids[rows], d.scores[rows]
+
+    parts = list(zip(*map(columns, chunks)))  # map keeps no chunk once its columns are taken
+    return PseudoLabels._of(*map(np.concatenate, parts)) if parts else PseudoLabels()
 
 
 def extract_pseudo_labels(chunks: Iterable[PredictionChunk], tau: float) -> PseudoLabels:
@@ -70,9 +81,7 @@ def extract_pseudo_labels(chunks: Iterable[PredictionChunk], tau: float) -> Pseu
     """
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    return PseudoLabels.concat(
-        _labels(c, (c.detections.class_ids != 0) & (c.detections.scores >= tau)) for c in chunks
-    )
+    return _labels(chunks, lambda d: (d.class_ids != 0) & (d.scores >= tau))
 
 
 def extract_topk_per_class(chunks: Iterable[PredictionChunk], k_fraction: float) -> PseudoLabels:
@@ -86,7 +95,7 @@ def extract_topk_per_class(chunks: Iterable[PredictionChunk], k_fraction: float)
     """
     if not (0.0 < k_fraction <= 1.0):
         raise ValueError(f"k_fraction must be in (0, 1], got {k_fraction}")
-    fg = PseudoLabels.concat(_labels(c, c.detections.class_ids != 0) for c in chunks)
+    fg = _labels(chunks, lambda d: d.class_ids != 0)
     # Rows ranked by (class, -confidence, image id); the sort is stable, so row breaks ties.
     order = np.lexsort((fg.image_ids, -fg.scores, fg.class_ids))
     classes = fg.class_ids[order]

@@ -17,6 +17,10 @@ bounded integers come from raw Philox words by numpy's own algorithm, a false
 positive's four uniforms from one call, and the flipped view takes the
 original view's logits from the last original-view call instead of drawing
 them again when that call held the image (see :class:`SyntheticDetector`).
+:func:`aldet.pool.run_cycles` predicts each pool chunk's flipped view right
+after the chunk's original view, so there every flipped image reuses them; a
+flipped call of images the last original-view call did not hold replays the
+original view's stream instead, at the cost of drawing those logits again.
 
 Low per-class accuracy combined with a low temperature produces confidently
 wrong predictions: low entropy but, under low flip robustness, high
@@ -64,8 +68,12 @@ class DetectorInterface(ABC):
     the old state unchanged.
 
     :func:`aldet.pool.run_cycles` relies on this determinism: it predicts
-    each image once per detector state and reuses that prediction for both
-    pseudo-labelling and the next cycle's scoring.
+    each view of each image once per detector state, in one pass over the
+    pool that asks for a chunk's flipped view right after the same chunk's
+    original view, and hands the original view to both pseudo-labelling and
+    the next cycle's scoring. A detector may reuse work between the two
+    views of a chunk in that order, as the synthetic one does, but must
+    predict the same in any other order.
     """
 
     @abstractmethod
@@ -252,7 +260,9 @@ class SyntheticDetector(DetectorInterface):
     Bounded integers are taken from raw words (see :class:`_Stream`). The
     ground-truth logits of the most recent original-view call are kept, so a
     flipped call of the same images reuses them instead of replaying stream
-    0; any other flipped call replays it. That keeps one chunk's logits,
+    0; any other flipped call replays it. ``run_cycles`` makes only the
+    first kind, since it predicts each chunk's two views back to back, and
+    so never replays stream 0. That keeps one chunk's logits,
     O(images in the call x objects), never a pool's. The streams and that
     call's logits are shared by the calls of one detector, which is
     therefore not safe to call from several threads at once.

@@ -8,7 +8,8 @@ maxima, which define an image's H and I; the
 predictions reader that built one clamped prediction per record, which the
 chunk of a view is pinned to; and the threshold and top-k pseudo-label
 extractors that built one set per image, which the one set of a pool is
-pinned to.
+pinned to; and the pseudo-label JSONL writer that made one ``json.dumps``
+call per label, which the one-template writer is pinned to.
 
 A one-image prediction is a :class:`PredictionChunk` of one image:
 :func:`one_image` builds one, :func:`chunk_of` joins them into a chunk, and
@@ -380,3 +381,20 @@ def per_image_topk_labels(chunks, k_fraction):
         for _, image_id, row in entries[: math.ceil(k_fraction * len(entries))]:
             rows_of.setdefault(image_id, []).append(row)
     return {image_id: _image_labels(image_id, dets[image_id], rows) for image_id, rows in rows_of.items()}
+
+
+# -- the pseudo-label JSONL writer with one json.dumps per label -----------------------
+
+
+def json_dumps_pseudo_labels(pls):
+    """The text of a pseudo-label JSONL file: one ``json.dumps(record,
+    sort_keys=True)`` line per label, sorted by (image_id, -confidence,
+    class_id) with ties in row order."""
+    records = [
+        {"image_id": image_id, "bbox": box, "class_id": c, "confidence": conf}
+        for image_id, box, c, conf in zip(
+            pls.image_ids.tolist(), pls.boxes.tolist(), pls.class_ids.tolist(), pls.scores.tolist()
+        )
+    ]
+    records.sort(key=lambda r: (r["image_id"], -r["confidence"], r["class_id"]))
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)

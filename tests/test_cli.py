@@ -25,7 +25,7 @@ from aldet.cli import (
     build_parser,
     main,
 )
-from aldet.dataset import Dataset, make_synthetic_dataset
+from aldet.dataset import Dataset, ImageRecord, make_synthetic_dataset
 from aldet.evaluation import EvalResult
 from aldet.pool import Pool, RunConfig, init_pool
 from aldet.pseudo_label import PseudoLabels
@@ -189,6 +189,25 @@ class TestScoreCommand:
         assert main(["score", "--dataset", str(tmp_path / "train.json"),
                      "--predictions", str(preds_path), "--out", str(out)]) == 0
         assert len(formats.read_scores_csv(out)) == len(train.image_ids)
+
+    def test_id_the_csv_cannot_hold_is_rejected(self, tmp_path, capsys):
+        # Ids are written unquoted, so "a,b" would read back as five columns:
+        # score fails with one error line that names the id, and writes nothing.
+        base = make_synthetic_dataset(4, 3, seed=0, id_prefix="tr")
+        first = base.images[0]
+        renamed = ImageRecord("a,b", first.width, first.height, first.boxes, first.class_ids)
+        data = Dataset(base.classes, (renamed,) + tuple(base.images[1:]))
+        formats.save_dataset(data, tmp_path / "d.json")
+        det = SyntheticDetector(SyntheticDetectorConfig(n_classes=3, seed=2), data)
+        formats.write_predictions_jsonl(
+            [(p, f) for f in (False, True) for p in per_image(det.predict(data.image_ids, f))], tmp_path / "p.jsonl"
+        )
+        out = tmp_path / "s.csv"
+        assert main(["score", "--dataset", str(tmp_path / "d.json"), "--predictions", str(tmp_path / "p.jsonl"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: image_id 'a,b' cannot be written to a scores CSV") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_flipped_record_names_image(self, workspace, capsys):
         tmp_path, train, _test, det, _ = workspace
@@ -693,9 +712,10 @@ class TestSimulateCommand:
         return scored + [f"pseudo_cycle{t}.jsonl", f"eval_cycle{t}.csv"]
 
     def test_each_cycle_is_written_before_the_next_cycle_predicts(self, workspace, monkeypatch):
-        # With pseudo-labels on, the detector of version v predicts the pool's
-        # and the test set's originals in cycle v - 1 and scores the pool's
-        # flipped views in cycle v. Whenever it predicts, the files of every
+        # The detector of version v predicts every view it predicts in cycle
+        # v - 1: the test set's originals, then each pool chunk's original
+        # view and its flipped view (the pass that pseudo-labels the pool and
+        # scores it for cycle v). Whenever it predicts, the files of every
         # earlier cycle exist and no other; report.csv is written last.
         tmp_path, *_ = workspace
         out = tmp_path / "run"
@@ -703,7 +723,7 @@ class TestSimulateCommand:
         predict, write_text, seen, written = SyntheticDetector.predict, formats._write_text, [], []
 
         def spy(self, image_ids, flipped=False):
-            seen.append((self.version if flipped else self.version - 1, {p.name for p in out.glob("*")}))
+            seen.append((self.version - 1, {p.name for p in out.glob("*")}))
             return predict(self, image_ids, flipped)
 
         def logged(path, text):
@@ -721,8 +741,11 @@ class TestSimulateCommand:
     def test_holds_one_cycle_of_pseudo_labels_and_scores(self, workspace, monkeypatch):
         # Whenever the detector predicts, at most one non-empty pseudo-label
         # set made by this run is alive: each cycle's set is written and let
-        # go once the next cycle has replaced it in the pool. When a cycle
-        # starts scoring, no earlier cycle's scores are alive.
+        # go once the next cycle has replaced it in the pool. When version v
+        # starts scoring the pool for cycle v (its first flipped call, in
+        # cycle v - 1), the only scores alive are the ones cycle v - 1
+        # selected by, which its report is still to carry: none of an
+        # earlier cycle, and none of cycle v yet.
         tmp_path, *_ = workspace
         out = tmp_path / "run"
         cfg = write_sim_config(tmp_path, tmp_path / "train.json", tmp_path / "test.json", out, cycles=4)
@@ -747,7 +770,9 @@ class TestSimulateCommand:
         for version, flipped, _, n_scores in live:
             if flipped:
                 first_flipped.setdefault(version, n_scores)
-        assert first_flipped == dict.fromkeys(range(1, 5), 0)
+        scored = [len((out / f"scores_cycle{t}.csv").read_text().splitlines()) - 1 if t else 0 for t in range(4)]
+        assert 0 not in scored[1:]
+        assert first_flipped == {v: scored[v - 1] for v in range(1, 5)}
 
 
 # Run in a fresh interpreter as ``-c PROBE OUT ARGS...``: simulate into

@@ -1,8 +1,10 @@
 """Pool partition invariants and the cycle protocol."""
 
+import gc
 import inspect
 import re
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -287,8 +289,10 @@ class TestRunCycles:
 
     def test_one_cycle_per_report(self):
         # the detector trained in cycle 0 is version 1; until cycle 0's report
-        # is asked for nothing is predicted, and cycle 1 has not started when it
-        # arrives: no flipped view is predicted, no later version predicts
+        # is asked for nothing is predicted. When it arrives, version 1 has
+        # predicted the pool's original and flipped views (scoring the pool
+        # for cycle 1) and the test set's originals, and cycle 1 has not
+        # started: no later version predicts
         assert inspect.isgeneratorfunction(run_cycles)
         train, test, world = small_world()
         pool = init_pool(train.image_ids, 10, seed=0)
@@ -297,8 +301,9 @@ class TestRunCycles:
         reports = run_cycles(pool, detector, RunConfig(cycles=2, budget_per_cycle=5, seed=0), train, test)
         assert not calls
         assert next(reports).cycle == 0
-        assert {(v, f) for v, _, f in calls} == {(1, False)}
-        assert {i for _, i, _ in calls} == pool.unlabeled | set(test.image_ids)
+        assert {(v, f) for v, _, f in calls} == {(1, False), (1, True)}
+        assert {i for _, i, f in calls if not f} == pool.unlabeled | set(test.image_ids)
+        assert {i for _, i, f in calls if f} == pool.unlabeled
         assert [r.cycle for r in reports] == [1, 2]
 
     def test_pool_mismatch_rejected(self):
@@ -428,6 +433,62 @@ class TestSinglePass:
 
     def test_pseudo_labels_off(self, monkeypatch):
         self.run(monkeypatch, pl_enabled=False)
+
+
+class TestOnePass:
+    """Each detector version makes one pass over the sorted pool: it predicts
+    a chunk's flipped view right after the chunk's original view, scores the
+    chunk and hands it on to pseudo-labelling before it predicts the next
+    chunk."""
+
+    CFG = dict(cycles=3, budget_per_cycle=10, seed=0, tau=0.9)
+
+    def test_no_image_replays_its_original_stream(self, monkeypatch):
+        # With pseudo-labels on, stream 0 (the original view's draws) is
+        # reset once per original image predicted: each flipped image takes
+        # its ground-truth logits from the original-view call just before
+        # it, instead of replaying its stream.
+        train, test, world = small_world(n_train=120)
+        stream, resets = SyntheticDetector._stream, Counter()
+
+        def counting_stream(self, image_id, tag):
+            resets[image_id] += tag == 0
+            return stream(self, image_id, tag)
+
+        monkeypatch.setattr(SyntheticDetector, "_stream", counting_stream)
+        calls = Counter()
+        detector = CountingDetector(make_detector(world, fp_rate=1.0), calls, [], [])
+        cfg = RunConfig(**self.CFG, pl_enabled=True)
+        reports = list(run_cycles(init_pool(train.image_ids, 10, 0), detector, cfg, train, test))
+        assert all(r.pl_count for r in reports) and all(r.scores for r in reports[1:])
+        assert +resets == Counter(image_id for _, image_id, flipped in calls.elements() if not flipped)
+
+    @pytest.mark.parametrize("pl_enabled, pl_strategy", [(True, "threshold"), (True, "topk"), (False, "threshold")])
+    def test_holds_one_chunk_of_the_pools_predictions(self, monkeypatch, pl_enabled, pl_strategy):
+        # Whenever the detector predicts, at most one chunk of the pool's
+        # post-NMS original views is alive, over a pool of four chunks.
+        train, test, world = small_world(n_train=120)
+        train_ids, post_nms, made = set(train.image_ids), acquisition.post_nms, []
+
+        def tracked(chunk, cfg, flipped=False):
+            out = post_nms(chunk, cfg, flipped)
+            if not flipped and out.image_ids[0] in train_ids:
+                made.append(weakref.ref(out))
+            return out
+
+        predict, alive = SyntheticDetector.predict, []
+
+        def spy(self, image_ids, flipped=False):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            return predict(self, image_ids, flipped)
+
+        monkeypatch.setattr(acquisition, "post_nms", tracked)
+        monkeypatch.setattr(SyntheticDetector, "predict", spy)
+        cfg = RunConfig(**self.CFG, pl_enabled=pl_enabled, pl_strategy=pl_strategy)
+        reports = list(run_cycles(init_pool(train.image_ids, 10, 0), make_detector(world), cfg, train, test))
+        assert any(r.pl_count for r in reports) == pl_enabled
+        assert len(made) > 4 and max(alive) == 1  # several passes of four chunks
 
 
 def test_score_pool_across_chunks_equals_per_image_code():

@@ -26,6 +26,7 @@ from oracles import (
     chunk_of,
     entropy,
     fresh_stream_predict,
+    json_dumps_pseudo_labels,
     one_image,
     per_image_match,
     per_image_post_nms,
@@ -42,6 +43,7 @@ from oracles import (
 from aldet import evaluation, formats, pseudo_label
 from aldet.acquisition import (
     AcquisitionConfig,
+    AcquisitionScore,
     chunked,
     post_nms,
     unified_score,
@@ -54,7 +56,7 @@ from aldet.boxes import (
     iou,
     nms,
 )
-from aldet.dataset import Dataset, ImageRecord, make_synthetic_dataset
+from aldet.dataset import Dataset, ImageRecord, checked_image_id, make_synthetic_dataset
 from aldet.evaluation import EvalResult, map50
 from aldet.matching import MatchResult, match_predictions
 from aldet.pool import Pool
@@ -370,6 +372,73 @@ def test_jsonl_readers_parse_or_name_the_line(tmp_path_factory, data):
             assert str(e).startswith(f"{path}: line "), e
 
 
+# -- writers against the code they replaced, and round trips -------------------------
+
+
+def accepted_id(text: str) -> bool:
+    """Whether :func:`checked_image_id` accepts ``text`` as an image id."""
+    try:
+        checked_image_id(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Ids with quotes, backslashes, control characters, non-ASCII text beyond the
+# BMP and a lone surrogate, all of which json escapes; few enough that rows
+# share ids.
+escaped_ids = st.text(st.sampled_from('a"\\/\x00\x1f\x7f \u00e9\u2028\ud800\U0001f600') | st.characters(),
+                      max_size=4).filter(accepted_id)
+# Floats in every notation float.__repr__ uses: signed zero, the smallest
+# subnormal, exponents both ways, and long mantissas.
+pl_coords = st.sampled_from([-0.0, 0.0, 5e-324, 1e-7, 0.1, 1.0 / 3.0, 1e16, 1.5e300]) | st.floats(-1e20, 1e20)
+pl_scores = st.sampled_from([5e-324, 1e-5, 0.1, 0.5, 0.99, 1.0]) | st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def pseudo_label_sets(draw):
+    """A pseudo-label set whose rows share ids, confidences and classes often
+    enough that every level of the writer's sort breaks ties."""
+    ids = draw(st.lists(escaped_ids, min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        x, y = sorted(draw(pl_coords) for _ in range(2)), sorted(draw(pl_coords) for _ in range(2))
+        rows.append((draw(st.sampled_from(ids)), [x[0], y[0], x[1], y[1]], draw(st.integers(1, 3)),
+                     draw(pl_scores)))
+    return PseudoLabels(*zip(*rows)) if rows else PseudoLabels()
+
+
+@settings(deadline=None, max_examples=300)
+@given(pseudo_label_sets())
+@example(PseudoLabels(['"\\', '"\\', "\u00e9\x01"], [[-0.0, 5e-324, 1e16, 1e16]] * 3, [2, 1, 3],
+                      [5e-324, 5e-324, 1.0]))
+def test_pseudo_label_writer_equals_json_dumps(tmp_path_factory, pls):
+    # The writer formats each row with one template; the oracle makes one
+    # json.dumps(record, sort_keys=True) call per row, as the writer once did.
+    path = tmp_path_factory.getbasetemp() / "pseudo.jsonl"
+    formats.write_pseudo_labels_jsonl(pls, path)
+    assert path.read_bytes() == json_dumps_pseudo_labels(pls).encode("utf-8")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.text(max_size=5), unique=True, max_size=5), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+def test_scores_csv_reads_back_every_id_it_writes(tmp_path_factory, ids, entropy, inconsistency):
+    # Ids are written unquoted: every id the writer accepts reads back
+    # equal, and a set with an id it cannot hold writes nothing.
+    path = tmp_path_factory.getbasetemp() / "scores.csv"
+    path.unlink(missing_ok=True)
+    scores = [AcquisitionScore.from_parts(i, entropy, inconsistency) for i in ids]
+    try:
+        formats.write_scores_csv(scores, path)
+    except ValueError as e:
+        assert not path.exists()
+        assert any(f"image_id {i!r} " in str(e) and ("," in i or "\n" in i or i[:1].isspace()) for i in ids), e
+        return
+    read = formats.read_scores_csv(path)
+    assert [s.image_id for s in read] == sorted(ids)
+    assert all(f"{s.entropy:.6f},{s.inconsistency:.6f}" == f"{entropy:.6f},{inconsistency:.6f}" for s in read)
+
+
 # APs anywhere in [0, 1], and halfway between two six-decimal values, where
 # the writer's rounding moves them furthest.
 eval_aps = st.floats(0.0, 1.0) | st.integers(0, 999_999).map(lambda v: (v + 0.5) / 1e6)
@@ -515,7 +584,7 @@ def scene(draw):
     """A small dataset with arbitrary image ids, images from 20 to 300 pixels a
     side and 0-3 ground-truth boxes each (some thinner than a pixel)."""
     k = draw(st.sampled_from([1, 2, 5]))
-    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=6, unique=True))
+    ids = draw(st.lists(st.text(min_size=1, max_size=6).filter(accepted_id), min_size=1, max_size=6, unique=True))
     images = []
     for image_id in ids:
         w, h = draw(st.sampled_from([20, 64, 300])), draw(st.sampled_from([20, 64, 300]))
