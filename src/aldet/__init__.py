@@ -25,13 +25,16 @@ chunk.
 Every box is a float64 corner row (xmin, ymin, xmax, ymax) of a
 :class:`Detections`, of an image record of a :class:`Dataset`, or of a
 :class:`PseudoLabels` set, which holds the pseudo-labels of any number of
-images with one image id per row.
+images with one image id per row. Scores are one :class:`AcquisitionScores`
+set, which holds the scores of any number of images, one row per image.
+Each of these sets is a frozen column set: one read-only array per column,
+a row per item.
 
 Only these entry points and the types they take or return are re-exported
 here; everything else is imported from its module.
 """
 
-from .acquisition import AcquisitionConfig, AcquisitionScore, post_nms, select_for_labeling, unified_score
+from .acquisition import AcquisitionConfig, AcquisitionScores, post_nms, select_for_labeling, unified_score
 from .boxes import Detections, PredictionChunk
 from .dataset import Dataset, make_synthetic_dataset
 from .evaluation import EvalResult, map50
@@ -41,7 +44,7 @@ from .sim_detector import DetectorInterface, SyntheticDetector, SyntheticDetecto
 
 __all__ = [
     "AcquisitionConfig",
-    "AcquisitionScore",
+    "AcquisitionScores",
     "post_nms",
     "select_for_labeling",
     "unified_score",

@@ -2,7 +2,10 @@
 
 An image is scored by three quantities: its uncertainty H (max detection
 entropy), its inconsistency I (max symmetric KL divergence between matched
-original/flipped class distributions), and the unified score A = H * I.
+original/flipped class distributions), and the unified score A = H * I. The
+scores of any number of images are one :class:`AcquisitionScores` set, a row
+per image, and :func:`select_for_labeling` ranks one of its columns with one
+sort.
 
 Every prediction passes through :func:`post_nms` once before anything takes
 it: a flipped-view prediction is mapped back into the original frame, then
@@ -25,7 +28,6 @@ each view is held, never the whole pool.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, TypeVar
@@ -35,16 +37,18 @@ import numpy as np
 from .boxes import (
     DEFAULT_NMS_IOU,
     DEFAULT_NMS_SCORE_FLOOR,
+    FrozenRows,
     PredictionChunk,
     hflip,
     nms,
 )
+from .dataset import image_id_column
 from .matching import DEFAULT_MIN_MATCH_IOU, match_predictions
 
 __all__ = [
     "LOG_EPS",
     "AcquisitionConfig",
-    "AcquisitionScore",
+    "AcquisitionScores",
     "CHUNK_IMAGES",
     "chunked",
     "post_nms",
@@ -149,32 +153,31 @@ class AcquisitionConfig:
         check_fields(self)
 
 
-@dataclass(frozen=True)
-class AcquisitionScore:
-    """Per-image score triple; ``unified`` is exactly entropy * inconsistency."""
+class AcquisitionScores(FrozenRows):
+    """The acquisition scores of any number of images, one row per image,
+    held as read-only arrays: the ``image_ids`` (N,) of a numpy string
+    column and the float64 uncertainty ``entropy`` H, ``inconsistency`` I
+    and ``unified`` score A = H * I (N,). ``AcquisitionScores()`` is the
+    empty set.
 
-    image_id: str
-    entropy: float
-    inconsistency: float
-    unified: float
+    The constructor computes ``unified`` itself, so A = H * I holds exactly
+    in every set, and validates the rest: each image id must pass
+    :func:`~aldet.dataset.checked_image_id`, and H and I must be
+    non-negative and finite. Derived sets (row selection, concatenation) are
+    not validated again.
+    """
 
-    def __post_init__(self):
-        if not (0 <= self.entropy < math.inf and 0 <= self.inconsistency < math.inf):  # NaN fails too
+    __slots__ = ("image_ids", "entropy", "inconsistency", "unified")
+
+    def __init__(self, image_ids=(), entropy=(), inconsistency=()):
+        image_ids = image_id_column(image_ids)
+        h, i = np.array(entropy, dtype=np.float64), np.array(inconsistency, dtype=np.float64)
+        if not len(image_ids) == len(h) == len(i):
+            raise ValueError(f"row counts differ: {len(image_ids)}, {len(h)}, {len(i)}")
+        if not ((h >= 0.0) & (h < np.inf) & (i >= 0.0) & (i < np.inf)).all():  # NaN fails too
             raise ValueError("entropy and inconsistency must be non-negative finite numbers")
-        if self.unified != self.entropy * self.inconsistency:
-            raise ValueError(
-                f"unified score must equal entropy * inconsistency exactly "
-                f"({self.unified} != {self.entropy} * {self.inconsistency})"
-            )
-
-    @classmethod
-    def from_parts(cls, image_id: str, entropy: float, inconsistency: float) -> "AcquisitionScore":
-        return cls(image_id, entropy, inconsistency, entropy * inconsistency)
-
-    def value(self, strategy: str) -> float:
-        if strategy not in SCORE_STRATEGIES:
-            raise ValueError(f"unknown score strategy {strategy!r}")
-        return getattr(self, strategy)
+        with np.errstate(over="ignore"):  # inf on overflow, silently, as for Python floats
+            self._init(image_ids, h, i, h * i)
 
 
 def post_nms(chunk: PredictionChunk, cfg: AcquisitionConfig, flipped: bool = False) -> PredictionChunk:
@@ -206,8 +209,8 @@ def post_nms_stream(
 
 def unified_score(
     orig: PredictionChunk, unflipped: PredictionChunk, min_match_iou: float = DEFAULT_MIN_MATCH_IOU
-) -> list[AcquisitionScore]:
-    """The score of every image of a chunk, in chunk order, from the
+) -> AcquisitionScores:
+    """The scores of the images of a chunk, in chunk order, from the
     :func:`post_nms` output of its two views.
 
     H is the max entropy over an image's ``orig`` detections and I the max
@@ -223,37 +226,34 @@ def unified_score(
     n, image = len(orig.image_ids), orig.detections.image
     h = _max_per_image(_entropies(o), image, n)
     i = _max_per_image(_sym_kls(o[pairs[:, 0]], f[pairs[:, 1]]), image[pairs[:, 0]], n)
-    return [AcquisitionScore.from_parts(*parts) for parts in zip(orig.image_ids, h, i)]
+    return AcquisitionScores(orig.image_ids, h, i)
 
 
 def select_for_labeling(
-    scores: Iterable[AcquisitionScore],
+    scores: AcquisitionScores,
     budget_per_cycle: int,
     strategy: str,
     seed=None,
 ) -> list[str]:
     """Pick ``budget_per_cycle`` image ids for labeling.
 
-    Score strategies take the top ids by the chosen field, descending, with
-    ties broken by ascending image_id, so the result is stable under any
-    permutation of the input. The random strategy is a seeded uniform draw
-    without replacement.
+    Score strategies take the top ids by the chosen column, descending, with
+    ties broken by ascending image id, so the result is stable under any
+    permutation of the rows. The random strategy is a seeded uniform draw
+    without replacement from the ids in ascending order.
     """
-    table = list(scores)
     if budget_per_cycle < 0:
         raise ValueError(f"budget must be non-negative, got {budget_per_cycle}")
-    if budget_per_cycle > len(table):
-        raise ValueError(f"budget exceeds pool: {budget_per_cycle} > {len(table)}")
+    if budget_per_cycle > len(scores):
+        raise ValueError(f"budget exceeds pool: {budget_per_cycle} > {len(scores)}")
 
     if strategy == "random":
         if seed is None:
             raise ValueError("random strategy requires a seed")
-        ids = sorted(s.image_id for s in table)
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(ids))
-        return [ids[k] for k in order[:budget_per_cycle]]
+        order = np.random.default_rng(seed).permutation(len(scores))
+        return np.sort(scores.image_ids)[order[:budget_per_cycle]].tolist()
 
     if strategy not in SCORE_STRATEGIES:
         raise ValueError(f"unknown selection strategy {strategy!r}")
-    ranked = sorted(table, key=lambda s: (-s.value(strategy), s.image_id))
-    return [s.image_id for s in ranked[:budget_per_cycle]]
+    order = np.lexsort((scores.image_ids, -getattr(scores, strategy)))
+    return scores.image_ids[order[:budget_per_cycle]].tolist()

@@ -144,7 +144,7 @@ class FrozenRows:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return len(getattr(self, self._fields[0]))
 
     def __eq__(self, other) -> bool:
         # Two empty sets are equal whatever their widths.

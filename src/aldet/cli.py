@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import formats
-from .acquisition import NON_NEGATIVE, AcquisitionConfig, post_nms_stream, select_for_labeling
+from .acquisition import NON_NEGATIVE, AcquisitionConfig, AcquisitionScores, post_nms_stream, select_for_labeling
 from .dataset import Dataset
 from .evaluation import winrate_matrix
 from .pool import (
@@ -230,9 +230,7 @@ def cmd_score(args) -> int:
 
     acq = cfg.acquisition_config()
     image_ids = sorted(set(preds.views[False].image_ids) | set(preds.views[True].image_ids))
-    scores = score_pool(
-        post_nms_stream(preds.chunk, image_ids, acq), lambda ids: preds.chunk(ids, flipped=True), acq
-    )
+    scores = score_pool(post_nms_stream(preds.chunk, image_ids, acq), preds.chunk, acq)
     formats.write_scores_csv(scores, args.out)
     return 0
 
@@ -284,6 +282,9 @@ def cmd_simulate(args) -> int:
     shared = sorted(set(train.image_ids) & set(test.image_ids))
     if shared:
         raise ValueError(f"{cfg.dataset} and {cfg.test_dataset} share image ids: {shared[:5]}")
+    # Every training id may be scored and selected: one that the scores or the
+    # selection file cannot hold stops the run before any work or output.
+    formats.check_ids(train.image_ids)
 
     world = Dataset(train.classes, train.images + test.images)
     detector = SyntheticDetector(cfg.detector_config(train.n_classes), world)
@@ -303,7 +304,7 @@ def cmd_simulate(args) -> int:
             formats.write_selected_txt(rep.selected, out_dir / sel_name)
         formats.write_pseudo_labels_jsonl(rep.pseudo_labels, out_dir / f"pseudo_{tag}.jsonl")
         formats.write_eval_csv(rep.evaluation, out_dir / f"eval_{tag}.csv")
-        rep = replace(rep, scores=(), pseudo_labels=PseudoLabels())
+        rep = replace(rep, scores=AcquisitionScores(), pseudo_labels=PseudoLabels())
         rows.append((rep, sel_name))
 
     formats.write_reports_csv(rows, out_dir / "report.csv")

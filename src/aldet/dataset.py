@@ -14,7 +14,7 @@ import numpy as np
 
 from .boxes import _rows, checked_boxes
 
-__all__ = ["ImageRecord", "Dataset", "checked_image_id", "make_synthetic_dataset"]
+__all__ = ["ImageRecord", "Dataset", "checked_image_id", "image_id_column", "make_synthetic_dataset"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,12 @@ def checked_image_id(value) -> str:
     if not isinstance(value, str) or value.endswith("\0"):
         raise ValueError(f"image_id: expected a string without a trailing NUL, got {value!r}")
     return value
+
+
+def image_id_column(values) -> np.ndarray:
+    """``values`` as the numpy string column of a frozen set of rows, each
+    value passing :func:`checked_image_id`."""
+    return np.array([checked_image_id(i) for i in values], dtype=str)
 
 
 def _check_ground_truth(boxes: np.ndarray, class_ids: np.ndarray, k: int) -> None:

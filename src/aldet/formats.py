@@ -10,6 +10,7 @@ formats, in every error about its content, undecodable bytes included.
 from __future__ import annotations
 
 import json
+import re
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .acquisition import AcquisitionScore
+from .acquisition import AcquisitionScores
 from .boxes import (
     ChunkDetections,
     PredictionChunk,
@@ -27,7 +28,7 @@ from .boxes import (
     encode_boxes,
     span_pairs,
 )
-from .dataset import Dataset, ImageRecord
+from .dataset import Dataset, ImageRecord, checked_image_id
 from .evaluation import EvalResult
 from .pool import CycleReport, Pool
 from .pseudo_label import PseudoLabels
@@ -45,6 +46,7 @@ __all__ = [
     "read_scores_csv",
     "write_scores_csv",
     "write_selected_txt",
+    "check_ids",
     "write_reports_csv",
     "read_eval_csv",
     "write_eval_csv",
@@ -85,27 +87,19 @@ def _read_lines(path, parse, header: str | None = None) -> list:
 def _read_json(path):
     """The file's one JSON document; undecodable bytes or malformed JSON raise
     a ValueError that names the file."""
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _int_field(rec, name: str) -> int:
-    """``rec[name]``, which must be a JSON integer (not a float or a boolean)."""
+def _typed_field(rec, name: str, kind: type):
+    """``rec[name]``, which must be a JSON value of exactly the type ``kind``:
+    an integer (``int``, not a float or a boolean) or a boolean (``bool``,
+    not a number or a string)."""
     value = rec[name]
-    if type(value) is not int:
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    return value
-
-
-def _bool_field(rec, name: str) -> bool:
-    """``rec[name]``, which must be a JSON boolean (not a number or a string)."""
-    value = rec[name]
-    if type(value) is not bool:
-        raise ValueError(f"{name}: expected a boolean, got {value!r}")
+    if type(value) is not kind:
+        raise ValueError(f"{name}: expected {'a boolean' if kind is bool else 'an integer'}, got {value!r}")
     return value
 
 
@@ -131,8 +125,8 @@ def load_dataset(path) -> Dataset:
             image_id = rec["id"]
             objects = rec.get("objects", [])
             images.append(ImageRecord(
-                image_id, _int_field(rec, "width"), _int_field(rec, "height"),
-                [obj["bbox"] for obj in objects], [_int_field(obj, "class_id") for obj in objects],
+                image_id, _typed_field(rec, "width", int), _typed_field(rec, "height", int),
+                [obj["bbox"] for obj in objects], [_typed_field(obj, "class_id", int) for obj in objects],
             ))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise _structure_error(path, e, image_id) from None
@@ -269,7 +263,7 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
 
     def add(rec) -> None:
         image_id = rec["image_id"]
-        flipped = _bool_field(rec, "flipped")
+        flipped = _typed_field(rec, "flipped", bool)
         if image_id not in sizes:
             raise ValueError(f"unknown image id {image_id!r}")
         if image_id in views[flipped].image_ids:
@@ -300,17 +294,8 @@ def write_predictions_jsonl(chunks: Iterable[tuple[PredictionChunk, bool]], path
 
 # -- pseudo-label JSONL -------------------------------------------------------
 
-# One record per row of a PseudoLabels set, shared by the JSONL file and the
-# pool state: {"image_id": str, "bbox": [4], "class_id": int, "confidence": float}
-
-
-def _pl_records(pls: PseudoLabels) -> list[dict]:
-    return [
-        {"image_id": image_id, "bbox": box, "class_id": c, "confidence": conf}
-        for image_id, box, c, conf in zip(
-            pls.image_ids.tolist(), pls.boxes.tolist(), pls.class_ids.tolist(), pls.scores.tolist()
-        )
-    ]
+# One record per row of a PseudoLabels set, in the JSONL file and the pool
+# state: {"image_id": str, "bbox": [4], "class_id": int, "confidence": float}
 
 
 def _pl_set(recs) -> PseudoLabels:
@@ -318,7 +303,7 @@ def _pl_set(recs) -> PseudoLabels:
     return PseudoLabels(
         [rec["image_id"] for rec in recs],
         [rec["bbox"] for rec in recs],
-        [_int_field(rec, "class_id") for rec in recs],
+        [_typed_field(rec, "class_id", int) for rec in recs],
         [float(rec["confidence"]) for rec in recs],
     )
 
@@ -351,9 +336,11 @@ def read_pseudo_labels_jsonl(path) -> PseudoLabels:
 
 
 def save_pool(pool: Pool, path) -> None:
-    pseudo: dict[str, list[dict]] = {}
-    for rec in _pl_records(pool.pseudo):
-        pseudo.setdefault(rec["image_id"], []).append(rec)
+    pls, pseudo = pool.pseudo, {}
+    for image_id, box, c, conf in zip(pls.image_ids.tolist(), pls.boxes.tolist(), pls.class_ids.tolist(),
+                                      pls.scores.tolist()):
+        rec = {"image_id": image_id, "bbox": box, "class_id": c, "confidence": conf}
+        pseudo.setdefault(image_id, []).append(rec)
     payload = {
         "cycle": pool.cycle,
         "labeled": sorted(pool.labeled),
@@ -364,41 +351,70 @@ def save_pool(pool: Pool, path) -> None:
 
 
 def load_pool(path) -> Pool:
-    """Every error about a pseudo-label record names the file and the image."""
+    """Every error names the file, and one about a pseudo-label record the
+    image. ``labeled`` and ``unlabeled`` must be arrays of image ids."""
     raw = _read_json(path)
+    image_id = None
     try:
         pseudo = raw.get("pseudo", {})
         # JSON keys are strings, so a record whose image_id is not one is misfiled.
         misfiled = sorted(k for k, recs in pseudo.items() if any(rec["image_id"] != k for rec in recs))
         if misfiled:
-            raise ValueError(f"{path}: pseudo-labels filed under another image's id: {misfiled[:5]}")
+            raise ValueError(f"pseudo-labels filed under another image's id: {misfiled[:5]}")
         sets = []
         for image_id, recs in pseudo.items():
-            try:
-                sets.append(_pl_set(recs))
-            except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
-                raise _structure_error(path, e, image_id) from None
-        return Pool(frozenset(raw["labeled"]), frozenset(raw["unlabeled"]), PseudoLabels.concat(sets),
-                    _int_field(raw, "cycle"))
-    except (AttributeError, KeyError, TypeError, OverflowError) as e:
-        raise _structure_error(path, e) from None
+            sets.append(_pl_set(recs))
+        image_id = None  # the records are read
+        return Pool(_id_set(raw, "labeled"), _id_set(raw, "unlabeled"), PseudoLabels.concat(sets),
+                    _typed_field(raw, "cycle", int))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+        raise _structure_error(path, e, image_id) from None
+
+
+def _id_set(raw, name: str) -> frozenset[str]:
+    """``raw[name]``, which must be a JSON array of image ids."""
+    ids = raw[name]
+    # A number or null raises TypeError when iterated; a string or an object does not, but is no array.
+    if isinstance(ids, (str, dict)):
+        raise ValueError(f"{name}: expected an array of image ids, got {ids!r}")
+    return frozenset(map(checked_image_id, ids))
 
 
 # -- scores CSV ---------------------------------------------------------------
 
 
-def write_scores_csv(scores: Iterable[AcquisitionScore], path) -> None:
-    """Ids are written unquoted, so an id that :func:`read_scores_csv` would
-    not read back as it is (one holding a comma or a line break, or starting
-    with whitespace, which the reader strips) raises a ValueError naming it
-    before anything is written."""
-    lines = ["image_id,entropy,inconsistency,unified\n"]
-    for s in sorted(scores, key=lambda s: s.image_id):
-        if "," in s.image_id or "\n" in s.image_id or s.image_id[:1].isspace():
-            raise ValueError(f"image_id {s.image_id!r} cannot be written to a scores CSV: it holds a comma "
-                             f"or a line break, or starts with whitespace")
-        lines.append(f"{s.image_id},{s.entropy:.6f},{s.inconsistency:.6f},{s.unified:.6f}\n")
-    _write_text(path, "".join(lines))
+# An id written unquoted into a line of text must not hold what its reader
+# splits or strips at, so that it reads back as it is: a line break, and in
+# a scores CSV a comma or leading whitespace. Writers check every id first,
+# so a rejected set writes nothing.
+_SCORES_CSV_IDS = (re.compile(r"[,\n]|^\s"), "a scores CSV: it holds a comma or a line break, or starts with "
+                   "whitespace")
+_SELECTED_TXT_IDS = (re.compile(r"[\n\r]"), "a selection file: it holds a line break")
+
+
+def check_ids(image_ids: Sequence[str], rules=(_SCORES_CSV_IDS, _SELECTED_TXT_IDS)) -> None:
+    """Raise a ValueError naming the first of ``image_ids`` that breaks one
+    of ``rules``; by default both, so that every id passes into the scores
+    CSV and the selection file alike."""
+    for pattern, what in rules:
+        bad = next(filter(pattern.search, image_ids), None)
+        if bad is not None:
+            raise ValueError(f"image_id {bad!r} cannot be written to {what}")
+
+
+_SCORES_HEADER = "image_id,entropy,inconsistency,unified"
+
+
+def write_scores_csv(scores: AcquisitionScores, path) -> None:
+    """One row per image, ordered by image id, ties in row order. Ids are
+    written unquoted, so an id that :func:`read_scores_csv` would not read
+    back as it is raises a ValueError naming it before anything is
+    written."""
+    scores = scores.take(np.argsort(scores.image_ids, kind="stable"))
+    ids = scores.image_ids.tolist()
+    check_ids(ids, (_SCORES_CSV_IDS,))
+    rows = zip(ids, scores.entropy.tolist(), scores.inconsistency.tolist(), scores.unified.tolist())
+    _write_text(path, _SCORES_HEADER + "\n" + "".join("%s,%.6f,%.6f,%.6f\n" % row for row in rows))
 
 
 def _columns(line: str, n: int) -> list[str]:
@@ -408,10 +424,12 @@ def _columns(line: str, n: int) -> list[str]:
     return parts
 
 
-def read_scores_csv(path) -> list[AcquisitionScore]:
-    """Read a scores table back; the unified column is recomputed from the
-    rounded entropy and inconsistency so the product identity holds exactly."""
-
+def read_scores_csv(path) -> AcquisitionScores:
+    """Read a scores table back as one set, in file order; the unified
+    column is recomputed from the rounded entropy and inconsistency, so the
+    product identity holds exactly. The values are checked once, as
+    columns; only when that check fails is the file read again, row by row,
+    to name the line."""
     seen: set[str] = set()
 
     def row(line):
@@ -419,16 +437,24 @@ def read_scores_csv(path) -> list[AcquisitionScore]:
         if image_id in seen:
             raise ValueError(f"duplicate image_id {image_id!r}")
         seen.add(image_id)
-        return AcquisitionScore.from_parts(image_id, float(h), float(inc))
+        return image_id, float(h), float(inc)
 
-    return _read_lines(path, row, header="image_id,entropy,inconsistency,unified")
+    columns = zip(*_read_lines(path, row, header=_SCORES_HEADER))
+    try:
+        return AcquisitionScores(*columns)
+    except ValueError:
+        seen.clear()
+        _read_lines(path, lambda line: AcquisitionScores(*zip(row(line))), header=_SCORES_HEADER)
+        raise
 
 
 # -- selection text ------------------------------------------------------------
 
 
-def write_selected_txt(image_ids: Iterable[str], path) -> None:
-    """One selected image id per line, in the given order."""
+def write_selected_txt(image_ids: Sequence[str], path) -> None:
+    """One selected image id per line, in the given order; an id holding a
+    line break raises a ValueError naming it before anything is written."""
+    check_ids(image_ids, (_SELECTED_TXT_IDS,))
     _write_text(path, "".join(f"{image_id}\n" for image_id in image_ids))
 
 

@@ -8,7 +8,8 @@ remaining pool while scoring it for the next cycle. Pseudo-labels are
 regenerated from scratch by every detector version; they are never
 accumulated. The pool's pseudo-labels are one
 :class:`~aldet.pseudo_label.PseudoLabels` set, a row per label with its image
-id, like the chunks every other stage passes.
+id, and its scores one :class:`~aldet.acquisition.AcquisitionScores` set, a
+row per image, like the chunks every other stage passes.
 
 Every detector version does each job once. It predicts the test set once,
 and then makes one pass over the sorted pool: it predicts the original view of
@@ -42,7 +43,7 @@ from .acquisition import (
     NON_NEGATIVE,
     SCORE_STRATEGIES,
     AcquisitionConfig,
-    AcquisitionScore,
+    AcquisitionScores,
     check_fields,
     one_of,
     post_nms,
@@ -187,12 +188,12 @@ class RunConfig:
 @dataclass(frozen=True)
 class CycleReport:
     """Everything recorded about one cycle of the protocol, as
-    :func:`run_cycles` yields it. ``scores`` (empty in cycle 0) and
-    ``pseudo_labels`` are as large as the pool."""
+    :func:`run_cycles` yields it. ``scores``, the set the cycle selected by
+    (empty in cycle 0), and ``pseudo_labels`` are as large as the pool."""
 
     cycle: int
     selected: tuple[str, ...]
-    scores: tuple[AcquisitionScore, ...]
+    scores: AcquisitionScores
     n_labeled: int
     pl_count: int
     pl_ratio: float
@@ -203,22 +204,22 @@ class CycleReport:
 
 def score_pool(
     originals: Iterable[PredictionChunk],
-    flipped: Callable[[Sequence[str]], PredictionChunk],
+    predict: Callable[..., PredictionChunk],
     cfg: AcquisitionConfig,
-) -> list[AcquisitionScore]:
+) -> AcquisitionScores:
     """Acquisition scores of the images of the given post-NMS original-view
-    chunks, in input order.
+    chunks, in input order, as one set.
 
-    ``flipped(chunk.image_ids)`` supplies the chunk of each original chunk's
-    flipped views as the detector emits it, in the flipped frame;
-    :func:`post_nms` is applied to it here. Passing a generator streams the
-    pool instead of holding every chunk at once.
+    ``predict(chunk.image_ids, flipped=True)`` supplies the chunk of each
+    original chunk's flipped views as the chunk source emits it (a
+    detector's ``predict``, or :meth:`aldet.formats.PredictionViews.chunk`),
+    in the flipped frame; :func:`post_nms` is applied to it here. Passing a
+    generator streams the pool instead of holding every chunk at once.
     """
-    scores: list[AcquisitionScore] = []
-    for chunk in originals:
-        unflipped = post_nms(flipped(chunk.image_ids), cfg, flipped=True)
-        scores += unified_score(chunk, unflipped, cfg.min_match_iou)
-    return scores
+    return AcquisitionScores.concat(
+        unified_score(chunk, post_nms(predict(chunk.image_ids, flipped=True), cfg, flipped=True), cfg.min_match_iou)
+        for chunk in originals
+    )
 
 
 def pseudo_label_pool(
@@ -250,13 +251,13 @@ def evaluate(chunks: Iterable[PredictionChunk], data: Dataset) -> EvalResult:
 
 
 def _scored_chunks(
-    originals: Iterable[PredictionChunk], detector, cfg: AcquisitionConfig, scores: list[AcquisitionScore]
+    originals: Iterable[PredictionChunk], detector, cfg: AcquisitionConfig, scores: list[AcquisitionScores]
 ) -> Iterator[PredictionChunk]:
-    """Each of the post-NMS original-view ``originals``, after appending its
-    images' :func:`score_pool` scores to ``scores``: the detector predicts a
-    chunk's flipped view right after its original view."""
+    """Each of the post-NMS original-view ``originals``, after appending the
+    set of its images' :func:`score_pool` scores to ``scores``: the detector
+    predicts a chunk's flipped view right after its original view."""
     for chunk in originals:
-        scores += score_pool((chunk,), lambda ids: detector.predict(ids, flipped=True), cfg)
+        scores.append(score_pool((chunk,), detector.predict, cfg))
         yield chunk
 
 
@@ -283,8 +284,9 @@ def run_cycles(
     dropped before cycle 0 and the pass only scores). The version of the
     last cycle scores nothing, and with pseudo-labels off it predicts no
     pool image. Nothing is held whole: the pass keeps one chunk of the
-    pool's predictions at a time, and the next cycle selects from the scores
-    carried over.
+    pool's predictions at a time, and the next cycle selects from the one
+    set of scores carried over, made from the chunks' sets when the pass
+    ends.
 
     Fully deterministic given the pool seed, the detector's seed, and the
     config; repeated runs produce identical reports.
@@ -294,7 +296,7 @@ def run_cycles(
     if not cfg.pl_enabled:
         pool = with_pseudo(pool, PseudoLabels())
 
-    scores: list[AcquisitionScore] = []
+    scores = AcquisitionScores()
     for t in range(cfg.cycles + 1):
         selected = []
         if t > 0:
@@ -305,7 +307,7 @@ def run_cycles(
         detector = detector.update(pool)
         # Before the pass, so the test set's chunks and the scores the pass builds are never held together.
         evaluation = evaluate(post_nms_stream(detector.predict, test_data.image_ids, cfg.acquisition), test_data)
-        next_scores: list[AcquisitionScore] = []
+        next_scores = []  # the next cycle's scores: a set per chunk until the pass ends
         originals = post_nms_stream(detector.predict, sorted(pool.unlabeled), cfg.acquisition)
         if t < cfg.cycles:
             originals = _scored_chunks(originals, detector, cfg.acquisition, next_scores)
@@ -313,6 +315,7 @@ def run_cycles(
             pool = with_pseudo(pool, pseudo_label_pool(originals, cfg.pl_strategy, cfg.tau, cfg.pl_topk_fraction))
         elif t < cfg.cycles:
             deque(originals, maxlen=0)  # consumed without keeping a chunk
+        next_scores = AcquisitionScores.concat(next_scores)  # the chunks' sets go with the list
 
         n_pl = len(pool.pseudo)
         n_manual = sum(len(train_data[i].class_ids) for i in pool.labeled)
@@ -320,7 +323,7 @@ def run_cycles(
         yield CycleReport(
             cycle=t,
             selected=tuple(selected),
-            scores=tuple(scores),
+            scores=scores,
             n_labeled=len(pool.labeled),
             pl_count=n_pl,
             pl_ratio=n_pl / denom if denom else 0.0,

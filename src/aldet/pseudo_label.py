@@ -12,7 +12,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .boxes import ChunkDetections, FrozenRows, PredictionChunk, checked_boxes, iou
-from .dataset import Dataset, checked_image_id
+from .dataset import Dataset, image_id_column
 from .evaluation import same_class_pairs
 from .matching import greedy_assign
 
@@ -39,7 +39,7 @@ class PseudoLabels(FrozenRows):
     __slots__ = ("image_ids", "boxes", "class_ids", "scores")
 
     def __init__(self, image_ids=(), boxes=(), class_ids=(), scores=()):
-        image_ids = np.array([checked_image_id(i) for i in image_ids], dtype=str)
+        image_ids = image_id_column(image_ids)
         boxes = checked_boxes(boxes)
         class_ids = np.array(class_ids, dtype=np.intp)
         scores = np.array(scores, dtype=np.float64)

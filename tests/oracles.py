@@ -9,7 +9,11 @@ predictions reader that built one clamped prediction per record, which the
 chunk of a view is pinned to; and the threshold and top-k pseudo-label
 extractors that built one set per image, which the one set of a pool is
 pinned to; and the pseudo-label JSONL writer that made one ``json.dumps``
-call per label, which the one-template writer is pinned to.
+call per label, which the one-template writer is pinned to. Scores were
+one object per image (:class:`ImageScore` here); the ``sorted()`` selection
+and the f-string scores writer over them are the references the one set of
+scores, its ``np.lexsort`` selection and its one-template writer are pinned
+to.
 
 A one-image prediction is a :class:`PredictionChunk` of one image:
 :func:`one_image` builds one, :func:`chunk_of` joins them into a chunk, and
@@ -22,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from aldet.acquisition import LOG_EPS, AcquisitionScore
+from aldet.acquisition import LOG_EPS
 from aldet.boxes import ChunkDetections, Detections, PredictionChunk, checked_encoded, clamp_to_images, iou
 from aldet.matching import MatchResult, greedy_assign
 from aldet.pseudo_label import PseudoLabels
@@ -325,12 +329,50 @@ def _image_inconsistency(p, q):
     return max(0.5 * (float(np.dot(a, dp)) + float(np.dot(b, dq))) for a, b, dp, dq in zip(p, q, d, -d))
 
 
+class ImageScore(NamedTuple):
+    """One image's scores, as the library held them before one set held the
+    scores of every image: ``unified`` is entropy * inconsistency."""
+
+    image_id: str
+    entropy: float
+    inconsistency: float
+    unified: float
+
+
+def image_score(image_id, entropy, inconsistency) -> ImageScore:
+    return ImageScore(image_id, entropy, inconsistency, entropy * inconsistency)
+
+
+def image_scores(scores) -> list[ImageScore]:
+    """The rows of an AcquisitionScores set, one ImageScore per row."""
+    return [ImageScore(*row) for row in zip(*(getattr(scores, name).tolist() for name in scores._fields))]
+
+
 def per_image_unified_score(orig, unflipped, min_match_iou):
     pairs = np.array(per_image_match(orig, unflipped, min_match_iou).pairs, dtype=np.intp).reshape(-1, 2)
     o, f = orig.detections.probs, unflipped.detections.probs
-    return AcquisitionScore.from_parts(
-        orig.image_ids[0], _image_entropy(o), _image_inconsistency(o[pairs[:, 0]], f[pairs[:, 1]])
-    )
+    return image_score(orig.image_ids[0], _image_entropy(o), _image_inconsistency(o[pairs[:, 0]], f[pairs[:, 1]]))
+
+
+def sorted_selection(scores, budget, strategy, seed=None):
+    """select_for_labeling as it was over ImageScores: the top ``budget`` ids
+    by ``(-value, image_id)`` with ``sorted()``, or a seeded permutation of
+    the sorted ids for the random strategy."""
+    if strategy == "random":
+        ids = sorted(s.image_id for s in scores)
+        order = np.random.default_rng(seed).permutation(len(ids))
+        return [ids[k] for k in order[:budget]]
+    ranked = sorted(scores, key=lambda s: (-getattr(s, strategy), s.image_id))
+    return [s.image_id for s in ranked[:budget]]
+
+
+def fstring_scores_csv(scores):
+    """The text of a scores CSV as the writer made it, one f-string per
+    ImageScore, rows sorted by image id with ties in input order."""
+    lines = ["image_id,entropy,inconsistency,unified\n"]
+    for s in sorted(scores, key=lambda s: s.image_id):
+        lines.append(f"{s.image_id},{s.entropy:.6f},{s.inconsistency:.6f},{s.unified:.6f}\n")
+    return "".join(lines)
 
 
 # -- per-image pseudo-labels ----------------------------------------------------------

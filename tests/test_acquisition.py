@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import _image_entropy, _image_inconsistency, chunk_of, entropy, one_image, sym_kl
+from oracles import _image_entropy, _image_inconsistency, chunk_of, entropy, image_scores, one_image, sym_kl
 
 from aldet.acquisition import (
     AcquisitionConfig,
-    AcquisitionScore,
+    AcquisitionScores,
     post_nms,
     select_for_labeling,
     unified_score,
@@ -171,30 +171,40 @@ class TestAcquisitionConfig:
 
 class TestUnifiedScore:
     def test_product_identity(self):
-        s = AcquisitionScore.from_parts("a", 2.0, 0.5)
-        assert s.unified == 1.0
-        with pytest.raises(ValueError):
-            AcquisitionScore("a", 2.0, 0.5, 0.9)
+        # the constructor computes unified itself, and no column can be changed afterwards
+        s = AcquisitionScores(["a", "b"], [2.0, 0.1], [0.5, 0.3])
+        assert s.unified.tolist() == [1.0, 0.1 * 0.3]
+        with pytest.raises(TypeError):
+            AcquisitionScores(["a"], [2.0], [0.5], [0.9])
+        with pytest.raises(ValueError, match="read-only"):
+            s.unified[0] = 0.9
 
     def test_infinite_scores_rejected(self):
         # aldet's own scores are finite; an infinite one would rank first
-        for parts in ((math.inf, 0.2), (0.5, math.inf)):
+        for parts in ((math.inf, 0.2), (0.5, math.inf), (math.nan, 0.2), (-1e-300, 0.2)):
             with pytest.raises(ValueError, match="must be non-negative finite numbers"):
-                AcquisitionScore.from_parts("a", *parts)
+                AcquisitionScores(["a", "b"], [0.1, parts[0]], [0.1, parts[1]])
+
+    def test_rows_and_ids_checked(self):
+        with pytest.raises(ValueError, match="row counts differ"):
+            AcquisitionScores(["a"], [0.1, 0.2], [0.1])
+        with pytest.raises(ValueError, match="image_id: expected a string"):
+            AcquisitionScores([1], [0.1], [0.1])
+        assert len(AcquisitionScores()) == 0
 
     def test_empty_prediction_scores_zero(self):
         empty = chunk_of([one_image("a", 100, 100, Detections([], []))])
-        [s] = unified_score(empty, empty)
-        assert (s.entropy, s.inconsistency, s.unified) == (0.0, 0.0, 0.0)
+        [s] = image_scores(unified_score(empty, empty))
+        assert (s.image_id, s.entropy, s.inconsistency, s.unified) == ("a", 0.0, 0.0, 0.0)
 
     def test_matches_hand_composed_pipeline(self):
         rng = np.random.default_rng(8)
         cfg = AcquisitionConfig()
         for _ in range(50):
             orig, flip = two_sided_prediction(rng, perturb=0.2)
-            [got] = unified_score(
+            [got] = image_scores(unified_score(
                 post_nms(orig, cfg), post_nms(flip, cfg, flipped=True), cfg.min_match_iou
-            )
+            ))
 
             orig_dets = nms(orig.detections, cfg.nms_iou, cfg.nms_score_floor)
             unflipped = hflip(flip)
@@ -217,20 +227,18 @@ class TestUnifiedScore:
         rng = np.random.default_rng(15)
         cfg = AcquisitionConfig()
         orig, flip = two_sided_prediction(rng, n=4, perturb=0.3)
-        [base] = unified_score(post_nms(orig, cfg), post_nms(flip, cfg, flipped=True))
+        [base] = image_scores(unified_score(post_nms(orig, cfg), post_nms(flip, cfg, flipped=True)))
         perm = rng.permutation(4)
         orig2 = orig.with_detections(orig.detections.take(perm))
         flip2 = flip.with_detections(flip.detections.take(perm[::-1]))
-        [shuffled] = unified_score(post_nms(orig2, cfg), post_nms(flip2, cfg, flipped=True))
+        [shuffled] = image_scores(unified_score(post_nms(orig2, cfg), post_nms(flip2, cfg, flipped=True)))
         assert shuffled.entropy == pytest.approx(base.entropy, rel=1e-12)
         assert shuffled.inconsistency == pytest.approx(base.inconsistency, rel=1e-12)
 
 
 def score_table(values):
-    return [
-        AcquisitionScore.from_parts(f"img_{i:04d}", float(h), float(inc))
-        for i, (h, inc) in enumerate(values)
-    ]
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 2)
+    return AcquisitionScores([f"img_{i:04d}" for i in range(len(values))], values[:, 0], values[:, 1])
 
 
 class TestSelectForLabeling:
@@ -259,7 +267,7 @@ class TestSelectForLabeling:
         rng = np.random.default_rng(5)
         scores = score_table(rng.uniform(0.1, 1.0, (20, 2)))
         a = select_for_labeling(scores, 5, "random", seed=123)
-        b = select_for_labeling(list(reversed(scores)), 5, "random", seed=123)
+        b = select_for_labeling(scores.take(np.arange(20)[::-1]), 5, "random", seed=123)
         assert a == b
         c = select_for_labeling(scores, 5, "random", seed=124)
         assert a != c
@@ -269,17 +277,17 @@ class TestSelectForLabeling:
         for _ in range(1000):
             n = int(rng.integers(1, 30))
             scores = score_table(rng.uniform(0.0, 2.0, (n, 2)))
-            rng.shuffle(scores)
+            scores = scores.take(rng.permutation(n))
             budget = int(rng.integers(0, n + 1))
             strategy = str(rng.choice(["entropy", "inconsistency", "unified"]))
             got = select_for_labeling(scores, budget, strategy)
             # oracle: repeated max-extraction instead of a single sort
-            remaining = list(scores)
+            remaining = image_scores(scores)
             expected = []
             for _ in range(budget):
                 best = remaining[0]
                 for s in remaining[1:]:
-                    if (s.value(strategy), best.image_id) > (best.value(strategy), s.image_id):
+                    if (getattr(s, strategy), best.image_id) > (getattr(best, strategy), s.image_id):
                         best = s
                 expected.append(best.image_id)
                 remaining.remove(best)

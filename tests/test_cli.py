@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import one_image, per_image
+from oracles import image_scores, one_image, per_image
 
 import aldet
 from aldet import formats
-from aldet.acquisition import AcquisitionConfig, AcquisitionScore, post_nms, unified_score
+from aldet.acquisition import AcquisitionConfig, AcquisitionScores, post_nms, unified_score
 from aldet.boxes import Detections
 from aldet.cli import (
     CONFIG_DEFAULTS,
@@ -170,15 +170,15 @@ class TestScoreCommand:
         assert main(base + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-        scores = {s.image_id: s for s in formats.read_scores_csv(out1)}
+        scores = {s.image_id: s for s in image_scores(formats.read_scores_csv(out1))}
         assert len(scores) == len(train.image_ids)
         cfg = AcquisitionConfig()
         for image_id in train.image_ids[:5]:
-            [expected] = unified_score(
+            [expected] = image_scores(unified_score(
                 post_nms(det.predict([image_id]), cfg),
                 post_nms(det.predict([image_id], True), cfg, flipped=True),
                 cfg.min_match_iou,
-            )
+            ))
             got = scores[image_id]
             assert got.entropy == pytest.approx(expected.entropy, abs=5e-7)
             assert got.inconsistency == pytest.approx(expected.inconsistency, abs=5e-7)
@@ -233,7 +233,8 @@ class TestSelectCommand:
         pool = init_pool(train.image_ids, 5, seed=0)
         pool_path = tmp_path / "pool.json"
         # scores cover all images; select only among unlabeled by filtering first
-        unlabeled_scores = [s for s in formats.read_scores_csv(scores_csv) if s.image_id in pool.unlabeled]
+        scores = formats.read_scores_csv(scores_csv)
+        unlabeled_scores = scores.take([r for r, i in enumerate(scores.image_ids.tolist()) if i in pool.unlabeled])
         filtered_csv = tmp_path / "unlabeled_scores.csv"
         formats.write_scores_csv(unlabeled_scores, filtered_csv)
         formats.save_pool(pool, pool_path)
@@ -256,8 +257,7 @@ class TestSelectCommand:
     def test_rejected_selection_writes_nothing(self, tmp_path, capsys):
         # the pool is loaded and the selection committed before any file is written
         scores_csv, pool_path, out = tmp_path / "scores.csv", tmp_path / "pool.json", tmp_path / "sel.txt"
-        formats.write_scores_csv([AcquisitionScore.from_parts("a", 1.0, 1.0),
-                                  AcquisitionScore.from_parts("b", 0.5, 0.5)], scores_csv)
+        formats.write_scores_csv(AcquisitionScores(["a", "b"], [1.0, 0.5], [1.0, 0.5]), scores_csv)
         formats.save_pool(Pool(frozenset({"a"}), frozenset({"b"})), pool_path)
         before = pool_path.read_bytes()
         rc = main(["select", "--scores", str(scores_csv), "--budget", "1",
@@ -267,9 +267,28 @@ class TestSelectCommand:
         assert not out.exists()
         assert pool_path.read_bytes() == before
 
+    @pytest.mark.parametrize("ids, message", [
+        ({"labeled": [1, "a"]}, "image_id: expected a string without a trailing NUL, got 1"),
+        ({"labeled": "a", "unlabeled": "bc"}, "labeled: expected an array of image ids, got 'a'"),
+        ({"unlabeled": {"b": 1}}, "unlabeled: expected an array of image ids, got {'b': 1}"),
+    ])
+    def test_pool_id_lists_must_be_arrays_of_ids(self, tmp_path, capsys, ids, message):
+        # [1, "a"] once loaded, wrote the selection and then failed to sort the
+        # ids when saving the pool; "a" and "bc" loaded as sets of characters.
+        scores_csv, pool_path, out = tmp_path / "scores.csv", tmp_path / "pool.json", tmp_path / "sel.txt"
+        formats.write_scores_csv(AcquisitionScores(["b"], [1.0], [1.0]), scores_csv)
+        pool_path.write_text(json.dumps({"cycle": 0, "labeled": ["a"], "unlabeled": ["b"], **ids}))
+        before = pool_path.read_bytes()
+        rc = main(["select", "--scores", str(scores_csv), "--budget", "1",
+                   "--out", str(out), "--pool", str(pool_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {pool_path}: {message}\n"
+        assert not out.exists()
+        assert pool_path.read_bytes() == before
+
     def test_pool_out_without_pool_rejected(self, tmp_path, capsys):
         scores_csv, out, pool_out = tmp_path / "scores.csv", tmp_path / "sel.txt", tmp_path / "pool.json"
-        formats.write_scores_csv([AcquisitionScore.from_parts("a", 1.0, 1.0)], scores_csv)
+        formats.write_scores_csv(AcquisitionScores(["a"], [1.0], [1.0]), scores_csv)
         rc = main(["select", "--scores", str(scores_csv), "--budget", "1",
                    "--out", str(out), "--pool-out", str(pool_out)])
         assert rc == 1
@@ -378,7 +397,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("row, message", [
         ("b,x,0.2,0.1", "could not convert string to float: 'x'"),  # not a number
-        ("b,-0.5,0.2,0.1", "must be non-negative"),  # rejected by AcquisitionScore
+        ("b,-0.5,0.2,0.1", "must be non-negative"),  # rejected by AcquisitionScores
         ("b,nan,0.2,0.1", "must be non-negative"),
         ("b,inf,0.2,0.1", "must be non-negative"),  # would rank first
         ("b,0.5,1e309,0", "must be non-negative"),  # 1e309 reads as inf
@@ -405,7 +424,7 @@ class TestMalformedInput:
 
     def test_pool_class_id_must_be_an_integer(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
-        formats.write_scores_csv([AcquisitionScore.from_parts("a", 0.1, 0.2)], scores)
+        formats.write_scores_csv(AcquisitionScores(["a"], [0.1], [0.2]), scores)
         pool = tmp_path / "pool.json"
         pool.write_text('{"cycle": 0, "labeled": [], "unlabeled": ["a", "b"], "pseudo": {"b": '
                         '[{"image_id": "b", "bbox": [0, 0, 9, 9], "class_id": Infinity, '
@@ -421,7 +440,7 @@ class TestMalformedInput:
     ])
     def test_pool_record_error_names_the_file_and_the_image(self, tmp_path, capsys, record, message):
         scores = tmp_path / "scores.csv"
-        formats.write_scores_csv([AcquisitionScore.from_parts("a", 0.1, 0.2)], scores)
+        formats.write_scores_csv(AcquisitionScores(["a"], [0.1], [0.2]), scores)
         label = {"image_id": "b", "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}
         label.update(record)
         pool = tmp_path / "pool.json"
@@ -490,7 +509,7 @@ class TestMalformedInput:
     ])
     def test_select_pool_malformed_structure(self, tmp_path, capsys, change, message):
         scores = tmp_path / "scores.csv"
-        formats.write_scores_csv([AcquisitionScore.from_parts("a", 0.1, 0.2)], scores)
+        formats.write_scores_csv(AcquisitionScores(["a"], [0.1], [0.2]), scores)
         state = {"cycle": 0, "labeled": [], "unlabeled": ["a", "b"], "pseudo": {}}
         state.update(change)
         pool = tmp_path / "pool.json"
@@ -681,6 +700,27 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert f"{train} and {test} share image ids: ['x_0000', 'x_0001', 'x_0002']" in err
 
+    @pytest.mark.parametrize("bad_id, where", [("a,b", "a scores CSV"), (" a", "a scores CSV"),
+                                               ("a\rb", "a selection file")])
+    def test_id_the_outputs_cannot_hold_stops_the_run_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                                      bad_id, where):
+        # The scores and selection files hold ids unquoted, one row per line:
+        # a training id they cannot hold is named before anything is
+        # predicted or written, not after cycle 0 has written its files.
+        base = make_synthetic_dataset(30, 3, seed=0, id_prefix="tr")
+        first = base.images[7]
+        renamed = ImageRecord(bad_id, first.width, first.height, first.boxes, first.class_ids)
+        train, test, out = tmp_path / "train.json", tmp_path / "test.json", tmp_path / "out"
+        formats.save_dataset(Dataset(base.classes, base.images[:7] + (renamed,) + base.images[8:]), train)
+        formats.save_dataset(make_synthetic_dataset(5, 3, seed=1, id_prefix="te"), test)
+        predicted = []
+        monkeypatch.setattr(SyntheticDetector, "predict", lambda self, ids, flipped=False: predicted.append(ids))
+        assert main(["simulate", "--config", str(write_sim_config(tmp_path, train, test, out))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: image_id {bad_id!r} cannot be written to {where}") and err.count("\n") == 1
+        assert predicted == []
+        assert not out.exists()
+
     def test_seed_changes_selections(self, workspace):
         tmp_path, *_ = workspace
         cfg = write_sim_config(
@@ -745,20 +785,21 @@ class TestSimulateCommand:
         # starts scoring the pool for cycle v (its first flipped call, in
         # cycle v - 1), the only scores alive are the ones cycle v - 1
         # selected by, which its report is still to carry: none of an
-        # earlier cycle, and none of cycle v yet.
+        # earlier cycle, and none of cycle v yet: the rows of the live score
+        # sets number exactly the images cycle v - 1 scored.
         tmp_path, *_ = workspace
         out = tmp_path / "run"
         cfg = write_sim_config(tmp_path, tmp_path / "train.json", tmp_path / "test.json", out, cycles=4)
-        earlier = [o for o in gc.get_objects() if isinstance(o, (PseudoLabels, AcquisitionScore))]
+        earlier = [o for o in gc.get_objects() if isinstance(o, (PseudoLabels, AcquisitionScores))]
         earlier_ids = {id(o) for o in earlier}  # the objects are kept alive, so their ids stay unique
         predict, live = SyntheticDetector.predict, []
 
         def spy(self, image_ids, flipped=False):
             gc.collect()
             made = [o for o in gc.get_objects()
-                    if isinstance(o, (PseudoLabels, AcquisitionScore)) and id(o) not in earlier_ids]
+                    if isinstance(o, (PseudoLabels, AcquisitionScores)) and id(o) not in earlier_ids]
             live.append((self.version, flipped, sum(isinstance(o, PseudoLabels) and len(o) > 0 for o in made),
-                         sum(isinstance(o, AcquisitionScore) for o in made)))
+                         sum(len(o) for o in made if isinstance(o, AcquisitionScores))))
             return predict(self, image_ids, flipped)
 
         monkeypatch.setattr(SyntheticDetector, "predict", spy)

@@ -13,6 +13,7 @@ import pytest
 
 import aldet
 from aldet import cli
+from aldet.acquisition import AcquisitionScores
 from aldet.boxes import Detections, PredictionChunk
 from aldet.dataset import Dataset, ImageRecord
 from aldet.evaluation import EvalResult
@@ -26,7 +27,7 @@ DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", 
            "average_precision", "as_chunk", "image_entropy", "image_inconsistency", "ImagePrediction",
            "GroundTruthAssignment", "multibox_conf_loss", "pl_multibox_conf_loss", "smooth_l1",
            "smooth_l1_loc_loss", "consistency_class_loss", "consistency_loc_loss", "total_loss",
-           "sym_kl", "entropy", "INTERPOLATIONS")
+           "sym_kl", "entropy", "INTERPOLATIONS", "AcquisitionScore")
 
 
 @pytest.mark.parametrize("name", ["aldet"] + [f"aldet.{m}" for m in MODULES])
@@ -50,6 +51,10 @@ def test_per_detection_types_are_gone():
     assert not hasattr(PseudoLabels, "from_rows")
     assert not hasattr(Pool, "n_pseudo_labels")
     assert "image_ids" in PseudoLabels._fields
+    # one set of scores for any number of images: no per-image score, no unified value that could disagree
+    assert "AcquisitionScores" in aldet.__all__
+    assert AcquisitionScores._fields == ("image_ids", "entropy", "inconsistency", "unified")
+    assert not hasattr(AcquisitionScores, "from_parts") and not hasattr(AcquisitionScores, "value")
 
 
 def test_one_box_representation():

@@ -8,7 +8,7 @@ import pytest
 from oracles import per_image
 
 from aldet import formats
-from aldet.acquisition import AcquisitionScore
+from aldet.acquisition import AcquisitionScores
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
 from aldet.pool import Pool, init_pool, with_pseudo
@@ -299,6 +299,21 @@ def test_dataset_image_id_must_be_a_string_the_pseudo_labels_hold(tmp_path, imag
         formats.load_dataset(path)
 
 
+class TestSelectedTxt:
+    def test_one_id_per_line(self, tmp_path):
+        path = tmp_path / "sel.txt"
+        formats.write_selected_txt(("b", "a,c", " d"), path)
+        assert path.read_text() == "b\na,c\n d\n"
+
+    @pytest.mark.parametrize("bad", ["x\ny", "x\r", "\n"])
+    def test_line_break_rejected_before_writing(self, tmp_path, bad):
+        # ["x\ny"] read back as ["x", "y"]
+        path = tmp_path / "sel.txt"
+        with pytest.raises(ValueError, match=re.escape(f"image_id {bad!r} cannot be written to a selection file")):
+            formats.write_selected_txt(["a", bad], path)
+        assert not path.exists()
+
+
 class TestIntegerFields:
     """class_id, width, height and cycle must be JSON integers: int() would file
     1.9 under class 1 and overflow on Infinity."""
@@ -330,19 +345,22 @@ class TestIntegerFields:
 
 class TestScoresCSV:
     def test_roundtrip_and_format(self, tmp_path):
-        scores = [
-            AcquisitionScore.from_parts("img_b", 1.25, 0.5),
-            AcquisitionScore.from_parts("img_a", 0.123456789, 0.987654321),
-        ]
+        scores = AcquisitionScores(["img_b", "img_a"], [1.25, 0.123456789], [0.5, 0.987654321])
         path = tmp_path / "scores.csv"
         formats.write_scores_csv(scores, path)
         text = path.read_text()
         assert text.splitlines()[0] == "image_id,entropy,inconsistency,unified"
         assert text.splitlines()[1].startswith("img_a,0.123457,")  # sorted, 6 decimals
         back = formats.read_scores_csv(path)
-        assert [s.image_id for s in back] == ["img_a", "img_b"]
-        for s in back:
-            assert s.unified == s.entropy * s.inconsistency
+        assert isinstance(back, AcquisitionScores)
+        assert back.image_ids.tolist() == ["img_a", "img_b"]
+        assert back.entropy.tolist() == [0.123457, 1.25]
+        assert back.inconsistency.tolist() == [0.987654, 0.5]
+        assert np.array_equal(back.unified, back.entropy * back.inconsistency)
+        empty = tmp_path / "empty.csv"
+        formats.write_scores_csv(AcquisitionScores(), empty)
+        assert empty.read_text() == "image_id,entropy,inconsistency,unified\n"
+        assert formats.read_scores_csv(empty) == AcquisitionScores()
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "nope.csv"

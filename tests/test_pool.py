@@ -8,7 +8,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from oracles import chunk_of, fresh_stream_predict, per_image_post_nms, per_image_unified_score
+from oracles import chunk_of, fresh_stream_predict, image_scores, per_image_post_nms, per_image_unified_score
 
 from aldet import acquisition, boxes, sim_detector
 from aldet.acquisition import AcquisitionConfig
@@ -415,7 +415,7 @@ class TestSinglePass:
             assert predicted(v, test_ids, False) == (test_ids if v > 0 else set())
         labeled = set(pool.labeled)
         for t, rep in enumerate(reports):
-            scored = {s.image_id for s in rep.scores}
+            scored = set(rep.scores.image_ids.tolist())
             assert predicted(t, train_ids, True) == scored
             labeled |= set(rep.selected)
             # version t + 1 is trained at the end of cycle t
@@ -423,8 +423,8 @@ class TestSinglePass:
             if pl_enabled:
                 assert originals == train_ids - labeled
             else:
-                following = reports[t + 1].scores if t < self.CYCLES else ()
-                assert originals == {s.image_id for s in following}
+                following = reports[t + 1].scores.image_ids.tolist() if t < self.CYCLES else ()
+                assert originals == set(following)
         return reports
 
     def test_pseudo_labels_on(self, monkeypatch):
@@ -501,7 +501,7 @@ def test_score_pool_across_chunks_equals_per_image_code():
     originals = list(acquisition.post_nms_stream(det.predict, train.image_ids, cfg))
     per_image = [per_image_post_nms(fresh_stream_predict(det, world, i), cfg) for i in train.image_ids]
     assert originals == [chunk_of(group) for group in acquisition.chunked(per_image)]
-    scores = score_pool(iter(originals), lambda ids: det.predict(ids, flipped=True), cfg)
+    scores = image_scores(score_pool(iter(originals), det.predict, cfg))
     expected = [
         per_image_unified_score(o, per_image_post_nms(fresh_stream_predict(det, world, o.image_ids[0], True), cfg, True),
                                 0.5)

@@ -26,6 +26,9 @@ from oracles import (
     chunk_of,
     entropy,
     fresh_stream_predict,
+    fstring_scores_csv,
+    image_score,
+    image_scores,
     json_dumps_pseudo_labels,
     one_image,
     per_image_match,
@@ -37,15 +40,17 @@ from oracles import (
     rowwise_checked_boxes,
     rowwise_checked_probs,
     scalar_iou,
+    sorted_selection,
     sym_kl,
 )
 
 from aldet import evaluation, formats, pseudo_label
 from aldet.acquisition import (
     AcquisitionConfig,
-    AcquisitionScore,
+    AcquisitionScores,
     chunked,
     post_nms,
+    select_for_labeling,
     unified_score,
 )
 from aldet.boxes import (
@@ -59,7 +64,7 @@ from aldet.boxes import (
 from aldet.dataset import Dataset, ImageRecord, checked_image_id, make_synthetic_dataset
 from aldet.evaluation import EvalResult, map50
 from aldet.matching import MatchResult, match_predictions
-from aldet.pool import Pool
+from aldet.pool import SELECTION_STRATEGIES, Pool
 from aldet.pseudo_label import PseudoLabels, audit_pl_correctness
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig, _Stream
 
@@ -421,13 +426,15 @@ def test_pseudo_label_writer_equals_json_dumps(tmp_path_factory, pls):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.lists(st.text(max_size=5), unique=True, max_size=5), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+@given(st.lists(st.text(max_size=5).filter(accepted_id), unique=True, max_size=5),
+       st.floats(0.0, 10.0), st.floats(0.0, 10.0))
 def test_scores_csv_reads_back_every_id_it_writes(tmp_path_factory, ids, entropy, inconsistency):
     # Ids are written unquoted: every id the writer accepts reads back
-    # equal, and a set with an id it cannot hold writes nothing.
+    # equal, and a set with an id it cannot hold writes nothing. (An id
+    # ending in NUL is no id: a set of scores cannot hold it.)
     path = tmp_path_factory.getbasetemp() / "scores.csv"
     path.unlink(missing_ok=True)
-    scores = [AcquisitionScore.from_parts(i, entropy, inconsistency) for i in ids]
+    scores = AcquisitionScores(ids, [entropy] * len(ids), [inconsistency] * len(ids))
     try:
         formats.write_scores_csv(scores, path)
     except ValueError as e:
@@ -435,8 +442,53 @@ def test_scores_csv_reads_back_every_id_it_writes(tmp_path_factory, ids, entropy
         assert any(f"image_id {i!r} " in str(e) and ("," in i or "\n" in i or i[:1].isspace()) for i in ids), e
         return
     read = formats.read_scores_csv(path)
-    assert [s.image_id for s in read] == sorted(ids)
-    assert all(f"{s.entropy:.6f},{s.inconsistency:.6f}" == f"{entropy:.6f},{inconsistency:.6f}" for s in read)
+    assert read.image_ids.tolist() == sorted(ids)
+    assert all(f"{h:.6f},{i:.6f}" == f"{entropy:.6f},{inconsistency:.6f}"
+               for h, i in zip(read.entropy.tolist(), read.inconsistency.tolist()))
+
+
+# -- the one set of scores against the per-image objects it replaced ---------------
+
+# Few ids and values, so that rows tie on a value and, in the writer's
+# input, on an id; signed zeros, which compare equal; and ids in any order.
+score_ids = st.sampled_from(["a", "b", "B", "a0", "img_9", "img_10", "\u00e9", "x y", ""]) | st.text(max_size=3)
+score_values = st.sampled_from([0.0, -0.0, 5e-324, 0.25, 1.0 / 3.0, 1.0, 1e300]) | st.floats(0.0, 1e3)
+
+
+@st.composite
+def score_columns(draw, unique: bool):
+    """The id, entropy and inconsistency columns of a set of scores whose
+    ids the scores CSV holds."""
+    writable = score_ids.filter(lambda i: accepted_id(i) and not ("," in i or "\n" in i or i[:1].isspace()))
+    ids = draw(st.lists(writable, unique=unique, max_size=12))
+    return ids, *(draw(st.lists(score_values, min_size=len(ids), max_size=len(ids))) for _ in range(2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(score_columns(unique=True), st.sampled_from(SELECTION_STRATEGIES), st.data())
+@example((["c", "a", "b", "d"], [0.0, -0.0, 1.0, 0.0], [1.0, 1.0, 0.5, -0.0]), "entropy", None)
+def test_selection_equals_sorted_reference(columns, strategy, data):
+    # One np.lexsort((image_ids, -column)) ranks as sorted() by (-value,
+    # image_id) did over one object per image, and the random draw permutes
+    # the sorted ids as it did.
+    scores = AcquisitionScores(*columns)
+    rows = [image_score(*row) for row in zip(*columns)]
+    budgets = range(len(rows) + 1) if data is None else [data.draw(st.integers(0, len(rows)))]
+    for budget in budgets:
+        for seed in (0, (7, 1)):
+            assert (select_for_labeling(scores, budget, strategy, seed=seed)
+                    == sorted_selection(rows, budget, strategy, seed=seed))
+
+
+@settings(deadline=None, max_examples=300)
+@given(score_columns(unique=False))
+def test_scores_writer_equals_fstring_writer(tmp_path_factory, columns):
+    # The writer orders rows with one stable argsort by id and formats each
+    # with one template; the oracle wrote one f-string per object, as the
+    # writer once did.
+    path = tmp_path_factory.getbasetemp() / "scores.csv"
+    formats.write_scores_csv(AcquisitionScores(*columns), path)
+    assert path.read_bytes() == fstring_scores_csv([image_score(*row) for row in zip(*columns)]).encode("utf-8")
 
 
 # APs anywhere in [0, 1], and halfway between two six-decimal values, where
@@ -776,7 +828,11 @@ def test_image_scores_equal_per_row_values_bit_for_bit(a, b):
     # the oracle, whose per-image maxima the chunked scoring is pinned to below
     assert bits(_image_entropy(p)) == bits(max(entropy(r) for r in p))
     n = min(len(p), len(q))
-    assert bits(_image_inconsistency(p[:n], q[:n])) == bits(max(sym_kl(x, y) for x, y in zip(p[:n], q[:n])))
+    h, i = _image_entropy(p), _image_inconsistency(p[:n], q[:n])
+    assert bits(i) == bits(max(sym_kl(x, y) for x, y in zip(p[:n], q[:n])))
+    # a set of scores holds each value as it is, and its unified column is the float product
+    [row] = image_scores(AcquisitionScores(["im"], [h], [i]))
+    assert [bits(v) for v in row[1:]] == [bits(h), bits(i), bits(h * i)]
 
 
 # -- the chunked pass against the per-image code it replaced ---------------------
@@ -808,13 +864,13 @@ def test_chunked_pass_equals_per_image_code_bit_for_bit(views, iou_threshold, sc
     unflipped = [per_image_post_nms(f, cfg, flipped=True) for _, f in views]
     expected = [per_image_unified_score(o, u, min_match_iou) for o, u in zip(originals, unflipped)]
     # chunks of one image and chunk sizes that do not divide the run
-    scores = []
+    sets = []
     for group, want_o, want_u in zip(chunked(views, size), chunked(originals, size), chunked(unflipped, size)):
         o = post_nms(chunk_of([v[0] for v in group]), cfg)
         u = post_nms(chunk_of([v[1] for v in group]), cfg, flipped=True)
         assert o == chunk_of(want_o)
         assert u == chunk_of(want_u)
-        scores += unified_score(o, u, min_match_iou)
+        sets.append(unified_score(o, u, min_match_iou))
         # the per-image matches, their rows numbered across the chunk
         i0 = j0 = 0
         pairs = []
@@ -822,6 +878,7 @@ def test_chunked_pass_equals_per_image_code_bit_for_bit(views, iou_threshold, sc
             pairs += [(i + i0, j + j0) for i, j in per_image_match(a, b, min_match_iou).pairs]
             i0, j0 = i0 + len(a.detections), j0 + len(b.detections)
         assert match_predictions(o, u, min_match_iou) == MatchResult(tuple(pairs))
+    scores = image_scores(AcquisitionScores.concat(sets))
     assert [score_bits(s) for s in scores] == [score_bits(s) for s in expected]
 
 

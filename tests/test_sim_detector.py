@@ -3,6 +3,7 @@ low-robustness regime that motivates the unified acquisition score."""
 
 import numpy as np
 import pytest
+from oracles import image_scores
 
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
 from aldet.boxes import encode_boxes, hflip, iou, nms
@@ -21,10 +22,10 @@ def detector(dataset, **overrides):
 def score(det, image_id):
     """Acquisition score of one image at the default settings."""
     cfg = AcquisitionConfig()
-    [s] = unified_score(
+    [s] = image_scores(unified_score(
         post_nms(det.predict([image_id]), cfg),
         post_nms(det.predict([image_id], True), cfg, True),
-    )
+    ))
     return s
 
 
