@@ -53,6 +53,8 @@ def _parse_per_class(raw: str):
         return float(raw)
     out = {}
     for part in raw.split(","):
+        if part.count(":") != 1:
+            raise ValueError(f"expected class:value pairs, got {part!r}")
         cls, val = part.split(":")
         if int(cls) in out:
             raise ValueError(f"duplicate class id {int(cls)}")
@@ -135,8 +137,8 @@ class ExperimentConfig:
             raise ConfigError("budget_per_cycle: required")
         return RunConfig(acquisition=self.acquisition_config(), **self._settings_of(RunConfig))
 
-    def detector_config(self, n_classes: int) -> SyntheticDetectorConfig:
-        return SyntheticDetectorConfig(n_classes=n_classes, **self._settings_of(SyntheticDetectorConfig))
+    def detector_config(self) -> SyntheticDetectorConfig:
+        return SyntheticDetectorConfig(**self._settings_of(SyntheticDetectorConfig))
 
 
 CONFIG_DEFAULTS: dict[str, str] = {f.name: f.metadata["default"] for f in fields(ExperimentConfig)}
@@ -257,7 +259,10 @@ def cmd_pseudolabel(args) -> int:
     candidates = sorted(preds.views[False].image_ids)
     if args.pool:
         pool = formats.load_pool(args.pool)
-        # load_pool does not know K; the dataset does.
+        # load_pool knows neither the dataset's ids nor K.
+        unknown = pool.all_ids - set(dataset.image_ids)
+        if unknown:
+            raise ValueError(f"{args.pool}: image ids not in {cfg.dataset}: {sorted(unknown)[:5]}")
         outside = pool.pseudo.class_ids > dataset.n_classes
         if outside.any():
             row = outside.argmax()
@@ -287,7 +292,7 @@ def cmd_simulate(args) -> int:
     formats.check_ids(train.image_ids)
 
     world = Dataset(train.classes, train.images + test.images)
-    detector = SyntheticDetector(cfg.detector_config(train.n_classes), world)
+    detector = SyntheticDetector(cfg.detector_config(), world)
     pool = init_pool(train.image_ids, cfg.initial_budget, cfg.seed)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -336,6 +336,9 @@ def read_pseudo_labels_jsonl(path) -> PseudoLabels:
 
 
 def save_pool(pool: Pool, path) -> None:
+    """Raises a ValueError before writing anything if an id is not one
+    :func:`load_pool` reads back."""
+    labeled, unlabeled = (sorted(map(checked_image_id, ids)) for ids in (pool.labeled, pool.unlabeled))
     pls, pseudo = pool.pseudo, {}
     for image_id, box, c, conf in zip(pls.image_ids.tolist(), pls.boxes.tolist(), pls.class_ids.tolist(),
                                       pls.scores.tolist()):
@@ -343,8 +346,8 @@ def save_pool(pool: Pool, path) -> None:
         pseudo.setdefault(image_id, []).append(rec)
     payload = {
         "cycle": pool.cycle,
-        "labeled": sorted(pool.labeled),
-        "unlabeled": sorted(pool.unlabeled),
+        "labeled": labeled,
+        "unlabeled": unlabeled,
         "pseudo": pseudo,
     }
     _write_text(path, json.dumps(payload, sort_keys=True) + "\n")

@@ -272,7 +272,8 @@ def run_cycles(
     cycle 0 trains on the initial labeled set only, cycles 1..T select,
     commit, retrain, re-pseudo-label, evaluate. A cycle runs only when its
     report is asked for; ``list(run_cycles(...))`` runs them all. A pool
-    whose ids are not the training dataset's raises ValueError at the first
+    whose ids are not the training dataset's, or with fewer unlabeled images
+    than ``cycles * budget_per_cycle``, raises ValueError at the first
     ``next()``, before the detector predicts anything.
 
     Each cycle ends with one detector version. It is evaluated on the test
@@ -293,6 +294,9 @@ def run_cycles(
     """
     if pool.all_ids != frozenset(train_data.image_ids):
         raise ValueError("pool ids do not match the training dataset")
+    if cfg.cycles * cfg.budget_per_cycle > len(pool.unlabeled):
+        raise ValueError(f"budget exceeds pool: {cfg.cycles} cycles of {cfg.budget_per_cycle} images > "
+                         f"{len(pool.unlabeled)} unlabeled images")
     if not cfg.pl_enabled:
         pool = with_pseudo(pool, PseudoLabels())
 

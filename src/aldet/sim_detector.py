@@ -19,8 +19,8 @@ original view's logits from the last original-view call instead of drawing
 them again when that call held the image (see :class:`SyntheticDetector`).
 :func:`aldet.pool.run_cycles` predicts each pool chunk's flipped view right
 after the chunk's original view, so there every flipped image reuses them; a
-flipped call of images the last original-view call did not hold replays the
-original view's stream instead, at the cost of drawing those logits again.
+flipped call of images the last original-view call did not hold draws their
+original view again instead, by the code an original-view call runs.
 
 Low per-class accuracy combined with a low temperature produces confidently
 wrong predictions: low entropy but, under low flip robustness, high
@@ -30,6 +30,7 @@ and the robustness signal matters.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -87,17 +88,18 @@ def _per_class(value, n_classes: int, name: str) -> np.ndarray:
     """Broadcast a scalar or {class_id: value} mapping to an array indexed 1..K."""
     arr = np.zeros(n_classes + 1)
     if isinstance(value, Mapping):
-        missing = set(range(1, n_classes + 1)) - set(value)
-        extra = set(value) - set(range(1, n_classes + 1))
-        if missing or extra:
+        if set(value) != set(range(1, n_classes + 1)):
             raise ValueError(f"{name} mapping must cover classes 1..{n_classes} exactly")
         for k, v in value.items():
             arr[k] = float(v)
     else:
         arr[1:] = float(value)
-    if not (0.0 <= arr[1:].min() and arr[1:].max() <= 1.0):  # NaN fails too
-        raise ValueError(f"{name} values must lie in [0, 1]")
     return arr
+
+
+# The check of a scalar or of every value of a per-class mapping; NaN fails it.
+_UNIT_VALUES = (lambda v: all(0.0 <= x <= 1.0 for x in (v.values() if isinstance(v, Mapping) else (v,))),
+                "values must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,11 @@ class SyntheticDetectorConfig:
     seed: seed of every draw.
 
     Each field's default and range check are written here only (``CHECKS``);
-    the ``aldet`` command line takes both from here. The checks of
-    ``n_classes`` and of the per-class ``accuracy`` and ``flip_robustness``
-    need K and stay in ``__post_init__``.
+    the ``aldet`` command line takes both from here. The number of classes K
+    is the dataset's: :class:`SyntheticDetector` checks that a per-class
+    ``accuracy`` or ``flip_robustness`` mapping covers its dataset's 1..K.
     """
 
-    n_classes: int
     accuracy: float | Mapping[int, float] = 0.8
     flip_robustness: float | Mapping[int, float] = 0.9
     temperature: float = 0.15
@@ -141,6 +142,8 @@ class SyntheticDetectorConfig:
     seed: int = 0
 
     CHECKS: ClassVar[dict] = {
+        "accuracy": _UNIT_VALUES,
+        "flip_robustness": _UNIT_VALUES,
         "temperature": (lambda v: v > 0, "must be positive"),
         **dict.fromkeys(("logit_noise", "box_noise", "fp_rate", "skill_gain_per_labeled",
                          "skill_gain_per_pseudo"), NON_NEGATIVE),
@@ -149,11 +152,7 @@ class SyntheticDetectorConfig:
     }
 
     def __post_init__(self):
-        if self.n_classes < 1:
-            raise ValueError("need at least one foreground class")
         check_fields(self)
-        _per_class(self.accuracy, self.n_classes, "accuracy")
-        _per_class(self.flip_robustness, self.n_classes, "flip_robustness")
 
 
 def _mix64(*values: int) -> int:
@@ -234,6 +233,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class SyntheticDetector(DetectorInterface):
     """Deterministic prediction generator over a dataset's annotations.
 
+    K, the number of foreground classes, is the dataset's: a per-class
+    ``accuracy`` or ``flip_robustness`` mapping of the config must cover
+    1..K exactly, or the constructor raises ValueError.
+
     Every random draw of a prediction comes from a Philox stream keyed by
     ``[k1, k2]``, with ``k1 = _mix64(seed, version)`` and
     ``k2 = _mix64(blake2b-64(image_id), tag)``; tag 0 is the original view
@@ -259,46 +262,45 @@ class SyntheticDetector(DetectorInterface):
     from a fresh generator, without the cost of building one per image.
     Bounded integers are taken from raw words (see :class:`_Stream`). The
     ground-truth logits of the most recent original-view call are kept, so a
-    flipped call of the same images reuses them instead of replaying stream
-    0; any other flipped call replays it. ``run_cycles`` makes only the
-    first kind, since it predicts each chunk's two views back to back, and
-    so never replays stream 0. That keeps one chunk's logits,
+    flipped call of the same images reuses them instead of drawing stream 0
+    again; any other flipped call draws each image's original view again
+    (``_draw_original``, the one way it is drawn). ``run_cycles`` makes only
+    the first kind, since it predicts each chunk's two views back to back,
+    and so never draws an original view twice. That keeps one chunk's logits,
     O(images in the call x objects), never a pool's. The streams and that
     call's logits are shared by the calls of one detector, which is
     therefore not safe to call from several threads at once.
     """
 
     def __init__(self, config: SyntheticDetectorConfig, dataset: Dataset):
-        if dataset.n_classes != config.n_classes:
-            raise ValueError(
-                f"config has {config.n_classes} classes, dataset has {dataset.n_classes}"
-            )
         self._config = config
         self._dataset = dataset
-        self._accuracy = _per_class(config.accuracy, config.n_classes, "accuracy")
-        self._robustness = _per_class(config.flip_robustness, config.n_classes, "flip_robustness")
+        k = self._k = dataset.n_classes
+        self._accuracy = _per_class(config.accuracy, k, "accuracy")
+        self._robustness = _per_class(config.flip_robustness, k, "flip_robustness")
         self._seen_labeled: frozenset[str] = frozenset()
         # image id -> k2 of tag 0 in the low 64 bits and of tag 1 in the high
         # 64 bits: one int per image, where a tuple of two would cost about
         # 0.1 MB more peak memory per thousand images.
         self._id_keys: dict[str, int] = {}
+        # Read once per detection.
+        self._n_confusions = max(k - 1, 1)
+        self._logit_noise = config.logit_noise
+        self._inv_temperature = 1.0 / config.temperature
         self._set_version(0)
 
     def _set_version(self, version: int) -> None:
-        cfg = self._config
+        """Start version ``version`` with the current per-class skill: its
+        streams' key, fresh streams and no original view yet."""
         self._version = version
-        self._k1 = _mix64(cfg.seed, version)
+        self._k1 = _mix64(self._config.seed, version)
         self._streams = (_Stream(), _Stream())
         # image id -> its ground-truth logits, from the last original-view call
         self._last_original: dict[str, list[np.ndarray]] = {}
-        # Read once per detection; Python floats compare and add as the
-        # numpy scalars they come from.
-        self._k = cfg.n_classes
-        self._n_confusions = max(cfg.n_classes - 1, 1)
+        # Read once per detection; Python floats compare as the numpy
+        # scalars they come from.
         self._accuracies = self._accuracy.tolist()
         self._robustnesses = self._robustness.tolist()
-        self._logit_noise = cfg.logit_noise
-        self._inv_temperature = 1.0 / cfg.temperature
 
     # -- introspection used by tests and reports ---------------------------
 
@@ -402,12 +404,7 @@ class SyntheticDetector(DetectorInterface):
         classes = rec.class_ids.tolist()
         orig_logits = self._last_original.get(rec.image_id)
         if orig_logits is None:
-            # Replay stream 0, skipping past the box draws of the original view.
-            rng = self._stream(rec.image_id, 0)
-            orig_logits = []
-            for cls in classes:
-                rng.normal(0.0, 1.0, 4)
-                orig_logits.append(self._draw_dist(rng, cls))
+            orig_logits = self._draw_original(rec, [], [])
         frng = self._stream(rec.image_id, 1)
         for (x0, y0, x1, y1), cls, orig in zip(rec.boxes.tolist(), classes, orig_logits):
             mirrored_gt = (rec.width - x1, y0, rec.width - x0, y1)
@@ -453,7 +450,8 @@ class SyntheticDetector(DetectorInterface):
     def update(self, pool: "Pool") -> "SyntheticDetector":
         """Per-class skill bump from newly labeled and pseudo-labeled images.
 
-        Returns a new detector; the current one keeps serving its predictions.
+        Returns the next version, a copy of this detector with the new skill;
+        the current one keeps serving its predictions.
         """
         cfg = self._config
         acc = self._accuracy.copy()
@@ -474,12 +472,8 @@ class SyntheticDetector(DetectorInterface):
         np.clip(acc, 0.0, cfg.accuracy_ceiling, out=acc)
         np.clip(rob, 0.0, cfg.robustness_ceiling, out=rob)
 
-        out = SyntheticDetector.__new__(SyntheticDetector)
-        out._config = cfg
-        out._dataset = self._dataset
-        out._accuracy = acc
-        out._robustness = rob
+        out = copy.copy(self)
+        out._accuracy, out._robustness = acc, rob
         out._seen_labeled = frozenset(pool.labeled)
-        out._id_keys = self._id_keys
         out._set_version(self._version + 1)
         return out

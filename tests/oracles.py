@@ -142,9 +142,8 @@ def _jittered_box(cfg, rng, gt_box, width, height):
     return [x0, y0, x1, y1]
 
 
-def _draw_dist(det, rng, true_class):
+def _draw_dist(det, k, rng, true_class):
     cfg = det.config
-    k = cfg.n_classes
     u = rng.uniform()
     confusion_step = int(rng.integers(0, max(k - 1, 1)))
     if u < det.class_accuracy(true_class):
@@ -157,7 +156,7 @@ def _draw_dist(det, rng, true_class):
     return e / e.sum()
 
 
-def _false_positives(det, rng, width, height, boxes, probs):
+def _false_positives(det, k, rng, width, height, boxes, probs):
     cfg = det.config
     if cfg.fp_rate <= 0.0:
         return
@@ -167,8 +166,8 @@ def _false_positives(det, rng, width, height, boxes, probs):
         x0 = rng.uniform(0.0, width - bw)
         y0 = rng.uniform(0.0, height - bh)
         boxes.append([float(x0), float(y0), float(x0 + bw), float(y0 + bh)])
-        cls = int(rng.integers(1, cfg.n_classes + 1))
-        probs.append(_draw_dist(det, rng, cls))
+        cls = int(rng.integers(1, k + 1))
+        probs.append(_draw_dist(det, k, rng, cls))
 
 
 # -- one-image predictions --------------------------------------------------------
@@ -226,29 +225,29 @@ def read_predictions_per_record(path, sizes):
 
 def fresh_stream_predict(det, dataset, image_id, flipped=False):
     """The prediction of ``det`` (a ``SyntheticDetector`` over ``dataset``),
-    drawn from fresh generators."""
-    cfg, rec = det.config, dataset[image_id]
+    drawn from fresh generators. K is the dataset's."""
+    cfg, rec, k = det.config, dataset[image_id], dataset.n_classes
     rng = _fresh_stream(cfg.seed, det.version, image_id, 0)
     boxes, probs = [], []
     if not flipped:
         for gt_box, cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
             boxes.append(_jittered_box(cfg, rng, gt_box, rec.width, rec.height))
-            probs.append(_draw_dist(det, rng, cls))
-        _false_positives(det, rng, rec.width, rec.height, boxes, probs)
+            probs.append(_draw_dist(det, k, rng, cls))
+        _false_positives(det, k, rng, rec.width, rec.height, boxes, probs)
     else:
         frng = _fresh_stream(cfg.seed, det.version, image_id, 1)
         for (x0, y0, x1, y1), cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
             rng.normal(0.0, 1.0, 4)
-            orig_dist = _draw_dist(det, rng, cls)
+            orig_dist = _draw_dist(det, k, rng, cls)
             mirrored_gt = (rec.width - x1, y0, rec.width - x0, y1)
             boxes.append(_jittered_box(cfg, frng, mirrored_gt, rec.width, rec.height))
             reuse = frng.uniform() < det.class_robustness(cls)
-            resampled = _draw_dist(det, frng, cls)
+            resampled = _draw_dist(det, k, frng, cls)
             probs.append(orig_dist if reuse else resampled)
-        _false_positives(det, frng, rec.width, rec.height, boxes, probs)
+        _false_positives(det, k, frng, rec.width, rec.height, boxes, probs)
     dets = Detections(
         np.array(boxes, dtype=np.float64).reshape(-1, 4),
-        np.array(probs).reshape(len(boxes), cfg.n_classes + 1),
+        np.array(probs).reshape(len(boxes), k + 1),
     )
     return one_image(image_id, rec.width, rec.height, dets)
 

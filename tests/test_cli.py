@@ -43,7 +43,7 @@ def workspace(tmp_path):
 
     world = Dataset(train.classes, train.images + test.images)
     det = SyntheticDetector(
-        SyntheticDetectorConfig(n_classes=3, temperature=0.1, seed=2), world
+        SyntheticDetectorConfig(temperature=0.1, seed=2), world
     )
     preds_path = tmp_path / "preds.jsonl"
     records = [(pred, flipped) for flipped in (False, True)
@@ -103,7 +103,7 @@ class TestConfig:
                  if "owner" in f.metadata]
         assert len(owned) == len(set(owned)) == 22
         for owner, skip in ((RunConfig, {"acquisition"}), (AcquisitionConfig, set()),
-                            (SyntheticDetectorConfig, {"n_classes"})):
+                            (SyntheticDetectorConfig, set())):
             library = {f.name for f in fields(owner)} - skip
             assert {name for o, name in owned if o is owner} == library, owner.__name__
 
@@ -124,7 +124,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value, build", [
         ("tau", "1.5", lambda: RunConfig(cycles=1, budget_per_cycle=1, tau=1.5)),
         ("nms_iou", "0", lambda: AcquisitionConfig(nms_iou=0.0)),
-        ("detector_temperature", "0", lambda: SyntheticDetectorConfig(n_classes=1, temperature=0.0)),
+        ("detector_temperature", "0", lambda: SyntheticDetectorConfig(temperature=0.0)),
     ])
     def test_cli_and_library_report_the_same_message(self, key, value, build):
         with pytest.raises(ConfigError) as cli_err:
@@ -150,6 +150,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="detector_accuracy: duplicate class id 2"):
             build_config(None, {"detector_accuracy": "1:0.3,2:0.5,2:0.9"})
         assert _parse_per_class("1:0.3,2:0.9") == {1: 0.3, 2: 0.9}
+
+    @pytest.mark.parametrize("raw, part", [("1:0.5,2", "2"), ("1:0.5:3", "1:0.5:3")])
+    def test_malformed_class_value_pair_named(self, raw, part):
+        with pytest.raises(ValueError, match=f"^expected class:value pairs, got '{part}'$"):
+            _parse_per_class(raw)
+        with pytest.raises(ConfigError, match=f"detector_accuracy: expected class:value pairs, got '{part}'"):
+            build_config(None, {"detector_accuracy": raw})
+
+    def test_per_class_range_reported_with_the_other_keys(self, tmp_path, capsys):
+        # The detector's [0, 1] check needs no K, so it runs with every key's
+        # check, before any dataset is read.
+        ghost = str(tmp_path / "ghost.json")
+        assert main(["simulate", "--dataset", ghost, "--test-dataset", ghost, "--budget-per-cycle", "1",
+                     "--detector-accuracy", "1.5", "--tau", "2", "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid configuration:",
+            "  tau: must be in (0, 1)",
+            "  detector_accuracy: values must lie in [0, 1]",
+            f"  dataset: file not found: {ghost}",
+            f"  test_dataset: file not found: {ghost}",
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -198,7 +220,7 @@ class TestScoreCommand:
         renamed = ImageRecord("a,b", first.width, first.height, first.boxes, first.class_ids)
         data = Dataset(base.classes, (renamed,) + tuple(base.images[1:]))
         formats.save_dataset(data, tmp_path / "d.json")
-        det = SyntheticDetector(SyntheticDetectorConfig(n_classes=3, seed=2), data)
+        det = SyntheticDetector(SyntheticDetectorConfig(seed=2), data)
         formats.write_predictions_jsonl(
             [(p, f) for f in (False, True) for p in per_image(det.predict(data.image_ids, f))], tmp_path / "p.jsonl"
         )
@@ -329,7 +351,7 @@ class TestEvalCommand:
         # perfect predictions: exact GT boxes, confident correct classes
         det = SyntheticDetector(
             SyntheticDetectorConfig(
-                n_classes=2, accuracy=1.0, temperature=0.05, logit_noise=0.0, box_noise=0.0, seed=0
+                accuracy=1.0, temperature=0.05, logit_noise=0.0, box_noise=0.0, seed=0
             ),
             data,
         )
@@ -463,6 +485,18 @@ class TestMalformedInput:
                                   "--predictions", str(preds_path), "--pool", str(pool),
                                   "--out", str(tmp_path / "pl.jsonl")])
         assert err == f"error: {pool}: image '{image}': class_id 99 outside 1..3\n"
+        assert not (tmp_path / "pl.jsonl").exists()
+
+    def test_pseudolabel_pool_ids_must_be_the_datasets(self, workspace, capsys):
+        # A pool of another dataset once gave an empty pseudo.jsonl and exit 0.
+        tmp_path, train, _test, _det, preds_path = workspace
+        pool = tmp_path / "pool.json"
+        others = [f"zz_{i:04d}" for i in range(7)]
+        formats.save_pool(Pool(frozenset(others[:2]), frozenset(others[2:] + train.image_ids[:3])), pool)
+        err = self.error(capsys, ["pseudolabel", "--dataset", str(tmp_path / "train.json"),
+                                  "--predictions", str(preds_path), "--pool", str(pool),
+                                  "--out", str(tmp_path / "pl.jsonl")])
+        assert err == f"error: {pool}: image ids not in {tmp_path / 'train.json'}: {others[:5]}\n"
         assert not (tmp_path / "pl.jsonl").exists()
 
     def test_eval_gt_width_must_be_an_integer(self, tmp_path, capsys):
@@ -690,6 +724,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), flag, "nan"]) == 1
         assert "values must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "nan" / "report.csv").exists()
+
+    def test_infeasible_budget_fails_before_any_cycle(self, tmp_path, capsys):
+        # 40 train images, 8 labeled at the start: two cycles of 20 need 40 of
+        # the 32 unlabeled. The run once wrote cycles 0 and 1 before failing.
+        train, test, out = tmp_path / "train.json", tmp_path / "test.json", tmp_path / "out"
+        formats.save_dataset(make_synthetic_dataset(40, 3, seed=0, id_prefix="tr"), train)
+        formats.save_dataset(make_synthetic_dataset(10, 3, seed=1, id_prefix="te"), test)
+        cfg = write_sim_config(tmp_path, train, test, out, initial_budget=8, cycles=2, budget_per_cycle=20)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: budget exceeds pool: 2 cycles of 20 images > 32 unlabeled images\n"
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
     def test_shared_image_ids_named(self, tmp_path, capsys):
         train, test = tmp_path / "train.json", tmp_path / "test.json"

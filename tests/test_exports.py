@@ -20,6 +20,7 @@ from aldet.evaluation import EvalResult
 from aldet.matching import MatchResult
 from aldet.pool import Pool, RunConfig
 from aldet.pseudo_label import PseudoLabels
+from aldet.sim_detector import SyntheticDetectorConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(aldet.__path__))
 DELETED = ("Detection", "BoxEncoded", "ClassDist", "MatchedPair", "encode_box", "decode_box",
@@ -72,6 +73,8 @@ def test_results_store_nothing_they_can_derive():
     # a side's unmatched rows number its row count less len(pairs)
     assert [f.name for f in dataclasses.fields(MatchResult)] == ["pairs"]
     assert "interpolation" not in {f.name for f in dataclasses.fields(RunConfig)}
+    # the number of classes is the detector's dataset's
+    assert "n_classes" not in SyntheticDetectorConfig.__dataclass_fields__
 
 
 def test_subcommands_are_the_ones_the_docstring_lists():

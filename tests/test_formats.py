@@ -88,7 +88,7 @@ class TestPredictionsJSONL:
         assert written["encoded"] == [-0.25, 0.0, 0.5, 1.0]
 
     def test_roundtrip(self, world, tmp_path):
-        det = SyntheticDetector(SyntheticDetectorConfig(n_classes=3, seed=1), world)
+        det = SyntheticDetector(SyntheticDetectorConfig(seed=1), world)
         records = [(pred, flipped) for flipped in (False, True)
                    for pred in per_image(det.predict(world.image_ids, flipped))]
         path = tmp_path / "preds.jsonl"
@@ -271,6 +271,16 @@ class TestPoolState:
                     PseudoLabels(["b", "a"], [[0, 0, 1, 1]] * 2, [1, 1], [0.9, 0.9]))
         formats.save_pool(pool, tmp_path / "pool.json")
         assert formats.load_pool(tmp_path / "pool.json") == pool
+
+    def test_id_the_loader_refuses_is_not_saved(self, tmp_path):
+        # the pool is checked before anything is written, as load_pool checks it
+        path = tmp_path / "pool.json"
+        message = "image_id: expected a string without a trailing NUL, got 1"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            formats.save_pool(Pool(frozenset({1, 2}), frozenset({3})), path)
+        with pytest.raises(ValueError, match=re.escape("got 'b\\x00'")):
+            formats.save_pool(Pool(frozenset({"a"}), frozenset({"b\0"})), path)
+        assert not path.exists()
 
     def test_misfiled_pseudo_label_rejected(self, tmp_path):
         path = tmp_path / "pool.json"

@@ -194,7 +194,7 @@ def _files(tmp_path, train, test, name, pl_strategy, extra=()):
     out.mkdir()
     world = Dataset(train.classes, train.images + test.images)
     det = SyntheticDetector(
-        SyntheticDetectorConfig(n_classes=3, temperature=0.1, fp_rate=1.5, seed=5), world
+        SyntheticDetectorConfig(temperature=0.1, fp_rate=1.5, seed=5), world
     )
     preds = out / "preds.jsonl"
     formats.write_predictions_jsonl(

@@ -146,7 +146,6 @@ def small_world(n_train=60, n_test=30, n_classes=3, seed=0):
 
 def make_detector(world, **overrides):
     defaults = dict(
-        n_classes=world.n_classes,
         accuracy=0.7,
         flip_robustness=0.85,
         temperature=0.12,
@@ -312,6 +311,22 @@ class TestRunCycles:
         cfg = RunConfig(cycles=1, budget_per_cycle=2, seed=0)
         with pytest.raises(ValueError, match="do not match"):
             list(run_cycles(pool, make_detector(world), cfg, train, test))
+
+    @pytest.mark.parametrize("cycles, budget, feasible", [(5, 11, True), (4, 14, False), (1, 56, False)])
+    def test_budget_beyond_the_pool_rejected_before_any_predict(self, cycles, budget, feasible):
+        # 55 unlabeled images: every cycle's selection fits, or the first next() raises
+        train, test, world = small_world()
+        pool = init_pool(train.image_ids, 5, seed=0)
+        calls = Counter()
+        detector = CountingDetector(make_detector(world), calls, [], [])
+        reports = run_cycles(pool, detector, RunConfig(cycles=cycles, budget_per_cycle=budget, seed=0), train, test)
+        if feasible:
+            assert [r.n_labeled for r in reports][-1] == 60
+            return
+        with pytest.raises(ValueError, match=rf"^budget exceeds pool: {cycles} cycles of {budget} images > "
+                                             r"55 unlabeled images$"):
+            next(reports)
+        assert not calls
 
 
 class CountingDetector(DetectorInterface):

@@ -681,7 +681,7 @@ def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, ro
     # predicted before, in chunks of 1-4 images (the last one shorter when
     # the size does not divide the run).
     cfg = SyntheticDetectorConfig(
-        n_classes=data.n_classes, seed=seed, fp_rate=fp_rate, accuracy=accuracy,
+        seed=seed, fp_rate=fp_rate, accuracy=accuracy,
         flip_robustness=robustness, skill_gain_per_labeled=0.1, skill_gain_per_pseudo=0.05,
     )
     dets = [SyntheticDetector(cfg, data)]
@@ -747,7 +747,7 @@ def test_stream_integers_equal_numpy(k1, k2, ops):
 
 def test_predict_builds_no_generator(monkeypatch):
     data = make_synthetic_dataset(5, 3, seed=2)
-    det = SyntheticDetector(SyntheticDetectorConfig(n_classes=3, fp_rate=2.0, seed=4), data)
+    det = SyntheticDetector(SyntheticDetectorConfig(fp_rate=2.0, seed=4), data)
     det = det.update(Pool(frozenset(data.image_ids[:1]), frozenset(data.image_ids[1:])))
     built = []
 

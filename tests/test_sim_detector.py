@@ -10,11 +10,12 @@ from aldet.boxes import encode_boxes, hflip, iou, nms
 from aldet.dataset import Dataset, ImageRecord, make_synthetic_dataset
 from aldet.pool import Pool, init_pool
 from aldet.pseudo_label import extract_pseudo_labels
+from aldet import sim_detector
 from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig
 
 
 def detector(dataset, **overrides):
-    defaults = dict(n_classes=dataset.n_classes, seed=5)
+    defaults = dict(seed=5)
     defaults.update(overrides)
     return SyntheticDetector(SyntheticDetectorConfig(**defaults), dataset)
 
@@ -37,15 +38,18 @@ def world():
 class TestConfig:
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            SyntheticDetectorConfig(n_classes=3, accuracy=1.2)
+            SyntheticDetectorConfig(accuracy=1.2)
         with pytest.raises(ValueError):
-            SyntheticDetectorConfig(n_classes=3, temperature=0.0)
-        with pytest.raises(ValueError):
-            SyntheticDetectorConfig(n_classes=0)
+            SyntheticDetectorConfig(temperature=0.0)
+        # K is the detector's dataset's, and a dataset has at least one class
+        with pytest.raises(ValueError, match="at least one foreground class"):
+            Dataset((), ())
 
     @pytest.mark.parametrize("knob, value", [
         ("accuracy", float("nan")),
         ("accuracy", {1: 0.5, 2: float("nan"), 3: 0.5}),
+        ("accuracy", {1: 0.5, 9: 1.5}),  # checked value by value, without a K
+        ("flip_robustness", {1: -0.1}),
         ("flip_robustness", float("nan")),
         ("temperature", float("nan")),
         ("logit_noise", float("nan")),
@@ -61,13 +65,29 @@ class TestConfig:
     def test_nan_and_out_of_range_rejected(self, knob, value):
         # NaN passes a test of the form x < lo or x > hi; every check must fail it
         with pytest.raises(ValueError, match=knob):
-            SyntheticDetectorConfig(n_classes=3, **{knob: value})
+            SyntheticDetectorConfig(**{knob: value})
 
-    def test_per_class_mapping_must_cover(self):
-        with pytest.raises(ValueError):
-            SyntheticDetectorConfig(n_classes=3, accuracy={1: 0.5})
-        cfg = SyntheticDetectorConfig(n_classes=2, accuracy={1: 0.5, 2: 0.9})
-        assert cfg.accuracy == {1: 0.5, 2: 0.9}
+    def test_per_class_mapping_must_cover(self, world):
+        # The config knows no K; the detector checks a mapping against its
+        # dataset's classes 1..4.
+        cfg = SyntheticDetectorConfig(accuracy={1: 0.5})
+        with pytest.raises(ValueError, match=r"accuracy mapping must cover classes 1\.\.4 exactly"):
+            SyntheticDetector(cfg, world)
+        with pytest.raises(ValueError, match=r"flip_robustness mapping must cover classes 1\.\.4 exactly"):
+            detector(world, flip_robustness=dict.fromkeys(range(1, 6), 0.5))
+        accuracy = {1: 0.5, 2: 0.9, 3: 0.1, 4: 1.0}
+        det = detector(world, accuracy=accuracy)
+        assert det.config.accuracy == accuracy
+        assert [det.class_accuracy(c) for c in range(1, 5)] == [0.5, 0.9, 0.1, 1.0]
+
+    def test_per_class_settings_read_once_per_detector(self, world, monkeypatch):
+        calls = []
+        per_class = sim_detector._per_class
+        monkeypatch.setattr(sim_detector, "_per_class", lambda *a: calls.append(a[2]) or per_class(*a))
+        det = detector(world, skill_gain_per_labeled=0.01)
+        pool = init_pool(world.image_ids, 10, seed=0)
+        det.update(pool).update(pool).predict(world.image_ids[:3], flipped=True)
+        assert calls == ["accuracy", "flip_robustness"]
 
 
 class TestDeterminism:
@@ -96,6 +116,18 @@ class TestDeterminism:
         det2 = det.update(pool)
         assert det2.version == 1
         assert det.predict(["img_0001"]) != det2.predict(["img_0001"])
+
+    def test_update_leaves_the_detector_as_it_was(self, world):
+        det = detector(world, skill_gain_per_labeled=0.05, fp_rate=1.0)
+        ids = world.image_ids[:6]
+        before = det.predict(ids), det.predict(ids, flipped=True)
+        skill = [(det.class_accuracy(c), det.class_robustness(c)) for c in range(1, world.n_classes + 1)]
+        new = det.update(init_pool(world.image_ids, 10, seed=0))
+        new.predict(ids)  # the new version's original view is not the old one's
+        assert (det.version, new.version) == (0, 1)
+        assert (det.predict(ids, flipped=True), det.predict(ids)) == before[::-1]
+        assert [(det.class_accuracy(c), det.class_robustness(c)) for c in range(1, world.n_classes + 1)] == skill
+        assert new.class_accuracy(1) > det.class_accuracy(1)
 
     def test_order_independence(self, world):
         det = detector(world)
