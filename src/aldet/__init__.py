@@ -20,7 +20,10 @@ from a predictions file alike: a detector predicts one chunk per call and
 view, and the predictions reader gives one chunk per view, out of which
 runs of images are cut. The library functions above take chunks: NMS,
 matching, scoring, pseudo-labelling and evaluation each make one pass per
-chunk.
+chunk. A chunk carries the coordinate frame of its boxes (``flipped``), set
+by the view that made it: :func:`post_nms` maps a flipped view back into the
+original frame, and matching, scoring, pseudo-labelling and evaluation
+refuse a chunk still in the flipped frame.
 
 Every box is a float64 corner row (xmin, ymin, xmax, ymax) of a
 :class:`Detections`, of an image record of a :class:`Dataset`, or of a

@@ -8,10 +8,12 @@ per image, and :func:`select_for_labeling` ranks one of its columns with one
 sort.
 
 Every prediction passes through :func:`post_nms` once before anything takes
-it: a flipped-view prediction is mapped back into the original frame, then
-class-wise NMS keeps the survivors. Scoring only matches the two post-NMS
-views and takes the maxima; raw detector outputs are never scored, since
-pre-NMS boxes number in the hundreds and inflate the maxima by chance.
+it: a chunk in the flipped frame (its ``flipped`` field, set by the view
+that made it) is mapped back into the original frame, then class-wise NMS
+keeps the survivors. Scoring only matches the two post-NMS views and takes
+the maxima, and refuses a chunk still in the flipped frame; raw detector
+outputs are never scored, since pre-NMS boxes number in the hundreds and
+inflate the maxima by chance.
 
 Predictions are handled in chunks of ``CHUNK_IMAGES`` images. A chunk
 (:class:`~aldet.boxes.PredictionChunk`) holds the rows of all its images as
@@ -180,12 +182,12 @@ class AcquisitionScores(FrozenRows):
             self._init(image_ids, h, i, h * i)
 
 
-def post_nms(chunk: PredictionChunk, cfg: AcquisitionConfig, flipped: bool = False) -> PredictionChunk:
-    """The chunk that matching, scoring, pseudo-labelling and evaluation take:
-    a flipped-view chunk is mapped back into the original frame with
+def post_nms(chunk: PredictionChunk, cfg: AcquisitionConfig) -> PredictionChunk:
+    """The chunk that matching, scoring, pseudo-labelling and evaluation take,
+    in the original frame: a chunk in the flipped frame is mapped back with
     :func:`hflip`, then class-wise NMS with ``cfg``'s thresholds keeps the
     survivors of each image, sorted by descending score."""
-    if flipped:
+    if chunk.flipped:
         chunk = hflip(chunk)
     return chunk.with_detections(nms(chunk.detections, cfg.nms_iou, cfg.nms_score_floor))
 
@@ -211,7 +213,8 @@ def unified_score(
     orig: PredictionChunk, unflipped: PredictionChunk, min_match_iou: float = DEFAULT_MIN_MATCH_IOU
 ) -> AcquisitionScores:
     """The scores of the images of a chunk, in chunk order, from the
-    :func:`post_nms` output of its two views.
+    :func:`post_nms` output of its two views, both in the original frame
+    (:func:`~aldet.matching.match_predictions` refuses a flipped one).
 
     H is the max entropy over an image's ``orig`` detections and I the max
     symmetric KL over the pairs matched between its ``orig`` and

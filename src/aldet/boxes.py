@@ -28,6 +28,7 @@ __all__ = [
     "PredictionChunk",
     "checked_boxes",
     "checked_encoded",
+    "check_frame",
     "checked_probs",
     "clamp_to_images",
     "encode_boxes",
@@ -241,6 +242,11 @@ class PredictionChunk:
     of numpy calls per chunk rather than per image. ``detections.image[r]``
     is the position in ``image_ids`` of row r's image.
 
+    ``flipped`` is the coordinate frame of the boxes: True when they are in
+    the frame of the horizontally flipped images. The view that made a chunk
+    sets it (a detector's flipped view, a reader's flipped records),
+    :func:`hflip` toggles it, and every chunk derived from one keeps it.
+
     A detector and the predictions reader build their chunks with every box
     clamped by :func:`clamp_to_images`. Chunks derived from one (the flip,
     NMS, a run of a reader's images) are not checked again: a subset of boxes
@@ -251,9 +257,22 @@ class PredictionChunk:
     widths: tuple[int, ...]
     heights: tuple[int, ...]
     detections: ChunkDetections
+    flipped: bool = False
 
     def with_detections(self, detections: ChunkDetections) -> "PredictionChunk":
-        return PredictionChunk(self.image_ids, self.widths, self.heights, detections)
+        return PredictionChunk(self.image_ids, self.widths, self.heights, detections, self.flipped)
+
+
+def check_frame(chunk: PredictionChunk, flipped: bool = False) -> None:
+    """Raise a ValueError naming the chunk's first image unless the chunk is
+    in the frame asked for, ``chunk.flipped == flipped``. Matching, scoring,
+    pseudo-labelling and evaluation compare boxes with the original images,
+    so they take only chunks in the original frame:
+    :func:`aldet.acquisition.post_nms` maps a flipped view back."""
+    if chunk.flipped != flipped:
+        first = chunk.image_ids[0] if chunk.image_ids else None
+        want, got = ("flipped", "original") if flipped else ("original", "flipped")
+        raise ValueError(f"chunk of image {first!r} is in the {got} frame, expected the {want} frame")
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,15 +301,17 @@ def hflip(chunk: PredictionChunk) -> PredictionChunk:
     """Mirror every image of a chunk about the vertical axis of its image.
 
     Corner boxes map as xmin' = width - xmax, xmax' = width - xmin (so the
-    encoded dx of each box is negated); class distributions are unchanged.
-    Applying hflip twice returns the original chunk.
+    encoded dx of each box is negated); class distributions are unchanged,
+    and the chunk's ``flipped`` frame is toggled. Applying hflip twice
+    returns the original chunk.
     """
     d = chunk.detections
     w = np.array(chunk.widths, dtype=np.float64)[d.image]
     boxes = d.boxes.copy()
     boxes[:, 0] = w - d.boxes[:, 2]
     boxes[:, 2] = w - d.boxes[:, 0]
-    return chunk.with_detections(ChunkDetections._of(boxes, d.probs, d.class_ids, d.scores, d.image))
+    return PredictionChunk(chunk.image_ids, chunk.widths, chunk.heights,
+                           ChunkDetections._of(boxes, d.probs, d.class_ids, d.scores, d.image), not chunk.flipped)
 
 
 def nms(

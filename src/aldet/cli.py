@@ -211,11 +211,11 @@ def _read_predictions(path, dataset: Dataset) -> formats.PredictionViews:
     preds = formats.read_predictions_jsonl(path, sizes)
     expected = dataset.n_classes + 1
     # The reader gives each view one probability width: its first non-empty record's.
-    for flipped, view in preds.views.items():
+    for view in preds.views.values():
         d = view.detections
         if len(d) and d.probs.shape[1] != expected:
             raise ValueError(
-                f"{path}: {'flipped' if flipped else 'original'} record for image "
+                f"{path}: {'flipped' if view.flipped else 'original'} record for image "
                 f"{view.image_ids[d.image[0]]!r}: {d.probs.shape[1]} probabilities, "
                 f"expected {expected} for {dataset.n_classes} classes"
             )
@@ -295,13 +295,14 @@ def cmd_simulate(args) -> int:
     detector = SyntheticDetector(cfg.detector_config(), world)
     pool = init_pool(train.image_ids, cfg.initial_budget, cfg.seed)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # Each cycle's files are written as its report arrives, and the report is
     # kept without its pool-sized scores and pseudo-labels, which report.csv
     # does not need. report.csv is written last, so it marks a complete run.
     rows = []
     for rep in run_cycles(pool, detector, run_cfg, train, test):
+        if rep.cycle == 0:  # after the loop's up-front refusals: a refused run leaves no directory behind
+            out_dir.mkdir(parents=True, exist_ok=True)
         tag, sel_name = f"cycle{rep.cycle}", ""
         if rep.cycle > 0:
             formats.write_scores_csv(rep.scores, out_dir / f"scores_{tag}.csv")

@@ -160,9 +160,12 @@ def save_dataset(dataset: Dataset, path) -> None:
 # One record per (image, orientation):
 # {"image_id": str, "flipped": true|false,
 #  "detections": [{"bbox": [xmin, ymin, xmax, ymax], "encoded": [dx, dy, w, h], "probs": [K+1]}]}
-# Coordinates are written as floats. "encoded" is the box's encoded form (see
-# aldet.boxes): the reader checks it and drops it, the writer computes it from
-# the box it holds and the image size.
+# "flipped" is the coordinate frame of the record's boxes: the writer writes
+# the frame of the chunk a record comes from (PredictionChunk.flipped), and
+# the reader gives each record's chunk that frame. Coordinates are written as
+# floats. "encoded" is the box's encoded form (see aldet.boxes): the reader
+# checks it and drops it, the writer computes it from the box it holds and
+# the image size.
 
 
 def _read_jsonl(path, parse) -> list:
@@ -179,11 +182,13 @@ def _read_jsonl(path, parse) -> list:
 
 
 class _View:
-    """The records of one view as they are read. Each record's rows are
-    appended to one byte buffer per array, so no per-record array outlives
-    its line; :meth:`chunk` checks the values and clamps the boxes at once."""
+    """The records of one view, in the ``flipped`` frame, as they are read.
+    Each record's rows are appended to one byte buffer per array, so no
+    per-record array outlives its line; :meth:`chunk` checks the values and
+    clamps the boxes at once."""
 
-    def __init__(self):
+    def __init__(self, flipped: bool = False):
+        self.flipped = flipped
         self.image_ids: dict[str, None] = {}  # an ordered set, in file order
         self.counts, self.k = [], None  # k: the first non-empty record's width
         self.buffers = (bytearray(), bytearray(), bytearray())  # boxes, probs, encoded
@@ -210,28 +215,30 @@ class _View:
         checked_encoded(encoded.reshape(n, 4))
         widths, heights = [sizes[i][0] for i in self.image_ids], [sizes[i][1] for i in self.image_ids]
         dets = clamp_to_images(dets, widths, heights, image)
-        return PredictionChunk(tuple(self.image_ids), tuple(widths), tuple(heights), dets)
+        return PredictionChunk(tuple(self.image_ids), tuple(widths), tuple(heights), dets, self.flipped)
 
 
 class PredictionViews(Mapping):
     """The records of a predictions file: ``views[flipped]`` is the chunk of
-    one view, its images in file order, and :meth:`chunk` cuts images out of
-    it. As a mapping, ``(image_id, flipped)`` gives one record's chunk."""
+    one view, its images in file order and its boxes in that view's frame,
+    and :meth:`chunk` cuts images out of it. As a mapping,
+    ``(image_id, flipped)`` gives one record's chunk."""
 
-    def __init__(self, views: dict[bool, PredictionChunk]):
-        self.views = views
+    def __init__(self, views: Iterable[PredictionChunk]):
+        self.views = {view.flipped: view for view in views}
         self._at = {flipped: {image_id: k for k, image_id in enumerate(view.image_ids)}
-                    for flipped, view in views.items()}
+                    for flipped, view in self.views.items()}
 
     def chunk(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk:
-        """The given images' records of one view as one chunk, in the given
-        order; the first image without a record is named."""
+        """The given images' records of one view as one chunk in that view's
+        frame, in the given order; the first image without a record is
+        named."""
+        view = self.views[flipped]
         try:
             pos = np.array([self._at[flipped][image_id] for image_id in image_ids], dtype=np.intp)
         except KeyError as e:
-            kind = "flipped" if flipped else "original"
+            kind = "flipped" if view.flipped else "original"
             raise ValueError(f"missing {kind} record for image {e.args[0]!r}") from None
-        view = self.views[flipped]
         d = view.detections
         counts = np.bincount(d.image, minlength=len(view.image_ids))
         image, rows = span_pairs((np.cumsum(counts) - counts)[pos], counts[pos])
@@ -239,7 +246,7 @@ class PredictionViews(Mapping):
         probs = d.probs[rows] if len(rows) else np.zeros((0, 0))
         return PredictionChunk(
             *(tuple(values[k] for k in pos.tolist()) for values in (view.image_ids, view.widths, view.heights)),
-            ChunkDetections._of(d.boxes[rows], probs, d.class_ids[rows], d.scores[rows], image),
+            ChunkDetections._of(d.boxes[rows], probs, d.class_ids[rows], d.scores[rows], image), view.flipped,
         )
 
     def __getitem__(self, key: tuple[str, bool]) -> PredictionChunk:
@@ -259,7 +266,7 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
     """The file's records, one chunk per view. A record's shape is checked
     as it is read, and every value once per view; only when a value check
     fails is the file read again, record by record, to name the line."""
-    views = {False: _View(), True: _View()}
+    views = {False: _View(False), True: _View(True)}
 
     def add(rec) -> None:
         image_id = rec["image_id"]
@@ -272,23 +279,28 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
 
     _read_jsonl(path, add)
     try:
-        return PredictionViews({flipped: view.chunk(sizes) for flipped, view in views.items()})
+        return PredictionViews(view.chunk(sizes) for view in views.values())
     except ValueError:  # each record a view of its own, to raise naming its line
         _read_jsonl(path, lambda rec: _View().add(rec["image_id"], rec["detections"]).chunk(sizes))
         raise
 
 
-def write_predictions_jsonl(chunks: Iterable[tuple[PredictionChunk, bool]], path) -> None:
-    """One record per image of every (chunk, flipped) pair."""
+def write_predictions_jsonl(chunks: Iterable[PredictionChunk], path) -> None:
+    """One record per image of every chunk, in the chunk's frame. A second
+    record of an (image, frame), which :func:`read_predictions_jsonl` would
+    refuse, raises a ValueError naming it before anything is written."""
     records = []
-    for chunk, flipped in chunks:
+    for chunk in chunks:
         d = chunk.detections
         encoded = encode_boxes(d.boxes, np.array(chunk.widths)[d.image], np.array(chunk.heights)[d.image])
         rows = zip(d.boxes.tolist(), encoded.tolist(), d.probs.tolist())
         for image_id, n in zip(chunk.image_ids, np.bincount(d.image, minlength=len(chunk.image_ids)).tolist()):
             dets = [{"bbox": box, "encoded": enc, "probs": probs} for box, enc, probs in islice(rows, n)]
-            records.append({"image_id": image_id, "flipped": bool(flipped), "detections": dets})
+            records.append({"image_id": image_id, "flipped": bool(chunk.flipped), "detections": dets})
     records.sort(key=lambda r: (r["image_id"], r["flipped"]))
+    for a, b in zip(records, records[1:]):
+        if (a["image_id"], a["flipped"]) == (b["image_id"], b["flipped"]):
+            raise ValueError(f"duplicate record for image {a['image_id']!r}, flipped={a['flipped']}")
     _write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 

@@ -1,7 +1,8 @@
 """Pair detections of an image with their counterparts in the flipped image.
 
 Matching is done on corner-box IoU after the flipped prediction has been
-mapped back into the original coordinate frame (see :func:`aldet.boxes.hflip`).
+mapped back into the original coordinate frame (see :func:`aldet.boxes.hflip`):
+a chunk still in the flipped frame is refused.
 Two chunks of images (:class:`~aldet.boxes.PredictionChunk`) are matched
 image by image in one pass. A pair is a pair of row indices, one into each
 chunk's detections, numbered across the chunk.
@@ -16,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boxes import PredictionChunk, iou, span_pairs
+from .boxes import PredictionChunk, check_frame, iou, span_pairs
 
 __all__ = ["MatchResult", "greedy_assign", "match_predictions", "DEFAULT_MIN_MATCH_IOU"]
 
@@ -54,7 +55,8 @@ def match_predictions(
 ) -> MatchResult:
     """Greedy one-to-one IoU matching between the detections of each image
     in two chunks of the same images: the original view ``orig`` and the
-    flipped view ``flipped``, mapped back.
+    flipped view ``flipped``, mapped back. Both chunks must be in the
+    original frame.
 
     Within an image, all cross pairs are ranked by IoU descending (ties by
     original row, then flipped row) and accepted while both members are free
@@ -62,9 +64,11 @@ def match_predictions(
     cross pair of every image, and the pairs come image by image, each
     image's in acceptance order.
     """
+    check_frame(orig)
+    check_frame(flipped)
     if orig.image_ids != flipped.image_ids:
         x, y = next((x, y) for x, y in zip_longest(orig.image_ids, flipped.image_ids) if x != y)
-        raise ValueError(f"frame mismatch: cannot match {x!r} against {y!r}")
+        raise ValueError(f"image-id mismatch: cannot match image {x!r} against image {y!r}")
     if not (0.0 <= min_match_iou <= 1.0):
         raise ValueError(f"min_match_iou must be in [0, 1], got {min_match_iou}")
 

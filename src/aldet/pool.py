@@ -51,7 +51,7 @@ from .acquisition import (
     select_for_labeling,
     unified_score,
 )
-from .boxes import Detections, PredictionChunk
+from .boxes import Detections, PredictionChunk, check_frame
 from .dataset import Dataset
 from .evaluation import EvalResult, map50
 from .pseudo_label import (
@@ -213,13 +213,17 @@ def score_pool(
     ``predict(chunk.image_ids, flipped=True)`` supplies the chunk of each
     original chunk's flipped views as the chunk source emits it (a
     detector's ``predict``, or :meth:`aldet.formats.PredictionViews.chunk`),
-    in the flipped frame; :func:`post_nms` is applied to it here. Passing a
-    generator streams the pool instead of holding every chunk at once.
+    in the flipped frame; :func:`post_nms` maps it back here. A source that
+    answers with a chunk not in the flipped frame is refused, naming the
+    chunk's first image. Passing a generator streams the pool instead of
+    holding every chunk at once.
     """
-    return AcquisitionScores.concat(
-        unified_score(chunk, post_nms(predict(chunk.image_ids, flipped=True), cfg, flipped=True), cfg.min_match_iou)
-        for chunk in originals
-    )
+    scores = []
+    for chunk in originals:
+        view = predict(chunk.image_ids, flipped=True)
+        check_frame(view, flipped=True)
+        scores.append(unified_score(chunk, post_nms(view, cfg), cfg.min_match_iou))
+    return AcquisitionScores.concat(scores)
 
 
 def pseudo_label_pool(
@@ -244,8 +248,11 @@ def pseudo_label_pool(
 
 def evaluate(chunks: Iterable[PredictionChunk], data: Dataset) -> EvalResult:
     """VOC07 mAP@0.5 (:func:`aldet.evaluation.map50`) of the detections as
-    given, in input order, against ``data``."""
+    given, in input order, against ``data``; a chunk in the flipped frame is
+    refused."""
     chunks = list(chunks)
+    for chunk in chunks:
+        check_frame(chunk)
     image_ids = [c.image_ids[k] for c in chunks for k in c.detections.image.tolist()]
     return map50(Detections.concat(c.detections for c in chunks), image_ids, data)
 

@@ -11,7 +11,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .boxes import ChunkDetections, FrozenRows, PredictionChunk, checked_boxes, iou
+from .boxes import ChunkDetections, FrozenRows, PredictionChunk, check_frame, checked_boxes, iou
 from .dataset import Dataset, image_id_column
 from .evaluation import same_class_pairs
 from .matching import greedy_assign
@@ -55,7 +55,7 @@ class PseudoLabels(FrozenRows):
 
 def _labels(chunks: Iterable[PredictionChunk], keep: Callable[[ChunkDetections], np.ndarray]) -> PseudoLabels:
     """The rows ``keep(detections)`` of every chunk, in order, as one set of
-    pseudo-labels.
+    pseudo-labels. A chunk in the flipped frame is refused.
 
     Each chunk is read once and let go, so a stream of chunks is never held
     whole. Its rows are kept as plain columns, which become the one set when
@@ -63,6 +63,7 @@ def _labels(chunks: Iterable[PredictionChunk], keep: Callable[[ChunkDetections],
     """
 
     def columns(chunk: PredictionChunk):
+        check_frame(chunk)
         d = chunk.detections
         rows = keep(d)
         return np.array(chunk.image_ids, dtype=str)[d.image[rows]], d.boxes[rows], d.class_ids[rows], d.scores[rows]
@@ -77,7 +78,7 @@ def extract_pseudo_labels(chunks: Iterable[PredictionChunk], tau: float) -> Pseu
     order.
 
     The chunks are expected to be post-NMS, consistent with the acquisition
-    pipeline.
+    pipeline; a chunk in the flipped frame is refused.
     """
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must be in (0, 1), got {tau}")

@@ -61,12 +61,14 @@ class DetectorInterface(ABC):
 
     ``predict(image_ids, flipped)`` returns one :class:`PredictionChunk` of
     the given images, in the given order, with every box clamped to its
-    image and in the frame of the view: ``flipped=True`` gives the flipped
-    images' detections in the flipped coordinate frame. Each image's
-    detections must be deterministic given (detector state, image_id,
-    flipped), whatever chunk the image is predicted in. ``update`` consumes
-    a pool snapshot and returns the detector state after retraining, leaving
-    the old state unchanged.
+    image and in the frame of the view, and the chunk's ``flipped`` equal to
+    the request: ``flipped=True`` gives the flipped images' detections in
+    the flipped coordinate frame, in a chunk whose ``flipped`` is True
+    (:func:`aldet.pool.score_pool` refuses a flipped view that says
+    otherwise). Each image's detections must be deterministic given
+    (detector state, image_id, flipped), whatever chunk the image is
+    predicted in. ``update`` consumes a pool snapshot and returns the
+    detector state after retraining, leaving the old state unchanged.
 
     :func:`aldet.pool.run_cycles` relies on this determinism: it predicts
     each view of each image once per detector state, in one pass over the
@@ -442,7 +444,8 @@ class SyntheticDetector(DetectorInterface):
             image,
         )
         return PredictionChunk(
-            tuple(image_ids), tuple(widths), tuple(heights), clamp_to_images(dets, widths, heights, image)
+            tuple(image_ids), tuple(widths), tuple(heights), clamp_to_images(dets, widths, heights, image),
+            bool(flipped),
         )
 
     # -- retraining stand-in -------------------------------------------------

@@ -173,32 +173,37 @@ def _false_positives(det, k, rng, width, height, boxes, probs):
 # -- one-image predictions --------------------------------------------------------
 
 
-def one_image(image_id, width, height, dets):
-    """``dets`` as the chunk of the one image ``image_id``, each box clamped
-    to the image."""
+def one_image(image_id, width, height, dets, flipped=False):
+    """``dets`` as the chunk of the one image ``image_id`` in the ``flipped``
+    frame, each box clamped to the image."""
     image = np.zeros(len(dets), dtype=np.intp)
     d = ChunkDetections._of(dets.boxes, dets.probs, dets.class_ids, dets.scores, image)
-    return PredictionChunk((image_id,), (width,), (height,), clamp_to_images(d, (width,), (height,), image))
+    return PredictionChunk((image_id,), (width,), (height,), clamp_to_images(d, (width,), (height,), image),
+                           flipped)
 
 
 def chunk_of(preds):
-    """One-image chunks joined into one chunk, in order. Sets without rows
-    are skipped, so a chunk without rows has probabilities of width 0."""
+    """One-image chunks, all in one frame, joined into one chunk in that
+    frame, in order. Sets without rows are skipped, so a chunk without rows
+    has probabilities of width 0."""
+    frames = {p.flipped for p in preds}
+    assert len(frames) <= 1, "one-image chunks in different frames"
     sets = [p.detections for p in preds]
     d = Detections.concat(sets)
     image = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
     return PredictionChunk(
         tuple(p.image_ids[0] for p in preds), tuple(p.widths[0] for p in preds),
         tuple(p.heights[0] for p in preds),
-        ChunkDetections._of(d.boxes, d.probs, d.class_ids, d.scores, image),
+        ChunkDetections._of(d.boxes, d.probs, d.class_ids, d.scores, image), frames == {True},
     )
 
 
 def per_image(chunk):
-    """The chunk's images, one one-image chunk each, in chunk order."""
+    """The chunk's images, one one-image chunk each in the chunk's frame, in
+    chunk order."""
     d = chunk.detections
     return [
-        one_image(image_id, w, h, d.take(np.flatnonzero(d.image == k)))
+        one_image(image_id, w, h, d.take(np.flatnonzero(d.image == k)), chunk.flipped)
         for k, (image_id, w, h) in enumerate(zip(chunk.image_ids, chunk.widths, chunk.heights))
     ]
 
@@ -219,13 +224,14 @@ def read_predictions_per_record(path, sizes):
             checked_encoded([d["encoded"] for d in records])
             key = (rec["image_id"], rec["flipped"])
             assert key not in out
-            out[key] = one_image(rec["image_id"], *sizes[rec["image_id"]], dets)
+            out[key] = one_image(rec["image_id"], *sizes[rec["image_id"]], dets, rec["flipped"])
     return out
 
 
 def fresh_stream_predict(det, dataset, image_id, flipped=False):
     """The prediction of ``det`` (a ``SyntheticDetector`` over ``dataset``),
-    drawn from fresh generators. K is the dataset's."""
+    drawn from fresh generators, in the frame of the view. K is the
+    dataset's."""
     cfg, rec, k = det.config, dataset[image_id], dataset.n_classes
     rng = _fresh_stream(cfg.seed, det.version, image_id, 0)
     boxes, probs = [], []
@@ -249,7 +255,7 @@ def fresh_stream_predict(det, dataset, image_id, flipped=False):
         np.array(boxes, dtype=np.float64).reshape(-1, 4),
         np.array(probs).reshape(len(boxes), k + 1),
     )
-    return one_image(image_id, rec.width, rec.height, dets)
+    return one_image(image_id, rec.width, rec.height, dets, flipped)
 
 
 # -- per-image NMS, matching and scoring ----------------------------------------
@@ -274,14 +280,17 @@ def per_image_nms(dets, iou_threshold, score_floor):
     return dets.take(kept)
 
 
-def per_image_post_nms(pred, cfg, flipped=False):
+def per_image_post_nms(pred, cfg):
+    """The one-image chunk ``pred`` mapped back into the original frame if it
+    is in the flipped one, then through per-image NMS."""
     d = pred.detections
-    if flipped:
+    if pred.flipped:
         boxes = d.boxes.copy()
         boxes[:, 0] = float(pred.widths[0]) - d.boxes[:, 2]
         boxes[:, 2] = float(pred.widths[0]) - d.boxes[:, 0]
         d = ChunkDetections._of(boxes, d.probs, d.class_ids, d.scores, d.image)
-    return pred.with_detections(per_image_nms(d, cfg.nms_iou, cfg.nms_score_floor))
+    return PredictionChunk(pred.image_ids, pred.widths, pred.heights,
+                           per_image_nms(d, cfg.nms_iou, cfg.nms_score_floor))
 
 
 def per_image_match(orig, flipped, min_match_iou):

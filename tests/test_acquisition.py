@@ -123,7 +123,8 @@ class TestImageAggregation:
 
 
 def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, perturb=0.0):
-    """A one-image chunk and a flipped-frame version whose dists differ by `perturb`."""
+    """A one-image chunk and its flipped view, a chunk in the flipped frame
+    whose dists differ by `perturb`."""
     boxes, mirrored, orig_probs, flip_probs = [], [], [], []
     for _ in range(n):
         x0, y0 = rng.uniform(0, 60, 2)
@@ -139,12 +140,12 @@ def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, pertur
             q = q / q.sum()
         flip_probs.append(q)
 
-    def prediction(rows, probs):
+    def prediction(rows, probs, flipped):
         rows = np.array(rows)
         dets = Detections(rows, probs)
-        return chunk_of([one_image(image_id, width, height, dets)])
+        return chunk_of([one_image(image_id, width, height, dets, flipped)])
 
-    return prediction(boxes, orig_probs), prediction(mirrored, flip_probs)
+    return prediction(boxes, orig_probs, False), prediction(mirrored, flip_probs, True)
 
 
 class TestAcquisitionConfig:
@@ -203,7 +204,7 @@ class TestUnifiedScore:
         for _ in range(50):
             orig, flip = two_sided_prediction(rng, perturb=0.2)
             [got] = image_scores(unified_score(
-                post_nms(orig, cfg), post_nms(flip, cfg, flipped=True), cfg.min_match_iou
+                post_nms(orig, cfg), post_nms(flip, cfg), cfg.min_match_iou
             ))
 
             orig_dets = nms(orig.detections, cfg.nms_iou, cfg.nms_score_floor)
@@ -227,11 +228,11 @@ class TestUnifiedScore:
         rng = np.random.default_rng(15)
         cfg = AcquisitionConfig()
         orig, flip = two_sided_prediction(rng, n=4, perturb=0.3)
-        [base] = image_scores(unified_score(post_nms(orig, cfg), post_nms(flip, cfg, flipped=True)))
+        [base] = image_scores(unified_score(post_nms(orig, cfg), post_nms(flip, cfg)))
         perm = rng.permutation(4)
         orig2 = orig.with_detections(orig.detections.take(perm))
         flip2 = flip.with_detections(flip.detections.take(perm[::-1]))
-        [shuffled] = image_scores(unified_score(post_nms(orig2, cfg), post_nms(flip2, cfg, flipped=True)))
+        [shuffled] = image_scores(unified_score(post_nms(orig2, cfg), post_nms(flip2, cfg)))
         assert shuffled.entropy == pytest.approx(base.entropy, rel=1e-12)
         assert shuffled.inconsistency == pytest.approx(base.inconsistency, rel=1e-12)
 

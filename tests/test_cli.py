@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import image_scores, one_image, per_image
+from oracles import image_scores, one_image
 
 import aldet
 from aldet import formats
@@ -46,9 +46,7 @@ def workspace(tmp_path):
         SyntheticDetectorConfig(temperature=0.1, seed=2), world
     )
     preds_path = tmp_path / "preds.jsonl"
-    records = [(pred, flipped) for flipped in (False, True)
-               for pred in per_image(det.predict(train.image_ids, flipped))]
-    formats.write_predictions_jsonl(records, preds_path)
+    formats.write_predictions_jsonl([det.predict(train.image_ids, flipped) for flipped in (False, True)], preds_path)
     return tmp_path, train, test, det, preds_path
 
 
@@ -198,7 +196,7 @@ class TestScoreCommand:
         for image_id in train.image_ids[:5]:
             [expected] = image_scores(unified_score(
                 post_nms(det.predict([image_id]), cfg),
-                post_nms(det.predict([image_id], True), cfg, flipped=True),
+                post_nms(det.predict([image_id], True), cfg),
                 cfg.min_match_iou,
             ))
             got = scores[image_id]
@@ -221,9 +219,7 @@ class TestScoreCommand:
         data = Dataset(base.classes, (renamed,) + tuple(base.images[1:]))
         formats.save_dataset(data, tmp_path / "d.json")
         det = SyntheticDetector(SyntheticDetectorConfig(seed=2), data)
-        formats.write_predictions_jsonl(
-            [(p, f) for f in (False, True) for p in per_image(det.predict(data.image_ids, f))], tmp_path / "p.jsonl"
-        )
+        formats.write_predictions_jsonl([det.predict(data.image_ids, f) for f in (False, True)], tmp_path / "p.jsonl")
         out = tmp_path / "s.csv"
         assert main(["score", "--dataset", str(tmp_path / "d.json"), "--predictions", str(tmp_path / "p.jsonl"),
                      "--out", str(out)]) == 1
@@ -234,7 +230,7 @@ class TestScoreCommand:
     def test_missing_flipped_record_names_image(self, workspace, capsys):
         tmp_path, train, _test, det, _ = workspace
         partial = tmp_path / "partial.jsonl"
-        formats.write_predictions_jsonl([(per_image(det.predict(train.image_ids[:1]))[0], False)], partial)
+        formats.write_predictions_jsonl([det.predict(train.image_ids[:1])], partial)
         rc = main([
             "score", "--dataset", str(tmp_path / "train.json"), "--budget-per-cycle", "1",
             "--predictions", str(partial), "--out", str(tmp_path / "x.csv"),
@@ -355,9 +351,8 @@ class TestEvalCommand:
             ),
             data,
         )
-        records = [(pred, False) for pred in per_image(det.predict(data.image_ids))]
         preds_path = tmp_path / "perfect.jsonl"
-        formats.write_predictions_jsonl(records, preds_path)
+        formats.write_predictions_jsonl([det.predict(data.image_ids)], preds_path)
         out = tmp_path / "eval.csv"
         assert main(["eval", "--gt", str(gt_path), "--predictions", str(preds_path),
                      "--out", str(out)]) == 0
@@ -366,8 +361,7 @@ class TestEvalCommand:
 
         empty_path = tmp_path / "empty.jsonl"
         formats.write_predictions_jsonl(
-            [(one_image(i, data[i].width, data[i].height, Detections([], [])), False)
-             for i in data.image_ids],
+            [one_image(i, data[i].width, data[i].height, Detections([], [])) for i in data.image_ids],
             empty_path,
         )
         assert main(["eval", "--gt", str(gt_path), "--predictions", str(empty_path),
@@ -594,8 +588,7 @@ class TestProbabilityLength:
                 probs = np.full(n, 0.05 / (n - 1))
                 probs[1] = 0.95
                 det = Detections(box, [probs])
-                pred = one_image(img.image_id, img.width, img.height, det)
-                records.append((pred, flipped))
+                records.append(one_image(img.image_id, img.width, img.height, det, flipped))
         formats.write_predictions_jsonl(records, path)
 
     def run(self, k5, capsys, command, n_original, n_flipped):
@@ -734,7 +727,7 @@ class TestSimulateCommand:
         cfg = write_sim_config(tmp_path, train, test, out, initial_budget=8, cycles=2, budget_per_cycle=20)
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: budget exceeds pool: 2 cycles of 20 images > 32 unlabeled images\n"
-        assert [p for p in out.rglob("*") if p.is_file()] == []
+        assert not out.exists()
 
     def test_shared_image_ids_named(self, tmp_path, capsys):
         train, test = tmp_path / "train.json", tmp_path / "test.json"

@@ -1,19 +1,21 @@
 """Every exported name resolves, and the per-detection and per-box types, the
 one-image prediction type, the one-image forms of the chunked stages and of
 the pseudo-labels, the losses, the scalar entropy and symmetric KL, and the
-evaluation settings other than VOC07 11-point mAP@0.5 stay gone. The command line offers exactly
-the subcommands its module docstring lists."""
+evaluation settings other than VOC07 11-point mAP@0.5 stay gone. A prediction
+chunk carries its coordinate frame, so no stage takes it as an argument. The
+command line offers exactly the subcommands its module docstring lists."""
 
 import argparse
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import aldet
-from aldet import cli
-from aldet.acquisition import AcquisitionScores
+from aldet import cli, formats
+from aldet.acquisition import AcquisitionScores, post_nms
 from aldet.boxes import Detections, PredictionChunk
 from aldet.dataset import Dataset, ImageRecord
 from aldet.evaluation import EvalResult
@@ -64,6 +66,13 @@ def test_one_box_representation():
     assert "objects" not in ImageRecord.__dataclass_fields__
     assert "encoded" not in Detections.__slots__
     assert not hasattr(Detections([], []), "encoded")
+
+
+def test_chunks_carry_their_coordinate_frame():
+    # the frame travels on the chunk, not beside it as an argument
+    assert [f.name for f in dataclasses.fields(PredictionChunk)][-1] == "flipped"
+    assert "flipped" not in inspect.signature(post_nms).parameters
+    assert list(inspect.signature(formats.write_predictions_jsonl).parameters) == ["chunks", "path"]
 
 
 def test_results_store_nothing_they_can_derive():

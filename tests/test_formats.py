@@ -9,6 +9,7 @@ from oracles import per_image
 
 from aldet import formats
 from aldet.acquisition import AcquisitionScores
+from aldet.boxes import hflip
 from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
 from aldet.pool import Pool, init_pool, with_pseudo
@@ -82,21 +83,34 @@ class TestPredictionsJSONL:
         path.write_text('{"image_id": "a", "flipped": false, "detections": [%s]}\n' % det)
         pred = formats.read_predictions_jsonl(path, sizes)[("a", False)]
         assert pred.detections.boxes.tolist() == [[0.0, 0.0, 50.0, 50.0]]
-        formats.write_predictions_jsonl([(pred, False)], path)
+        formats.write_predictions_jsonl([pred], path)
         (written,) = json.loads(path.read_text())["detections"]
         assert written["bbox"] == [0.0, 0.0, 50.0, 50.0]
         assert written["encoded"] == [-0.25, 0.0, 0.5, 1.0]
 
     def test_roundtrip(self, world, tmp_path):
         det = SyntheticDetector(SyntheticDetectorConfig(seed=1), world)
-        records = [(pred, flipped) for flipped in (False, True)
-                   for pred in per_image(det.predict(world.image_ids, flipped))]
+        records = [pred for flipped in (False, True) for pred in per_image(det.predict(world.image_ids, flipped))]
         path = tmp_path / "preds.jsonl"
         formats.write_predictions_jsonl(records, path)
         back = formats.read_predictions_jsonl(path, sizes(world))
         assert len(back) == len(records)
-        for pred, flipped in records:
-            assert back[(pred.image_ids[0], flipped)] == pred
+        for pred in records:  # each record's chunk in the frame it was written from
+            assert back[(pred.image_ids[0], pred.flipped)] == pred
+
+    def test_second_record_of_an_image_and_frame_is_refused_before_writing(self, world, tmp_path):
+        # the reader refuses a file with two records of one (image, frame)
+        det = SyntheticDetector(SyntheticDetectorConfig(seed=1), world)
+        path = tmp_path / "preds.jsonl"
+        original = det.predict(world.image_ids[:2])
+        with pytest.raises(ValueError, match="duplicate record for image 'img_0000', flipped=False"):
+            formats.write_predictions_jsonl([original, original], path)
+        with pytest.raises(ValueError, match="duplicate record for image 'img_0001', flipped=True"):
+            formats.write_predictions_jsonl([det.predict(["img_0001", "img_0001"], flipped=True)], path)
+        assert not path.exists()
+        # one record of each view of an image is no duplicate
+        formats.write_predictions_jsonl([original, hflip(original)], path)
+        assert len(formats.read_predictions_jsonl(path, sizes(world))) == 4
 
     def test_malformed_line_reports_number(self, world, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -171,11 +185,13 @@ class TestPredictionsJSONL:
         assert original.detections.image.tolist() == [0, 0, 2]
         assert original.detections.boxes.tolist() == [[0, 0, 5, 5], [1, 1, 4, 4], [0, 0, 300, 5]]
         assert flipped.image_ids == () and len(flipped.detections) == 0
+        assert (original.flipped, flipped.flipped) == (False, True)
         assert set(preds) == {("img_0002", False), ("img_0000", False), ("img_0001", False)}
         cut = preds.chunk(["img_0001", "img_0000", "img_0002"])
         assert cut.image_ids == ("img_0001", "img_0000", "img_0002")
         assert cut.detections.image.tolist() == [0, 2, 2]
         assert cut.detections.boxes.tolist() == [[0, 0, 300, 5], [0, 0, 5, 5], [1, 1, 4, 4]]
+        assert not cut.flipped and preds.chunk([], flipped=True).flipped
         with pytest.raises(ValueError, match="missing flipped record for image 'img_0000'"):
             preds.chunk(["img_0000"], flipped=True)
         assert ("img_0000", True) not in preds

@@ -198,8 +198,7 @@ def _files(tmp_path, train, test, name, pl_strategy, extra=()):
     )
     preds = out / "preds.jsonl"
     formats.write_predictions_jsonl(
-        [(pred, flipped) for flipped in (False, True)
-         for pred in per_image(det.predict(train.image_ids, flipped))],
+        [pred for flipped in (False, True) for pred in per_image(det.predict(train.image_ids, flipped))],
         preds,
     )
     data = str(tmp_path / "train.json")

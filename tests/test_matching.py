@@ -5,7 +5,7 @@ import pytest
 
 from oracles import Box, one_image, scalar_iou
 
-from aldet.boxes import Detections
+from aldet.boxes import Detections, hflip
 from aldet.matching import greedy_assign, match_predictions
 
 
@@ -96,11 +96,19 @@ class TestMatchPredictions:
         result = match_predictions(a, b)
         assert result.pairs == ()
 
-    def test_frame_mismatch(self):
+    def test_image_id_mismatch(self):
         a = make_pred("x", [Box(0, 0, 10, 10)])
         b = make_pred("y", [Box(0, 0, 10, 10)])
-        with pytest.raises(ValueError, match="frame mismatch"):
+        with pytest.raises(ValueError, match="image-id mismatch: cannot match image 'x' against image 'y'"):
             match_predictions(a, b)
+
+    @pytest.mark.parametrize("side", ["orig", "flipped"])
+    def test_chunk_in_the_flipped_frame_refused(self, side):
+        # a flipped view not mapped back would be matched on mirrored boxes
+        chunks = {"orig": make_pred("x", [Box(0, 0, 10, 10)]), "flipped": make_pred("x", [Box(0, 0, 10, 10)])}
+        chunks[side] = hflip(chunks[side])
+        with pytest.raises(ValueError, match="chunk of image 'x' is in the flipped frame, expected the original"):
+            match_predictions(**chunks)
 
     def test_one_to_one(self):
         rng = np.random.default_rng(5)

@@ -6,6 +6,7 @@ import re
 import sys
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from oracles import chunk_of, fresh_stream_predict, image_scores, per_image_post_nms, per_image_unified_score
@@ -485,9 +486,9 @@ class TestOnePass:
         train, test, world = small_world(n_train=120)
         train_ids, post_nms, made = set(train.image_ids), acquisition.post_nms, []
 
-        def tracked(chunk, cfg, flipped=False):
-            out = post_nms(chunk, cfg, flipped)
-            if not flipped and out.image_ids[0] in train_ids:
+        def tracked(chunk, cfg):
+            out = post_nms(chunk, cfg)
+            if not chunk.flipped and out.image_ids[0] in train_ids:
                 made.append(weakref.ref(out))
             return out
 
@@ -518,10 +519,61 @@ def test_score_pool_across_chunks_equals_per_image_code():
     assert originals == [chunk_of(group) for group in acquisition.chunked(per_image)]
     scores = image_scores(score_pool(iter(originals), det.predict, cfg))
     expected = [
-        per_image_unified_score(o, per_image_post_nms(fresh_stream_predict(det, world, o.image_ids[0], True), cfg, True),
-                                0.5)
+        per_image_unified_score(o, per_image_post_nms(fresh_stream_predict(det, world, o.image_ids[0], True), cfg), 0.5)
         for o in per_image
     ]
     assert [(s.image_id, s.entropy.hex(), s.inconsistency.hex()) for s in scores] == [
         (s.image_id, s.entropy.hex(), s.inconsistency.hex()) for s in expected
     ]
+
+
+class TestCoordinateFrames:
+    """A flipped view that was not mapped back holds mirrored boxes: every
+    stage that compares boxes with the original images refuses it, naming
+    its first image, where it once read it without error."""
+
+    data = make_synthetic_dataset(64, 5, 3)
+    ids = data.image_ids[:32]
+    cfg = AcquisitionConfig()
+    REFUSED = "chunk of image 'img_0000' is in the flipped frame, expected the original frame"
+
+    def views(self):
+        det = SyntheticDetector(SyntheticDetectorConfig(), self.data)
+        original = acquisition.post_nms(det.predict(self.ids), self.cfg)
+        flipped = det.predict(self.ids, flipped=True)
+        # NMS alone keeps the flipped frame; post_nms maps the view back
+        mirrored = flipped.with_detections(boxes.nms(flipped.detections, self.cfg.nms_iou, self.cfg.nms_score_floor))
+        return det, original, mirrored, acquisition.post_nms(flipped, self.cfg)
+
+    def test_scoring_refuses_a_chunk_in_the_flipped_frame(self):
+        _, original, mirrored, unflipped = self.views()
+        assert mirrored.flipped and not unflipped.flipped
+        assert len(acquisition.unified_score(original, unflipped)) == 32
+        with pytest.raises(ValueError, match=re.escape(self.REFUSED)):
+            acquisition.unified_score(original, mirrored)
+
+    def test_evaluation_refuses_a_chunk_in_the_flipped_frame(self):
+        _, original, mirrored, _ = self.views()
+        pool_module.evaluate([original], self.data)
+        with pytest.raises(ValueError, match=re.escape(self.REFUSED)):
+            pool_module.evaluate([original, mirrored], self.data)
+
+    @pytest.mark.parametrize("strategy", PL_STRATEGIES)
+    def test_pseudo_labelling_refuses_a_chunk_in_the_flipped_frame(self, strategy):
+        _, original, mirrored, _ = self.views()
+        assert len(pseudo_label_pool([original], strategy, 0.9, 0.2))
+        with pytest.raises(ValueError, match=re.escape(self.REFUSED)):
+            pseudo_label_pool([mirrored], strategy, 0.9, 0.2)
+
+    def test_score_pool_refuses_a_source_that_answers_a_flipped_request_unflipped(self):
+        # a chunk source written before chunks carried their frame gives the
+        # flipped view's boxes in a chunk marked as the original frame
+        det, original, _, _ = self.views()
+
+        def old_contract(image_ids, flipped=False):
+            return replace(det.predict(image_ids, flipped), flipped=False)
+
+        assert len(score_pool([original], det.predict, self.cfg)) == 32
+        with pytest.raises(ValueError, match="chunk of image 'img_0000' is in the original frame, expected the "
+                                             "flipped frame"):
+            score_pool([original], old_contract, self.cfg)

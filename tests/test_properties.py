@@ -13,6 +13,7 @@ derived from a clamped one stays inside its image without being checked
 again, and every eval table the writer produces reads back."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def test_scores_from_post_nms_originals_equal_scores_from_raw(
     cfg = AcquisitionConfig(iou_threshold, score_floor, min_match_iou)
     once = post_nms(chunk_of([orig]), cfg)
     assert post_nms(once, cfg) == once
-    unflipped = post_nms(chunk_of([flipped]), cfg, flipped=True)
+    unflipped = post_nms(replace(chunk_of([flipped]), flipped=True), cfg)
     assert unified_score(post_nms(once, cfg), unflipped, min_match_iou) == unified_score(
         once, unflipped, min_match_iou
     )
@@ -626,6 +627,8 @@ def test_match_predictions_equals_candidate_list_oracle(boxes_a, boxes_b, floor)
 def test_hflip_is_an_involution(pred):
     chunk = chunk_of([pred])
     assert hflip(hflip(chunk)) == chunk
+    # one flip toggles the frame the boxes are in
+    assert (chunk.flipped, hflip(chunk).flipped) == (False, True)
 
 
 # -- per-image fast paths against the per-row and fresh-generator code ----------
@@ -848,7 +851,8 @@ def image_views(draw):
         width = draw(st.sampled_from([SIZE, 130]))
         orig, flipped = (as_prediction(draw(st.lists(detection(), max_size=7)), f"im{k}")
                          for _ in range(2))
-        views.append(tuple(one_image(f"im{k}", width, SIZE, p.detections) for p in (orig, flipped)))
+        views.append(tuple(one_image(f"im{k}", width, SIZE, p.detections, f)
+                           for p, f in ((orig, False), (flipped, True))))
     return views
 
 
@@ -861,13 +865,13 @@ def score_bits(s):
 def test_chunked_pass_equals_per_image_code_bit_for_bit(views, iou_threshold, score_floor, min_match_iou, size):
     cfg = AcquisitionConfig(iou_threshold, score_floor, min_match_iou)
     originals = [per_image_post_nms(o, cfg) for o, _ in views]
-    unflipped = [per_image_post_nms(f, cfg, flipped=True) for _, f in views]
+    unflipped = [per_image_post_nms(f, cfg) for _, f in views]
     expected = [per_image_unified_score(o, u, min_match_iou) for o, u in zip(originals, unflipped)]
     # chunks of one image and chunk sizes that do not divide the run
     sets = []
     for group, want_o, want_u in zip(chunked(views, size), chunked(originals, size), chunked(unflipped, size)):
         o = post_nms(chunk_of([v[0] for v in group]), cfg)
-        u = post_nms(chunk_of([v[1] for v in group]), cfg, flipped=True)
+        u = post_nms(chunk_of([v[1] for v in group]), cfg)
         assert o == chunk_of(want_o)
         assert u == chunk_of(want_u)
         sets.append(unified_score(o, u, min_match_iou))
@@ -907,7 +911,7 @@ def test_derived_predictions_stay_inside_the_image(preds, iou_threshold, score_f
     # the images in one chunk and each in a chunk of its own
     chunks = [chunk_of(preds)] + [chunk_of([p]) for p in preds]
     derived = chunks + [hflip(c) for c in chunks] + [hflip(hflip(c)) for c in chunks]
-    derived += [post_nms(c, cfg, flipped) for c in chunks for flipped in (False, True)]
+    derived += [post_nms(replace(c, flipped=flipped), cfg) for c in chunks for flipped in (False, True)]
     for c in derived:
         d = c.detections
         w, h = np.array(c.widths)[d.image], np.array(c.heights)[d.image]

@@ -25,7 +25,7 @@ def score(det, image_id):
     cfg = AcquisitionConfig()
     [s] = image_scores(unified_score(
         post_nms(det.predict([image_id]), cfg),
-        post_nms(det.predict([image_id], True), cfg, True),
+        post_nms(det.predict([image_id], True), cfg),
     ))
     return s
 
@@ -150,6 +150,10 @@ class TestPredictionShape:
         assert np.bincount(pred.detections.image, minlength=len(ids)).tolist() == [
             len(world[i].class_ids) for i in ids
         ]
+
+    def test_chunk_is_in_the_frame_of_the_view(self, world):
+        det = detector(world)
+        assert [det.predict(world.image_ids[:3], flipped).flipped for flipped in (False, True)] == [False, True]
 
     def test_boxes_inside_image(self, world):
         det = detector(world, box_noise=0.3)
