@@ -41,6 +41,7 @@ from .boxes import (
     DEFAULT_NMS_SCORE_FLOOR,
     FrozenRows,
     PredictionChunk,
+    check_frame,
     hflip,
     nms,
 )
@@ -204,9 +205,13 @@ def post_nms_stream(
 ) -> Iterator[PredictionChunk]:
     """:func:`post_nms` of the original-view chunks ``predict(ids)`` of
     ``image_ids`` in consecutive runs of ``CHUNK_IMAGES``, in input order;
-    lazy, so at most one chunk of predictions is held."""
+    lazy, so at most one chunk of predictions is held. A chunk the source
+    gives in the flipped frame is refused, naming its first image, where
+    :func:`post_nms` would mirror it."""
     for group in chunked(image_ids):
-        yield post_nms(predict(group), cfg)
+        chunk = predict(group)
+        check_frame(chunk)
+        yield post_nms(chunk, cfg)
 
 
 def unified_score(

@@ -5,13 +5,23 @@ All text outputs are UTF-8 with LF line endings; floats in CSVs are written
 with six decimal places. Writers sort their rows so identical inputs produce
 byte-identical files. Readers name the file, and the line for line-based
 formats, in every error about its content, undecodable bytes included.
+
+Writers check their input before they open the file, then write it in
+pieces. Above its input, the pseudo-label and scores writers hold their
+sort order (8 bytes a row) and one block of ``WRITE_BLOCK_ROWS`` formatted
+rows, and the selection writer one block: about 1.2 MB for 50,000
+pseudo-labels, where the whole file as one string took 30 MB. The
+predictions writer holds every record, to sort them across chunks, and
+writes one line at a time. The dataset and pool-state JSON documents, and
+the report, eval and win-rate CSVs (a line per cycle, class or method), are
+formatted whole.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -55,8 +65,27 @@ __all__ = [
 ]
 
 
-def _write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+# Rows formatted and written at a time by the row writers. Writing 50,000
+# pseudo-labels took the same time, within a shared host's noise, in blocks
+# of 128 to 16,384 rows. The writer's tracemalloc peak above the set was
+# 0.81 MB up to 512 rows (the sort order, held at any block size), 1.19 MB
+# at 1,024, 3.5 MB at 4,096 and 29.8 MB for the whole file as one string.
+WRITE_BLOCK_ROWS = 1024
+
+
+def _write_pieces(path, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` to ``path`` in order, each as it comes, so
+    a writer that yields one block of rows at a time holds only that block.
+    The file is opened before the first piece is made: a writer checks its
+    input first."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for piece in pieces:
+            f.write(piece)
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(n)`` of ``WRITE_BLOCK_ROWS`` rows each."""
+    return (slice(start, start + WRITE_BLOCK_ROWS) for start in range(0, n, WRITE_BLOCK_ROWS))
 
 
 def _read_lines(path, parse, header: str | None = None) -> list:
@@ -152,7 +181,7 @@ def save_dataset(dataset: Dataset, path) -> None:
             for img in dataset.images
         ],
     }
-    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    _write_pieces(path, (json.dumps(payload, sort_keys=True), "\n"))
 
 
 # -- predictions JSONL --------------------------------------------------------
@@ -301,7 +330,7 @@ def write_predictions_jsonl(chunks: Iterable[PredictionChunk], path) -> None:
     for a, b in zip(records, records[1:]):
         if (a["image_id"], a["flipped"]) == (b["image_id"], b["flipped"]):
             raise ValueError(f"duplicate record for image {a['image_id']!r}, flipped={a['flipped']}")
-    _write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    _write_pieces(path, (json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
 # -- pseudo-label JSONL -------------------------------------------------------
@@ -328,20 +357,33 @@ _PL_LINE = '{"bbox": [%r, %r, %r, %r], "class_id": %d, "confidence": %r, "image_
 
 def write_pseudo_labels_jsonl(pls: PseudoLabels, path) -> None:
     """One record per label, ordered by (image_id, -confidence, class_id),
-    ties in row order."""
-    pls = pls.take(np.lexsort((pls.class_ids, -pls.scores, pls.image_ids)))
-    _write_text(path, "".join(
+    ties in row order. The order is sorted once; the rows are then taken,
+    formatted and written one block at a time."""
+    order = np.lexsort((pls.class_ids, -pls.scores, pls.image_ids))
+    _write_pieces(path, (_pl_lines(pls.take(order[rows])) for rows in _blocks(len(order))))
+
+
+def _pl_lines(pls: PseudoLabels) -> str:
+    return "".join(
         _PL_LINE % (x0, y0, x1, y1, c, conf, encode_basestring_ascii(image_id))
         for image_id, (x0, y0, x1, y1), c, conf in zip(
             pls.image_ids.tolist(), pls.boxes.tolist(), pls.class_ids.tolist(), pls.scores.tolist()
         )
-    ))
+    )
 
 
-def read_pseudo_labels_jsonl(path) -> PseudoLabels:
-    """The file's pseudo-labels, in file order."""
+def read_pseudo_labels_jsonl(path, n_classes: int) -> PseudoLabels:
+    """The file's pseudo-labels, in file order; a ``class_id`` outside
+    1..``n_classes`` is refused naming its line."""
+
+    def record(rec) -> PseudoLabels:
+        pls = _pl_set([rec])
+        if pls.class_ids[0] > n_classes:
+            raise ValueError(f"class_id {pls.class_ids[0]} outside 1..{n_classes}")
+        return pls
+
     # One record at a time, so that an error names its line.
-    return PseudoLabels.concat(_read_jsonl(path, lambda rec: _pl_set([rec])))
+    return PseudoLabels.concat(_read_jsonl(path, record))
 
 
 # -- pool state JSON ----------------------------------------------------------
@@ -362,7 +404,7 @@ def save_pool(pool: Pool, path) -> None:
         "unlabeled": unlabeled,
         "pseudo": pseudo,
     }
-    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    _write_pieces(path, (json.dumps(payload, sort_keys=True), "\n"))
 
 
 def load_pool(path) -> Pool:
@@ -414,22 +456,27 @@ def check_ids(image_ids: Sequence[str], rules=(_SCORES_CSV_IDS, _SELECTED_TXT_ID
     for pattern, what in rules:
         bad = next(filter(pattern.search, image_ids), None)
         if bad is not None:
-            raise ValueError(f"image_id {bad!r} cannot be written to {what}")
+            raise ValueError(f"image_id {str(bad)!r} cannot be written to {what}")
 
 
 _SCORES_HEADER = "image_id,entropy,inconsistency,unified"
 
 
 def write_scores_csv(scores: AcquisitionScores, path) -> None:
-    """One row per image, ordered by image id, ties in row order. Ids are
-    written unquoted, so an id that :func:`read_scores_csv` would not read
-    back as it is raises a ValueError naming it before anything is
-    written."""
-    scores = scores.take(np.argsort(scores.image_ids, kind="stable"))
-    ids = scores.image_ids.tolist()
-    check_ids(ids, (_SCORES_CSV_IDS,))
-    rows = zip(ids, scores.entropy.tolist(), scores.inconsistency.tolist(), scores.unified.tolist())
-    _write_text(path, _SCORES_HEADER + "\n" + "".join("%s,%.6f,%.6f,%.6f\n" % row for row in rows))
+    """One row per image, ordered by image id, ties in row order, written
+    one block of rows at a time. Ids are written unquoted, so an id that
+    :func:`read_scores_csv` would not read back as it is raises a ValueError
+    naming it before anything is written."""
+    order = np.argsort(scores.image_ids, kind="stable")
+    check_ids(scores.image_ids[order], (_SCORES_CSV_IDS,))
+    _write_pieces(path, chain([_SCORES_HEADER + "\n"],
+                              (_scores_lines(scores.take(order[rows])) for rows in _blocks(len(order)))))
+
+
+def _scores_lines(scores: AcquisitionScores) -> str:
+    rows = zip(scores.image_ids.tolist(), scores.entropy.tolist(), scores.inconsistency.tolist(),
+               scores.unified.tolist())
+    return "".join("%s,%.6f,%.6f,%.6f\n" % row for row in rows)
 
 
 def _columns(line: str, n: int) -> list[str]:
@@ -470,7 +517,8 @@ def write_selected_txt(image_ids: Sequence[str], path) -> None:
     """One selected image id per line, in the given order; an id holding a
     line break raises a ValueError naming it before anything is written."""
     check_ids(image_ids, (_SELECTED_TXT_IDS,))
-    _write_text(path, "".join(f"{image_id}\n" for image_id in image_ids))
+    _write_pieces(path, ("".join(f"{image_id}\n" for image_id in image_ids[rows])
+                         for rows in _blocks(len(image_ids))))
 
 
 # -- cycle report CSV ----------------------------------------------------------
@@ -484,7 +532,7 @@ def write_reports_csv(rows: Iterable[tuple[CycleReport, str]], path) -> None:
             f"{rep.cycle},{rep.n_labeled},{rep.pl_count},"
             f"{rep.pl_ratio:.6f},{rep.pl_correctness:.6f},{rep.evaluation.map50:.6f},{sel}\n"
         )
-    _write_text(path, "".join(lines))
+    _write_pieces(path, lines)
 
 
 # -- eval CSV -------------------------------------------------------------------
@@ -498,7 +546,7 @@ def write_eval_csv(result: EvalResult, path) -> None:
         else:
             lines.append(f"{cls},,{result.n_gt[cls]}\n")
     lines.append(f"mAP,{result.map50:.6f},{sum(result.n_gt.values())}\n")
-    _write_text(path, "".join(lines))
+    _write_pieces(path, lines)
 
 
 # The mAP row is the mean of unrounded APs rounded to six decimals, and each
@@ -561,7 +609,7 @@ def write_winrate_csv(names: Sequence[str], matrix, path) -> None:
             "" if i == j else f"{matrix[i][j]:.6f}" for j in range(len(names))
         )
         lines.append(f"{name},{row}\n")
-    _write_text(path, "".join(lines))
+    _write_pieces(path, lines)
 
 
 # -- flat key-value config -------------------------------------------------------

@@ -13,7 +13,9 @@ call per label, which the one-template writer is pinned to. Scores were
 one object per image (:class:`ImageScore` here); the ``sorted()`` selection
 and the f-string scores writer over them are the references the one set of
 scores, its ``np.lexsort`` selection and its one-template writer are pinned
-to.
+to. The one-template pseudo-label and scores writers that formatted the
+whole file as one string are the references the writers that write one
+block of rows at a time are pinned to.
 
 A one-image prediction is a :class:`PredictionChunk` of one image:
 :func:`one_image` builds one, :func:`chunk_of` joins them into a chunk, and
@@ -22,6 +24,7 @@ A one-image prediction is a :class:`PredictionChunk` of one image:
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -448,3 +451,31 @@ def json_dumps_pseudo_labels(pls):
     ]
     records.sort(key=lambda r: (r["image_id"], -r["confidence"], r["class_id"]))
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+# -- the one-shot writers: the whole file formatted as one string ---------------------
+
+_PL_LINE = '{"bbox": [%r, %r, %r, %r], "class_id": %d, "confidence": %r, "image_id": %s}\n'
+
+
+def one_shot_pseudo_labels_jsonl(pls):
+    """The text of a pseudo-label JSONL file as the one-template writer made
+    it: the set sorted by (image_id, -confidence, class_id), ties in row
+    order, then every row through one template and one join."""
+    pls = pls.take(np.lexsort((pls.class_ids, -pls.scores, pls.image_ids)))
+    return "".join(
+        _PL_LINE % (x0, y0, x1, y1, c, conf, encode_basestring_ascii(image_id))
+        for image_id, (x0, y0, x1, y1), c, conf in zip(
+            pls.image_ids.tolist(), pls.boxes.tolist(), pls.class_ids.tolist(), pls.scores.tolist()
+        )
+    )
+
+
+def one_shot_scores_csv(scores):
+    """The text of a scores CSV as the one-template writer made it: the set
+    sorted by image id with one stable argsort, then every row through one
+    template and one join."""
+    scores = scores.take(np.argsort(scores.image_ids, kind="stable"))
+    rows = zip(scores.image_ids.tolist(), scores.entropy.tolist(), scores.inconsistency.tolist(),
+               scores.unified.tolist())
+    return "image_id,entropy,inconsistency,unified\n" + "".join("%s,%.6f,%.6f,%.6f\n" % row for row in rows)

@@ -333,7 +333,7 @@ class TestPseudolabelCommand:
                    "--budget-per-cycle", "1", "--tau", "0.9",
                    "--predictions", str(preds_path), "--out", str(out)])
         assert rc == 0
-        pls = formats.read_pseudo_labels_jsonl(out)
+        pls = formats.read_pseudo_labels_jsonl(out, train.n_classes)
         assert pls, "expected some pseudo-labels at tau=0.9 with a cold detector"
         assert (pls.scores >= 0.9).all() and (pls.class_ids >= 1).all()
 
@@ -798,18 +798,18 @@ class TestSimulateCommand:
         tmp_path, *_ = workspace
         out = tmp_path / "run"
         cfg = write_sim_config(tmp_path, tmp_path / "train.json", tmp_path / "test.json", out, cycles=3)
-        predict, write_text, seen, written = SyntheticDetector.predict, formats._write_text, [], []
+        predict, write_pieces, seen, written = SyntheticDetector.predict, formats._write_pieces, [], []
 
         def spy(self, image_ids, flipped=False):
             seen.append((self.version - 1, {p.name for p in out.glob("*")}))
             return predict(self, image_ids, flipped)
 
-        def logged(path, text):
+        def logged(path, pieces):
             written.append(Path(path).name)
-            write_text(path, text)
+            write_pieces(path, pieces)
 
         monkeypatch.setattr(SyntheticDetector, "predict", spy)
-        monkeypatch.setattr(formats, "_write_text", logged)
+        monkeypatch.setattr(formats, "_write_pieces", logged)
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert sorted({cycle for cycle, _ in seen}) == [0, 1, 2, 3]
         for cycle, files in seen:

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,13 +237,46 @@ class TestPseudoLabelJSONL:
         path = tmp_path / "pl.jsonl"
         formats.write_pseudo_labels_jsonl(pls, path)
         # records are sorted by image then confidence, and read back in file order
-        assert formats.read_pseudo_labels_jsonl(path) == pls.take([2, 1, 0])
+        assert formats.read_pseudo_labels_jsonl(path, 2) == pls.take([2, 1, 0])
 
     def test_empty_file_reads_as_no_labels(self, tmp_path):
         path = tmp_path / "pl.jsonl"
         formats.write_pseudo_labels_jsonl(PseudoLabels(), path)
         assert path.read_bytes() == b""
-        assert formats.read_pseudo_labels_jsonl(path) == PseudoLabels()
+        assert formats.read_pseudo_labels_jsonl(path, 1) == PseudoLabels()
+
+    def test_writer_holds_one_block_of_rows(self, tmp_path):
+        # The writer sorts the set once (8 bytes of order per row) and holds
+        # one block of formatted rows: 1.19 MB above the set over these
+        # 50,000 rows, where the whole file formatted as one string took
+        # 29.8 MB. The bound is about twice the measured peak.
+        n, rng = 50_000, np.random.default_rng(0)
+        xy, wh = rng.uniform(0, 500, (n, 2)), rng.uniform(1, 100, (n, 2))
+        pls = PseudoLabels([f"tr_{k:05d}" for k in rng.integers(0, 20_000, n).tolist()], np.hstack([xy, xy + wh]),
+                           rng.integers(1, 21, n), rng.uniform(0.99, 1.0, n))
+        path = tmp_path / "pl.jsonl"
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            formats.write_pseudo_labels_jsonl(pls, path)
+            extra = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert extra < 2.5e6, f"{extra / 1e6:.2f} MB above the set"
+        assert path.read_bytes().count(b"\n") == n
+
+    def test_class_id_above_k_names_the_line(self, tmp_path):
+        path = tmp_path / "pl.jsonl"
+        path.write_text('{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": 3, "confidence": 0.99}\n'
+                        '{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": 99, "confidence": 0.99}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: class_id 99 outside 1..3")):
+            formats.read_pseudo_labels_jsonl(path, 3)
+        path.write_text('{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": 3, "confidence": 0.99}\n')
+        assert formats.read_pseudo_labels_jsonl(path, 3).class_ids.tolist() == [3]
 
     @pytest.mark.parametrize("record, message", [
         ('"bbox": [5, 0, 0, 5], "class_id": 1, "confidence": 0.99', "inverted box"),
@@ -254,7 +288,7 @@ class TestPseudoLabelJSONL:
         path.write_text('{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}\n'
                         '{"image_id": "a", %s}\n' % record)
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: {message}")):
-            formats.read_pseudo_labels_jsonl(path)
+            formats.read_pseudo_labels_jsonl(path, 1)
 
     @pytest.mark.parametrize("value", ["5", "null", '["a"]'])
     def test_image_id_must_be_a_string(self, tmp_path, value):
@@ -263,7 +297,7 @@ class TestPseudoLabelJSONL:
         path.write_text('{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}\n'
                         '{"image_id": %s, "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}\n' % value)
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: image_id: expected a string")):
-            formats.read_pseudo_labels_jsonl(path)
+            formats.read_pseudo_labels_jsonl(path, 1)
 
 
 class TestPoolState:
@@ -350,7 +384,7 @@ class TestIntegerFields:
         path.write_text('{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": %s, '
                         '"confidence": 0.99}\n' % value)
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: class_id: expected an integer")):
-            formats.read_pseudo_labels_jsonl(path)
+            formats.read_pseudo_labels_jsonl(path, 1)
 
     @pytest.mark.parametrize("field", ["width", "height", "class_id"])
     @pytest.mark.parametrize("value", [10.0, True])

@@ -565,6 +565,18 @@ class TestCoordinateFrames:
         with pytest.raises(ValueError, match=re.escape(self.REFUSED)):
             pseudo_label_pool([mirrored], strategy, 0.9, 0.2)
 
+    def test_post_nms_stream_refuses_a_source_that_answers_an_original_request_flipped(self):
+        # post_nms would mirror such a chunk: evaluated against these images,
+        # it read mAP 0.016 where the detector's own chunks read 0.654
+        det, images = self.views()[0], Dataset(self.data.classes, self.data.images[:32])
+
+        def flipped_original(image_ids):
+            return replace(det.predict(image_ids), flipped=True)
+
+        assert pool_module.evaluate(acquisition.post_nms_stream(det.predict, self.ids, self.cfg), images).map50 > 0.6
+        with pytest.raises(ValueError, match=re.escape(self.REFUSED)):
+            pool_module.evaluate(acquisition.post_nms_stream(flipped_original, self.ids, self.cfg), images)
+
     def test_score_pool_refuses_a_source_that_answers_a_flipped_request_unflipped(self):
         # a chunk source written before chunks carried their frame gives the
         # flipped view's boxes in a chunk marked as the original frame

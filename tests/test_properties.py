@@ -32,6 +32,8 @@ from oracles import (
     image_scores,
     json_dumps_pseudo_labels,
     one_image,
+    one_shot_pseudo_labels_jsonl,
+    one_shot_scores_csv,
     per_image_match,
     per_image_post_nms,
     per_image_threshold_labels,
@@ -369,7 +371,7 @@ def test_jsonl_readers_parse_or_name_the_line(tmp_path_factory, data):
     path.write_bytes(data)
     readers = (
         lambda p: formats.read_predictions_jsonl(p, {"img": (SIZE, SIZE)}),
-        formats.read_pseudo_labels_jsonl,
+        lambda p: formats.read_pseudo_labels_jsonl(p, 3),
     )
     for read in readers:
         try:
@@ -490,6 +492,41 @@ def test_scores_writer_equals_fstring_writer(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "scores.csv"
     formats.write_scores_csv(AcquisitionScores(*columns), path)
     assert path.read_bytes() == fstring_scores_csv([image_score(*row) for row in zip(*columns)]).encode("utf-8")
+
+
+# Sets of no row, one row, and one row short of, exactly at, one past and
+# well past a block boundary of the block writers.
+B = formats.WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+@settings(deadline=None, max_examples=10)
+@given(st.lists(escaped_ids, min_size=1, max_size=3), st.lists(pl_scores, min_size=1, max_size=3),
+       st.lists(score_values, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_block_writers_equal_one_shot_writers(tmp_path_factory, n, ids, confidences, values, seed):
+    # The writers take, format and write one block of rows at a time; the
+    # oracles sort the whole set and format it as one string, as the
+    # writers once did. Rows draw from a few ids, confidences and classes,
+    # so they tie on (image_id, -confidence, class_id) and on the scores
+    # CSV's id across block boundaries, and only row order, which the
+    # distinct boxes and values reveal, breaks the tie.
+    rng = np.random.default_rng(seed)
+
+    def pick(pool):
+        return [pool[k] for k in rng.integers(0, len(pool), n).tolist()]
+
+    boxes = np.sort(rng.uniform(-1e3, 1e3, (n, 2, 2)), axis=1).reshape(n, 4)  # rows of (x0, y0), (x1, y1)
+    pls = PseudoLabels(pick(ids), boxes, rng.integers(1, 4, n), pick(confidences))
+    path = tmp_path_factory.getbasetemp() / "pseudo.jsonl"
+    formats.write_pseudo_labels_jsonl(pls, path)
+    assert path.read_bytes() == one_shot_pseudo_labels_jsonl(pls).encode("utf-8")
+
+    # The scores CSV holds ids unquoted and UTF-8 encoded: no lone surrogate.
+    writable = [i for i in ids if not ("," in i or "\n" in i or i[:1].isspace() or "\ud800" in i)] or ["a"]
+    scores = AcquisitionScores(pick(writable), pick(values), rng.uniform(0.0, 1e3, n))
+    path = tmp_path_factory.getbasetemp() / "scores.csv"
+    formats.write_scores_csv(scores, path)
+    assert path.read_bytes() == one_shot_scores_csv(scores).encode("utf-8")
 
 
 # APs anywhere in [0, 1], and halfway between two six-decimal values, where
