@@ -26,12 +26,13 @@ original frame, and matching, scoring, pseudo-labelling and evaluation
 refuse a chunk still in the flipped frame.
 
 Every box is a float64 corner row (xmin, ymin, xmax, ymax) of a
-:class:`Detections`, of an image record of a :class:`Dataset`, or of a
+:class:`Detections`, of the ground truth of a :class:`Dataset`, or of a
 :class:`PseudoLabels` set, which holds the pseudo-labels of any number of
 images with one image id per row. Scores are one :class:`AcquisitionScores`
 set, which holds the scores of any number of images, one row per image.
 Each of these sets is a frozen column set: one read-only array per column,
-a row per item.
+a row per item. A dataset holds a row per image (its id and size) and a row
+per object, each image's objects found by its offset and count.
 
 Only these entry points and the types they take or return are re-exported
 here; everything else is imported from its module.

@@ -101,31 +101,39 @@ def _logs(probs: np.ndarray) -> np.ndarray:
     return np.log(np.clip(probs, LOG_EPS, 1.0))
 
 
-def _entropies(probs: np.ndarray) -> list[float]:
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each pair of rows, by one stacked ``matmul``: numpy
+    computes each vector-vector product with the loop ``np.dot`` uses, so
+    each value is the same float as ``np.dot`` of the two rows (``np.vecdot``
+    and ``np.einsum`` sum in another order)."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(len(a))
+
+
+def _entropies(probs: np.ndarray) -> np.ndarray:
     """The Shannon entropy -sum(p log p) of each row p, natural log with
     probabilities clamped to [LOG_EPS, 1], the logs taken once per matrix."""
-    return [float(-np.dot(p, lp)) for p, lp in zip(probs, _logs(probs))]
+    return -_row_dots(probs, _logs(probs))
 
 
-def _sym_kls(p: np.ndarray, q: np.ndarray) -> list[float]:
+def _sym_kls(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The symmetric KL divergence (KL(p || q) + KL(q || p)) / 2 of each
     pair of rows, where KL(p || q) = sum(p (log p - log q)), natural log with
     probabilities clamped to [LOG_EPS, 1]. The logs are taken once per
-    matrix; each KL term is still one ``np.dot`` per row."""
-    if not len(p):
-        return []
+    matrix."""
+    if not len(p):  # without pairs the two widths may differ
+        return np.zeros(0)
     d = _logs(p) - _logs(q)
     # -(log p - log q) is exactly log q - log p.
-    return [0.5 * (float(np.dot(a, dp)) + float(np.dot(b, dq))) for a, b, dp, dq in zip(p, q, d, -d)]
+    return 0.5 * (_row_dots(p, d) + _row_dots(q, -d))
 
 
-def _max_per_image(values: list[float], image: np.ndarray, n_images: int) -> list[float]:
+def _max_per_image(values: np.ndarray, image: np.ndarray, n_images: int) -> np.ndarray:
     """The max of each image's values, 0 for an image without any; ``image``
     gives each value's image and is non-decreasing."""
-    out, start = [], 0
-    for count in np.bincount(image, minlength=n_images).tolist():
-        out.append(max(values[start:start + count]) if count else 0.0)
-        start += count
+    counts = np.bincount(image, minlength=n_images)
+    out, held = np.zeros(n_images), counts > 0
+    if held.any():
+        out[held] = np.maximum.reduceat(values, (np.cumsum(counts) - counts)[held])
     return out
 
 
@@ -226,8 +234,8 @@ def unified_score(
     ``unflipped`` detections, both over all K+1 categories. An image with no
     detections scores (0, 0, 0) and is therefore never selected by
     score-based strategies. The chunk's logs are taken once, and each row's
-    entropy and each pair's KL is one ``np.dot``, so every score is the same
-    float as for the image alone.
+    entropy and each pair's KL is one dot product by ``np.dot``'s loop, so
+    every score is the same float as for the image alone.
     """
     pairs = np.array(match_predictions(orig, unflipped, min_match_iou).pairs, dtype=np.intp).reshape(-1, 2)
     o, f = orig.detections.probs, unflipped.detections.probs

@@ -144,6 +144,12 @@ class FrozenRows:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the set through _of, which makes
+        # the arrays read-only again; their default sets each slot, which
+        # __setattr__ refuses.
+        return type(self)._of, tuple(getattr(self, name) for name in self._fields)
+
     def __len__(self) -> int:
         return len(getattr(self, self._fields[0]))
 

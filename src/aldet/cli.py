@@ -207,7 +207,7 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
 
 def _read_predictions(path, dataset: Dataset) -> formats.PredictionViews:
     """Predictions JSONL for ``dataset``'s images, each with K+1 probabilities."""
-    sizes = {img.image_id: (img.width, img.height) for img in dataset.images}
+    sizes = dict(zip(dataset.image_ids, zip(dataset.widths.tolist(), dataset.heights.tolist())))
     preds = formats.read_predictions_jsonl(path, sizes)
     expected = dataset.n_classes + 1
     # The reader gives each view one probability width: its first non-empty record's.
@@ -291,7 +291,7 @@ def cmd_simulate(args) -> int:
     # selection file cannot hold stops the run before any work or output.
     formats.check_ids(train.image_ids)
 
-    world = Dataset(train.classes, train.images + test.images)
+    world = Dataset.concat([train, test])
     detector = SyntheticDetector(cfg.detector_config(), world)
     pool = init_pool(train.image_ids, cfg.initial_budget, cfg.seed)
     out_dir = Path(cfg.output_dir)

@@ -8,14 +8,14 @@ the knot comparisons are exact.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boxes import Detections, iou
-from .dataset import Dataset, ImageRecord
+from .boxes import Detections, iou, span_pairs
+from .dataset import Dataset
 
 __all__ = ["EvalResult", "map50", "same_class_pairs", "winrate_table", "winrate_matrix"]
 
@@ -38,16 +38,18 @@ class EvalResult:
         return tuple(c for c, n in self.n_gt.items() if not n)
 
 
-def same_class_pairs(image_ids: Sequence[str], class_ids: Sequence[int], images: Sequence[ImageRecord]):
-    """Every pair of a row r, of class ``class_ids[r]`` in image
-    ``image_ids[r]``, and a ground-truth object of the same image and class,
-    as two index arrays in row-major order. The objects are numbered image by
-    image through ``images``, each image's in its own order."""
-    gt_rows: dict[tuple[str, int], list[int]] = {}
-    for g, key in enumerate((img.image_id, c) for img in images for c in img.class_ids.tolist()):
-        gt_rows.setdefault(key, []).append(g)
-    pairs = [(r, g) for r, key in enumerate(zip(image_ids, class_ids)) for g in gt_rows.get(key, ())]
-    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+def same_class_pairs(positions: np.ndarray, class_ids: np.ndarray, gt: Dataset):
+    """Every pair of a row r, of class ``class_ids[r]`` in the image at
+    position ``positions[r]`` of ``gt`` (-1 for an image ``gt`` lacks, which
+    has no objects), and an object of the same image and class, as two index
+    arrays in row-major order: the rows, and the objects as rows of
+    ``gt.boxes``, each row's in its image's order."""
+    positions, class_ids = np.asarray(positions, dtype=np.intp), np.asarray(class_ids)
+    known = np.flatnonzero(positions >= 0)
+    rows, objects = span_pairs(gt.starts[positions[known]], gt.counts[positions[known]])
+    rows = known[rows]
+    same = gt.class_ids[objects] == class_ids[rows]
+    return rows[same], objects[same]
 
 
 def _assign_tp_fp(dets: Detections, image_ids: Sequence[str], gt: Dataset) -> dict[int, list[bool]]:
@@ -63,15 +65,14 @@ def _assign_tp_fp(dets: Detections, image_ids: Sequence[str], gt: Dataset) -> di
     if len(image_ids) != len(dets):
         raise ValueError(f"{len(image_ids)} image ids for {len(dets)} detections")
     # Same-(image, class) candidate pairs of global rows, then all their IoUs at once.
-    classes = dets.class_ids.tolist()
-    rows, g_rows = same_class_pairs(image_ids, classes, gt.images)
+    positions = np.fromiter(map(gt.index.get, image_ids, repeat(-1)), np.intp, len(image_ids))
+    rows, g_rows = same_class_pairs(positions, dets.class_ids, gt)
     best: dict[int, tuple[float, int]] = {}  # row -> (IoU, ground-truth row)
-    if len(rows):
-        gt_boxes = np.concatenate([img.boxes for img in gt.images])
-        for r, g, v in zip(rows.tolist(), g_rows.tolist(), iou(dets.boxes[rows], gt_boxes[g_rows]).tolist()):
-            if v > best.get(r, (0.0,))[0]:
-                best[r] = (v, g)
+    for r, g, v in zip(rows.tolist(), g_rows.tolist(), iou(dets.boxes[rows], gt.boxes[g_rows]).tolist()):
+        if v > best.get(r, (0.0,))[0]:
+            best[r] = (v, g)
 
+    classes = dets.class_ids.tolist()
     flags: dict[int, list[bool]] = {}
     claimed: set[int] = set()
     # A stable sort of -score ranks by (-score, row), and so within each class.
@@ -109,8 +110,7 @@ def map50(dets: Detections, image_ids: Sequence[str], gt: Dataset) -> EvalResult
     Classes without any ground-truth object are excluded from the mean
     (:attr:`EvalResult.excluded`); detections of other classes are ignored.
     """
-    gt_counts = Counter(c for img in gt.images for c in img.class_ids.tolist())
-    n_gt = {c: gt_counts[c] for c in range(1, gt.n_classes + 1)}
+    n_gt = dict(enumerate(np.bincount(gt.class_ids, minlength=gt.n_classes + 1)[1:].tolist(), start=1))
     flags = _assign_tp_fp(dets, image_ids, gt)
     return EvalResult({c: _ap_eleven_point(flags.get(c, []), n) for c, n in n_gt.items() if n}, n_gt)
 

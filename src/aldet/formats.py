@@ -4,7 +4,10 @@ pool-state JSON, and the CSV reports.
 All text outputs are UTF-8 with LF line endings; floats in CSVs are written
 with six decimal places. Writers sort their rows so identical inputs produce
 byte-identical files. Readers name the file, and the line for line-based
-formats, in every error about its content, undecodable bytes included.
+formats, in every error about its content, undecodable bytes included. The
+dataset reader reads every record into the flat columns of one
+:class:`~aldet.dataset.Dataset` and runs each check once over them; an error
+about a record names its image.
 
 Writers check their input before they open the file, then write it in
 pieces. Above its input, the pseudo-label and scores writers hold their
@@ -38,7 +41,7 @@ from .boxes import (
     encode_boxes,
     span_pairs,
 )
-from .dataset import Dataset, ImageRecord, checked_image_id
+from .dataset import Dataset, checked_image_id
 from .evaluation import EvalResult
 from .pool import CycleReport, Pool
 from .pseudo_label import PseudoLabels
@@ -126,7 +129,10 @@ def _typed_field(rec, name: str, kind: type):
     """``rec[name]``, which must be a JSON value of exactly the type ``kind``:
     an integer (``int``, not a float or a boolean) or a boolean (``bool``,
     not a number or a string)."""
-    value = rec[name]
+    return _typed(name, rec[name], kind)
+
+
+def _typed(name: str, value, kind: type):
     if type(value) is not kind:
         raise ValueError(f"{name}: expected {'a boolean' if kind is bool else 'an integer'}, got {value!r}")
     return value
@@ -144,41 +150,55 @@ def _structure_error(path, e: Exception, image_id=None) -> ValueError:
 
 
 def load_dataset(path) -> Dataset:
-    """Every error about a record names the file and the image."""
+    """The dataset at ``path`` as one column set. Every record is read into
+    flat columns, each image's objects after the last image's; then each
+    check runs once over the columns: the JSON types of the integer fields,
+    then :class:`Dataset`'s checks. Every error about a record names the
+    file and the image. A file with several faults reports the first fault
+    of the first check that fails: a missing field or a wrong-typed
+    container before any value, and a width before a height or a class id."""
     raw = _read_json(path)
-    images, image_id = [], None
+    ids, widths, heights, counts, boxes, class_ids = [], [], [], [], [], []
+    image_id = None
     try:
         classes = tuple(raw["classes"])
         for rec in raw["images"]:
             image_id = None  # until this record's id is read
             image_id = rec["id"]
-            objects = rec.get("objects", [])
-            images.append(ImageRecord(
-                image_id, _typed_field(rec, "width", int), _typed_field(rec, "height", int),
-                [obj["bbox"] for obj in objects], [_typed_field(obj, "class_id", int) for obj in objects],
-            ))
+            widths.append(rec["width"])
+            heights.append(rec["height"])
+            objects = rec.get("objects", ())
+            boxes += [obj["bbox"] for obj in objects]
+            class_ids += [obj["class_id"] for obj in objects]
+            counts.append(len(objects))
+            ids.append(image_id)
+        image_id = None
+        for name, values in (("width", widths), ("height", heights), ("class_id", class_ids)):
+            if not set(map(type, values)) <= {int}:  # JSON integers only, not floats or booleans
+                k = next(k for k, value in enumerate(values) if type(value) is not int)
+                image_id = ids[k if name != "class_id" else int(np.searchsorted(np.cumsum(counts), k, "right"))]
+                _typed(name, values[k], int)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise _structure_error(path, e, image_id) from None
     try:
-        return Dataset(classes, tuple(images))
-    except ValueError as e:  # a box or class id check, which names the image
+        return Dataset(classes, ids, widths, heights, boxes, class_ids, counts)
+    except (ValueError, OverflowError) as e:
         raise ValueError(f"{path}: {e}") from None
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    boxes, class_ids = iter(dataset.boxes.tolist()), iter(dataset.class_ids.tolist())
     payload = {
         "classes": list(dataset.classes),
         "images": [
             {
-                "id": img.image_id,
-                "width": img.width,
-                "height": img.height,
-                "objects": [
-                    {"class_id": c, "bbox": box}
-                    for box, c in zip(img.boxes.tolist(), img.class_ids.tolist())
-                ],
+                "id": image_id,
+                "width": width,
+                "height": height,
+                "objects": [{"class_id": c, "bbox": box} for box, c in zip(islice(boxes, n), class_ids)],
             }
-            for img in dataset.images
+            for image_id, width, height, n in zip(dataset.image_ids, dataset.widths.tolist(),
+                                                  dataset.heights.tolist(), dataset.counts.tolist())
         ],
     }
     _write_pieces(path, (json.dumps(payload, sort_keys=True), "\n"))

@@ -329,7 +329,7 @@ def run_cycles(
         next_scores = AcquisitionScores.concat(next_scores)  # the chunks' sets go with the list
 
         n_pl = len(pool.pseudo)
-        n_manual = sum(len(train_data[i].class_ids) for i in pool.labeled)
+        n_manual = int(train_data.counts[train_data.positions(pool.labeled)].sum())
         denom = n_pl + n_manual
         yield CycleReport(
             cycle=t,

@@ -112,21 +112,19 @@ def audit_pl_correctness(pls: PseudoLabels, gt: Dataset) -> float:
     """Fraction of pseudo-labels matching a same-class GT object with IoU > 0.5.
 
     Every image of ``pls`` must be an image of ``gt``; only those images'
-    ground truth is read. Each ground-truth object can validate at most one
-    pseudo-label; candidate matches are consumed greedily by descending IoU
-    (see :func:`aldet.matching.greedy_assign`), pseudo-labels numbered in row
-    order. A pseudo-label is only compared with the ground truth of its own
+    ground truth is read, gathered by position. Each ground-truth object can
+    validate at most one pseudo-label; candidate matches are consumed
+    greedily by descending IoU (see :func:`aldet.matching.greedy_assign`),
+    pseudo-labels numbered in row order. A pseudo-label is only compared with the ground truth of its own
     (image, class). An empty set audits as 1.0 by convention (callers should
     report the count alongside).
     """
     if not len(pls):
         return 1.0
-    image_ids = pls.image_ids.tolist()
-    images = [gt[image_id] for image_id in dict.fromkeys(image_ids)]
-    p_idx, g_idx = same_class_pairs(image_ids, pls.class_ids.tolist(), images)
+    p_idx, g_idx = same_class_pairs(gt.positions(pls.image_ids.tolist()), pls.class_ids, gt)
     if not len(p_idx):
         return 0.0
-    ious = iou(pls.boxes[p_idx], np.concatenate([img.boxes for img in images])[g_idx])
+    ious = iou(pls.boxes[p_idx], gt.boxes[g_idx])
     hit = ious > 0.5
     candidates = zip(ious[hit].tolist(), p_idx[hit].tolist(), g_idx[hit].tolist())
     return len(greedy_assign(candidates)) / len(pls)

@@ -7,9 +7,10 @@ flipped image's distributions are reused or resampled. Ground truth is only
 visible inside this module; everything downstream sees only the chunks of
 images (PredictionChunk) it returns.
 
-A detector predicts a chunk of images per call. The synthetic one makes each
-image's random draws in a Python loop, image by image, and then builds the
-chunk's arrays once: one softmax, one box and one distribution check, and
+A detector predicts a chunk of images per call. The synthetic one gathers
+the chunk's ground truth from the dataset's columns with one index, makes
+each image's random draws in a Python loop, image by image, and then builds
+the chunk's arrays once: one softmax, one box and one distribution check, and
 one clamp of every row to its image, where a call per image paid numpy's
 per-call overhead on a handful of rows for each image. The loop itself is
 kept to few numpy calls per detection, with the same draws as numpy's:
@@ -34,12 +35,12 @@ import copy
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .acquisition import NON_NEGATIVE, UNIT_INTERVAL, check_fields
-from .boxes import ChunkDetections, PredictionChunk, clamp_to_images
+from .boxes import ChunkDetections, PredictionChunk, clamp_to_images, span_pairs
 from .dataset import Dataset
 
 if TYPE_CHECKING:
@@ -389,48 +390,65 @@ class SyntheticDetector(DetectorInterface):
             boxes.append([x0, y0, x0 + bw, y0 + bh])
             logits.append(self._draw_dist(rng, 1 + rng.integers(self._k)))
 
-    def _draw_original(self, rec, boxes: list, logits: list) -> list[np.ndarray]:
-        """Append the original view of the image to ``boxes`` and ``logits``;
-        return its ground-truth logits."""
-        rng = self._stream(rec.image_id, 0)
+    def _draw_original(self, gt: tuple, boxes: list, logits: list) -> list[np.ndarray]:
+        """Append the original view of the image ``gt`` (see
+        :meth:`_ground_truth`) to ``boxes`` and ``logits``; return its
+        ground-truth logits."""
+        image_id, width, height, gt_boxes, gt_classes = gt
+        rng = self._stream(image_id, 0)
         gt_logits = []
-        for gt_box, cls in zip(rec.boxes.tolist(), rec.class_ids.tolist()):
-            boxes.append(self._jittered_box(rng, gt_box, rec.width, rec.height))
+        for gt_box, cls in zip(gt_boxes, gt_classes):
+            boxes.append(self._jittered_box(rng, gt_box, width, height))
             gt_logits.append(self._draw_dist(rng, cls))
         logits += gt_logits
-        self._false_positives(rng, rec.width, rec.height, boxes, logits)
+        self._false_positives(rng, width, height, boxes, logits)
         return gt_logits
 
-    def _draw_flipped(self, rec, boxes: list, logits: list) -> None:
-        """Append the flipped view of the image to ``boxes`` and ``logits``."""
-        classes = rec.class_ids.tolist()
-        orig_logits = self._last_original.get(rec.image_id)
+    def _draw_flipped(self, gt: tuple, boxes: list, logits: list) -> None:
+        """Append the flipped view of the image ``gt`` to ``boxes`` and
+        ``logits``."""
+        image_id, width, height, gt_boxes, gt_classes = gt
+        orig_logits = self._last_original.get(image_id)
         if orig_logits is None:
-            orig_logits = self._draw_original(rec, [], [])
-        frng = self._stream(rec.image_id, 1)
-        for (x0, y0, x1, y1), cls, orig in zip(rec.boxes.tolist(), classes, orig_logits):
-            mirrored_gt = (rec.width - x1, y0, rec.width - x0, y1)
-            boxes.append(self._jittered_box(frng, mirrored_gt, rec.width, rec.height))
+            orig_logits = self._draw_original(gt, [], [])
+        frng = self._stream(image_id, 1)
+        for (x0, y0, x1, y1), cls, orig in zip(gt_boxes, gt_classes, orig_logits):
+            mirrored_gt = (width - x1, y0, width - x0, y1)
+            boxes.append(self._jittered_box(frng, mirrored_gt, width, height))
             # The original view's distribution, reused when the flip is robust.
             reuse = frng.random() < self._robustnesses[cls]
             resampled = self._draw_dist(frng, cls)  # drawn either way, fixed stream layout
             logits.append(orig if reuse else resampled)
-        self._false_positives(frng, rec.width, rec.height, boxes, logits)
+        self._false_positives(frng, width, height, boxes, logits)
+
+    def _ground_truth(self, image_ids: Sequence[str]) -> Iterator[tuple]:
+        """``(image_id, width, height, boxes, class_ids)`` of each of the
+        images, in order, as Python values: the chunk's objects are gathered
+        from the dataset's columns with one index and cut per image."""
+        data = self._dataset
+        pos = data.positions(image_ids)
+        counts = data.counts[pos]
+        _, rows = span_pairs(data.starts[pos], counts)
+        boxes, class_ids = data.boxes[rows].tolist(), data.class_ids[rows].tolist()
+        ends = np.cumsum(counts).tolist()
+        cuts = list(zip([end - n for end, n in zip(ends, counts.tolist())], ends))
+        return zip(image_ids, data.widths[pos].tolist(), data.heights[pos].tolist(),
+                   [boxes[a:b] for a, b in cuts], [class_ids[a:b] for a, b in cuts])
 
     def predict(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk:
         boxes: list[list[float]] = []
         logits: list[np.ndarray] = []
         widths, heights, counts = [], [], []
         originals: dict[str, list[np.ndarray]] = {}
-        for image_id in image_ids:
-            rec = self._dataset[image_id]
+        for gt in self._ground_truth(image_ids):
+            image_id, width, height = gt[:3]
             start = len(boxes)
             if flipped:
-                self._draw_flipped(rec, boxes, logits)
+                self._draw_flipped(gt, boxes, logits)
             else:
-                originals[image_id] = self._draw_original(rec, boxes, logits)
-            widths.append(rec.width)
-            heights.append(rec.height)
+                originals[image_id] = self._draw_original(gt, boxes, logits)
+            widths.append(width)
+            heights.append(height)
             counts.append(len(boxes) - start)
         if not flipped:
             self._last_original = originals
@@ -460,12 +478,14 @@ class SyntheticDetector(DetectorInterface):
         acc = self._accuracy.copy()
         rob = self._robustness.copy()
 
-        new_ids = sorted(set(pool.labeled) - self._seen_labeled)
-        for image_id in new_ids:
-            classes = set(self._dataset[image_id].class_ids.tolist())
-            for c in classes:
-                acc[c] += cfg.skill_gain_per_labeled
-                rob[c] += cfg.skill_gain_per_labeled
+        # Each class gains once per newly labeled image that holds it; every
+        # gain adds the same amount, so their order leaves the sum unchanged.
+        data = self._dataset
+        pos = data.positions(pool.labeled - self._seen_labeled)
+        image, rows = span_pairs(data.starts[pos], data.counts[pos])
+        for _, c in set(zip(image.tolist(), data.class_ids[rows].tolist())):
+            acc[c] += cfg.skill_gain_per_labeled
+            rob[c] += cfg.skill_gain_per_labeled
 
         if cfg.skill_gain_per_pseudo > 0.0:
             for _, c in sorted(set(zip(pool.pseudo.image_ids.tolist(), pool.pseudo.class_ids.tolist()))):

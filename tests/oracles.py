@@ -15,7 +15,10 @@ and the f-string scores writer over them are the references the one set of
 scores, its ``np.lexsort`` selection and its one-template writer are pinned
 to. The one-template pseudo-label and scores writers that formatted the
 whole file as one string are the references the writers that write one
-block of rows at a time are pinned to.
+block of rows at a time are pinned to. The dataset loader that built one
+record per image, with its own arrays and checks, is the reference the one
+column set of a dataset is pinned to; :func:`dataset_of` builds a dataset
+from such records.
 
 A one-image prediction is a :class:`PredictionChunk` of one image:
 :func:`one_image` builds one, :func:`chunk_of` joins them into a chunk, and
@@ -29,8 +32,19 @@ from typing import NamedTuple
 
 import numpy as np
 
+from aldet import formats
 from aldet.acquisition import LOG_EPS
-from aldet.boxes import ChunkDetections, Detections, PredictionChunk, checked_encoded, clamp_to_images, iou
+from aldet.boxes import (
+    ChunkDetections,
+    Detections,
+    PredictionChunk,
+    _rows,
+    checked_boxes,
+    checked_encoded,
+    clamp_to_images,
+    iou,
+)
+from aldet.dataset import Dataset, ImageRecord, checked_image_id
 from aldet.matching import MatchResult, greedy_assign
 from aldet.pseudo_label import PseudoLabels
 
@@ -479,3 +493,74 @@ def one_shot_scores_csv(scores):
     rows = zip(scores.image_ids.tolist(), scores.entropy.tolist(), scores.inconsistency.tolist(),
                scores.unified.tolist())
     return "image_id,entropy,inconsistency,unified\n" + "".join("%s,%.6f,%.6f,%.6f\n" % row for row in rows)
+
+
+# -- the per-record dataset loader ----------------------------------------------------
+#
+# ``aldet.formats.load_dataset`` as it was before a dataset was one column
+# set: one record per image, with its own arrays and checks as it was read,
+# then the dataset's checks over the records. It returns the classes and the
+# records; the column set is pinned to it.
+
+
+def _checked_record(image_id, width, height, boxes, class_ids) -> ImageRecord:
+    if width <= 0 or height <= 0:
+        raise ValueError(f"image size must be positive, got {width}x{height}")
+    boxes = _rows(boxes, "bbox", 4, row="box")
+    class_ids = np.array(class_ids, dtype=np.intp)
+    if len(boxes) != len(class_ids):
+        raise ValueError(f"{len(boxes)} boxes for {len(class_ids)} class ids")
+    return ImageRecord(image_id, width, height, boxes, class_ids)
+
+
+def _check_records(classes, images) -> None:
+    if not classes:
+        raise ValueError("dataset needs at least one foreground class")
+    seen = set()
+    for img in images:
+        if checked_image_id(img.image_id) in seen:
+            raise ValueError(f"duplicate image id {img.image_id!r} in dataset")
+        seen.add(img.image_id)
+    for img in images:
+        try:
+            checked_boxes(img.boxes)
+            bad = (img.class_ids < 1) | (img.class_ids > len(classes))
+            if bad.any():
+                raise ValueError(f"class_id {img.class_ids[np.argmax(bad)]} outside 1..{len(classes)}")
+        except ValueError as e:
+            raise ValueError(f"image {img.image_id!r}: {e}") from None
+
+
+def load_dataset_per_record(path):
+    """``(classes, records)`` of the dataset JSON at ``path``; every error
+    names the file and, for a record, the image."""
+    raw = formats._read_json(path)
+    images, image_id = [], None
+    try:
+        classes = tuple(raw["classes"])
+        for rec in raw["images"]:
+            image_id = None
+            image_id = rec["id"]
+            objects = rec.get("objects", [])
+            images.append(_checked_record(
+                image_id, formats._typed_field(rec, "width", int), formats._typed_field(rec, "height", int),
+                [obj["bbox"] for obj in objects], [formats._typed_field(obj, "class_id", int) for obj in objects],
+            ))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+        raise formats._structure_error(path, e, image_id) from None
+    try:
+        _check_records(classes, images)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return classes, tuple(images)
+
+
+def dataset_of(classes, images) -> Dataset:
+    """The dataset of the given records (anything with an ``image_id``,
+    ``width``, ``height``, ``boxes`` and ``class_ids``), in order."""
+    images = tuple(images)
+    return Dataset(
+        classes, [img.image_id for img in images], [img.width for img in images], [img.height for img in images],
+        [box for img in images for box in img.boxes], [c for img in images for c in img.class_ids],
+        [len(img.class_ids) for img in images],
+    )

@@ -9,6 +9,10 @@ from oracles import _image_entropy, _image_inconsistency, chunk_of, entropy, ima
 from aldet.acquisition import (
     AcquisitionConfig,
     AcquisitionScores,
+    _entropies,
+    _logs,
+    _max_per_image,
+    _sym_kls,
     post_nms,
     select_for_labeling,
     unified_score,
@@ -120,6 +124,23 @@ class TestImageAggregation:
             probs = np.array([random_dist(rng, 5) for _ in range(int(rng.integers(1, 6)))])
             expected = max(oracle_entropy(p) for p in probs)
             assert _image_entropy(probs) == pytest.approx(expected, rel=1e-9)
+
+
+    def test_chunk_values_equal_per_row_dots_and_python_max(self):
+        # One stacked matmul per chunk computes each row by np.dot's loop, and
+        # one reduceat takes each image's max: the same floats as a np.dot
+        # per row and Python's max per image.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n, k, m = int(rng.integers(0, 40)), int(rng.integers(2, 22)), int(rng.integers(1, 8))
+            p, q = rng.dirichlet(np.full(k, 0.3), n), rng.dirichlet(np.full(k, 0.3), n)
+            lp, d = _logs(p), _logs(p) - _logs(q)
+            h = np.array([float(-np.dot(a, b)) for a, b in zip(p, lp)])
+            i = np.array([0.5 * (float(np.dot(a, x)) + float(np.dot(b, y))) for a, b, x, y in zip(p, q, d, -d)])
+            assert _entropies(p).tobytes() == h.tobytes() and _sym_kls(p, q).tobytes() == i.tobytes()
+            image = np.sort(rng.integers(0, m, n))
+            expected = [max(h[image == j].tolist(), default=0.0) for j in range(m)]
+            assert _max_per_image(h, image, m).tolist() == expected
 
 
 def two_sided_prediction(rng, image_id="img", n=3, width=100, height=100, perturb=0.0):

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from oracles import Box, scalar_iou
 
+from aldet.acquisition import AcquisitionScores
 from aldet.boxes import (
     ChunkDetections,
     Detections,
@@ -20,6 +21,7 @@ from aldet.boxes import (
     iou,
     nms,
 )
+from aldet.pseudo_label import PseudoLabels
 
 
 def random_box(rng, width=100.0, height=100.0, min_side=1.0):
@@ -308,3 +310,21 @@ class TestEncodeDecode:
             assert em[1] == e[1]
             assert em[2] == pytest.approx(e[2], abs=1e-12)
             assert em[3] == e[3]
+
+
+@pytest.mark.parametrize("rows", [
+    Detections([[0, 0, 1, 1]], [[0.2, 0.8]]),
+    ChunkDetections([[0, 0, 1, 1], [1, 1, 2, 2]], [[0.2, 0.8], [0.6, 0.4]], [0, 1]),
+    Detections(),
+    PseudoLabels(["a", "b"], [[0, 0, 1, 1], [1, 1, 2, 2]], [1, 2], [0.9, 0.5]),
+    AcquisitionScores(["a"], [0.5], [0.25]),
+])
+def test_copy_and_pickle_rebuild_a_read_only_set(rows):
+    # The defaults set each slot, which a frozen set refuses; a Pool worker
+    # whose result held a set hung.
+    import copy
+    import pickle
+
+    for made in (copy.copy(rows), copy.deepcopy(rows), pickle.loads(pickle.dumps(rows))):
+        assert type(made) is type(rows) and made == rows
+        assert not any(getattr(made, name).flags.writeable for name in made._fields)

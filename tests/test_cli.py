@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import image_scores, one_image
+from oracles import dataset_of, image_scores, one_image
 
 import aldet
 from aldet import formats
@@ -41,7 +41,7 @@ def workspace(tmp_path):
     formats.save_dataset(train, train_path)
     formats.save_dataset(test, test_path)
 
-    world = Dataset(train.classes, train.images + test.images)
+    world = Dataset.concat([train, test])
     det = SyntheticDetector(
         SyntheticDetectorConfig(temperature=0.1, seed=2), world
     )
@@ -216,7 +216,7 @@ class TestScoreCommand:
         base = make_synthetic_dataset(4, 3, seed=0, id_prefix="tr")
         first = base.images[0]
         renamed = ImageRecord("a,b", first.width, first.height, first.boxes, first.class_ids)
-        data = Dataset(base.classes, (renamed,) + tuple(base.images[1:]))
+        data = dataset_of(base.classes, (renamed,) + tuple(base.images[1:]))
         formats.save_dataset(data, tmp_path / "d.json")
         det = SyntheticDetector(SyntheticDetectorConfig(seed=2), data)
         formats.write_predictions_jsonl([det.predict(data.image_ids, f) for f in (False, True)], tmp_path / "p.jsonl")
@@ -486,7 +486,7 @@ class TestMalformedInput:
         tmp_path, train, _test, _det, preds_path = workspace
         pool = tmp_path / "pool.json"
         others = [f"zz_{i:04d}" for i in range(7)]
-        formats.save_pool(Pool(frozenset(others[:2]), frozenset(others[2:] + train.image_ids[:3])), pool)
+        formats.save_pool(Pool(frozenset(others[:2]), frozenset(others[2:] + list(train.image_ids[:3]))), pool)
         err = self.error(capsys, ["pseudolabel", "--dataset", str(tmp_path / "train.json"),
                                   "--predictions", str(preds_path), "--pool", str(pool),
                                   "--out", str(tmp_path / "pl.jsonl")])
@@ -749,7 +749,7 @@ class TestSimulateCommand:
         first = base.images[7]
         renamed = ImageRecord(bad_id, first.width, first.height, first.boxes, first.class_ids)
         train, test, out = tmp_path / "train.json", tmp_path / "test.json", tmp_path / "out"
-        formats.save_dataset(Dataset(base.classes, base.images[:7] + (renamed,) + base.images[8:]), train)
+        formats.save_dataset(dataset_of(base.classes, base.images[:7] + (renamed,) + base.images[8:]), train)
         formats.save_dataset(make_synthetic_dataset(5, 3, seed=1, id_prefix="te"), test)
         predicted = []
         monkeypatch.setattr(SyntheticDetector, "predict", lambda self, ids, flipped=False: predicted.append(ids))

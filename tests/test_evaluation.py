@@ -5,10 +5,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from oracles import Box, scalar_iou
+from oracles import Box, dataset_of, scalar_iou
 
 from aldet.boxes import Detections
-from aldet.dataset import Dataset, ImageRecord
+from aldet.dataset import ImageRecord
 from aldet.evaluation import EvalResult, map50, winrate_matrix, winrate_table
 
 
@@ -25,7 +25,7 @@ def as_dataset(gt, n_classes=3):
     images: dict[str, list] = {}
     for g in gt:
         images.setdefault(g.image_id, []).append(g)
-    return Dataset(
+    return dataset_of(
         tuple(f"c{k}" for k in range(1, n_classes + 1)),
         tuple(ImageRecord(i, 200, 200, [g.box_corner for g in objs], [g.class_id for g in objs])
               for i, objs in images.items()),

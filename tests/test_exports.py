@@ -64,6 +64,9 @@ def test_one_box_representation():
     # boxes are float64 corner rows: no per-object ground truth, no stored encoded copy
     assert not hasattr(Dataset, "all_objects")
     assert "objects" not in ImageRecord.__dataclass_fields__
+    # a dataset is one column set; a record of one image is a view built on demand
+    assert [f.name for f in dataclasses.fields(Dataset)] == [
+        "classes", "image_ids", "widths", "heights", "boxes", "class_ids", "counts", "starts", "index"]
     assert "encoded" not in Detections.__slots__
     assert not hasattr(Detections([], []), "encoded")
 

@@ -6,12 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import per_image
+from oracles import dataset_of, per_image
 
 from aldet import formats
 from aldet.acquisition import AcquisitionScores
 from aldet.boxes import hflip
-from aldet.dataset import Dataset, make_synthetic_dataset
+from aldet.dataset import make_synthetic_dataset
 from aldet.evaluation import EvalResult
 from aldet.pool import Pool, init_pool, with_pseudo
 from aldet.pseudo_label import PseudoLabels
@@ -30,7 +30,7 @@ def sizes(dataset):
 class TestDatasetJSON:
     def test_duplicate_image_id_is_named(self, world):
         with pytest.raises(ValueError, match="duplicate image id 'img_0001' in dataset"):
-            Dataset(world.classes, world.images + world.images[1:3])
+            dataset_of(world.classes, world.images + world.images[1:3])
 
     def test_roundtrip(self, world, tmp_path):
         path = tmp_path / "data.json"
@@ -357,6 +357,27 @@ def test_dataset_image_id_must_be_a_string_the_pseudo_labels_hold(tmp_path, imag
     message = f"{path}: image_id: expected a string without a trailing NUL, got {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         formats.load_dataset(path)
+
+
+def test_dataset_image_id_must_encode_as_utf8(tmp_path):
+    # json reads "\ud800" as a lone surrogate, which no UTF-8 writer can encode
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"classes": ["c"], "images": [{"id": "\ud800", "width": 10, "height": 10}]}))
+    message = f"{path}: image_id: expected a string that UTF-8 can encode, got '\\ud800'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        formats.load_dataset(path)
+
+
+@pytest.mark.parametrize("write", [
+    lambda i, path: formats.write_scores_csv(AcquisitionScores([i], [1.0], [1.0]), path),
+    lambda i, path: formats.write_pseudo_labels_jsonl(PseudoLabels([i], [[0, 0, 1, 1]], [1], [0.9]), path),
+])
+def test_lone_surrogate_id_refused_before_a_file_is_opened(tmp_path, write):
+    # the scores writer once opened the file and then failed to encode the id
+    path = tmp_path / "out"
+    with pytest.raises(ValueError, match="image_id: expected a string that UTF-8 can encode"):
+        write("a\ud800", path)
+    assert not path.exists()
 
 
 class TestSelectedTxt:

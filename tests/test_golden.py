@@ -192,7 +192,7 @@ def _files(tmp_path, train, test, name, pl_strategy, extra=()):
     """score and pseudolabel on predictions written from a synthetic detector."""
     out = tmp_path / name
     out.mkdir()
-    world = Dataset(train.classes, train.images + test.images)
+    world = Dataset.concat([train, test])
     det = SyntheticDetector(
         SyntheticDetectorConfig(temperature=0.1, fp_rate=1.5, seed=5), world
     )

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from oracles import chunk_of, fresh_stream_predict, image_scores, per_image_post_nms, per_image_unified_score
+from oracles import chunk_of, dataset_of, fresh_stream_predict, image_scores, per_image_post_nms, per_image_unified_score
 
 from aldet import acquisition, boxes, sim_detector
 from aldet.acquisition import AcquisitionConfig
@@ -141,7 +141,7 @@ class TestCommitSelection:
 def small_world(n_train=60, n_test=30, n_classes=3, seed=0):
     train = make_synthetic_dataset(n_train, n_classes, seed=seed, id_prefix="tr")
     test = make_synthetic_dataset(n_test, n_classes, seed=seed + 1000, id_prefix="te")
-    world = Dataset(train.classes, train.images + test.images)
+    world = Dataset.concat([train, test])
     return train, test, world
 
 
@@ -268,7 +268,7 @@ class TestRunCycles:
         # strictly more images of that class than random selection does
         train = make_synthetic_dataset(80, 3, seed=7, objects_per_image=(1, 1), id_prefix="tr")
         test = make_synthetic_dataset(20, 3, seed=1007, objects_per_image=(1, 1), id_prefix="te")
-        world = Dataset(train.classes, train.images + test.images)
+        world = Dataset.concat([train, test])
         det = make_detector(
             world,
             accuracy={1: 0.3, 2: 0.85, 3: 0.85},
@@ -568,7 +568,7 @@ class TestCoordinateFrames:
     def test_post_nms_stream_refuses_a_source_that_answers_an_original_request_flipped(self):
         # post_nms would mirror such a chunk: evaluated against these images,
         # it read mAP 0.016 where the detector's own chunks read 0.654
-        det, images = self.views()[0], Dataset(self.data.classes, self.data.images[:32])
+        det, images = self.views()[0], dataset_of(self.data.classes, self.data.images[:32])
 
         def flipped_original(image_ids):
             return replace(det.predict(image_ids), flipped=True)
@@ -589,3 +589,29 @@ class TestCoordinateFrames:
         with pytest.raises(ValueError, match="chunk of image 'img_0000' is in the original frame, expected the "
                                              "flipped frame"):
             score_pool([original], old_contract, self.cfg)
+
+
+def test_no_image_record_is_built_by_loading_the_loop_or_evaluation(tmp_path, monkeypatch):
+    # The dataset is one column set: loading it, a run with pseudo-labels,
+    # skill gains and the audit, and map50 gather ground truth by position
+    # and build no per-image record, which only dataset.images and
+    # dataset[id] make, on demand.
+    from aldet import formats
+    from aldet.dataset import ImageRecord
+    from aldet.pseudo_label import audit_pl_correctness
+
+    built, init = [], ImageRecord.__init__
+    monkeypatch.setattr(ImageRecord, "__init__", lambda self, *args: built.append(args[0]) or init(self, *args))
+    train, test, _ = small_world()
+    formats.save_dataset(train, tmp_path / "train.json")
+    formats.save_dataset(test, tmp_path / "test.json")
+    train, test = formats.load_dataset(tmp_path / "train.json"), formats.load_dataset(tmp_path / "test.json")
+    det = make_detector(Dataset.concat([train, test]), skill_gain_per_pseudo=0.01)
+    cfg = RunConfig(cycles=2, budget_per_cycle=5, tau=0.5)
+    reports = list(run_cycles(init_pool(train.image_ids, 10, seed=0), det, cfg, train, test))
+    assert sum(rep.pl_count for rep in reports) > 0
+    chunk = det.predict(test.image_ids)
+    map50(chunk.detections, [chunk.image_ids[k] for k in chunk.detections.image.tolist()], test)
+    audit_pl_correctness(reports[-1].pseudo_labels, train)
+    assert built == []
+    assert len(train.images) == len(built) == len(train)  # the count sees the views

@@ -25,12 +25,14 @@ from oracles import (
     _image_entropy,
     _image_inconsistency,
     chunk_of,
+    dataset_of,
     entropy,
     fresh_stream_predict,
     fstring_scores_csv,
     image_score,
     image_scores,
     json_dumps_pseudo_labels,
+    load_dataset_per_record,
     one_image,
     one_shot_pseudo_labels_jsonl,
     one_shot_scores_csv,
@@ -179,7 +181,7 @@ def as_pseudo_labels(items) -> PseudoLabels:
 def as_dataset(items, image_ids="abc") -> Dataset:
     """One ground-truth box per (image id, box, class) item, in images
     ``image_ids``."""
-    return Dataset(
+    return dataset_of(
         tuple(f"c{k}" for k in range(1, N_CLASSES + 1)),
         tuple(ImageRecord(i, SIZE, SIZE, [b for b, _ in rows], [c for _, c in rows])
               for i, rows in by_image(items, image_ids).items()),
@@ -392,10 +394,10 @@ def accepted_id(text: str) -> bool:
     return True
 
 
-# Ids with quotes, backslashes, control characters, non-ASCII text beyond the
-# BMP and a lone surrogate, all of which json escapes; few enough that rows
-# share ids.
-escaped_ids = st.text(st.sampled_from('a"\\/\x00\x1f\x7f \u00e9\u2028\ud800\U0001f600') | st.characters(),
+# Ids with quotes, backslashes, control characters and non-ASCII text beyond
+# the BMP, all of which json escapes; few enough that rows share ids. (A lone
+# surrogate is no id: no UTF-8 writer can encode it.)
+escaped_ids = st.text(st.sampled_from('a"\\/\x00\x1f\x7f \u00e9\u2028\U0001f600') | st.characters(),
                       max_size=4).filter(accepted_id)
 # Floats in every notation float.__repr__ uses: signed zero, the smallest
 # subnormal, exponents both ways, and long mantissas.
@@ -521,8 +523,8 @@ def test_block_writers_equal_one_shot_writers(tmp_path_factory, n, ids, confiden
     formats.write_pseudo_labels_jsonl(pls, path)
     assert path.read_bytes() == one_shot_pseudo_labels_jsonl(pls).encode("utf-8")
 
-    # The scores CSV holds ids unquoted and UTF-8 encoded: no lone surrogate.
-    writable = [i for i in ids if not ("," in i or "\n" in i or i[:1].isspace() or "\ud800" in i)] or ["a"]
+    # The scores CSV holds ids unquoted.
+    writable = [i for i in ids if not ("," in i or "\n" in i or i[:1].isspace())] or ["a"]
     scores = AcquisitionScores(pick(writable), pick(values), rng.uniform(0.0, 1e3, n))
     path = tmp_path_factory.getbasetemp() / "scores.csv"
     formats.write_scores_csv(scores, path)
@@ -686,7 +688,7 @@ def scene(draw):
             boxes.append([x0, y0, draw(st.floats(x0, w)), draw(st.floats(y0, h))])
             classes.append(draw(st.integers(1, k)))
         images.append(ImageRecord(image_id, w, h, boxes, classes))
-    return Dataset(tuple(f"c{c}" for c in range(1, k + 1)), tuple(images))
+    return dataset_of(tuple(f"c{c}" for c in range(1, k + 1)), tuple(images))
 
 
 def chunk_bits(chunk):
@@ -707,7 +709,7 @@ def chunk_bits(chunk):
     st.integers(1, 4),
 )
 @example(  # images without objects and no false positives: an all-empty last chunk
-    data=Dataset(("c1",), (ImageRecord("a", 64, 64, [], []), ImageRecord("b", 20, 300, [[1, 1, 5, 5]], [1]),
+    data=dataset_of(("c1",), (ImageRecord("a", 64, 64, [], []), ImageRecord("b", 20, 300, [[1, 1, 5, 5]], [1]),
                            ImageRecord("c", 300, 20, [], []))),
     seed=7, fp_rate=0.0, accuracy=0.5, robustness=0.5, updates=2, size=2,
 )
@@ -1017,3 +1019,108 @@ def test_reader_chunks_equal_per_record_reader_bit_for_bit(tmp_path_factory, fil
         for group in chunked(ids, size):
             expected = chunk_of([reference[(i, flipped)] for i in group])
             assert chunk_bits(preds.chunk(group, flipped)) == chunk_bits(expected)
+
+
+# -- the dataset column set against the per-record loader it replaced --------------
+
+# Integer and float coordinates, signed zero among them; sizes from 1 pixel.
+gt_coords = st.integers(0, 60) | st.sampled_from([-0.0, 0.0, 0.5, 1.0 / 3.0]) | st.floats(0.0, 60.0)
+
+
+@st.composite
+def dataset_documents(draw):
+    """A dataset JSON document of K = 1 to 3 classes and up to 5 images with
+    0-3 objects each; an image without objects may lack the ``objects``
+    key."""
+    k = draw(st.integers(1, 3))
+    images = []
+    for image_id in draw(st.lists(escaped_ids, max_size=5, unique=True)):
+        rec = {"id": image_id, "width": draw(st.integers(1, 400)), "height": draw(st.integers(1, 400))}
+        objects = []
+        for _ in range(draw(st.integers(0, 3))):
+            (x0, x1), (y0, y1) = sorted((draw(gt_coords), draw(gt_coords))), sorted((draw(gt_coords), draw(gt_coords)))
+            objects.append({"bbox": [x0, y0, x1, y1], "class_id": draw(st.integers(1, k))})
+        if objects or draw(st.booleans()):
+            rec["objects"] = objects
+        images.append(rec)
+    return {"classes": [f"c{c}" for c in range(1, k + 1)], "images": images}
+
+
+# One fault each: (where, field, value); "image" and "object" are the last
+# image and the last object of the last image, DELETE removes the field.
+DELETE = object()
+DATASET_FAULTS = [
+    ("doc", "classes", []), ("image", "id", DELETE), ("image", "id", 5), ("image", "id", "a\0"),
+    ("image", "id", "\ud800"), ("image", "id", "duplicate"), ("image", "width", DELETE), ("image", "width", 0),
+    ("image", "width", -3), ("image", "width", 1.5), ("image", "width", True), ("image", "height", 0),
+    ("image", "height", 10.0), ("image", "objects", 5), ("image", "objects", "ab"),
+    ("object", "bbox", DELETE), ("object", "bbox", [0, 0, 5]), ("object", "bbox", [5, 0, 0, 5]),
+    ("object", "bbox", [0, 0, "5", 5]), ("object", "bbox", [0, 0, 5, None]), ("object", "bbox", [0, float("nan"), 5, 5]),
+    ("object", "bbox", [[0, 0, 5, 5]]), ("object", "class_id", DELETE), ("object", "class_id", 0),
+    ("object", "class_id", 4), ("object", "class_id", 1.0), ("object", "class_id", False),
+    ("object", "class_id", 10**30), ("object", "bbox", [0, 0, 5, 10**30]),
+]
+
+
+def with_fault(doc, fault):
+    where, name, value = fault
+    images = doc["images"]
+    if where == "doc":
+        target = doc
+    elif where == "image":
+        target = images[-1]
+        if value == "duplicate":
+            value = images[0]["id"]
+    else:
+        target = next(rec["objects"][-1] for rec in reversed(images) if rec.get("objects"))
+    if value is DELETE:
+        del target[name]
+    else:
+        target[name] = value
+    return doc
+
+
+def same_dataset(data, reference) -> None:
+    classes, records = reference
+    assert data.classes == classes and len(data) == len(records)
+    for arr in (data.widths, data.heights, data.boxes, data.class_ids, data.counts, data.starts):
+        assert not arr.flags.writeable
+
+    def bits(rec):
+        return (rec.image_id, type(rec.width), rec.width, type(rec.height), rec.height,
+                *((a.dtype, a.shape, a.tobytes()) for a in (rec.boxes, rec.class_ids)))
+
+    assert [bits(view) for view in data.images] == [bits(rec) for rec in records]
+    for n, rec in enumerate(records):
+        assert bits(data[rec.image_id]) == bits(rec) and data.index[rec.image_id] == n
+
+
+@settings(deadline=None, max_examples=300)
+@given(dataset_documents(), st.sampled_from([None] + DATASET_FAULTS))
+@example(  # K=1, an image without objects, one without the key, and one with objects
+    {"classes": ["c"], "images": [{"id": "a", "width": 5, "height": 5, "objects": []},
+                                  {"id": "b", "width": 5, "height": 5},
+                                  {"id": "c", "width": 5, "height": 5,
+                                   "objects": [{"bbox": [0, 0, 5, 5], "class_id": 1}]}]},
+    None,
+)
+def test_dataset_columns_equal_the_per_record_loader(tmp_path_factory, doc, fault):
+    # load_dataset reads every record into flat columns and checks them once;
+    # the per-record loader built and checked one record per image. On a
+    # valid file they hold the same values bit for bit; with one fault they
+    # raise the same message, naming the file and the image.
+    if fault is not None:
+        if not doc["images"] or fault[0] == "object" and not any(rec.get("objects") for rec in doc["images"]):
+            return
+        doc = with_fault(doc, fault)
+    path = tmp_path_factory.getbasetemp() / "dataset.json"
+    path.write_text(json.dumps(doc))
+    try:
+        reference = load_dataset_per_record(path)
+    except ValueError as e:
+        with pytest.raises(ValueError) as raised:
+            formats.load_dataset(path)
+        assert str(raised.value) == str(e)
+        return
+    assert fault is None or fault[2] == "duplicate" and len(doc["images"]) == 1  # a fault makes both raise
+    same_dataset(formats.load_dataset(path), reference)

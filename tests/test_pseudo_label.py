@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import chunk_of, one_image
+from oracles import chunk_of, dataset_of, one_image
 
 from aldet.boxes import Detections
 from aldet.dataset import Dataset, ImageRecord
@@ -167,7 +167,7 @@ def audit(labels, truths):
         gt.setdefault(image_id, []).append((box, cls))
     pls = PseudoLabels(*zip(*labels), [0.995] * len(labels)) if labels else PseudoLabels()
     images = tuple(ImageRecord(i, 100, 100, [b for b, _ in v], [c for _, c in v]) for i, v in gt.items())
-    return audit_pl_correctness(pls, Dataset(("c1", "c2", "c3"), images))
+    return audit_pl_correctness(pls, dataset_of(("c1", "c2", "c3"), images))
 
 
 class TestPseudoLabels:
@@ -227,16 +227,16 @@ class TestAudit:
         read = []
 
         class Spy(Dataset):
-            def __getitem__(self, image_id):
-                read.append(image_id)
-                return super().__getitem__(image_id)
+            def positions(self, image_ids):
+                read.extend(image_ids)
+                return super().positions(image_ids)
 
-        images = tuple(ImageRecord(i, 100, 100, [(0, 0, 10, 10)], [1]) for i in "abc")
+        columns = ("abc", [100] * 3, [100] * 3, [(0, 0, 10, 10)] * 3, [1] * 3, [1] * 3)
         pls = PseudoLabels(["c", "a", "a"], [(0, 0, 10, 10)] * 3, [1, 1, 2], [0.995] * 3)
-        assert audit_pl_correctness(pls, Spy(("c1", "c2"), images)) == 2 / 3
-        assert read == ["c", "a"]
+        assert audit_pl_correctness(pls, Spy(("c1", "c2"), *columns)) == 2 / 3
+        assert read == ["c", "a", "a"]
         with pytest.raises(KeyError, match="unknown image id 'd'"):
-            audit_pl_correctness(PseudoLabels(["d"], [(0, 0, 10, 10)], [1], [0.995]), Spy(("c1",), images))
+            audit_pl_correctness(PseudoLabels(["d"], [(0, 0, 10, 10)], [1], [0.995]), Spy(("c1",), *columns))
 
     def test_24_of_25_fixture(self):
         labels, truths = [], []

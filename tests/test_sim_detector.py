@@ -3,7 +3,7 @@ low-robustness regime that motivates the unified acquisition score."""
 
 import numpy as np
 import pytest
-from oracles import image_scores
+from oracles import dataset_of, image_scores
 
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
 from aldet.boxes import encode_boxes, hflip, iou, nms
@@ -320,7 +320,7 @@ class TestUpdate:
 
 def test_false_positives_need_a_20_pixel_image():
     # A false positive's side is drawn from [10, half the image side].
-    data = Dataset(("c",), (ImageRecord("a", 16, 300, [[1, 1, 5, 5]], [1]), ImageRecord("b", 20, 20, [], [])))
+    data = dataset_of(("c",), (ImageRecord("a", 16, 300, [[1, 1, 5, 5]], [1]), ImageRecord("b", 20, 20, [], [])))
     det = detector(data, fp_rate=5.0)
     with pytest.raises(ValueError, match="at least 20 pixels a side, got 16x300"):
         det.predict(["a"])
@@ -355,7 +355,7 @@ def test_flipped_view_replays_stream_0_only_without_the_last_original_call(world
     assert replayed(det, fresh, ids) == []
     assert replayed(det, fresh, ids[1:3]) == []
     assert replayed(det, fresh, others) == sorted(others)
-    assert replayed(det, fresh, ids + others[:1]) == others[:1]  # still the last original call
+    assert replayed(det, fresh, ids + others[:1]) == list(others[:1])  # still the last original call
     det.predict(others)
     assert replayed(det, fresh, ids) == sorted(ids)  # only the last original call is kept
     newer, fresh = det.update(pool), fresh.update(pool)
