@@ -107,9 +107,10 @@ class Dataset:
     and checks them in one pass, each check once over all images: every
     image id must pass :func:`checked_image_id` and be unique, every size
     must be positive, every box finite and not inverted and every class id
-    in 1..K. An error about one image names it; only when a check fails is
-    it run again image by image, to find that image. :meth:`concat` joins
-    datasets without checking them again.
+    in 1..K, and the class names must be distinct strings. An error about
+    one image names it; only when a check fails is it run again image by
+    image, to find that image. :meth:`concat` joins datasets without
+    checking them again.
     """
 
     classes: tuple[str, ...]
@@ -133,9 +134,13 @@ class Dataset:
         starts = np.cumsum(counts) - counts
         widths, heights, boxes, class_ids = _naming_the_image(
             _image_columns, ids, starts, counts, (self.widths, self.heights), (raw_boxes, self.class_ids))
+        if isinstance(self.classes, str):  # not one class per character
+            raise ValueError(f"classes: expected a sequence of class names, got {self.classes!r}")
         classes = tuple(self.classes)
         if not classes:
             raise ValueError("dataset needs at least one foreground class")
+        if not all(isinstance(name, str) for name in classes) or len(set(classes)) != len(classes):
+            raise ValueError(f"classes: expected distinct class names (strings), got {list(classes)!r}")
         index = dict(zip(map(checked_image_id, ids), range(len(ids))))
         if len(index) != len(ids):
             seen: set[str] = set()

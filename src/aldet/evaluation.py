@@ -88,18 +88,18 @@ def _assign_tp_fp(dets: Detections, image_ids: Sequence[str], gt: Dataset) -> di
 
 
 def _ap_eleven_point(tp_flags: Sequence[bool], n_gt: int) -> float:
-    tp = 0
-    points = []  # (tp_count, precision)
-    for rank, flag in enumerate(tp_flags, start=1):
-        tp += int(flag)
-        points.append((tp, tp / rank))
+    """VOC07 11-point AP of ranked detections: the mean over the recall knots
+    0.0, 0.1, ..., 1.0 of the best precision at a rank whose recall reaches
+    the knot, or 0 where none does. Recall never falls with rank, so the
+    ranks that reach a knot are a suffix, and their best precision is that
+    suffix's maximum."""
+    tp = np.cumsum(np.asarray(tp_flags, dtype=bool), dtype=np.int64)
+    precision = tp / np.arange(1, len(tp) + 1)
+    # best[i]: the best precision from rank i + 1 on; 0 past the last rank
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     total = 0.0
-    for k in range(11):  # recall knots 0.0, 0.1, ..., 1.0
-        best = 0.0
-        for tp_count, prec in points:
-            if tp_count * 10 >= k * n_gt and prec > best:
-                best = prec
-        total += best
+    for prec in best[np.searchsorted(tp * 10, np.arange(11) * n_gt)].tolist():  # knots in order
+        total += prec
     return total / 11.0
 
 

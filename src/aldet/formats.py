@@ -161,7 +161,10 @@ def load_dataset(path) -> Dataset:
     ids, widths, heights, counts, boxes, class_ids = [], [], [], [], [], []
     image_id = None
     try:
-        classes = tuple(raw["classes"])
+        classes = raw["classes"]
+        if type(classes) is not list:
+            raise ValueError(f"classes: expected an array of class names, got {classes!r}")
+        classes = tuple(classes)
         for rec in raw["images"]:
             image_id = None  # until this record's id is read
             image_id = rec["id"]
@@ -277,6 +280,11 @@ class PredictionViews(Mapping):
         self.views = {view.flipped: view for view in views}
         self._at = {flipped: {image_id: k for k, image_id in enumerate(view.image_ids)}
                     for flipped, view in self.views.items()}
+        # flipped -> each image's first row and row count in that view
+        self._spans = {}
+        for flipped, view in self.views.items():
+            counts = np.bincount(view.detections.image, minlength=len(view.image_ids))
+            self._spans[flipped] = (np.cumsum(counts) - counts, counts)
 
     def chunk(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk:
         """The given images' records of one view as one chunk in that view's
@@ -289,8 +297,8 @@ class PredictionViews(Mapping):
             kind = "flipped" if view.flipped else "original"
             raise ValueError(f"missing {kind} record for image {e.args[0]!r}") from None
         d = view.detections
-        counts = np.bincount(d.image, minlength=len(view.image_ids))
-        image, rows = span_pairs((np.cumsum(counts) - counts)[pos], counts[pos])
+        starts, counts = self._spans[flipped]
+        image, rows = span_pairs(starts[pos], counts[pos])
         # Without rows the width is 0, as in every set checked from no rows.
         probs = d.probs[rows] if len(rows) else np.zeros((0, 0))
         return PredictionChunk(

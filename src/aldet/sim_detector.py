@@ -7,21 +7,29 @@ flipped image's distributions are reused or resampled. Ground truth is only
 visible inside this module; everything downstream sees only the chunks of
 images (PredictionChunk) it returns.
 
-A detector predicts a chunk of images per call. The synthetic one gathers
-the chunk's ground truth from the dataset's columns with one index, makes
-each image's random draws in a Python loop, image by image, and then builds
-the chunk's arrays once: one softmax, one box and one distribution check, and
-one clamp of every row to its image, where a call per image paid numpy's
-per-call overhead on a handful of rows for each image. The loop itself is
-kept to few numpy calls per detection, with the same draws as numpy's:
-bounded integers come from raw Philox words by numpy's own algorithm, a false
-positive's four uniforms from one call, and the flipped view takes the
-original view's logits from the last original-view call instead of drawing
-them again when that call held the image (see :class:`SyntheticDetector`).
-:func:`aldet.pool.run_cycles` predicts each pool chunk's flipped view right
-after the chunk's original view, so there every flipped image reuses them; a
-flipped call of images the last original-view call did not hold draws their
-original view again instead, by the code an original-view call runs.
+A detector predicts a chunk of images per call, in two steps. The draw loop
+goes over the chunk's images, resets each image's stream and makes its draws
+in the fixed order (see :class:`SyntheticDetector`), keeping only the raw
+draws: a few numpy calls per detection, with bounded integers taken from raw
+Philox words by numpy's own algorithm and a false positive's four uniforms
+from one call. The array pass then turns the chunk's draws into its rows
+with a fixed number of numpy calls: the jittered boxes with their
+``_MIN_BOX`` repair, the false-positive boxes, the peaks, the flip reuse,
+one softmax, one box and one distribution check, and one clamp of every row
+to its image. Each value is the float that arithmetic on one detection
+gives: every expression keeps its order of operations, Python's
+two-argument ``min`` and ``max`` become ``np.where`` on the same comparison
+(:func:`_min`, :func:`_max`), and the fused multiply-add caveat is on
+:func:`_false_positive_boxes`. So a row does not depend on the other rows
+of its chunk. The chunk's ground truth is gathered from the dataset's
+columns with one index.
+
+The flipped view takes the original view's logits from the last
+original-view call instead of drawing them again when that call held the
+image. :func:`aldet.pool.run_cycles` predicts each pool chunk's flipped view
+right after the chunk's original view, so there every flipped image reuses
+them; a flipped call of images the last original-view call did not hold
+draws their original view again, through the same draw loop and array pass.
 
 Low per-class accuracy combined with a low temperature produces confidently
 wrong predictions: low entropy but, under low flip robustness, high
@@ -35,7 +43,7 @@ import copy
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,6 +61,7 @@ __all__ = [
 ]
 
 _MIN_BOX = 1.0  # floor on predicted box side length, keeps encodings valid
+_FP_SIDE = _MIN_BOX * 10  # floor on a false positive's side
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -226,6 +235,80 @@ class _Stream:
                 return m >> 32
 
 
+class _Draws(NamedTuple):
+    """The raw draws of one view of a chunk, as the draw loop makes them:
+    per ground-truth object in chunk order its four box normals (``noise``)
+    and, in the flipped view, the uniform that decides the reuse; per false
+    positive its four box uniforms and its class integer in ``[0, K)``; per
+    image its false-positive count; and per row in chunk order the peak
+    uniform, the confusion integer and the logit normals of its
+    distribution."""
+
+    noise: list
+    reuse: list
+    fp_counts: list
+    fp_u: list
+    fp_classes: list
+    peak_u: list
+    confusions: list
+    logits: list
+
+
+def _rows(arrays: list, width: int) -> np.ndarray:
+    """The equal-length 1-D arrays of a list as the rows of one (n, width) array."""
+    return np.concatenate(arrays).reshape(-1, width) if arrays else np.empty((0, width))
+
+
+# Python's two-argument min and max, elementwise: ``a`` unless ``b`` is less
+# (greater). On a tie they keep ``a``, so max(0.0, -0.0) is 0.0, where
+# np.maximum(0.0, -0.0) is -0.0; the writers print the two apart.
+def _min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    return np.where(b > a, b, a)
+
+
+def _jittered(gt: np.ndarray, noise: np.ndarray, s: float, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Each ground-truth box of ``gt`` (n, 4) with its edges moved by
+    ``noise`` times ``s`` times its side, put in corner order, cut to its
+    image (``w`` by ``h``) and widened to ``_MIN_BOX`` inside the image where
+    it is thinner."""
+    xmin, ymin, xmax, ymax = gt.T
+    bw, bh = xmax - xmin, ymax - ymin
+    x0 = xmin + noise[:, 0] * s * bw
+    y0 = ymin + noise[:, 1] * s * bh
+    x1 = xmax + noise[:, 2] * s * bw
+    y1 = ymax + noise[:, 3] * s * bh
+    x0, x1 = _min(x0, x1), _max(x0, x1)
+    y0, y1 = _min(y0, y1), _max(y0, y1)
+    x0, x1 = _max(0.0, x0), _min(w, x1)
+    y0, y1 = _max(0.0, y0), _min(h, y1)
+    thin = x1 - x0 < _MIN_BOX
+    x0 = np.where(thin, _max(0.0, _min(x0, w - _MIN_BOX)), x0)
+    x1 = np.where(thin, x0 + _MIN_BOX, x1)
+    thin = y1 - y0 < _MIN_BOX
+    y0 = np.where(thin, _max(0.0, _min(y0, h - _MIN_BOX)), y0)
+    y1 = np.where(thin, y0 + _MIN_BOX, y1)
+    return np.stack([x0, y0, x1, y1], axis=1)
+
+
+def _false_positive_boxes(u: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The box of each false positive from its four uniforms ``u`` (n, 4):
+    sides uniform in [_FP_SIDE, half the image's side], then a corner that
+    keeps the box inside its image (``w`` by ``h``). Each value is what
+    ``rng.uniform(low, high)`` would give, ``low + (high - low) * u`` written
+    out: equal to the bit as long as numpy rounds the product and the sum
+    separately (no fused multiply-add), as its x86-64 builds do;
+    test_predict_equals_fresh_generator_oracle checks it."""
+    bw = _FP_SIDE + (0.5 * w - _FP_SIDE) * u[:, 0]
+    bh = _FP_SIDE + (0.5 * h - _FP_SIDE) * u[:, 1]
+    x0 = 0.0 + (w - bw - 0.0) * u[:, 2]
+    y0 = 0.0 + (h - bh - 0.0) * u[:, 3]
+    return np.stack([x0, y0, x0 + bw, y0 + bh], axis=1)
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of an (n, K+1) logit matrix; each row is the same
     float as the softmax of that row alone."""
@@ -263,16 +346,18 @@ class SyntheticDetector(DetectorInterface):
     The detector keeps one :class:`_Stream` per tag and resets it to the
     start of an image's stream before drawing it: the draws are the same as
     from a fresh generator, without the cost of building one per image.
-    Bounded integers are taken from raw words (see :class:`_Stream`). The
-    ground-truth logits of the most recent original-view call are kept, so a
-    flipped call of the same images reuses them instead of drawing stream 0
-    again; any other flipped call draws each image's original view again
-    (``_draw_original``, the one way it is drawn). ``run_cycles`` makes only
-    the first kind, since it predicts each chunk's two views back to back,
-    and so never draws an original view twice. That keeps one chunk's logits,
-    O(images in the call x objects), never a pool's. The streams and that
-    call's logits are shared by the calls of one detector, which is
-    therefore not safe to call from several threads at once.
+    Bounded integers are taken from raw words (see :class:`_Stream`).
+    :meth:`_draw_loop` makes the draws and :meth:`_view` computes a chunk's
+    rows from them in one array pass. The ground-truth logits of the most
+    recent original-view call are kept, so a flipped call of the same images
+    reuses them instead of drawing stream 0 again; any other flipped call
+    draws those images' original view again (:meth:`_original_logits`) and
+    keeps the last call's. ``run_cycles`` makes only the first kind, since
+    it predicts each chunk's two views back to back, and so never draws an
+    original view twice. That keeps one chunk's logits, O(images in the
+    call x objects), never a pool's. The streams and that call's logits are
+    shared by the calls of one detector, which is therefore not safe to
+    call from several threads at once.
     """
 
     def __init__(self, config: SyntheticDetectorConfig, dataset: Dataset):
@@ -286,9 +371,7 @@ class SyntheticDetector(DetectorInterface):
         # 64 bits: one int per image, where a tuple of two would cost about
         # 0.1 MB more peak memory per thousand images.
         self._id_keys: dict[str, int] = {}
-        # Read once per detection.
         self._n_confusions = max(k - 1, 1)
-        self._logit_noise = config.logit_noise
         self._inv_temperature = 1.0 / config.temperature
         self._set_version(0)
 
@@ -298,12 +381,9 @@ class SyntheticDetector(DetectorInterface):
         self._version = version
         self._k1 = _mix64(self._config.seed, version)
         self._streams = (_Stream(), _Stream())
-        # image id -> its ground-truth logits, from the last original-view call
-        self._last_original: dict[str, list[np.ndarray]] = {}
-        # Read once per detection; Python floats compare as the numpy
-        # scalars they come from.
-        self._accuracies = self._accuracy.tolist()
-        self._robustnesses = self._robustness.tolist()
+        # The ground-truth logits of the last original-view call, object by
+        # object, and each of its image ids -> the row of its first object.
+        self._last_original: tuple[dict[str, int], np.ndarray] = ({}, np.empty((0, self._k + 1)))
 
     # -- introspection used by tests and reports ---------------------------
 
@@ -333,134 +413,113 @@ class SyntheticDetector(DetectorInterface):
         stream.reset(self._k1, keys >> 64 if tag else keys & _MASK64)
         return stream
 
-    def _jittered_box(self, rng: _Stream, gt_box, width: int, height: int) -> list[float]:
-        s = self._config.box_noise
-        noise = rng.normal(0.0, 1.0, 4).tolist()
-        xmin, ymin, xmax, ymax = gt_box
-        bw, bh = xmax - xmin, ymax - ymin
-        x0 = xmin + noise[0] * s * bw
-        y0 = ymin + noise[1] * s * bh
-        x1 = xmax + noise[2] * s * bw
-        y1 = ymax + noise[3] * s * bh
-        x0, x1 = min(x0, x1), max(x0, x1)
-        y0, y1 = min(y0, y1), max(y0, y1)
-        x0, x1 = max(0.0, x0), min(float(width), x1)
-        y0, y1 = max(0.0, y0), min(float(height), y1)
-        if x1 - x0 < _MIN_BOX:
-            x0 = max(0.0, min(x0, width - _MIN_BOX))
-            x1 = x0 + _MIN_BOX
-        if y1 - y0 < _MIN_BOX:
-            y0 = max(0.0, min(y0, height - _MIN_BOX))
-            y1 = y0 + _MIN_BOX
-        return [x0, y0, x1, y1]
+    def _draw_loop(self, image_ids: Sequence[str], counts: Sequence[int], flipped: bool) -> _Draws:
+        """The raw draws of one view of the images, each holding ``counts[i]``
+        objects, in the fixed draw order (see :class:`SyntheticDetector`)."""
+        k, n_confusions, fp_rate = self._k, self._n_confusions, self._config.fp_rate
+        logit_noise = self._config.logit_noise
+        d = _Draws([], [], [], [], [], [], [], [])
+        noise, reuse, fp_counts, fp_u, fp_classes, peak_u, confusions, logits = d
+        tag = 1 if flipped else 0
+        for image_id, n_objects in zip(image_ids, counts):
+            rng = self._stream(image_id, tag)
+            random, normal, integers = rng.random, rng.normal, rng.integers
+            for _ in range(n_objects):
+                noise.append(normal(0.0, 1.0, 4))
+                if flipped:
+                    reuse.append(random())
+                peak_u.append(random())  # the one draw of rng.uniform(), at a fraction of its call cost
+                confusions.append(integers(n_confusions))
+                logits.append(normal(0.0, logit_noise, k + 1))
+            n = int(rng.poisson(fp_rate)) if fp_rate > 0.0 else 0
+            fp_counts.append(n)
+            for _ in range(n):
+                fp_u.append(random(4))
+                fp_classes.append(integers(k))
+                peak_u.append(random())
+                confusions.append(integers(n_confusions))
+                logits.append(normal(0.0, logit_noise, k + 1))
+        return d
 
-    def _draw_dist(self, rng: _Stream, true_class: int) -> np.ndarray:
-        """The logits of one detection's class distribution."""
-        k = self._k
-        u = rng.random()  # the one draw of rng.uniform(), at a fraction of its call cost
-        confusion_step = rng.integers(self._n_confusions)
-        if u < self._accuracies[true_class]:
-            peak = true_class
-        else:
-            # uniform over the other foreground classes (or the class itself when K=1)
-            peak = 1 + (true_class - 1 + 1 + confusion_step) % k if k > 1 else 1
-        logits = rng.normal(0.0, self._logit_noise, k + 1)
-        logits[peak] += self._inv_temperature
-        return logits
-
-    def _false_positives(self, rng: _Stream, width: int, height: int, boxes: list, logits: list) -> None:
-        """Append the image's false positives to ``boxes`` and ``logits``."""
-        if self._config.fp_rate <= 0.0:
-            return
-        n, side = int(rng.poisson(self._config.fp_rate)), _MIN_BOX * 10
-        if n and min(width, height) * 0.5 < side:
-            raise ValueError(f"false positives need an image of at least {2 * side:g} pixels a side, "
-                             f"got {width}x{height}")
-        for _ in range(n):
-            # Four rng.uniform(low, high) calls in one: the same draws and the
-            # same arithmetic, low + (high - low) * u, written out. Equal to
-            # the bit as long as numpy rounds the product and the sum
-            # separately (no fused multiply-add), as its x86-64 builds do;
-            # test_predict_equals_fresh_generator_oracle checks it.
-            u = rng.random(4).tolist()
-            bw = side + (0.5 * width - side) * u[0]
-            bh = side + (0.5 * height - side) * u[1]
-            x0 = 0.0 + (width - bw - 0.0) * u[2]
-            y0 = 0.0 + (height - bh - 0.0) * u[3]
-            boxes.append([x0, y0, x0 + bw, y0 + bh])
-            logits.append(self._draw_dist(rng, 1 + rng.integers(self._k)))
-
-    def _draw_original(self, gt: tuple, boxes: list, logits: list) -> list[np.ndarray]:
-        """Append the original view of the image ``gt`` (see
-        :meth:`_ground_truth`) to ``boxes`` and ``logits``; return its
-        ground-truth logits."""
-        image_id, width, height, gt_boxes, gt_classes = gt
-        rng = self._stream(image_id, 0)
-        gt_logits = []
-        for gt_box, cls in zip(gt_boxes, gt_classes):
-            boxes.append(self._jittered_box(rng, gt_box, width, height))
-            gt_logits.append(self._draw_dist(rng, cls))
-        logits += gt_logits
-        self._false_positives(rng, width, height, boxes, logits)
-        return gt_logits
-
-    def _draw_flipped(self, gt: tuple, boxes: list, logits: list) -> None:
-        """Append the flipped view of the image ``gt`` to ``boxes`` and
-        ``logits``."""
-        image_id, width, height, gt_boxes, gt_classes = gt
-        orig_logits = self._last_original.get(image_id)
-        if orig_logits is None:
-            orig_logits = self._draw_original(gt, [], [])
-        frng = self._stream(image_id, 1)
-        for (x0, y0, x1, y1), cls, orig in zip(gt_boxes, gt_classes, orig_logits):
-            mirrored_gt = (width - x1, y0, width - x0, y1)
-            boxes.append(self._jittered_box(frng, mirrored_gt, width, height))
-            # The original view's distribution, reused when the flip is robust.
-            reuse = frng.random() < self._robustnesses[cls]
-            resampled = self._draw_dist(frng, cls)  # drawn either way, fixed stream layout
-            logits.append(orig if reuse else resampled)
-        self._false_positives(frng, width, height, boxes, logits)
-
-    def _ground_truth(self, image_ids: Sequence[str]) -> Iterator[tuple]:
-        """``(image_id, width, height, boxes, class_ids)`` of each of the
-        images, in order, as Python values: the chunk's objects are gathered
-        from the dataset's columns with one index and cut per image."""
-        data = self._dataset
-        pos = data.positions(image_ids)
+    def _view(self, image_ids: Sequence[str], pos: np.ndarray, flipped: bool) -> tuple[np.ndarray, ...]:
+        """One view of the images at dataset positions ``pos``, by the draw
+        loop and one array pass over the chunk: each row's position in the
+        chunk, its box (not yet clamped), its logits with the peak added, and
+        the rows of the ground-truth objects. Rows come image by image: the
+        image's objects, then its false positives."""
+        data, k = self._dataset, self._k
         counts = data.counts[pos]
-        _, rows = span_pairs(data.starts[pos], counts)
-        boxes, class_ids = data.boxes[rows].tolist(), data.class_ids[rows].tolist()
-        ends = np.cumsum(counts).tolist()
-        cuts = list(zip([end - n for end, n in zip(ends, counts.tolist())], ends))
-        return zip(image_ids, data.widths[pos].tolist(), data.heights[pos].tolist(),
-                   [boxes[a:b] for a, b in cuts], [class_ids[a:b] for a, b in cuts])
+        _, objects = span_pairs(data.starts[pos], counts)
+        original = self._original_logits(image_ids, pos) if flipped else None
+        d = self._draw_loop(image_ids, counts.tolist(), flipped)
+
+        # The array pass: the chunk's rows from its draws.
+        n_fp = np.array(d.fp_counts, dtype=np.intp)
+        sizes = counts + n_fp
+        starts = np.cumsum(sizes) - sizes
+        gt_image, gt_rows = span_pairs(starts, counts)
+        fp_image, fp_rows = span_pairs(starts + counts, n_fp)
+        widths, heights = data.widths[pos], data.heights[pos]
+        w, h = widths.astype(np.float64), heights.astype(np.float64)
+        too_small = np.flatnonzero((n_fp > 0) & (np.minimum(w, h) * 0.5 < _FP_SIDE))
+        if len(too_small):
+            i = too_small[0]
+            raise ValueError(f"false positives need an image of at least {2 * _FP_SIDE:g} pixels a side, "
+                             f"got {widths[i]}x{heights[i]}")
+
+        boxes = np.empty((len(gt_rows) + len(fp_rows), 4))
+        gt = data.boxes[objects]
+        if flipped:
+            x0, y0, x1, y1 = gt.T
+            gt = np.stack([w[gt_image] - x1, y0, w[gt_image] - x0, y1], axis=1)
+        boxes[gt_rows] = _jittered(gt, _rows(d.noise, 4), self._config.box_noise,
+                                   w[gt_image], h[gt_image])
+        boxes[fp_rows] = _false_positive_boxes(_rows(d.fp_u, 4), w[fp_image], h[fp_image])
+
+        classes = np.empty(len(boxes), dtype=np.intp)
+        classes[gt_rows] = data.class_ids[objects]
+        classes[fp_rows] = 1 + np.array(d.fp_classes, dtype=np.intp)
+        # The peak is the true class with the class's accuracy, else the
+        # class 1 + confusion steps after it, cyclically over 1..K (itself
+        # when K=1).
+        confusions = np.array(d.confusions, dtype=np.intp)
+        peaks = np.where(np.array(d.peak_u) < self._accuracy[classes], classes, 1 + (classes + confusions) % k)
+        logits = _rows(d.logits, k + 1)
+        logits[np.arange(len(logits)), peaks] += self._inv_temperature
+        if flipped:
+            # The original view's distribution, reused when the flip is robust.
+            reused = np.array(d.reuse) < self._robustness[classes[gt_rows]]
+            logits[gt_rows[reused]] = original[reused]
+        return np.repeat(np.arange(len(sizes)), sizes), boxes, logits, gt_rows
+
+    def _original_logits(self, image_ids: Sequence[str], pos: np.ndarray) -> np.ndarray:
+        """The ground-truth logits of the original view of the images at
+        dataset positions ``pos``, object by object in chunk order: those of
+        the last original-view call for the images it held, and drawn again
+        by :meth:`_view` for the others, which leaves that call's kept."""
+        first_rows, kept = self._last_original
+        counts = self._dataset.counts[pos]
+        starts = np.array([first_rows.get(i, -1) for i in image_ids], dtype=np.intp)
+        missing = np.flatnonzero(starts < 0)
+        if len(missing):
+            _, _, logits, gt_rows = self._view([image_ids[i] for i in missing], pos[missing], False)
+            n = counts[missing]
+            starts[missing] = len(kept) + np.cumsum(n) - n
+            kept = np.concatenate([kept, logits[gt_rows]])
+        return kept[span_pairs(starts, counts)[1]]
 
     def predict(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk:
-        boxes: list[list[float]] = []
-        logits: list[np.ndarray] = []
-        widths, heights, counts = [], [], []
-        originals: dict[str, list[np.ndarray]] = {}
-        for gt in self._ground_truth(image_ids):
-            image_id, width, height = gt[:3]
-            start = len(boxes)
-            if flipped:
-                self._draw_flipped(gt, boxes, logits)
-            else:
-                originals[image_id] = self._draw_original(gt, boxes, logits)
-            widths.append(width)
-            heights.append(height)
-            counts.append(len(boxes) - start)
+        data = self._dataset
+        pos = data.positions(image_ids)
+        image, boxes, logits, gt_rows = self._view(image_ids, pos, flipped)
         if not flipped:
-            self._last_original = originals
+            counts = data.counts[pos]
+            self._last_original = (dict(zip(image_ids, (np.cumsum(counts) - counts).tolist())), logits[gt_rows])
 
         # Row-wise arithmetic only: each row is the same float as in a chunk
         # of its image alone.
-        image = np.repeat(np.arange(len(counts)), counts)
-        dets = ChunkDetections(
-            np.array(boxes, dtype=np.float64).reshape(-1, 4),
-            _softmax(np.array(logits).reshape(len(boxes), self._k + 1)),
-            image,
-        )
+        widths, heights = data.widths[pos].tolist(), data.heights[pos].tolist()
+        dets = ChunkDetections(boxes, _softmax(logits), image)
         return PredictionChunk(
             tuple(image_ids), tuple(widths), tuple(heights), clamp_to_images(dets, widths, heights, image),
             bool(flipped),

@@ -275,6 +275,27 @@ def fresh_stream_predict(det, dataset, image_id, flipped=False):
     return one_image(image_id, rec.width, rec.height, dets, flipped)
 
 
+# -- the 11-point AP with one scan of every rank per recall knot ------------------
+
+
+def ap_eleven_point_scan(tp_flags, n_gt):
+    """``aldet.evaluation._ap_eleven_point`` as it was before it took suffix
+    maxima: each recall knot scans every rank."""
+    tp = 0
+    points = []  # (tp_count, precision)
+    for rank, flag in enumerate(tp_flags, start=1):
+        tp += int(flag)
+        points.append((tp, tp / rank))
+    total = 0.0
+    for k in range(11):  # recall knots 0.0, 0.1, ..., 1.0
+        best = 0.0
+        for tp_count, prec in points:
+            if tp_count * 10 >= k * n_gt and prec > best:
+                best = prec
+        total += best
+    return total / 11.0
+
+
 # -- per-image NMS, matching and scoring ----------------------------------------
 #
 # ``aldet.boxes.nms``, ``aldet.matching.match_predictions`` and

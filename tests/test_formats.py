@@ -11,7 +11,7 @@ from oracles import dataset_of, per_image
 from aldet import formats
 from aldet.acquisition import AcquisitionScores
 from aldet.boxes import hflip
-from aldet.dataset import make_synthetic_dataset
+from aldet.dataset import Dataset, make_synthetic_dataset
 from aldet.evaluation import EvalResult
 from aldet.pool import Pool, init_pool, with_pseudo
 from aldet.pseudo_label import PseudoLabels
@@ -72,6 +72,30 @@ class TestDatasetJSON:
         path.write_text(json.dumps({"classes": ["c"], "images": images}))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             formats.load_dataset(path)
+
+    @pytest.mark.parametrize("classes, message", [
+        ("ab", "classes: expected an array of class names, got 'ab'"),
+        ({"a": 1}, "classes: expected an array of class names, got {'a': 1}"),
+        ([1, 2], "classes: expected distinct class names (strings), got [1, 2]"),
+        (["a", "a"], "classes: expected distinct class names (strings), got ['a', 'a']"),
+    ])
+    def test_classes_must_be_an_array_of_distinct_names(self, tmp_path, classes, message):
+        # A string would load as one class per character, and a repeated or
+        # numeric name would load as a class of its own.
+        path = tmp_path / "data.json"
+        image = {"id": "a", "width": 10, "height": 10, "objects": [{"bbox": [0, 0, 5, 5], "class_id": 2}]}
+        path.write_text(json.dumps({"classes": classes, "images": [image]}))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            formats.load_dataset(path)
+
+    @pytest.mark.parametrize("classes, message", [
+        ("ab", "classes: expected a sequence of class names, got 'ab'"),
+        (("a", "a"), "classes: expected distinct class names (strings), got ['a', 'a']"),
+        (("a", 1), "classes: expected distinct class names (strings), got ['a', 1]"),
+    ])
+    def test_every_dataset_checks_its_class_names(self, classes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(classes, ())
 
 
 class TestPredictionsJSONL:

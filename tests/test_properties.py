@@ -24,6 +24,7 @@ from oracles import (
     Box,
     _image_entropy,
     _image_inconsistency,
+    ap_eleven_point_scan,
     chunk_of,
     dataset_of,
     entropy,
@@ -339,6 +340,16 @@ def test_map50_equals_per_object_oracle(items, gt):
         if n_gt[c]:
             per_class[c] = evaluation._ap_eleven_point(flags, n_gt[c]) if flags else 0.0
     assert got == EvalResult(per_class, n_gt)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.booleans(), max_size=40).flatmap(
+    lambda flags: st.tuples(st.just(flags), st.integers(1, len(flags) + 3))))
+def test_ap_eleven_point_equals_per_knot_scan(case):
+    # Suffix maxima of the precisions give each knot's best precision, and the
+    # knots add up in the same order, so the AP is the same float.
+    flags, n_gt = case
+    assert evaluation._ap_eleven_point(flags, n_gt).hex() == ap_eleven_point_scan(flags, n_gt).hex()
 
 
 # -- line-based readers on arbitrary bytes ----------------------------------------
@@ -698,6 +709,21 @@ def chunk_bits(chunk):
     return chunk.image_ids, chunk.widths, chunk.heights, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
+# Zero-width and zero-height boxes on the edges of a 64-pixel image, some at
+# -0.0: each needs a _MIN_BOX repair, and an edge jittered to -0.0 meets
+# Python's min and max on a tie of 0.0 and -0.0, where the first argument
+# wins (np.minimum and np.maximum return the second, which the writers print
+# apart).
+EDGE_BOXES = [[-0.0, 5, 0.0, 9], [-0.0, 5, -0.0, 9], [5, -0.0, 9, -0.0], [64, 10, 64, 20], [10, 64, 20, 64]]
+
+
+def edge_scene(k):
+    """Three 64-pixel images holding EDGE_BOXES, of classes 1..K in turn."""
+    classes = [1 + n % k for n in range(len(EDGE_BOXES))]
+    return dataset_of(tuple(f"c{c}" for c in range(1, k + 1)),
+                      tuple(ImageRecord(i, 64, 64, EDGE_BOXES, classes) for i in "abc"))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     scene(),
@@ -713,6 +739,8 @@ def chunk_bits(chunk):
                            ImageRecord("c", 300, 20, [], []))),
     seed=7, fp_rate=0.0, accuracy=0.5, robustness=0.5, updates=2, size=2,
 )
+@example(data=edge_scene(1), seed=3, fp_rate=3.0, accuracy=0.5, robustness=0.5, updates=2, size=2)
+@example(data=edge_scene(2), seed=5, fp_rate=3.0, accuracy=0.5, robustness=0.5, updates=2, size=2)
 def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, robustness, updates, size):
     # The detector predicts a chunk per call: it resets two long-lived
     # streams per image, takes bounded integers from raw words, reuses the
