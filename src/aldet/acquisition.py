@@ -67,11 +67,14 @@ LOG_EPS = 1e-12
 
 SCORE_STRATEGIES = ("entropy", "inconsistency", "unified")
 
-# Images per chunk. Scoring the 2,400-image sim-scan pool took 0.80 s one
-# image at a time and 0.11, 0.10 and 0.10 s in chunks of 32, 64 and 128,
-# while its peak of traced memory grew 0.8, 1.1 and 1.6 MB (matching's cross
-# pairs): 32 keeps nearly all of the gain and leaves the peak RSS in place.
-CHUNK_IMAGES = 32
+# Images per chunk. Each stage of the pool pass (the detector's array pass,
+# post_nms, NMS, matching and scoring) costs a fixed number of numpy calls
+# per chunk. The whole sim-scan command (2,500 training images, fp_rate 4)
+# took a median of 0.39, 0.32 and 0.29 s in chunks of 32, 64 and 128, with
+# the same output bytes, while its own peak RSS (VmHWM) grew 41.4, 41.5 and
+# 42.3 MB (20 alternating runs each on a shared 2-core x86-64 host, Python
+# 3.11, numpy 2.4).
+CHUNK_IMAGES = 128
 
 T = TypeVar("T")
 

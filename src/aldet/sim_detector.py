@@ -10,14 +10,17 @@ images (PredictionChunk) it returns.
 A detector predicts a chunk of images per call, in two steps. The draw loop
 goes over the chunk's images, resets each image's stream and makes its draws
 in the fixed order (see :class:`SyntheticDetector`), keeping only the raw
-draws: a few numpy calls per detection, with bounded integers taken from raw
-Philox words by numpy's own algorithm and a false positive's four uniforms
-from one call. The array pass then turns the chunk's draws into its rows
-with a fixed number of numpy calls: the jittered boxes with their
-``_MIN_BOX`` repair, the false-positive boxes, the peaks, the flip reuse,
-one softmax, one box and one distribution check, and one clamp of every row
-to its image. Each value is the float that arithmetic on one detection
-gives: every expression keeps its order of operations, Python's
+draws: a few cheap generator calls per detection. The box and logit noise
+is recorded as standard normals, and the peak and reuse uniforms as one raw
+Philox word each; bounded integers are taken from raw words by numpy's own
+algorithm, and a false positive's four uniforms come from one call. The
+array pass then turns the chunk's draws into its rows with a fixed number
+of numpy calls: it scales the normals and maps the words to uniforms as
+numpy's ``normal`` and ``random`` would, and computes the jittered boxes
+with their ``_MIN_BOX`` repair, the false-positive boxes, the peaks, the
+flip reuse, one softmax, one box and one distribution check, and one clamp
+of every row to its image. Each value is the float that arithmetic on one
+detection gives: every expression keeps its order of operations, Python's
 two-argument ``min`` and ``max`` become ``np.where`` on the same comparison
 (:func:`_min`, :func:`_max`), and the fused multiply-add caveat is on
 :func:`_false_positive_boxes`. So a row does not depend on the other rows
@@ -184,32 +187,36 @@ def _id_key(image_id: str) -> int:
 
 
 class _Stream:
-    """One Philox stream: numpy's ``Generator`` draws, and its bounded
-    integers taken from the raw 64-bit words at a fraction of the call cost.
+    """One Philox stream: numpy's ``Generator`` draws, its raw 64-bit words,
+    and bounded integers taken from those words at a fraction of the call
+    cost.
 
-    ``random``, ``normal`` and ``poisson`` are the generator's own methods.
-    ``integers(n)`` is ``int(Generator.integers(0, n))`` for
-    ``1 <= n < 2**32`` by numpy's own algorithm (Lemire, "Fast random
-    integer generation in an interval", 2019): each 64-bit word gives two
-    32-bit draws, low half first; a draw ``x`` maps to ``(x * n) >> 32``
-    unless ``(x * n) mod 2**32`` falls below ``(2**32 - n) % n``, in which
-    case the next draw is tried; ``n == 1`` draws nothing. The high half of
-    a word is kept for the stream's next integer draw, as numpy keeps it in
-    the bit generator. This is exact because nothing else drawn from the
-    stream reads that half: ``random``, ``normal`` and ``poisson`` take
+    ``random``, ``standard_normal`` and ``poisson`` are the generator's own
+    methods and ``random_raw`` is its bit generator's: one call takes the
+    stream's next 64-bit word, the word that ``random()`` would map to a
+    uniform (see :func:`_uniforms`). ``integers(n)`` is
+    ``int(Generator.integers(0, n))`` for ``1 <= n < 2**32`` by numpy's own
+    algorithm (Lemire, "Fast random integer generation in an interval",
+    2019): each 64-bit word gives two 32-bit draws, low half first; a draw
+    ``x`` maps to ``(x * n) >> 32`` unless ``(x * n) mod 2**32`` falls below
+    ``(2**32 - n) % n``, in which case the next draw is tried; ``n == 1``
+    draws nothing. The high half of a word is kept for the stream's next
+    integer draw, as numpy keeps it in the bit generator. This is exact
+    because nothing else drawn from the stream reads that half:
+    ``random_raw``, ``random``, ``standard_normal`` and ``poisson`` take
     whole words.
     """
 
-    __slots__ = ("_bits", "_raw", "_half", "random", "normal", "poisson")
+    __slots__ = ("_bits", "_half", "random_raw", "random", "standard_normal", "poisson")
 
     def __init__(self):
         # Seeded only to skip the OS entropy an unseeded one reads; reset
         # replaces the state before every use.
         gen = np.random.Generator(np.random.Philox(0))
         self._bits = gen.bit_generator
-        self._raw = self._bits.random_raw
+        self.random_raw = self._bits.random_raw
         self._half: int | None = None
-        self.random, self.normal, self.poisson = gen.random, gen.normal, gen.poisson
+        self.random, self.standard_normal, self.poisson = gen.random, gen.standard_normal, gen.poisson
 
     def reset(self, k1: int, k2: int) -> None:
         """Back to the start of stream ``[k1, k2]``: counter 0, empty buffers,
@@ -226,7 +233,7 @@ class _Stream:
             return 0
         while True:
             if self._half is None:
-                word = self._raw()
+                word = self.random_raw()
                 x, self._half = word & _MASK32, word >> 32
             else:
                 x, self._half = self._half, None
@@ -237,19 +244,20 @@ class _Stream:
 
 class _Draws(NamedTuple):
     """The raw draws of one view of a chunk, as the draw loop makes them:
-    per ground-truth object in chunk order its four box normals (``noise``)
-    and, in the flipped view, the uniform that decides the reuse; per false
-    positive its four box uniforms and its class integer in ``[0, K)``; per
-    image its false-positive count; and per row in chunk order the peak
-    uniform, the confusion integer and the logit normals of its
-    distribution."""
+    per ground-truth object in chunk order its four standard box normals
+    (``noise``) and, in the flipped view, the raw word whose uniform decides
+    the reuse; per false positive its four box uniforms and its class
+    integer in ``[0, K)``; per image its false-positive count; and per row
+    in chunk order the raw word of the peak uniform, the confusion integer
+    and the K+1 standard normals of its logits. The array pass scales the
+    normals and maps the words to uniforms (:func:`_uniforms`)."""
 
     noise: list
-    reuse: list
+    reuse_words: list
     fp_counts: list
     fp_u: list
     fp_classes: list
-    peak_u: list
+    peak_words: list
     confusions: list
     logits: list
 
@@ -257,6 +265,21 @@ class _Draws(NamedTuple):
 def _rows(arrays: list, width: int) -> np.ndarray:
     """The equal-length 1-D arrays of a list as the rows of one (n, width) array."""
     return np.concatenate(arrays).reshape(-1, width) if arrays else np.empty((0, width))
+
+
+def _normal(z: np.ndarray, scale: float) -> np.ndarray:
+    """What ``rng.normal(0.0, scale)`` makes of each standard normal ``z``:
+    numpy's own ``loc + scale * z``, so each is the same float, on the
+    rounding that :func:`_false_positive_boxes` relies on. The ``0.0 +``
+    turns the -0.0 of a zero scale times a negative ``z`` into 0.0."""
+    return 0.0 + scale * z
+
+
+def _uniforms(words: list) -> np.ndarray:
+    """The uniform in [0, 1) that ``Generator.random()`` makes of each raw
+    64-bit Philox word of a list: its top 53 bits times 2**-53, as numpy's
+    ``next_double`` computes it, so each is the same float."""
+    return (np.array(words, dtype=np.uint64) >> 11) * (1.0 / 9007199254740992.0)
 
 
 # Python's two-argument min and max, elementwise: ``a`` unless ``b`` is less
@@ -301,7 +324,8 @@ def _false_positive_boxes(u: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.nda
     ``rng.uniform(low, high)`` would give, ``low + (high - low) * u`` written
     out: equal to the bit as long as numpy rounds the product and the sum
     separately (no fused multiply-add), as its x86-64 builds do;
-    test_predict_equals_fresh_generator_oracle checks it."""
+    test_predict_equals_fresh_generator_oracle checks it. :func:`_normal`
+    rests on the same rounding."""
     bw = _FP_SIDE + (0.5 * w - _FP_SIDE) * u[:, 0]
     bh = _FP_SIDE + (0.5 * h - _FP_SIDE) * u[:, 1]
     x0 = 0.0 + (w - bw - 0.0) * u[:, 2]
@@ -346,9 +370,12 @@ class SyntheticDetector(DetectorInterface):
     The detector keeps one :class:`_Stream` per tag and resets it to the
     start of an image's stream before drawing it: the draws are the same as
     from a fresh generator, without the cost of building one per image.
-    Bounded integers are taken from raw words (see :class:`_Stream`).
-    :meth:`_draw_loop` makes the draws and :meth:`_view` computes a chunk's
-    rows from them in one array pass. The ground-truth logits of the most
+    :meth:`_draw_loop` makes the draws through the cheapest generator call
+    that consumes the same words: standard normals for ``normal``, one raw
+    word for each single uniform, and bounded integers taken from raw words
+    (see :class:`_Stream`). :meth:`_view` computes a chunk's rows from them
+    in one array pass, which also scales the normals and maps the words to
+    uniforms (:func:`_uniforms`). The ground-truth logits of the most
     recent original-view call are kept, so a flipped call of the same images
     reuses them instead of drawing stream 0 again; any other flipped call
     draws those images' original view again (:meth:`_original_logits`) and
@@ -417,28 +444,27 @@ class SyntheticDetector(DetectorInterface):
         """The raw draws of one view of the images, each holding ``counts[i]``
         objects, in the fixed draw order (see :class:`SyntheticDetector`)."""
         k, n_confusions, fp_rate = self._k, self._n_confusions, self._config.fp_rate
-        logit_noise = self._config.logit_noise
         d = _Draws([], [], [], [], [], [], [], [])
-        noise, reuse, fp_counts, fp_u, fp_classes, peak_u, confusions, logits = d
+        noise, reuse_words, fp_counts, fp_u, fp_classes, peak_words, confusions, logits = d
         tag = 1 if flipped else 0
         for image_id, n_objects in zip(image_ids, counts):
             rng = self._stream(image_id, tag)
-            random, normal, integers = rng.random, rng.normal, rng.integers
+            raw, normals, random, integers = rng.random_raw, rng.standard_normal, rng.random, rng.integers
             for _ in range(n_objects):
-                noise.append(normal(0.0, 1.0, 4))
+                noise.append(normals(4))
                 if flipped:
-                    reuse.append(random())
-                peak_u.append(random())  # the one draw of rng.uniform(), at a fraction of its call cost
+                    reuse_words.append(raw())
+                peak_words.append(raw())
                 confusions.append(integers(n_confusions))
-                logits.append(normal(0.0, logit_noise, k + 1))
+                logits.append(normals(k + 1))
             n = int(rng.poisson(fp_rate)) if fp_rate > 0.0 else 0
             fp_counts.append(n)
             for _ in range(n):
                 fp_u.append(random(4))
                 fp_classes.append(integers(k))
-                peak_u.append(random())
+                peak_words.append(raw())
                 confusions.append(integers(n_confusions))
-                logits.append(normal(0.0, logit_noise, k + 1))
+                logits.append(normals(k + 1))
         return d
 
     def _view(self, image_ids: Sequence[str], pos: np.ndarray, flipped: bool) -> tuple[np.ndarray, ...]:
@@ -472,7 +498,7 @@ class SyntheticDetector(DetectorInterface):
         if flipped:
             x0, y0, x1, y1 = gt.T
             gt = np.stack([w[gt_image] - x1, y0, w[gt_image] - x0, y1], axis=1)
-        boxes[gt_rows] = _jittered(gt, _rows(d.noise, 4), self._config.box_noise,
+        boxes[gt_rows] = _jittered(gt, _normal(_rows(d.noise, 4), 1.0), self._config.box_noise,
                                    w[gt_image], h[gt_image])
         boxes[fp_rows] = _false_positive_boxes(_rows(d.fp_u, 4), w[fp_image], h[fp_image])
 
@@ -483,12 +509,12 @@ class SyntheticDetector(DetectorInterface):
         # class 1 + confusion steps after it, cyclically over 1..K (itself
         # when K=1).
         confusions = np.array(d.confusions, dtype=np.intp)
-        peaks = np.where(np.array(d.peak_u) < self._accuracy[classes], classes, 1 + (classes + confusions) % k)
-        logits = _rows(d.logits, k + 1)
+        peaks = np.where(_uniforms(d.peak_words) < self._accuracy[classes], classes, 1 + (classes + confusions) % k)
+        logits = _normal(_rows(d.logits, k + 1), self._config.logit_noise)
         logits[np.arange(len(logits)), peaks] += self._inv_temperature
         if flipped:
             # The original view's distribution, reused when the flip is robust.
-            reused = np.array(d.reuse) < self._robustness[classes[gt_rows]]
+            reused = _uniforms(d.reuse_words) < self._robustness[classes[gt_rows]]
             logits[gt_rows[reused]] = original[reused]
         return np.repeat(np.arange(len(sizes)), sizes), boxes, logits, gt_rows
 

@@ -372,7 +372,8 @@ class TestSinglePass:
     CYCLES = 3
 
     def run(self, monkeypatch, pl_enabled):
-        train, test, world = small_world()
+        # a pool that holds a full chunk after the initial 10 and every budget
+        train, test, world = small_world(n_train=acquisition.CHUNK_IMAGES + 28)
         evaluations = []
 
         def counting_map50(*args, **kwargs):
@@ -458,13 +459,14 @@ class TestOnePass:
     chunk."""
 
     CFG = dict(cycles=3, budget_per_cycle=10, seed=0, tau=0.9)
+    N_TRAIN = 4 * acquisition.CHUNK_IMAGES - 8  # a pool of about four chunks after the initial 10
 
     def test_no_image_replays_its_original_stream(self, monkeypatch):
         # With pseudo-labels on, stream 0 (the original view's draws) is
         # reset once per original image predicted: each flipped image takes
         # its ground-truth logits from the original-view call just before
         # it, instead of replaying its stream.
-        train, test, world = small_world(n_train=120)
+        train, test, world = small_world(n_train=self.N_TRAIN)
         stream, resets = SyntheticDetector._stream, Counter()
 
         def counting_stream(self, image_id, tag):
@@ -483,7 +485,7 @@ class TestOnePass:
     def test_holds_one_chunk_of_the_pools_predictions(self, monkeypatch, pl_enabled, pl_strategy):
         # Whenever the detector predicts, at most one chunk of the pool's
         # post-NMS original views is alive, over a pool of four chunks.
-        train, test, world = small_world(n_train=120)
+        train, test, world = small_world(n_train=self.N_TRAIN)
         train_ids, post_nms, made = set(train.image_ids), acquisition.post_nms, []
 
         def tracked(chunk, cfg):

@@ -786,15 +786,16 @@ INTEGER_BOUNDS = [1, 2, 3, 20, 21, 3 * 2**30, 2**31 + 1, 2**32 - 1]
 @given(
     st.integers(0, 2**64 - 1),
     st.integers(0, 2**64 - 1),
-    st.lists(st.sampled_from(INTEGER_BOUNDS) | st.sampled_from(["random", "random4", "normal", "poisson", "reset"]),
-             max_size=60),
+    st.lists(st.sampled_from(INTEGER_BOUNDS)
+             | st.sampled_from(["raw", "random", "random4", "normal", "poisson", "reset"]), max_size=60),
 )
 @example(k1=1, k2=2, ops=[3 * 2**30] * 40 + ["normal"] + [2**31 + 1] * 40)  # rejects many times
+@example(k1=1, k2=2, ops=[3 * 2**30] * 40 + ["raw"] + [2**31 + 1] * 40)
 def test_stream_integers_equal_numpy(k1, k2, ops):
     # _Stream.integers(n) is numpy's Generator.integers(0, n) computed from
     # raw words. n above 2**30 rejects often and leaves half words behind
-    # that random, normal and poisson must not disturb; "reset" must drop
-    # them. If numpy changes its algorithm, this fails.
+    # that random_raw, random, standard_normal and poisson must not disturb;
+    # "reset" must drop them. If numpy changes its algorithm, this fails.
     stream = _Stream()
     stream.reset(k1, k2)
     gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
@@ -802,12 +803,14 @@ def test_stream_integers_equal_numpy(k1, k2, ops):
         if op == "reset":
             stream.reset(k1, k2)
             gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
+        elif op == "raw":
+            assert stream.random_raw() == gen.bit_generator.random_raw()
         elif op == "random":
             assert stream.random() == gen.random()
         elif op == "random4":
             assert stream.random(4).tobytes() == gen.random(4).tobytes()
         elif op == "normal":
-            assert stream.normal(0.0, 0.1, 21).tobytes() == gen.normal(0.0, 0.1, 21).tobytes()
+            assert stream.standard_normal(21).tobytes() == gen.standard_normal(21).tobytes()
         elif op == "poisson":
             assert stream.poisson(4.0) == gen.poisson(4.0)
         else:

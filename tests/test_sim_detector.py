@@ -318,6 +318,47 @@ class TestUpdate:
             assert det2.class_accuracy(c) <= 0.97
 
 
+class TestCheapDraws:
+    """The draw loop takes standard normals and raw words, cheaper calls
+    than the values it needs, and the array pass maps them to what
+    ``normal`` and ``random`` give, bit for bit. Each call takes the same
+    words, so the stream stays in step: the next raw word agrees."""
+
+    @staticmethod
+    def twins(buffered=None):
+        """Two generators on one Philox state; ``buffered`` are the next
+        words they give, put in the bit generator's buffer of four."""
+        gens = [np.random.Generator(np.random.Philox(key=np.array([7, 11], dtype=np.uint64))) for _ in range(2)]
+        if buffered is not None:
+            for gen in gens:
+                state = gen.bit_generator.state
+                pos = 4 - len(buffered)
+                state["buffer"], state["buffer_pos"] = np.array([0] * pos + buffered, dtype=np.uint64), pos
+                gen.bit_generator.state = state
+        return gens
+
+    @pytest.mark.parametrize("n, buffered", [(10_000, None), (3, [0, 2**11 - 1, 2**64 - 1])],
+                             ids=["draws", "edge-words"])
+    def test_raw_words_map_to_random(self, n, buffered):
+        a, b = self.twins(buffered)
+        words = [a.bit_generator.random_raw() for _ in range(n)]
+        expected = np.array([b.random() for _ in range(n)])
+        if buffered is not None:
+            assert words == buffered and expected.tolist() == [0.0, 0.0, 1.0 - 2.0**-53]
+        assert sim_detector._uniforms(words).tobytes() == expected.tobytes()
+        assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 0.0])
+    def test_scaled_standard_normals_are_normal(self, scale):
+        a, b = self.twins()
+        for n in (4, 21):
+            z = np.concatenate([a.standard_normal(n) for _ in range(500)])
+            expected = np.concatenate([b.normal(0.0, scale, n) for _ in range(500)])
+            assert (z < 0).any()  # a zero scale times these gives -0.0 unless 0.0 is added
+            assert sim_detector._normal(z, scale).tobytes() == expected.tobytes()
+            assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
+
+
 def test_false_positives_need_a_20_pixel_image():
     # A false positive's side is drawn from [10, half the image side].
     data = dataset_of(("c",), (ImageRecord("a", 16, 300, [[1, 1, 5, 5]], [1]), ImageRecord("b", 20, 20, [], [])))
