@@ -258,16 +258,11 @@ def cmd_pseudolabel(args) -> int:
 
     candidates = sorted(preds.views[False].image_ids)
     if args.pool:
-        pool = formats.load_pool(args.pool)
-        # load_pool knows neither the dataset's ids nor K.
+        pool = formats.load_pool(args.pool, dataset.n_classes)
+        # load_pool does not know the dataset's ids.
         unknown = pool.all_ids - set(dataset.image_ids)
         if unknown:
             raise ValueError(f"{args.pool}: image ids not in {cfg.dataset}: {sorted(unknown)[:5]}")
-        outside = pool.pseudo.class_ids > dataset.n_classes
-        if outside.any():
-            row = outside.argmax()
-            raise ValueError(f"{args.pool}: image {str(pool.pseudo.image_ids[row])!r}: class_id "
-                             f"{pool.pseudo.class_ids[row]} outside 1..{dataset.n_classes}")
         candidates = [i for i in candidates if i in pool.unlabeled]
 
     acq = cfg.acquisition_config()

@@ -367,14 +367,20 @@ def write_predictions_jsonl(chunks: Iterable[PredictionChunk], path) -> None:
 # state: {"image_id": str, "bbox": [4], "class_id": int, "confidence": float}
 
 
-def _pl_set(recs) -> PseudoLabels:
-    """The pseudo-labels of the given records, checked."""
-    return PseudoLabels(
+def _pl_set(recs, n_classes: int | None = None) -> PseudoLabels:
+    """The pseudo-labels of the given records, checked: with ``n_classes``,
+    a ``class_id`` outside 1..``n_classes`` is refused."""
+    pls = PseudoLabels(
         [rec["image_id"] for rec in recs],
         [rec["bbox"] for rec in recs],
         [_typed_field(rec, "class_id", int) for rec in recs],
         [float(rec["confidence"]) for rec in recs],
     )
+    if n_classes is not None:
+        outside = pls.class_ids > n_classes
+        if outside.any():
+            raise ValueError(f"class_id {pls.class_ids[outside.argmax()]} outside 1..{n_classes}")
+    return pls
 
 
 # A record as json.dumps(record, sort_keys=True) writes it: json writes a
@@ -404,14 +410,8 @@ def read_pseudo_labels_jsonl(path, n_classes: int) -> PseudoLabels:
     """The file's pseudo-labels, in file order; a ``class_id`` outside
     1..``n_classes`` is refused naming its line."""
 
-    def record(rec) -> PseudoLabels:
-        pls = _pl_set([rec])
-        if pls.class_ids[0] > n_classes:
-            raise ValueError(f"class_id {pls.class_ids[0]} outside 1..{n_classes}")
-        return pls
-
     # One record at a time, so that an error names its line.
-    return PseudoLabels.concat(_read_jsonl(path, record))
+    return PseudoLabels.concat(_read_jsonl(path, lambda rec: _pl_set([rec], n_classes)))
 
 
 # -- pool state JSON ----------------------------------------------------------
@@ -435,9 +435,12 @@ def save_pool(pool: Pool, path) -> None:
     _write_pieces(path, (json.dumps(payload, sort_keys=True), "\n"))
 
 
-def load_pool(path) -> Pool:
+def load_pool(path, n_classes: int | None = None) -> Pool:
     """Every error names the file, and one about a pseudo-label record the
-    image. ``labeled`` and ``unlabeled`` must be arrays of image ids."""
+    image. ``labeled`` and ``unlabeled`` must be arrays of image ids. With
+    ``n_classes``, a pseudo-label ``class_id`` outside 1..``n_classes`` is
+    refused; without it (``aldet select --pool``, which reads no dataset)
+    class ids are not checked against K."""
     raw = _read_json(path)
     image_id = None
     try:
@@ -448,7 +451,7 @@ def load_pool(path) -> Pool:
             raise ValueError(f"pseudo-labels filed under another image's id: {misfiled[:5]}")
         sets = []
         for image_id, recs in pseudo.items():
-            sets.append(_pl_set(recs))
+            sets.append(_pl_set(recs, n_classes))
         image_id = None  # the records are read
         return Pool(_id_set(raw, "labeled"), _id_set(raw, "unlabeled"), PseudoLabels.concat(sets),
                     _typed_field(raw, "cycle", int))

@@ -10,22 +10,24 @@ images (PredictionChunk) it returns.
 A detector predicts a chunk of images per call, in two steps. The draw loop
 goes over the chunk's images, resets each image's stream and makes its draws
 in the fixed order (see :class:`SyntheticDetector`), keeping only the raw
-draws: a few cheap generator calls per detection. The box and logit noise
-is recorded as standard normals, and the peak and reuse uniforms as one raw
-Philox word each; bounded integers are taken from raw words by numpy's own
-algorithm, and a false positive's four uniforms come from one call. The
-array pass then turns the chunk's draws into its rows with a fixed number
-of numpy calls: it scales the normals and maps the words to uniforms as
-numpy's ``normal`` and ``random`` would, and computes the jittered boxes
-with their ``_MIN_BOX`` repair, the false-positive boxes, the peaks, the
-flip reuse, one softmax, one box and one distribution check, and one clamp
-of every row to its image. Each value is the float that arithmetic on one
-detection gives: every expression keeps its order of operations, Python's
-two-argument ``min`` and ``max`` become ``np.where`` on the same comparison
-(:func:`_min`, :func:`_max`), and the fused multiply-add caveat is on
-:func:`_false_positive_boxes`. So a row does not depend on the other rows
-of its chunk. The chunk's ground truth is gathered from the dataset's
-columns with one index.
+draws, with two generator calls per detection: one ``random_raw`` for every
+raw 64-bit Philox word between two normal draws, and one
+``standard_normal`` for the normals that follow. The array pass then reads
+each draw at its fixed position in the chunk's words and normals and turns
+them into its rows with a fixed number of numpy calls: it takes the bounded
+integers from the words by numpy's own algorithm, scales the normals and
+maps the words to uniforms as numpy's ``integers``, ``normal`` and
+``random`` would, and computes the jittered boxes with their ``_MIN_BOX``
+repair, the false-positive boxes, the peaks, the flip reuse, one softmax,
+one box and one distribution check, and one clamp of every row to its
+image. A chunk in which a bounded integer would be rejected, which moves
+the words after it, is drawn again one value per call. Each value is the
+float that arithmetic on one detection gives: every expression keeps its
+order of operations, Python's two-argument ``min`` and ``max`` become
+``np.where`` on the same comparison (:func:`_min`, :func:`_max`), and the
+fused multiply-add caveat is on :func:`_false_positive_boxes`. So a row
+does not depend on the other rows of its chunk. The chunk's ground truth is
+gathered from the dataset's columns with one index.
 
 The flipped view takes the original view's logits from the last
 original-view call instead of drawing them again when that call held the
@@ -187,27 +189,13 @@ def _id_key(image_id: str) -> int:
 
 
 class _Stream:
-    """One Philox stream: numpy's ``Generator`` draws, its raw 64-bit words,
-    and bounded integers taken from those words at a fraction of the call
-    cost.
+    """One Philox stream, reset to the start of an image's stream before
+    each use: numpy's ``Generator`` methods ``standard_normal``, ``poisson``
+    and ``integers``, and its bit generator's ``random_raw``, which takes the
+    stream's next 64-bit words, the words that ``random()`` would map to
+    uniforms (see :func:`_uniforms`)."""
 
-    ``random``, ``standard_normal`` and ``poisson`` are the generator's own
-    methods and ``random_raw`` is its bit generator's: one call takes the
-    stream's next 64-bit word, the word that ``random()`` would map to a
-    uniform (see :func:`_uniforms`). ``integers(n)`` is
-    ``int(Generator.integers(0, n))`` for ``1 <= n < 2**32`` by numpy's own
-    algorithm (Lemire, "Fast random integer generation in an interval",
-    2019): each 64-bit word gives two 32-bit draws, low half first; a draw
-    ``x`` maps to ``(x * n) >> 32`` unless ``(x * n) mod 2**32`` falls below
-    ``(2**32 - n) % n``, in which case the next draw is tried; ``n == 1``
-    draws nothing. The high half of a word is kept for the stream's next
-    integer draw, as numpy keeps it in the bit generator. This is exact
-    because nothing else drawn from the stream reads that half:
-    ``random_raw``, ``random``, ``standard_normal`` and ``poisson`` take
-    whole words.
-    """
-
-    __slots__ = ("_bits", "_half", "random_raw", "random", "standard_normal", "poisson")
+    __slots__ = ("_bits", "random_raw", "standard_normal", "poisson", "integers")
 
     def __init__(self):
         # Seeded only to skip the OS entropy an unseeded one reads; reset
@@ -215,8 +203,7 @@ class _Stream:
         gen = np.random.Generator(np.random.Philox(0))
         self._bits = gen.bit_generator
         self.random_raw = self._bits.random_raw
-        self._half: int | None = None
-        self.random, self.standard_normal, self.poisson = gen.random, gen.standard_normal, gen.poisson
+        self.standard_normal, self.poisson, self.integers = gen.standard_normal, gen.poisson, gen.integers
 
     def reset(self, k1: int, k2: int) -> None:
         """Back to the start of stream ``[k1, k2]``: counter 0, empty buffers,
@@ -226,45 +213,58 @@ class _Stream:
             "state": {"counter": (0, 0, 0, 0), "key": (k1, k2)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        self._half = None
-
-    def integers(self, n: int) -> int:
-        if n == 1:
-            return 0
-        while True:
-            if self._half is None:
-                word = self.random_raw()
-                x, self._half = word & _MASK32, word >> 32
-            else:
-                x, self._half = self._half, None
-            m = x * n
-            if m & _MASK32 >= (2**32 - n) % n:
-                return m >> 32
 
 
 class _Draws(NamedTuple):
-    """The raw draws of one view of a chunk, as the draw loop makes them:
-    per ground-truth object in chunk order its four standard box normals
-    (``noise``) and, in the flipped view, the raw word whose uniform decides
-    the reuse; per false positive its four box uniforms and its class
-    integer in ``[0, K)``; per image its false-positive count; and per row
-    in chunk order the raw word of the peak uniform, the confusion integer
-    and the K+1 standard normals of its logits. The array pass scales the
-    normals and maps the words to uniforms (:func:`_uniforms`)."""
+    """The draws of one view of a chunk, as arrays: per ground-truth object
+    in chunk order its four standard box normals (``noise``) and, in the
+    flipped view, the raw word whose uniform decides the reuse; per false
+    positive the raw words of its four box uniforms and its class integer
+    in ``[0, K)``; and per row in chunk order the raw word of its peak
+    uniform, its confusion integer and the K+1 standard normals of its
+    logits. The array pass scales the normals and maps the words to
+    uniforms (:func:`_uniforms`)."""
 
-    noise: list
-    reuse_words: list
-    fp_counts: list
-    fp_u: list
-    fp_classes: list
-    peak_words: list
-    confusions: list
-    logits: list
+    noise: np.ndarray
+    reuse_words: np.ndarray
+    fp_words: np.ndarray
+    fp_classes: np.ndarray
+    peak_words: np.ndarray
+    confusions: np.ndarray
+    logits: np.ndarray
 
 
-def _rows(arrays: list, width: int) -> np.ndarray:
-    """The equal-length 1-D arrays of a list as the rows of one (n, width) array."""
-    return np.concatenate(arrays).reshape(-1, width) if arrays else np.empty((0, width))
+class _Layout(NamedTuple):
+    """Where the rows of one view of a chunk lie, image by image: the
+    image's objects, then its ``n_fp`` false positives."""
+
+    n_fp: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    gt_image: np.ndarray
+    gt_rows: np.ndarray
+    fp_image: np.ndarray
+    fp_rows: np.ndarray
+
+
+def _layout(counts: np.ndarray, n_fp: np.ndarray) -> _Layout:
+    """The layout of a chunk whose images hold ``counts`` objects and ``n_fp``
+    false positives."""
+    sizes = counts + n_fp
+    starts = np.cumsum(sizes) - sizes
+    return _Layout(n_fp, sizes, starts, *span_pairs(starts, counts), *span_pairs(starts + counts, n_fp))
+
+
+def _bounded_integers(words: np.ndarray, high, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(0, n)``, for ``2 <= n < 2**32``, of each 32-bit
+    draw: the high half of its raw 64-bit word in ``words`` where ``high``,
+    else the low half. This is numpy's own algorithm (Lemire, "Fast random
+    integer generation in an interval", 2019): a draw ``x`` gives
+    ``(x * n) >> 32`` unless ``(x * n) mod 2**32`` falls below
+    ``(2**32 - n) % n``; then numpy rejects it and tries its next draw.
+    Returns the values and which draws are rejected."""
+    m = np.where(high, words >> 32, words & _MASK32) * n
+    return (m >> 32).astype(np.intp), (m & _MASK32) < (2**32 - n) % n
 
 
 def _normal(z: np.ndarray, scale: float) -> np.ndarray:
@@ -275,11 +275,11 @@ def _normal(z: np.ndarray, scale: float) -> np.ndarray:
     return 0.0 + scale * z
 
 
-def _uniforms(words: list) -> np.ndarray:
+def _uniforms(words) -> np.ndarray:
     """The uniform in [0, 1) that ``Generator.random()`` makes of each raw
-    64-bit Philox word of a list: its top 53 bits times 2**-53, as numpy's
+    64-bit Philox word: its top 53 bits times 2**-53, as numpy's
     ``next_double`` computes it, so each is the same float."""
-    return (np.array(words, dtype=np.uint64) >> 11) * (1.0 / 9007199254740992.0)
+    return (np.asarray(words, dtype=np.uint64) >> 11) * (1.0 / 9007199254740992.0)
 
 
 # Python's two-argument min and max, elementwise: ``a`` unless ``b`` is less
@@ -370,21 +370,45 @@ class SyntheticDetector(DetectorInterface):
     The detector keeps one :class:`_Stream` per tag and resets it to the
     start of an image's stream before drawing it: the draws are the same as
     from a fresh generator, without the cost of building one per image.
-    :meth:`_draw_loop` makes the draws through the cheapest generator call
-    that consumes the same words: standard normals for ``normal``, one raw
-    word for each single uniform, and bounded integers taken from raw words
-    (see :class:`_Stream`). :meth:`_view` computes a chunk's rows from them
-    in one array pass, which also scales the normals and maps the words to
-    uniforms (:func:`_uniforms`). The ground-truth logits of the most
-    recent original-view call are kept, so a flipped call of the same images
-    reuses them instead of drawing stream 0 again; any other flipped call
-    draws those images' original view again (:meth:`_original_logits`) and
-    keeps the last call's. ``run_cycles`` makes only the first kind, since
-    it predicts each chunk's two views back to back, and so never draws an
-    original view twice. That keeps one chunk's logits, O(images in the
-    call x objects), never a pool's. The streams and that call's logits are
-    shared by the calls of one detector, which is therefore not safe to
-    call from several threads at once.
+
+    :meth:`_draw_loop` makes an image's draws in two generator calls per
+    detection. The normals are one ``standard_normal`` call per object that
+    takes its K+1 logit normals together with the next object's 4 box
+    normals, so only the image's first 4 and its last object's K+1 are drawn
+    alone, and one call of K+1 per false positive. Every raw word between
+    two normal draws is one ``random_raw`` call: a uniform is one word, as
+    ``random()`` takes it, and a bounded integer takes 32 bits, as numpy's
+    ``integers(0, n)`` does: an even draw of the image (counting the draws
+    with ``n`` > 1 only) the low half of a fresh word, an odd draw the high
+    half of the word the previous draw took; ``n`` = 1 draws nothing, which
+    is the confusion integer when K <= 2 and the class when K = 1. So an
+    object's words are its reuse word (flipped view only), its peak word
+    and, on an even confusion draw, a fresh word. A false positive's are its
+    4 box words, then its class's fresh word and its peak word when its
+    class draw is even, or its peak word and its confusion's fresh word when
+    odd: 6 words when K >= 3, 6 or 5 when K = 2 and 5 when K = 1.
+
+    :meth:`_parse` reads every draw at its fixed position in the chunk's
+    words and normals and takes the bounded integers from their words with
+    one numpy pass (:func:`_bounded_integers`). Numpy rejects a draw ``x``
+    with ``(x * n) mod 2**32 < (2**32 - n) % n`` and tries the next, which
+    moves every later word of the image, about 1.4e-9 per confusion draw at
+    K = 20; if any draw of the chunk would be rejected, the chunk is drawn
+    again one value per call, the integers by the generator's own
+    ``integers`` (:meth:`_draw_one_by_one`). :meth:`_view` computes a
+    chunk's rows from the draws in one array pass, which also scales the
+    normals and maps the words to uniforms (:func:`_uniforms`).
+
+    The ground-truth logits of the most recent original-view call are kept,
+    so a flipped call of the same images reuses them instead of drawing
+    stream 0 again; any other flipped call draws those images' original view
+    again (:meth:`_original_logits`) and keeps the last call's.
+    ``run_cycles`` makes only the first kind, since it predicts each chunk's
+    two views back to back, and so never draws an original view twice. That
+    keeps one chunk's logits, O(images in the call x objects), never a
+    pool's. The streams and that call's logits are shared by the calls of
+    one detector, which is therefore not safe to call from several threads
+    at once.
     """
 
     def __init__(self, config: SyntheticDetectorConfig, dataset: Dataset):
@@ -399,6 +423,12 @@ class SyntheticDetector(DetectorInterface):
         # 0.1 MB more peak memory per thousand images.
         self._id_keys: dict[str, int] = {}
         self._n_confusions = max(k - 1, 1)
+        # The raw words of a draw loop block, at an even and an odd count of
+        # the image's bounded-integer draws so far: an object's in the
+        # original and in the flipped view, and a false positive's (see
+        # _parse).
+        self._gt_words = ((1 + (k >= 3), 1), (2 + (k >= 3), 2))
+        self._fp_words = (5 + (k >= 2), 5 + (k >= 3))
         self._inv_temperature = 1.0 / config.temperature
         self._set_version(0)
 
@@ -440,16 +470,116 @@ class SyntheticDetector(DetectorInterface):
         stream.reset(self._k1, keys >> 64 if tag else keys & _MASK64)
         return stream
 
-    def _draw_loop(self, image_ids: Sequence[str], counts: Sequence[int], flipped: bool) -> _Draws:
-        """The raw draws of one view of the images, each holding ``counts[i]``
-        objects, in the fixed draw order (see :class:`SyntheticDetector`)."""
-        k, n_confusions, fp_rate = self._k, self._n_confusions, self._config.fp_rate
-        d = _Draws([], [], [], [], [], [], [], [])
-        noise, reuse_words, fp_counts, fp_u, fp_classes, peak_words, confusions, logits = d
+    def _draw_loop(self, image_ids: Sequence[str], counts: Sequence[int], flipped: bool) -> tuple[list, list, list]:
+        """One view of the images, each holding ``counts[i]`` objects, drawn
+        in the fixed draw order (see :class:`SyntheticDetector`) with two
+        generator calls per detection: one ``random_raw`` for every word
+        between two normal draws and one ``standard_normal`` for the normals
+        that follow. Returns each image's false-positive count and the raw
+        words and standard normals in draw order, as :meth:`_parse` reads
+        them; the block sizes assume that no bounded integer is rejected."""
+        k1, k5, fp_rate = self._k + 1, self._k + 5, self._config.fp_rate
+        gt_words, fp_words = self._gt_words[flipped], self._fp_words
+        words, normals, fp_counts = [], [], []
+        add_words, add_normals = words.append, normals.append
         tag = 1 if flipped else 0
         for image_id, n_objects in zip(image_ids, counts):
             rng = self._stream(image_id, tag)
-            raw, normals, random, integers = rng.random_raw, rng.standard_normal, rng.random, rng.integers
+            raw, standard_normal = rng.random_raw, rng.standard_normal
+            if n_objects:
+                # An object's logit normals and the next object's box normals in one call.
+                add_normals(standard_normal(4))
+                for j in range(n_objects - 1):
+                    add_words(raw(gt_words[j & 1]))
+                    add_normals(standard_normal(k5))
+                add_words(raw(gt_words[(n_objects - 1) & 1]))
+                add_normals(standard_normal(k1))
+            n = int(rng.poisson(fp_rate)) if fp_rate > 0.0 else 0
+            fp_counts.append(n)
+            # The image's integer draws so far have f's parity when K = 2;
+            # otherwise a false positive's words do not depend on it.
+            for f in range(n):
+                add_words(raw(fp_words[f & 1]))
+                add_normals(standard_normal(k1))
+        return fp_counts, words, normals
+
+    def _parse(self, counts: np.ndarray, rows: _Layout, words: list, normals: list, flipped: bool) -> _Draws | None:
+        """The draws of :meth:`_draw_loop`'s words and normals, each read at
+        its fixed position; None if a bounded integer among them would be
+        rejected, which moves every later word of its image."""
+        k, g = self._k, int(flipped)
+        gt_rows, fp_rows = rows.gt_rows, rows.fp_rows
+        n_rows = len(gt_rows) + len(fp_rows)
+        w = np.concatenate(words) if words else np.empty(0, dtype=np.uint64)
+        z = np.concatenate(normals) if normals else np.empty(0)
+
+        # Normals: an object's 4 box normals and K+1 logit normals, a false
+        # positive's K+1 logit normals; each row's block ends with its logits.
+        n_normals = np.full(n_rows, k + 1)
+        n_normals[gt_rows] = k + 5
+        ends = np.cumsum(n_normals)
+        logits = z[ends[:, None] + np.arange(-k - 1, 0)]
+        noise = z[ends[gt_rows, None] + np.arange(-k - 5, -k - 1)]
+
+        # Parities of the image's bounded-integer draws so far: an object's
+        # index in its image (K >= 3, one confusion draw each), and before a
+        # false positive the image's object count (K >= 3, two draws per
+        # false positive) or its index among the false positives (K = 2, one
+        # class draw each). K = 1 draws no integer.
+        odd = (gt_rows - rows.starts[rows.gt_image]) & 1 if k >= 3 else 0
+        if k >= 3:
+            q = counts[rows.fp_image] & 1
+        elif k == 2:
+            q = (fp_rows - (rows.starts + counts)[rows.fp_image]) & 1
+        else:
+            q = 0
+        gt_words, fp_words = self._gt_words[flipped], self._fp_words
+        n_words = np.empty(n_rows, dtype=np.intp)
+        n_words[gt_rows] = gt_words[0] - odd
+        n_words[fp_rows] = fp_words[0] - (fp_words[0] - fp_words[1]) * q
+        first_word = np.cumsum(n_words) - n_words
+        s_gt, s_fp = first_word[gt_rows], first_word[fp_rows]
+
+        # An object's words: [reuse,] peak[, fresh integer word on an even
+        # draw]. A false positive's: 4 box words, then the fresh word of its
+        # class draw before the peak on an even parity (K >= 2), else the
+        # peak and then the fresh word of its confusion draw (K >= 3). An odd
+        # draw takes the high half of the word its image's previous draw
+        # took fresh: the last word before the row (K >= 3), the previous
+        # false positive's fresh word (K = 2), or, for a false positive's
+        # confusion draw after an even class draw, that class draw's word.
+        peak_pos = np.empty(n_rows, dtype=np.intp)
+        peak_pos[gt_rows] = s_gt + g
+        peak_pos[fp_rows] = s_fp + 4 + (k >= 2) * (1 - q)
+        confusions = np.zeros(n_rows, dtype=np.intp)
+        fp_classes = np.zeros(len(fp_rows), dtype=np.intp)
+        if k >= 2:
+            fp_classes, rejected = _bounded_integers(w[s_fp + 4 - (5 if k >= 3 else 6) * q], q, k)
+            if rejected.any():
+                return None
+        if k >= 3:
+            src, high = np.empty(n_rows, dtype=np.intp), np.empty(n_rows, dtype=np.intp)
+            src[gt_rows], high[gt_rows] = s_gt + g + 1 - (g + 2) * odd, odd
+            src[fp_rows], high[fp_rows] = s_fp + 4 + q, 1 - q
+            confusions, rejected = _bounded_integers(w[src], high, self._n_confusions)
+            if rejected.any():
+                return None
+        return _Draws(noise, w[s_gt] if flipped else w[:0], w[s_fp[:, None] + np.arange(4)], fp_classes,
+                      w[peak_pos], confusions, logits)
+
+    def _draw_one_by_one(self, image_ids: Sequence[str], counts: Sequence[int],
+                         flipped: bool) -> tuple[np.ndarray, _Draws]:
+        """The draws of :meth:`_draw_loop` made one value per call, bounded
+        integers by the generator's own ``integers``, which tries its next
+        draw after a rejection: the path for a chunk in which
+        :meth:`_parse` finds one. Returns each image's false-positive count
+        and the draws."""
+        k, n_confusions, fp_rate = self._k, self._n_confusions, self._config.fp_rate
+        noise, reuse_words, fp_counts, fp_words, fp_classes, peak_words, confusions, logits = ([] for _ in range(8))
+        tag = 1 if flipped else 0
+        for image_id, n_objects in zip(image_ids, counts):
+            rng = self._stream(image_id, tag)
+            raw, normals, integers = rng.random_raw, rng.standard_normal, rng.integers
             for _ in range(n_objects):
                 noise.append(normals(4))
                 if flipped:
@@ -460,12 +590,29 @@ class SyntheticDetector(DetectorInterface):
             n = int(rng.poisson(fp_rate)) if fp_rate > 0.0 else 0
             fp_counts.append(n)
             for _ in range(n):
-                fp_u.append(random(4))
+                fp_words.append(raw(4))
                 fp_classes.append(integers(k))
                 peak_words.append(raw())
                 confusions.append(integers(n_confusions))
                 logits.append(normals(k + 1))
-        return d
+        return np.array(fp_counts, dtype=np.intp), _Draws(
+            np.array(noise).reshape(-1, 4), np.array(reuse_words, dtype=np.uint64),
+            np.array(fp_words, dtype=np.uint64).reshape(-1, 4), np.array(fp_classes, dtype=np.intp),
+            np.array(peak_words, dtype=np.uint64), np.array(confusions, dtype=np.intp),
+            np.array(logits).reshape(-1, k + 1),
+        )
+
+    def _draws(self, image_ids: Sequence[str], counts: np.ndarray, flipped: bool) -> tuple[_Draws, _Layout]:
+        """The draws of one view of the images, each holding ``counts[i]``
+        objects, and the layout of their rows: by the two-call draw loop, or,
+        in a chunk where a bounded integer is rejected, one value per call."""
+        fp_counts, words, normals = self._draw_loop(image_ids, counts.tolist(), flipped)
+        rows = _layout(counts, np.array(fp_counts, dtype=np.intp))
+        d = self._parse(counts, rows, words, normals, flipped)
+        if d is None:
+            n_fp, d = self._draw_one_by_one(image_ids, counts.tolist(), flipped)
+            rows = _layout(counts, n_fp)
+        return d, rows
 
     def _view(self, image_ids: Sequence[str], pos: np.ndarray, flipped: bool) -> tuple[np.ndarray, ...]:
         """One view of the images at dataset positions ``pos``, by the draw
@@ -477,14 +624,9 @@ class SyntheticDetector(DetectorInterface):
         counts = data.counts[pos]
         _, objects = span_pairs(data.starts[pos], counts)
         original = self._original_logits(image_ids, pos) if flipped else None
-        d = self._draw_loop(image_ids, counts.tolist(), flipped)
+        d, (n_fp, sizes, _, gt_image, gt_rows, fp_image, fp_rows) = self._draws(image_ids, counts, flipped)
 
         # The array pass: the chunk's rows from its draws.
-        n_fp = np.array(d.fp_counts, dtype=np.intp)
-        sizes = counts + n_fp
-        starts = np.cumsum(sizes) - sizes
-        gt_image, gt_rows = span_pairs(starts, counts)
-        fp_image, fp_rows = span_pairs(starts + counts, n_fp)
         widths, heights = data.widths[pos], data.heights[pos]
         w, h = widths.astype(np.float64), heights.astype(np.float64)
         too_small = np.flatnonzero((n_fp > 0) & (np.minimum(w, h) * 0.5 < _FP_SIDE))
@@ -498,19 +640,17 @@ class SyntheticDetector(DetectorInterface):
         if flipped:
             x0, y0, x1, y1 = gt.T
             gt = np.stack([w[gt_image] - x1, y0, w[gt_image] - x0, y1], axis=1)
-        boxes[gt_rows] = _jittered(gt, _normal(_rows(d.noise, 4), 1.0), self._config.box_noise,
-                                   w[gt_image], h[gt_image])
-        boxes[fp_rows] = _false_positive_boxes(_rows(d.fp_u, 4), w[fp_image], h[fp_image])
+        boxes[gt_rows] = _jittered(gt, _normal(d.noise, 1.0), self._config.box_noise, w[gt_image], h[gt_image])
+        boxes[fp_rows] = _false_positive_boxes(_uniforms(d.fp_words), w[fp_image], h[fp_image])
 
         classes = np.empty(len(boxes), dtype=np.intp)
         classes[gt_rows] = data.class_ids[objects]
-        classes[fp_rows] = 1 + np.array(d.fp_classes, dtype=np.intp)
+        classes[fp_rows] = 1 + d.fp_classes
         # The peak is the true class with the class's accuracy, else the
         # class 1 + confusion steps after it, cyclically over 1..K (itself
         # when K=1).
-        confusions = np.array(d.confusions, dtype=np.intp)
-        peaks = np.where(_uniforms(d.peak_words) < self._accuracy[classes], classes, 1 + (classes + confusions) % k)
-        logits = _normal(_rows(d.logits, k + 1), self._config.logit_noise)
+        peaks = np.where(_uniforms(d.peak_words) < self._accuracy[classes], classes, 1 + (classes + d.confusions) % k)
+        logits = _normal(d.logits, self._config.logit_noise)
         logits[np.arange(len(logits)), peaks] += self._inv_temperature
         if flipped:
             # The original view's distribution, reused when the flip is robust.

@@ -215,6 +215,13 @@ def chunk_of(preds):
     )
 
 
+def chunk_bits(chunk):
+    """Everything a chunk holds, with each array as its dtype, shape and bytes."""
+    d = chunk.detections
+    arrays = [getattr(d, name) for name in d._fields]
+    return chunk.image_ids, chunk.widths, chunk.heights, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
 def per_image(chunk):
     """The chunk's images, one one-image chunk each in the chunk's frame, in
     chunk order."""

@@ -467,7 +467,7 @@ class TestMalformedInput:
         assert err == f"error: {pool}: image 'b': {message}\n"
 
     def test_pseudolabel_pool_class_id_must_be_a_dataset_class(self, workspace, capsys):
-        # load_pool cannot know K; pseudolabel, which loads the dataset, can
+        # pseudolabel loads the dataset, so it hands K to load_pool
         tmp_path, train, _test, _det, preds_path = workspace
         image = sorted(train.image_ids)[-1]
         labels = [{"image_id": image, "bbox": [0, 0, 9, 9], "class_id": c, "confidence": 0.99}

@@ -365,6 +365,17 @@ class TestPoolState:
         with pytest.raises(ValueError, match=r"filed under another image's id: \['b'\]"):
             formats.load_pool(path)
 
+    def test_class_id_above_k_refused_when_k_is_given(self, tmp_path):
+        # Without K (select --pool, which reads no dataset) class ids are not
+        # checked against it.
+        path = tmp_path / "pool.json"
+        pool = Pool(frozenset(), frozenset({"a", "b"}),
+                    PseudoLabels(["a", "b", "b"], [[0, 0, 9, 9]] * 3, [3, 2, 4], [0.99] * 3))
+        formats.save_pool(pool, path)
+        assert formats.load_pool(path) == formats.load_pool(path, 4) == pool
+        with pytest.raises(ValueError, match=re.escape(f"{path}: image 'b': class_id 4 outside 1..3")):
+            formats.load_pool(path, 3)
+
     def test_image_id_must_be_a_string(self, tmp_path):
         # JSON keys are strings, so a record with the image id 5 is misfiled under "5"
         path = tmp_path / "pool.json"

@@ -25,6 +25,7 @@ from oracles import (
     _image_entropy,
     _image_inconsistency,
     ap_eleven_point_scan,
+    chunk_bits,
     chunk_of,
     dataset_of,
     entropy,
@@ -72,7 +73,7 @@ from aldet.evaluation import EvalResult, map50
 from aldet.matching import MatchResult, match_predictions
 from aldet.pool import SELECTION_STRATEGIES, Pool
 from aldet.pseudo_label import PseudoLabels, audit_pl_correctness
-from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig, _Stream
+from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig, _bounded_integers, _Stream, _uniforms
 
 SIZE = 100
 N_CLASSES = 3
@@ -702,13 +703,6 @@ def scene(draw):
     return dataset_of(tuple(f"c{c}" for c in range(1, k + 1)), tuple(images))
 
 
-def chunk_bits(chunk):
-    """Everything a chunk holds, with each array as its dtype, shape and bytes."""
-    d = chunk.detections
-    arrays = [getattr(d, name) for name in d._fields]
-    return chunk.image_ids, chunk.widths, chunk.heights, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
-
-
 # Zero-width and zero-height boxes on the edges of a 64-pixel image, some at
 # -0.0: each needs a _MIN_BOX repair, and an edge jittered to -0.0 meets
 # Python's min and max on a tie of 0.0 and -0.0, where the first argument
@@ -722,6 +716,14 @@ def edge_scene(k):
     classes = [1 + n % k for n in range(len(EDGE_BOXES))]
     return dataset_of(tuple(f"c{c}" for c in range(1, k + 1)),
                       tuple(ImageRecord(i, 64, 64, EDGE_BOXES, classes) for i in "abc"))
+
+
+def layout_scene(k):
+    """Four 300-pixel images holding 0, 1, 2 and 3 objects, of classes 1..K in
+    turn."""
+    boxes = [[10, 10, 60, 70], [100, 40, 180, 90], [30, 150, 140, 260]]
+    return dataset_of(tuple(f"c{c}" for c in range(1, k + 1)), tuple(
+        ImageRecord(image_id, 300, 300, boxes[:n], [1 + j % k for j in range(n)]) for n, image_id in enumerate("abcd")))
 
 
 @settings(deadline=None, max_examples=60)
@@ -741,11 +743,19 @@ def edge_scene(k):
 )
 @example(data=edge_scene(1), seed=3, fp_rate=3.0, accuracy=0.5, robustness=0.5, updates=2, size=2)
 @example(data=edge_scene(2), seed=5, fp_rate=3.0, accuracy=0.5, robustness=0.5, updates=2, size=2)
+# At seed 2, version 0 gives each image at least two false positives in both
+# views, after 0, 1, 2 and 3 objects: at K = 3 a false positive's fresh word
+# comes before its peak word after an even number of objects and after it
+# after an odd one; at K = 2 the objects draw no integer (a bound of 1) and
+# the false positives' class draws alternate between the two layouts.
+@example(data=layout_scene(2), seed=2, fp_rate=3.0, accuracy=0.5, robustness=0.5, updates=1, size=2)
+@example(data=layout_scene(3), seed=2, fp_rate=3.0, accuracy=0.5, robustness=0.5, updates=1, size=4)
 def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, robustness, updates, size):
     # The detector predicts a chunk per call: it resets two long-lived
-    # streams per image, takes bounded integers from raw words, reuses the
-    # last original call's logits in the flipped view and builds the chunk's
-    # arrays once. The oracle builds a fresh Philox generator per stream and
+    # streams per image, draws a detection's raw words in one call and its
+    # normals in another, takes bounded integers from the words in the
+    # array pass, reuses the last original call's logits in the flipped
+    # view and builds the chunk's arrays once. The oracle builds a fresh Philox generator per stream and
     # one prediction per image, as predict once did, joined into a chunk.
     # Every version reached by update() must agree bit for bit, whatever was
     # predicted before, in chunks of 1-4 images (the last one shorter when
@@ -783,6 +793,31 @@ INTEGER_BOUNDS = [1, 2, 3, 20, 21, 3 * 2**30, 2**31 + 1, 2**32 - 1]
 
 
 @settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.booleans()), min_size=1, max_size=8),
+       st.sampled_from(INTEGER_BOUNDS))
+@example(draws=[(0, False), (2**32 - 1, False), (2**64 - 1, True), (2**32, True)], n=3 * 2**30)
+def test_bounded_integers_equal_numpy(draws, n):
+    # Each draw is the high or the low half of a raw word, made the 32-bit
+    # draw that numpy's Generator.integers(0, n) takes next. Where numpy
+    # keeps it, its value is the helper's; numpy takes another draw exactly
+    # where the helper reports a rejection; and a bound of 1 takes no draw.
+    words = np.array([w for w, _ in draws], dtype=np.uint64)
+    high = np.array([h for _, h in draws])
+    values, rejected = _bounded_integers(words, high, n)
+    assert values.dtype == np.intp and rejected.dtype == bool
+    for (word, h), value, flag in zip(draws, values.tolist(), rejected.tolist()):
+        gen = np.random.Generator(np.random.Philox(key=np.array([5, 9], dtype=np.uint64)))
+        state = gen.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, word >> 32 if h else word & 0xFFFFFFFF
+        gen.bit_generator.state = state
+        got = int(gen.integers(0, n))
+        after = gen.bit_generator.state
+        assert (after["buffer_pos"] != 4) == flag  # another draw takes a fresh word
+        if not flag:
+            assert got == value and after["has_uint32"] == (n == 1)
+
+
+@settings(deadline=None, max_examples=200)
 @given(
     st.integers(0, 2**64 - 1),
     st.integers(0, 2**64 - 1),
@@ -791,31 +826,46 @@ INTEGER_BOUNDS = [1, 2, 3, 20, 21, 3 * 2**30, 2**31 + 1, 2**32 - 1]
 )
 @example(k1=1, k2=2, ops=[3 * 2**30] * 40 + ["normal"] + [2**31 + 1] * 40)  # rejects many times
 @example(k1=1, k2=2, ops=[3 * 2**30] * 40 + ["raw"] + [2**31 + 1] * 40)
-def test_stream_integers_equal_numpy(k1, k2, ops):
-    # _Stream.integers(n) is numpy's Generator.integers(0, n) computed from
-    # raw words. n above 2**30 rejects often and leaves half words behind
-    # that random_raw, random, standard_normal and poisson must not disturb;
+def test_integers_from_raw_words_equal_numpy(k1, k2, ops):
+    # Generator.integers(0, n) taken from a _Stream's raw words as the array
+    # pass takes it: an even draw takes the low half of a fresh word, an odd
+    # one the high half the previous draw left, by _bounded_integers, and a
+    # rejected draw moves to the next half; a bound of 1 draws nothing. n
+    # above 2**30 rejects often and leaves half words behind that
+    # random_raw, random, standard_normal and poisson must not disturb;
     # "reset" must drop them. If numpy changes its algorithm, this fails.
     stream = _Stream()
     stream.reset(k1, k2)
     gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
+    half = None  # the word whose high half the next draw takes
     for op in ops:
         if op == "reset":
             stream.reset(k1, k2)
             gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
+            half = None
         elif op == "raw":
             assert stream.random_raw() == gen.bit_generator.random_raw()
         elif op == "random":
-            assert stream.random() == gen.random()
+            assert _uniforms([stream.random_raw()])[0] == gen.random()
         elif op == "random4":
-            assert stream.random(4).tobytes() == gen.random(4).tobytes()
+            assert _uniforms(stream.random_raw(4)).tobytes() == gen.random(4).tobytes()
         elif op == "normal":
             assert stream.standard_normal(21).tobytes() == gen.standard_normal(21).tobytes()
         elif op == "poisson":
             assert stream.poisson(4.0) == gen.poisson(4.0)
         else:
-            got = stream.integers(op)
-            assert type(got) is int and got == int(gen.integers(0, op))
+            got = 0
+            while op > 1:
+                if half is None:
+                    word = half = stream.random_raw()
+                    high = False
+                else:
+                    word, high, half = half, True, None
+                values, rejected = _bounded_integers(np.array([word], dtype=np.uint64), high, op)
+                if not rejected[0]:
+                    got = values[0]
+                    break
+            assert got == int(gen.integers(0, op))
 
 
 def test_predict_builds_no_generator(monkeypatch):

@@ -3,7 +3,7 @@ low-robustness regime that motivates the unified acquisition score."""
 
 import numpy as np
 import pytest
-from oracles import dataset_of, image_scores
+from oracles import chunk_bits, chunk_of, dataset_of, fresh_stream_predict, image_scores
 
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
 from aldet.boxes import encode_boxes, hflip, iou, nms
@@ -357,6 +357,41 @@ class TestCheapDraws:
             assert (z < 0).any()  # a zero scale times these gives -0.0 unless 0.0 is added
             assert sim_detector._normal(z, scale).tobytes() == expected.tobytes()
             assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("flipped", [False, True], ids=["original", "flipped"])
+def test_rejected_integer_draws_its_chunk_one_value_per_call(world, monkeypatch, flipped):
+    # A rejected bounded-integer draw (about 1.4e-9 per confusion draw at
+    # K = 20) moves every later word of its image, so the array pass cannot
+    # read its chunk's words at their fixed positions; the chunk is drawn
+    # again one value per call. Forced in one view of one chunk, that path
+    # runs there only and gives the same chunk, bit for bit.
+    det = detector(world, fp_rate=2.0)
+    chunks = [world.image_ids[:4], world.image_ids[4:9]]
+    calls = [(c, v) for c in chunks for v in (False, True)]
+    unforced = [chunk_bits(det.predict(c, v)) for c, v in calls]
+
+    ran, armed = [], []
+    one_by_one, bounded = SyntheticDetector._draw_one_by_one, sim_detector._bounded_integers
+    monkeypatch.setattr(SyntheticDetector, "_draw_one_by_one",
+                        lambda self, *args: ran.append(args) or one_by_one(self, *args))
+
+    def reject_one(words, high, n):
+        values, rejected = bounded(words, high, n)
+        if armed and len(rejected):
+            armed.clear()
+            rejected = rejected.copy()
+            rejected[len(rejected) // 2] = True
+        return values, rejected
+
+    monkeypatch.setattr(sim_detector, "_bounded_integers", reject_one)
+    for (c, v), expected in zip(calls, unforced):
+        if (c, v) == (chunks[1], flipped):
+            armed.append(True)
+        got = chunk_bits(det.predict(c, v))
+        assert got == expected
+        assert got == chunk_bits(chunk_of([fresh_stream_predict(det, world, i, v) for i in c]))
+    assert not armed and [(ids, v) for ids, _, v in ran] == [(chunks[1], flipped)]
 
 
 def test_false_positives_need_a_20_pixel_image():
