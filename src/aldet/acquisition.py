@@ -73,7 +73,10 @@ SCORE_STRATEGIES = ("entropy", "inconsistency", "unified")
 # took a median of 0.39, 0.32 and 0.29 s in chunks of 32, 64 and 128, with
 # the same output bytes, while its own peak RSS (VmHWM) grew 41.4, 41.5 and
 # 42.3 MB (20 alternating runs each on a shared 2-core x86-64 host, Python
-# 3.11, numpy 2.4).
+# 3.11, numpy 2.4). Chunks of 512 moved the benchmark's sim-scan wall_s from
+# 0.186/0.184/0.184 to 0.178/0.178/0.175 s but its peak_rss_mb from 42.9 to
+# 47.6 MB, 11% more, past the benchmark's 10% bound (three runs each, same
+# host).
 CHUNK_IMAGES = 128
 
 T = TypeVar("T")

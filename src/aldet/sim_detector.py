@@ -7,11 +7,14 @@ flipped image's distributions are reused or resampled. Ground truth is only
 visible inside this module; everything downstream sees only the chunks of
 images (PredictionChunk) it returns.
 
-A detector predicts a chunk of images per call, in two steps. The draw loop
-goes over the chunk's images, resets each image's stream and makes its draws
-in the fixed order (see :class:`SyntheticDetector`), keeping only the raw
-draws, with two generator calls per detection: one ``random_raw`` for every
-raw 64-bit Philox word between two normal draws, and one
+Every image draws from two Philox streams, one per view, whose keys the
+detector computes once for every dataset image when it is built and keeps as
+two columns by dataset position. A detector predicts a chunk of images per
+call, in two steps. The draw loop goes over the chunk's positions, puts the
+detector's one generator at the start of each image's stream and makes its
+draws in the fixed order (see :class:`SyntheticDetector`), keeping only the
+raw draws, with two generator calls per detection: one ``random_raw`` for
+every raw 64-bit Philox word between two normal draws, and one
 ``standard_normal`` for the normals that follow. The array pass then reads
 each draw at its fixed position in the chunk's words and normals and turns
 them into its rows with a fixed number of numpy calls: it takes the bounded
@@ -19,15 +22,15 @@ integers from the words by numpy's own algorithm, scales the normals and
 maps the words to uniforms as numpy's ``integers``, ``normal`` and
 ``random`` would, and computes the jittered boxes with their ``_MIN_BOX``
 repair, the false-positive boxes, the peaks, the flip reuse, one softmax,
-one box and one distribution check, and one clamp of every row to its
-image. A chunk in which a bounded integer would be rejected, which moves
-the words after it, is drawn again one value per call. Each value is the
-float that arithmetic on one detection gives: every expression keeps its
-order of operations, Python's two-argument ``min`` and ``max`` become
-``np.where`` on the same comparison (:func:`_min`, :func:`_max`), and the
-fused multiply-add caveat is on :func:`_false_positive_boxes`. So a row
-does not depend on the other rows of its chunk. The chunk's ground truth is
-gathered from the dataset's columns with one index.
+one box and one distribution check, and one clamp of every row to its image.
+A chunk in which a bounded integer would be rejected, which moves the words
+after it, is drawn again one value per call. Each value is the float that
+arithmetic on one detection gives: every expression keeps its order of
+operations, Python's two-argument ``min`` and ``max`` become ``np.where`` on
+the same comparison (:func:`_min`, :func:`_max`), and the fused multiply-add
+caveat is on :func:`_false_positive_boxes`. So a row does not depend on the
+other rows of its chunk. The chunk's ground truth is gathered from the
+dataset's columns with one index.
 
 The flipped view takes the original view's logits from the last
 original-view call instead of drawing them again when that call held the
@@ -68,7 +71,6 @@ __all__ = [
 _MIN_BOX = 1.0  # floor on predicted box side length, keeps encodings valid
 _FP_SIDE = _MIN_BOX * 10  # floor on a false positive's side
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class DetectorInterface(ABC):
@@ -188,31 +190,14 @@ def _id_key(image_id: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-class _Stream:
-    """One Philox stream, reset to the start of an image's stream before
-    each use: numpy's ``Generator`` methods ``standard_normal``, ``poisson``
-    and ``integers``, and its bit generator's ``random_raw``, which takes the
-    stream's next 64-bit words, the words that ``random()`` would map to
-    uniforms (see :func:`_uniforms`)."""
-
-    __slots__ = ("_bits", "random_raw", "standard_normal", "poisson", "integers")
-
-    def __init__(self):
-        # Seeded only to skip the OS entropy an unseeded one reads; reset
-        # replaces the state before every use.
-        gen = np.random.Generator(np.random.Philox(0))
-        self._bits = gen.bit_generator
-        self.random_raw = self._bits.random_raw
-        self.standard_normal, self.poisson, self.integers = gen.standard_normal, gen.poisson, gen.integers
-
-    def reset(self, k1: int, k2: int) -> None:
-        """Back to the start of stream ``[k1, k2]``: counter 0, empty buffers,
-        the state a new ``Philox(key=[k1, k2])`` starts in."""
-        self._bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (k1, k2)},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+def _reset(bits: np.random.Philox, k1: int, k2: int) -> None:
+    """Put ``bits`` at the start of stream ``[k1, k2]``: counter 0, empty
+    buffers, the state a new ``Philox(key=[k1, k2])`` starts in."""
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (k1, k2)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
 
 class _Draws(NamedTuple):
@@ -367,9 +352,12 @@ class SyntheticDetector(DetectorInterface):
     stream 0. So an image's prediction is a function of (seed, version,
     image_id, flipped) alone, whatever chunk it is predicted in.
 
-    The detector keeps one :class:`_Stream` per tag and resets it to the
-    start of an image's stream before drawing it: the draws are the same as
-    from a fresh generator, without the cost of building one per image.
+    The detector computes ``k2`` of both tags for every image of its dataset
+    when it is built and keeps them as two columns by dataset position; each
+    version sets its own ``k1``. It builds one generator, puts it at the
+    start of an image's stream (:func:`_reset`) before drawing it, and so
+    draws what a fresh generator would, without building one per image.
+    :meth:`update`'s versions share the key columns and the generator.
 
     :meth:`_draw_loop` makes an image's draws in two generator calls per
     detection. The normals are one ``standard_normal`` call per object that
@@ -406,9 +394,9 @@ class SyntheticDetector(DetectorInterface):
     ``run_cycles`` makes only the first kind, since it predicts each chunk's
     two views back to back, and so never draws an original view twice. That
     keeps one chunk's logits, O(images in the call x objects), never a
-    pool's. The streams and that call's logits are shared by the calls of
-    one detector, which is therefore not safe to call from several threads
-    at once.
+    pool's. The generator is shared by a detector and every version made
+    from it, and that call's logits by the calls of one version, so none of
+    them is safe to call from several threads at once.
     """
 
     def __init__(self, config: SyntheticDetectorConfig, dataset: Dataset):
@@ -418,10 +406,13 @@ class SyntheticDetector(DetectorInterface):
         self._accuracy = _per_class(config.accuracy, k, "accuracy")
         self._robustness = _per_class(config.flip_robustness, k, "flip_robustness")
         self._seen_labeled: frozenset[str] = frozenset()
-        # image id -> k2 of tag 0 in the low 64 bits and of tag 1 in the high
-        # 64 bits: one int per image, where a tuple of two would cost about
-        # 0.1 MB more peak memory per thousand images.
-        self._id_keys: dict[str, int] = {}
+        # k2 of every image's streams by dataset position: row 0 tag 0's,
+        # row 1 tag 1's.
+        id_keys = [_id_key(image_id) for image_id in dataset.image_ids]
+        self._k2 = np.array([[_mix64(key, tag) for key in id_keys] for tag in (0, 1)], dtype=np.uint64)
+        # Seeded only to skip the OS entropy an unseeded one reads: every
+        # draw loop resets it to an image's stream first.
+        self._rng = np.random.Generator(np.random.Philox(0))
         self._n_confusions = max(k - 1, 1)
         # The raw words of a draw loop block, at an even and an odd count of
         # the image's bounded-integer draws so far: an object's in the
@@ -434,13 +425,13 @@ class SyntheticDetector(DetectorInterface):
 
     def _set_version(self, version: int) -> None:
         """Start version ``version`` with the current per-class skill: its
-        streams' key, fresh streams and no original view yet."""
+        streams' ``k1`` and no original view yet."""
         self._version = version
         self._k1 = _mix64(self._config.seed, version)
-        self._streams = (_Stream(), _Stream())
         # The ground-truth logits of the last original-view call, object by
-        # object, and each of its image ids -> the row of its first object.
-        self._last_original: tuple[dict[str, int], np.ndarray] = ({}, np.empty((0, self._k + 1)))
+        # object, and each of its dataset positions -> the row of its first
+        # object.
+        self._last_original: tuple[dict[int, int], np.ndarray] = ({}, np.empty((0, self._k + 1)))
 
     # -- introspection used by tests and reports ---------------------------
 
@@ -460,32 +451,24 @@ class SyntheticDetector(DetectorInterface):
 
     # -- prediction ---------------------------------------------------------
 
-    def _stream(self, image_id: str, tag: int) -> _Stream:
-        """Tag ``tag``'s stream, reset to the start of the image's stream."""
-        keys = self._id_keys.get(image_id)
-        if keys is None:
-            key = _id_key(image_id)
-            keys = self._id_keys[image_id] = _mix64(key, 0) | _mix64(key, 1) << 64
-        stream = self._streams[tag]
-        stream.reset(self._k1, keys >> 64 if tag else keys & _MASK64)
-        return stream
-
-    def _draw_loop(self, image_ids: Sequence[str], counts: Sequence[int], flipped: bool) -> tuple[list, list, list]:
-        """One view of the images, each holding ``counts[i]`` objects, drawn
-        in the fixed draw order (see :class:`SyntheticDetector`) with two
-        generator calls per detection: one ``random_raw`` for every word
-        between two normal draws and one ``standard_normal`` for the normals
-        that follow. Returns each image's false-positive count and the raw
-        words and standard normals in draw order, as :meth:`_parse` reads
-        them; the block sizes assume that no bounded integer is rejected."""
+    def _draw_loop(self, pos: np.ndarray, counts: Sequence[int], flipped: bool) -> tuple[list, list, list]:
+        """One view of the images at dataset positions ``pos``, each holding
+        ``counts[i]`` objects, drawn in the fixed draw order (see
+        :class:`SyntheticDetector`) with two generator calls per detection:
+        one ``random_raw`` for every word between two normal draws and one
+        ``standard_normal`` for the normals that follow. Returns each image's
+        false-positive count and the raw words and standard normals in draw
+        order, as :meth:`_parse` reads them; the block sizes assume that no
+        bounded integer is rejected."""
         k1, k5, fp_rate = self._k + 1, self._k + 5, self._config.fp_rate
         gt_words, fp_words = self._gt_words[flipped], self._fp_words
         words, normals, fp_counts = [], [], []
         add_words, add_normals = words.append, normals.append
-        tag = 1 if flipped else 0
-        for image_id, n_objects in zip(image_ids, counts):
-            rng = self._stream(image_id, tag)
-            raw, standard_normal = rng.random_raw, rng.standard_normal
+        rng, version_key = self._rng, self._k1
+        bits = rng.bit_generator
+        raw, standard_normal, poisson = bits.random_raw, rng.standard_normal, rng.poisson
+        for key, n_objects in zip(self._k2[int(flipped), pos].tolist(), counts):
+            _reset(bits, version_key, key)
             if n_objects:
                 # An object's logit normals and the next object's box normals in one call.
                 add_normals(standard_normal(4))
@@ -494,7 +477,7 @@ class SyntheticDetector(DetectorInterface):
                     add_normals(standard_normal(k5))
                 add_words(raw(gt_words[(n_objects - 1) & 1]))
                 add_normals(standard_normal(k1))
-            n = int(rng.poisson(fp_rate)) if fp_rate > 0.0 else 0
+            n = int(poisson(fp_rate)) if fp_rate > 0.0 else 0
             fp_counts.append(n)
             # The image's integer draws so far have f's parity when K = 2;
             # otherwise a false positive's words do not depend on it.
@@ -567,8 +550,7 @@ class SyntheticDetector(DetectorInterface):
         return _Draws(noise, w[s_gt] if flipped else w[:0], w[s_fp[:, None] + np.arange(4)], fp_classes,
                       w[peak_pos], confusions, logits)
 
-    def _draw_one_by_one(self, image_ids: Sequence[str], counts: Sequence[int],
-                         flipped: bool) -> tuple[np.ndarray, _Draws]:
+    def _draw_one_by_one(self, pos: np.ndarray, counts: Sequence[int], flipped: bool) -> tuple[np.ndarray, _Draws]:
         """The draws of :meth:`_draw_loop` made one value per call, bounded
         integers by the generator's own ``integers``, which tries its next
         draw after a rejection: the path for a chunk in which
@@ -576,10 +558,11 @@ class SyntheticDetector(DetectorInterface):
         and the draws."""
         k, n_confusions, fp_rate = self._k, self._n_confusions, self._config.fp_rate
         noise, reuse_words, fp_counts, fp_words, fp_classes, peak_words, confusions, logits = ([] for _ in range(8))
-        tag = 1 if flipped else 0
-        for image_id, n_objects in zip(image_ids, counts):
-            rng = self._stream(image_id, tag)
-            raw, normals, integers = rng.random_raw, rng.standard_normal, rng.integers
+        rng, version_key = self._rng, self._k1
+        bits = rng.bit_generator
+        raw, normals, integers = bits.random_raw, rng.standard_normal, rng.integers
+        for key, n_objects in zip(self._k2[int(flipped), pos].tolist(), counts):
+            _reset(bits, version_key, key)
             for _ in range(n_objects):
                 noise.append(normals(4))
                 if flipped:
@@ -602,19 +585,20 @@ class SyntheticDetector(DetectorInterface):
             np.array(logits).reshape(-1, k + 1),
         )
 
-    def _draws(self, image_ids: Sequence[str], counts: np.ndarray, flipped: bool) -> tuple[_Draws, _Layout]:
-        """The draws of one view of the images, each holding ``counts[i]``
-        objects, and the layout of their rows: by the two-call draw loop, or,
-        in a chunk where a bounded integer is rejected, one value per call."""
-        fp_counts, words, normals = self._draw_loop(image_ids, counts.tolist(), flipped)
+    def _draws(self, pos: np.ndarray, counts: np.ndarray, flipped: bool) -> tuple[_Draws, _Layout]:
+        """The draws of one view of the images at dataset positions ``pos``,
+        each holding ``counts[i]`` objects, and the layout of their rows: by
+        the two-call draw loop, or, in a chunk where a bounded integer is
+        rejected, one value per call."""
+        fp_counts, words, normals = self._draw_loop(pos, counts.tolist(), flipped)
         rows = _layout(counts, np.array(fp_counts, dtype=np.intp))
         d = self._parse(counts, rows, words, normals, flipped)
         if d is None:
-            n_fp, d = self._draw_one_by_one(image_ids, counts.tolist(), flipped)
+            n_fp, d = self._draw_one_by_one(pos, counts.tolist(), flipped)
             rows = _layout(counts, n_fp)
         return d, rows
 
-    def _view(self, image_ids: Sequence[str], pos: np.ndarray, flipped: bool) -> tuple[np.ndarray, ...]:
+    def _view(self, pos: np.ndarray, flipped: bool) -> tuple[np.ndarray, ...]:
         """One view of the images at dataset positions ``pos``, by the draw
         loop and one array pass over the chunk: each row's position in the
         chunk, its box (not yet clamped), its logits with the peak added, and
@@ -623,8 +607,8 @@ class SyntheticDetector(DetectorInterface):
         data, k = self._dataset, self._k
         counts = data.counts[pos]
         _, objects = span_pairs(data.starts[pos], counts)
-        original = self._original_logits(image_ids, pos) if flipped else None
-        d, (n_fp, sizes, _, gt_image, gt_rows, fp_image, fp_rows) = self._draws(image_ids, counts, flipped)
+        original = self._original_logits(pos) if flipped else None
+        d, (n_fp, sizes, _, gt_image, gt_rows, fp_image, fp_rows) = self._draws(pos, counts, flipped)
 
         # The array pass: the chunk's rows from its draws.
         widths, heights = data.widths[pos], data.heights[pos]
@@ -658,17 +642,17 @@ class SyntheticDetector(DetectorInterface):
             logits[gt_rows[reused]] = original[reused]
         return np.repeat(np.arange(len(sizes)), sizes), boxes, logits, gt_rows
 
-    def _original_logits(self, image_ids: Sequence[str], pos: np.ndarray) -> np.ndarray:
+    def _original_logits(self, pos: np.ndarray) -> np.ndarray:
         """The ground-truth logits of the original view of the images at
         dataset positions ``pos``, object by object in chunk order: those of
         the last original-view call for the images it held, and drawn again
         by :meth:`_view` for the others, which leaves that call's kept."""
         first_rows, kept = self._last_original
         counts = self._dataset.counts[pos]
-        starts = np.array([first_rows.get(i, -1) for i in image_ids], dtype=np.intp)
+        starts = np.array([first_rows.get(p, -1) for p in pos.tolist()], dtype=np.intp)
         missing = np.flatnonzero(starts < 0)
         if len(missing):
-            _, _, logits, gt_rows = self._view([image_ids[i] for i in missing], pos[missing], False)
+            _, _, logits, gt_rows = self._view(pos[missing], False)
             n = counts[missing]
             starts[missing] = len(kept) + np.cumsum(n) - n
             kept = np.concatenate([kept, logits[gt_rows]])
@@ -677,10 +661,10 @@ class SyntheticDetector(DetectorInterface):
     def predict(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk:
         data = self._dataset
         pos = data.positions(image_ids)
-        image, boxes, logits, gt_rows = self._view(image_ids, pos, flipped)
+        image, boxes, logits, gt_rows = self._view(pos, flipped)
         if not flipped:
             counts = data.counts[pos]
-            self._last_original = (dict(zip(image_ids, (np.cumsum(counts) - counts).tolist())), logits[gt_rows])
+            self._last_original = (dict(zip(pos.tolist(), (np.cumsum(counts) - counts).tolist())), logits[gt_rows])
 
         # Row-wise arithmetic only: each row is the same float as in a chunk
         # of its image alone.

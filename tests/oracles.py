@@ -18,7 +18,8 @@ whole file as one string are the references the writers that write one
 block of rows at a time are pinned to. The dataset loader that built one
 record per image, with its own arrays and checks, is the reference the one
 column set of a dataset is pinned to; :func:`dataset_of` builds a dataset
-from such records.
+from such records. :func:`log_resets` records which image's stream, and of
+which view, the synthetic detector's generator is reset to.
 
 A one-image prediction is a :class:`PredictionChunk` of one image:
 :func:`one_image` builds one, :func:`chunk_of` joins them into a chunk, and
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from aldet import formats
+from aldet import formats, sim_detector
 from aldet.acquisition import LOG_EPS
 from aldet.boxes import (
     ChunkDetections,
@@ -131,10 +132,29 @@ def _mix64(*values):
     return h
 
 
-def _fresh_stream(seed, version, image_id, tag):
+def stream_key(image_id, tag):
+    """k2 of the image's stream of tag ``tag``."""
     id_key = int.from_bytes(hashlib.blake2b(image_id.encode("utf-8"), digest_size=8).digest(), "little")
-    key = np.array([_mix64(seed, version), _mix64(id_key, tag)], dtype=np.uint64)
+    return _mix64(id_key, tag)
+
+
+def _fresh_stream(seed, version, image_id, tag):
+    key = np.array([_mix64(seed, version), stream_key(image_id, tag)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def log_resets(monkeypatch, image_ids):
+    """A list to which every reset of a synthetic detector's generator to a
+    stream of one of ``image_ids`` appends (image_id, tag), in order."""
+    names = {stream_key(i, tag): (i, tag) for i in image_ids for tag in (0, 1)}
+    log, reset = [], sim_detector._reset
+
+    def logged(bits, k1, k2):
+        log.append(names[k2])
+        reset(bits, k1, k2)
+
+    monkeypatch.setattr(sim_detector, "_reset", logged)
+    return log
 
 
 def _jittered_box(cfg, rng, gt_box, width, height):

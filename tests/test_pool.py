@@ -9,7 +9,9 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from oracles import chunk_of, dataset_of, fresh_stream_predict, image_scores, per_image_post_nms, per_image_unified_score
+from oracles import (
+    chunk_of, dataset_of, fresh_stream_predict, image_scores, log_resets, per_image_post_nms, per_image_unified_score,
+)
 
 from aldet import acquisition, boxes, sim_detector
 from aldet.acquisition import AcquisitionConfig
@@ -467,19 +469,14 @@ class TestOnePass:
         # its ground-truth logits from the original-view call just before
         # it, instead of replaying its stream.
         train, test, world = small_world(n_train=self.N_TRAIN)
-        stream, resets = SyntheticDetector._stream, Counter()
-
-        def counting_stream(self, image_id, tag):
-            resets[image_id] += tag == 0
-            return stream(self, image_id, tag)
-
-        monkeypatch.setattr(SyntheticDetector, "_stream", counting_stream)
+        resets = log_resets(monkeypatch, world.image_ids)
         calls = Counter()
         detector = CountingDetector(make_detector(world, fp_rate=1.0), calls, [], [])
         cfg = RunConfig(**self.CFG, pl_enabled=True)
         reports = list(run_cycles(init_pool(train.image_ids, 10, 0), detector, cfg, train, test))
         assert all(r.pl_count for r in reports) and all(r.scores for r in reports[1:])
-        assert +resets == Counter(image_id for _, image_id, flipped in calls.elements() if not flipped)
+        assert Counter(image_id for image_id, tag in resets if tag == 0) == Counter(
+            image_id for _, image_id, flipped in calls.elements() if not flipped)
 
     @pytest.mark.parametrize("pl_enabled, pl_strategy", [(True, "threshold"), (True, "topk"), (False, "threshold")])
     def test_holds_one_chunk_of_the_pools_predictions(self, monkeypatch, pl_enabled, pl_strategy):

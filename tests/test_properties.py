@@ -48,6 +48,7 @@ from oracles import (
     rowwise_checked_probs,
     scalar_iou,
     sorted_selection,
+    stream_key,
     sym_kl,
 )
 
@@ -73,7 +74,7 @@ from aldet.evaluation import EvalResult, map50
 from aldet.matching import MatchResult, match_predictions
 from aldet.pool import SELECTION_STRATEGIES, Pool
 from aldet.pseudo_label import PseudoLabels, audit_pl_correctness
-from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig, _bounded_integers, _Stream, _uniforms
+from aldet.sim_detector import SyntheticDetector, SyntheticDetectorConfig, _bounded_integers, _reset, _uniforms
 
 SIZE = 100
 N_CLASSES = 3
@@ -751,12 +752,13 @@ def layout_scene(k):
 @example(data=layout_scene(2), seed=2, fp_rate=3.0, accuracy=0.5, robustness=0.5, updates=1, size=2)
 @example(data=layout_scene(3), seed=2, fp_rate=3.0, accuracy=0.5, robustness=0.5, updates=1, size=4)
 def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, robustness, updates, size):
-    # The detector predicts a chunk per call: it resets two long-lived
-    # streams per image, draws a detection's raw words in one call and its
-    # normals in another, takes bounded integers from the words in the
-    # array pass, reuses the last original call's logits in the flipped
-    # view and builds the chunk's arrays once. The oracle builds a fresh Philox generator per stream and
-    # one prediction per image, as predict once did, joined into a chunk.
+    # The detector predicts a chunk per call: it puts one long-lived
+    # generator at the start of each image's stream, draws a detection's raw
+    # words in one call and its normals in another, takes bounded integers
+    # from the words in the array pass, reuses the last original call's
+    # logits in the flipped view and builds the chunk's arrays once. The
+    # oracle builds a fresh Philox generator per stream and one prediction
+    # per image, as predict once did, joined into a chunk.
     # Every version reached by update() must agree bit for bit, whatever was
     # predicted before, in chunks of 1-4 images (the last one shorter when
     # the size does not divide the run).
@@ -787,6 +789,22 @@ def test_predict_equals_fresh_generator_oracle(data, seed, fp_rate, accuracy, ro
             check(det, ids[start:start + size], False)
             check(det, ids[start:start + size], True)
             check(det, ids[start:start + size + 1], True)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.text(min_size=1, max_size=6).filter(accepted_id), min_size=1, max_size=6, unique=True),
+       st.integers(2**64 - 2**8, 2**64 - 1))
+@example(ids=["img_0", "\u00e9", "\U0001f600", "\x7f"], seed=2**64 - 1)
+def test_stream_key_columns_equal_the_scalar_keys(ids, seed):
+    # The detector keys both streams of every dataset image once, when it is
+    # built, as one column per tag by dataset position; each key is the
+    # oracle's _mix64 of the id's blake2b-64 and the tag, whatever the seed,
+    # and update's versions share the columns.
+    data = dataset_of(("c1",), tuple(ImageRecord(i, 64, 64, [], []) for i in ids))
+    det = SyntheticDetector(SyntheticDetectorConfig(seed=seed), data)
+    newer = det.update(Pool(frozenset(ids[:1]), frozenset(ids[1:])))
+    assert det._k2.tolist() == [[stream_key(i, tag) for i in ids] for tag in (0, 1)]
+    assert newer._k2 is det._k2
 
 
 INTEGER_BOUNDS = [1, 2, 3, 20, 21, 3 * 2**30, 2**31 + 1, 2**32 - 1]
@@ -827,28 +845,30 @@ def test_bounded_integers_equal_numpy(draws, n):
 @example(k1=1, k2=2, ops=[3 * 2**30] * 40 + ["normal"] + [2**31 + 1] * 40)  # rejects many times
 @example(k1=1, k2=2, ops=[3 * 2**30] * 40 + ["raw"] + [2**31 + 1] * 40)
 def test_integers_from_raw_words_equal_numpy(k1, k2, ops):
-    # Generator.integers(0, n) taken from a _Stream's raw words as the array
-    # pass takes it: an even draw takes the low half of a fresh word, an odd
-    # one the high half the previous draw left, by _bounded_integers, and a
-    # rejected draw moves to the next half; a bound of 1 draws nothing. n
-    # above 2**30 rejects often and leaves half words behind that
-    # random_raw, random, standard_normal and poisson must not disturb;
-    # "reset" must drop them. If numpy changes its algorithm, this fails.
-    stream = _Stream()
-    stream.reset(k1, k2)
+    # Generator.integers(0, n) taken from the raw words of a generator put
+    # on stream [k1, k2] by _reset, as the array pass takes it: an even draw
+    # takes the low half of a fresh word, an odd one the high half the
+    # previous draw left, by _bounded_integers, and a rejected draw moves to
+    # the next half; a bound of 1 draws nothing. n above 2**30 rejects often
+    # and leaves half words behind that random_raw, random, standard_normal
+    # and poisson must not disturb; "reset" must drop them. If numpy changes
+    # its algorithm, this fails.
+    stream = np.random.Generator(np.random.Philox(0))
+    bits = stream.bit_generator
+    _reset(bits, k1, k2)
     gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
     half = None  # the word whose high half the next draw takes
     for op in ops:
         if op == "reset":
-            stream.reset(k1, k2)
+            _reset(bits, k1, k2)
             gen = np.random.Generator(np.random.Philox(key=np.array([k1, k2], dtype=np.uint64)))
             half = None
         elif op == "raw":
-            assert stream.random_raw() == gen.bit_generator.random_raw()
+            assert bits.random_raw() == gen.bit_generator.random_raw()
         elif op == "random":
-            assert _uniforms([stream.random_raw()])[0] == gen.random()
+            assert _uniforms([bits.random_raw()])[0] == gen.random()
         elif op == "random4":
-            assert _uniforms(stream.random_raw(4)).tobytes() == gen.random(4).tobytes()
+            assert _uniforms(bits.random_raw(4)).tobytes() == gen.random(4).tobytes()
         elif op == "normal":
             assert stream.standard_normal(21).tobytes() == gen.standard_normal(21).tobytes()
         elif op == "poisson":
@@ -857,7 +877,7 @@ def test_integers_from_raw_words_equal_numpy(k1, k2, ops):
             got = 0
             while op > 1:
                 if half is None:
-                    word = half = stream.random_raw()
+                    word = half = bits.random_raw()
                     high = False
                 else:
                     word, high, half = half, True, None

@@ -3,7 +3,7 @@ low-robustness regime that motivates the unified acquisition score."""
 
 import numpy as np
 import pytest
-from oracles import chunk_bits, chunk_of, dataset_of, fresh_stream_predict, image_scores
+from oracles import chunk_bits, chunk_of, dataset_of, fresh_stream_predict, image_scores, log_resets
 
 from aldet.acquisition import AcquisitionConfig, post_nms, unified_score
 from aldet.boxes import encode_boxes, hflip, iou, nms
@@ -289,6 +289,19 @@ class TestUpdate:
             assert det2.class_accuracy(c) == det.class_accuracy(c)
             assert det2.class_robustness(c) == det.class_robustness(c)
 
+    def test_a_version_predicts_the_same_whatever_the_next_predicts_in_between(self, world):
+        # Every version made by update shares the first one's generator, which
+        # each draw loop puts at the start of an image's stream: each
+        # version's predictions, in both views, equal the fresh-generator
+        # oracle however the two versions' calls interleave.
+        det = detector(world, fp_rate=2.0, skill_gain_per_labeled=0.1)
+        newer = det.update(init_pool(world.image_ids, 10, seed=0))
+        ids = world.image_ids[:6]
+        for d, flipped in [(det, False), (newer, False), (newer, True), (det, True), (newer, False), (det, False)]:
+            expected = chunk_of([fresh_stream_predict(d, world, i, flipped) for i in ids])
+            assert chunk_bits(d.predict(ids, flipped)) == chunk_bits(expected)
+        assert newer.class_accuracy(1) > det.class_accuracy(1)
+
     def test_gain_is_class_local(self):
         data = make_synthetic_dataset(30, 3, seed=4, objects_per_image=(1, 1))
         det = detector(data, accuracy=0.5, skill_gain_per_labeled=0.05)
@@ -391,7 +404,7 @@ def test_rejected_integer_draws_its_chunk_one_value_per_call(world, monkeypatch,
         got = chunk_bits(det.predict(c, v))
         assert got == expected
         assert got == chunk_bits(chunk_of([fresh_stream_predict(det, world, i, v) for i in c]))
-    assert not armed and [(ids, v) for ids, _, v in ran] == [(chunks[1], flipped)]
+    assert not armed and [(tuple(world.image_ids[p] for p in pos), v) for pos, _, v in ran] == [(chunks[1], flipped)]
 
 
 def test_false_positives_need_a_20_pixel_image():
@@ -409,10 +422,7 @@ def test_flipped_view_replays_stream_0_only_without_the_last_original_call(world
     # takes them from the detector's most recent original-view call when the
     # image was in it, and replays stream 0 otherwise; either way the
     # prediction is the same.
-    resets = []
-    stream = SyntheticDetector._stream
-    monkeypatch.setattr(SyntheticDetector, "_stream",
-                        lambda self, image_id, tag: resets.append((image_id, tag)) or stream(self, image_id, tag))
+    resets = log_resets(monkeypatch, world.image_ids)
 
     def replayed(det, fresh, ids):
         """The images whose stream 0 ``det.predict(ids, flipped=True)`` resets;
