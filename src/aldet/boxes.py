@@ -17,6 +17,7 @@ leaves the rest unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence, TypeVar
 
 import numpy as np
@@ -48,11 +49,18 @@ DEFAULT_NMS_SCORE_FLOOR = 0.01
 DIST_SUM_TOL = 1e-6
 
 
+_BOOLS = frozenset({bool, np.bool_})
+
+
 def _rows(values, what: str, width: int | None = None, row: str = "detection") -> np.ndarray:
     """``values`` as a float64 array with one row per ``row``; an empty input
     is (0, width), or (0, 0) when the width is not fixed. A float64 array is
     returned as it is, not copied, so that a whole predictions file is held
-    once; a frozen set built from it makes it read-only."""
+    once; a frozen set built from it makes it read-only.
+
+    A boolean is not a number: numpy would read ``[True, 0, 10, 10]`` as the
+    integers ``[1, 0, 10, 10]``, so rows given as sequences are scanned for
+    one."""
     try:
         arr = np.asarray(values)
     except ValueError:
@@ -63,6 +71,9 @@ def _rows(values, what: str, width: int | None = None, row: str = "detection") -
         raise ValueError(f"{what}: expected numbers")
     if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
         raise ValueError(f"{what}: expected {width or 'a list of'} numbers per {row}, got shape {arr.shape}")
+    if arr.dtype.kind == "b" or (
+            not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, chain.from_iterable(values)))):
+        raise ValueError(f"{what}: expected numbers, got a boolean")
     return arr.astype(np.float64, copy=False)
 
 

@@ -345,6 +345,12 @@ def cmd_winrate(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+PREDICTIONS_HELP = (
+    "predictions JSONL. A regular file is parsed once per content: its checked columns are kept in "
+    "$XDG_CACHE_HOME/aldet (else ~/.cache/aldet), one .npz entry per SHA-256 of the file, the "
+    f"{formats.CACHE_ENTRIES} most recently used kept. No output or error depends on the cache."
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -356,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="acquisition scores from a predictions JSONL")
     _add_config_flags(p)
-    p.add_argument("--predictions", required=True)
+    p.add_argument("--predictions", required=True, help=PREDICTIONS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pseudolabel", help="extract pseudo-labels from predictions")
     _add_config_flags(p)
-    p.add_argument("--predictions", required=True)
+    p.add_argument("--predictions", required=True, help=PREDICTIONS_HELP)
     p.add_argument("--pool", help="restrict to the pool's unlabeled images")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pseudolabel)
@@ -385,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="VOC07 11-point mAP@0.5 of a predictions JSONL against "
                        "ground truth, no NMS", description=cmd_eval.__doc__)
     p.add_argument("--gt", required=True)
-    p.add_argument("--predictions", required=True)
+    p.add_argument("--predictions", required=True, help=PREDICTIONS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

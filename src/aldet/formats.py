@@ -18,12 +18,29 @@ predictions writer holds every record, to sort them across chunks, and
 writes one line at a time. The dataset and pool-state JSON documents, and
 the report, eval and win-rate CSVs (a line per cycle, class or method), are
 formatted whole.
+
+The predictions reader parses each file content once. After a read that
+succeeds, a regular file's checked columns (for each view its image ids,
+each record's line number and row count, and the raw boxes and
+probabilities) are kept as one ``.npz`` entry in ``$XDG_CACHE_HOME/aldet``,
+else ``~/.cache/aldet``, named by the SHA-256 of the bytes parsed. A later
+read of the same bytes runs again only the checks that depend on the
+dataset or on the values, and the clamp; an entry that cannot be used is a
+miss, and the file is parsed. The ``CACHE_ENTRIES`` most recently used
+entries are kept. No output and no error depends on the cache: a cold,
+warm, corrupt or unwritable cache gives the same views and messages.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
+import stat
+import tempfile
+import time
+from contextlib import suppress
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -91,16 +108,20 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(start, start + WRITE_BLOCK_ROWS) for start in range(0, n, WRITE_BLOCK_ROWS))
 
 
-def _read_lines(path, parse, header: str | None = None) -> list:
+def _read_lines(path, parse, header: str | None = None, digest=None, linenos: list | None = None) -> list:
     """``parse(line)`` of every non-blank line, stripped, in order.
 
     Each line is decoded as UTF-8 on its own, so an undecodable byte, like a
     line that ``parse`` rejects, raises a ValueError that names the file and
     the line number. With ``header``, line 1 must equal it and is not parsed.
+    ``digest`` (a hashlib object) is fed every byte read, and ``linenos``
+    gets the number of each line passed to ``parse``.
     """
     out, lineno = [], 0
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
+            if digest is not None:
+                digest.update(raw)
             try:
                 line = raw.decode("utf-8").strip()
                 if lineno == 1 and header is not None:
@@ -108,6 +129,8 @@ def _read_lines(path, parse, header: str | None = None) -> list:
                         raise ValueError(f"unexpected header {line!r}")
                 elif line:
                     out.append(parse(line))
+                    if linenos is not None:
+                        linenos.append(lineno)
             # OverflowError: a JSON integer too large for a float
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
@@ -126,15 +149,21 @@ def _read_json(path):
 
 
 def _typed_field(rec, name: str, kind: type):
-    """``rec[name]``, which must be a JSON value of exactly the type ``kind``:
-    an integer (``int``, not a float or a boolean) or a boolean (``bool``,
+    """``rec[name]``, which must be a JSON value of the type ``kind``: an
+    integer (``int``, not a float or a boolean), a number (``float``: an
+    integer or a float, not a boolean or a string) or a boolean (``bool``,
     not a number or a string)."""
     return _typed(name, rec[name], kind)
 
 
+# kind -> the Python types of its JSON values, and its name in an error
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), bool: ((bool,), "a boolean")}
+
+
 def _typed(name: str, value, kind: type):
-    if type(value) is not kind:
-        raise ValueError(f"{name}: expected {'a boolean' if kind is bool else 'an integer'}, got {value!r}")
+    types, what = _KINDS[kind]
+    if type(value) not in types:
+        raise ValueError(f"{name}: expected {what}, got {value!r}")
     return value
 
 
@@ -220,8 +249,9 @@ def save_dataset(dataset: Dataset, path) -> None:
 # the image size.
 
 
-def _read_jsonl(path, parse) -> list:
-    """``parse(record)`` of every non-blank line's JSON record, in order."""
+def _read_jsonl(path, parse, **read_options) -> list:
+    """``parse(record)`` of every non-blank line's JSON record, in order;
+    ``read_options`` go to :func:`_read_lines`."""
 
     def record(line):
         try:
@@ -230,7 +260,7 @@ def _read_jsonl(path, parse) -> list:
             raise ValueError(f"malformed JSON: {e}") from None
         return parse(rec)
 
-    return _read_lines(path, record)
+    return _read_lines(path, record, **read_options)
 
 
 class _View:
@@ -259,15 +289,29 @@ class _View:
         self.counts.append(len(boxes))
         return self
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The raw boxes (N, 4) and probabilities (N, K+1) of the view's
+        rows; a view without rows has probabilities of shape (0, 0)."""
+        n = sum(self.counts)
+        return np.frombuffer(self.buffers[0]).reshape(n, 4), np.frombuffer(self.buffers[1]).reshape(n, self.k or 0)
+
     def chunk(self, sizes: Mapping[str, tuple[int, int]]) -> PredictionChunk:
         """The view as one chunk, its images in file order."""
-        n, image = sum(self.counts), np.repeat(np.arange(len(self.counts)), self.counts)
-        boxes, probs, encoded = (np.frombuffer(buffer) for buffer in self.buffers)
-        dets = ChunkDetections(boxes.reshape(n, 4), probs.reshape(n, self.k or 0), image)
-        checked_encoded(encoded.reshape(n, 4))
-        widths, heights = [sizes[i][0] for i in self.image_ids], [sizes[i][1] for i in self.image_ids]
-        dets = clamp_to_images(dets, widths, heights, image)
-        return PredictionChunk(tuple(self.image_ids), tuple(widths), tuple(heights), dets, self.flipped)
+        dets = _detections(self.counts, *self.columns())
+        checked_encoded(np.frombuffer(self.buffers[2]).reshape(-1, 4))
+        return _clamped_chunk(tuple(self.image_ids), dets, sizes, self.flipped)
+
+
+def _detections(counts: Sequence[int], boxes: np.ndarray, probs: np.ndarray) -> ChunkDetections:
+    """The rows of one view, ``counts[k]`` of them for its k-th image, checked."""
+    return ChunkDetections(boxes, probs, np.repeat(np.arange(len(counts)), counts))
+
+
+def _clamped_chunk(image_ids: tuple[str, ...], dets: ChunkDetections, sizes, flipped: bool) -> PredictionChunk:
+    """One view's chunk, its boxes clamped to the images' ``sizes``."""
+    widths, heights = [sizes[i][0] for i in image_ids], [sizes[i][1] for i in image_ids]
+    return PredictionChunk(image_ids, tuple(widths), tuple(heights),
+                           clamp_to_images(dets, widths, heights, dets.image), flipped)
 
 
 class PredictionViews(Mapping):
@@ -322,8 +366,20 @@ class PredictionViews(Mapping):
 def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> PredictionViews:
     """The file's records, one chunk per view. A record's shape is checked
     as it is read, and every value once per view; only when a value check
-    fails is the file read again, record by record, to name the line."""
+    fails is the file read again, record by record, to name the line.
+
+    A regular file's checked columns are kept in the predictions cache (see
+    the module docstring): a later read of the same bytes rebuilds the views
+    from them with every check that depends on ``sizes`` or on the values
+    run again, and gives what this parse would give, errors too."""
+    cache = _cache_dir()
+    digest = _file_digest(path) if cache is not None else None
+    if digest is not None:
+        cached = _cached_views(cache / _entry_name(digest), digest, path, sizes)
+        if cached is not None:
+            return cached
     views = {False: _View(False), True: _View(True)}
+    flips: list[bool] = []  # each record's view, in file order
 
     def add(rec) -> None:
         image_id = rec["image_id"]
@@ -333,13 +389,145 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
         if image_id in views[flipped].image_ids:
             raise ValueError(f"duplicate record for image {image_id!r}, flipped={flipped}")
         views[flipped].add(image_id, rec["detections"])
+        flips.append(flipped)
 
-    _read_jsonl(path, add)
+    # Hashed as it is parsed, so that an entry is named by the bytes it holds
+    # even if the file changed after the lookup.
+    parsed = hashlib.sha256() if digest is not None else None
+    linenos: list[int] = []
+    _read_jsonl(path, add, digest=parsed, linenos=linenos)
     try:
-        return PredictionViews(view.chunk(sizes) for view in views.values())
+        preds = PredictionViews(view.chunk(sizes) for view in views.values())
     except ValueError:  # each record a view of its own, to raise naming its line
         _read_jsonl(path, lambda rec: _View().add(rec["image_id"], rec["detections"]).chunk(sizes))
         raise
+    if parsed is not None:
+        linenos, flips = np.array(linenos, dtype=np.int64), np.array(flips, dtype=bool)
+        _save_entry(cache, parsed.hexdigest(), {flipped: (view, linenos[flips == flipped])
+                                                for flipped, view in views.items()})
+    return preds
+
+
+# -- the predictions cache ------------------------------------------------------
+
+# An entry holds what a successful read of a predictions file found that no
+# dataset can change: for each view, its image ids in file order, each
+# record's line number and row count, and the raw (unclamped) boxes and
+# probabilities. It is one .npz file named by the format tag and the SHA-256
+# of the bytes parsed. Bump the tag whenever the reader's acceptance rules
+# change, so that no entry written under the old rules is read.
+_CACHE_TAG = "v1"
+CACHE_ENTRIES = 8  # the newest entries kept, by mtime; a hit refreshes it
+_HASH_BLOCK = 1 << 20
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/aldet``, else ``~/.cache/aldet``; None, which turns
+    the cache off, when that is not an absolute path."""
+    path = Path(os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"), "aldet")
+    return path if path.is_absolute() else None
+
+
+def _entry_name(digest: str) -> str:
+    return f"{_CACHE_TAG}-{digest}.npz"
+
+
+def _file_digest(path) -> str | None:
+    """The SHA-256 of a regular file, read in blocks; None for anything
+    else (a FIFO, ``/dev/stdin`` on a pipe, a missing file, an open file
+    descriptor, which the parse's ``open`` closes), which is read as it
+    comes, once, and not cached."""
+    try:
+        if isinstance(path, int) or not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        digest, block = hashlib.sha256(), memoryview(bytearray(_HASH_BLOCK))
+        with open(path, "rb", buffering=0) as f:
+            while n := f.readinto(block):
+                digest.update(block[:n])
+        return digest.hexdigest()
+    except OSError:
+        return None
+
+
+def _cached_views(entry: Path, digest: str, path, sizes) -> PredictionViews | None:
+    """The views rebuilt from the cache entry of the file's ``digest``, or
+    None (a miss) when there is no such entry or it is unreadable, belongs
+    to other bytes, is inconsistent or fails a check. An image id that
+    ``sizes`` lacks raises the parse's error, naming the record's line."""
+    try:
+        with np.load(entry, allow_pickle=False) as npz:
+            columns = {name: npz[name] for name in npz.files}
+        if columns["digest"].item() != digest:
+            return None
+        stored = []
+        for flipped in (False, True):
+            image_ids, linenos, counts, boxes, probs = (
+                columns[f"{name}{int(flipped)}"] for name in ("ids", "lines", "counts", "boxes", "probs"))
+            image_ids = json.loads(image_ids.tobytes())
+            if not (type(image_ids) is list and set(map(type, image_ids)) <= {str}
+                    and len(image_ids) == len(set(image_ids)) == len(linenos) == len(counts)
+                    and linenos.dtype.kind == counts.dtype.kind == "i"):  # rows: checked as the views are built
+                return None
+            stored.append((flipped, image_ids, linenos.tolist(), counts, boxes, probs))
+    # The entry comes from outside the program, and a damaged zip or .npy
+    # fails in many ways (BadZipFile, NotImplementedError for a flipped
+    # version byte, EOFError, ValueError...): each is a miss, and the file is
+    # parsed.
+    except Exception:
+        return None
+    unknown = [(lineno, image_id) for _, image_ids, linenos, *_ in stored
+               for image_id, lineno in zip(image_ids, linenos) if image_id not in sizes]
+    if unknown:
+        lineno, image_id = min(unknown)
+        raise ValueError(f"{path}: line {lineno}: unknown image id {image_id!r}")
+    try:
+        preds = PredictionViews(_clamped_chunk(tuple(image_ids), _detections(counts, boxes, probs), sizes, flipped)
+                                for flipped, image_ids, _, counts, boxes, probs in stored)
+    except ValueError:  # the parse finds the fault, or that there is none
+        return None
+    _touch(entry)
+    return preds
+
+
+def _save_entry(cache: Path, digest: str, views: Mapping[bool, tuple[_View, np.ndarray]]) -> None:
+    """Write the entry of a file whose parse gave ``views`` (each view with
+    the line numbers of its records), atomically, and drop all but the
+    newest ``CACHE_ENTRIES``. A directory that cannot be made or written
+    leaves the cache off."""
+    columns = {"digest": np.array(digest)}
+    for flipped, (view, linenos) in views.items():
+        if not all(type(i) is str for i in view.image_ids):  # only ids that JSON writes back as they are
+            return
+        v = int(flipped)
+        columns[f"ids{v}"] = np.frombuffer(json.dumps(list(view.image_ids)).encode(), np.uint8)
+        columns[f"lines{v}"], columns[f"counts{v}"] = linenos, np.array(view.counts, dtype=np.int64)
+        columns[f"boxes{v}"], columns[f"probs{v}"] = view.columns()
+    entry, tmp = cache / _entry_name(digest), None
+    try:
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix=".tmp-", suffix=".npz")
+        with os.fdopen(fd, "wb") as f:
+            np.savez(f, **columns)
+        os.replace(tmp, entry)
+    except OSError:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
+        return
+    _touch(entry)
+    with suppress(OSError):  # another process may be pruning too
+        by_age = sorted(cache.glob("v*-*.npz"), key=lambda p: (p.stat().st_mtime_ns, p.name), reverse=True)
+        for old in by_age[CACHE_ENTRIES:]:
+            old.unlink(missing_ok=True)
+
+
+def _touch(entry: Path) -> None:
+    """Mark the entry as the most recently used; mtimes taken from the
+    clock, not the file system's coarser timestamps, so that entries made
+    or hit one after another are told apart."""
+    now = time.time_ns()
+    with suppress(OSError):
+        os.utime(entry, ns=(now, now))
 
 
 def write_predictions_jsonl(chunks: Iterable[PredictionChunk], path) -> None:
@@ -374,7 +562,7 @@ def _pl_set(recs, n_classes: int | None = None) -> PseudoLabels:
         [rec["image_id"] for rec in recs],
         [rec["bbox"] for rec in recs],
         [_typed_field(rec, "class_id", int) for rec in recs],
-        [float(rec["confidence"]) for rec in recs],
+        [float(_typed_field(rec, "confidence", float)) for rec in recs],
     )
     if n_classes is not None:
         outside = pls.class_ids > n_classes

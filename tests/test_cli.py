@@ -272,6 +272,14 @@ class TestSelectCommand:
             main(["select", "--help"])
         assert "pseudo-label class ids are not checked against K" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("command", ["score", "pseudolabel", "eval"])
+    def test_help_says_where_predictions_are_cached(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "$XDG_CACHE_HOME/aldet (else ~/.cache/aldet)" in out
+        assert "the 8 most recently used kept. No output or error depends on the cache." in out
+
     def test_rejected_selection_writes_nothing(self, tmp_path, capsys):
         # the pool is loaded and the selection committed before any file is written
         scores_csv, pool_path, out = tmp_path / "scores.csv", tmp_path / "pool.json", tmp_path / "sel.txt"

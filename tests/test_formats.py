@@ -1,12 +1,15 @@
 """Serialization round-trips and format validation."""
 
+import hashlib
 import json
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dataset_of, per_image
+from oracles import chunk_bits, dataset_of, per_image
 
 from aldet import formats
 from aldet.acquisition import AcquisitionScores
@@ -254,6 +257,143 @@ class TestPredictionsJSONL:
             formats.read_predictions_jsonl(path, sizes(world))
 
 
+def view_bits(preds):
+    """Every view of a read predictions file, as its frame and its bits."""
+    return [(flipped, view.flipped, chunk_bits(view)) for flipped, view in preds.views.items()]
+
+
+class TestPredictionsCache:
+    """``read_predictions_jsonl`` keeps a regular file's checked columns in
+    ``$XDG_CACHE_HOME/aldet``; a hit must give what a parse gives."""
+
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "aldet"
+
+    @pytest.fixture()
+    def file(self, world, tmp_path):
+        det = SyntheticDetector(SyntheticDetectorConfig(seed=3, fp_rate=1.0), world)
+        path = tmp_path / "preds.jsonl"
+        formats.write_predictions_jsonl([det.predict(world.image_ids), det.predict(world.image_ids[:5], True)], path)
+        return path
+
+    @staticmethod
+    def entry(cache, path):
+        return cache / f"v1-{hashlib.sha256(path.read_bytes()).hexdigest()}.npz"
+
+    @staticmethod
+    def cold(path, image_sizes):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", "not-absolute")  # turns the cache off
+            return formats.read_predictions_jsonl(path, image_sizes)
+
+    @staticmethod
+    def columns(entry):
+        with np.load(entry) as npz:
+            return {name: npz[name] for name in npz.files}
+
+    def test_hit_equals_the_parse(self, world, cache, file):
+        cold = view_bits(self.cold(file, sizes(world)))
+        assert not cache.exists()
+        assert view_bits(formats.read_predictions_jsonl(file, sizes(world))) == cold
+        assert [p.name for p in cache.iterdir()] == [self.entry(cache, file).name]
+        assert cache.stat().st_mode & 0o777 == 0o700
+        warm = formats.read_predictions_jsonl(file, sizes(world))
+        assert view_bits(warm) == cold
+        # the clamp depends on the sizes, so a hit runs it again
+        small = {image_id: (10, 10) for image_id in world.image_ids}
+        assert view_bits(formats.read_predictions_jsonl(file, small)) == view_bits(self.cold(file, small))
+
+    @pytest.mark.parametrize("spoil", [
+        lambda entry, good, other: entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2]),
+        lambda entry, good, other: entry.write_bytes(other.read_bytes()),
+        lambda entry, good, other: np.savez(entry, **{**good, "counts0": good["counts0"] + 1}),
+        lambda entry, good, other: np.savez(entry, **{**good, "probs0": np.full_like(good["probs0"], np.nan)}),
+    ], ids=["truncated", "other-content", "row-count", "non-finite"])
+    def test_spoilt_entry_is_a_miss_and_is_written_again(self, world, cache, file, tmp_path, spoil):
+        other_file = tmp_path / "other.jsonl"  # the same records, a line further down
+        other_file.write_text("\n" + file.read_text())
+        formats.read_predictions_jsonl(other_file, sizes(world))
+        formats.read_predictions_jsonl(file, sizes(world))
+        entry, other = self.entry(cache, file), self.entry(cache, other_file)
+        good = self.columns(entry)
+        spoil(entry, good, other)
+        assert view_bits(formats.read_predictions_jsonl(file, sizes(world))) == view_bits(self.cold(file, sizes(world)))
+        rewritten = self.columns(entry)
+        assert rewritten.keys() == good.keys()
+        assert all(np.array_equal(rewritten[name], good[name]) for name in good)
+
+    def test_unwritable_directory_writes_nothing(self, world, cache, file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(formats.tempfile, "mkstemp", refuse)
+        assert view_bits(formats.read_predictions_jsonl(file, sizes(world))) == view_bits(self.cold(file, sizes(world)))
+        assert list(cache.iterdir()) == []
+
+    def test_directory_that_cannot_be_made_writes_nothing(self, world, file, tmp_path, monkeypatch):
+        (tmp_path / "xdg").write_text("a file where the cache directory's parent would be")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert view_bits(formats.read_predictions_jsonl(file, sizes(world))) == view_bits(self.cold(file, sizes(world)))
+
+    def test_relative_directory_turns_the_cache_off(self, world, file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        formats.read_predictions_jsonl(file, sizes(world))
+        assert not (tmp_path / "relative").exists()
+        # as HOME unset would leave "~" unexpanded
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setattr(formats.os.path, "expanduser", lambda path: path)
+        formats.read_predictions_jsonl(file, sizes(world))
+        assert not (tmp_path / "~").exists()
+
+    def test_fifo_is_read_once_and_not_cached(self, world, cache, file, tmp_path):
+        fifo = tmp_path / "preds.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(file.read_bytes()), daemon=True)
+        writer.start()
+        try:
+            preds = formats.read_predictions_jsonl(fifo, sizes(world))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert view_bits(preds) == view_bits(self.cold(file, sizes(world)))
+        assert not cache.exists()
+
+    def test_file_descriptor_is_read_once_and_not_cached(self, world, cache, file):
+        preds = formats.read_predictions_jsonl(os.open(file, os.O_RDONLY), sizes(world))
+        assert view_bits(preds) == view_bits(self.cold(file, sizes(world)))
+        assert not cache.exists()
+
+    def test_file_changed_after_the_lookup_is_stored_under_the_bytes_parsed(self, world, cache, file, monkeypatch):
+        before = file.read_bytes()
+        lookup = formats._file_digest
+
+        def lookup_then_change(path):
+            digest = lookup(path)
+            file.write_bytes(b"\n" + before)
+            return digest
+
+        monkeypatch.setattr(formats, "_file_digest", lookup_then_change)
+        formats.read_predictions_jsonl(file, sizes(world))
+        assert [p.name for p in cache.iterdir()] == [self.entry(cache, file).name]
+        assert self.columns(self.entry(cache, file))["lines0"][0] == 2
+
+    def test_eight_entries_kept_the_least_recently_hit_goes(self, world, cache, file, tmp_path):
+        paths = []
+        for k in range(9):
+            paths.append(tmp_path / f"preds{k}.jsonl")
+            paths[-1].write_bytes(b"\n" * k + file.read_bytes())
+        for path in paths[:8]:
+            formats.read_predictions_jsonl(path, sizes(world))
+        for k in (1, 0, 3, 4, 5, 6, 7):  # every entry but 2's is hit again
+            formats.read_predictions_jsonl(paths[k], sizes(world))
+        formats.read_predictions_jsonl(paths[8], sizes(world))
+        kept = {p.name for p in cache.iterdir()}
+        assert kept == {self.entry(cache, path).name for k, path in enumerate(paths) if k != 2}
+
+
 class TestPseudoLabelJSONL:
     def test_roundtrip(self, tmp_path):
         pls = PseudoLabels(["b", "b", "a"], [[1, 2, 3, 4], [0, 0, 2, 2], [0, 0, 5, 5]], [2, 1, 1],
@@ -456,6 +596,70 @@ class TestIntegerFields:
         path = tmp_path / "pool.json"
         path.write_text(json.dumps({"cycle": 1.0, "labeled": ["a"], "unlabeled": ["b"]}))
         with pytest.raises(ValueError, match="cycle: expected an integer, got 1.0"):
+            formats.load_pool(path)
+
+
+class TestNumberFields:
+    """Coordinates, probabilities and confidences must be JSON numbers:
+    numpy reads true as 1 in a row of numbers, and float() reads the string
+    "0.99" and true alike."""
+
+    PL = '{"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": 0.99}\n'
+
+    @pytest.mark.parametrize("value", ['"0.99"', '" 1e-1 "', "true", "null"])
+    def test_pseudo_label_confidence(self, tmp_path, value):
+        path = tmp_path / "pl.jsonl"
+        path.write_text(self.PL + self.PL.replace("0.99", value))
+        message = f"{path}: line 2: confidence: expected a number, got {json.loads(value)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            formats.read_pseudo_labels_jsonl(path, 1)
+        path.write_text(self.PL.replace("0.99", "1"))  # a JSON integer is a number
+        assert formats.read_pseudo_labels_jsonl(path, 1).scores.tolist() == [1.0]
+
+    @pytest.mark.parametrize("value", ["0.99", " 1e-1 ", True])
+    def test_pool_confidence(self, tmp_path, value):
+        path = tmp_path / "pool.json"
+        record = {"image_id": "a", "bbox": [0, 0, 9, 9], "class_id": 1, "confidence": value}
+        path.write_text(json.dumps({"cycle": 0, "labeled": [], "unlabeled": ["a"], "pseudo": {"a": [record]}}))
+        message = f"{path}: image 'a': confidence: expected a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            formats.load_pool(path)
+
+    @pytest.mark.parametrize("bbox", [[True, 0, 5, 5], [0, 0, 5.5, False]])
+    def test_dataset_bbox(self, tmp_path, bbox):
+        images = [{"id": "ok", "width": 10, "height": 10, "objects": [{"bbox": [0, 0, 5, 5], "class_id": 1}]},
+                  {"id": "a", "width": 10, "height": 10, "objects": [{"bbox": bbox, "class_id": 1}]}]
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"classes": ["c"], "images": images}))
+        message = f"{path}: image 'a': bbox: expected numbers, got a boolean"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            formats.load_dataset(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bbox", [True, 0, 5, 5]), ("encoded", [0, 0, 1, True]), ("probs", [False, True]), ("probs", [0.0, True]),
+    ])
+    def test_predictions(self, world, tmp_path, field, value):
+        det = {"bbox": [0, 0, 5, 5], "encoded": [0, 0, 1, 1], "probs": [0.0, 1.0]}
+        path = tmp_path / "preds.jsonl"
+        path.write_text(TestPredictionsJSONL.record("img_0000", False, det)
+                        + TestPredictionsJSONL.record("img_0001", False, det, {**det, field: value}))
+        message = f"{path}: line 2: {field}: expected numbers, got a boolean"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            formats.read_predictions_jsonl(path, sizes(world))
+
+    def test_pseudo_label_bbox(self, tmp_path):
+        path = tmp_path / "pl.jsonl"
+        path.write_text(self.PL + self.PL.replace("[0, 0, 9, 9]", "[0, 0, 9, true]"))
+        message = f"{path}: line 2: bbox: expected numbers, got a boolean"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            formats.read_pseudo_labels_jsonl(path, 1)
+
+    def test_pool_bbox(self, tmp_path):
+        path = tmp_path / "pool.json"
+        record = {"image_id": "a", "bbox": [False, 0, 9, 9], "class_id": 1, "confidence": 0.99}
+        path.write_text(json.dumps({"cycle": 0, "labeled": [], "unlabeled": ["a"], "pseudo": {"a": [record]}}))
+        message = f"{path}: image 'a': bbox: expected numbers, got a boolean"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             formats.load_pool(path)
 
 

@@ -12,6 +12,7 @@ per-image code. Every prediction
 derived from a clamped one stays inside its image without being checked
 again, and every eval table the writer produces reads back."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -1120,6 +1121,52 @@ def test_reader_chunks_equal_per_record_reader_bit_for_bit(tmp_path_factory, fil
         for group in chunked(ids, size):
             expected = chunk_of([reference[(i, flipped)] for i in group])
             assert chunk_bits(preds.chunk(group, flipped)) == chunk_bits(expected)
+
+
+def _bits(preds):
+    return [(flipped, view.flipped, chunk_bits(view)) for flipped, view in preds.views.items()]
+
+
+def _error(read):
+    try:
+        read()
+    except ValueError as e:
+        return str(e)
+    raise AssertionError("the read raised no error")
+
+
+@settings(deadline=None, max_examples=100)
+@given(prediction_file(), st.integers(1, 2), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_cached_read_equals_the_parse(tmp_path_factory, file, blank, size, rnd):
+    # A read from the predictions cache must give the parse's views, and the
+    # parse's error when the dataset lacks an image: the entry was written
+    # with every image known, so the hit must name the record's line itself.
+    text, sizes = file
+    path = tmp_path_factory.getbasetemp() / "cached.jsonl"
+    path.write_text("\n" * blank + text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", "not-absolute")  # the cache is off: every read parses
+        cold = formats.read_predictions_jsonl(path, sizes)
+    entry = formats._cache_dir() / formats._entry_name(hashlib.sha256(path.read_bytes()).hexdigest())
+    formats.read_predictions_jsonl(path, sizes)  # a parse, or a hit of an earlier example's entry
+    assert entry.exists()
+    warm = formats.read_predictions_jsonl(path, sizes)
+    assert _bits(warm) == _bits(cold)
+    for flipped in (False, True):
+        ids = list(cold.views[flipped].image_ids)
+        rnd.shuffle(ids)
+        for group in chunked(ids, size):
+            assert chunk_bits(warm.chunk(group, flipped)) == chunk_bits(cold.chunk(group, flipped))
+    for image_id in sorted({image_id for image_id, _ in cold}):
+        fewer = {i: wh for i, wh in sizes.items() if i != image_id}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", "not-absolute")
+            expected = _error(lambda: formats.read_predictions_jsonl(path, fewer))
+        assert _error(lambda: formats.read_predictions_jsonl(path, fewer)) == expected
+        # the first record of the image, counting the blank lines before it
+        lineno = next(n for n, line in enumerate(path.read_text().split("\n"), start=1)
+                      if line and json.loads(line)["image_id"] == image_id)
+        assert expected == f"{path}: line {lineno}: unknown image id {image_id!r}"
 
 
 # -- the dataset column set against the per-record loader it replaced --------------
