@@ -347,64 +347,85 @@ def cmd_winrate(args) -> int:
 
 PREDICTIONS_HELP = (
     "predictions JSONL. A regular file is parsed once per content: its checked columns are kept in "
-    "$XDG_CACHE_HOME/aldet (else ~/.cache/aldet), one .npz entry per SHA-256 of the file, the "
-    f"{formats.CACHE_ENTRIES} most recently used kept. No output or error depends on the cache."
+    "$XDG_CACHE_HOME/aldet (else ~/.cache/aldet), one entry per SHA-256 of the file; dataset files "
+    f"are cached there too, and of all entries the {formats.CACHE_ENTRIES} most recently used kept. "
+    "No output or error depends on the cache."
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SUBCOMMANDS = ("score", "select", "pseudolabel", "simulate", "eval", "winrate")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line's parser, every subcommand's; with ``command``, only
+    that subcommand's parser is built, and its help, its errors and the
+    top-level usage read as in the full parser."""
     parser = argparse.ArgumentParser(
         prog="aldet",
         description="Active learning for object detection: scoring, selection, "
         "pseudo-labeling, simulation, and evaluation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The full parser's usage names every subcommand; with one built, so
+    # does its usage, which an error about unrecognized arguments prints.
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    built = _SUBCOMMANDS if command is None else (command,)
 
-    p = sub.add_parser("score", help="acquisition scores from a predictions JSONL")
-    _add_config_flags(p)
-    p.add_argument("--predictions", required=True, help=PREDICTIONS_HELP)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_score)
+    if "score" in built:
+        p = sub.add_parser("score", help="acquisition scores from a predictions JSONL")
+        _add_config_flags(p)
+        p.add_argument("--predictions", required=True, help=PREDICTIONS_HELP)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("select", help="pick images for labeling from a scores CSV")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--strategy", default=RunConfig.strategy, choices=SELECTION_STRATEGIES)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--pool", help="pool state JSON to commit the selection into; select reads no "
-                   "dataset, so the pool's pseudo-label class ids are not checked against K")
-    p.add_argument("--pool-out", help="where to write the updated pool (default: in place)")
-    p.set_defaults(func=cmd_select)
+    if "select" in built:
+        p = sub.add_parser("select", help="pick images for labeling from a scores CSV")
+        p.add_argument("--scores", required=True)
+        p.add_argument("--budget", type=int, required=True)
+        p.add_argument("--strategy", default=RunConfig.strategy, choices=SELECTION_STRATEGIES)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", required=True)
+        p.add_argument("--pool", help="pool state JSON to commit the selection into; select reads no "
+                       "dataset, so the pool's pseudo-label class ids are not checked against K")
+        p.add_argument("--pool-out", help="where to write the updated pool (default: in place)")
+        p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("pseudolabel", help="extract pseudo-labels from predictions")
-    _add_config_flags(p)
-    p.add_argument("--predictions", required=True, help=PREDICTIONS_HELP)
-    p.add_argument("--pool", help="restrict to the pool's unlabeled images")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pseudolabel)
+    if "pseudolabel" in built:
+        p = sub.add_parser("pseudolabel", help="extract pseudo-labels from predictions")
+        _add_config_flags(p)
+        p.add_argument("--predictions", required=True, help=PREDICTIONS_HELP)
+        p.add_argument("--pool", help="restrict to the pool's unlabeled images")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_pseudolabel)
 
-    p = sub.add_parser("simulate", help="run the full active-learning protocol")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_simulate)
+    if "simulate" in built:
+        p = sub.add_parser("simulate", help="run the full active-learning protocol")
+        _add_config_flags(p)
+        p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("eval", help="VOC07 11-point mAP@0.5 of a predictions JSONL against "
-                       "ground truth, no NMS", description=cmd_eval.__doc__)
-    p.add_argument("--gt", required=True)
-    p.add_argument("--predictions", required=True, help=PREDICTIONS_HELP)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    if "eval" in built:
+        p = sub.add_parser("eval", help="VOC07 11-point mAP@0.5 of a predictions JSONL against "
+                           "ground truth, no NMS", description=cmd_eval.__doc__)
+        p.add_argument("--gt", required=True, help="ground-truth dataset JSON. A regular file is parsed once "
+                       "per content and cached with the predictions (see --predictions).")
+        p.add_argument("--predictions", required=True, help=PREDICTIONS_HELP)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("winrate", help="pairwise per-class win-rate matrix")
-    p.add_argument("methods", nargs="+", metavar="NAME=eval.csv[,eval.csv...]")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_winrate)
+    if "winrate" in built:
+        p = sub.add_parser("winrate", help="pairwise per-class win-rate matrix")
+        p.add_argument("methods", nargs="+", metavar="NAME=eval.csv[,eval.csv...]")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_winrate)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked subcommand's parser is built; without one (--help, an
+    # unknown command), every subcommand's, for the full usage and choices.
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -19,22 +19,37 @@ writes one line at a time. The dataset and pool-state JSON documents, and
 the report, eval and win-rate CSVs (a line per cycle, class or method), are
 formatted whole.
 
-The predictions reader parses each file content once. After a read that
-succeeds, a regular file's checked columns (for each view its image ids,
-each record's line number and row count, and the raw boxes and
-probabilities) are kept as one ``.npz`` entry in ``$XDG_CACHE_HOME/aldet``,
-else ``~/.cache/aldet``, named by the SHA-256 of the bytes parsed. A later
-read of the same bytes runs again only the checks that depend on the
-dataset or on the values, and the clamp; an entry that cannot be used is a
-miss, and the file is parsed. The ``CACHE_ENTRIES`` most recently used
-entries are kept. No output and no error depends on the cache: a cold,
-warm, corrupt or unwritable cache gives the same views and messages.
+The predictions and dataset readers parse each file content once. After a
+read that succeeds, a regular file's checked columns are kept as one entry
+in ``$XDG_CACHE_HOME/aldet``, else ``~/.cache/aldet``, named by the SHA-256
+of the bytes parsed:
+
+- a predictions file's entry holds, for each view, its image ids, each
+  record's line number and row count, and the raw boxes and probabilities.
+  A later read of the same bytes runs again only the checks that depend on
+  the dataset or on the values, and the clamp;
+- a dataset's entry (named ``dataset-`` after the tag) holds its class
+  names, image ids, sizes, object counts, boxes and class ids. A later read
+  checks each column's dtype and shape and builds the dataset through the
+  :class:`~aldet.dataset.Dataset` constructor, which runs its checks again.
+
+An entry is one flat file: a one-line JSON header with the digest and each
+column's name, dtype and shape, then each column's raw bytes, each starting
+at a multiple of 64 bytes. It is read with one read, its columns taken as
+views of the bytes. An entry that cannot be used (unreadable, of other
+bytes, a header that does not match the body's length, a dtype the cache
+does not write, or a column that fails a check) is a miss, and the file is
+parsed. The ``CACHE_ENTRIES`` most recently used entries of both kinds
+together are kept, and every entry of an older format tag is deleted. No
+output and no error depends on the cache: a cold, warm, corrupt or
+unwritable cache gives the same views, datasets and messages.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -139,11 +154,12 @@ def _read_lines(path, parse, header: str | None = None, digest=None, linenos: li
     return out
 
 
-def _read_json(path):
-    """The file's one JSON document; undecodable bytes or malformed JSON raise
-    a ValueError that names the file."""
+def _read_json(path, data: bytes | None = None):
+    """The file's one JSON document, from its bytes ``data`` if they were
+    read already; undecodable bytes or malformed JSON raise a ValueError
+    that names the file."""
     try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
+        return json.loads((Path(path).read_bytes() if data is None else data).decode("utf-8"))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -185,8 +201,33 @@ def load_dataset(path) -> Dataset:
     then :class:`Dataset`'s checks. Every error about a record names the
     file and the image. A file with several faults reports the first fault
     of the first check that fails: a missing field or a wrong-typed
-    container before any value, and a width before a height or a class id."""
-    raw = _read_json(path)
+    container before any value, and a width before a height or a class id.
+
+    A regular file is read once, and its dataset kept in the cache (see the
+    module docstring) by the SHA-256 of those bytes: a later read of the
+    same bytes gives what this parse would give."""
+    with Path(path).open("rb") as f:
+        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+        data = f.read()
+    cache = _cache_dir() if regular else None
+    if cache is not None:
+        digest = hashlib.sha256(data).hexdigest()
+        entry = cache / _entry_name(digest, _DATASET_PREFIX)
+        cached = _cached_dataset(entry, digest)
+        if cached is not None:
+            return cached
+    dataset = _parse_dataset(path, data)
+    if cache is not None:
+        _save_entry(cache, entry.name, digest, {
+            "classes": _json_column(dataset.classes), "ids": _json_column(dataset.image_ids),
+            **{name: getattr(dataset, name) for name in _DATASET_COLUMNS}})
+    return dataset
+
+
+def _parse_dataset(path, data: bytes) -> Dataset:
+    """The dataset of the file's bytes ``data``, checked as
+    :func:`load_dataset` describes."""
+    raw = _read_json(path, data)
     ids, widths, heights, counts, boxes, class_ids = [], [], [], [], [], []
     image_id = None
     try:
@@ -401,24 +442,37 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
     except ValueError:  # each record a view of its own, to raise naming its line
         _read_jsonl(path, lambda rec: _View().add(rec["image_id"], rec["detections"]).chunk(sizes))
         raise
-    if parsed is not None:
-        linenos, flips = np.array(linenos, dtype=np.int64), np.array(flips, dtype=bool)
-        _save_entry(cache, parsed.hexdigest(), {flipped: (view, linenos[flips == flipped])
-                                                for flipped, view in views.items()})
+    # An entry holds only ids that JSON writes back as they are.
+    if parsed is not None and all(type(i) is str for view in views.values() for i in view.image_ids):
+        linenos, flips, digest = np.array(linenos, dtype=np.int64), np.array(flips, dtype=bool), parsed.hexdigest()
+        columns = {}
+        for flipped, view in views.items():
+            v = int(flipped)
+            columns[f"ids{v}"] = _json_column(view.image_ids)
+            columns[f"lines{v}"], columns[f"counts{v}"] = linenos[flips == flipped], np.array(view.counts, np.int64)
+            columns[f"boxes{v}"], columns[f"probs{v}"] = view.columns()
+        _save_entry(cache, _entry_name(digest), digest, columns)
     return preds
 
 
-# -- the predictions cache ------------------------------------------------------
+# -- the parse cache ------------------------------------------------------------
 
-# An entry holds what a successful read of a predictions file found that no
-# dataset can change: for each view, its image ids in file order, each
-# record's line number and row count, and the raw (unclamped) boxes and
-# probabilities. It is one .npz file named by the format tag and the SHA-256
-# of the bytes parsed. Bump the tag whenever the reader's acceptance rules
-# change, so that no entry written under the old rules is read.
-_CACHE_TAG = "v1"
-CACHE_ENTRIES = 8  # the newest entries kept, by mtime; a hit refreshes it
+# An entry holds what a successful read of a file found that no later input
+# can change (see the module docstring), named by the format tag, the kind's
+# prefix and the SHA-256 of the bytes parsed. Bump the tag whenever a
+# reader's acceptance rules or the entry layout change, so that no entry
+# written under the old ones is read.
+_CACHE_TAG = "v2"
+_DATASET_PREFIX = "dataset-"
+CACHE_ENTRIES = 8  # the newest entries of the tag kept, by mtime; a hit refreshes it
 _HASH_BLOCK = 1 << 20
+_ENTRY_ALIGN = 64  # each column starts at a multiple of this many bytes
+_ENTRY_DTYPES = frozenset({"<i8", "<f8", "|u1"})  # the only dtypes an entry is written with
+# A dataset entry's numeric columns and the dtype and number of dimensions
+# each must have; a float width must not get past the parse's JSON-integer
+# check.
+_DATASET_COLUMNS = {"widths": ("<i8", 1), "heights": ("<i8", 1), "counts": ("<i8", 1),
+                    "boxes": ("<f8", 2), "class_ids": ("<i8", 1)}
 
 
 def _cache_dir() -> Path | None:
@@ -428,8 +482,13 @@ def _cache_dir() -> Path | None:
     return path if path.is_absolute() else None
 
 
-def _entry_name(digest: str) -> str:
-    return f"{_CACHE_TAG}-{digest}.npz"
+def _entry_name(digest: str, prefix: str = "") -> str:
+    return f"{_CACHE_TAG}-{prefix}{digest}.cols"
+
+
+def _json_column(strings: Iterable[str]) -> np.ndarray:
+    """A list of strings as the bytes of its JSON array, one column."""
+    return np.frombuffer(json.dumps(list(strings)).encode(), np.uint8)
 
 
 def _file_digest(path) -> str | None:
@@ -449,31 +508,52 @@ def _file_digest(path) -> str | None:
         return None
 
 
+def _entry_columns(entry: Path, digest: str) -> dict[str, np.ndarray] | None:
+    """The columns of the entry of ``digest``, read-only views of its bytes;
+    None (a miss) when there is no such entry or it is unreadable, belongs
+    to other bytes, holds a dtype the cache does not write, or its header
+    does not match the length of its body exactly."""
+    try:
+        data = entry.read_bytes()
+        end = data.index(b"\n") + 1
+        header = json.loads(data[:end])
+        if header["digest"] != digest:
+            return None
+        columns = {}
+        for name, dtype, shape in header["columns"]:
+            if dtype not in _ENTRY_DTYPES or not all(type(n) is int and n >= 0 for n in shape):
+                return None
+            end += -end % _ENTRY_ALIGN
+            columns[name] = np.frombuffer(data, dtype, math.prod(shape), end).reshape(shape)
+            end += columns[name].nbytes
+        return columns if end == len(data) else None
+    # The entry comes from outside the program, and a damaged header fails in
+    # many ways (a missing key, a wrong type, a body shorter than it says):
+    # each is a miss.
+    except Exception:
+        return None
+
+
 def _cached_views(entry: Path, digest: str, path, sizes) -> PredictionViews | None:
     """The views rebuilt from the cache entry of the file's ``digest``, or
-    None (a miss) when there is no such entry or it is unreadable, belongs
-    to other bytes, is inconsistent or fails a check. An image id that
-    ``sizes`` lacks raises the parse's error, naming the record's line."""
+    None (a miss) when there is no usable entry or it is inconsistent or
+    fails a check. An image id that ``sizes`` lacks raises the parse's
+    error, naming the record's line."""
+    columns = _entry_columns(entry, digest)
+    if columns is None:
+        return None
     try:
-        with np.load(entry, allow_pickle=False) as npz:
-            columns = {name: npz[name] for name in npz.files}
-        if columns["digest"].item() != digest:
-            return None
         stored = []
         for flipped in (False, True):
             image_ids, linenos, counts, boxes, probs = (
                 columns[f"{name}{int(flipped)}"] for name in ("ids", "lines", "counts", "boxes", "probs"))
             image_ids = json.loads(image_ids.tobytes())
             if not (type(image_ids) is list and set(map(type, image_ids)) <= {str}
-                    and len(image_ids) == len(set(image_ids)) == len(linenos) == len(counts)
-                    and linenos.dtype.kind == counts.dtype.kind == "i"):  # rows: checked as the views are built
-                return None
+                    and linenos.ndim == counts.ndim == 1 and linenos.dtype.kind == counts.dtype.kind == "i"
+                    and len(image_ids) == len(set(image_ids)) == len(linenos) == len(counts)):
+                return None  # rows: checked as the views are built
             stored.append((flipped, image_ids, linenos.tolist(), counts, boxes, probs))
-    # The entry comes from outside the program, and a damaged zip or .npy
-    # fails in many ways (BadZipFile, NotImplementedError for a flipped
-    # version byte, EOFError, ValueError...): each is a miss, and the file is
-    # parsed.
-    except Exception:
+    except Exception:  # a column missing, or ids that are not JSON: see _entry_columns
         return None
     unknown = [(lineno, image_id) for _, image_ids, linenos, *_ in stored
                for image_id, lineno in zip(image_ids, linenos) if image_id not in sizes]
@@ -489,25 +569,48 @@ def _cached_views(entry: Path, digest: str, path, sizes) -> PredictionViews | No
     return preds
 
 
-def _save_entry(cache: Path, digest: str, views: Mapping[bool, tuple[_View, np.ndarray]]) -> None:
-    """Write the entry of a file whose parse gave ``views`` (each view with
-    the line numbers of its records), atomically, and drop all but the
-    newest ``CACHE_ENTRIES``. A directory that cannot be made or written
-    leaves the cache off."""
-    columns = {"digest": np.array(digest)}
-    for flipped, (view, linenos) in views.items():
-        if not all(type(i) is str for i in view.image_ids):  # only ids that JSON writes back as they are
-            return
-        v = int(flipped)
-        columns[f"ids{v}"] = np.frombuffer(json.dumps(list(view.image_ids)).encode(), np.uint8)
-        columns[f"lines{v}"], columns[f"counts{v}"] = linenos, np.array(view.counts, dtype=np.int64)
-        columns[f"boxes{v}"], columns[f"probs{v}"] = view.columns()
-    entry, tmp = cache / _entry_name(digest), None
+def _cached_dataset(entry: Path, digest: str) -> Dataset | None:
+    """The dataset rebuilt from the cache entry of the file's ``digest``,
+    through the :class:`Dataset` constructor, which runs every check; None
+    (a miss) when there is no usable entry, a column has another dtype or
+    shape, or a check fails."""
+    columns = _entry_columns(entry, digest)
+    if columns is None:
+        return None
+    try:
+        if any(columns[name].dtype.str != dtype or columns[name].ndim != ndim
+               for name, (dtype, ndim) in _DATASET_COLUMNS.items()) or columns["boxes"].shape[1] != 4:
+            return None
+        classes, ids = (json.loads(columns[name].tobytes()) for name in ("classes", "ids"))
+        if type(classes) is not list or type(ids) is not list:
+            return None
+        dataset = Dataset(tuple(classes), ids, *(columns[name] for name in
+                                                 ("widths", "heights", "boxes", "class_ids", "counts")))
+    except Exception:  # a column missing, or a check that fails: see _entry_columns
+        return None
+    _touch(entry)
+    return dataset
+
+
+def _save_entry(cache: Path, name: str, digest: str, columns: Mapping[str, np.ndarray]) -> None:
+    """Write the entry ``name`` of a file of ``digest`` with ``columns``,
+    atomically, then delete every entry of another tag and all but the
+    newest ``CACHE_ENTRIES`` of this one. A directory that cannot be made or
+    written leaves the cache off."""
+    arrays = {key: np.ascontiguousarray(a, a.dtype.newbyteorder("<")) for key, a in columns.items()}
+    header = {"digest": digest, "columns": [[key, a.dtype.str, a.shape] for key, a in arrays.items()]}
+    pieces = [json.dumps(header).encode() + b"\n"]
+    end = len(pieces[0])
+    for a in arrays.values():
+        pad = bytes(-end % _ENTRY_ALIGN)
+        pieces += [pad, a.data]
+        end += len(pad) + a.nbytes
+    entry, tmp = cache / name, None
     try:
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache, prefix=".tmp-", suffix=".npz")
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix=".tmp-")
         with os.fdopen(fd, "wb") as f:
-            np.savez(f, **columns)
+            f.writelines(pieces)
         os.replace(tmp, entry)
     except OSError:
         if tmp is not None:
@@ -516,8 +619,10 @@ def _save_entry(cache: Path, digest: str, views: Mapping[bool, tuple[_View, np.n
         return
     _touch(entry)
     with suppress(OSError):  # another process may be pruning too
-        by_age = sorted(cache.glob("v*-*.npz"), key=lambda p: (p.stat().st_mtime_ns, p.name), reverse=True)
-        for old in by_age[CACHE_ENTRIES:]:
+        entries = set(cache.glob("v*-*"))  # every tag's, of both kinds
+        current = sorted((p for p in entries if p.name.startswith(f"{_CACHE_TAG}-")),
+                         key=lambda p: (p.stat().st_mtime_ns, p.name), reverse=True)
+        for old in entries.difference(current[:CACHE_ENTRIES]):
             old.unlink(missing_ok=True)
 
 

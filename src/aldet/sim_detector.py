@@ -185,9 +185,18 @@ def _mix64(*values: int) -> int:
     return h
 
 
-def _id_key(image_id: str) -> int:
-    digest = hashlib.blake2b(image_id.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+def _mixed(h: np.ndarray) -> np.ndarray:
+    """The mix of one step of :func:`_mix64`'s chain, after its add, over a
+    uint64 column, in wrapping uint64 arithmetic."""
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return h ^ (h >> np.uint64(31))
+
+
+def _id_keys(image_ids: Sequence[str]) -> np.ndarray:
+    """Each id's blake2b-64, little-endian, as one uint64 column."""
+    digests = b"".join(hashlib.blake2b(i.encode("utf-8"), digest_size=8).digest() for i in image_ids)
+    return np.frombuffer(digests, "<u8").astype(np.uint64)
 
 
 def _reset(bits: np.random.Philox, k1: int, k2: int) -> None:
@@ -407,9 +416,10 @@ class SyntheticDetector(DetectorInterface):
         self._robustness = _per_class(config.flip_robustness, k, "flip_robustness")
         self._seen_labeled: frozenset[str] = frozenset()
         # k2 of every image's streams by dataset position: row 0 tag 0's,
-        # row 1 tag 1's.
-        id_keys = [_id_key(image_id) for image_id in dataset.image_ids]
-        self._k2 = np.array([[_mix64(key, tag) for key in id_keys] for tag in (0, 1)], dtype=np.uint64)
+        # row 1 tag 1's, each _mix64(id key, tag) from the chain's first
+        # step, which both tags share.
+        keyed = _mixed(np.uint64(0x9E3779B97F4A7C15) + _id_keys(dataset.image_ids))
+        self._k2 = np.stack([_mixed(keyed + np.uint64(tag)) for tag in (0, 1)])
         # Seeded only to skip the OS entropy an unseeded one reads: every
         # draw loop resets it to an image's stream first.
         self._rng = np.random.Generator(np.random.Philox(0))

@@ -180,6 +180,52 @@ class TestConfig:
             )
 
 
+def printed(capsys, parse, argv):
+    """What ``parse(argv)`` prints to stdout and stderr, and its exit code."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return out.out, out.err, exc.value.code
+
+
+class TestOneParser:
+    """``main`` builds only the invoked subcommand's parser; what it prints
+    must be what the full parser prints."""
+
+    SUBCOMMANDS = ["score", "select", "pseudolabel", "simulate", "eval", "winrate"]
+
+    @pytest.mark.parametrize("argv", [[command, "--help"] for command in SUBCOMMANDS] + [
+        ["score"],  # the missing required arguments
+        ["select", "--scores", "s.csv", "--budget", "x", "--out", "o.txt"],
+        ["select", "--scores", "s.csv", "--budget", "1", "--out", "o.txt", "surplus"],
+        ["winrate", "--out", "o.csv", "--surplus"],
+    ])
+    def test_subcommand_prints_what_the_full_parser_prints(self, capsys, argv):
+        expected = printed(capsys, build_parser().parse_args, argv)
+        assert printed(capsys, build_parser(argv[0]).parse_args, argv) == expected
+        assert printed(capsys, main, argv) == expected
+
+    def test_top_level_help_and_unknown_command_are_unchanged(self, capsys):
+        usage = "usage: aldet [-h] {score,select,pseudolabel,simulate,eval,winrate} ...\n"
+        out, err, code = printed(capsys, main, ["--help"])
+        assert (err, code) == ("", 0)
+        assert " ".join(out.split()) == " ".join((usage + """
+            Active learning for object detection: scoring, selection, pseudo-labeling, simulation, and evaluation.
+            positional arguments: {score,select,pseudolabel,simulate,eval,winrate}
+            score acquisition scores from a predictions JSONL
+            select pick images for labeling from a scores CSV
+            pseudolabel extract pseudo-labels from predictions
+            simulate run the full active-learning protocol
+            eval VOC07 11-point mAP@0.5 of a predictions JSONL against ground truth, no NMS
+            winrate pairwise per-class win-rate matrix
+            options: -h, --help show this help message and exit""").split())
+        assert printed(capsys, main, ["bogus"]) == ("", usage + (
+            "aldet: error: argument command: invalid choice: 'bogus' (choose from 'score', 'select', "
+            "'pseudolabel', 'simulate', 'eval', 'winrate')\n"), 2)
+        assert printed(capsys, main, []) == (
+            "", usage + "aldet: error: the following arguments are required: command\n", 2)
+
+
 class TestScoreCommand:
     def test_matches_library_and_is_deterministic(self, workspace):
         tmp_path, train, _test, det, preds_path = workspace

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -262,6 +263,48 @@ def view_bits(preds):
     return [(flipped, view.flipped, chunk_bits(view)) for flipped, view in preds.views.items()]
 
 
+def entry_columns(entry):
+    """The digest and the columns of a cache entry, read by its layout: a
+    one-line JSON header, then each column's bytes from the next multiple of
+    64, the last ending the file."""
+    data = entry.read_bytes()
+    end = data.index(b"\n") + 1
+    header, columns = json.loads(data[:end]), {}
+    for name, dtype, shape in header["columns"]:
+        end += -end % 64
+        columns[name] = np.frombuffer(data, dtype, int(np.prod(shape)), end).reshape(shape)
+        end += columns[name].nbytes
+    assert end == len(data)
+    return header["digest"], columns
+
+
+def write_entry(entry, digest, columns, shapes=None):
+    """A cache entry of ``columns`` in the layout, each written with its own
+    dtype, its header naming ``shapes[name]`` where given."""
+    shapes = shapes or {}
+    header = {"digest": digest, "columns": [[name, a.dtype.str, shapes.get(name, a.shape)] for name, a in columns.items()]}
+    data = json.dumps(header).encode() + b"\n"
+    for a in columns.values():
+        data += bytes(-len(data) % 64) + np.ascontiguousarray(a).tobytes()
+    entry.write_bytes(data)
+
+
+def spoil_columns(shapes=None, **changes):
+    """A spoiler that writes the good entry again with ``changes``, each a
+    column's new value made from the good columns, and with ``shapes``, each
+    a column's header shape made from them."""
+    def spoil(entry, good, other):
+        digest, columns = good
+        write_entry(entry, digest, {**columns, **{name: change(columns) for name, change in changes.items()}},
+                    {name: shape(columns) for name, shape in (shapes or {}).items()})
+    return spoil
+
+
+# Spoilers of either kind of entry, each a miss that is written again.
+TRUNCATED = lambda entry, good, other: entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])  # noqa: E731
+OTHER_CONTENT = lambda entry, good, other: entry.write_bytes(other.read_bytes())  # noqa: E731
+
+
 class TestPredictionsCache:
     """``read_predictions_jsonl`` keeps a regular file's checked columns in
     ``$XDG_CACHE_HOME/aldet``; a hit must give what a parse gives."""
@@ -280,7 +323,7 @@ class TestPredictionsCache:
 
     @staticmethod
     def entry(cache, path):
-        return cache / f"v1-{hashlib.sha256(path.read_bytes()).hexdigest()}.npz"
+        return cache / f"v2-{hashlib.sha256(path.read_bytes()).hexdigest()}.cols"
 
     @staticmethod
     def cold(path, image_sizes):
@@ -290,8 +333,7 @@ class TestPredictionsCache:
 
     @staticmethod
     def columns(entry):
-        with np.load(entry) as npz:
-            return {name: npz[name] for name in npz.files}
+        return entry_columns(entry)[1]
 
     def test_hit_equals_the_parse(self, world, cache, file):
         cold = view_bits(self.cold(file, sizes(world)))
@@ -306,23 +348,31 @@ class TestPredictionsCache:
         assert view_bits(formats.read_predictions_jsonl(file, small)) == view_bits(self.cold(file, small))
 
     @pytest.mark.parametrize("spoil", [
-        lambda entry, good, other: entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2]),
-        lambda entry, good, other: entry.write_bytes(other.read_bytes()),
-        lambda entry, good, other: np.savez(entry, **{**good, "counts0": good["counts0"] + 1}),
-        lambda entry, good, other: np.savez(entry, **{**good, "probs0": np.full_like(good["probs0"], np.nan)}),
-    ], ids=["truncated", "other-content", "row-count", "non-finite"])
+        TRUNCATED,
+        OTHER_CONTENT,
+        spoil_columns(counts0=lambda c: c["counts0"] + 1),
+        spoil_columns(probs0=lambda c: np.full_like(c["probs0"], np.nan)),
+        # the last column's rows run past the end of the file
+        spoil_columns(shapes={"probs1": lambda c: [len(c["probs1"]) + 1, c["probs1"].shape[1]]}),
+        # bytes after the last column: a body longer than the header says
+        lambda entry, good, other: entry.write_bytes(entry.read_bytes() + bytes(64)),
+        # the same values, big-endian: a dtype the cache does not write
+        spoil_columns(probs0=lambda c: c["probs0"].astype(">f8")),
+    ], ids=["truncated", "other-content", "row-count", "non-finite", "overrun", "trailing", "dtype"])
     def test_spoilt_entry_is_a_miss_and_is_written_again(self, world, cache, file, tmp_path, spoil):
         other_file = tmp_path / "other.jsonl"  # the same records, a line further down
         other_file.write_text("\n" + file.read_text())
         formats.read_predictions_jsonl(other_file, sizes(world))
         formats.read_predictions_jsonl(file, sizes(world))
         entry, other = self.entry(cache, file), self.entry(cache, other_file)
-        good = self.columns(entry)
+        good, good_bytes = entry_columns(entry), entry.read_bytes()
         spoil(entry, good, other)
+        assert entry.read_bytes() != good_bytes
         assert view_bits(formats.read_predictions_jsonl(file, sizes(world))) == view_bits(self.cold(file, sizes(world)))
         rewritten = self.columns(entry)
-        assert rewritten.keys() == good.keys()
-        assert all(np.array_equal(rewritten[name], good[name]) for name in good)
+        assert rewritten.keys() == good[1].keys()
+        assert all(np.array_equal(rewritten[name], good[1][name]) for name in good[1])
+        assert entry.read_bytes() == good_bytes  # each column with its dtype too
 
     def test_unwritable_directory_writes_nothing(self, world, cache, file, monkeypatch):
         def refuse(*args, **kwargs):
@@ -392,6 +442,116 @@ class TestPredictionsCache:
         formats.read_predictions_jsonl(paths[8], sizes(world))
         kept = {p.name for p in cache.iterdir()}
         assert kept == {self.entry(cache, path).name for k, path in enumerate(paths) if k != 2}
+
+    def test_every_older_tag_goes_and_eight_entries_of_both_kinds_are_kept(self, world, cache, file, tmp_path):
+        cache.mkdir(parents=True)
+        planted = cache / f"v1-{'0' * 64}.npz"  # an entry of the former layout, the newest file
+        planted.write_bytes(b"PK")
+        os.utime(planted, ns=(2 * time.time_ns(),) * 2)
+        paths = []
+        for k in range(9):  # predictions and datasets, alternately
+            paths.append(tmp_path / f"input{k}")
+            if k % 2:
+                formats.save_dataset(world, paths[-1])
+                paths[-1].write_bytes(b"\n" * k + paths[-1].read_bytes())
+            else:
+                paths[-1].write_bytes(b"\n" * k + file.read_bytes())
+        formats.read_predictions_jsonl(paths[0], sizes(world))
+        assert not planted.exists()
+        for k, path in enumerate(paths[1:], start=1):
+            if k % 2:
+                formats.load_dataset(path)
+            else:
+                formats.read_predictions_jsonl(path, sizes(world))
+        kept = {p.name for p in cache.iterdir()}
+        assert kept == {TestDatasetCache.entry(cache, path).name if k % 2 else self.entry(cache, path).name
+                        for k, path in enumerate(paths) if k}
+
+
+def dataset_bits(data):
+    """A dataset's class names, ids and columns, each with its dtype."""
+    return (data.classes, data.image_ids, *((a.dtype, a.shape, a.tobytes()) for a in
+                                            (data.widths, data.heights, data.boxes, data.class_ids, data.counts,
+                                             data.starts)))
+
+
+class TestDatasetCache:
+    """``load_dataset`` keeps a regular file's dataset in the cache of the
+    predictions; a hit must give what a parse gives."""
+
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "aldet"
+
+    @pytest.fixture()
+    def file(self, world, tmp_path):
+        path = tmp_path / "data.json"
+        formats.save_dataset(world, path)
+        return path
+
+    @staticmethod
+    def entry(cache, path):
+        return cache / f"v2-dataset-{hashlib.sha256(path.read_bytes()).hexdigest()}.cols"
+
+    @staticmethod
+    def cold(path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", "not-absolute")  # turns the cache off
+            return dataset_bits(formats.load_dataset(path))
+
+    def test_hit_equals_the_parse(self, cache, file, monkeypatch):
+        cold = self.cold(file)
+        assert not cache.exists()
+        assert dataset_bits(formats.load_dataset(file)) == cold
+        assert [p.name for p in cache.iterdir()] == [self.entry(cache, file).name]
+
+        def no_parse(*args):
+            raise AssertionError("a hit parses nothing")
+
+        monkeypatch.setattr(formats, "_parse_dataset", no_parse)
+        assert dataset_bits(formats.load_dataset(file)) == cold
+
+    @pytest.mark.parametrize("spoil", [
+        TRUNCATED,
+        OTHER_CONTENT,
+        spoil_columns(widths=lambda c: c["widths"].astype(np.float64)),
+        spoil_columns(boxes=lambda c: np.full_like(c["boxes"], np.nan)),
+        spoil_columns(class_ids=lambda c: np.where(np.arange(len(c["class_ids"])) == 0, 4, c["class_ids"])),  # K = 3
+        spoil_columns(counts=lambda c: c["counts"] + 1),
+    ], ids=["truncated", "other-content", "float-width", "nan-box", "class-id-above-k", "row-count"])
+    def test_spoilt_entry_is_a_miss_and_is_written_again(self, cache, file, tmp_path, spoil):
+        other_file = tmp_path / "other.json"  # the same document, a line further down
+        other_file.write_text("\n" + file.read_text())
+        formats.load_dataset(other_file)
+        formats.load_dataset(file)
+        entry, other = self.entry(cache, file), self.entry(cache, other_file)
+        good, good_bytes = entry_columns(entry), entry.read_bytes()
+        spoil(entry, good, other)
+        assert entry.read_bytes() != good_bytes
+        assert dataset_bits(formats.load_dataset(file)) == self.cold(file)
+        assert entry.read_bytes() == good_bytes
+
+    def test_unwritable_directory_writes_nothing(self, cache, file, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(formats.tempfile, "mkstemp", refuse)
+        assert dataset_bits(formats.load_dataset(file)) == self.cold(file)
+        assert list(cache.iterdir()) == []
+
+    def test_fifo_is_read_once_and_not_cached(self, cache, file, tmp_path):
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(file.read_bytes()), daemon=True)
+        writer.start()
+        try:
+            data = formats.load_dataset(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert dataset_bits(data) == self.cold(file)
+        assert not cache.exists()
 
 
 class TestPseudoLabelJSONL:

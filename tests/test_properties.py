@@ -14,7 +14,9 @@ again, and every eval table the writer produces reads back."""
 
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1272,3 +1274,44 @@ def test_dataset_columns_equal_the_per_record_loader(tmp_path_factory, doc, faul
         return
     assert fault is None or fault[2] == "duplicate" and len(doc["images"]) == 1  # a fault makes both raise
     same_dataset(formats.load_dataset(path), reference)
+
+
+@settings(deadline=None, max_examples=200)
+@given(dataset_documents(), st.sampled_from([None] + DATASET_FAULTS))
+def test_cached_dataset_equals_the_parse(tmp_path_factory, doc, fault):
+    # A read with the cache off, the first read with it on (a parse that
+    # writes the entry) and the next (a hit that parses nothing) must each
+    # give the per-record loader's dataset, or its message; a file that
+    # the parse refuses writes no entry.
+    if fault is not None:
+        if not doc["images"] or fault[0] == "object" and not any(rec.get("objects") for rec in doc["images"]):
+            return
+        doc = with_fault(doc, fault)
+    base = tmp_path_factory.getbasetemp()
+    path = base / "cached-dataset.json"
+    path.write_text(json.dumps(doc))
+    try:
+        reference = load_dataset_per_record(path)
+    except ValueError as e:
+        reference = str(e)
+
+    def check(read) -> None:
+        if isinstance(reference, str):
+            assert _error(read) == reference
+        else:
+            same_dataset(read(), reference)
+
+    with tempfile.TemporaryDirectory(dir=base) as home, pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", "not-absolute")
+        check(lambda: formats.load_dataset(path))
+        patch.setenv("XDG_CACHE_HOME", home)
+        check(lambda: formats.load_dataset(path))
+        cache = Path(home) / "aldet"
+        entries = sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+        if isinstance(reference, str):
+            assert entries == []
+        else:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert entries == [formats._entry_name(digest, "dataset-")]
+            patch.setattr(formats, "_parse_dataset", None)  # a hit parses nothing
+        check(lambda: formats.load_dataset(path))
