@@ -349,7 +349,8 @@ PREDICTIONS_HELP = (
     "predictions JSONL. A regular file is parsed once per content: its checked columns are kept in "
     "$XDG_CACHE_HOME/aldet (else ~/.cache/aldet), one entry per SHA-256 of the file; dataset files "
     f"are cached there too, and of all entries the {formats.CACHE_ENTRIES} most recently used kept. "
-    "No output or error depends on the cache."
+    "No output or error depends on the cache. An unchanged file is found by its inode, size and "
+    "timestamps, not hashed again, once its timestamps are a few seconds old."
 )
 
 

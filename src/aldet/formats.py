@@ -43,6 +43,20 @@ parsed. The ``CACHE_ENTRIES`` most recently used entries of both kinds
 together are kept, and every entry of an older format tag is deleted. No
 output and no error depends on the cache: a cold, warm, corrupt or
 unwritable cache gives the same views, datasets and messages.
+
+An unchanged file is found by its stat, not hashed again. Once a file is
+hashed, an empty marker ``<tag>-stat-<key>-<sha256>`` binds its key (device,
+inode, size, and modification and change times in ns) to the digest, but
+only when the binding is provably unambiguous: the file's stat did not
+change while it was hashed, and both its times were at least
+``_STAT_MARGIN_NS`` (3 s) older than the clock read before the first stat.
+A later read whose stat gives a marked key reads the entry without opening
+the file, and a parse after such a lookup stores its entry under that
+digest without hashing what it reads, if the file kept that key while it
+was read. A younger file is hashed on every read, and a miss hashes the
+bytes as they are parsed. Markers are not entries: the
+``CACHE_ENTRIES`` newest are kept, and a marker whose entry is gone is
+deleted. See :func:`_file_digest` for the argument and its limits.
 """
 
 from __future__ import annotations
@@ -55,11 +69,11 @@ import re
 import stat
 import tempfile
 import time
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,17 +137,19 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(start, start + WRITE_BLOCK_ROWS) for start in range(0, n, WRITE_BLOCK_ROWS))
 
 
-def _read_lines(path, parse, header: str | None = None, digest=None, linenos: list | None = None) -> list:
+def _read_lines(path, parse, header: str | None = None, digest=None, linenos: list | None = None,
+                file=None) -> list:
     """``parse(line)`` of every non-blank line, stripped, in order.
 
     Each line is decoded as UTF-8 on its own, so an undecodable byte, like a
     line that ``parse`` rejects, raises a ValueError that names the file and
     the line number. With ``header``, line 1 must equal it and is not parsed.
     ``digest`` (a hashlib object) is fed every byte read, and ``linenos``
-    gets the number of each line passed to ``parse``.
+    gets the number of each line passed to ``parse``. ``file``, ``path``
+    opened for reading bytes, is read in place of opening ``path``.
     """
     out, lineno = [], 0
-    with open(path, "rb") as f:
+    with open(path, "rb") if file is None else nullcontext(file) as f:
         for lineno, raw in enumerate(f, start=1):
             if digest is not None:
                 digest.update(raw)
@@ -205,22 +221,28 @@ def load_dataset(path) -> Dataset:
 
     A regular file is read once, and its dataset kept in the cache (see the
     module docstring) by the SHA-256 of those bytes: a later read of the
-    same bytes gives what this parse would give."""
-    with Path(path).open("rb") as f:
-        regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
-        data = f.read()
-    cache = _cache_dir() if regular else None
-    if cache is not None:
-        digest = hashlib.sha256(data).hexdigest()
-        entry = cache / _entry_name(digest, _DATASET_PREFIX)
-        cached = _cached_dataset(entry, digest)
+    same bytes gives what this parse would give. A file that a marker finds
+    is not read unless its entry is a miss."""
+    cache = _cache_dir()
+    found = _file_digest(path, cache, keep=True) if cache is not None else None
+    if found is not None:
+        cached = _cached_dataset(cache / _entry_name(found.sha256, _DATASET_PREFIX), found.sha256)
         if cached is not None:
+            _mark(cache, found)
             return cached
+    if found is not None and found.data is not None:
+        data = found.data
+    else:  # not a regular file, or its digest came from a marker
+        with Path(path).open("rb") as f:
+            data = f.read()
+            if found is not None and _fstat_key(f) != found.key:
+                found = _Digest(hashlib.sha256(data).hexdigest())
     dataset = _parse_dataset(path, data)
-    if cache is not None:
-        _save_entry(cache, entry.name, digest, {
+    if found is not None:
+        _save_entry(cache, _entry_name(found.sha256, _DATASET_PREFIX), found.sha256, {
             "classes": _json_column(dataset.classes), "ids": _json_column(dataset.image_ids),
             **{name: getattr(dataset, name) for name in _DATASET_COLUMNS}})
+        _mark(cache, found)
     return dataset
 
 
@@ -414,10 +436,11 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
     from them with every check that depends on ``sizes`` or on the values
     run again, and gives what this parse would give, errors too."""
     cache = _cache_dir()
-    digest = _file_digest(path) if cache is not None else None
-    if digest is not None:
-        cached = _cached_views(cache / _entry_name(digest), digest, path, sizes)
+    found = _file_digest(path, cache) if cache is not None else None
+    if found is not None:
+        cached = _cached_views(cache / _entry_name(found.sha256), found.sha256, path, sizes)
         if cached is not None:
+            _mark(cache, found)
             return cached
     views = {False: _View(False), True: _View(True)}
     flips: list[bool] = []  # each record's view, in file order
@@ -432,26 +455,34 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
         views[flipped].add(image_id, rec["detections"])
         flips.append(flipped)
 
-    # Hashed as it is parsed, so that an entry is named by the bytes it holds
-    # even if the file changed after the lookup.
-    parsed = hashlib.sha256() if digest is not None else None
     linenos: list[int] = []
-    _read_jsonl(path, add, digest=parsed, linenos=linenos)
+    with open(path, "rb") as f:
+        # A bound digest names the bytes while the file keeps its key; else
+        # they are hashed as they are parsed, so that an entry is named by the
+        # bytes it holds even if the file changed after the lookup.
+        bound = found is not None and found.key is not None and _fstat_key(f) == found.key
+        parsed = hashlib.sha256() if found is not None and not bound else None
+        _read_jsonl(path, add, digest=parsed, linenos=linenos, file=f)
+        if bound and _fstat_key(f) != found.key:  # changed as it was parsed: nothing names the bytes
+            found = None
     try:
         preds = PredictionViews(view.chunk(sizes) for view in views.values())
     except ValueError:  # each record a view of its own, to raise naming its line
         _read_jsonl(path, lambda rec: _View().add(rec["image_id"], rec["detections"]).chunk(sizes))
         raise
+    if parsed is not None:
+        found = _Digest(parsed.hexdigest())
     # An entry holds only ids that JSON writes back as they are.
-    if parsed is not None and all(type(i) is str for view in views.values() for i in view.image_ids):
-        linenos, flips, digest = np.array(linenos, dtype=np.int64), np.array(flips, dtype=bool), parsed.hexdigest()
+    if found is not None and all(type(i) is str for view in views.values() for i in view.image_ids):
+        linenos, flips = np.array(linenos, dtype=np.int64), np.array(flips, dtype=bool)
         columns = {}
         for flipped, view in views.items():
             v = int(flipped)
             columns[f"ids{v}"] = _json_column(view.image_ids)
             columns[f"lines{v}"], columns[f"counts{v}"] = linenos[flips == flipped], np.array(view.counts, np.int64)
             columns[f"boxes{v}"], columns[f"probs{v}"] = view.columns()
-        _save_entry(cache, _entry_name(digest), digest, columns)
+        _save_entry(cache, _entry_name(found.sha256), found.sha256, columns)
+        _mark(cache, found)
     return preds
 
 
@@ -464,7 +495,12 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
 # written under the old ones is read.
 _CACHE_TAG = "v2"
 _DATASET_PREFIX = "dataset-"
-CACHE_ENTRIES = 8  # the newest entries of the tag kept, by mtime; a hit refreshes it
+CACHE_ENTRIES = 8  # the newest entries of the tag kept, by mtime; a hit refreshes it; markers alike
+_STAT_PREFIX = "stat-"  # a marker's, after the tag: an empty file that binds a stat key to a digest
+# How much older than the clock a file's times must be for its stat key to be
+# bound: FAT's 2 s timestamp granularity plus the coarse clock's lag, with
+# room to spare (see _file_digest).
+_STAT_MARGIN_NS = 3_000_000_000
 _HASH_BLOCK = 1 << 20
 _ENTRY_ALIGN = 64  # each column starts at a multiple of this many bytes
 _ENTRY_DTYPES = frozenset({"<i8", "<f8", "|u1"})  # the only dtypes an entry is written with
@@ -491,21 +527,117 @@ def _json_column(strings: Iterable[str]) -> np.ndarray:
     return np.frombuffer(json.dumps(list(strings)).encode(), np.uint8)
 
 
-def _file_digest(path) -> str | None:
-    """The SHA-256 of a regular file, read in blocks; None for anything
-    else (a FIFO, ``/dev/stdin`` on a pipe, a missing file, an open file
-    descriptor, which the parse's ``open`` closes), which is read as it
-    comes, once, and not cached."""
+def _stat_key(st: os.stat_result) -> str | None:
+    """The key that binds a regular file to its digest: its device, inode,
+    size, and modification and change times in ns, in hex; None for a file
+    without an inode number (``st_ino`` 0), which is never bound."""
+    if st.st_ino == 0:
+        return None
+    return ".".join(f"{n:x}" for n in (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
+
+
+def _fstat_key(f) -> str | None:
+    return _stat_key(os.fstat(f.fileno()))
+
+
+class _Digest(NamedTuple):
+    """A regular file's SHA-256, as :func:`_file_digest` found it."""
+
+    sha256: str
+    key: str | None = None  # the stat key bound to the digest; None if no binding is proven
+    marked: bool = False  # a marker of the binding exists already
+    data: bytes | None = None  # the bytes hashed, if they were kept
+
+
+def _file_digest(path, cache: Path, keep: bool = False) -> _Digest | None:
+    """The digest of a regular file, and its stat binding if one is proven;
+    None for anything else (a FIFO, ``/dev/stdin`` on a pipe, a missing
+    file, an open file descriptor, which the parse's ``open`` closes), which
+    is read as it comes, once, and not cached. With ``keep``, the bytes
+    hashed are kept, unless a marker gave the digest and nothing was read.
+
+    A marker of the file's stat key gives the digest without the file being
+    opened. Else the file is hashed, and the key is bound to the digest only
+    when the ``fstat`` of the descriptor hashed, after the hash, equals the
+    ``stat`` taken first, and ``t0 − max(mtime, ctime) >= _STAT_MARGIN_NS``
+    for the clock ``t0`` read before that ``stat``.
+
+    Why that is enough: ``ctime`` cannot be set from user space: any change
+    to the content, or to the times through ``os.utime``, sets it to the
+    kernel's clock at that moment. A change after the first ``stat`` is
+    later than ``t0``, and the coarse clock that stamps it lags ``t0`` by a
+    tick at most, so the new ``ctime``, rounded down to the file system's
+    granularity, is later than ``t0`` minus a tick minus that granularity.
+    The margin is larger than the coarsest granularity covered (FAT's 2 s)
+    plus the coarse clock's lag (a tick, at most 10 ms), so the new
+    ``ctime`` differs from the bound one: the file keeps its key exactly
+    while it keeps its bytes. A young file that may still change within its
+    timestamp's tick gets no binding and is hashed on every read.
+
+    The limits: a wall clock stepped back by more than the margin, and a
+    network file system whose server clock is skewed against this host's by
+    more than the margin, can give a later change an earlier ``ctime``; a
+    file system whose ``ctime`` is not a change time (FAT keeps a creation
+    time) lets a rewrite with the ``mtime`` restored keep the key; and data
+    can reach a file later than the timestamp that its write set, through a
+    shared memory mapping's page that is already dirty, or from one write
+    call still copying more than the margin after it stamped the file. A
+    file without an inode number is never bound."""
     try:
-        if isinstance(path, int) or not stat.S_ISREG(os.stat(path).st_mode):
+        if isinstance(path, int):
             return None
-        digest, block = hashlib.sha256(), memoryview(bytearray(_HASH_BLOCK))
+        t0 = time.time_ns()
+        st = os.stat(path)
+        if not stat.S_ISREG(st.st_mode):
+            return None
+        key = _stat_key(st)
+        marked = _marked_digest(cache, key)
+        if marked is not None:
+            return _Digest(marked, key, marked=True)
         with open(path, "rb", buffering=0) as f:
-            while n := f.readinto(block):
-                digest.update(block[:n])
-        return digest.hexdigest()
+            if keep:
+                data = f.read()
+                digest = hashlib.sha256(data)
+            else:
+                data, digest, block = None, hashlib.sha256(), memoryview(bytearray(_HASH_BLOCK))
+                while n := f.readinto(block):
+                    digest.update(block[:n])
+            unchanged = _fstat_key(f) == key
+        old = t0 - max(st.st_mtime_ns, st.st_ctime_ns) >= _STAT_MARGIN_NS
+        return _Digest(digest.hexdigest(), key if unchanged and old else None, data=data)
     except OSError:
         return None
+
+
+def _marker_name(key: str, digest: str) -> str:
+    return f"{_CACHE_TAG}-{_STAT_PREFIX}{key}-{digest}"
+
+
+def _marked_digest(cache: Path, key: str | None) -> str | None:
+    """The digest a marker in ``cache`` binds ``key`` to, if there is one."""
+    if key is None:
+        return None
+    prefix = _marker_name(key, "")
+    with suppress(OSError):
+        for name in os.listdir(cache):
+            if name.startswith(prefix) and len(name) == len(prefix) + 64:
+                return name[len(prefix):]
+    return None
+
+
+def _mark(cache: Path, found: _Digest) -> None:
+    """Write, or refresh as the most recently used, the marker of a proven
+    binding whose entry exists; a new marker prunes the cache."""
+    if found.key is None:
+        return
+    marker = cache / _marker_name(found.key, found.sha256)
+    if found.marked:
+        _touch(marker)
+        return
+    with suppress(OSError):
+        marker.touch(mode=0o600)
+        _touch(marker)
+        _prune(cache)
 
 
 def _entry_columns(entry: Path, digest: str) -> dict[str, np.ndarray] | None:
@@ -594,8 +726,7 @@ def _cached_dataset(entry: Path, digest: str) -> Dataset | None:
 
 def _save_entry(cache: Path, name: str, digest: str, columns: Mapping[str, np.ndarray]) -> None:
     """Write the entry ``name`` of a file of ``digest`` with ``columns``,
-    atomically, then delete every entry of another tag and all but the
-    newest ``CACHE_ENTRIES`` of this one. A directory that cannot be made or
+    atomically, then prune the cache. A directory that cannot be made or
     written leaves the cache off."""
     arrays = {key: np.ascontiguousarray(a, a.dtype.newbyteorder("<")) for key, a in columns.items()}
     header = {"digest": digest, "columns": [[key, a.dtype.str, a.shape] for key, a in arrays.items()]}
@@ -618,12 +749,27 @@ def _save_entry(cache: Path, name: str, digest: str, columns: Mapping[str, np.nd
                 os.unlink(tmp)
         return
     _touch(entry)
+    _prune(cache)
+
+
+def _prune(cache: Path) -> None:
+    """Delete every entry and marker of another tag, all but the newest
+    ``CACHE_ENTRIES`` entries of this one, of both kinds together, every
+    marker whose entry is gone, and all but the newest ``CACHE_ENTRIES``
+    markers left."""
+
+    def newest(names: Iterable[str]) -> list[str]:
+        return sorted(names, key=lambda name: ((cache / name).stat().st_mtime_ns, name),
+                      reverse=True)[:CACHE_ENTRIES]
+
     with suppress(OSError):  # another process may be pruning too
-        entries = set(cache.glob("v*-*"))  # every tag's, of both kinds
-        current = sorted((p for p in entries if p.name.startswith(f"{_CACHE_TAG}-")),
-                         key=lambda p: (p.stat().st_mtime_ns, p.name), reverse=True)
-        for old in entries.difference(current[:CACHE_ENTRIES]):
-            old.unlink(missing_ok=True)
+        names = {name for name in os.listdir(cache) if name.startswith("v") and "-" in name}  # every tag's
+        tag, marker = f"{_CACHE_TAG}-", f"{_CACHE_TAG}-{_STAT_PREFIX}"
+        entries = newest(n for n in names if n.startswith(tag) and not n.startswith(marker))
+        digests = {name.removesuffix(".cols")[-64:] for name in entries}
+        markers = newest(n for n in names if n.startswith(marker) and n[-64:] in digests)
+        for name in names.difference(entries, markers):
+            (cache / name).unlink(missing_ok=True)
 
 
 def _touch(entry: Path) -> None:

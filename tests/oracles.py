@@ -20,6 +20,9 @@ record per image, with its own arrays and checks, is the reference the one
 column set of a dataset is pinned to; :func:`dataset_of` builds a dataset
 from such records. :func:`log_resets` records which image's stream, and of
 which view, the synthetic detector's generator is reset to.
+:func:`rewrite` changes a file as a writer would, never in the timestamp
+tick of the change before, which the parse cache's stat binding assumes of
+any file that it binds.
 
 A one-image prediction is a :class:`PredictionChunk` of one image:
 :func:`one_image` builds one, :func:`chunk_of` joins them into a chunk, and
@@ -28,7 +31,9 @@ A one-image prediction is a :class:`PredictionChunk` of one image:
 import hashlib
 import json
 import math
+import os
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -612,3 +617,22 @@ def dataset_of(classes, images) -> Dataset:
         [box for img in images for box in img.boxes], [c for img in images for c in img.class_ids],
         [len(img.class_ids) for img in images],
     )
+
+
+def rewrite(path, data: bytes, mtime_ns: int | None = None) -> None:
+    """Write ``data`` over the file at ``path`` (the same inode), its mtime
+    set back to ``mtime_ns`` if given, once a change is stamped with a later
+    ctime than the file has. A file system stamps changes with a coarse
+    clock, so a rewrite within the tick of the change before it keeps its
+    ctime: the stat binding (``formats._file_digest``) rules that out by
+    binding only files older than its margin, which a test that moves the
+    clock forward instead of waiting must rule out itself."""
+    path = Path(path)
+    before, probe = path.stat().st_ctime_ns, path.with_name(path.name + ".tick")
+    probe.write_bytes(b"")
+    while probe.stat().st_ctime_ns <= before:
+        os.utime(probe)
+    probe.unlink()
+    path.write_bytes(data)
+    if mtime_ns is not None:
+        os.utime(path, ns=(path.stat().st_atime_ns, mtime_ns))

@@ -7,10 +7,11 @@ import re
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import chunk_bits, dataset_of, per_image
+from oracles import chunk_bits, dataset_of, per_image, rewrite
 
 from aldet import formats
 from aldet.acquisition import AcquisitionScores
@@ -420,8 +421,8 @@ class TestPredictionsCache:
         before = file.read_bytes()
         lookup = formats._file_digest
 
-        def lookup_then_change(path):
-            digest = lookup(path)
+        def lookup_then_change(*args, **kwargs):
+            digest = lookup(*args, **kwargs)
             file.write_bytes(b"\n" + before)
             return digest
 
@@ -552,6 +553,213 @@ class TestDatasetCache:
         assert not writer.is_alive()
         assert dataset_bits(data) == self.cold(file)
         assert not cache.exists()
+
+
+def predictions_file(world, path):
+    """``path``, written with both views of ``world``'s predictions."""
+    det = SyntheticDetector(SyntheticDetectorConfig(seed=3, fp_rate=1.0), world)
+    formats.write_predictions_jsonl([det.predict(world.image_ids), det.predict(world.image_ids[:5], True)], path)
+    return path
+
+
+def swapped_lines(data: bytes) -> bytes:
+    """A predictions file of the same size with its first record moved after
+    the third: the original view lists another image first."""
+    lines = data.splitlines(keepends=True)
+    return b"".join([lines[2], lines[1], lines[0], *lines[3:]])
+
+
+def other_class(data: bytes) -> bytes:
+    """A dataset file of the same size with its first class id 1 made 2."""
+    assert b'"class_id": 1' in data
+    return data.replace(b'"class_id": 1', b'"class_id": 2', 1)
+
+
+class TestStatBinding:
+    """A file whose times are older than the margin is bound to its digest
+    by its stat key, and a later read of it hashes nothing; every other file
+    is hashed as before. Each case for predictions and datasets alike; the
+    clock is moved forward, not waited for."""
+
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "aldet"
+
+    @pytest.fixture(params=["predictions", "dataset"])
+    def subject(self, request, world, tmp_path):
+        """The file, a reader through the cache, the cache-off reader, that
+        kind's entry, and other bytes of the same size."""
+        if request.param == "predictions":
+            path = predictions_file(world, tmp_path / "preds.jsonl")
+            return SimpleNamespace(
+                path=path, read=lambda: view_bits(formats.read_predictions_jsonl(path, sizes(world))),
+                cold=lambda: view_bits(TestPredictionsCache.cold(path, sizes(world))),
+                entry=TestPredictionsCache.entry, other=swapped_lines(path.read_bytes()))
+        path = tmp_path / "data.json"
+        formats.save_dataset(world, path)
+        return SimpleNamespace(path=path, read=lambda: dataset_bits(formats.load_dataset(path)),
+                               cold=lambda: TestDatasetCache.cold(path), entry=TestDatasetCache.entry,
+                               other=other_class(path.read_bytes()))
+
+    @staticmethod
+    def move_clock(patch):
+        """Move the clock the binding reads forward by more than the margin."""
+        real = time.time_ns
+        patch.setattr(formats.time, "time_ns", lambda: real() + formats._STAT_MARGIN_NS + 10**9)
+
+    @pytest.fixture()
+    def later(self, monkeypatch):
+        self.move_clock(monkeypatch)
+
+    @pytest.fixture()
+    def hashes(self, monkeypatch):
+        """The number of SHA-256 hashes the reader has begun."""
+        count = [0]
+
+        def sha256(*data):
+            count[0] += 1
+            return hashlib.sha256(*data)
+
+        monkeypatch.setattr(formats, "hashlib", SimpleNamespace(sha256=sha256))
+        return count
+
+    @staticmethod
+    def markers(cache):
+        return sorted(p.name for p in cache.iterdir() if p.name.startswith("v2-stat-"))
+
+    @staticmethod
+    def marker(cache, path):
+        st = path.stat()
+        key = ".".join(f"{n:x}" for n in (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
+        return f"v2-stat-{key}-{hashlib.sha256(path.read_bytes()).hexdigest()}"
+
+    def test_young_file_is_hashed_on_every_read_and_binds_nothing(self, cache, subject, hashes):
+        cold = subject.cold()
+        for _ in range(3):
+            before = hashes[0]
+            assert subject.read() == cold
+            assert hashes[0] > before
+        assert [p.name for p in cache.iterdir()] == [subject.entry(cache, subject.path).name]
+
+    def test_old_file_is_bound_once_and_then_read_without_a_hash(self, cache, subject, hashes, later):
+        cold = subject.cold()
+        before = hashes[0]
+        assert subject.read() == cold  # a miss: one hash, for the lookup; the parse hashes nothing
+        assert hashes[0] - before == 1
+        assert self.markers(cache) == [self.marker(cache, subject.path)]
+        before = hashes[0]
+        assert subject.read() == cold
+        assert subject.read() == cold
+        assert hashes[0] == before
+        assert self.markers(cache) == [self.marker(cache, subject.path)]
+
+    def test_same_size_rewrite_with_the_mtime_restored_is_a_miss(self, cache, subject, later):
+        subject.read()
+        assert self.markers(cache)
+        old, mtime = subject.cold(), subject.path.stat().st_mtime_ns
+        rewrite(subject.path, subject.other, mtime)
+        assert subject.path.stat().st_mtime_ns == mtime
+        new = subject.cold()
+        assert new != old
+        assert subject.read() == new
+        assert subject.read() == new
+
+    def test_file_replaced_with_the_same_size_and_mtime_is_a_miss(self, cache, subject, tmp_path, later):
+        subject.read()
+        old, st = subject.cold(), subject.path.stat()
+        replacement = tmp_path / "replacement"
+        replacement.write_bytes(subject.other)
+        os.utime(replacement, ns=(st.st_atime_ns, st.st_mtime_ns))
+        os.replace(replacement, subject.path)
+        after = subject.path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+        assert after.st_ino != st.st_ino
+        assert subject.cold() != old
+        assert subject.read() == subject.cold()
+
+    def test_file_changed_while_it_is_hashed_binds_nothing(self, cache, subject, monkeypatch, later):
+        data, changed = subject.path.read_bytes(), []
+
+        def change_then_hash(*args):
+            if not changed:  # the lookup's hash, after its stat
+                changed.append(True)
+                rewrite(subject.path, data)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(formats, "hashlib", SimpleNamespace(sha256=change_then_hash))
+        assert subject.read() == subject.cold()
+        assert changed and self.markers(cache) == []
+        assert subject.entry(cache, subject.path).exists()
+
+    def test_marker_without_its_entry_leads_to_a_parse(self, cache, subject, hashes, later):
+        cold = subject.cold()
+        subject.read()
+        entry = subject.entry(cache, subject.path)
+        good = entry.read_bytes()
+        entry.unlink()
+        before = hashes[0]
+        assert subject.read() == cold
+        assert hashes[0] == before  # the marker names the bytes the parse reads
+        assert entry.read_bytes() == good
+        assert self.markers(cache) == [self.marker(cache, subject.path)]
+
+    def test_rewriting_the_same_bytes_keeps_at_most_eight_markers(self, cache, subject, later):
+        cold, data = subject.cold(), subject.path.read_bytes()
+        for _ in range(20):
+            rewrite(subject.path, data)
+            assert subject.read() == cold
+            assert self.marker(cache, subject.path) in self.markers(cache)
+        assert len(self.markers(cache)) == formats.CACHE_ENTRIES
+        assert [p.name for p in cache.iterdir() if not p.name.startswith("v2-stat-")] == [
+            subject.entry(cache, subject.path).name]
+
+    def test_file_changed_after_a_bound_lookup_is_stored_under_the_bytes_parsed(self, cache, subject, monkeypatch,
+                                                                                later):
+        subject.read()
+        old_entry = subject.entry(cache, subject.path)
+        old_entry.unlink()  # so that the marker's digest is looked up and missed
+        lookup = formats._file_digest
+
+        def lookup_then_change(*args, **kwargs):
+            found = lookup(*args, **kwargs)
+            rewrite(subject.path, subject.other)
+            return found
+
+        monkeypatch.setattr(formats, "_file_digest", lookup_then_change)
+        assert subject.read() == subject.cold()
+        assert subject.entry(cache, subject.path).exists()
+        assert not old_entry.exists()
+
+    def test_predictions_changed_as_they_are_parsed_are_not_stored(self, world, cache, monkeypatch, tmp_path, later):
+        path = predictions_file(world, tmp_path / "preds.jsonl")
+        before, parse = path.read_bytes(), formats._read_jsonl
+
+        def change_then_parse(*args, **kwargs):
+            rewrite(path, swapped_lines(before))  # in place: the parse's descriptor reads the new bytes
+            return parse(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_read_jsonl", change_then_parse)
+            assert view_bits(formats.read_predictions_jsonl(path, sizes(world))) == view_bits(
+                TestPredictionsCache.cold(path, sizes(world)))
+        assert not (cache / f"v2-{hashlib.sha256(before).hexdigest()}.cols").exists()
+        rewrite(path, before)
+        assert view_bits(formats.read_predictions_jsonl(path, sizes(world))) == view_bits(
+            TestPredictionsCache.cold(path, sizes(world)))
+
+    def test_marker_whose_entry_is_pruned_goes(self, cache, subject, world, tmp_path, later):
+        subject.read()
+        marker = self.marker(cache, subject.path)
+        assert self.markers(cache) == [marker]
+        other = predictions_file(world, tmp_path / "other.jsonl")
+        data = other.read_bytes()
+        for k in range(1, formats.CACHE_ENTRIES + 1):
+            other.write_bytes(b"\n" * k + data)
+            os.utime(other, ns=(time.time_ns(),) * 2)  # young by the moved clock, so bound by no marker
+            formats.read_predictions_jsonl(other, sizes(world))
+            assert self.markers(cache) == ([marker] if k < formats.CACHE_ENTRIES else [])
+        assert not subject.entry(cache, subject.path).exists()
 
 
 class TestPseudoLabelJSONL:

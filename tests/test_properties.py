@@ -15,6 +15,7 @@ again, and every eval table the writer produces reads back."""
 import hashlib
 import json
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from oracles import (
     per_image_topk_labels,
     per_image_unified_score,
     read_predictions_per_record,
+    rewrite,
     rowwise_checked_boxes,
     rowwise_checked_probs,
     scalar_iou,
@@ -1315,3 +1317,60 @@ def test_cached_dataset_equals_the_parse(tmp_path_factory, doc, fault):
             assert entries == [formats._entry_name(digest, "dataset-")]
             patch.setattr(formats, "_parse_dataset", None)  # a hit parses nothing
         check(lambda: formats.load_dataset(path))
+
+
+# -- the stat binding in front of the parse cache ------------------------------
+
+binding_steps = st.lists(st.one_of(
+    st.tuples(st.just("rewrite"), st.booleans(), st.booleans()),  # with the other bytes? the mtime restored?
+    st.tuples(st.just("advance"), st.sampled_from([10**9, formats._STAT_MARGIN_NS, 10 * 10**9])),
+    st.tuples(st.just("read")),
+), max_size=10)
+
+
+def _dataset_bits(data):
+    return (data.classes, data.image_ids,
+            *(a.tobytes() for a in (data.widths, data.heights, data.boxes, data.class_ids, data.counts)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(["predictions", "dataset"]), prediction_file(), dataset_documents(), binding_steps)
+def test_stat_bound_reads_equal_the_parse(tmp_path_factory, kind, file, doc, steps):
+    # However a file is rewritten (with its bytes or others of the same
+    # size, its mtime restored or not) and however far the clock moves, a
+    # read through the cache after every step must give what the cache-off
+    # parse of the file's bytes gives.
+    if kind == "predictions":
+        text, sizes = file
+        lines = text.split("\n")[:-1]
+        contents = [text, "\n".join(reversed(lines)) + "\n"]
+
+        def read(path):
+            return _bits(formats.read_predictions_jsonl(path, sizes))
+    else:
+        contents = [json.dumps(doc), json.dumps({**doc, "images": doc["images"][::-1]})]
+
+        def read(path):
+            return _dataset_bits(formats.load_dataset(path))
+    contents = [content.encode() for content in contents]
+    assert len(contents[0]) == len(contents[1])
+    base = tmp_path_factory.getbasetemp()
+    path, real, offset = base / f"bound-{kind}", time.time_ns, [0]
+    with tempfile.TemporaryDirectory(dir=base) as home, pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", "not-absolute")
+        expected = []
+        for data in contents:
+            (base / "unbound").write_bytes(data)
+            expected.append(read(base / "unbound"))
+        patch.setenv("XDG_CACHE_HOME", home)
+        patch.setattr(formats.time, "time_ns", lambda: real() + offset[0])
+        path.write_bytes(contents[0])
+        current = 0  # the content the file holds
+        for step in steps + [("read",)]:
+            if step[0] == "rewrite":
+                current = int(step[1])
+                rewrite(path, contents[current], path.stat().st_mtime_ns if step[2] else None)
+            elif step[0] == "advance":
+                offset[0] += step[1]
+            assert read(path) == expected[current]
+
