@@ -51,10 +51,9 @@ only when the binding is provably unambiguous: the file's stat did not
 change while it was hashed, and both its times were at least
 ``_STAT_MARGIN_NS`` (3 s) older than the clock read before the first stat.
 A later read whose stat gives a marked key reads the entry without opening
-the file, and a parse after such a lookup stores its entry under that
-digest without hashing what it reads, if the file kept that key while it
-was read. A younger file is hashed on every read, and a miss hashes the
-bytes as they are parsed. Markers are not entries: the
+the file. A younger file is hashed on every read, and a miss hashes the
+bytes as they are parsed, so that an entry is named by the bytes it holds
+even if the file changed after the lookup. Markers are not entries: the
 ``CACHE_ENTRIES`` newest are kept, and a marker whose entry is gone is
 deleted. See :func:`_file_digest` for the argument and its limits.
 """
@@ -69,7 +68,7 @@ import re
 import stat
 import tempfile
 import time
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -137,19 +136,17 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(start, start + WRITE_BLOCK_ROWS) for start in range(0, n, WRITE_BLOCK_ROWS))
 
 
-def _read_lines(path, parse, header: str | None = None, digest=None, linenos: list | None = None,
-                file=None) -> list:
+def _read_lines(path, parse, header: str | None = None, digest=None, linenos: list | None = None) -> list:
     """``parse(line)`` of every non-blank line, stripped, in order.
 
     Each line is decoded as UTF-8 on its own, so an undecodable byte, like a
     line that ``parse`` rejects, raises a ValueError that names the file and
     the line number. With ``header``, line 1 must equal it and is not parsed.
     ``digest`` (a hashlib object) is fed every byte read, and ``linenos``
-    gets the number of each line passed to ``parse``. ``file``, ``path``
-    opened for reading bytes, is read in place of opening ``path``.
+    gets the number of each line passed to ``parse``.
     """
     out, lineno = [], 0
-    with open(path, "rb") if file is None else nullcontext(file) as f:
+    with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             if digest is not None:
                 digest.update(raw)
@@ -228,21 +225,20 @@ def load_dataset(path) -> Dataset:
     if found is not None:
         cached = _cached_dataset(cache / _entry_name(found.sha256, _DATASET_PREFIX), found.sha256)
         if cached is not None:
-            _mark(cache, found)
+            _mark(cache, found, prune=True)
             return cached
     if found is not None and found.data is not None:
         data = found.data
     else:  # not a regular file, or its digest came from a marker
-        with Path(path).open("rb") as f:
-            data = f.read()
-            if found is not None and _fstat_key(f) != found.key:
-                found = _Digest(hashlib.sha256(data).hexdigest())
+        data = Path(path).read_bytes()
+        if found is not None:
+            found = _parsed(found, hashlib.sha256(data))
     dataset = _parse_dataset(path, data)
     if found is not None:
+        _mark(cache, found)
         _save_entry(cache, _entry_name(found.sha256, _DATASET_PREFIX), found.sha256, {
             "classes": _json_column(dataset.classes), "ids": _json_column(dataset.image_ids),
             **{name: getattr(dataset, name) for name in _DATASET_COLUMNS}})
-        _mark(cache, found)
     return dataset
 
 
@@ -440,7 +436,7 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
     if found is not None:
         cached = _cached_views(cache / _entry_name(found.sha256), found.sha256, path, sizes)
         if cached is not None:
-            _mark(cache, found)
+            _mark(cache, found, prune=True)
             return cached
     views = {False: _View(False), True: _View(True)}
     flips: list[bool] = []  # each record's view, in file order
@@ -455,25 +451,18 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
         views[flipped].add(image_id, rec["detections"])
         flips.append(flipped)
 
+    # Hashed as it is parsed, so that an entry is named by the bytes it holds
+    # even if the file changed after the lookup.
+    parsed = hashlib.sha256() if found is not None else None
     linenos: list[int] = []
-    with open(path, "rb") as f:
-        # A bound digest names the bytes while the file keeps its key; else
-        # they are hashed as they are parsed, so that an entry is named by the
-        # bytes it holds even if the file changed after the lookup.
-        bound = found is not None and found.key is not None and _fstat_key(f) == found.key
-        parsed = hashlib.sha256() if found is not None and not bound else None
-        _read_jsonl(path, add, digest=parsed, linenos=linenos, file=f)
-        if bound and _fstat_key(f) != found.key:  # changed as it was parsed: nothing names the bytes
-            found = None
+    _read_jsonl(path, add, digest=parsed, linenos=linenos)
     try:
         preds = PredictionViews(view.chunk(sizes) for view in views.values())
     except ValueError:  # each record a view of its own, to raise naming its line
         _read_jsonl(path, lambda rec: _View().add(rec["image_id"], rec["detections"]).chunk(sizes))
         raise
-    if parsed is not None:
-        found = _Digest(parsed.hexdigest())
     # An entry holds only ids that JSON writes back as they are.
-    if found is not None and all(type(i) is str for view in views.values() for i in view.image_ids):
+    if parsed is not None and all(type(i) is str for view in views.values() for i in view.image_ids):
         linenos, flips = np.array(linenos, dtype=np.int64), np.array(flips, dtype=bool)
         columns = {}
         for flipped, view in views.items():
@@ -481,8 +470,9 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
             columns[f"ids{v}"] = _json_column(view.image_ids)
             columns[f"lines{v}"], columns[f"counts{v}"] = linenos[flips == flipped], np.array(view.counts, np.int64)
             columns[f"boxes{v}"], columns[f"probs{v}"] = view.columns()
-        _save_entry(cache, _entry_name(found.sha256), found.sha256, columns)
+        found = _parsed(found, parsed)
         _mark(cache, found)
+        _save_entry(cache, _entry_name(found.sha256), found.sha256, columns)
     return preds
 
 
@@ -536,17 +526,21 @@ def _stat_key(st: os.stat_result) -> str | None:
     return ".".join(f"{n:x}" for n in (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
 
 
-def _fstat_key(f) -> str | None:
-    return _stat_key(os.fstat(f.fileno()))
-
-
 class _Digest(NamedTuple):
     """A regular file's SHA-256, as :func:`_file_digest` found it."""
 
     sha256: str
     key: str | None = None  # the stat key bound to the digest; None if no binding is proven
-    marked: bool = False  # a marker of the binding exists already
     data: bytes | None = None  # the bytes hashed, if they were kept
+
+
+def _parsed(found: _Digest, digest) -> _Digest:
+    """The digest of the bytes a parse after the lookup ``found`` hashed
+    (``digest``, a hashlib object), bound as ``found`` was if they are the
+    bytes it names; a file that changed after the lookup is bound to
+    nothing."""
+    sha256 = digest.hexdigest()
+    return found if sha256 == found.sha256 else _Digest(sha256)
 
 
 def _file_digest(path, cache: Path, keep: bool = False) -> _Digest | None:
@@ -593,7 +587,7 @@ def _file_digest(path, cache: Path, keep: bool = False) -> _Digest | None:
         key = _stat_key(st)
         marked = _marked_digest(cache, key)
         if marked is not None:
-            return _Digest(marked, key, marked=True)
+            return _Digest(marked, key)
         with open(path, "rb", buffering=0) as f:
             if keep:
                 data = f.read()
@@ -602,7 +596,7 @@ def _file_digest(path, cache: Path, keep: bool = False) -> _Digest | None:
                 data, digest, block = None, hashlib.sha256(), memoryview(bytearray(_HASH_BLOCK))
                 while n := f.readinto(block):
                     digest.update(block[:n])
-            unchanged = _fstat_key(f) == key
+            unchanged = _stat_key(os.fstat(f.fileno())) == key
         old = t0 - max(st.st_mtime_ns, st.st_ctime_ns) >= _STAT_MARGIN_NS
         return _Digest(digest.hexdigest(), key if unchanged and old else None, data=data)
     except OSError:
@@ -625,18 +619,23 @@ def _marked_digest(cache: Path, key: str | None) -> str | None:
     return None
 
 
-def _mark(cache: Path, found: _Digest) -> None:
+def _mark(cache: Path, found: _Digest, prune: bool = False) -> None:
     """Write, or refresh as the most recently used, the marker of a proven
-    binding whose entry exists; a new marker prunes the cache."""
+    binding. With ``prune``, a new marker prunes the cache; else the entry
+    saved after it does, so the cache directory may not exist yet."""
     if found.key is None:
         return
     marker = cache / _marker_name(found.key, found.sha256)
-    if found.marked:
+    try:
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        os.close(os.open(marker, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600))
+    except FileExistsError:
         _touch(marker)
         return
-    with suppress(OSError):
-        marker.touch(mode=0o600)
-        _touch(marker)
+    except OSError:  # a cache directory that cannot be made or written
+        return
+    _touch(marker)
+    if prune:
         _prune(cache)
 
 
