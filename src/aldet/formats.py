@@ -25,9 +25,10 @@ in ``$XDG_CACHE_HOME/aldet``, else ``~/.cache/aldet``, named by the SHA-256
 of the bytes parsed:
 
 - a predictions file's entry holds, for each view, its image ids, each
-  record's line number and row count, and the raw boxes and probabilities.
-  A later read of the same bytes runs again only the checks that depend on
-  the dataset or on the values, and the clamp;
+  record's row count, and the raw boxes and probabilities. A later read of
+  the same bytes runs again only the checks that depend on the dataset or
+  on the values, and the clamp; an image id that the dataset's sizes lack
+  makes it a miss, and the parse names the record's line;
 - a dataset's entry (named ``dataset-`` after the tag) holds its class
   names, image ids, sizes, object counts, boxes and class ids. A later read
   checks each column's dtype and shape and builds the dataset through the
@@ -136,14 +137,13 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(start, start + WRITE_BLOCK_ROWS) for start in range(0, n, WRITE_BLOCK_ROWS))
 
 
-def _read_lines(path, parse, header: str | None = None, digest=None, linenos: list | None = None) -> list:
+def _read_lines(path, parse, header: str | None = None, digest=None) -> list:
     """``parse(line)`` of every non-blank line, stripped, in order.
 
     Each line is decoded as UTF-8 on its own, so an undecodable byte, like a
     line that ``parse`` rejects, raises a ValueError that names the file and
     the line number. With ``header``, line 1 must equal it and is not parsed.
-    ``digest`` (a hashlib object) is fed every byte read, and ``linenos``
-    gets the number of each line passed to ``parse``.
+    ``digest`` (a hashlib object) is fed every byte read.
     """
     out, lineno = [], 0
     with open(path, "rb") as f:
@@ -157,8 +157,6 @@ def _read_lines(path, parse, header: str | None = None, digest=None, linenos: li
                         raise ValueError(f"unexpected header {line!r}")
                 elif line:
                     out.append(parse(line))
-                    if linenos is not None:
-                        linenos.append(lineno)
             # OverflowError: a JSON integer too large for a float
             except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
@@ -220,26 +218,17 @@ def load_dataset(path) -> Dataset:
     module docstring) by the SHA-256 of those bytes: a later read of the
     same bytes gives what this parse would give. A file that a marker finds
     is not read unless its entry is a miss."""
-    cache = _cache_dir()
-    found = _file_digest(path, cache, keep=True) if cache is not None else None
-    if found is not None:
-        cached = _cached_dataset(cache / _entry_name(found.sha256, _DATASET_PREFIX), found.sha256)
-        if cached is not None:
-            _mark(cache, found, prune=True)
-            return cached
-    if found is not None and found.data is not None:
-        data = found.data
-    else:  # not a regular file, or its digest came from a marker
-        data = Path(path).read_bytes()
-        if found is not None:
-            found = _parsed(found, hashlib.sha256(data))
-    dataset = _parse_dataset(path, data)
-    if found is not None:
-        _mark(cache, found)
-        _save_entry(cache, _entry_name(found.sha256, _DATASET_PREFIX), found.sha256, {
-            "classes": _json_column(dataset.classes), "ids": _json_column(dataset.image_ids),
-            **{name: getattr(dataset, name) for name in _DATASET_COLUMNS}})
-    return dataset
+
+    def parse(data, digest):
+        if data is None:  # not a regular file, or its digest came from a marker
+            data = Path(path).read_bytes()
+            if digest is not None:
+                digest.update(data)
+        dataset = _parse_dataset(path, data)
+        return dataset, {"classes": _json_column(dataset.classes), "ids": _json_column(dataset.image_ids),
+                         **{name: getattr(dataset, name) for name in _DATASET_COLUMNS}}
+
+    return _through_cache(path, _DATASET_PREFIX, _cached_dataset, parse, keep=True)
 
 
 def _parse_dataset(path, data: bytes) -> Dataset:
@@ -431,49 +420,37 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
     the module docstring): a later read of the same bytes rebuilds the views
     from them with every check that depends on ``sizes`` or on the values
     run again, and gives what this parse would give, errors too."""
-    cache = _cache_dir()
-    found = _file_digest(path, cache) if cache is not None else None
-    if found is not None:
-        cached = _cached_views(cache / _entry_name(found.sha256), found.sha256, path, sizes)
-        if cached is not None:
-            _mark(cache, found, prune=True)
-            return cached
-    views = {False: _View(False), True: _View(True)}
-    flips: list[bool] = []  # each record's view, in file order
 
-    def add(rec) -> None:
-        image_id = rec["image_id"]
-        flipped = _typed_field(rec, "flipped", bool)
-        if image_id not in sizes:
-            raise ValueError(f"unknown image id {image_id!r}")
-        if image_id in views[flipped].image_ids:
-            raise ValueError(f"duplicate record for image {image_id!r}, flipped={flipped}")
-        views[flipped].add(image_id, rec["detections"])
-        flips.append(flipped)
+    def parse(data, digest):
+        views = {False: _View(False), True: _View(True)}
 
-    # Hashed as it is parsed, so that an entry is named by the bytes it holds
-    # even if the file changed after the lookup.
-    parsed = hashlib.sha256() if found is not None else None
-    linenos: list[int] = []
-    _read_jsonl(path, add, digest=parsed, linenos=linenos)
-    try:
-        preds = PredictionViews(view.chunk(sizes) for view in views.values())
-    except ValueError:  # each record a view of its own, to raise naming its line
-        _read_jsonl(path, lambda rec: _View().add(rec["image_id"], rec["detections"]).chunk(sizes))
-        raise
-    # An entry holds only ids that JSON writes back as they are.
-    if parsed is not None and all(type(i) is str for view in views.values() for i in view.image_ids):
-        linenos, flips = np.array(linenos, dtype=np.int64), np.array(flips, dtype=bool)
+        def add(rec) -> None:
+            image_id = rec["image_id"]
+            flipped = _typed_field(rec, "flipped", bool)
+            if image_id not in sizes:
+                raise ValueError(f"unknown image id {image_id!r}")
+            if image_id in views[flipped].image_ids:
+                raise ValueError(f"duplicate record for image {image_id!r}, flipped={flipped}")
+            views[flipped].add(image_id, rec["detections"])
+
+        # Hashed as it is parsed, so that an entry is named by the bytes it
+        # holds even if the file changed after the lookup.
+        _read_jsonl(path, add, digest=digest)
+        try:
+            preds = PredictionViews(view.chunk(sizes) for view in views.values())
+        except ValueError:  # each record a view of its own, to raise naming its line
+            _read_jsonl(path, lambda rec: _View().add(rec["image_id"], rec["detections"]).chunk(sizes))
+            raise
+        # An entry holds only ids that JSON writes back as they are.
+        if not all(type(i) is str for view in views.values() for i in view.image_ids):
+            return preds, None
         columns = {}
-        for flipped, view in views.items():
-            v = int(flipped)
-            columns[f"ids{v}"] = _json_column(view.image_ids)
-            columns[f"lines{v}"], columns[f"counts{v}"] = linenos[flips == flipped], np.array(view.counts, np.int64)
+        for v, view in enumerate(views.values()):
+            columns[f"ids{v}"], columns[f"counts{v}"] = _json_column(view.image_ids), np.array(view.counts, np.int64)
             columns[f"boxes{v}"], columns[f"probs{v}"] = view.columns()
-        found = _parsed(found, parsed)
-        _mark(cache, found)
-        _save_entry(cache, _entry_name(found.sha256), found.sha256, columns)
-    return preds
+        return preds, columns
+
+    return _through_cache(path, "", lambda columns: _cached_views(columns, sizes), parse)
 
 
 # -- the parse cache ------------------------------------------------------------
@@ -483,7 +460,7 @@ def read_predictions_jsonl(path, sizes: Mapping[str, tuple[int, int]]) -> Predic
 # prefix and the SHA-256 of the bytes parsed. Bump the tag whenever a
 # reader's acceptance rules or the entry layout change, so that no entry
 # written under the old ones is read.
-_CACHE_TAG = "v2"
+_CACHE_TAG = "v3"
 _DATASET_PREFIX = "dataset-"
 CACHE_ENTRIES = 8  # the newest entries of the tag kept, by mtime; a hit refreshes it; markers alike
 _STAT_PREFIX = "stat-"  # a marker's, after the tag: an empty file that binds a stat key to a digest
@@ -506,6 +483,44 @@ def _cache_dir() -> Path | None:
     the cache off, when that is not an absolute path."""
     path = Path(os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache"), "aldet")
     return path if path.is_absolute() else None
+
+
+def _through_cache(path, prefix: str, rebuild, parse, keep: bool = False):
+    """A read of ``path`` through the cache: ``rebuild(columns)`` of the
+    entry of the file's digest (named with the kind's ``prefix``), a hit;
+    else ``parse(data, digest)``, a miss, which gives the result and the
+    columns of its entry, or None to keep none.
+
+    ``data`` is the file's bytes if the lookup kept them (``keep``), else
+    None, and the parse reads the file itself; ``digest`` is then a hashlib
+    object that the parse feeds every byte it reads, or None when the file
+    is not cached. The entry is saved under the digest of the bytes parsed.
+    An entry that ``rebuild`` refuses (None), or that raises anything while
+    it is read or rebuilt, is a miss: the entry comes from outside the
+    program, and a damaged one fails in many ways (a missing key, a wrong
+    type, a body shorter than it says). So every error a read raises is
+    the parse's."""
+    cache = _cache_dir()
+    found = _file_digest(path, cache, keep) if cache is not None else None
+    if found is not None:
+        entry = cache / _entry_name(found.sha256, prefix)
+        try:
+            columns = _entry_columns(entry, found.sha256)
+            result = None if columns is None else rebuild(columns)
+        except Exception:
+            result = None
+        if result is not None:
+            _touch(entry)
+            _mark(cache, found, prune=True)
+            return result
+    data = None if found is None else found.data
+    digest = hashlib.sha256() if found is not None and data is None else None
+    result, columns = parse(data, digest)
+    if found is not None and columns is not None:
+        found = found if digest is None else _parsed(found, digest)
+        _mark(cache, found)
+        _save_entry(cache, _entry_name(found.sha256, prefix), found.sha256, columns)
+    return result
 
 
 def _entry_name(digest: str, prefix: str = "") -> str:
@@ -641,86 +656,52 @@ def _mark(cache: Path, found: _Digest, prune: bool = False) -> None:
 
 def _entry_columns(entry: Path, digest: str) -> dict[str, np.ndarray] | None:
     """The columns of the entry of ``digest``, read-only views of its bytes;
-    None (a miss) when there is no such entry or it is unreadable, belongs
-    to other bytes, holds a dtype the cache does not write, or its header
-    does not match the length of its body exactly."""
-    try:
-        data = entry.read_bytes()
-        end = data.index(b"\n") + 1
-        header = json.loads(data[:end])
-        if header["digest"] != digest:
+    None (a miss) when the entry belongs to other bytes, holds a dtype the
+    cache does not write, or its header does not match the length of its
+    body exactly. A missing or damaged entry raises."""
+    data = entry.read_bytes()
+    end = data.index(b"\n") + 1
+    header = json.loads(data[:end])
+    if header["digest"] != digest:
+        return None
+    columns = {}
+    for name, dtype, shape in header["columns"]:
+        if dtype not in _ENTRY_DTYPES or not all(type(n) is int and n >= 0 for n in shape):
             return None
-        columns = {}
-        for name, dtype, shape in header["columns"]:
-            if dtype not in _ENTRY_DTYPES or not all(type(n) is int and n >= 0 for n in shape):
-                return None
-            end += -end % _ENTRY_ALIGN
-            columns[name] = np.frombuffer(data, dtype, math.prod(shape), end).reshape(shape)
-            end += columns[name].nbytes
-        return columns if end == len(data) else None
-    # The entry comes from outside the program, and a damaged header fails in
-    # many ways (a missing key, a wrong type, a body shorter than it says):
-    # each is a miss.
-    except Exception:
-        return None
+        end += -end % _ENTRY_ALIGN
+        columns[name] = np.frombuffer(data, dtype, math.prod(shape), end).reshape(shape)
+        end += columns[name].nbytes
+    return columns if end == len(data) else None
 
 
-def _cached_views(entry: Path, digest: str, path, sizes) -> PredictionViews | None:
-    """The views rebuilt from the cache entry of the file's ``digest``, or
-    None (a miss) when there is no usable entry or it is inconsistent or
-    fails a check. An image id that ``sizes`` lacks raises the parse's
-    error, naming the record's line."""
-    columns = _entry_columns(entry, digest)
-    if columns is None:
-        return None
-    try:
-        stored = []
-        for flipped in (False, True):
-            image_ids, linenos, counts, boxes, probs = (
-                columns[f"{name}{int(flipped)}"] for name in ("ids", "lines", "counts", "boxes", "probs"))
-            image_ids = json.loads(image_ids.tobytes())
-            if not (type(image_ids) is list and set(map(type, image_ids)) <= {str}
-                    and linenos.ndim == counts.ndim == 1 and linenos.dtype.kind == counts.dtype.kind == "i"
-                    and len(image_ids) == len(set(image_ids)) == len(linenos) == len(counts)):
-                return None  # rows: checked as the views are built
-            stored.append((flipped, image_ids, linenos.tolist(), counts, boxes, probs))
-    except Exception:  # a column missing, or ids that are not JSON: see _entry_columns
-        return None
-    unknown = [(lineno, image_id) for _, image_ids, linenos, *_ in stored
-               for image_id, lineno in zip(image_ids, linenos) if image_id not in sizes]
-    if unknown:
-        lineno, image_id = min(unknown)
-        raise ValueError(f"{path}: line {lineno}: unknown image id {image_id!r}")
-    try:
-        preds = PredictionViews(_clamped_chunk(tuple(image_ids), _detections(counts, boxes, probs), sizes, flipped)
-                                for flipped, image_ids, _, counts, boxes, probs in stored)
-    except ValueError:  # the parse finds the fault, or that there is none
-        return None
-    _touch(entry)
-    return preds
+def _cached_views(columns: Mapping[str, np.ndarray], sizes) -> PredictionViews | None:
+    """The views rebuilt from an entry's ``columns`` with every check that
+    depends on ``sizes`` or on the values run again; None when the columns
+    are inconsistent. A check that fails raises, and so does an image id
+    that ``sizes`` lacks: the parse names its line."""
+    chunks = []
+    for v in (0, 1):
+        image_ids, counts = json.loads(columns[f"ids{v}"].tobytes()), columns[f"counts{v}"]
+        if not (type(image_ids) is list and set(map(type, image_ids)) <= {str} and counts.ndim == 1
+                and counts.dtype.kind == "i" and len(image_ids) == len(set(image_ids)) == len(counts)):
+            return None  # rows: checked as the views are built
+        dets = _detections(counts, columns[f"boxes{v}"], columns[f"probs{v}"])
+        chunks.append(_clamped_chunk(tuple(image_ids), dets, sizes, bool(v)))
+    return PredictionViews(chunks)
 
 
-def _cached_dataset(entry: Path, digest: str) -> Dataset | None:
-    """The dataset rebuilt from the cache entry of the file's ``digest``,
-    through the :class:`Dataset` constructor, which runs every check; None
-    (a miss) when there is no usable entry, a column has another dtype or
-    shape, or a check fails."""
-    columns = _entry_columns(entry, digest)
-    if columns is None:
+def _cached_dataset(columns: Mapping[str, np.ndarray]) -> Dataset | None:
+    """The dataset rebuilt from an entry's ``columns`` through the
+    :class:`Dataset` constructor, which runs every check and raises if one
+    fails; None when a column has another dtype or shape."""
+    if any(columns[name].dtype.str != dtype or columns[name].ndim != ndim
+           for name, (dtype, ndim) in _DATASET_COLUMNS.items()) or columns["boxes"].shape[1] != 4:
         return None
-    try:
-        if any(columns[name].dtype.str != dtype or columns[name].ndim != ndim
-               for name, (dtype, ndim) in _DATASET_COLUMNS.items()) or columns["boxes"].shape[1] != 4:
-            return None
-        classes, ids = (json.loads(columns[name].tobytes()) for name in ("classes", "ids"))
-        if type(classes) is not list or type(ids) is not list:
-            return None
-        dataset = Dataset(tuple(classes), ids, *(columns[name] for name in
-                                                 ("widths", "heights", "boxes", "class_ids", "counts")))
-    except Exception:  # a column missing, or a check that fails: see _entry_columns
+    classes, ids = (json.loads(columns[name].tobytes()) for name in ("classes", "ids"))
+    if type(classes) is not list or type(ids) is not list:
         return None
-    _touch(entry)
-    return dataset
+    return Dataset(tuple(classes), ids, *(columns[name] for name in
+                                          ("widths", "heights", "boxes", "class_ids", "counts")))
 
 
 def _save_entry(cache: Path, name: str, digest: str, columns: Mapping[str, np.ndarray]) -> None:

@@ -308,6 +308,15 @@ TRUNCATED = lambda entry, good, other: entry.write_bytes(entry.read_bytes()[: en
 OTHER_CONTENT = lambda entry, good, other: entry.write_bytes(other.read_bytes())  # noqa: E731
 
 
+def without_column(name):
+    """A spoiler that writes the good entry again without the column ``name``,
+    in its header and its body."""
+    def spoil(entry, good, other):
+        digest, columns = good
+        write_entry(entry, digest, {key: a for key, a in columns.items() if key != name})
+    return spoil
+
+
 class TestPredictionsCache:
     """``read_predictions_jsonl`` keeps a regular file's checked columns in
     ``$XDG_CACHE_HOME/aldet``; a hit must give what a parse gives."""
@@ -329,7 +338,7 @@ class TestPredictionsCache:
 
     @staticmethod
     def entry(cache, path):
-        return cache / f"v2-{hashlib.sha256(path.read_bytes()).hexdigest()}.cols"
+        return cache / f"{formats._CACHE_TAG}-{hashlib.sha256(path.read_bytes()).hexdigest()}.cols"
 
     @staticmethod
     def cold(path, image_sizes):
@@ -364,7 +373,9 @@ class TestPredictionsCache:
         lambda entry, good, other: entry.write_bytes(entry.read_bytes() + bytes(64)),
         # the same values, big-endian: a dtype the cache does not write
         spoil_columns(probs0=lambda c: c["probs0"].astype(">f8")),
-    ], ids=["truncated", "other-content", "row-count", "non-finite", "overrun", "trailing", "dtype"])
+        without_column("counts1"),
+    ], ids=["truncated", "other-content", "row-count", "non-finite", "overrun", "trailing", "dtype",
+            "missing-column"])
     def test_spoilt_entry_is_a_miss_and_is_written_again(self, world, cache, file, tmp_path, spoil):
         other_file = tmp_path / "other.jsonl"  # the same records, a line further down
         other_file.write_text("\n" + file.read_text())
@@ -379,6 +390,20 @@ class TestPredictionsCache:
         assert rewritten.keys() == good[1].keys()
         assert all(np.array_equal(rewritten[name], good[1][name]) for name in good[1])
         assert entry.read_bytes() == good_bytes  # each column with its dtype too
+
+    def test_image_id_the_sizes_lack_is_a_miss_and_the_parse_raises(self, world, cache, file):
+        formats.read_predictions_jsonl(file, sizes(world))
+        entry = self.entry(cache, file)
+        good, listing = entry.read_bytes(), sorted(p.name for p in cache.iterdir())
+        fewer = {image_id: wh for image_id, wh in sizes(world).items() if image_id != world.image_ids[3]}
+        with pytest.raises(ValueError) as cold:
+            self.cold(file, fewer)
+        with pytest.raises(ValueError) as warm:
+            formats.read_predictions_jsonl(file, fewer)
+        assert str(warm.value) == str(cold.value)
+        assert "unknown image id" in str(cold.value)
+        assert entry.read_bytes() == good
+        assert sorted(p.name for p in cache.iterdir()) == listing
 
     def test_unwritable_directory_writes_nothing(self, world, cache, file, monkeypatch):
         def refuse(*args, **kwargs):
@@ -428,13 +453,14 @@ class TestPredictionsCache:
 
         def lookup_then_change(*args, **kwargs):
             digest = lookup(*args, **kwargs)
-            file.write_bytes(b"\n" + before)
+            file.write_bytes(swapped_lines(before))
             return digest
 
         monkeypatch.setattr(formats, "_file_digest", lookup_then_change)
         formats.read_predictions_jsonl(file, sizes(world))
         assert [p.name for p in cache.iterdir()] == [self.entry(cache, file).name]
-        assert self.columns(self.entry(cache, file))["lines0"][0] == 2
+        first = json.loads(file.read_bytes().splitlines()[0])
+        assert json.loads(self.columns(self.entry(cache, file))["ids0"].tobytes())[0] == first["image_id"]
 
     def test_eight_entries_kept_the_least_recently_hit_goes(self, world, cache, file, tmp_path):
         paths = []
@@ -501,7 +527,7 @@ class TestDatasetCache:
 
     @staticmethod
     def entry(cache, path):
-        return cache / f"v2-dataset-{hashlib.sha256(path.read_bytes()).hexdigest()}.cols"
+        return cache / f"{formats._CACHE_TAG}-dataset-{hashlib.sha256(path.read_bytes()).hexdigest()}.cols"
 
     @staticmethod
     def cold(path):
@@ -528,7 +554,9 @@ class TestDatasetCache:
         spoil_columns(boxes=lambda c: np.full_like(c["boxes"], np.nan)),
         spoil_columns(class_ids=lambda c: np.where(np.arange(len(c["class_ids"])) == 0, 4, c["class_ids"])),  # K = 3
         spoil_columns(counts=lambda c: c["counts"] + 1),
-    ], ids=["truncated", "other-content", "float-width", "nan-box", "class-id-above-k", "row-count"])
+        without_column("class_ids"),
+    ], ids=["truncated", "other-content", "float-width", "nan-box", "class-id-above-k", "row-count",
+            "missing-column"])
     def test_spoilt_entry_is_a_miss_and_is_written_again(self, cache, file, tmp_path, spoil):
         other_file = tmp_path / "other.json"  # the same document, a line further down
         other_file.write_text("\n" + file.read_text())
@@ -634,13 +662,13 @@ class TestStatBinding:
 
     @staticmethod
     def markers(cache):
-        return sorted(p.name for p in cache.iterdir() if p.name.startswith("v2-stat-"))
+        return sorted(p.name for p in cache.iterdir() if p.name.startswith(f"{formats._CACHE_TAG}-stat-"))
 
     @staticmethod
     def marker(cache, path):
         st = path.stat()
         key = ".".join(f"{n:x}" for n in (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns))
-        return f"v2-stat-{key}-{hashlib.sha256(path.read_bytes()).hexdigest()}"
+        return f"{formats._CACHE_TAG}-stat-{key}-{hashlib.sha256(path.read_bytes()).hexdigest()}"
 
     def test_young_file_is_hashed_on_every_read_and_binds_nothing(self, cache, subject, hashes):
         cold = subject.cold()
@@ -719,7 +747,7 @@ class TestStatBinding:
             assert subject.read() == cold
             assert self.marker(cache, subject.path) in self.markers(cache)
         assert len(self.markers(cache)) == formats.CACHE_ENTRIES
-        assert [p.name for p in cache.iterdir() if not p.name.startswith("v2-stat-")] == [
+        assert [p.name for p in cache.iterdir() if not p.name.startswith(f"{formats._CACHE_TAG}-stat-")] == [
             subject.entry(cache, subject.path).name]
 
     def test_file_changed_after_a_bound_lookup_is_stored_under_the_bytes_parsed(self, cache, subject, monkeypatch,

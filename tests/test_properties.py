@@ -1143,8 +1143,7 @@ def _error(read):
 @given(prediction_file(), st.integers(1, 2), st.integers(1, 4), st.randoms(use_true_random=False))
 def test_cached_read_equals_the_parse(tmp_path_factory, file, blank, size, rnd):
     # A read from the predictions cache must give the parse's views, and the
-    # parse's error when the dataset lacks an image: the entry was written
-    # with every image known, so the hit must name the record's line itself.
+    # parse's error when the dataset lacks an image.
     text, sizes = file
     path = tmp_path_factory.getbasetemp() / "cached.jsonl"
     path.write_text("\n" * blank + text)
