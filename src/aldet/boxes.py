@@ -362,18 +362,16 @@ def nms(
     rows = rows[order]
     group = dets.class_ids[rows] + image[order] * dets.probs.shape[1]  # one key per (image, class)
     # Contiguous (image, class) groups, each still in greedy order, and the
-    # number of earlier members of each row's group.
+    # first row of each row's group.
     by_group = np.argsort(group, kind="stable")
     group = group[by_group]
     n = len(rows)
     starts = np.ones(n, dtype=bool)
     starts[1:] = group[1:] != group[:-1]
     first = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-    ahead = np.arange(n) - first
-    if not ahead.any():  # no two of a group: nothing to suppress
-        return dets.take(rows)
-    # Every (later, earlier) pair of a group, later-major, and all their IoUs at once.
-    later, earlier = span_pairs(first, ahead)
+    # Every (later, earlier) pair of a group, later-major, and all their IoUs
+    # at once; a group of one row has none.
+    later, earlier = span_pairs(first, np.arange(n) - first)
     later, earlier = rows[by_group[later]], rows[by_group[earlier]]
     over = iou(dets.boxes[later], dets.boxes[earlier]) > iou_threshold
     # A row's earlier members are settled before its own pairs come up.

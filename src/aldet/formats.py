@@ -468,6 +468,7 @@ _STAT_PREFIX = "stat-"  # a marker's, after the tag: an empty file that binds a 
 # bound: FAT's 2 s timestamp granularity plus the coarse clock's lag, with
 # room to spare (see _file_digest).
 _STAT_MARGIN_NS = 3_000_000_000
+_TMP_PREFIX = ".tmp-"  # a save's file before its rename; pruned once older than the margin
 _HASH_BLOCK = 1 << 20
 _ENTRY_ALIGN = 64  # each column starts at a multiple of this many bytes
 _ENTRY_DTYPES = frozenset({"<i8", "<f8", "|u1"})  # the only dtypes an entry is written with
@@ -719,7 +720,7 @@ def _save_entry(cache: Path, name: str, digest: str, columns: Mapping[str, np.nd
     entry, tmp = cache / name, None
     try:
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache, prefix=".tmp-")
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix=_TMP_PREFIX)
         with os.fdopen(fd, "wb") as f:
             f.writelines(pieces)
         os.replace(tmp, entry)
@@ -733,16 +734,22 @@ def _save_entry(cache: Path, name: str, digest: str, columns: Mapping[str, np.nd
 
 
 def _prune(cache: Path) -> None:
-    """Delete every entry and marker of another tag, all but the newest
-    ``CACHE_ENTRIES`` entries of this one, of both kinds together, every
-    marker whose entry is gone, and all but the newest ``CACHE_ENTRIES``
-    markers left."""
+    """Delete every save's temporary file older than ``_STAT_MARGIN_NS``,
+    which a writer stopped before its rename leaves (a live writer whose
+    file goes loses only that save), every entry and marker of another tag,
+    all but the newest ``CACHE_ENTRIES`` entries of this one, of both kinds
+    together, every marker whose entry is gone, and all but the newest
+    ``CACHE_ENTRIES`` markers left."""
 
     def newest(names: Iterable[str]) -> list[str]:
         return sorted(names, key=lambda name: ((cache / name).stat().st_mtime_ns, name),
                       reverse=True)[:CACHE_ENTRIES]
 
     with suppress(OSError):  # another process may be pruning too
+        for tmp in cache.glob(f"{_TMP_PREFIX}*"):
+            with suppress(OSError):  # gone since the listing
+                if time.time_ns() - tmp.stat().st_mtime_ns > _STAT_MARGIN_NS:
+                    tmp.unlink()
         names = {name for name in os.listdir(cache) if name.startswith("v") and "-" in name}  # every tag's
         tag, marker = f"{_CACHE_TAG}-", f"{_CACHE_TAG}-{_STAT_PREFIX}"
         entries = newest(n for n in names if n.startswith(tag) and not n.startswith(marker))

@@ -3,16 +3,15 @@
 Matching is done on corner-box IoU after the flipped prediction has been
 mapped back into the original coordinate frame (see :func:`aldet.boxes.hflip`):
 a chunk still in the flipped frame is refused.
-Two chunks of images (:class:`~aldet.boxes.PredictionChunk`) are matched
-image by image in one pass. A pair is a pair of row indices, one into each
+Two chunks of images (:class:`~aldet.boxes.PredictionChunk`) are matched in
+one greedy pass per chunk. A pair is a pair of row indices, one into each
 chunk's detections, numbered across the chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, zip_longest
-from operator import itemgetter
+from itertools import zip_longest
 from typing import Iterable
 
 import numpy as np
@@ -60,9 +59,9 @@ def match_predictions(
 
     Within an image, all cross pairs are ranked by IoU descending (ties by
     original row, then flipped row) and accepted while both members are free
-    and the IoU is at least ``min_match_iou``. One ``iou`` call covers every
-    cross pair of every image, and the pairs come image by image, each
-    image's in acceptance order.
+    and the IoU is at least ``min_match_iou``. One ``iou`` call and one
+    :func:`greedy_assign` pass cover every cross pair of every image, and
+    the pairs come image by image, each image's in acceptance order.
     """
     check_frame(orig)
     check_frame(flipped)
@@ -80,9 +79,10 @@ def match_predictions(
         rows, cols = span_pairs((np.cumsum(per_image) - per_image)[da.image], per_image[da.image])
         ious = iou(da.boxes[rows], db.boxes[cols])
         hit = ious >= min_match_iou
-        rows, cols = rows[hit], cols[hit]
-        candidates = zip(da.image[rows].tolist(), ious[hit].tolist(), rows.tolist(), cols.tolist())
-        for _, group in groupby(candidates, key=itemgetter(0)):
-            accepted += greedy_assign(c[1:] for c in group)
+        # No candidate spans two images, so one greedy pass accepts each
+        # image's pairs in its own order; a stable sort puts them by image.
+        image = da.image.tolist()
+        accepted = sorted(greedy_assign(zip(ious[hit].tolist(), rows[hit].tolist(), cols[hit].tolist())),
+                          key=lambda t: image[t[1]])
 
     return MatchResult(tuple((i, j) for _, i, j in accepted))

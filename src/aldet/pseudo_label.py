@@ -115,9 +115,9 @@ def audit_pl_correctness(pls: PseudoLabels, gt: Dataset) -> float:
     ground truth is read, gathered by position. Each ground-truth object can
     validate at most one pseudo-label; candidate matches are consumed
     greedily by descending IoU (see :func:`aldet.matching.greedy_assign`),
-    pseudo-labels numbered in row order. A pseudo-label is only compared with the ground truth of its own
-    (image, class). An empty set audits as 1.0 by convention (callers should
-    report the count alongside).
+    pseudo-labels numbered in row order. A pseudo-label is only compared
+    with the ground truth of its own (image, class). An empty set audits as
+    1.0 by convention (callers should report the count alongside).
     """
     if not len(pls):
         return 1.0

@@ -33,11 +33,11 @@ other rows of its chunk. The chunk's ground truth is gathered from the
 dataset's columns with one index.
 
 The flipped view takes the original view's logits from the last
-original-view call instead of drawing them again when that call held the
-image. :func:`aldet.pool.run_cycles` predicts each pool chunk's flipped view
-right after the chunk's original view, so there every flipped image reuses
-them; a flipped call of images the last original-view call did not hold
-draws their original view again, through the same draw loop and array pass.
+original-view call instead of drawing them again when that call was of the
+same chunk: the same images in the same order. :func:`aldet.pool.run_cycles`
+predicts each pool chunk's flipped view right after the chunk's original
+view, so there every flipped call reuses them; any other flipped call draws
+its whole original view again, through the same draw loop and array pass.
 
 Low per-class accuracy combined with a low temperature produces confidently
 wrong predictions: low entropy but, under low flip robustness, high
@@ -396,16 +396,16 @@ class SyntheticDetector(DetectorInterface):
     chunk's rows from the draws in one array pass, which also scales the
     normals and maps the words to uniforms (:func:`_uniforms`).
 
-    The ground-truth logits of the most recent original-view call are kept,
-    so a flipped call of the same images reuses them instead of drawing
-    stream 0 again; any other flipped call draws those images' original view
-    again (:meth:`_original_logits`) and keeps the last call's.
-    ``run_cycles`` makes only the first kind, since it predicts each chunk's
-    two views back to back, and so never draws an original view twice. That
-    keeps one chunk's logits, O(images in the call x objects), never a
-    pool's. The generator is shared by a detector and every version made
-    from it, and that call's logits by the calls of one version, so none of
-    them is safe to call from several threads at once.
+    The positions of the most recent original-view call and its ground-truth
+    logits are kept, so a flipped call of the same positions in the same
+    order reuses them instead of drawing stream 0 again; any other flipped
+    call, a subset or a reordering too, draws its whole original view again
+    (:meth:`_original_logits`) and keeps the last call's. ``run_cycles``
+    makes only the first kind, since it predicts each chunk's two views back
+    to back, and so never draws an original view twice. That keeps one
+    chunk's logits, never a pool's. The generator is shared by a detector
+    and every version made from it, and that call's logits by the calls of
+    one version, so none of them is safe to call from several threads at once.
     """
 
     def __init__(self, config: SyntheticDetectorConfig, dataset: Dataset):
@@ -438,10 +438,9 @@ class SyntheticDetector(DetectorInterface):
         streams' ``k1`` and no original view yet."""
         self._version = version
         self._k1 = _mix64(self._config.seed, version)
-        # The ground-truth logits of the last original-view call, object by
-        # object, and each of its dataset positions -> the row of its first
-        # object.
-        self._last_original: tuple[dict[int, int], np.ndarray] = ({}, np.empty((0, self._k + 1)))
+        # The dataset positions of the last original-view call and their
+        # ground-truth logits, object by object.
+        self._last_original = (np.empty(0, dtype=np.intp), np.empty((0, self._k + 1)))
 
     # -- introspection used by tests and reports ---------------------------
 
@@ -655,26 +654,21 @@ class SyntheticDetector(DetectorInterface):
     def _original_logits(self, pos: np.ndarray) -> np.ndarray:
         """The ground-truth logits of the original view of the images at
         dataset positions ``pos``, object by object in chunk order: those of
-        the last original-view call for the images it held, and drawn again
-        by :meth:`_view` for the others, which leaves that call's kept."""
-        first_rows, kept = self._last_original
-        counts = self._dataset.counts[pos]
-        starts = np.array([first_rows.get(p, -1) for p in pos.tolist()], dtype=np.intp)
-        missing = np.flatnonzero(starts < 0)
-        if len(missing):
-            _, _, logits, gt_rows = self._view(pos[missing], False)
-            n = counts[missing]
-            starts[missing] = len(kept) + np.cumsum(n) - n
-            kept = np.concatenate([kept, logits[gt_rows]])
-        return kept[span_pairs(starts, counts)[1]]
+        the last original-view call if it held exactly these positions in
+        this order, else the whole original view drawn again by
+        :meth:`_view`, which leaves that call's kept."""
+        kept_pos, kept = self._last_original
+        if np.array_equal(pos, kept_pos):
+            return kept
+        _, _, logits, gt_rows = self._view(pos, False)
+        return logits[gt_rows]
 
     def predict(self, image_ids: Sequence[str], flipped: bool = False) -> PredictionChunk:
         data = self._dataset
         pos = data.positions(image_ids)
         image, boxes, logits, gt_rows = self._view(pos, flipped)
         if not flipped:
-            counts = data.counts[pos]
-            self._last_original = (dict(zip(pos.tolist(), (np.cumsum(counts) - counts).tolist())), logits[gt_rows])
+            self._last_original = (pos, logits[gt_rows])
 
         # Row-wise arithmetic only: each row is the same float as in a chunk
         # of its image alone.

@@ -780,6 +780,24 @@ class TestStatBinding:
             assert self.markers(cache) == ([marker] if k < formats.CACHE_ENTRIES else [])
         assert not subject.entry(cache, subject.path).exists()
 
+    def test_temporary_file_older_than_the_margin_goes_at_the_next_save(self, cache, subject):
+        # A save stopped between mkstemp and its rename (a kill, an interrupt)
+        # leaves its temporary file. The next save's prune deletes it once it
+        # is older than the margin, leaves a live writer's alone, and goes on
+        # past one that is gone by the time it is looked at.
+        cache.mkdir(parents=True)
+        stale, fresh, gone = (cache / f"{formats._TMP_PREFIX}{name}" for name in ("stale", "fresh", "gone"))
+        stale.write_bytes(b"a save stopped before its rename")
+        fresh.write_bytes(b"a save still being written")
+        gone.symlink_to(cache / "nothing")  # its stat fails as a vanished file's does
+        old = time.time_ns() - formats._STAT_MARGIN_NS - 10**9
+        os.utime(stale, ns=(old, old))
+        (cache / f"v1-{'0' * 64}.npz").write_bytes(b"PK")  # an older tag's entry: the rest of the prune runs
+        assert subject.read() == subject.cold()
+        entry = subject.entry(cache, subject.path)
+        assert sorted(p.name for p in cache.iterdir()) == sorted([entry.name, fresh.name, gone.name])
+        assert subject.read() == subject.cold()  # a hit of the entry written
+
 
 class TestPseudoLabelJSONL:
     def test_roundtrip(self, tmp_path):

@@ -463,18 +463,21 @@ class TestOnePass:
     CFG = dict(cycles=3, budget_per_cycle=10, seed=0, tau=0.9)
     N_TRAIN = 4 * acquisition.CHUNK_IMAGES - 8  # a pool of about four chunks after the initial 10
 
-    def test_no_image_replays_its_original_stream(self, monkeypatch):
-        # With pseudo-labels on, stream 0 (the original view's draws) is
-        # reset once per original image predicted: each flipped image takes
-        # its ground-truth logits from the original-view call just before
-        # it, instead of replaying its stream.
+    @pytest.mark.parametrize("pl_enabled, pl_strategy", [(True, "threshold"), (True, "topk"), (False, "threshold")])
+    def test_no_image_replays_its_original_stream(self, monkeypatch, pl_enabled, pl_strategy):
+        # With pseudo-labels on or off, stream 0 (the original view's draws)
+        # is reset once per original image predicted: each flipped call
+        # takes its ground-truth logits from the original-view call of the
+        # same chunk just before it, instead of replaying its streams.
         train, test, world = small_world(n_train=self.N_TRAIN)
         resets = log_resets(monkeypatch, world.image_ids)
         calls = Counter()
         detector = CountingDetector(make_detector(world, fp_rate=1.0), calls, [], [])
-        cfg = RunConfig(**self.CFG, pl_enabled=True)
+        cfg = RunConfig(**self.CFG, pl_enabled=pl_enabled, pl_strategy=pl_strategy)
         reports = list(run_cycles(init_pool(train.image_ids, 10, 0), detector, cfg, train, test))
-        assert all(r.pl_count for r in reports) and all(r.scores for r in reports[1:])
+        assert all(r.scores for r in reports[1:])
+        if pl_enabled:
+            assert all(r.pl_count for r in reports)
         assert Counter(image_id for image_id, tag in resets if tag == 0) == Counter(
             image_id for _, image_id, flipped in calls.elements() if not flipped)
 

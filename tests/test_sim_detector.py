@@ -419,8 +419,9 @@ def test_false_positives_need_a_20_pixel_image():
 
 def test_flipped_view_replays_stream_0_only_without_the_last_original_call(world, monkeypatch):
     # The flipped view needs the original view's ground-truth logits. It
-    # takes them from the detector's most recent original-view call when the
-    # image was in it, and replays stream 0 otherwise; either way the
+    # takes them from the detector's most recent original-view call when
+    # that call was of the same chunk (the same images in the same order),
+    # and replays stream 0 of every image otherwise; either way the
     # prediction is the same.
     resets = log_resets(monkeypatch, world.image_ids)
 
@@ -439,9 +440,11 @@ def test_flipped_view_replays_stream_0_only_without_the_last_original_call(world
     ids, others = world.image_ids[:4], world.image_ids[4:8]
     det.predict(ids)
     assert replayed(det, fresh, ids) == []
-    assert replayed(det, fresh, ids[1:3]) == []
+    assert replayed(det, fresh, ids[1:3]) == sorted(ids[1:3])  # a subset
+    assert replayed(det, fresh, ids[::-1]) == sorted(ids)  # the same images reordered
     assert replayed(det, fresh, others) == sorted(others)
-    assert replayed(det, fresh, ids + others[:1]) == list(others[:1])  # still the last original call
+    assert replayed(det, fresh, ids + others[:1]) == sorted(ids + others[:1])  # a superset
+    assert replayed(det, fresh, ids) == []  # still the last original call
     det.predict(others)
     assert replayed(det, fresh, ids) == sorted(ids)  # only the last original call is kept
     newer, fresh = det.update(pool), fresh.update(pool)
